@@ -134,6 +134,27 @@ fn malformed_tail_marks_the_source_dead() {
     assert_eq!(r.dead.len(), 1, "corrupt stream must kill the source");
     assert_eq!(svc.tail_count(), 0, "dead tails are dropped");
 
+    // A fault in the payload alone: the DEMANDS frame claims two values
+    // but carries three, and its CRC is recomputed so the framing holds.
+    // The tail must die with the very error a batch decode reports.
+    let mut enc = StreamEncoder::new();
+    enc.meta("x");
+    let demands_at = enc.clone().finish().len() - wcm_wire::frame::FRAME_OVERHEAD;
+    enc.demands(&[1, 2, 3]);
+    let mut bytes = enc.finish();
+    bytes[demands_at + 6] = 2; // the payload's count varint
+    let crc_at = bytes.len() - wcm_wire::frame::FRAME_OVERHEAD - 4;
+    let crc = wcm_wire::crc::crc32(&bytes[demands_at..crc_at]);
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    let want = decode(&bytes, DecodePolicy::Strict).unwrap_err();
+    assert_eq!(want.kind, wcm_wire::WireErrorKind::TrailingPayload);
+    write_file(&file, &bytes);
+    let mut svc = Service::new(svc.config().clone());
+    svc.add_tail(&file).unwrap();
+    let r = svc.round().unwrap();
+    assert_eq!(r.dead.len(), 1, "a bad payload must kill the source");
+    assert_eq!(r.dead[0].1, want, "same kind and offset as batch decode");
+
     std::fs::remove_file(&file).ok();
     std::fs::remove_dir(&dir).ok();
 }

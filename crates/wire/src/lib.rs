@@ -188,6 +188,9 @@ pub enum WireErrorKind {
     /// An application-range frame payload violated its schema (the frame
     /// itself passed its CRC; the layered decoder rejected the contents).
     BadPayload,
+    /// A well-formed frame of a kind the consumer does not accept (for
+    /// example typed events on a stream that must carry sessions only).
+    UnexpectedKind(u8),
     /// The value being encoded is not representable (e.g. a non-finite
     /// timestamp).
     Unencodable,
@@ -219,6 +222,7 @@ impl fmt::Display for WireError {
             WireErrorKind::BadSummary => "invalid curve-summary blob".to_string(),
             WireErrorKind::TrailingPayload => "unconsumed bytes at end of frame".to_string(),
             WireErrorKind::BadPayload => "application payload violates its schema".to_string(),
+            WireErrorKind::UnexpectedKind(k) => format!("frame kind {k:#04x} not accepted here"),
             WireErrorKind::Unencodable => "value not representable on the wire".to_string(),
         };
         write!(f, "wire error at byte {}: {what}", self.offset)

@@ -95,7 +95,7 @@ impl FrameDecoder {
     /// unusable fixed header fails; all other damage is absorbed into
     /// the report.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), WireError> {
-        self.feed_with(chunk, |_| {})
+        self.feed_with(chunk, |_, _| {})
     }
 
     /// Like [`FrameDecoder::feed`], additionally yielding every cleanly
@@ -103,13 +103,20 @@ impl FrameDecoder {
     /// completes — the hook for consumers that act per frame instead of
     /// waiting for [`FrameDecoder::finish`].
     ///
+    /// `on_frame` also gets the sections decoded so far, the frame's own
+    /// payload just committed to them (its values at the end of
+    /// `demands`/`times`, its name in `name`, …; `trace` and `report`
+    /// stay empty until `finish`). A long-lived consumer takes what it
+    /// uses out of them — `name.take()`, `v.append(&mut demands)` — so
+    /// the decoder stays flat; `finish` returns only what was left there.
+    ///
     /// # Errors
     ///
     /// As [`FrameDecoder::feed`].
     pub fn feed_with(
         &mut self,
         chunk: &[u8],
-        mut on_frame: impl FnMut(&Frame<'_>),
+        mut on_frame: impl FnMut(&Frame<'_>, &mut Decoded),
     ) -> Result<(), WireError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
@@ -153,7 +160,7 @@ impl FrameDecoder {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        self.pump(true, &mut |_| {})?;
+        self.pump(true, &mut |_, _| {})?;
         let mut report = self.report;
         report.events_decoded = self.state.events_decoded();
         Ok(self.state.into_decoded(report))
@@ -205,19 +212,6 @@ impl FrameDecoder {
         Some(restart)
     }
 
-    /// Drop everything the internal decode state has accumulated
-    /// (demands, times, names, summaries, …) while keeping the framing
-    /// position, policy and report intact.
-    ///
-    /// Long-lived consumers that handle every frame themselves via
-    /// [`FrameDecoder::feed_with`] + [`crate::trace::payload`] never
-    /// read the accumulated state, but without this call it grows with
-    /// the stream. After a reset, [`FrameDecoder::finish`] reflects
-    /// only the frames fed since the last reset.
-    pub fn reset_decoded(&mut self) {
-        self.state.reset();
-    }
-
     /// Frames decoded so far (progress for long-running feeds).
     #[must_use]
     pub fn frames_read(&self) -> u64 {
@@ -255,7 +249,7 @@ impl FrameDecoder {
     fn pump(
         &mut self,
         at_end: bool,
-        on_frame: &mut impl FnMut(&Frame<'_>),
+        on_frame: &mut impl FnMut(&Frame<'_>, &mut Decoded),
     ) -> Result<(), WireError> {
         if !self.header_ok {
             debug_assert_eq!(self.base, 0);
@@ -326,7 +320,7 @@ impl FrameDecoder {
                             if !known {
                                 self.report.frames_unknown += 1;
                             }
-                            on_frame(&frame);
+                            on_frame(&frame, &mut self.state.out);
                         }
                         Err(e) => match self.policy {
                             DecodePolicy::Strict => {
@@ -668,12 +662,33 @@ mod tests {
         let mut kinds = Vec::new();
         let mut dec = FrameDecoder::new(DecodePolicy::Strict);
         for chunk in bytes.chunks(7) {
-            dec.feed_with(chunk, |f| kinds.push(f.kind)).unwrap();
+            dec.feed_with(chunk, |f, _| kinds.push(f.kind)).unwrap();
         }
         let out = dec.finish().unwrap();
         assert_eq!(kinds.len() as u64, out.report.frames_read);
         assert!(kinds.contains(&KIND_DEMANDS) && kinds.contains(&KIND_TIMES));
         assert!(!kinds.contains(&crate::frame::KIND_END));
+    }
+
+    #[test]
+    fn feed_with_consumer_drains_what_it_takes() {
+        let bytes = sample_stream();
+        let whole = decode(&bytes, DecodePolicy::Strict).unwrap();
+        let mut demands = Vec::new();
+        let mut dec = FrameDecoder::new(DecodePolicy::Strict);
+        for chunk in bytes.chunks(64) {
+            dec.feed_with(chunk, |f, d| {
+                if f.kind == KIND_DEMANDS {
+                    demands.append(&mut d.demands);
+                }
+            })
+            .unwrap();
+        }
+        assert_eq!(demands, whole.demands);
+        let rest = dec.finish().unwrap();
+        assert!(rest.demands.is_empty(), "taken sections are gone");
+        assert_eq!(rest.times, whole.times, "untouched sections remain");
+        assert_eq!(rest.report, whole.report);
     }
 
     #[test]

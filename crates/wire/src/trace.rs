@@ -274,23 +274,20 @@ impl Decoded {
 /// Accumulates decoded sections until the whole stream has been walked.
 #[derive(Default)]
 pub(crate) struct DecodeState {
-    name: Option<String>,
-    demands: Vec<u64>,
-    times: Vec<f64>,
+    /// Every section that decodes straight into a [`Decoded`] field
+    /// (`trace` and `report` are filled in at the end) — what
+    /// [`crate::FrameDecoder::feed_with`] lends its consumer per frame.
+    pub(crate) out: Decoded,
     registry: Option<TypeRegistry>,
     handles: Vec<EventType>,
     events: Vec<EventType>,
-    summaries: Vec<CurveSummary>,
-    app_frames: Vec<(u8, Vec<u8>)>,
-    sweep_meta: Option<SweepShardMeta>,
-    sweep_points: Vec<SweepPointRec>,
     events_decoded: u64,
 }
 
 impl DecodeState {
-    /// Decode one frame's payload and commit it. All-or-nothing: the
-    /// payload is staged in temporaries, so a frame that fails midway
-    /// leaves the state untouched (what SkipCorrupt relies on).
+    /// Decode one frame's payload and commit it. All-or-nothing: a
+    /// frame that fails midway leaves the state untouched (what
+    /// SkipCorrupt relies on).
     /// Returns `true` for known kinds, `false` for unknown ones.
     pub(crate) fn apply(&mut self, frame: &Frame<'_>) -> Result<bool, WireError> {
         let mut c = Cursor::new(frame.payload, frame.payload_offset);
@@ -298,19 +295,19 @@ impl DecodeState {
             KIND_META => {
                 let name = c.str()?.to_string();
                 c.finish()?;
-                self.name = Some(name);
+                self.out.name = Some(name);
             }
             KIND_DEMANDS => {
-                let vals = decode_demands_cursor(&mut c)?;
-                c.finish()?;
-                self.events_decoded += vals.len() as u64;
-                self.demands.extend_from_slice(&vals);
+                self.events_decoded += append_or_roll_back(&mut self.out.demands, |out| {
+                    decode_demands_into(&mut c, out)?;
+                    c.finish()
+                })?;
             }
             KIND_TIMES => {
-                let vals = decode_times_cursor(&mut c)?;
-                c.finish()?;
-                self.events_decoded += vals.len() as u64;
-                self.times.extend_from_slice(&vals);
+                self.events_decoded += append_or_roll_back(&mut self.out.times, |out| {
+                    decode_times_into(&mut c, out)?;
+                    c.finish()
+                })?;
             }
             KIND_REGISTRY => {
                 if self.registry.is_some() {
@@ -357,26 +354,26 @@ impl DecodeState {
             KIND_SUMMARY => {
                 let s = summary::decode_payload(&mut c)?;
                 c.finish()?;
-                self.summaries.push(s);
+                self.out.summaries.push(s);
             }
             KIND_SWEEP_META => {
-                if self.sweep_meta.is_some() {
+                if self.out.sweep_meta.is_some() {
                     return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
                 }
                 let meta = sweep::decode_sweep_meta(&mut c, frame.start)?;
                 c.finish()?;
-                self.sweep_meta = Some(meta);
+                self.out.sweep_meta = Some(meta);
             }
             KIND_SWEEP_POINTS => {
-                if self.sweep_meta.is_none() {
+                if self.out.sweep_meta.is_none() {
                     return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
                 }
                 let recs = sweep::decode_sweep_points(&mut c)?;
                 c.finish()?;
-                self.sweep_points.extend_from_slice(&recs);
+                self.out.sweep_points.extend_from_slice(&recs);
             }
             k if (KIND_APP_BASE..KIND_END).contains(&k) => {
-                self.app_frames.push((k, frame.payload.to_vec()));
+                self.out.app_frames.push((k, frame.payload.to_vec()));
             }
             _ => return Ok(false),
         }
@@ -387,48 +384,47 @@ impl DecodeState {
         self.events_decoded
     }
 
-    /// Drop everything accumulated so far (name, demands, times,
-    /// events, summaries, …) while keeping nothing of the registry
-    /// either — the flat-memory reset behind
-    /// [`crate::FrameDecoder::reset_decoded`].
-    pub(crate) fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     pub(crate) fn into_decoded(self, report: DecodeReport) -> Decoded {
-        let trace = self
-            .registry
-            .map(|reg| Trace::new(reg, self.events));
         Decoded {
-            name: self.name,
-            demands: self.demands,
-            times: self.times,
-            trace,
-            summaries: self.summaries,
-            app_frames: self.app_frames,
-            sweep_meta: self.sweep_meta,
-            sweep_points: self.sweep_points,
+            trace: self.registry.map(|reg| Trace::new(reg, self.events)),
             report,
+            ..self.out
         }
     }
 }
 
-/// Varint demand values from a [`KIND_DEMANDS`] payload cursor (caller
-/// runs `finish`).
-fn decode_demands_cursor(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
+/// Run `decode`, which appends to `out`, all-or-nothing: on an error
+/// `out` is cut back to where it stood. Returns the count appended.
+fn append_or_roll_back<T>(
+    out: &mut Vec<T>,
+    decode: impl FnOnce(&mut Vec<T>) -> Result<(), WireError>,
+) -> Result<u64, WireError> {
+    let at = out.len();
+    match decode(out) {
+        Ok(()) => Ok((out.len() - at) as u64),
+        Err(e) => {
+            out.truncate(at);
+            Err(e)
+        }
+    }
+}
+
+/// Append the varint demand values of a [`KIND_DEMANDS`] payload cursor
+/// to `vals` (caller runs `finish`).
+fn decode_demands_into(c: &mut Cursor<'_>, vals: &mut Vec<u64>) -> Result<(), WireError> {
     let n = c.count(1)?;
-    let mut vals = Vec::with_capacity(n);
+    vals.reserve(n);
     for _ in 0..n {
         vals.push(c.varint()?);
     }
-    Ok(vals)
+    Ok(())
 }
 
-/// Delta-coded timestamps from a [`KIND_TIMES`] payload cursor (caller
-/// runs `finish`).
-fn decode_times_cursor(c: &mut Cursor<'_>) -> Result<Vec<f64>, WireError> {
+/// Append the delta-coded timestamps of a [`KIND_TIMES`] payload cursor
+/// to `vals` (caller runs `finish`).
+fn decode_times_into(c: &mut Cursor<'_>, vals: &mut Vec<f64>) -> Result<(), WireError> {
     let n = c.count(1)?;
-    let mut vals = Vec::with_capacity(n);
+    vals.reserve(n);
     if n > 0 {
         let at = c.offset();
         let mut key = c.varint()?;
@@ -448,64 +444,7 @@ fn decode_times_cursor(c: &mut Cursor<'_>) -> Result<Vec<f64>, WireError> {
             vals.push(t);
         }
     }
-    Ok(vals)
-}
-
-/// Standalone per-frame payload decoders, for consumers that act on
-/// frames as they arrive ([`crate::FrameDecoder::feed_with`] on a live
-/// tail or socket) instead of accumulating a whole [`Decoded`]. Each
-/// checks the frame kind and decodes exactly the bytes
-/// [`DecodeState::apply`] would, with the same error offsets.
-pub mod payload {
-    use super::*;
-
-    /// The stream/session name carried by a [`KIND_META`] frame.
-    ///
-    /// # Errors
-    ///
-    /// [`WireErrorKind::BadPayload`] on a kind mismatch, otherwise the
-    /// payload codec's own errors.
-    pub fn meta(frame: &Frame<'_>) -> Result<String, WireError> {
-        if frame.kind != KIND_META {
-            return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
-        }
-        let mut c = Cursor::new(frame.payload, frame.payload_offset);
-        let name = c.str()?.to_string();
-        c.finish()?;
-        Ok(name)
-    }
-
-    /// The demand values carried by a [`KIND_DEMANDS`] frame.
-    ///
-    /// # Errors
-    ///
-    /// [`WireErrorKind::BadPayload`] on a kind mismatch, otherwise the
-    /// payload codec's own errors.
-    pub fn demands(frame: &Frame<'_>) -> Result<Vec<u64>, WireError> {
-        if frame.kind != KIND_DEMANDS {
-            return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
-        }
-        let mut c = Cursor::new(frame.payload, frame.payload_offset);
-        let vals = decode_demands_cursor(&mut c)?;
-        c.finish()?;
-        Ok(vals)
-    }
-
-    /// The timestamps carried by a [`KIND_TIMES`] frame.
-    ///
-    /// # Errors
-    ///
-    /// [`WireErrorKind::BadPayload`] on a kind mismatch, otherwise the
-    /// payload codec's own errors.
-    pub fn times(frame: &Frame<'_>) -> Result<Vec<f64>, WireError> {
-        if frame.kind != KIND_TIMES {
-            return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
-        }
-        let mut c = Cursor::new(frame.payload, frame.payload_offset);
-        let vals = decode_times_cursor(&mut c)?;
-        c.finish()?;
-        Ok(vals)
-    }
+    Ok(())
 }
 
 /// Decode a whole stream under `policy`.
