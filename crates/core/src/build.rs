@@ -98,8 +98,28 @@ pub fn arrival_upper_with(
     mode: WindowMode,
     par: Parallelism,
 ) -> Result<StepCurve, WorkloadError> {
-    let times = trace.times();
-    let spans = min_spans_with(&times, k_max, mode, par)?;
+    let spans = min_spans_with(&trace.times(), k_max, mode, par)?;
+    arrival_upper_from_spans(&spans, trace.len(), trace.duration())
+}
+
+/// The staircase of [`arrival_upper_with`] from already measured minimal
+/// spans `spans[k − 1] = d(k)` of a trace with `len` events lasting
+/// `duration`: it jumps to `k` at `Δ = d(k)`, its horizon is `d(k_max)`
+/// and its tail rate `len / duration`. Shared by the batch path and the
+/// sliding window of `wcm serve`.
+///
+/// # Errors
+///
+/// [`WorkloadError::InvalidParameter`] for empty `spans`; curve errors
+/// from [`StepCurve::new`].
+pub fn arrival_upper_from_spans(
+    spans: &[f64],
+    len: usize,
+    duration: f64,
+) -> Result<StepCurve, WorkloadError> {
+    let &horizon = spans
+        .last()
+        .ok_or(WorkloadError::InvalidParameter { name: "k_max" })?;
     // spans is non-decreasing; build steps at strictly increasing Δ.
     let mut steps: Vec<(f64, u64)> = Vec::with_capacity(spans.len());
     for (i, &d) in spans.iter().enumerate() {
@@ -112,10 +132,8 @@ pub fn arrival_upper_with(
             _ => steps.push((d, k)),
         }
     }
-    let horizon = *spans.last().expect("validated non-empty");
-    let duration = trace.duration();
     let tail_rate = if duration > 0.0 {
-        trace.len() as f64 / duration
+        len as f64 / duration
     } else {
         0.0
     };

@@ -14,6 +14,17 @@
 //! each event costs `O(k_max)` comparisons and memory stays constant
 //! regardless of trace length.
 //!
+//! The exact scan is blocked per batch: [`EnvelopeMonitor::observe_all`]
+//! rebases the full ring plus up to 256 demands into a local `u64` prefix
+//! table and, for each `k`, takes the largest and smallest sum of the
+//! windows ending in the batch in one branch-free loop (the shape of the
+//! window scans in `wcm_events::window`). When no `k` breaks a bound,
+//! the slack minima, counters and ring are updated in bulk; otherwise the
+//! batch is replayed event by event, so violations are recorded in the
+//! same order with the same fields. Short batches, a ring that is not yet
+//! full and sums that do not fit `u64` take the per-event path. Either
+//! way the [`MonitorReport`] equals that of per-event [`EnvelopeMonitor::observe`].
+//!
 //! For hot loops (e.g. a design-space sweep simulating thousands of
 //! points) [`EnvelopeMonitor::with_fast_scan`] drops the per-`k` slack
 //! statistics and adds an **O(1) early-exit on the dominant window**: at
@@ -57,6 +68,13 @@
 use crate::curve::{LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use crate::WorkloadError;
 use std::collections::VecDeque;
+
+/// Most demands per blocked exact scan in [`EnvelopeMonitor::observe_all`].
+const SCAN_BATCH: usize = 256;
+
+/// Fewer demands than this go through [`EnvelopeMonitor::observe`] one
+/// by one: the blocked scan's set-up would not pay off.
+const SCAN_MIN: usize = 8;
 
 /// Which bound a window broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,6 +213,10 @@ pub struct EnvelopeMonitor {
     violations: Vec<Violation>,
     upper_slack: Vec<Option<i128>>,
     lower_slack: Vec<Option<i128>>,
+    /// Work table of the blocked exact scan in [`Self::observe_all`]:
+    /// kept between batches so a long stream allocates it once, and
+    /// never allocated while the ring is filling or in fast mode.
+    scratch: Vec<u64>,
 }
 
 impl EnvelopeMonitor {
@@ -265,6 +287,7 @@ impl EnvelopeMonitor {
             violations: Vec::new(),
             upper_slack: vec![None; k_max],
             lower_slack: vec![None; k_max],
+            scratch: Vec::new(),
         })
     }
 
@@ -597,8 +620,105 @@ impl EnvelopeMonitor {
 
     /// Feeds a batch of demands in order; returns the new violations they
     /// caused.
+    ///
+    /// The result and the monitor's state are exactly those of calling
+    /// [`Self::observe`] per demand. In exact mode, once the ring is full,
+    /// the demands go in blocks of up to 256 through a branch-free scan
+    /// (see the module docs); a block that breaks a bound is replayed
+    /// event by event, so the stored violations keep their order.
     pub fn observe_all(&mut self, demands: impl IntoIterator<Item = u64>) -> usize {
-        demands.into_iter().map(|d| self.observe(d)).sum()
+        let mut demands = demands.into_iter();
+        let mut fresh = 0;
+        // Taken out of `self` while `observe` may run; put back below.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        loop {
+            scratch.clear();
+            if self.fast || self.cum.len() <= self.k_max {
+                match demands.next() {
+                    Some(d) => fresh += self.observe(d),
+                    None => break,
+                }
+                continue;
+            }
+            scratch.extend(demands.by_ref().take(SCAN_BATCH));
+            let n = scratch.len();
+            if n == 0 {
+                break;
+            }
+            if n < SCAN_MIN || !self.scan_batch(&mut scratch) {
+                fresh += scratch[..n].iter().map(|&d| self.observe(d)).sum::<usize>();
+            }
+        }
+        self.scratch = scratch;
+        fresh
+    }
+
+    /// The blocked exact scan of the batch in `s` on a full ring. Appends
+    /// to the batch the ring plus the batch rebased into a `u64` prefix
+    /// table, then takes for every `k` the largest and smallest sum of
+    /// the windows that end in the batch. If none breaks a bound, applies
+    /// the batch in bulk (slack minima, counters, ring) and returns
+    /// `true`. Returns `false`, with the monitor untouched, when a bound
+    /// breaks or the table would overflow; the caller then replays the
+    /// batch (still `s[..n]`) through [`Self::observe`].
+    fn scan_batch(&mut self, s: &mut Vec<u64>) -> bool {
+        let (n, k_max) = (s.len(), self.k_max);
+        s.reserve_exact(k_max + 1 + n + 2 * k_max);
+        let front = self.cum[0];
+        for &c in &self.cum {
+            match u64::try_from(c - front) {
+                Ok(v) => s.push(v),
+                Err(_) => return false,
+            }
+        }
+        let mut acc = s[n + k_max];
+        for i in 0..n {
+            match acc.checked_add(s[i]) {
+                Some(v) => acc = v,
+                None => return false,
+            }
+            s.push(acc);
+        }
+        // s = [batch | prefix table | (max, min) per k]
+        let table = s.len();
+        s.resize(table + 2 * k_max, 0);
+        let (head, extremes) = s.split_at_mut(table);
+        let p = &head[n..];
+        let ends = &p[k_max + 1..];
+        for (k, ext) in (1..=k_max).zip(extremes.chunks_exact_mut(2)) {
+            let starts = &p[k_max + 1 - k..k_max + 1 - k + n];
+            let (mut mx, mut mn) = (0u64, u64::MAX);
+            for (h, l) in ends.iter().zip(starts) {
+                let sum = h - l;
+                mx = mx.max(sum);
+                mn = mn.min(sum);
+            }
+            if (self.upper.is_some() && mx > self.upper_bounds[k - 1])
+                || (self.lower.is_some() && mn < self.lower_bounds[k - 1])
+            {
+                return false;
+            }
+            ext.copy_from_slice(&[mx, mn]);
+        }
+        for (k, ext) in extremes.chunks_exact(2).enumerate() {
+            if self.upper.is_some() {
+                let slack = i128::from(self.upper_bounds[k]) - i128::from(ext[0]);
+                let entry = &mut self.upper_slack[k];
+                *entry = Some(entry.map_or(slack, |s| s.min(slack)));
+            }
+            if self.lower.is_some() {
+                let slack = i128::from(ext[1]) - i128::from(self.lower_bounds[k]);
+                let entry = &mut self.lower_slack[k];
+                *entry = Some(entry.map_or(slack, |s| s.min(slack)));
+            }
+        }
+        let sides = u64::from(self.upper.is_some()) + u64::from(self.lower.is_some());
+        self.windows_checked += sides * (n * k_max) as u64;
+        self.events += n as u64;
+        self.cum.clear();
+        self.cum
+            .extend(p[n..].iter().map(|&v| front + u128::from(v)));
+        true
     }
 
     fn record(&mut self, v: Violation) {

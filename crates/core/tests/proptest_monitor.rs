@@ -1,0 +1,109 @@
+//! The blocked exact scan of `EnvelopeMonitor::observe_all` against the
+//! per-event `observe` loop: random demands with injected upper and lower
+//! violations, random batch splits, every constructor, several window
+//! depths, mid-stream depth changes and demands near `u64::MAX` (whose
+//! sums only fit the `u128` ring) must all yield equal `MonitorReport`s.
+
+use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use wcm_core::monitor::EnvelopeMonitor;
+use wcm_core::{LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
+
+const DEPTHS: [usize; 4] = [1, 2, 8, 64];
+
+/// Bounds around demands in `[base/2, 1.5·base]`: `γᵘ(k) = 1.5·base·k +
+/// base` and `γˡ(k) = base·k/2 − base/4` (saturating), so one spike of
+/// `5·base` breaks every upper window holding it and one zero every lower.
+fn bounds(base: u64, k_max: usize) -> WorkloadBounds {
+    let upper = (1..=k_max as u64)
+        .map(|k| (base / 2 * 3).saturating_mul(k).saturating_add(base))
+        .collect();
+    let lower = (1..=k_max as u64)
+        .map(|k| (base / 2).saturating_mul(k).saturating_sub(base / 4))
+        .collect();
+    WorkloadBounds {
+        upper: UpperWorkloadCurve::new(upper).unwrap(),
+        lower: LowerWorkloadCurve::new(lower).unwrap(),
+    }
+}
+
+fn monitor(kind: usize, b: &WorkloadBounds, k_max: usize) -> EnvelopeMonitor {
+    match kind {
+        0 => EnvelopeMonitor::new(b, k_max),
+        1 => EnvelopeMonitor::upper_only(&b.upper, k_max),
+        _ => EnvelopeMonitor::lower_only(&b.lower, k_max),
+    }
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    #[test]
+    fn batched_observe_all_equals_per_event_observe(
+        seed in 0u64..u64::MAX,
+        kind in 0usize..3,
+        depth in 0usize..4,
+        huge in 0u32..4,
+        odds in 50u64..2000,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // One case in four runs near u64::MAX: window sums overflow u64,
+        // so the blocked scan must fall back to the u128 ring.
+        let base = if huge == 0 { u64::MAX / 16 } else { 100 };
+        let n = rng.gen_range(1..2500usize);
+        let demands: Vec<u64> = (0..n)
+            .map(|_| match rng.gen_range(0..odds) {
+                0 => base.saturating_mul(5),
+                1 => 0,
+                _ => rng.gen_range(base / 2..=base / 2 * 3),
+            })
+            .collect();
+        let mut k_max = DEPTHS[depth];
+        let b = bounds(base, k_max);
+        let mut single = monitor(kind, &b, k_max);
+        let mut batched = monitor(kind, &b, k_max);
+        let mut at = 0;
+        while at < n {
+            if rng.gen_range(0..6u32) == 0 {
+                // Shrink or grow the window depth between batches.
+                k_max = DEPTHS[rng.gen_range(0..DEPTHS.len())];
+                let b = bounds(base, k_max);
+                single.rebind_with_k_max(&b, k_max).unwrap();
+                batched.rebind_with_k_max(&b, k_max).unwrap();
+            }
+            let end = (at + rng.gen_range(1..=200usize)).min(n);
+            let one: usize = demands[at..end].iter().map(|&d| single.observe(d)).sum();
+            let all = batched.observe_all(demands[at..end].iter().copied());
+            prop_assert_eq!(one, all, "fresh violations of events {}..{}", at, end);
+            prop_assert_eq!(single.report(), batched.report(), "after event {}", end);
+            at = end;
+        }
+    }
+}
+
+#[test]
+fn spikes_and_zeros_break_both_bounds_at_both_scales() {
+    // The generator above is only meaningful if its spikes and zeros
+    // really break the bounds, at both scales.
+    for base in [100u64, u64::MAX / 16] {
+        let b = bounds(base, 8);
+        let mut mon = EnvelopeMonitor::new(&b, 8).unwrap();
+        let clean = vec![base; 300];
+        mon.observe_all(clean.iter().copied());
+        assert!(mon.is_clean(), "base {base}");
+        let mut spiky = clean.clone();
+        spiky[150] = base.saturating_mul(5);
+        spiky[200] = 0;
+        mon.observe_all(spiky.iter().copied());
+        let report = mon.report();
+        assert!(
+            matches!(report.min_upper_slack(), Some(s) if s < 0),
+            "base {base}"
+        );
+        assert!(
+            matches!(report.min_lower_slack(), Some(s) if s < 0),
+            "base {base}"
+        );
+    }
+}

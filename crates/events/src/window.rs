@@ -29,6 +29,10 @@
 //! functions default to [`Parallelism::Auto`] (threads only when the work
 //! amortizes their start-up). Sequential and parallel runs produce
 //! **bit-identical** results.
+//!
+//! A window that slides over a stream keeps its spans incrementally:
+//! [`SlidingSpans`] caches per-block span minima, so a query after a few
+//! pushes and pops rescans only the ends near the window's two edges.
 
 use crate::EventError;
 pub use wcm_par::Parallelism;
@@ -648,6 +652,241 @@ fn spans(
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0.0f64))
 }
 
+/// Span ends per cached block of [`SlidingSpans`].
+const SPAN_BLOCK: usize = 128;
+
+/// A sliding window of timestamps that answers [`min_spans_with`] in
+/// [`WindowMode::Exact`] without rescanning the whole window.
+///
+/// Span ends are grouped by absolute position into blocks of 128. For
+/// each block the window keeps the minimum of `t[j] − t[j−k+1]` over the
+/// block's ends `j`, for every `k = 2..=depth`. A block stays valid while
+/// its first end is at least `depth − 1` stamps past the window's front,
+/// so every window it covers is still retained; it is dropped once the
+/// front passes that point. A query therefore only rescans the ends
+/// before the first valid block, the ends after the last complete block,
+/// and the blocks completed since the last query. The result is the
+/// minimum over the same set of `f64` differences as the full rescan, so
+/// it is bitwise equal.
+///
+/// The window counts its non-finite stamps and adjacent inversions;
+/// while any is retained, [`SlidingSpans::min_spans`] fails exactly as a
+/// [`crate::TimedTrace`] of the window contents would.
+///
+/// # Example
+///
+/// ```
+/// use wcm_events::window::{min_spans, SlidingSpans, WindowMode};
+///
+/// let times = [0.0, 1.0, 1.25, 5.0, 5.5, 6.0];
+/// let mut w = SlidingSpans::default();
+/// for &t in &times {
+///     w.push(t);
+/// }
+/// w.pop_front();
+/// let mut spans = Vec::new();
+/// w.min_spans(3, &mut spans)?;
+/// assert_eq!(spans, min_spans(&times[1..], 3, WindowMode::Exact)?);
+/// # Ok::<(), wcm_events::EventError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct SlidingSpans {
+    times: std::collections::VecDeque<f64>,
+    /// Absolute position of `times[0]`: stamps popped so far.
+    base: u64,
+    /// Non-finite stamps plus adjacent inversions in the window.
+    unsorted: usize,
+    /// `−0.0` stamps in the window. The minimum over reordered blocks
+    /// could pick the other sign of a zero span, so queries rescan.
+    neg_zeros: usize,
+    /// Window depth the cached blocks were built for (0: none yet).
+    depth: usize,
+    /// Absolute index of the first cached block.
+    first_block: u64,
+    /// Cached block minima, `depth − 1` per block (`k = 2..=depth`).
+    block_mins: Vec<f64>,
+    /// Span differences computed so far (work counter).
+    diffs: u64,
+}
+
+impl SlidingSpans {
+    /// Stamps in the window.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// Whether the window is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    /// Time between the first and the last stamp (0 for fewer than two),
+    /// like [`crate::TimedTrace::duration`].
+    #[must_use]
+    pub fn duration(&self) -> f64 {
+        match (self.times.front(), self.times.back()) {
+            (Some(a), Some(b)) => b - a,
+            _ => 0.0,
+        }
+    }
+
+    /// Span differences computed by all queries so far; a deterministic
+    /// measure of the work a query does.
+    #[must_use]
+    pub fn diffs_computed(&self) -> u64 {
+        self.diffs
+    }
+
+    /// Appends a stamp at the back.
+    pub fn push(&mut self, t: f64) {
+        if let Some(&prev) = self.times.back() {
+            self.unsorted += usize::from(t < prev);
+        }
+        self.unsorted += usize::from(!t.is_finite());
+        self.neg_zeros += usize::from(is_neg_zero(t));
+        self.times.push_back(t);
+    }
+
+    /// Removes the oldest stamp.
+    pub fn pop_front(&mut self) -> Option<f64> {
+        let t = self.times.pop_front()?;
+        if let Some(&next) = self.times.front() {
+            self.unsorted -= usize::from(next < t);
+        }
+        self.unsorted -= usize::from(!t.is_finite());
+        self.neg_zeros -= usize::from(is_neg_zero(t));
+        self.base += 1;
+        Some(t)
+    }
+
+    /// Minimal spans of the window for `k = 1..=k_max` into `out`
+    /// (cleared first), bitwise equal to
+    /// `min_spans_with(window, k_max, WindowMode::Exact, _)`.
+    ///
+    /// # Errors
+    ///
+    /// [`EventError::UnsortedTimestamps`] (first offending index in the
+    /// window) while a non-finite stamp or an inversion is retained;
+    /// [`EventError::InvalidParameter`] if `k_max` is 0 or exceeds the
+    /// window length.
+    pub fn min_spans(&mut self, k_max: usize, out: &mut Vec<f64>) -> Result<(), EventError> {
+        out.clear();
+        let n = self.times.len();
+        if self.unsorted > 0 {
+            let index = (0..n)
+                .find(|&i| {
+                    !self.times[i].is_finite() || (i > 0 && self.times[i] < self.times[i - 1])
+                })
+                .unwrap_or(0);
+            return Err(EventError::UnsortedTimestamps { index });
+        }
+        if k_max == 0 || k_max > n {
+            return Err(EventError::InvalidParameter { name: "k_max" });
+        }
+        if self.neg_zeros > 0 {
+            let times = self.times.make_contiguous();
+            out.extend(min_spans_with(
+                times,
+                k_max,
+                WindowMode::Exact,
+                Parallelism::Seq,
+            )?);
+            self.diffs += (k_max as u64 - 1) * n as u64;
+            return Ok(());
+        }
+        if k_max != self.depth {
+            self.depth = k_max;
+            self.block_mins.clear();
+        }
+        out.push(0.0);
+        out.resize(k_max, f64::INFINITY);
+        if k_max == 1 {
+            return Ok(());
+        }
+        let b = SPAN_BLOCK as u64;
+        let stride = k_max - 1;
+        let end = self.base + n as u64;
+        // Blocks whose ends all close windows of every depth inside the
+        // window, and whose ends are all retained.
+        let lo = (self.base + stride as u64).div_ceil(b);
+        let hi = end / b;
+        if lo >= hi {
+            for k in 2..=k_max {
+                out[k - 1] = self.fold_min(k - 1..n, k, f64::INFINITY);
+            }
+            return Ok(());
+        }
+        let mut cached = self.block_mins.len() / stride;
+        while cached > 0 && self.first_block < lo {
+            self.block_mins.drain(..stride);
+            self.first_block += 1;
+            cached -= 1;
+        }
+        if cached == 0 {
+            self.first_block = lo;
+        }
+        for blk in self.first_block + cached as u64..hi {
+            let from = (blk * b - self.base) as usize;
+            for k in 2..=k_max {
+                let m = self.fold_min(from..from + SPAN_BLOCK, k, f64::INFINITY);
+                self.block_mins.push(m);
+            }
+        }
+        let head = (lo * b - self.base) as usize;
+        let tail = (hi * b - self.base) as usize;
+        for k in 2..=k_max {
+            let m = self.fold_min(k - 1..head, k, f64::INFINITY);
+            out[k - 1] = self.fold_min(tail..n, k, m);
+        }
+        for block in self.block_mins.chunks_exact(stride) {
+            for (o, &m) in out[1..].iter_mut().zip(block) {
+                *o = o.min(m);
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds `t[j] − t[j−k+1]` for the window ends `j` in `ends` into
+    /// `acc` with `f64::min`. The ring's two halves are walked as
+    /// contiguous slices: `ends` is cut where the end or the start of a
+    /// span crosses the seam, so each piece is a plain zipped scan.
+    fn fold_min(&mut self, ends: std::ops::Range<usize>, k: usize, mut acc: f64) -> f64 {
+        if ends.is_empty() {
+            return acc;
+        }
+        self.diffs += ends.len() as u64;
+        let halves = self.times.as_slices();
+        let seam = halves.0.len();
+        let mut from = ends.start;
+        for cut in [seam, seam + k - 1, ends.end] {
+            let to = cut.clamp(from, ends.end);
+            if to > from {
+                let hi = ring_piece(halves, from..to);
+                let lo = ring_piece(halves, from + 1 - k..to + 1 - k);
+                acc = hi.iter().zip(lo).map(|(h, l)| h - l).fold(acc, f64::min);
+                from = to;
+            }
+        }
+        acc
+    }
+}
+
+/// The window positions `r` of a ring split into `halves`; `r` must not
+/// cross the seam.
+fn ring_piece<'a>((a, b): (&'a [f64], &'a [f64]), r: std::ops::Range<usize>) -> &'a [f64] {
+    if r.end <= a.len() {
+        &a[r]
+    } else {
+        &b[r.start - a.len()..r.end - a.len()]
+    }
+}
+
+fn is_neg_zero(t: f64) -> bool {
+    t.to_bits() == (-0.0f64).to_bits()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,6 +1194,98 @@ mod tests {
         for (e, s) in exact_max.iter().zip(&strided_max) {
             assert!(s >= e);
         }
+    }
+
+    #[test]
+    fn sliding_spans_match_full_rescan_bitwise() {
+        // Random push/pop walks over stamps that are mostly sorted, with
+        // ties, ±0, NaN, ±∞ and inversions injected; every query must
+        // equal the full Exact rescan of the window contents bit for bit,
+        // or fail exactly as a timed trace of those contents would.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut checked = 0usize;
+        for walk in 0..24 {
+            let mut w = SlidingSpans::default();
+            let mut oracle: std::collections::VecDeque<f64> = Default::default();
+            let cap = [5usize, 40, 129, 300, 700][walk % 5];
+            let mut clock = 0.0f64;
+            let mut out = Vec::new();
+            for step in 0..3000 {
+                let r = next();
+                // A third of the walks never see a bad stamp, so long
+                // windows reach the cached-block path.
+                let bad_odds = [u64::MAX, 4000, 800][walk % 3];
+                let t = match r % bad_odds {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => clock - 1.5, // inversion
+                    // A run of signed zeros opens some walks.
+                    _ if walk % 4 == 1 && step < 400 => [0.0, -0.0][(r >> 8) as usize & 1],
+                    _ => {
+                        // Ties and small steps, in binary-unfriendly units.
+                        clock += ((r >> 16) % 4) as f64 * 0.1;
+                        clock
+                    }
+                };
+                w.push(t);
+                oracle.push_back(t);
+                while oracle.len() > cap || (r >> 40) % 11 == 0 && !oracle.is_empty() {
+                    assert_eq!(
+                        w.pop_front().map(f64::to_bits),
+                        oracle.pop_front().map(f64::to_bits)
+                    );
+                    if oracle.len() <= cap {
+                        break;
+                    }
+                }
+                if step % 7 != 0 {
+                    continue;
+                }
+                let times: Vec<f64> = oracle.iter().copied().collect();
+                assert_eq!(w.len(), times.len());
+                assert_eq!(
+                    w.duration().to_bits(),
+                    times.last().map_or(0.0, |l| l - times[0]).to_bits()
+                );
+                let depth = [1usize, 2, 64, 64, 64, 17][(r >> 20) as usize % 6];
+                let got = w.min_spans(depth, &mut out);
+                let bad = (0..times.len())
+                    .find(|&i| !times[i].is_finite() || (i > 0 && times[i] < times[i - 1]));
+                match (bad, got) {
+                    (Some(index), Err(e)) => {
+                        assert_eq!(e, EventError::UnsortedTimestamps { index });
+                    }
+                    (None, got) => {
+                        match min_spans_with(&times, depth, WindowMode::Exact, Parallelism::Seq) {
+                            Ok(want) => {
+                                assert!(got.is_ok(), "walk {walk} step {step}: {got:?}");
+                                let bits =
+                                    |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(
+                                    bits(&out),
+                                    bits(&want),
+                                    "walk {walk} step {step} depth {depth}"
+                                );
+                                checked += usize::from(times.len() > 2 * SPAN_BLOCK + depth);
+                            }
+                            Err(e) => assert_eq!(got, Err(e)),
+                        }
+                    }
+                    (Some(_), Ok(())) => panic!("walk {walk} step {step}: accepted a bad window"),
+                }
+            }
+        }
+        assert!(
+            checked > 1000,
+            "only {checked} comparisons over cached blocks"
+        );
     }
 
     #[test]

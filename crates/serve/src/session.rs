@@ -17,13 +17,12 @@
 use std::collections::VecDeque;
 
 use wcm_core::{
-    build::arrival_upper_with, sizing, EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve,
-    WorkloadBounds,
+    build::arrival_upper_from_spans, sizing, EnvelopeMonitor, LowerWorkloadCurve,
+    UpperWorkloadCurve, WorkloadBounds,
 };
 use wcm_curves::arrival::PeriodicJitter;
 use wcm_events::summary::{Sides, SummarySpine};
-use wcm_events::window::WindowMode;
-use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
+use wcm_events::window::SlidingSpans;
 use wcm_sim::OverflowPolicy;
 
 use crate::config::ServeConfig;
@@ -79,8 +78,10 @@ pub struct SessionState {
     /// with demands index-wise: time `i` belongs to event `i`, and is
     /// consumed into this window exactly when event `i` is applied —
     /// so every refresh sees the timestamps of the events applied so
-    /// far, never a chunk-dependent superset.
-    times: VecDeque<f64>,
+    /// far, never a chunk-dependent superset. The window caches its span
+    /// minima, so a refresh rescans only what changed; it is allocated
+    /// at the first consumed timestamp, so untimed sessions stay small.
+    times: Option<Box<SlidingSpans>>,
     /// Timestamps received but not yet consumed (their events are
     /// still pending or in flight).
     times_in: VecDeque<f64>,
@@ -112,7 +113,7 @@ impl SessionState {
         Self {
             spine: SummarySpine::new(&grid, Sides::Both, cfg.chunk_target),
             monitor: None,
-            times: VecDeque::new(),
+            times: None,
             times_in: VecDeque::new(),
             times_used: 0,
             pending: VecDeque::new(),
@@ -197,15 +198,20 @@ impl SessionState {
 
     /// Move up to `n` staged timestamps into the sliding window.
     fn consume_times(&mut self, n: usize, cfg: &ServeConfig) {
-        let window = cfg.times_window.max(2);
-        for _ in 0..n.min(self.times_in.len()) {
-            let t = self.times_in.pop_front().expect("bounded by len");
-            self.times.push_back(t);
-            self.times_used += 1;
-            while self.times.len() > window {
-                self.times.pop_front();
-            }
+        let n = n.min(self.times_in.len());
+        if n == 0 {
+            return;
         }
+        let window = cfg.times_window.max(2);
+        let times = self.times.get_or_insert_with(Box::default);
+        for t in self.times_in.drain(..n) {
+            // Pop before push: the window never holds `window + 1` stamps.
+            while times.len() >= window {
+                times.pop_front();
+            }
+            times.push(t);
+        }
+        self.times_used += n as u64;
     }
 
     /// Apply every pending demand: extend the spine, feed the monitor,
@@ -292,13 +298,20 @@ impl SessionState {
     /// the stream carries enough timestamps, the configured
     /// periodic-with-jitter model otherwise.
     fn decide(&mut self, gamma_u: &UpperWorkloadCurve, k_eff: usize, cfg: &ServeConfig) -> Admission {
-        let alpha = if self.times.len() > k_eff {
-            let times: Vec<f64> = self.times.iter().copied().collect();
-            Self::empirical_alpha(&times, k_eff, cfg)
-        } else {
-            PeriodicJitter::new(cfg.period_s.max(f64::MIN_POSITIVE), cfg.jitter_s.max(0.0), 0.0)
-                .and_then(|m| m.to_step_upper(cfg.period_s * (k_eff as f64 + 1.0)))
-                .ok()
+        let alpha = match self.times.as_deref_mut() {
+            Some(times) if times.len() > k_eff => {
+                let mut spans = Vec::with_capacity(k_eff);
+                times.min_spans(k_eff, &mut spans).ok().and_then(|()| {
+                    arrival_upper_from_spans(&spans, times.len(), times.duration()).ok()
+                })
+            }
+            _ => PeriodicJitter::new(
+                cfg.period_s.max(f64::MIN_POSITIVE),
+                cfg.jitter_s.max(0.0),
+                0.0,
+            )
+            .and_then(|m| m.to_step_upper(cfg.period_s * (k_eff as f64 + 1.0)))
+            .ok(),
         };
         let Some(alpha) = alpha else {
             self.errors += 1;
@@ -313,23 +326,6 @@ impl SessionState {
                 f_min_hz: f64::INFINITY,
             },
         }
-    }
-
-    fn empirical_alpha(
-        times: &[f64],
-        k_eff: usize,
-        cfg: &ServeConfig,
-    ) -> Option<wcm_curves::StepCurve> {
-        let mut reg = TypeRegistry::new();
-        let ty = reg
-            .register("event", ExecutionInterval::fixed(Cycles(1)))
-            .ok()?;
-        let trace = TimedTrace::new(
-            reg,
-            times.iter().map(|&time| TimedEvent { time, ty }).collect(),
-        )
-        .ok()?;
-        arrival_upper_with(&trace, k_eff, WindowMode::Exact, cfg.par).ok()
     }
 
     /// Events applied so far.
@@ -407,5 +403,55 @@ impl SessionState {
             dropped = self.dropped,
             flips = self.flips,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn steady_state_refresh_rescans_only_what_changed() {
+        // One timestamped session, 313 refreshes of 64 events each.
+        // Once the 4 096-stamp window is full, a refresh must compute far
+        // fewer span differences than the 63 × 4 096 of a full rescan: the
+        // cached blocks carry the rest. A regression to the rescan fails
+        // here deterministically, without a clock.
+        let cfg = ServeConfig {
+            k_max: 64,
+            refresh_every: 64,
+            times_window: 4096,
+            par: wcm_par::Parallelism::Seq,
+            ..ServeConfig::default()
+        };
+        let mut state = SessionState::new(&cfg);
+        let (mut last, mut worst, mut steady) = (0u64, 0u64, 0usize);
+        for at in (0..313 * 64u64).step_by(64) {
+            let demands: Vec<u64> = (at..at + 64).map(|i| 400 + (i * 37) % 230).collect();
+            let times: Vec<f64> = (at..at + 64)
+                .map(|i| i as f64 / 30.0 + ((i * 13) % 7) as f64 * 1e-3)
+                .collect();
+            state.record_times(&times, &cfg);
+            state.enqueue(&demands, &cfg);
+            state.apply_pending(&cfg);
+            let work = state.times.as_ref().map_or(0, |t| t.diffs_computed());
+            if at >= 2 * 4096 {
+                worst = worst.max(work - last);
+                steady += 1;
+            }
+            last = work;
+        }
+        assert_eq!(state.refreshes, 313);
+        assert_eq!(state.errors, 0);
+        assert!(matches!(
+            state.admission,
+            Admission::Admit { .. } | Admission::Reject { .. }
+        ));
+        assert!(steady > 150, "{steady} steady refreshes");
+        let bound = 4096 * 64 / 8;
+        assert!(
+            worst <= bound,
+            "a steady refresh computed {worst} span differences (bound {bound})"
+        );
     }
 }
