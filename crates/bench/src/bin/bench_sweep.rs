@@ -22,8 +22,7 @@
 //!   streaming peak must stay flat while the materializing peak grows
 //!   with the grid (guarded by `scripts/bench_smoke.sh`).
 //! * **verdict equality** — asserts prune=on and prune=off agree on
-//!   every overflow verdict before any number is written, and the
-//!   streamed collect path rebuilds the materializing report exactly.
+//!   every overflow verdict before any number is written.
 //!
 //! Usage: `cargo run --release -p wcm-bench --bin bench_sweep [OUT.json]`
 
@@ -35,8 +34,8 @@ use wcm_mpeg::{profile::standard_clips, GopStructure, Synthesizer, VideoParams};
 use wcm_par::Parallelism;
 use wcm_sim::pipeline::{simulate_faulted, FifoConfig, PipelineConfig, SimScratch, SourceModel};
 use wcm_sim::{
-    run_frontier, run_sweep, run_sweep_streaming, CollectSink, FaultedWorkload, FrontierMethod,
-    OverflowPolicy, PointRecord, ShardRange, SweepError, SweepSink, SweepSpec,
+    run_frontier, run_sweep, run_sweep_streaming, FaultedWorkload, FrontierMethod, OverflowPolicy,
+    PointRecord, ShardRange, SweepError, SweepSink, SweepSpec,
 };
 
 #[global_allocator]
@@ -365,21 +364,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stream_big = stream_spec_at(250_000);
     let sclips = std::slice::from_ref(&stream_clip);
 
-    // Correctness gate: the streamed collect path rebuilds the
-    // materializing report exactly at the base grid, and the grid is
-    // fully analytic (otherwise the measurement would mostly time
-    // simulation, not the result pipeline).
+    // Correctness gate: the grid is fully analytic (otherwise the
+    // measurement would mostly time simulation, not the result
+    // pipeline).
     let stream_dense = run_sweep(sclips, &stream_base, Parallelism::Seq)?;
-    {
-        let mut sink = CollectSink::new();
-        let summary =
-            run_sweep_streaming(sclips, &stream_base, Parallelism::Seq, ShardRange::FULL, &mut sink)?;
-        assert_eq!(
-            sink.into_report(&summary),
-            stream_dense,
-            "streamed collect diverged from run_sweep"
-        );
-    }
     assert_eq!(
         stream_dense.stats.pruned_safe + stream_dense.stats.pruned_unsafe,
         stream_dense.stats.total,

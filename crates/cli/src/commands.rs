@@ -75,7 +75,7 @@ subcommands:
            [--pe2-mhz F] [--capacity C] [--k K] [--refresh N]
            [--policy backpressure|reject|drop-priority]
            [--session-buffer N] [--period S] [--jitter S]
-           [--monitor on|off] [--fast-scan on|off]
+           [--monitor on|off]
            [--threads T] [--shards N] [--poll-ms MS]
            [--max-rounds N] [--idle-exit on|off]
            [--snapshots-out FILE] [--budget BYTES]
@@ -1058,7 +1058,6 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
         policy,
         session_buffer: opts.usize_or("session-buffer", 4096)?.max(1),
         monitor: on_off("monitor", true)?,
-        fast_scan: on_off("fast-scan", false)?,
         period_s,
         jitter_s: f64_or("jitter", 0.0)?.max(0.0),
         times_window: opts.usize_or("times-window", 4096)?,

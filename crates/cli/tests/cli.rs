@@ -314,6 +314,37 @@ fn sweep_artifacts_round_trip_through_strict_readers_and_validate() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     assert_eq!(text.lines().filter(|l| l.ends_with("ok") || l.contains(" ok (")).count(), 4);
+
+    // `--stream on` runs the same sweep driver, so it emits the same
+    // span and the same point counter.
+    let streamed = Artifacts::new("roundtrip-stream", &["json", "trace", "metrics"]);
+    let out = cli()
+        .args([
+            "sweep", "--clips", "newscast", "--gops", "1", "--pe2-mhz", "2,20,340",
+            "--capacities", "4,400", "--threads", "2", "--stream", "on",
+            "--json", streamed.path(0),
+            "--trace-out", streamed.path(1), "--metrics-out", streamed.path(2),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(std::fs::read_to_string(streamed.path(0)).unwrap(), json);
+    let trace = std::fs::read_to_string(streamed.path(1)).unwrap();
+    let t = wcm_obs::json::parse(&trace).expect("trace parses strictly");
+    let events = t.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("sweep.run")),
+        "streamed sweep must emit the sweep.run span"
+    );
+    let metrics = std::fs::read_to_string(streamed.path(2)).unwrap();
+    let m = wcm_obs::json::parse(&metrics).expect("metrics parse strictly");
+    let counters = m.get("counters").and_then(|c| c.as_object()).unwrap();
+    assert_eq!(
+        counters.get("sweep.points").and_then(|v| v.as_f64()),
+        Some(points.len() as f64)
+    );
 }
 
 /// Observability must not perturb results: reports with and without the

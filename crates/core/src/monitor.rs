@@ -14,7 +14,7 @@
 //! each event costs `O(k_max)` comparisons and memory stays constant
 //! regardless of trace length.
 //!
-//! The exact scan is blocked per batch: [`EnvelopeMonitor::observe_all`]
+//! The scan is blocked per batch: [`EnvelopeMonitor::observe_all`]
 //! rebases the full ring plus up to 256 demands into a local `u64` prefix
 //! table and, for each `k`, takes the largest and smallest sum of the
 //! windows ending in the batch in one branch-free loop (the shape of the
@@ -24,26 +24,6 @@
 //! same order with the same fields. Short batches, a ring that is not yet
 //! full and sums that do not fit `u64` take the per-event path. Either
 //! way the [`MonitorReport`] equals that of per-event [`EnvelopeMonitor::observe`].
-//!
-//! For hot loops (e.g. a design-space sweep simulating thousands of
-//! points) [`EnvelopeMonitor::with_fast_scan`] drops the per-`k` slack
-//! statistics and adds an **O(1) early-exit on the dominant window**: at
-//! construction the monitor fits a linear minorant `B + r·k ≤ γᵘ(k)` (with
-//! exact rational arithmetic — `r` is the chord slope of the bound table)
-//! and maintains a sliding-window minimum of `cum_j − r·j` over the
-//! retained ring slots. A violation at any depth `k` needs
-//! `total > cum_{e−k} + γᵘ(k)`, so whenever
-//! `total ≤ B + r·e + min_j (cum_j − r·j)` **no** window ending at the
-//! current event can break the upper bound and the whole scan is skipped;
-//! dually a linear majorant of `γˡ` and a sliding maximum certify the lower
-//! side. The certificate is exact integer arithmetic, so it never misses a
-//! violation: when it cannot vouch for an event the monitor falls back to
-//! the full scan for that event. On traces with real slack against the
-//! envelope — the common case when curves carry engineering margin — the
-//! per-event cost collapses from `O(k_max)` to amortized `O(1)`; on
-//! adversarially tight traces it degrades to the exact scan. Violation
-//! counts and the stored [`Violation`]s are bit-identical to the exact
-//! scan in every case.
 //!
 //! # Example
 //!
@@ -152,41 +132,6 @@ impl MonitorReport {
     }
 }
 
-/// One side of the fast-scan certificate: a linear bound on the curve
-/// (minorant of `γᵘ`, majorant of `γˡ`) with slope `r_num / r_den` and a
-/// monotone deque tracking the sliding extremum of
-/// `cum_j · r_den − r_num · j` over the retained ring slots. All quantities
-/// are scaled by `r_den` so the arithmetic stays exact.
-#[derive(Debug, Clone)]
-struct LinCert {
-    /// Slope numerator (denominator is the monitor-wide `r_den`).
-    r_num: i128,
-    /// Scaled intercept: extremum over `a ∈ [1, k_max]` of
-    /// `γ(a) · r_den − r_num · a`.
-    b_scaled: i128,
-    /// `(j, key)` pairs, keys monotone from the front (front = extremum).
-    deque: VecDeque<(u64, i128)>,
-}
-
-impl LinCert {
-    /// Slides the deque: admits slot `j` with key `key`, evicts slots older
-    /// than `min_j`. `min_front` selects the discipline (true = sliding
-    /// minimum, false = sliding maximum).
-    fn slide(&mut self, j: u64, key: i128, min_j: u64, min_front: bool) {
-        while self
-            .deque
-            .back()
-            .is_some_and(|&(_, k)| if min_front { k >= key } else { k <= key })
-        {
-            self.deque.pop_back();
-        }
-        self.deque.push_back((j, key));
-        while self.deque.front().is_some_and(|&(jf, _)| jf < min_j) {
-            self.deque.pop_front();
-        }
-    }
-}
-
 /// Streaming checker of demand windows against `γᵘ(k)` / `γˡ(k)`.
 #[derive(Debug, Clone)]
 pub struct EnvelopeMonitor {
@@ -198,11 +143,6 @@ pub struct EnvelopeMonitor {
     upper_bounds: Vec<u64>,
     /// `γˡ(k)` for `k = 1..=k_max`.
     lower_bounds: Vec<u64>,
-    fast: bool,
-    /// Shared slope denominator of both certificates: `k_max − 1`.
-    r_den: i128,
-    cert_upper: Option<LinCert>,
-    cert_lower: Option<LinCert>,
     /// Ring of cumulative demand sums; front is the sum before the oldest
     /// retained event, back the sum after the newest. Holds at most
     /// `k_max + 1` entries, so `sum(window of k ending now) = back − ...`.
@@ -215,7 +155,7 @@ pub struct EnvelopeMonitor {
     lower_slack: Vec<Option<i128>>,
     /// Work table of the blocked exact scan in [`Self::observe_all`]:
     /// kept between batches so a long stream allocates it once, and
-    /// never allocated while the ring is filling or in fast mode.
+    /// never allocated while the ring is filling.
     scratch: Vec<u64>,
 }
 
@@ -276,10 +216,6 @@ impl EnvelopeMonitor {
             k_max,
             upper_bounds,
             lower_bounds,
-            fast: false,
-            r_den: k_max as i128 - 1,
-            cert_upper: None,
-            cert_lower: None,
             cum,
             events: 0,
             windows_checked: 0,
@@ -297,58 +233,6 @@ impl EnvelopeMonitor {
         self.k_max
     }
 
-    /// Switches the per-event scan between the exact mode (default: every
-    /// window checked, per-`k` slack statistics maintained) and the fast
-    /// mode (O(1) dominant-window certificate with a full-scan fallback,
-    /// no slack statistics).
-    ///
-    /// Violation counts and stored [`Violation`]s are identical in both
-    /// modes; [`MonitorReport::windows_checked`] counts the comparisons
-    /// actually performed, so it is smaller in fast mode, and the slack
-    /// fields stay `None` for events observed while fast.
-    #[must_use]
-    pub fn with_fast_scan(mut self, fast: bool) -> Self {
-        self.fast = fast;
-        self.reseed_certs();
-        self
-    }
-
-    /// Rebuilds the fast-scan certificates against the current bound
-    /// tables and replays the retained ring into their deques, so both a
-    /// mid-stream fast-scan toggle and a mid-stream [`Self::rebind`] stay
-    /// sound.
-    fn reseed_certs(&mut self) {
-        self.cert_upper = None;
-        self.cert_lower = None;
-        if self.fast && self.k_max >= 2 {
-            self.cert_upper = Self::make_cert(&self.upper_bounds, self.r_den, true);
-            self.cert_lower = Self::make_cert(&self.lower_bounds, self.r_den, false);
-            // Seed the deques from the retained ring: cum[i] is the
-            // cumulative sum after event `events − (len − 1) + i`.
-            let len = self.cum.len();
-            let deepest = self.k_max.min(len - 1) as u64;
-            for i in 0..len.saturating_sub(1) {
-                let j = self.events - (len as u64 - 1) + i as u64;
-                let cum_j = self.cum[i];
-                let min_j = self.events.saturating_sub(deepest);
-                if let Some(c) = &mut self.cert_upper {
-                    if let Some(key) = scaled_key(cum_j, self.r_den, c.r_num, j) {
-                        c.slide(j, key, min_j, true);
-                    } else {
-                        self.cert_upper = None;
-                    }
-                }
-                if let Some(c) = &mut self.cert_lower {
-                    if let Some(key) = scaled_key(cum_j, self.r_den, c.r_num, j) {
-                        c.slide(j, key, min_j, false);
-                    } else {
-                        self.cert_lower = None;
-                    }
-                }
-            }
-        }
-    }
-
     /// Swaps in refreshed bound curves **without discarding the
     /// observation window**: the ring of retained cumulative sums, event
     /// and violation counters all survive, so the windows closing after
@@ -359,8 +243,7 @@ impl EnvelopeMonitor {
     /// `O(k_max)` per appended reference event, and a long-running monitor
     /// adopts the tighter envelope mid-stream instead of being rebuilt
     /// from scratch. Only the sides the monitor was constructed with are
-    /// replaced (an upper-only monitor stays upper-only). Fast-scan
-    /// certificates are re-derived against the new tables.
+    /// replaced (an upper-only monitor stays upper-only).
     pub fn rebind(&mut self, bounds: &WorkloadBounds) {
         if self.upper.is_some() {
             self.upper_bounds = (1..=self.k_max)
@@ -374,7 +257,6 @@ impl EnvelopeMonitor {
                 .collect();
             self.lower = Some(bounds.lower.clone());
         }
-        self.reseed_certs();
     }
 
     /// [`Self::rebind`] with a new window depth, for refreshes whose
@@ -384,12 +266,10 @@ impl EnvelopeMonitor {
     ///
     /// Everything that is indexed by `k` is resized *before* the bound
     /// tables are rebuilt: the per-`k` slack statistics are truncated or
-    /// extended, the retained ring is trimmed to `k_max + 1` entries,
-    /// the certificate slope denominator follows the new depth, and the
-    /// fast-scan deques are reseeded from the trimmed ring only — a
-    /// shrink therefore cannot leave a certificate (or an exact scan)
-    /// reading windows deeper than the new curve. Counters and stored
-    /// violations survive, exactly as in [`Self::rebind`].
+    /// extended and the retained ring is trimmed to `k_max + 1` entries
+    /// — a shrink therefore cannot leave the scan reading windows
+    /// deeper than the new curve. Counters and stored violations
+    /// survive, exactly as in [`Self::rebind`].
     ///
     /// # Errors
     ///
@@ -410,44 +290,9 @@ impl EnvelopeMonitor {
                 self.cum.pop_front();
             }
             self.k_max = k_max;
-            self.r_den = k_max as i128 - 1;
         }
         self.rebind(bounds);
         Ok(())
-    }
-
-    /// Fits the scaled linear bound to a bound table: the chord slope
-    /// `(γ(k_max) − γ(1)) / (k_max − 1)` and the tightest intercept that
-    /// keeps the line on the sound side of every `γ(a)`
-    /// (below for the upper bound's minorant, above for the lower's
-    /// majorant). Returns `None` when the table is absent or the exact
-    /// arithmetic would overflow.
-    fn make_cert(bounds: &[u64], r_den: i128, minorant: bool) -> Option<LinCert> {
-        let (&first, &last) = (bounds.first()?, bounds.last()?);
-        let r_num = i128::from(last).checked_sub(i128::from(first))?;
-        let mut b_scaled: Option<i128> = None;
-        for (idx, &g) in bounds.iter().enumerate() {
-            let a = idx as i128 + 1;
-            let v = i128::from(g)
-                .checked_mul(r_den)?
-                .checked_sub(r_num.checked_mul(a)?)?;
-            b_scaled = Some(match b_scaled {
-                None => v,
-                Some(b) if minorant => b.min(v),
-                Some(b) => b.max(v),
-            });
-        }
-        Some(LinCert {
-            r_num,
-            b_scaled: b_scaled?,
-            deque: VecDeque::new(),
-        })
-    }
-
-    /// Whether the early-exit scan is active.
-    #[must_use]
-    pub fn fast_scan(&self) -> bool {
-        self.fast
     }
 
     /// Feeds one event's demand; checks every window that this event
@@ -459,14 +304,6 @@ impl EnvelopeMonitor {
             self.cum.pop_front();
         }
         self.events += 1;
-        if self.fast {
-            self.scan_fast(total)
-        } else {
-            self.scan_exact(total)
-        }
-    }
-
-    fn scan_exact(&mut self, total: u128) -> usize {
         let mut fresh = 0usize;
         let deepest = self.k_max.min(self.cum.len() - 1);
         for k in 1..=deepest {
@@ -511,119 +348,12 @@ impl EnvelopeMonitor {
         fresh
     }
 
-    /// Fast scan: slide the certificate deques, then try to discharge each
-    /// side in O(1). A side whose certificate holds is provably
-    /// violation-free for every window ending at this event (see the module
-    /// docs for the inequality chain); a side that cannot be discharged is
-    /// scanned in full.
-    fn scan_fast(&mut self, total: u128) -> usize {
-        let len = self.cum.len();
-        let deepest = self.k_max.min(len - 1);
-        if deepest == 0 {
-            return 0;
-        }
-        let e = self.events;
-        let min_j = e.saturating_sub(deepest as u64);
-        // Admit slot j = e − 1 (its cumulative sum sits just before the
-        // entry pushed for the current event).
-        if len >= 2 {
-            let j = e - 1;
-            let cum_j = self.cum[len - 2];
-            if let Some(c) = &mut self.cert_upper {
-                match scaled_key(cum_j, self.r_den, c.r_num, j) {
-                    Some(key) => c.slide(j, key, min_j, true),
-                    None => self.cert_upper = None,
-                }
-            }
-            if let Some(c) = &mut self.cert_lower {
-                match scaled_key(cum_j, self.r_den, c.r_num, j) {
-                    Some(key) => c.slide(j, key, min_j, false),
-                    None => self.cert_lower = None,
-                }
-            }
-        }
-        let mut need_upper = self.upper.is_some();
-        let mut need_lower = self.lower.is_some();
-        // No upper violation at depth k needs total ≤ cum_{e−k} + γᵘ(k);
-        // with γᵘ(k)·r_den ≥ b + r·k this is implied by
-        // total·r_den ≤ b + r·e + min_j (cum_j·r_den − r·j).
-        if need_upper {
-            if let (Some(c), Some(tk)) = (&self.cert_upper, scale_total(total, self.r_den)) {
-                if let (Some(&(_, min_key)), Some(rhs)) = (
-                    c.deque.front(),
-                    c.r_num
-                        .checked_mul(e as i128)
-                        .and_then(|re| re.checked_add(c.b_scaled)),
-                ) {
-                    if let Some(rhs) = rhs.checked_add(min_key) {
-                        if tk <= rhs {
-                            need_upper = false;
-                        }
-                    }
-                }
-            }
-        }
-        if need_lower {
-            if let (Some(c), Some(tk)) = (&self.cert_lower, scale_total(total, self.r_den)) {
-                if let (Some(&(_, max_key)), Some(rhs)) = (
-                    c.deque.front(),
-                    c.r_num
-                        .checked_mul(e as i128)
-                        .and_then(|re| re.checked_add(c.b_scaled)),
-                ) {
-                    if let Some(rhs) = rhs.checked_add(max_key) {
-                        if tk >= rhs {
-                            need_lower = false;
-                        }
-                    }
-                }
-            }
-        }
-        if !need_upper && !need_lower {
-            return 0;
-        }
-        let mut fresh = 0usize;
-        for k in 1..=deepest {
-            let sum = total - self.cum[len - 1 - k];
-            let offset = e - k as u64 + 1;
-            if need_upper {
-                self.windows_checked += 1;
-                let bound = self.upper_bounds[k - 1];
-                if sum > u128::from(bound) {
-                    fresh += 1;
-                    self.record(Violation {
-                        offset,
-                        k,
-                        observed: sum,
-                        bound,
-                        kind: BoundKind::Upper,
-                    });
-                }
-            }
-            if need_lower {
-                self.windows_checked += 1;
-                let bound = self.lower_bounds[k - 1];
-                if sum < u128::from(bound) {
-                    fresh += 1;
-                    self.record(Violation {
-                        offset,
-                        k,
-                        observed: sum,
-                        bound,
-                        kind: BoundKind::Lower,
-                    });
-                }
-            }
-        }
-        fresh
-    }
-
     /// Feeds a batch of demands in order; returns the new violations they
     /// caused.
     ///
     /// The result and the monitor's state are exactly those of calling
-    /// [`Self::observe`] per demand. In exact mode, once the ring is full,
-    /// the demands go in blocks of up to 256 through a branch-free scan
+    /// [`Self::observe`] per demand. Once the ring is full, the demands
+    /// go in blocks of up to 256 through a branch-free scan
     /// (see the module docs); a block that breaks a bound is replayed
     /// event by event, so the stored violations keep their order.
     pub fn observe_all(&mut self, demands: impl IntoIterator<Item = u64>) -> usize {
@@ -633,7 +363,7 @@ impl EnvelopeMonitor {
         let mut scratch = std::mem::take(&mut self.scratch);
         loop {
             scratch.clear();
-            if self.fast || self.cum.len() <= self.k_max {
+            if self.cum.len() <= self.k_max {
                 match demands.next() {
                     Some(d) => fresh += self.observe(d),
                     None => break,
@@ -767,20 +497,6 @@ impl EnvelopeMonitor {
     }
 }
 
-/// `cum_j · r_den − r_num · j`, exactly; `None` on overflow (the caller
-/// then drops the certificate and keeps the always-sound full scan).
-fn scaled_key(cum_j: u128, r_den: i128, r_num: i128, j: u64) -> Option<i128> {
-    i128::try_from(cum_j)
-        .ok()?
-        .checked_mul(r_den)?
-        .checked_sub(r_num.checked_mul(j as i128)?)
-}
-
-/// `total · r_den`, exactly; `None` on overflow (certificate fails closed).
-fn scale_total(total: u128, r_den: i128) -> Option<i128> {
-    i128::try_from(total).ok()?.checked_mul(r_den)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,27 +546,25 @@ mod tests {
             lower: LowerWorkloadCurve::bcet_line(Cycles(0), 8).unwrap(),
         };
         let tight = bounds_of(&demands, 8);
-        for fast in [false, true] {
-            // Stream half under the loose envelope, rebind to the tight
-            // one mid-stream, then finish. A fresh monitor bound tight
-            // from the start must agree on every post-rebind verdict —
-            // that only holds if the ring survives the rebind.
-            let mut rebound = EnvelopeMonitor::new(&loose, 8).unwrap().with_fast_scan(fast);
-            rebound.observe_all(demands[..20].iter().copied());
-            assert!(rebound.is_clean());
-            rebound.rebind(&tight);
-            let mut reference = EnvelopeMonitor::new(&tight, 8).unwrap().with_fast_scan(fast);
-            reference.observe_all(demands[..20].iter().copied());
-            for &d in &demands[20..] {
-                assert_eq!(rebound.observe(d), reference.observe(d), "fast={fast}");
-            }
-            assert!(rebound.is_clean());
-            // And a rebind to a violated envelope fires immediately on the
-            // next closing window.
-            let hostile = bounds_of(&[1, 1, 1, 1, 1, 1, 1, 1], 8);
-            rebound.rebind(&hostile);
-            assert!(rebound.observe(10) > 0, "fast={fast}");
+        // Stream half under the loose envelope, rebind to the tight one
+        // mid-stream, then finish. A fresh monitor bound tight from the
+        // start must agree on every post-rebind verdict — that only
+        // holds if the ring survives the rebind.
+        let mut rebound = EnvelopeMonitor::new(&loose, 8).unwrap();
+        rebound.observe_all(demands[..20].iter().copied());
+        assert!(rebound.is_clean());
+        rebound.rebind(&tight);
+        let mut reference = EnvelopeMonitor::new(&tight, 8).unwrap();
+        reference.observe_all(demands[..20].iter().copied());
+        for &d in &demands[20..] {
+            assert_eq!(rebound.observe(d), reference.observe(d));
         }
+        assert!(rebound.is_clean());
+        // And a rebind to a violated envelope fires immediately on the
+        // next closing window.
+        let hostile = bounds_of(&[1, 1, 1, 1, 1, 1, 1, 1], 8);
+        rebound.rebind(&hostile);
+        assert!(rebound.observe(10) > 0);
     }
 
     #[test]
@@ -860,54 +574,46 @@ mod tests {
         // covering only k ≤ 6, so the monitor must shrink its window
         // depth mid-stream. Every post-shrink verdict has to match a
         // monitor built at k = 6 that saw the same history — stale
-        // slack tables, ring entries or certificate deque slots deeper
-        // than the new k_max would break the agreement (or index past
-        // the rebuilt 6-entry bound tables).
+        // slack tables or ring entries deeper than the new k_max would
+        // break the agreement (or index past the rebuilt 6-entry bound
+        // tables).
         let gop12: Vec<u64> = [60, 10, 10, 30, 10, 10, 30, 10, 10, 30, 10, 10]
             .repeat(2)
             .to_vec();
         let gop6: Vec<u64> = [40, 8, 8, 20, 8, 8].repeat(4).to_vec();
         let bounds12 = bounds_of(&gop12, 12);
         let bounds6 = bounds_of(&gop6, 6);
-        for fast in [false, true] {
-            let mut shrunk = EnvelopeMonitor::new(&bounds12, 12)
-                .unwrap()
-                .with_fast_scan(fast);
-            shrunk.observe_all(gop12.iter().copied());
-            assert!(shrunk.is_clean(), "fast={fast}: prefix under own curve");
-            shrunk.rebind_with_k_max(&bounds6, 6).unwrap();
-            assert_eq!(shrunk.k_max(), 6);
-            assert_eq!(shrunk.report().upper_slack.len(), 6);
+        let mut shrunk = EnvelopeMonitor::new(&bounds12, 12).unwrap();
+        shrunk.observe_all(gop12.iter().copied());
+        assert!(shrunk.is_clean(), "prefix under own curve");
+        shrunk.rebind_with_k_max(&bounds6, 6).unwrap();
+        assert_eq!(shrunk.k_max(), 6);
+        assert_eq!(shrunk.report().upper_slack.len(), 6);
 
-            let mut reference = EnvelopeMonitor::new(&bounds6, 6)
-                .unwrap()
-                .with_fast_scan(fast);
-            reference.observe_all(gop12.iter().copied());
-            for (i, &d) in gop6.iter().enumerate() {
-                assert_eq!(
-                    shrunk.observe(d),
-                    reference.observe(d),
-                    "fast={fast}: event {i} after the shrink"
-                );
-            }
+        let mut reference = EnvelopeMonitor::new(&bounds6, 6).unwrap();
+        reference.observe_all(gop12.iter().copied());
+        for (i, &d) in gop6.iter().enumerate() {
+            assert_eq!(
+                shrunk.observe(d),
+                reference.observe(d),
+                "event {i} after the shrink"
+            );
+        }
 
-            // And growing back out to the original depth stays sound.
-            // The shrink trimmed the ring to 6 events of history, so
-            // the grown monitor must agree with a fresh k = 12 monitor
-            // seeded with exactly those 6 retained events.
-            shrunk.rebind_with_k_max(&bounds12, 12).unwrap();
-            assert_eq!(shrunk.k_max(), 12);
-            let mut wide = EnvelopeMonitor::new(&bounds12, 12)
-                .unwrap()
-                .with_fast_scan(fast);
-            wide.observe_all(gop6[gop6.len() - 6..].iter().copied());
-            for (i, &d) in gop12.iter().enumerate() {
-                assert_eq!(
-                    shrunk.observe(d),
-                    wide.observe(d),
-                    "fast={fast}: event {i} after growing back"
-                );
-            }
+        // And growing back out to the original depth stays sound. The
+        // shrink trimmed the ring to 6 events of history, so the grown
+        // monitor must agree with a fresh k = 12 monitor seeded with
+        // exactly those 6 retained events.
+        shrunk.rebind_with_k_max(&bounds12, 12).unwrap();
+        assert_eq!(shrunk.k_max(), 12);
+        let mut wide = EnvelopeMonitor::new(&bounds12, 12).unwrap();
+        wide.observe_all(gop6[gop6.len() - 6..].iter().copied());
+        for (i, &d) in gop12.iter().enumerate() {
+            assert_eq!(
+                shrunk.observe(d),
+                wide.observe(d),
+                "event {i} after growing back"
+            );
         }
         // k_max = 0 is rejected without touching the monitor.
         let mut mon = EnvelopeMonitor::new(&bounds12, 12).unwrap();
@@ -1011,98 +717,6 @@ mod tests {
             EnvelopeMonitor::upper_only(&gamma, 0),
             Err(WorkloadError::InvalidParameter { name: "k_max" })
         ));
-    }
-
-    #[test]
-    fn fast_scan_matches_exact_violations_bitwise() {
-        // Clean, violating-high and violating-low streams: the fast scan
-        // must record the same violations (count, order, fields) as exact.
-        let base = alternating(60);
-        let streams: Vec<Vec<u64>> = vec![
-            base.clone(),
-            // burst of expensive events breaks γᵘ at several k
-            base.iter().copied().chain([10, 10, 10, 10]).collect(),
-            // run of cheap events breaks γˡ
-            base.iter().copied().chain([2, 2, 2, 2, 2]).collect(),
-            // mixed hostile tail
-            base.iter().copied().chain([10, 10, 2, 2, 10, 10]).collect(),
-        ];
-        for demands in streams {
-            let bounds = bounds_of(&alternating(60), 16);
-            let mut exact = EnvelopeMonitor::new(&bounds, 16).unwrap();
-            let mut fast = EnvelopeMonitor::new(&bounds, 16)
-                .unwrap()
-                .with_fast_scan(true);
-            assert!(fast.fast_scan());
-            let e = exact.observe_all(demands.iter().copied());
-            let f = fast.observe_all(demands.iter().copied());
-            assert_eq!(e, f, "fresh-violation totals differ");
-            assert_eq!(exact.total_violations(), fast.total_violations());
-            assert_eq!(exact.violations(), fast.violations());
-            assert_eq!(exact.events(), fast.events());
-        }
-    }
-
-    #[test]
-    fn fast_scan_skips_windows_when_trace_has_slack() {
-        // Curves from the alternating 10/2 trace; observed demands sit
-        // strictly below γᵘ's linear minorant (all 4s) / above γˡ's linear
-        // majorant (all 8s), so the O(1) certificate should discharge
-        // almost every event.
-        let bounds = bounds_of(&alternating(400), 64);
-        let light = vec![4u64; 400];
-        let mut exact = EnvelopeMonitor::upper_only(&bounds.upper, 64).unwrap();
-        let mut fast = EnvelopeMonitor::upper_only(&bounds.upper, 64)
-            .unwrap()
-            .with_fast_scan(true);
-        exact.observe_all(light.iter().copied());
-        fast.observe_all(light.iter().copied());
-        assert!(fast.is_clean());
-        let (we, wf) = (
-            exact.report().windows_checked,
-            fast.report().windows_checked,
-        );
-        assert!(
-            wf * 10 < we,
-            "upper certificate should discharge most events: exact {we}, fast {wf}"
-        );
-        // Fast mode trades the slack statistics away.
-        assert!(fast.report().upper_slack.iter().all(Option::is_none));
-
-        let heavy = vec![8u64; 400];
-        let mut exact = EnvelopeMonitor::lower_only(&bounds.lower, 64).unwrap();
-        let mut fast = EnvelopeMonitor::lower_only(&bounds.lower, 64)
-            .unwrap()
-            .with_fast_scan(true);
-        exact.observe_all(heavy.iter().copied());
-        fast.observe_all(heavy.iter().copied());
-        assert!(fast.is_clean());
-        let (we, wf) = (
-            exact.report().windows_checked,
-            fast.report().windows_checked,
-        );
-        assert!(
-            wf * 10 < we,
-            "lower certificate should discharge most events: exact {we}, fast {wf}"
-        );
-    }
-
-    #[test]
-    fn fast_scan_mid_stream_toggle_stays_sound() {
-        // Toggling fast mode after some events must seed the certificate
-        // deques from the ring; a violation right after the toggle must
-        // still be caught.
-        let bounds = bounds_of(&alternating(40), 8);
-        let mut mon = EnvelopeMonitor::new(&bounds, 8).unwrap();
-        mon.observe_all([10, 2, 10, 2, 10]);
-        assert!(mon.is_clean());
-        let mut mon = mon.with_fast_scan(true);
-        mon.observe_all([2, 10, 10]); // …,10,10 breaks γᵘ(2) = 12
-        assert!(!mon.is_clean());
-        assert!(mon
-            .violations()
-            .iter()
-            .any(|v| v.kind == BoundKind::Upper && v.k == 2 && v.observed == 20));
     }
 
     #[test]

@@ -32,9 +32,6 @@ pub struct ServeConfig {
     pub session_buffer: usize,
     /// Whether each session runs an [`wcm_core::EnvelopeMonitor`].
     pub monitor: bool,
-    /// Monitor fast-scan mode (certificate early-exit; identical
-    /// verdicts, no per-k slack statistics).
-    pub fast_scan: bool,
     /// Fallback arrival model period (seconds) for sessions whose
     /// stream carries no timestamps.
     pub period_s: f64,
@@ -60,7 +57,6 @@ impl Default for ServeConfig {
             policy: OverflowPolicy::Backpressure,
             session_buffer: 4096,
             monitor: true,
-            fast_scan: false,
             period_s: 1.0 / 30.0,
             jitter_s: 0.0,
             times_window: 4096,

@@ -275,7 +275,7 @@ impl SessionState {
                     }
                 }
                 None => match EnvelopeMonitor::new(&bounds, k_eff) {
-                    Ok(m) => self.monitor = Some(m.with_fast_scan(cfg.fast_scan)),
+                    Ok(m) => self.monitor = Some(m),
                     Err(_) => self.errors += 1,
                 },
             }

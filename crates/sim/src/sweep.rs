@@ -33,10 +33,11 @@
 //! needs service to be *no faster* (`pe2_scale ≥ 1`, `pe2_extra ≥ 0`).
 //! Seeds outside those envelopes fall back to simulation.
 //!
-//! Evaluation runs on [`wcm_par::par_map_init`]: dynamic block dispatch
-//! over the grid, results placed by index, so the report is **bit
-//! identical for any `--threads` setting**. The report deliberately
-//! carries no wall-clock fields for the same reason.
+//! Evaluation runs on [`wcm_par::par_map_stream`]: dynamic block
+//! dispatch over bounded chunks of the grid, results emitted in index
+//! order, so the report is **bit identical for any `--threads`
+//! setting**. The report deliberately carries no wall-clock fields for
+//! the same reason.
 
 use crate::faults::{FaultPlan, FaultedWorkload, Injector};
 use crate::pipeline::{
@@ -191,6 +192,19 @@ impl SweepStats {
             return 0.0;
         }
         (self.pruned_safe + self.pruned_unsafe) as f64 / self.total as f64
+    }
+
+    /// Counts one decided point (everything but `total`) — the verdict
+    /// counter of both [`run_sweep_streaming`] and [`merge_shards`].
+    fn record(&mut self, v: Verdict) {
+        match v {
+            Verdict::ProvablySafe => self.pruned_safe += 1,
+            Verdict::ProvablyUnsafe => self.pruned_unsafe += 1,
+            Verdict::SimOk | Verdict::SimOverflow => self.simulated += 1,
+        }
+        if v.overflowed() {
+            self.overflowed += 1;
+        }
     }
 }
 
@@ -781,7 +795,9 @@ fn eval_point_inner(
     ))
 }
 
-/// Runs the sweep over `clips × spec` with the given parallelism.
+/// Runs the sweep over `clips × spec` with the given parallelism and
+/// collects every point: [`run_sweep_streaming`] over the whole grid
+/// into a [`CollectSink`].
 ///
 /// The returned report is deterministic: identical for every `par`
 /// setting, including the order of `points`.
@@ -795,211 +811,117 @@ pub fn run_sweep(
     spec: &SweepSpec,
     par: Parallelism,
 ) -> Result<SweepReport, SweepError> {
-    validate(clips, spec)?;
-
-    let _span = wcm_obs::span("sweep.run");
-
-    // Phase 1: per-clip analysis, memoized once (the window scans inside
-    // already honour `par`).
-    let ctxs: Vec<ClipContext> = {
-        let _span = wcm_obs::span("sweep.clip_analysis");
-        clips
-            .iter()
-            .map(|c| ClipContext::build(c, spec, par))
-            .collect::<Result<_, _>>()?
-    };
-
-    // Phase 2: enumerate the grid in deterministic nested order.
-    let mut grid = Vec::new();
-    for clip in 0..clips.len() {
-        for freq in 0..spec.frequencies_hz.len() {
-            for cap in 0..spec.capacities.len() {
-                for policy in 0..spec.policies.len() {
-                    for seed in 0..spec.seeds.len() {
-                        grid.push(GridPoint {
-                            clip,
-                            freq,
-                            cap,
-                            policy,
-                            seed,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // Phase 3: batch-classify the grid analytically (one vectorized pass
-    // per (clip, seed, capacity) over the frequency run), then
-    // classify/simulate the rest in parallel, one reusable scratch per
-    // worker. Results land by index: grid order in, grid order out.
-    let table = AnalyticTable::build(&ctxs, spec);
-    let events_per_point = clips.iter().map(ClipWorkload::macroblock_count).sum::<usize>()
-        / clips.len();
-    let cost = (grid.len() as u64) * (events_per_point as u64).max(1) * 16;
-    wcm_obs::counter("sweep.points", grid.len() as u64);
-    let evaluated = {
-        let _span = wcm_obs::span("sweep.eval");
-        wcm_par::par_map_init(par, &grid, cost, SimScratch::new, |scratch, _, p| {
-            eval_point(*p, &ctxs, spec, &table, scratch)
-        })
-    };
-
-    let mut points = Vec::with_capacity(grid.len());
-    let mut stats = SweepStats {
-        total: grid.len(),
-        ..SweepStats::default()
-    };
-    for (p, out) in grid.iter().zip(evaluated) {
-        let (verdict, sim) = out?;
-        match verdict {
-            Verdict::ProvablySafe => stats.pruned_safe += 1,
-            Verdict::ProvablyUnsafe => stats.pruned_unsafe += 1,
-            Verdict::SimOk | Verdict::SimOverflow => stats.simulated += 1,
-        }
-        if verdict.overflowed() {
-            stats.overflowed += 1;
-        }
-        if let Some((b, _, _)) = sim {
-            wcm_obs::gauge_max("sweep.max_backlog", b);
-        }
-        points.push(PointReport {
-            clip: ctxs[p.clip].name.clone(),
-            frequency_hz: spec.frequencies_hz[p.freq],
-            capacity: spec.capacities[p.cap],
-            policy: spec.policies[p.policy],
-            seed: spec.seeds[p.seed],
-            verdict,
-            max_backlog: sim.map(|(b, _, _)| b),
-            dropped: sim.map(|(_, d, _)| d),
-            pe1_stalled_s: sim.map(|(_, _, s)| s),
-        });
-    }
-
-    let advisories = ctxs
-        .iter()
-        .flat_map(|ctx| {
-            spec.frequencies_hz
-                .iter()
-                .zip(&ctx.rms)
-                .filter_map(|(&f, r)| {
-                    r.map(|(schedulable, l)| RmsAdvisory {
-                        clip: ctx.name.clone(),
-                        frequency_hz: f,
-                        schedulable,
-                        l_factor: l,
-                    })
-                })
-        })
-        .collect();
-
-    let pareto = pareto_frontier(&points, spec);
-    Ok(SweepReport {
-        points,
-        advisories,
-        stats,
-        pareto,
-    })
+    let mut sink = CollectSink::new();
+    let summary = run_sweep_streaming(clips, spec, par, ShardRange::FULL, &mut sink)?;
+    Ok(sink.into_report(&summary))
 }
 
-/// Axis-validity checks shared by [`run_sweep`] and [`run_frontier`].
-fn validate(clips: &[ClipWorkload], spec: &SweepSpec) -> Result<(), SweepError> {
-    if clips.is_empty() {
-        return Err(SweepError::Invalid("no clips"));
-    }
-    if spec.frequencies_hz.is_empty()
-        || spec.capacities.is_empty()
-        || spec.policies.is_empty()
-        || spec.seeds.is_empty()
-    {
-        return Err(SweepError::Invalid("an axis of the grid is empty"));
-    }
+/// Axis-validity checks shared by [`run_sweep_streaming`] and
+/// [`run_frontier`]; returns the number of grid points.
+fn validate(clips: &[ClipWorkload], spec: &SweepSpec) -> Result<u64, SweepError> {
+    let total = validate_axes(
+        clips.len(),
+        &spec.frequencies_hz,
+        spec.capacities.len(),
+        spec.policies.len(),
+        spec.seeds.len(),
+    )?;
     if !(spec.pe1_hz.is_finite() && spec.pe1_hz > 0.0) {
         return Err(SweepError::Invalid("pe1_hz must be positive and finite"));
     }
     if spec.k_max == 0 {
         return Err(SweepError::Invalid("k_max must be at least 1"));
     }
-    if spec
-        .frequencies_hz
-        .iter()
-        .any(|f| !(f.is_finite() && *f > 0.0))
-    {
+    Ok(total)
+}
+
+/// The grid rules of every sweep, whether its axes come from a
+/// [`SweepSpec`] or off the wire in [`merge_shards`]: no empty axis,
+/// positive finite frequencies, and a point count that fits `u64`.
+/// Returns that count.
+fn validate_axes(
+    n_clips: usize,
+    frequencies_hz: &[f64],
+    n_cap: usize,
+    n_pol: usize,
+    n_seed: usize,
+) -> Result<u64, SweepError> {
+    if n_clips == 0 {
+        return Err(SweepError::Invalid("no clips"));
+    }
+    if frequencies_hz.is_empty() || n_cap == 0 || n_pol == 0 || n_seed == 0 {
+        return Err(SweepError::Invalid("an axis of the grid is empty"));
+    }
+    if frequencies_hz.iter().any(|f| !(f.is_finite() && *f > 0.0)) {
         return Err(SweepError::Invalid(
             "frequencies must be positive and finite",
         ));
     }
-    Ok(())
+    [n_clips, frequencies_hz.len(), n_cap, n_pol, n_seed]
+        .iter()
+        .try_fold(1u64, |acc, &n| acc.checked_mul(n as u64))
+        .ok_or(SweepError::Invalid("grid size overflows u64"))
 }
 
-/// Non-dominated `(frequency, capacity)` pairs where no clean point of
-/// any clip/policy overflows.
-fn pareto_frontier(points: &[PointReport], spec: &SweepSpec) -> Vec<(f64, u64)> {
-    pareto_frontier_values(points, &spec.frequencies_hz, &spec.capacities)
+/// Online Pareto-frontier accumulator over `(frequency, capacity)`
+/// cells — the one frontier implementation behind
+/// [`run_sweep_streaming`] and [`merge_shards`]. A clean-seed overflow
+/// marks its cell at *canonical* axis positions, so duplicate axis
+/// values share one cell and one fate; [`Self::frontier`] then hands
+/// the canonical safe cells, in axis order, to [`nondominated`].
+/// O(points + cells), where a by-value scan per cell is
+/// O(cells × points) — seconds against hours on a million-point grid.
+struct FrontierCells<'a> {
+    frequencies_hz: &'a [f64],
+    capacities: &'a [u64],
+    seeds: &'a [Option<u64>],
+    freq_canon: Vec<usize>,
+    cap_canon: Vec<usize>,
+    overflow: Vec<bool>,
 }
 
-/// [`pareto_frontier`] against explicit axis vectors — the form
-/// [`merge_shards`] uses, where the axes come off the wire instead of a
-/// [`SweepSpec`]. Cells are compared **by axis value**: a `(f, c)` cell
-/// is safe only if *no* clean point with that frequency value and
-/// capacity value overflows, so duplicate axis entries share one fate.
-fn pareto_frontier_values(
-    points: &[PointReport],
-    frequencies_hz: &[f64],
-    capacities: &[u64],
-) -> Vec<(f64, u64)> {
-    // One pass over the points instead of one scan per cell: mark
-    // clean-seed overflows on a cell bitmap at *canonical* axis
-    // positions (duplicate axis values share one cell), then enumerate
-    // only canonical cells. O(points + cells) where the naive by-value
-    // scan is O(cells x points) — the difference between seconds and
-    // hours on a million-point grid — and hands `nondominated` a
-    // duplicate-free safe set. Bit-pattern map keys are value-exact
-    // here: axis validation rejects NaN and non-positive frequencies,
-    // and even a ±0.0 pair would collapse through `canonical_positions`
-    // (which compares by `==`) before the keys are consulted.
-    let f_canon = canonical_positions(frequencies_hz);
-    let c_canon = canonical_positions(capacities);
-    let f_at: std::collections::HashMap<u64, usize> = frequencies_hz
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.to_bits(), f_canon[i]))
-        .collect();
-    let c_at: std::collections::HashMap<u64, usize> = capacities
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, c_canon[i]))
-        .collect();
-    let mut overflow = vec![false; frequencies_hz.len() * capacities.len()];
-    for p in points {
-        if p.seed.is_none() && p.verdict.overflowed() {
-            if let (Some(&fi), Some(&ci)) =
-                (f_at.get(&p.frequency_hz.to_bits()), c_at.get(&p.capacity))
-            {
-                overflow[fi * capacities.len() + ci] = true;
-            }
+impl<'a> FrontierCells<'a> {
+    fn new(frequencies_hz: &'a [f64], capacities: &'a [u64], seeds: &'a [Option<u64>]) -> Self {
+        Self {
+            frequencies_hz,
+            capacities,
+            seeds,
+            freq_canon: canonical_positions(frequencies_hz),
+            cap_canon: canonical_positions(capacities),
+            overflow: vec![false; frequencies_hz.len() * capacities.len()],
         }
     }
-    let mut safe: Vec<(f64, u64)> = Vec::new();
-    for (fi, &f) in frequencies_hz.iter().enumerate() {
-        if f_canon[fi] != fi {
-            continue;
+
+    /// Marks `p`'s cell unsafe when `p` is a clean-seed overflow.
+    fn record(&mut self, p: GridPoint, verdict: Verdict) {
+        if self.seeds[p.seed].is_none() && verdict.overflowed() {
+            let cell = self.freq_canon[p.freq] * self.capacities.len() + self.cap_canon[p.cap];
+            self.overflow[cell] = true;
         }
-        for (ci, &c) in capacities.iter().enumerate() {
-            if c_canon[ci] != ci {
+    }
+
+    /// The non-dominated safe cells. Canonical cells only: `nondominated`
+    /// must see each cell once, both for the tie contract and because
+    /// its strict-domination filter is quadratic in the safe-set size.
+    fn frontier(&self) -> Vec<(f64, u64)> {
+        let n_cap = self.capacities.len();
+        let mut safe: Vec<(f64, u64)> = Vec::new();
+        for (fi, &f) in self.frequencies_hz.iter().enumerate() {
+            if self.freq_canon[fi] != fi {
                 continue;
             }
-            if !overflow[fi * capacities.len() + ci] {
-                safe.push((f, c));
+            for (ci, &c) in self.capacities.iter().enumerate() {
+                if self.cap_canon[ci] == ci && !self.overflow[fi * n_cap + ci] {
+                    safe.push((f, c));
+                }
             }
         }
+        nondominated(&safe)
     }
-    nondominated(&safe)
 }
 
-/// Strict-domination filter + canonical sort shared by the dense
-/// [`pareto_frontier`], [`run_frontier`] and the streaming online
-/// accumulator of [`run_sweep_streaming`] — one implementation so the
+/// Strict-domination filter + canonical sort shared by
+/// [`FrontierCells`] and [`run_frontier`] — one implementation so the
 /// paths cannot drift apart on ties or duplicate axis values.
 ///
 /// Tie/duplicate contract (also the contract of [`SweepReport::pareto`]):
@@ -1056,7 +978,7 @@ pub struct FrontierReport {
 
 /// Memoizing safety oracle over `(frequency, capacity)` cells: a cell is
 /// safe iff no clean-seed point of any clip/policy at that cell
-/// overflows — exactly the predicate of the dense [`pareto_frontier`].
+/// overflows — exactly the predicate of [`FrontierCells`].
 struct CellOracle<'a> {
     ctxs: &'a [ClipContext],
     spec: &'a SweepSpec,
@@ -1539,10 +1461,10 @@ impl<'a> PointRecord<'a> {
 
 /// Everything a [`SweepReport`] carries except the point vector:
 /// what [`run_sweep_streaming`] returns after the last point has been
-/// pushed to the sink. For a full-grid run (`ShardRange::FULL`) every
-/// field is **byte-identical** to the corresponding [`run_sweep`]
-/// fields; for a shard run, `stats` and `pareto` cover only the shard's
-/// slice of the grid (the merge step recomputes them globally).
+/// pushed to the sink. For a full-grid run (`ShardRange::FULL`) these
+/// are the report's fields ([`run_sweep`] adds the collected points);
+/// for a shard run, `stats` and `pareto` cover only the shard's slice
+/// of the grid (the merge step recomputes them globally).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSummary {
     /// Per-`(clip, frequency)` RMS advisories (always the full set —
@@ -1618,10 +1540,9 @@ pub trait SweepSink {
 }
 
 /// In-process aggregating sink: collects the streamed points so
-/// [`CollectSink::into_report`] can rebuild the exact [`SweepReport`] of
-/// the materializing path — the equivalence witness used by the tests
-/// and benches, and the bridge for callers that want streaming
-/// evaluation but a materialized result.
+/// [`CollectSink::into_report`] can assemble the full [`SweepReport`] —
+/// how [`run_sweep`] returns one, and the bridge for any caller that
+/// wants the whole report in memory.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     points: Vec<PointReport>,
@@ -1647,6 +1568,11 @@ impl CollectSink {
 }
 
 impl SweepSink for CollectSink {
+    fn begin(&mut self, header: &SweepRunHeader<'_>) -> Result<(), SweepError> {
+        self.points.reserve_exact(header.len as usize);
+        Ok(())
+    }
+
     fn point(&mut self, rec: &PointRecord<'_>) -> Result<(), SweepError> {
         self.points.push(rec.to_report());
         Ok(())
@@ -1873,9 +1799,9 @@ pub fn spec_fingerprint(clips: &[ClipWorkload], spec: &SweepSpec) -> u64 {
     h
 }
 
-/// Decomposes a global grid index into axis indices — the arithmetic
-/// inverse of the nested enumeration in [`run_sweep`], so the streaming
-/// path never materializes the grid vector.
+/// Decomposes a global grid index into axis indices — the sweep's one
+/// grid enumeration (clip-major, then frequency, capacity, policy,
+/// seed), so no path ever materializes the grid vector.
 fn grid_point_at(mut idx: u64, n_freq: usize, n_cap: usize, n_pol: usize, n_seed: usize) -> GridPoint {
     let seed = (idx % n_seed as u64) as usize;
     idx /= n_seed as u64;
@@ -1896,36 +1822,40 @@ fn grid_point_at(mut idx: u64, n_freq: usize, n_cap: usize, n_pol: usize, n_seed
 
 /// Canonical axis-index map: each position maps to the first position
 /// holding an equal value, so duplicate axis values share one frontier
-/// cell — the index-space mirror of the by-value matching in
-/// `pareto_frontier_values`.
+/// cell. A value equal to nothing before it (NaN included) is its own
+/// canonical position.
 fn canonical_positions<T: PartialEq>(axis: &[T]) -> Vec<usize> {
-    axis.iter()
-        .map(|v| axis.iter().position(|w| w == v).expect("v is in axis"))
+    (0..axis.len())
+        .map(|i| axis[..i].iter().position(|w| *w == axis[i]).unwrap_or(i))
         .collect()
 }
 
-/// Streaming counterpart of [`run_sweep`]: evaluates the shard's slice
-/// of the grid and pushes every point to `sink` in grid-index order
-/// instead of collecting a vector. Peak memory is **independent of the
-/// grid size** — one bounded chunk of verdicts in flight, the per-clip
-/// analysis contexts, and the analytic table's one slot per
-/// `(clip, seed, capacity, frequency)` cell.
+/// Global index range `[start, end)` of shard `index` of `count`
+/// balanced slices of a `total`-point grid, computed in `u128` so the
+/// products cannot overflow.
+fn shard_slice(index: u64, count: u64, total: u64) -> (u64, u64) {
+    let at = |i: u64| (u128::from(i) * u128::from(total) / u128::from(count)) as u64;
+    (at(index), at(index + 1))
+}
+
+/// The sweep driver: evaluates the shard's slice of the grid and pushes
+/// every point to `sink` in grid-index order. Peak memory is
+/// **independent of the grid size** — one bounded chunk of verdicts in
+/// flight, the per-clip analysis contexts, and the analytic table's one
+/// slot per `(clip, seed, capacity, frequency)` cell — unless the sink
+/// itself keeps the points, as [`run_sweep`]'s [`CollectSink`] does.
 ///
-/// Determinism carries over from [`run_sweep`] wholesale: points arrive
-/// in grid order for every `par` setting, and for a full-grid run
-/// (`ShardRange::FULL`) the returned [`SweepSummary`] — stats, advisory
-/// set and Pareto frontier, ties included — is **byte-identical** to the
-/// corresponding fields of [`run_sweep`]'s report. The frontier is
-/// tracked online: clean-seed overflows mark their
-/// `(frequency, capacity)` cell (by canonical value, so duplicate axis
-/// entries share one cell exactly like the by-value filter of the
-/// materializing path) and the safe cells are enumerated in the same
-/// axis order at the end.
+/// Points arrive in grid order for every `par` setting, and the returned
+/// [`SweepSummary`] — stats, advisory set and Pareto frontier, ties
+/// included — is bit-identical across `par` settings too. Stats and
+/// frontier are tracked online while the points stream past
+/// ([`FrontierCells`] explains the frontier).
 ///
 /// # Errors
 ///
 /// [`SweepError::Invalid`] for a bad spec or an out-of-range shard;
-/// sink errors verbatim; otherwise as [`run_sweep`].
+/// sink errors verbatim; otherwise propagates simulation/analysis
+/// errors.
 pub fn run_sweep_streaming(
     clips: &[ClipWorkload],
     spec: &SweepSpec,
@@ -1933,12 +1863,14 @@ pub fn run_sweep_streaming(
     shard: ShardRange,
     sink: &mut dyn SweepSink,
 ) -> Result<SweepSummary, SweepError> {
-    validate(clips, spec)?;
+    let total = validate(clips, spec)?;
     if shard.count == 0 || shard.index >= shard.count {
         return Err(SweepError::Invalid("shard index out of range"));
     }
-    let _span = wcm_obs::span("sweep.stream");
+    let _span = wcm_obs::span("sweep.run");
 
+    // Phase 1: per-clip analysis, memoized once (the window scans inside
+    // already honour `par`), then the analytic verdict table.
     let ctxs: Vec<ClipContext> = {
         let _span = wcm_obs::span("sweep.clip_analysis");
         clips
@@ -1952,9 +1884,7 @@ pub fn run_sweep_streaming(
     let n_cap = spec.capacities.len();
     let n_pol = spec.policies.len();
     let n_seed = spec.seeds.len();
-    let total = clips.len() as u64 * n_freq as u64 * n_cap as u64 * n_pol as u64 * n_seed as u64;
-    let start = u64::from(shard.index) * total / u64::from(shard.count);
-    let end = (u64::from(shard.index) + 1) * total / u64::from(shard.count);
+    let (start, end) = shard_slice(u64::from(shard.index), u64::from(shard.count), total);
     let len = (end - start) as usize;
 
     let advisories: Vec<RmsAdvisory> = ctxs
@@ -1989,18 +1919,18 @@ pub fn run_sweep_streaming(
         advisories: &advisories,
     })?;
 
-    let freq_canon = canonical_positions(&spec.frequencies_hz);
-    let cap_canon = canonical_positions(&spec.capacities);
-    let mut overflow_cells = vec![false; n_freq * n_cap];
+    let mut frontier = FrontierCells::new(&spec.frequencies_hz, &spec.capacities, &spec.seeds);
     let mut stats = SweepStats {
         total: len,
         ..SweepStats::default()
     };
 
+    // Phase 2: classify/simulate the slice chunk by chunk, one reusable
+    // scratch per worker; each chunk is emitted in grid order.
     let events_per_point = clips.iter().map(ClipWorkload::macroblock_count).sum::<usize>()
         / clips.len();
     let cost = (len as u64) * (events_per_point as u64).max(1) * 16;
-    wcm_obs::counter("sweep.stream.points", len as u64);
+    wcm_obs::counter("sweep.points", len as u64);
     {
         let _span = wcm_obs::span("sweep.eval");
         wcm_par::par_map_stream(
@@ -2018,17 +1948,8 @@ pub fn run_sweep_streaming(
                     let idx = start + (chunk_start + j) as u64;
                     let p = grid_point_at(idx, n_freq, n_cap, n_pol, n_seed);
                     let (verdict, sim) = out?;
-                    match verdict {
-                        Verdict::ProvablySafe => stats.pruned_safe += 1,
-                        Verdict::ProvablyUnsafe => stats.pruned_unsafe += 1,
-                        Verdict::SimOk | Verdict::SimOverflow => stats.simulated += 1,
-                    }
-                    if verdict.overflowed() {
-                        stats.overflowed += 1;
-                        if spec.seeds[p.seed].is_none() {
-                            overflow_cells[freq_canon[p.freq] * n_cap + cap_canon[p.cap]] = true;
-                        }
-                    }
+                    stats.record(verdict);
+                    frontier.record(p, verdict);
                     if let Some((b, _, _)) = sim {
                         wcm_obs::gauge_max("sweep.max_backlog", b);
                     }
@@ -2050,29 +1971,10 @@ pub fn run_sweep_streaming(
         )?;
     }
 
-    // Canonical cells only: duplicate axis values share one cell, and
-    // `nondominated` must see each cell once — both for the tie
-    // contract and because its strict-domination filter is quadratic in
-    // the safe-set size. Same enumeration as `pareto_frontier_values`,
-    // so the streamed frontier stays byte-identical to the dense one.
-    let mut safe: Vec<(f64, u64)> = Vec::new();
-    for (fi, &f) in spec.frequencies_hz.iter().enumerate() {
-        if freq_canon[fi] != fi {
-            continue;
-        }
-        for (ci, &c) in spec.capacities.iter().enumerate() {
-            if cap_canon[ci] != ci {
-                continue;
-            }
-            if !overflow_cells[fi * n_cap + ci] {
-                safe.push((f, c));
-            }
-        }
-    }
     let summary = SweepSummary {
         advisories,
         stats,
-        pareto: nondominated(&safe),
+        pareto: frontier.frontier(),
     };
     sink.finish(&summary)?;
     Ok(summary)
@@ -2093,17 +1995,20 @@ fn advisory_recs_equal(a: &[wcm_wire::SweepAdvisoryRec], b: &[wcm_wire::SweepAdv
 /// Folds decoded shard streams (one per `wcm sweep --shard i/N` process)
 /// into the [`SweepReport`] a single-process [`run_sweep`] of the same
 /// spec produces — **byte-for-byte**, including `to_json`/`to_csv`
-/// output: points are stitched back into global grid order, stats are
-/// recounted from the verdicts, advisories come from the (validated
-/// identical) shard metadata, and the frontier goes through the same
-/// by-value filter as the dense path.
+/// output: points are stitched back into global grid order, stats and
+/// frontier are recounted from the verdicts through the same
+/// accumulators [`run_sweep_streaming`] uses, and advisories come from
+/// the (validated identical) shard metadata.
 ///
 /// # Errors
 ///
 /// [`SweepError::Invalid`] when the shard set is not exactly the output
 /// of one run: a stream without sweep metadata, fingerprint/axis/
-/// advisory disagreement, duplicate/missing/unbalanced shard ranges, or
-/// a point count that does not match a shard's declared range.
+/// advisory disagreement, axes that break the grid rules of a spec (an
+/// empty axis, a non-positive or non-finite frequency), a declared
+/// total other than the axis product, duplicate/missing/unbalanced
+/// shard ranges, or a point count that does not match a shard's
+/// declared range.
 pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepError> {
     let _span = wcm_obs::span("sweep.merge");
     let mut parts: Vec<(&wcm_wire::SweepShardMeta, &[wcm_wire::SweepPointRec])> = shards
@@ -2152,15 +2057,28 @@ pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepEr
             ));
         }
     }
+    // The axes came off the wire: hold them to the rules a spec obeys
+    // before any grid index is decomposed against them.
+    let total = validate_axes(
+        first.clips.len(),
+        &first.frequencies_hz,
+        first.capacities.len(),
+        first.policies.len(),
+        first.seeds.len(),
+    )?;
+    if first.total != total {
+        return Err(SweepError::Invalid(
+            "declared shard total does not match the grid axes",
+        ));
+    }
     parts.sort_by_key(|&(m, _)| m.shard);
     let count = u64::from(first.shards);
     for (i, &(m, _)) in parts.iter().enumerate() {
         if m.shard as usize != i {
             return Err(SweepError::Invalid("duplicate or missing shard index"));
         }
-        let expect_start = i as u64 * first.total / count;
-        let expect_end = (i as u64 + 1) * first.total / count;
-        if m.start != expect_start || m.start + m.len != expect_end {
+        let (expect_start, expect_end) = shard_slice(i as u64, count, total);
+        if m.start != expect_start || m.start.checked_add(m.len) != Some(expect_end) {
             return Err(SweepError::Invalid("shard range is not the balanced split"));
         }
     }
@@ -2180,24 +2098,19 @@ pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepEr
         }
     }
 
-    let mut points = Vec::with_capacity(first.total as usize);
+    let mut points = Vec::with_capacity(total as usize);
     let mut stats = SweepStats {
-        total: first.total as usize,
+        total: total as usize,
         ..SweepStats::default()
     };
+    let mut frontier = FrontierCells::new(&first.frequencies_hz, &first.capacities, &first.seeds);
     for &(m, pts) in &parts {
         for (j, rec) in pts.iter().enumerate() {
             let p = grid_point_at(m.start + j as u64, n_freq, n_cap, n_pol, n_seed);
             let verdict = verdict_from_code(rec.verdict)
                 .ok_or(SweepError::Invalid("unknown verdict code"))?;
-            match verdict {
-                Verdict::ProvablySafe => stats.pruned_safe += 1,
-                Verdict::ProvablyUnsafe => stats.pruned_unsafe += 1,
-                Verdict::SimOk | Verdict::SimOverflow => stats.simulated += 1,
-            }
-            if verdict.overflowed() {
-                stats.overflowed += 1;
-            }
+            stats.record(verdict);
+            frontier.record(p, verdict);
             points.push(PointReport {
                 clip: first.clips[p.clip].clone(),
                 frequency_hz: first.frequencies_hz[p.freq],
@@ -2224,12 +2137,11 @@ pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepEr
             l_factor: a.l_factor,
         })
         .collect();
-    let pareto = pareto_frontier_values(&points, &first.frequencies_hz, &first.capacities);
     Ok(SweepReport {
         points,
         advisories,
         stats,
-        pareto,
+        pareto: frontier.frontier(),
     })
 }
 
@@ -2569,22 +2481,6 @@ mod tests {
     // ---- streaming path ---------------------------------------------------
 
     #[test]
-    fn streaming_full_grid_reproduces_run_sweep_exactly() {
-        let clips = small_clips(2);
-        let spec = small_spec();
-        let dense = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
-        for par in [Parallelism::Seq, Parallelism::Threads(2), Parallelism::Threads(4)] {
-            let mut sink = CollectSink::new();
-            let summary =
-                run_sweep_streaming(&clips, &spec, par, ShardRange::FULL, &mut sink).unwrap();
-            let streamed = sink.into_report(&summary);
-            assert_eq!(streamed, dense, "{par:?}: reports diverge");
-            assert_eq!(streamed.to_json(), dense.to_json(), "{par:?}: JSON diverges");
-            assert_eq!(streamed.to_csv(), dense.to_csv(), "{par:?}: CSV diverges");
-        }
-    }
-
-    #[test]
     fn streaming_csv_sink_writes_to_csv_bytes() {
         let clips = small_clips(1);
         let spec = small_spec();
@@ -2596,30 +2492,27 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_axis_values_share_one_frontier_entry_in_both_paths() {
+    fn duplicate_axis_values_share_one_frontier_entry() {
         let clips = small_clips(1);
         let mut spec = small_spec();
-        // Duplicate one frequency and one capacity: the dense path filters
-        // frontier candidates by value, so the streamed accumulator must
-        // collapse the duplicate cells the same way.
+        // Duplicate one frequency and one capacity: a duplicated cell is
+        // one cell, so the frontier must equal that of the deduplicated
+        // axes, and carry no exact duplicates.
         spec.frequencies_hz = vec![2.0e6, 6.0e6, 6.0e6, 60.0e6];
         spec.capacities = vec![4, 80, 80, 4000];
-        let dense = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
-        let mut sink = CollectSink::new();
-        let summary =
-            run_sweep_streaming(&clips, &spec, Parallelism::Seq, ShardRange::FULL, &mut sink)
-                .unwrap();
-        assert_eq!(summary.pareto, dense.pareto);
-        // The frontier itself carries no exact duplicates.
-        for (i, a) in dense.pareto.iter().enumerate() {
-            for b in &dense.pareto[i + 1..] {
+        let report = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
+        spec.frequencies_hz.dedup();
+        spec.capacities.dedup();
+        let unique = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
+        assert_eq!(report.pareto, unique.pareto);
+        for (i, a) in report.pareto.iter().enumerate() {
+            for b in &report.pareto[i + 1..] {
                 assert!(
                     a.0.to_bits() != b.0.to_bits() || a.1 != b.1,
                     "duplicate frontier entry {a:?}"
                 );
             }
         }
-        assert_eq!(sink.into_report(&summary), dense);
     }
 
     #[test]
@@ -2689,6 +2582,46 @@ mod tests {
             merge_shards(&[plain]),
             Err(SweepError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn merge_rejects_hostile_axes_without_panicking() {
+        // Shard metadata with valid CRCs whose axes break the grid
+        // rules must be refused before any index is taken from them: a
+        // NaN frequency (the frontier's axis map), an empty seed axis
+        // (the index decomposition), a total past the axis product (the
+        // clip lookup).
+        let clips = small_clips(1);
+        let mut sink = WcmtShardSink::new(Vec::new()).unwrap();
+        run_sweep_streaming(
+            &clips,
+            &small_spec(),
+            Parallelism::Seq,
+            ShardRange::FULL,
+            &mut sink,
+        )
+        .unwrap();
+        let bytes = sink.finish_stream().unwrap();
+        let good = wcm_wire::decode(&bytes, wcm_wire::DecodePolicy::Strict).unwrap();
+        assert!(merge_shards(std::slice::from_ref(&good)).is_ok());
+        let mutations: [fn(&mut wcm_wire::Decoded); 3] = [
+            |d| d.sweep_meta.as_mut().unwrap().frequencies_hz[0] = f64::NAN,
+            |d| d.sweep_meta.as_mut().unwrap().seeds.clear(),
+            |d| {
+                let meta = d.sweep_meta.as_mut().unwrap();
+                meta.total += 1;
+                meta.len += 1;
+                d.sweep_points.push(d.sweep_points[0]);
+            },
+        ];
+        for (i, mutate) in mutations.iter().enumerate() {
+            let mut bad = good.clone();
+            mutate(&mut bad);
+            assert!(
+                matches!(merge_shards(&[bad]), Err(SweepError::Invalid(_))),
+                "mutation {i} must be refused"
+            );
+        }
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! Streaming-sweep equivalence properties.
+//! Streaming-sweep properties.
 //!
-//! The streaming path earns its keep only if it is *indistinguishable*
-//! from the materializing path: for randomized small specs,
-//! [`run_sweep_streaming`] through a collecting sink must rebuild
-//! [`run_sweep`]'s report byte-for-byte (JSON and CSV included) across
-//! worker counts, and any shard split recombined through the `.wcmt`
-//! wire round trip and [`merge_shards`] must land on the same bytes.
+//! For randomized small specs, the sweep's online stats and Pareto
+//! frontier must match a naive oracle recomputed from the points, the
+//! report must be byte-identical (JSON and CSV included) across worker
+//! counts, and any shard split recombined through the `.wcmt` wire round
+//! trip and [`merge_shards`] must land on the bytes of [`run_sweep`].
 
 use proptest::prelude::*;
 use wcm_events::window::WindowMode;
 use wcm_mpeg::{profile::standard_clips, ClipWorkload, Synthesizer, VideoParams};
 use wcm_par::Parallelism;
 use wcm_sim::pipeline::OverflowPolicy;
+use wcm_sim::sweep::SweepStats;
 use wcm_sim::{
-    merge_shards, run_sweep, run_sweep_streaming, CollectSink, Injector, ShardRange, SweepSpec,
-    WcmtShardSink,
+    merge_shards, run_sweep, run_sweep_streaming, Injector, ShardRange, SweepReport, SweepSpec,
+    Verdict, WcmtShardSink,
 };
 
 fn clips(count: usize) -> Vec<ClipWorkload> {
@@ -45,11 +45,20 @@ fn spec_from(raw: &SpecRaw) -> SweepSpec {
         capacities: cap_pool[..raw.n_cap].to_vec(),
         policies: policy_pool[..raw.n_pol].to_vec(),
         seeds: seed_pool[..raw.n_seed].to_vec(),
-        injectors: vec![Injector::JitterBurst {
-            start: 5,
-            len: 60,
-            max_delay_s: 0.004,
-        }],
+        // The spike makes some seeded points overflow where the clean
+        // stream is safe, so the frontier's clean-seed filter matters.
+        injectors: vec![
+            Injector::JitterBurst {
+                start: 5,
+                len: 60,
+                max_delay_s: 0.004,
+            },
+            Injector::DemandSpike {
+                start: 10,
+                len: 500,
+                factor_pct: 1000,
+            },
+        ],
         k_max: 400,
         mode: WindowMode::Strided {
             exact_upto: 96,
@@ -58,6 +67,77 @@ fn spec_from(raw: &SpecRaw) -> SweepSpec {
         cert_depth: 300,
         prune: raw.prune,
     }
+}
+
+/// Independent oracle for a report's summary, checked point by point:
+/// the points enumerate the grid in nested clip-major order, the stats
+/// are recounted from their verdicts, and the frontier is the naive
+/// by-value scan — an axis pair `(f, c)` is safe iff no clean point at
+/// that frequency and capacity overflows, and the frontier keeps the
+/// safe pairs no other safe pair strictly dominates, sorted, duplicates
+/// dropped.
+fn check_against_oracle(
+    report: &SweepReport,
+    clips: &[ClipWorkload],
+    spec: &SweepSpec,
+) -> Result<(), TestCaseError> {
+    let mut grid = Vec::new();
+    for clip in clips {
+        for &f in &spec.frequencies_hz {
+            for &c in &spec.capacities {
+                for &pol in &spec.policies {
+                    for &seed in &spec.seeds {
+                        grid.push((clip.name().to_string(), f, c, pol, seed));
+                    }
+                }
+            }
+        }
+    }
+    let coords: Vec<_> = report
+        .points
+        .iter()
+        .map(|p| (p.clip.clone(), p.frequency_hz, p.capacity, p.policy, p.seed))
+        .collect();
+    prop_assert_eq!(coords, grid);
+
+    let mut stats = SweepStats {
+        total: report.points.len(),
+        ..SweepStats::default()
+    };
+    for p in &report.points {
+        match p.verdict {
+            Verdict::ProvablySafe => stats.pruned_safe += 1,
+            Verdict::ProvablyUnsafe => stats.pruned_unsafe += 1,
+            Verdict::SimOk | Verdict::SimOverflow => stats.simulated += 1,
+        }
+        stats.overflowed += usize::from(p.verdict.overflowed());
+    }
+    prop_assert_eq!(report.stats, stats);
+
+    let mut safe = Vec::new();
+    for &f in &spec.frequencies_hz {
+        for &c in &spec.capacities {
+            let overflows = report.points.iter().any(|p| {
+                p.seed.is_none() && p.frequency_hz == f && p.capacity == c && p.verdict.overflowed()
+            });
+            if !overflows {
+                safe.push((f, c));
+            }
+        }
+    }
+    let mut pareto: Vec<(f64, u64)> = safe
+        .iter()
+        .copied()
+        .filter(|&(f, c)| {
+            !safe
+                .iter()
+                .any(|&(f2, c2)| f2 <= f && c2 <= c && (f2 < f || c2 < c))
+        })
+        .collect();
+    pareto.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    pareto.dedup();
+    prop_assert_eq!(&report.pareto, &pareto);
+    Ok(())
 }
 
 #[derive(Debug, Clone)]
@@ -84,7 +164,7 @@ fn spec_raw() -> impl Strategy<Value = SpecRaw> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn streamed_sweep_is_byte_identical_across_worker_counts(
@@ -93,15 +173,13 @@ proptest! {
     ) {
         let clips = clips(n_clips);
         let spec = spec_from(&raw);
-        let dense = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
-        for par in [Parallelism::Seq, Parallelism::Threads(2), Parallelism::Threads(4)] {
-            let mut sink = CollectSink::new();
-            let summary =
-                run_sweep_streaming(&clips, &spec, par, ShardRange::FULL, &mut sink).unwrap();
-            let streamed = sink.into_report(&summary);
-            prop_assert_eq!(&streamed, &dense, "{:?}: reports diverge", par);
-            prop_assert_eq!(streamed.to_json(), dense.to_json(), "{:?}: JSON diverges", par);
-            prop_assert_eq!(streamed.to_csv(), dense.to_csv(), "{:?}: CSV diverges", par);
+        let seq = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
+        check_against_oracle(&seq, &clips, &spec)?;
+        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
+            let other = run_sweep(&clips, &spec, par).unwrap();
+            prop_assert_eq!(&other, &seq, "{:?}: reports diverge", par);
+            prop_assert_eq!(other.to_json(), seq.to_json(), "{:?}: JSON diverges", par);
+            prop_assert_eq!(other.to_csv(), seq.to_csv(), "{:?}: CSV diverges", par);
         }
     }
 
