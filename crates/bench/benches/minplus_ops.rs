@@ -45,29 +45,6 @@ fn bench_deconvolve(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_minplus_seq_vs_par(c: &mut Criterion) {
-    use minplus::Parallelism;
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let mut group = c.benchmark_group("minplus_threads");
-    let f = random_pwl(96, 21);
-    let g = random_pwl(96, 22);
-    group.bench_function("convolve_seq_96seg", |b| {
-        b.iter(|| minplus::convolve_with(&f, &g, Parallelism::Seq))
-    });
-    group.bench_function(format!("convolve_threads{threads}_96seg"), |b| {
-        b.iter(|| minplus::convolve_with(&f, &g, Parallelism::Threads(threads)))
-    });
-    let df = random_pwl(96, 23);
-    let dg = random_pwl(96, 24).add(&Pwl::affine(0.0, 10.0).unwrap());
-    group.bench_function("deconvolve_seq_96seg", |b| {
-        b.iter(|| minplus::deconvolve_with(&df, &dg, Parallelism::Seq).unwrap())
-    });
-    group.bench_function(format!("deconvolve_threads{threads}_96seg"), |b| {
-        b.iter(|| minplus::deconvolve_with(&df, &dg, Parallelism::Threads(threads)).unwrap())
-    });
-    group.finish();
-}
-
 fn bench_bounds(c: &mut Criterion) {
     let alpha = random_pwl(32, 5);
     let beta = random_pwl(32, 6).add(&Pwl::affine(0.0, 12.0).unwrap());
@@ -127,7 +104,6 @@ criterion_group!(
     benches,
     bench_convolve,
     bench_deconvolve,
-    bench_minplus_seq_vs_par,
     bench_bounds,
     bench_envelope,
     bench_closure,

@@ -2,7 +2,7 @@
 //!
 //! Times the old per-`k` sliding-window rescan against the prefix-sum scan
 //! (sequential and threaded) on the headline `N = 50 000`, `K = 2 000`
-//! exact-mode workload, plus the threaded min-plus envelopes, the
+//! exact-mode workload, plus the lazy vs materialized min-plus tandem, the
 //! chunked-summary fold behind the trace-parallel path, and a one-GOP
 //! incremental append against a full rebuild. Writes the interleaved
 //! best-of-`REPS` times, a thread-scaling array (1/2/4/8 workers capped
@@ -17,6 +17,7 @@
 
 use std::time::Instant;
 use wcm_bench::alloc::{count_allocs, CountingAlloc};
+use wcm_bench::legacy::convolve_materialized;
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
 use wcm_events::summary::{summarize_with, CurveSummary, Sides, SummarySpine};
 use wcm_events::window::{max_window_sums_with, min_spans_with, Parallelism, WindowMode};
@@ -296,20 +297,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let append_s = appends.best(1) / GOPS as f64;
     let append_ratio = appends.speedup(1, 0) / GOPS as f64;
 
-    let f = staircase(96, 21);
-    let g = staircase(96, 22);
-    let conv = measure([
-        &mut || time_once(|| minplus::convolve_with(&f, &g, minplus::Parallelism::Seq)),
-        &mut || time_once(|| minplus::convolve_with(&f, &g, minplus::Parallelism::Threads(threads))),
-    ]);
-    let (conv_seq, conv_par) = (conv.best(0), conv.best(1));
-
     // Lazy streaming curve algebra: a 32-stage tandem service
     // composition (left fold of min-plus convolutions). The eager fold
-    // materializes a fresh Pwl per stage plus every intermediate inside
-    // each convolution; the lazy fold streams each convolution's
-    // segments straight into a ping-pong buffer. Results are pinned
-    // bitwise identical before anything is timed.
+    // runs the materializing convolution kept in `wcm_bench::legacy`,
+    // which builds a fresh Pwl per stage plus every branch inside each
+    // convolution; the lazy fold streams each convolution's segments
+    // straight into a ping-pong buffer. The two are independent
+    // implementations, pinned bitwise identical before anything is timed.
     const STAGES: usize = 32;
     let stage_curves: Vec<Pwl> = (0..STAGES)
         .map(|i| staircase(16, 100 + i as u64))
@@ -317,7 +311,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eager_tandem = || {
         let mut acc = stage_curves[0].clone();
         for c in &stage_curves[1..] {
-            acc = minplus::convolve(&acc, c);
+            acc = convolve_materialized(&acc, c);
         }
         acc
     };
@@ -436,7 +430,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"append_over_rebuild\": {append_ratio:.4}\n\
          \x20 }},\n\
          \x20 \"min_spans\": {{ \"seq_s\": {spans_seq:.6}, \"par_s\": {spans_par:.6}, \"speedup\": {:.1} }},\n\
-         \x20 \"minplus_convolve_96seg\": {{ \"seq_s\": {conv_seq:.6}, \"par_s\": {conv_par:.6}, \"speedup\": {:.1} }},\n\
          \x20 \"lazy_tandem_32\": {{\n\
          \x20   \"stages\": {STAGES},\n\
          \x20   \"eager_s\": {tandem_eager_s:.6},\n\
@@ -465,7 +458,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         core.speedup(1, 2),
         summaries.speedup(1, 0),
         core.speedup(3, 4),
-        conv.speedup(0, 1),
         tandem.speedup(0, 1),
     );
     std::fs::write(&out_path, &json)?;

@@ -1,15 +1,23 @@
-//! The pre-optimization pipeline simulator, kept verbatim as a baseline.
+//! Pre-rewrite implementations, kept verbatim as measurement baselines.
 //!
-//! Before the hot-path rewrite, `wcm_sim::pipeline` drove every run
-//! through the binary-heap [`wcm_sim::engine::EventQueue`], allocating a
-//! fresh calendar, availability map and timestamp vectors per call. The
-//! rewrite replaced the heap with a sorted arrival arena plus two
-//! completion slots and moved all per-run vectors into a reusable
-//! scratch. This module preserves the old loop (unbounded FIFO, CBR
-//! source — the hot path of the sweep engine) so `bench_sweep` and the
-//! criterion group can measure ns/event *before vs after* on identical
-//! inputs, and assert both produce bit-identical results.
+//! * [`simulate_pipeline_legacy`] — the pipeline simulator before the
+//!   hot-path rewrite. Before it, `wcm_sim::pipeline` drove every run
+//!   through the binary-heap [`wcm_sim::engine::EventQueue`], allocating a
+//!   fresh calendar, availability map and timestamp vectors per call. The
+//!   rewrite replaced the heap with a sorted arrival arena plus two
+//!   completion slots and moved all per-run vectors into a reusable
+//!   scratch. The old loop (unbounded FIFO, CBR source — the hot path of
+//!   the sweep engine) lets `bench_sweep` and the criterion group measure
+//!   ns/event *before vs after* on identical inputs, and assert both
+//!   produce bit-identical results.
+//! * [`convolve_materialized`] — min-plus convolution as it was before
+//!   `wcm_curves::minplus::convolve` became a collected lazy stream: every
+//!   branch built as a full [`Pwl`] and folded with `Pwl::min`. It is the
+//!   eager side of `bench_curves`' 32-stage tandem, whose allocation ratio
+//!   against the lazy stream is a perf guard, and an independent second
+//!   implementation the lazy result is asserted bit-identical to.
 
+use wcm_curves::{approx_eq, Pwl};
 use wcm_mpeg::ClipWorkload;
 use wcm_sim::engine::EventQueue;
 use wcm_sim::pipeline::PipelineConfig;
@@ -126,6 +134,71 @@ pub fn simulate_pipeline_legacy(
     })
 }
 
+/// Min-plus convolution `(f ⊗ g)(t) = inf_{0 ≤ s ≤ t} f(t−s) + g(s)` on
+/// materialized curves: the base `min(f, g)`, then every pruned shifted
+/// branch built with `Pwl::shift` and folded with a pairwise `Pwl::min`
+/// tree. Bit-identical to `wcm_curves::minplus::convolve`.
+#[must_use]
+pub fn convolve_materialized(f: &Pwl, g: &Pwl) -> Pwl {
+    // Boundary candidates with the true f(0) = g(0) = 0 convention:
+    // s = 0 contributes g alone, s = t contributes f alone.
+    let base = f.min(g);
+    // s at the breakpoints of g, t − s at breakpoints of f; dominated
+    // shifts are pruned before any envelope work.
+    let mut branches: Vec<ShiftOf> = Vec::new();
+    branches.extend(pruned_shifts(g).into_iter().map(|(b, c)| ShiftOf::F(b, c)));
+    branches.extend(pruned_shifts(f).into_iter().map(|(a, c)| ShiftOf::G(a, c)));
+    // Infallible: pruned_shifts only emits breakpoint coordinates of valid
+    // curves, which are non-negative — the only case shift rejects.
+    let mut shifted: Vec<Pwl> = branches
+        .iter()
+        .map(|br| match *br {
+            ShiftOf::F(dx, dy) => f.shift(dx, dy).expect("shift by non-negative offsets"),
+            ShiftOf::G(dx, dy) => g.shift(dx, dy).expect("shift by non-negative offsets"),
+        })
+        .collect();
+    // Pairwise tree: adjacent pairs merged round after round.
+    while shifted.len() > 1 {
+        let mut next = Vec::with_capacity(shifted.len().div_ceil(2));
+        let mut it = shifted.into_iter();
+        while let Some(a) = it.next() {
+            match it.next() {
+                Some(b) => next.push(a.min(&b)),
+                None => next.push(a),
+            }
+        }
+        shifted = next;
+    }
+    match shifted.pop() {
+        Some(e) => base.min(&e),
+        None => base,
+    }
+}
+
+/// A pending lower-envelope branch: shift one of the operands right by `dx`
+/// and up by `dy`.
+enum ShiftOf {
+    F(f64, f64),
+    G(f64, f64),
+}
+
+/// Shift candidates `(b, h(b⁻))` of a curve `h` (the stored right-limit at
+/// `b = 0`), with runs of equal raise collapsed to the largest shift: for
+/// monotone curves the earlier shifts of a flat run never win a lower
+/// envelope.
+fn pruned_shifts(h: &Pwl) -> Vec<(f64, f64)> {
+    let mut out: Vec<(f64, f64)> = Vec::with_capacity(h.segments().len());
+    for (i, b) in h.breakpoint_xs().enumerate() {
+        let c = if i == 0 { h.value(0.0) } else { h.value_left(b) };
+        match out.last_mut() {
+            // Same raise, larger shift: the new branch dominates.
+            Some(last) if approx_eq(last.1, c) => *last = (b, c),
+            _ => out.push((b, c)),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,5 +222,31 @@ mod tests {
         assert_eq!(old.fifo_in_times, new.fifo_in_times);
         assert_eq!(old.fifo_out_times, new.fifo_out_times);
         assert_eq!(old.max_backlog, new.max_backlog);
+    }
+
+    #[test]
+    fn materialized_and_lazy_convolution_agree_bitwise() {
+        // A staircase with flat runs (pruned branches), a rate-latency
+        // curve and a many-kink curve with upward jumps.
+        let stairs = Pwl::from_breakpoints(vec![
+            (0.0, 1.0, 0.0),
+            (1.0, 2.0, 0.0),
+            (3.0, 5.0, 0.5),
+        ])
+        .unwrap();
+        let rl = Pwl::from_breakpoints(vec![(0.0, 0.0, 0.0), (1.5, 0.0, 3.0)]).unwrap();
+        let mut bps = Vec::new();
+        let mut y = 0.0;
+        for i in 0..40 {
+            let x = f64::from(i) * 0.31;
+            let slope = 0.25 + f64::from(i % 5) * 0.4;
+            y += f64::from(i % 2) * 0.7;
+            bps.push((x, y, slope));
+            y += slope * 0.31;
+        }
+        let kinks = Pwl::from_breakpoints(bps).unwrap();
+        for (f, g) in [(&stairs, &rl), (&rl, &kinks), (&kinks, &stairs), (&kinks, &kinks)] {
+            assert_eq!(convolve_materialized(f, g), wcm_curves::minplus::convolve(f, g));
+        }
     }
 }

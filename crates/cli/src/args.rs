@@ -9,14 +9,22 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses alternating `--key value` pairs.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parses alternating `--key value` pairs. Every key must be one of
+    /// `accepted`, so a misspelt or unsupported option is an error rather
+    /// than silently ignored.
+    pub fn parse(argv: &[String], accepted: &[&str]) -> Result<Self, String> {
         let mut values = BTreeMap::new();
         let mut it = argv.iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected `--option`, got `{key}`"));
             };
+            if !accepted.contains(&name) {
+                return Err(format!(
+                    "unknown option `--{name}` (accepted: --{})",
+                    accepted.join(", --")
+                ));
+            }
             let Some(value) = it.next() else {
                 return Err(format!("option `--{name}` needs a value"));
             };
@@ -83,13 +91,15 @@ impl Options {
 mod tests {
     use super::*;
 
+    const KEYS: &[&str] = &["k", "demands", "stride", "threads"];
+
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
 
     #[test]
     fn parses_pairs() {
-        let o = Options::parse(&argv("--k 32 --demands trace.txt")).unwrap();
+        let o = Options::parse(&argv("--k 32 --demands trace.txt"), KEYS).unwrap();
         assert_eq!(o.required_usize("k").unwrap(), 32);
         assert_eq!(o.required("demands").unwrap(), "trace.txt");
         assert!(o.optional("nope").is_none());
@@ -97,38 +107,39 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        assert!(Options::parse(&argv("k 32")).is_err());
-        assert!(Options::parse(&argv("--k")).is_err());
-        assert!(Options::parse(&argv("--k 1 --k 2")).is_err());
+        assert!(Options::parse(&argv("k 32"), KEYS).is_err());
+        assert!(Options::parse(&argv("--k"), KEYS).is_err());
+        assert!(Options::parse(&argv("--k 1 --k 2"), KEYS).is_err());
+        assert!(Options::parse(&argv("--k 1 --thread 2"), KEYS).is_err());
     }
 
     #[test]
     fn missing_required_is_reported() {
-        let o = Options::parse(&argv("--k 32")).unwrap();
+        let o = Options::parse(&argv("--k 32"), KEYS).unwrap();
         let err = o.required("demands").unwrap_err();
         assert!(err.contains("demands"));
     }
 
     #[test]
     fn defaults() {
-        let o = Options::parse(&argv("")).unwrap();
+        let o = Options::parse(&argv(""), KEYS).unwrap();
         assert_eq!(o.usize_or("stride", 7).unwrap(), 7);
-        let o = Options::parse(&argv("--stride 3")).unwrap();
+        let o = Options::parse(&argv("--stride 3"), KEYS).unwrap();
         assert_eq!(o.usize_or("stride", 7).unwrap(), 3);
     }
 
     #[test]
     fn threads_knob() {
         use wcm_par::Parallelism;
-        let o = Options::parse(&argv("")).unwrap();
+        let o = Options::parse(&argv(""), KEYS).unwrap();
         assert_eq!(o.parallelism().unwrap(), Parallelism::Auto);
-        let o = Options::parse(&argv("--threads auto")).unwrap();
+        let o = Options::parse(&argv("--threads auto"), KEYS).unwrap();
         assert_eq!(o.parallelism().unwrap(), Parallelism::Auto);
-        let o = Options::parse(&argv("--threads 1")).unwrap();
+        let o = Options::parse(&argv("--threads 1"), KEYS).unwrap();
         assert_eq!(o.parallelism().unwrap(), Parallelism::Seq);
-        let o = Options::parse(&argv("--threads 6")).unwrap();
+        let o = Options::parse(&argv("--threads 6"), KEYS).unwrap();
         assert_eq!(o.parallelism().unwrap(), Parallelism::Threads(6));
-        let o = Options::parse(&argv("--threads many")).unwrap();
+        let o = Options::parse(&argv("--threads many"), KEYS).unwrap();
         assert!(o.parallelism().unwrap_err().contains("threads"));
     }
 }

@@ -1250,26 +1250,8 @@ pub fn validate(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `trace` subcommand: convert between text traces and the versioned
-/// binary `.wcmt` wire format.
-///
-/// The exit-code contract (the one documented exception to the global
-/// table, see [`CliError::exit_code`]): 0 = decoded clean, 2 = stream
-/// carries no events, 3 = malformed or truncated under `--policy strict`,
-/// 4 = `--policy skip-corrupt` produced output but skipped corrupt frames
-/// or hit truncation.
-pub fn trace(action: &str, opts: &Options) -> Result<(), CliError> {
-    match action {
-        "encode" => trace_encode(opts),
-        "decode" => trace_decode(opts),
-        "verify" => trace_verify(opts),
-        other => Err(CliError::Usage(format!(
-            "trace: unknown action `{other}` (expected encode|decode|verify)"
-        ))),
-    }
-}
-
-fn trace_encode(opts: &Options) -> Result<(), CliError> {
+/// `trace encode`: write text traces as a `.wcmt` stream.
+pub fn trace_encode(opts: &Options) -> Result<(), CliError> {
     let out = opts.required("out")?;
     let mut enc = wcm_wire::StreamEncoder::new();
     enc.meta(opts.optional("name").unwrap_or("trace"));
@@ -1294,7 +1276,15 @@ fn trace_encode(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn trace_decode(opts: &Options) -> Result<(), CliError> {
+/// `trace decode`: decode a `.wcmt` stream, print its frame-level report
+/// and optionally write the events back as text.
+///
+/// The `trace` exit-code contract (the one documented exception to the
+/// global table, see [`CliError::exit_code`]): 0 = decoded clean, 2 =
+/// stream carries no events, 3 = malformed or truncated under `--policy
+/// strict`, 4 = `--policy skip-corrupt` produced output but skipped
+/// corrupt frames or hit truncation.
+pub fn trace_decode(opts: &Options) -> Result<(), CliError> {
     let path = Path::new(opts.required("in")?);
     let policy = match opts.optional("policy").unwrap_or("strict") {
         "strict" => wcm_wire::DecodePolicy::Strict,
@@ -1359,7 +1349,9 @@ fn trace_decode(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn trace_verify(opts: &Options) -> Result<(), CliError> {
+/// `trace verify`: strict integrity check of a `.wcmt` stream (exit codes
+/// as for [`trace_decode`]).
+pub fn trace_verify(opts: &Options) -> Result<(), CliError> {
     let path = Path::new(opts.required("in")?);
     let bytes = read_wire_bytes(path)?;
     let decoded = wcm_wire::decode(&bytes, wcm_wire::DecodePolicy::Strict)

@@ -65,37 +65,71 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand's entry point.
+type Command = fn(&args::Options) -> Result<(), CliError>;
+
+/// Every subcommand — `(name, action, entry point, accepted options)` —
+/// with the options it reads. Any other option is a usage error, raised
+/// while parsing, before the command does any work. Only `trace` takes a
+/// positional action (`encode|decode|verify`) before its options.
+const COMMANDS: &[(&str, &str, Command, &[&str])] = &[
+    ("curves", "", commands::curves, &[
+        "demands", "k", "exact-upto", "stride", "closure", "threads",
+    ]),
+    ("arrival", "", commands::arrival, &["times", "k", "threads"]),
+    ("fmin", "", commands::fmin, &[
+        "times", "demands", "buffer", "k", "exact-upto", "stride", "threads",
+    ]),
+    ("polling", "", commands::polling, &["period", "theta-min", "theta-max", "ep", "ec", "k"]),
+    ("mpeg", "", commands::mpeg, &["clip", "gops", "out-demands", "out-bits"]),
+    ("pipeline", "", commands::pipeline, &["clip", "gops", "pe1-mhz", "pe2-mhz", "capacity"]),
+    ("faults", "", commands::faults, &[
+        "clip", "gops", "pe1-mhz", "pe2-mhz", "capacity", "policy", "seed", "inject", "monitor", "k",
+        "threads",
+    ]),
+    ("sweep", "", commands::sweep, &[
+        "pe2-mhz", "capacities", "clips", "gops", "pe1-mhz", "policies", "seeds", "inject", "k",
+        "exact-upto", "stride", "cert-depth", "prune", "frontier", "threads", "json", "csv",
+        "stream", "shard", "out-wcmt", "merge", "trace-out", "metrics-out",
+    ]),
+    ("serve", "", commands::serve, &[
+        "tail", "listen", "pe2-mhz", "capacity", "k", "refresh", "policy", "session-buffer",
+        "period", "jitter", "times-window", "monitor", "threads", "shards", "poll-ms",
+        "max-rounds", "idle-exit", "snapshots-out", "budget", "trace-out", "metrics-out",
+    ]),
+    ("validate", "", commands::validate, &["json", "csv", "trace", "metrics", "wcmt"]),
+    ("trace", "encode", commands::trace_encode, &["out", "demands", "times", "name"]),
+    ("trace", "decode", commands::trace_decode, &[
+        "in", "policy", "out-demands", "out-times",
+    ]),
+    ("trace", "verify", commands::trace_verify, &["in"]),
+];
+
 fn run(argv: &[String]) -> Result<(), CliError> {
-    let Some((cmd, rest)) = argv.split_first() else {
+    let Some((cmd, mut rest)) = argv.split_first() else {
         return Err(CliError::Usage("missing subcommand".to_string()));
     };
-    // `trace` takes a positional action (`encode|decode|verify`) before
-    // its options — the only subcommand that does.
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", commands::USAGE);
+        return Ok(());
+    }
+    let mut action = "";
     if cmd == "trace" {
-        let Some((action, rest)) = rest.split_first() else {
+        let Some((first, tail)) = rest.split_first() else {
             return Err(CliError::Usage(
                 "trace: missing action (encode|decode|verify)".to_string(),
             ));
         };
-        let opts = args::Options::parse(rest)?;
-        return commands::trace(action, &opts);
+        (action, rest) = (first.as_str(), tail);
     }
-    let opts = args::Options::parse(rest)?;
-    match cmd.as_str() {
-        "curves" => commands::curves(&opts),
-        "arrival" => commands::arrival(&opts),
-        "fmin" => commands::fmin(&opts),
-        "polling" => commands::polling(&opts),
-        "mpeg" => commands::mpeg(&opts),
-        "pipeline" => commands::pipeline(&opts),
-        "faults" => commands::faults(&opts),
-        "sweep" => commands::sweep(&opts),
-        "serve" => commands::serve(&opts),
-        "validate" => commands::validate(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
-    }
+    let Some(&(_, _, command, accepted)) =
+        COMMANDS.iter().find(|(name, act, ..)| name == cmd && *act == action)
+    else {
+        return Err(CliError::Usage(if cmd == "trace" {
+            format!("trace: unknown action `{action}` (expected encode|decode|verify)")
+        } else {
+            format!("unknown subcommand `{cmd}`")
+        }));
+    };
+    command(&args::Options::parse(rest, accepted)?)
 }

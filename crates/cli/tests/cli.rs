@@ -611,3 +611,46 @@ fn faults_injector_spec_errors_are_usage_errors() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown injector"), "{err}");
 }
+
+#[test]
+fn unknown_options_are_usage_errors_before_any_work() {
+    let dem = tmp_file("unknown-opt-demands.txt", "5\n7\n3\n9\n");
+    let dem = dem.to_str().unwrap();
+    let out_file = std::env::temp_dir()
+        .join(format!("wcm-cli-it-{}-unknown-opt.wcmt", std::process::id()));
+    let out_path = out_file.to_str().unwrap();
+    let cases: Vec<Vec<&str>> = vec![
+        vec!["curves", "--demands", dem, "--k", "4", "--thread", "2", "--bogus", "yes"],
+        vec!["curves", "--demands", dem, "--k", "4", "--bogus", "x"],
+        vec!["arrival", "--bogus", "x"],
+        vec!["fmin", "--bogus", "x"],
+        vec!["polling", "--bogus", "x"],
+        vec!["mpeg", "--clip", "newscast", "--gops", "1", "--bogus", "x"],
+        vec!["pipeline", "--bogus", "x"],
+        vec!["faults", "--bogus", "x"],
+        vec!["sweep", "--bogus", "x"],
+        vec!["serve", "--bogus", "x"],
+        vec!["serve", "--tail", dem, "--fast-scan", "on"],
+        vec!["validate", "--bogus", "x"],
+        vec!["trace", "encode", "--out", out_path, "--demands", dem, "--bogus", "x"],
+        vec!["trace", "decode", "--bogus", "x"],
+        vec!["trace", "verify", "--bogus", "x"],
+    ];
+    for args in &cases {
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output before failing");
+        let err = String::from_utf8(out.stderr).unwrap();
+        let bad = if args.contains(&"--thread") {
+            "--thread"
+        } else if args.contains(&"--fast-scan") {
+            "--fast-scan"
+        } else {
+            "--bogus"
+        };
+        assert!(err.contains(&format!("unknown option `{bad}`")), "{args:?}: {err}");
+    }
+    // The rejected encode wrote nothing.
+    assert!(!out_file.exists());
+    std::fs::remove_file(dem).ok();
+}

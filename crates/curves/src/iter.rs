@@ -1,23 +1,27 @@
 //! Lazy, composable curve algebra: operators as segment-streaming iterators.
 //!
-//! The eager operators in [`crate::pwl`] / [`crate::minplus`] materialize a
-//! full [`Pwl`] per operation, so an N-stage composition pays O(K) memory and
-//! allocation at every node. This module provides the same operators as
-//! *iterator adapters* that stream [`Segment`]s in x-order: a chain such as
+//! The pointwise operators of [`crate::pwl`] materialize a full [`Pwl`] per
+//! operation, so an N-stage composition pays O(K) memory and allocation at
+//! every node. This module provides the same operators as *iterator
+//! adapters* that stream [`Segment`]s in x-order: a chain such as
 //! `f.lazy().lazy_min(g.lazy()).lazy_add(h.lazy()).collect_pwl()` keeps only
 //! O(active segments) of state per stage and allocates once, at the terminal
-//! [`CurveIter::collect_pwl`].
+//! [`CurveIter::collect_pwl`]. The min-plus and max-plus operators
+//! ([`crate::minplus`], [`crate::maxplus`]) are built only here, as
+//! [`LazyCurve`] compositions of branch streams; their materializing names
+//! collect the stream.
 //!
 //! # Bitwise contract
 //!
-//! Every adapter replicates the eager algorithm's floating-point operations
-//! *exactly* — the same merged-breakpoint dedup chains, the same crossing
-//! formulas, the same `value`/`value_left` lookup tolerances, and the same
-//! dedup/validate/normalize pipeline that [`Pwl`]'s internal constructor
-//! runs. Consequently a lazy chain's `collect_pwl()` is bit-identical
-//! (`f64::to_bits`) to the eagerly materialized result; the proptests in
-//! `tests/proptest_lazy.rs` pin this for random curve pairs and deep random
-//! chains.
+//! Every pointwise adapter replicates the floating-point operations of its
+//! [`Pwl`] counterpart *exactly* — the same merged-breakpoint dedup chains,
+//! the same crossing formulas, the same `value`/`value_left` lookup
+//! tolerances, and the same dedup/validate/normalize pipeline that
+//! [`Pwl`]'s internal constructor runs. Consequently a lazy chain's
+//! `collect_pwl()` is bit-identical (`f64::to_bits`) to the materialized
+//! result; the proptests in `tests/proptest_lazy.rs` pin this for random
+//! curve pairs and deep random chains, and pin the min-plus and max-plus
+//! operators against an exact pointwise oracle.
 //!
 //! Inputs must be *normalized* segment streams — exactly what
 //! [`Pwl::lazy`] and every adapter in this module emit. Feeding an arbitrary
@@ -843,7 +847,10 @@ impl<I: Iterator<Item = Segment>> Iterator for Shifted<I> {
 // Dynamic composition node (branch envelopes of ⊗ / ⊘)
 // ---------------------------------------------------------------------------
 
-/// Raw stream mirroring `minplus::shift_left_minus`: `t ↦ f(t + b) − c`.
+/// Raw stream of the deconvolution branch `t ↦ f(t + b) − c`: the piece of
+/// `f` containing `b` re-anchored at the origin, then `f`'s later pieces
+/// shifted left by `b` and down by `c` (values may be negative; the
+/// envelope is clamped by the caller).
 struct ShiftLeftRaw<'a> {
     segs: &'a [Segment],
     b: f64,
@@ -873,7 +880,9 @@ impl Iterator for ShiftLeftRaw<'_> {
     }
 }
 
-/// Raw stream mirroring `minplus::reflected_branch`: `t ↦ fa − g(a − t)`.
+/// Raw stream of the deconvolution branch `t ↦ fa − g(a − t)` (for
+/// `t ≤ a`; constant `fa − g(0)` beyond), using left limits of `g` so jumps
+/// of `g` help the supremum.
 struct ReflectedRaw<'a> {
     fa: f64,
     g: &'a Pwl,
@@ -887,9 +896,9 @@ struct ReflectedRaw<'a> {
 }
 
 impl ReflectedRaw<'_> {
-    /// Next kink `t` of the branch, ascending, after the keep-first dedup —
-    /// mirror of the eager `ts` construction (`0.0` first, then `a − b` for
-    /// g's breakpoints `b` in descending order).
+    /// Next kink `t` of the branch, ascending, after the keep-first dedup:
+    /// `0.0` first, then `a − b` for g's breakpoints `b` in descending
+    /// order (clipped to `t > EPSILON`).
     fn next_t(&mut self) -> Option<f64> {
         loop {
             let t = if !self.emitted_zero {
@@ -899,7 +908,7 @@ impl ReflectedRaw<'_> {
                 self.rev -= 1;
                 let t = self.a - self.g.segments()[self.rev].x;
                 if t <= EPSILON {
-                    continue; // mirror of the `t > EPSILON` filter
+                    continue; // t ≤ 0: outside the domain, or the kink at 0 already emitted
                 }
                 t
             } else {
@@ -947,8 +956,9 @@ impl Iterator for ReflectedRaw<'_> {
     }
 }
 
-/// Raw stream mirroring `maxplus::shift_zero_head`: zero head, then the
-/// curve shifted right by `dx` and up by `dy`.
+/// Raw stream of the max-plus branch `t ↦ curve(t − dx) + dy` for
+/// `t ≥ dx`, zero below: a zero head, then the curve shifted right by `dx`
+/// and up by `dy`.
 struct ZeroHeadRaw<'a> {
     segs: &'a [Segment],
     dx: f64,
@@ -971,20 +981,19 @@ impl Iterator for ZeroHeadRaw<'_> {
     }
 }
 
-/// One node of a dynamically shaped lazy composition — the streaming
-/// counterpart of the eager branch envelopes inside `minplus::convolve`,
-/// `minplus::deconvolve` and `maxplus::convolve`, whose fold shapes are
-/// only known at runtime.
+/// One node of a dynamically shaped lazy composition — the branch
+/// envelopes of `minplus::convolve`, `minplus::deconvolve` and
+/// `maxplus::convolve`, whose fold shapes are only known at runtime.
 enum LazyNode<'a> {
     /// A materialized curve's segment stream.
     Source(SegmentSource<'a>),
     /// Mirror of `Pwl::shift` applied to a materialized curve.
     Shift(Shifted<SegmentSource<'a>>),
-    /// Mirror of `minplus::shift_left_minus`.
+    /// `t ↦ f(t + b) − c` (see [`ShiftLeftRaw`]).
     ShiftLeft(Norm<ShiftLeftRaw<'a>>),
-    /// Mirror of `minplus::reflected_branch`.
+    /// `t ↦ fa − g(a − t)` (see [`ReflectedRaw`]).
     Reflected(Norm<ReflectedRaw<'a>>),
-    /// Mirror of `maxplus::shift_zero_head`.
+    /// Zero-headed shifted copy (see [`ZeroHeadRaw`]).
     ZeroHead(Norm<ZeroHeadRaw<'a>>),
     /// The zero curve (deconvolution's final clamp operand).
     Zero(bool),
@@ -1084,8 +1093,13 @@ impl<'a> LazyCurve<'a> {
         LazyCurve(LazyNode::Merge(Box::new(Merge::new(f.0, g.0, op))))
     }
 
-    /// Pairwise fold with the exact shape of `wcm_par::tree_reduce`, so the
-    /// streamed envelope is bit-identical to the eager branch fold.
+    /// Merges `items` with a **fixed pairwise tree**: adjacent pairs are
+    /// merged round after round until one stream remains (`None` for no
+    /// items). Each branch takes part in O(log n) merges of comparably-sized
+    /// envelopes instead of n merges against an ever-growing accumulator.
+    /// The shape depends only on `items.len()`; it must not change, because
+    /// merges are not associative in floating point and the resulting
+    /// curves are pinned bit for bit.
     pub(crate) fn tree_merge(mut items: Vec<Self>, op: MergeOp) -> Option<Self> {
         while items.len() > 1 {
             let mut next = Vec::with_capacity(items.len().div_ceil(2));

@@ -13,8 +13,9 @@
 //! * min-plus convolution `⊗`, deconvolution `⊘` and the sub-additive
 //!   closure in [`minplus`];
 //! * a lazy, composable streaming form of the same algebra in [`iter`]
-//!   (operator chains as segment iterators, bit-identical to the eager
-//!   path) and dominance-based segment compaction in [`compact`];
+//!   (operator chains as segment iterators; the min-plus and max-plus
+//!   operators are such streams, collected by their materializing names)
+//!   and dominance-based segment compaction in [`compact`];
 //! * the classic Network Calculus bounds in [`bounds`]: backlog
 //!   `B ≤ sup_{Δ≥0} (α(Δ) − β(Δ))` (eq. 6 of the paper), delay as the
 //!   horizontal deviation, and the output arrival curve `α′ = α ⊘ β`;

@@ -19,7 +19,7 @@
 //! breakpoint of `f` or `g`, so the result is the upper (resp. lower)
 //! envelope of finitely many shifted copies.
 
-use crate::iter::{LazyCurve, MergeOp};
+use crate::iter::{CurveIter, LazyCurve, MergeOp};
 use crate::num::EPSILON;
 use crate::pwl::{Pwl, Segment};
 use crate::CurveError;
@@ -45,33 +45,20 @@ use crate::CurveError;
 /// ```
 #[must_use]
 pub fn convolve(f: &Pwl, g: &Pwl) -> Pwl {
-    // Upper envelope over candidates s at breakpoints of g (with the
-    // stored right-limit; the sup wants the *largest* g) and t−s at
-    // breakpoints of f. A candidate anchored at breakpoint `b` is only
-    // defined for t ≥ b (the split needs s ≤ t); below that it is replaced
-    // by zero, which can never win the max since curves are non-negative.
-    let mut env = f
-        .shift(0.0, g.value(0.0))
-        .expect("shift by non-negative offsets");
-    for b in g.breakpoint_xs().skip(1) {
-        env = env.max(&shift_zero_head(f, b, g.value(b)));
-    }
-    for a in f.breakpoint_xs().skip(1) {
-        env = env.max(&shift_zero_head(g, a, f.value(a)));
-    }
-    env.max(
-        &g.shift(0.0, f.value(0.0))
-            .expect("shift by non-negative offsets"),
-    )
+    convolve_lazy(f, g).collect_pwl()
 }
 
-/// Lazy max-plus convolution: the same exact envelope as [`convolve`],
-/// returned as a composable segment stream. Bit-identical to the eager
-/// path once collected — the stream mirrors the eager left-deep max fold
-/// over the same shifted-copy branches. See
-/// [`crate::minplus::convolve_lazy`] for the streaming contract.
+/// Lazy max-plus convolution: the exact envelope of [`convolve`], returned
+/// as a composable segment stream; [`convolve`] is this stream collected.
+/// See [`crate::minplus::convolve_lazy`] for the streaming contract.
 #[must_use]
 pub fn convolve_lazy<'a>(f: &'a Pwl, g: &'a Pwl) -> LazyCurve<'a> {
+    // Upper envelope over candidates s at breakpoints of g (with the
+    // stored right-limit; the sup wants the *largest* g) and t−s at
+    // breakpoints of f, folded left-deep. A candidate anchored at
+    // breakpoint `b` is only defined for t ≥ b (the split needs s ≤ t);
+    // below that it is replaced by zero, which can never win the max since
+    // curves are non-negative.
     let mut env = LazyCurve::shift(f, 0.0, g.value(0.0));
     for b in g.breakpoint_xs().skip(1) {
         env = LazyCurve::merge(env, LazyCurve::zero_head(f, b, g.value(b)), MergeOp::Upper);
@@ -84,15 +71,6 @@ pub fn convolve_lazy<'a>(f: &'a Pwl, g: &'a Pwl) -> LazyCurve<'a> {
         LazyCurve::shift(g, 0.0, f.value(0.0)),
         MergeOp::Upper,
     )
-}
-
-/// `t ↦ curve(t − dx) + dy` for `t ≥ dx`, zero below.
-fn shift_zero_head(curve: &Pwl, dx: f64, dy: f64) -> Pwl {
-    let mut segs = vec![Segment::new(0.0, 0.0, 0.0)];
-    for s in curve.segments() {
-        segs.push(Segment::new(s.x + dx, s.y + dy, s.slope));
-    }
-    Pwl::from_segments(segs).expect("shifted copy of a valid curve is valid")
 }
 
 /// Max-plus deconvolution `(f ⊖ g)(t) = inf_{s ≥ 0} f(t+s) − g(s)`,

@@ -23,29 +23,33 @@
 //! finitely many shifted copies of `f` and `g` and is computed exactly.
 //! Deconvolution is the exact upper envelope of the per-kink branches.
 //!
-//! # Performance
+//! # Implementation
 //!
-//! Both operators first **prune dominated branches**: curves here are
-//! monotone non-decreasing, so a shifted copy `f(· − b₁) + c₁` lies
+//! Each operator is one lazy segment stream ([`convolve_lazy`],
+//! [`deconvolve_lazy`]); the materializing names ([`convolve`],
+//! [`deconvolve`], [`subadditive_closure`]) collect that stream into a
+//! [`Pwl`]. Both operators first **prune dominated branches**: curves here
+//! are monotone non-decreasing, so a shifted copy `f(· − b₁) + c₁` lies
 //! pointwise below `f(· − b₂) + c₂` whenever `b₁ ≥ b₂` and `c₁ ≤ c₂`, and
 //! the dominated branch can never contribute to the lower envelope (dually
 //! for the upper envelope of deconvolution). Flat/staircase regions — the
 //! common case for arrival curves derived from [`crate::StepCurve`]s —
-//! collapse to a single branch each. The surviving branches are evaluated
-//! through [`wcm_par::par_map`] and folded with a **pairwise tree**
-//! ([`wcm_par::tree_reduce`]): each branch takes part in O(log n) min/max
-//! merges of comparably-sized envelopes instead of n merges against an
-//! ever-growing accumulator, and the tree shape depends only on the branch
-//! count — never on the worker count — so every [`Parallelism`] mode
-//! computes a bit-identical envelope. The `_with` variants expose the
-//! [`Parallelism`] knob; the plain functions default to
-//! [`Parallelism::Auto`].
+//! collapse to a single branch each. The surviving branches are merged in
+//! a **pairwise tree**: each branch takes part in O(log n) min/max merges
+//! of comparably-sized envelopes instead of n merges against an
+//! ever-growing accumulator.
+//!
+//! There is no fan-out over threads: evaluating the branches on a thread
+//! pool measured no faster (1.0× on 96-segment operands, 2 cores). The
+//! tree's shape depends only on the branch count and is fixed,
+//! because merge arithmetic is not associative in floating point and the
+//! resulting curves are pinned bit for bit by the tests and every report
+//! built from them.
 
 use crate::iter::{CurveIter, LazyCurve, MergeOp};
 use crate::num::{approx_eq, EPSILON};
 use crate::pwl::{Pwl, Segment};
 use crate::CurveError;
-pub use wcm_par::Parallelism;
 
 /// Min-plus convolution `(f ⊗ g)(t) = inf_{0 ≤ s ≤ t} f(t−s) + g(s)`.
 ///
@@ -67,71 +71,26 @@ pub use wcm_par::Parallelism;
 /// ```
 #[must_use]
 pub fn convolve(f: &Pwl, g: &Pwl) -> Pwl {
-    convolve_with(f, g, Parallelism::Auto)
+    convolve_lazy(f, g).collect_pwl()
 }
 
-/// A pending lower-envelope branch: shift one of the operands right by `dx`
-/// and up by `dy`.
-enum ShiftOf {
-    F(f64, f64),
-    G(f64, f64),
-}
-
-/// [`convolve`] with an explicit [`Parallelism`] knob for the branch
-/// envelope. All worker counts compute the same exact envelope.
-#[must_use]
-pub fn convolve_with(f: &Pwl, g: &Pwl, par: Parallelism) -> Pwl {
-    // Boundary candidates with the true f(0) = g(0) = 0 convention:
-    // s = 0 contributes g alone, s = t contributes f alone.
-    let base = f.min(g);
-    // s at the breakpoints of g (b = 0 uses the stored right-limit, later
-    // ones the left limits — the inf includes them), t − s at breakpoints
-    // of f; dominated shifts are pruned before any envelope work.
-    let mut branches: Vec<ShiftOf> = Vec::new();
-    branches.extend(
-        pruned_shifts(g, false)
-            .into_iter()
-            .map(|(b, c)| ShiftOf::F(b, c)),
-    );
-    branches.extend(
-        pruned_shifts(f, false)
-            .into_iter()
-            .map(|(a, c)| ShiftOf::G(a, c)),
-    );
-    let cost = branch_cost(branches.len(), f, g);
-    let shifted = wcm_par::par_map(
-        par,
-        &branches,
-        cost,
-        // Infallible: pruned_shifts only emits breakpoint coordinates of
-        // valid curves, which are non-negative — the only case shift rejects.
-        |_, br| match *br {
-            ShiftOf::F(dx, dy) => f.shift(dx, dy).expect("shift by non-negative offsets"),
-            ShiftOf::G(dx, dy) => g.shift(dx, dy).expect("shift by non-negative offsets"),
-        },
-    );
-    match wcm_par::tree_reduce(shifted, |a, b| a.min(&b)) {
-        Some(e) => base.min(&e),
-        None => base,
-    }
-}
-
-/// Lazy min-plus convolution: the same exact envelope as [`convolve`], but
-/// returned as a composable segment stream ([`LazyCurve`]) instead of a
-/// materialized [`Pwl`].
+/// Lazy min-plus convolution: the exact envelope of [`convolve`], returned
+/// as a composable segment stream ([`LazyCurve`]) instead of a materialized
+/// [`Pwl`]; [`convolve`] is this stream collected
+/// ([`CurveIter::collect_pwl`]).
 ///
 /// Nothing is computed until the stream is consumed, and consuming it keeps
 /// only the active window of every internal branch in memory: an N-stage
 /// chain of lazy operators allocates O(branches) small iterator nodes
-/// instead of O(branches) intermediate curves. Collecting the stream
-/// ([`CurveIter::collect_pwl`]) yields a curve bit-identical to
-/// `convolve(f, g)` — the stream replicates the eager breakpoint merge,
-/// crossing and branch-fold arithmetic operation for operation (the branch
-/// fold mirrors the pairwise tree of [`wcm_par::tree_reduce`], which is
-/// what makes the eager path worker-count independent).
+/// instead of O(branches) intermediate curves.
 #[must_use]
 pub fn convolve_lazy<'a>(f: &'a Pwl, g: &'a Pwl) -> LazyCurve<'a> {
+    // Boundary candidates with the true f(0) = g(0) = 0 convention:
+    // s = 0 contributes g alone, s = t contributes f alone.
     let base = LazyCurve::merge(LazyCurve::source(f), LazyCurve::source(g), MergeOp::Lower);
+    // s at the breakpoints of g (b = 0 uses the stored right-limit, later
+    // ones the left limits — the inf includes them), t − s at breakpoints
+    // of f; dominated shifts are pruned before any envelope work.
     let mut branches: Vec<LazyCurve<'a>> = Vec::new();
     branches.extend(
         pruned_shifts(g, false)
@@ -178,14 +137,6 @@ fn pruned_shifts(h: &Pwl, zero_at_origin: bool) -> Vec<(f64, f64)> {
     out
 }
 
-/// Work estimate for evaluating `n` branches against the envelope of `f`
-/// and `g` — lets [`Parallelism::Auto`] skip thread start-up for the small
-/// curves that dominate unit tests and analytic models.
-fn branch_cost(n: usize, f: &Pwl, g: &Pwl) -> u64 {
-    let segs = (f.segments().len() + g.segments().len()) as u64;
-    (n as u64) * segs * segs
-}
-
 /// Min-plus deconvolution `(f ⊘ g)(t) = sup_{s ≥ 0} f(t+s) − g(s)`,
 /// clamped at zero.
 ///
@@ -211,24 +162,17 @@ fn branch_cost(n: usize, f: &Pwl, g: &Pwl) -> u64 {
 /// # }
 /// ```
 pub fn deconvolve(f: &Pwl, g: &Pwl) -> Result<Pwl, CurveError> {
-    deconvolve_with(f, g, Parallelism::Auto)
+    Ok(deconvolve_lazy(f, g)?.collect_pwl())
 }
 
-/// A pending upper-envelope branch of the deconvolution.
-enum DeconvBranch {
-    /// `t ↦ f(t + b) − gv`.
-    Shift(f64, f64),
-    /// `t ↦ fa − g(a − t)`.
-    Reflected(f64, f64),
-}
-
-/// [`deconvolve`] with an explicit [`Parallelism`] knob for the branch
-/// envelope. All worker counts compute the same exact envelope.
+/// Lazy min-plus deconvolution: the exact envelope of [`deconvolve`],
+/// returned as a composable segment stream; [`deconvolve`] is this stream
+/// collected. See [`convolve_lazy`] for the streaming contract.
 ///
 /// # Errors
 ///
 /// Same conditions as [`deconvolve`].
-pub fn deconvolve_with(f: &Pwl, g: &Pwl, par: Parallelism) -> Result<Pwl, CurveError> {
+pub fn deconvolve_lazy<'a>(f: &'a Pwl, g: &'a Pwl) -> Result<LazyCurve<'a>, CurveError> {
     if f.ultimate_rate() > g.ultimate_rate() + EPSILON {
         return Err(CurveError::Unbounded {
             operation: "deconvolution (flow rate exceeds service rate)",
@@ -240,62 +184,21 @@ pub fn deconvolve_with(f: &Pwl, g: &Pwl, par: Parallelism) -> Result<Pwl, CurveE
     // tie is covered by the kink value). Each kink family, as a function of
     // t, is itself a PWL "branch"; the deconvolution is the exact upper
     // envelope of all branches.
-    let mut branches: Vec<DeconvBranch> = Vec::new();
+    //
     // Family B_b(t) = f(t + b) − g(b⁻): f shifted left by b, lowered by the
     // smallest admissible g value at b. At b = 0 the true g(0) = 0 applies
     // (the stored value is only the right-limit). Along a flat run of g the
     // largest b dominates (f(t+b) only grows at equal gv); the dominated
     // branches are pruned before any envelope work.
-    branches.extend(
-        pruned_shifts(g, true)
-            .into_iter()
-            .map(|(b, gv)| DeconvBranch::Shift(b, gv)),
-    );
-    // Family C_a(t) = f(a) − g(a − t) for t ≤ a, constant afterwards.
-    // Along a flat run of f the smallest a dominates: equal fa, and
-    // g(a − t) only grows with a.
-    let mut last_fa: Option<f64> = None;
-    for a in f.breakpoint_xs() {
-        if a > EPSILON {
-            let fa = f.value(a);
-            if !last_fa.is_some_and(|prev| approx_eq(fa, prev)) {
-                branches.push(DeconvBranch::Reflected(a, fa));
-                last_fa = Some(fa);
-            }
-        }
-    }
-    let cost = branch_cost(branches.len(), f, g);
-    let evaluated = wcm_par::par_map(par, &branches, cost, |_, br| match *br {
-        DeconvBranch::Shift(b, gv) => shift_left_minus(f, b, gv),
-        DeconvBranch::Reflected(a, fa) => reflected_branch(fa, g, a),
-    });
-    // Infallible: a valid Pwl has ≥ 1 segment, so `branches` is non-empty
-    // and the reduction always yields a value.
-    let env = wcm_par::tree_reduce(evaluated, |a, b| a.max(&b))
-        .expect("g has at least one breakpoint");
-    // Clamp at zero (arrival/service curves are non-negative).
-    Ok(env.max(&Pwl::zero()))
-}
-
-/// Lazy min-plus deconvolution: the same exact envelope as [`deconvolve`],
-/// returned as a composable segment stream. Bit-identical to the eager path
-/// once collected; see [`convolve_lazy`] for the streaming contract.
-///
-/// # Errors
-///
-/// Same conditions as [`deconvolve`].
-pub fn deconvolve_lazy<'a>(f: &'a Pwl, g: &'a Pwl) -> Result<LazyCurve<'a>, CurveError> {
-    if f.ultimate_rate() > g.ultimate_rate() + EPSILON {
-        return Err(CurveError::Unbounded {
-            operation: "deconvolution (flow rate exceeds service rate)",
-        });
-    }
     let mut branches: Vec<LazyCurve<'a>> = Vec::new();
     branches.extend(
         pruned_shifts(g, true)
             .into_iter()
             .map(|(b, gv)| LazyCurve::shift_left_minus(f, b, gv)),
     );
+    // Family C_a(t) = f(a) − g(a − t) for t ≤ a, constant afterwards.
+    // Along a flat run of f the smallest a dominates: equal fa, and
+    // g(a − t) only grows with a.
     let mut last_fa: Option<f64> = None;
     for a in f.breakpoint_xs() {
         if a > EPSILON {
@@ -306,58 +209,11 @@ pub fn deconvolve_lazy<'a>(f: &'a Pwl, g: &'a Pwl) -> Result<LazyCurve<'a>, Curv
             }
         }
     }
+    // Infallible: a valid Pwl has ≥ 1 segment, so `branches` is non-empty.
     let env = LazyCurve::tree_merge(branches, MergeOp::Upper)
         .expect("g has at least one breakpoint");
+    // Clamp at zero (arrival/service curves are non-negative).
     Ok(LazyCurve::merge(env, LazyCurve::zero(), MergeOp::Upper))
-}
-
-/// The branch `t ↦ f(t + b) − c` as a PWL curve (values may be negative;
-/// the envelope is clamped by the caller).
-fn shift_left_minus(f: &Pwl, b: f64, c: f64) -> Pwl {
-    let mut segs: Vec<Segment> = Vec::new();
-    for s in f.segments() {
-        if s.x <= b + EPSILON {
-            // (Re-)anchor the piece containing b at the origin.
-            segs.clear();
-            segs.push(Segment::new(0.0, s.value_at(b) - c, s.slope));
-        } else {
-            segs.push(Segment::new(s.x - b, s.y - c, s.slope));
-        }
-    }
-    Pwl::from_segments(segs).expect("shifted copy of a valid curve is valid")
-}
-
-/// The branch `t ↦ fa − g(a − t)` (for `t ≤ a`; constant `fa − g(0)`
-/// beyond), using left limits of `g` so jumps of `g` help the supremum.
-fn reflected_branch(fa: f64, g: &Pwl, a: f64) -> Pwl {
-    // Kinks at t = a − b for each breakpoint b of g (clipped to ≥ 0).
-    let mut ts: Vec<f64> = g
-        .breakpoint_xs()
-        .map(|b| a - b)
-        .filter(|&t| t > EPSILON)
-        .collect();
-    ts.push(0.0);
-    // total_cmp: breakpoints of a valid Pwl are finite; a total order
-    // keeps the sort panic-free regardless.
-    ts.sort_by(f64::total_cmp);
-    ts.dedup_by(|p, q| approx_eq(*p, *q));
-    let mut segs: Vec<Segment> = Vec::with_capacity(ts.len() + 1);
-    for (j, &t) in ts.iter().enumerate() {
-        let x = a - t;
-        let start = fa - if x > EPSILON { g.value_left(x) } else { g.value(0.0) };
-        let slope = if j + 1 < ts.len() {
-            let next = ts[j + 1];
-            // Left limit of the branch at `next`: g's right value there.
-            let end = fa - g.value(a - next);
-            ((end - start) / (next - t)).max(0.0)
-        } else {
-            0.0
-        };
-        segs.push(Segment::new(t, start, slope));
-    }
-    // Constant `fa − g(0)` for t ≥ a (covered by the kink at b = 0 when
-    // present; the final zero slope handles it otherwise).
-    Pwl::from_segments(segs).expect("reflected branch of a valid curve is valid")
 }
 
 /// Sub-additive closure `f* = min_{n ≥ 1} f^{⊗n}` (with `f*(0) = f(0)`),
@@ -381,15 +237,7 @@ fn reflected_branch(fa: f64, g: &Pwl, a: f64) -> Pwl {
 /// ```
 #[must_use]
 pub fn subadditive_closure(f: &Pwl, max_iter: usize) -> Pwl {
-    let mut closure = f.clone();
-    for _ in 0..max_iter {
-        let next = closure.min(&convolve(&closure, f));
-        if next == closure {
-            return next;
-        }
-        closure = next;
-    }
-    closure
+    subadditive_closure_report(f, max_iter).curve
 }
 
 /// Result of [`subadditive_closure_report`]: the closure curve together
@@ -407,12 +255,10 @@ pub struct ClosureOutcome {
     pub converged: bool,
 }
 
-/// Sub-additive closure with an explicit convergence report, computed on
-/// the lazy streaming path: each iteration evaluates
-/// `min(closure, closure ⊗ f)` as one fused segment stream
-/// ([`convolve_lazy`]) collected into a ping-pong buffer, so no
-/// intermediate convolution curve is materialized. The fixpoint test and
-/// the resulting curve are bit-identical to [`subadditive_closure`].
+/// Sub-additive closure with an explicit convergence report: each
+/// iteration evaluates `min(closure, closure ⊗ f)` as one fused segment
+/// stream ([`convolve_lazy`]) collected into a ping-pong buffer, so no
+/// intermediate convolution curve is materialized.
 #[must_use]
 pub fn subadditive_closure_report(f: &Pwl, max_iter: usize) -> ClosureOutcome {
     let mut closure = f.clone();
@@ -653,72 +499,6 @@ mod tests {
             }
             assert!(out.value(t) >= brute - 1e-9, "t={t}");
             assert!(out.value(t) - brute < 1e-2 * (1.0 + brute.abs()), "t={t}");
-        }
-    }
-
-    #[test]
-    fn parallel_envelopes_match_sequential() {
-        // Many-kink monotone curve: slopes cycle, upward jumps every third
-        // breakpoint.
-        let mut bps = Vec::new();
-        let mut y = 0.0;
-        for i in 0..40 {
-            let x = i as f64 * 0.5;
-            let slope = 0.5 + (i % 4) as f64 * 0.25;
-            y += (i % 3) as f64 * 0.3;
-            bps.push((x, y, slope));
-            y += slope * 0.5;
-        }
-        let f = Pwl::from_breakpoints(bps).unwrap();
-        let g = rate_latency(3.0, 1.5);
-        let seq_conv = convolve_with(&f, &g, Parallelism::Seq);
-        let seq_dec = deconvolve_with(&f, &g, Parallelism::Seq).unwrap();
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(5),
-            Parallelism::Auto,
-        ] {
-            let conv = convolve_with(&f, &g, par);
-            let dec = deconvolve_with(&f, &g, par).unwrap();
-            for i in 0..120 {
-                let t = i as f64 * 0.2;
-                assert!(
-                    approx_eq(conv.value(t), seq_conv.value(t)),
-                    "convolve differs under {par:?} at t={t}"
-                );
-                assert!(
-                    approx_eq(dec.value(t), seq_dec.value(t)),
-                    "deconvolve differs under {par:?} at t={t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn envelopes_are_bit_identical_across_worker_counts() {
-        // The tree fold's shape depends only on the branch count, so every
-        // Parallelism mode must produce the *same floats*, not merely
-        // approximately equal curves.
-        let mut bps = Vec::new();
-        let mut y = 0.0;
-        for i in 0..96 {
-            let x = i as f64 * 0.31;
-            let slope = 0.25 + (i % 5) as f64 * 0.4;
-            y += (i % 2) as f64 * 0.7;
-            bps.push((x, y, slope));
-            y += slope * 0.31;
-        }
-        let f = Pwl::from_breakpoints(bps).unwrap();
-        let g = rate_latency(7.0, 0.9);
-        let seq_conv = convolve_with(&f, &g, Parallelism::Seq);
-        let seq_dec = deconvolve_with(&f, &g, Parallelism::Seq).unwrap();
-        for par in [Parallelism::Threads(3), Parallelism::Threads(8), Parallelism::Auto] {
-            assert_eq!(convolve_with(&f, &g, par), seq_conv, "convolve under {par:?}");
-            assert_eq!(
-                deconvolve_with(&f, &g, par).unwrap(),
-                seq_dec,
-                "deconvolve under {par:?}"
-            );
         }
     }
 

@@ -32,14 +32,12 @@
 //! ```
 
 use crate::trace::{TimedEvent, TimedTrace, Trace};
-use crate::types::EventType;
+use crate::types::{EventType, TypeRegistry};
 use crate::EventError;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Decorrelates per-injector RNG streams (same constant as the simulator
-/// fault layer, so mirrored plans across the two layers stay independent
-/// per index, not per layer).
+/// Decorrelates per-injector RNG streams (see [`injector_rng`]).
 const SUB_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One stream-level fault model. Injectors compose: a
@@ -201,10 +199,6 @@ impl StreamFaultPlan {
         Ok(())
     }
 
-    fn sub_rng(&self, position: usize) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(self.seed ^ (position as u64).wrapping_mul(SUB_SEED_MIX))
-    }
-
     /// Applies the plan to an untimed trace. [`StreamInjector::Jitter`] is
     /// skipped (no timestamps to perturb). The result may be empty if
     /// every event was dropped.
@@ -214,53 +208,7 @@ impl StreamFaultPlan {
     /// Returns [`EventError::InvalidParameter`] if an injector is
     /// mis-parameterized; the input trace is never partially consumed.
     pub fn apply(&self, trace: &Trace) -> Result<(Trace, StreamFaultReport), EventError> {
-        self.validate()?;
-        let mut events: Vec<EventType> = trace.events().to_vec();
-        let mut report = StreamFaultReport::default();
-        for (pos, inj) in self.injectors.iter().enumerate() {
-            if inj.is_noop() {
-                continue;
-            }
-            let mut rng = self.sub_rng(pos);
-            match *inj {
-                StreamInjector::Drop { per_mille } => {
-                    let before = events.len();
-                    events.retain(|_| !rng.gen_bool(f64::from(per_mille) / 1000.0));
-                    report.dropped += before - events.len();
-                }
-                StreamInjector::Duplicate { per_mille } => {
-                    let mut out = Vec::with_capacity(events.len());
-                    for &e in &events {
-                        out.push(e);
-                        if rng.gen_bool(f64::from(per_mille) / 1000.0) {
-                            out.push(e);
-                            report.duplicated += 1;
-                        }
-                    }
-                    events = out;
-                }
-                StreamInjector::Retype { per_mille } => {
-                    let types: Vec<EventType> =
-                        trace.registry().iter().map(|(t, _, _)| t).collect();
-                    if types.len() < 2 {
-                        continue;
-                    }
-                    for e in &mut events {
-                        if rng.gen_bool(f64::from(per_mille) / 1000.0) {
-                            // Draw among the *other* types so a corrupted
-                            // event always changes class.
-                            let mut pick = types[rng.gen_range(0..types.len() - 1)];
-                            if pick == *e {
-                                pick = types[types.len() - 1];
-                            }
-                            *e = pick;
-                            report.retyped += 1;
-                        }
-                    }
-                }
-                StreamInjector::Jitter { .. } => {}
-            }
-        }
+        let (events, report) = self.inject(trace.registry(), trace.events())?;
         Ok((Trace::new(trace.registry().clone(), events), report))
     }
 
@@ -277,14 +225,27 @@ impl StreamFaultPlan {
         &self,
         trace: &TimedTrace,
     ) -> Result<(TimedTrace, StreamFaultReport), EventError> {
+        let (events, report) = self.inject(trace.registry(), trace.events())?;
+        let faulted = TimedTrace::new(trace.registry().clone(), events)?;
+        Ok((faulted, report))
+    }
+
+    /// The injector loop shared by [`Self::apply`] and
+    /// [`Self::apply_timed`]: every arm but jitter is written once, over
+    /// either event representation.
+    fn inject<E: Faultable>(
+        &self,
+        registry: &TypeRegistry,
+        input: &[E],
+    ) -> Result<(Vec<E>, StreamFaultReport), EventError> {
         self.validate()?;
-        let mut events: Vec<TimedEvent> = trace.events().to_vec();
+        let mut events = input.to_vec();
         let mut report = StreamFaultReport::default();
         for (pos, inj) in self.injectors.iter().enumerate() {
             if inj.is_noop() {
                 continue;
             }
-            let mut rng = self.sub_rng(pos);
+            let mut rng = injector_rng(self.seed, pos);
             match *inj {
                 StreamInjector::Drop { per_mille } => {
                     let before = events.len();
@@ -303,36 +264,82 @@ impl StreamFaultPlan {
                     events = out;
                 }
                 StreamInjector::Retype { per_mille } => {
-                    let types: Vec<EventType> =
-                        trace.registry().iter().map(|(t, _, _)| t).collect();
+                    let types: Vec<EventType> = registry.iter().map(|(t, _, _)| t).collect();
                     if types.len() < 2 {
                         continue;
                     }
                     for e in &mut events {
                         if rng.gen_bool(f64::from(per_mille) / 1000.0) {
+                            // Draw among the *other* types so a corrupted
+                            // event always changes class.
+                            let ty = e.ty_mut();
                             let mut pick = types[rng.gen_range(0..types.len() - 1)];
-                            if pick == e.ty {
+                            if pick == *ty {
                                 pick = types[types.len() - 1];
                             }
-                            e.ty = pick;
+                            *ty = pick;
                             report.retyped += 1;
                         }
                     }
                 }
                 StreamInjector::Jitter { max_delay_s } => {
-                    for e in &mut events {
-                        let d = rng.gen_range(0.0..max_delay_s);
-                        if d > 0.0 {
-                            e.time += d;
-                            report.jittered += 1;
-                        }
-                    }
-                    events.sort_by(|a, b| a.time.total_cmp(&b.time));
+                    report.jittered += E::jitter(&mut events, max_delay_s, &mut rng);
                 }
             }
         }
-        let faulted = TimedTrace::new(trace.registry().clone(), events)?;
-        Ok((faulted, report))
+        Ok((events, report))
+    }
+}
+
+/// The RNG of the injector at position `index` in a plan seeded with
+/// `seed`. Each injector draws from its own ChaCha8 stream, so inserting
+/// an injector does not perturb the randomness of those before it. This
+/// is the one derivation for every fault layer (the simulator's pipeline
+/// and frame-corruption plans use it too), so mirrored plans across the
+/// layers stay independent per index, not per layer.
+#[must_use]
+pub fn injector_rng(seed: u64, index: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed ^ (index as u64).wrapping_mul(SUB_SEED_MIX))
+}
+
+/// An event representation the stream injectors can fault: untimed
+/// [`EventType`]s and [`TimedEvent`]s.
+trait Faultable: Copy {
+    /// The event's type, for [`StreamInjector::Retype`].
+    fn ty_mut(&mut self) -> &mut EventType;
+
+    /// [`StreamInjector::Jitter`]: delays every event and restores time
+    /// order; returns how many timestamps moved.
+    fn jitter(events: &mut [Self], max_delay_s: f64, rng: &mut ChaCha8Rng) -> usize;
+}
+
+impl Faultable for EventType {
+    fn ty_mut(&mut self) -> &mut EventType {
+        self
+    }
+
+    /// Untimed traces carry no timestamps to perturb.
+    fn jitter(_: &mut [Self], _: f64, _: &mut ChaCha8Rng) -> usize {
+        0
+    }
+}
+
+impl Faultable for TimedEvent {
+    fn ty_mut(&mut self) -> &mut EventType {
+        &mut self.ty
+    }
+
+    fn jitter(events: &mut [Self], max_delay_s: f64, rng: &mut ChaCha8Rng) -> usize {
+        let mut moved = 0;
+        for e in events.iter_mut() {
+            let d = rng.gen_range(0.0..max_delay_s);
+            if d > 0.0 {
+                e.time += d;
+                moved += 1;
+            }
+        }
+        events.sort_by(|a, b| a.time.total_cmp(&b.time));
+        moved
     }
 }
 

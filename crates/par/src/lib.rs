@@ -494,35 +494,6 @@ where
     Ok(())
 }
 
-/// Folds `items` with a **fixed pairwise tree**: adjacent pairs are combined
-/// round after round until one value remains. Returns `None` for empty input.
-///
-/// Two properties make this preferable to a linear left fold for envelope
-/// merges (`Pwl::min`/`max`), whose cost grows with the accumulated segment
-/// count:
-///
-/// * the tree shape depends only on `items.len()`, never on a worker count,
-///   so results are **bit-identical** across [`Parallelism`] modes even for
-///   merely approximately-associative float operations;
-/// * each value participates in O(log n) merges of comparably-sized
-///   operands instead of n merges against an ever-growing accumulator.
-pub fn tree_reduce<U, R>(mut items: Vec<U>, reduce: R) -> Option<U>
-where
-    R: Fn(U, U) -> U,
-{
-    while items.len() > 1 {
-        let mut next = Vec::with_capacity(items.len().div_ceil(2));
-        let mut it = items.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(reduce(a, b)),
-                None => next.push(a),
-            }
-        }
-        items = next;
-    }
-    items.pop()
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,21 +627,6 @@ mod tests {
             par_map_init(Parallelism::Threads(4), &[5u32], u64::MAX, || (), |(), _, v| v + 1),
             vec![6]
         );
-    }
-
-    #[test]
-    fn tree_reduce_is_deterministic_and_complete() {
-        // Sum: order-insensitive check that nothing is dropped.
-        let items: Vec<u64> = (1..=1000).collect();
-        assert_eq!(tree_reduce(items, |a, b| a + b), Some(500_500));
-        // Concatenation: pair order must stay left-to-right.
-        let words: Vec<String> = (0..9).map(|i| i.to_string()).collect();
-        assert_eq!(
-            tree_reduce(words, |a, b| a + &b),
-            Some("012345678".to_string())
-        );
-        assert_eq!(tree_reduce(Vec::<u8>::new(), |a, _| a), None);
-        assert_eq!(tree_reduce(vec![42u8], |a, _| a), Some(42));
     }
 
     #[test]

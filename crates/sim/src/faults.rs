@@ -21,14 +21,15 @@
 //!   a corrupted macroblock's size is re-drawn and its VLD (PE₁) cost
 //!   doubles (resynchronisation penalty).
 //!
-//! All randomness comes from a `ChaCha8Rng` derived from
-//! [`FaultPlan::seed`]; a fixed plan applied to a fixed clip produces a
+//! All randomness comes from a `ChaCha8Rng` per injector, derived from
+//! [`FaultPlan::seed`] by [`wcm_events::faults::injector_rng`]; a fixed plan applied to a fixed clip produces a
 //! bit-identical [`FaultedWorkload`] on every run. Injectors compose in
 //! plan order: each transforms the stream left by the previous one.
 
 use crate::SimError;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use wcm_events::faults::injector_rng;
 use wcm_mpeg::params::FrameKind;
 use wcm_mpeg::ClipWorkload;
 
@@ -275,9 +276,7 @@ impl FaultPlan {
         for (i, inj) in self.injectors.iter().enumerate() {
             // One independent, deterministic sub-stream per injector, so
             // reordering-insensitive draws do not couple injectors.
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                self.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
+            let mut rng = injector_rng(self.seed, i);
             w.inject(inj, &mut rng);
         }
         if w.is_empty() {

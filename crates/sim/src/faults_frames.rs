@@ -31,8 +31,8 @@
 //! frames that are still intact, so no frame is double-counted.
 
 use crate::SimError;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::Rng;
+use wcm_events::faults::injector_rng;
 use wcm_wire::frame::{FrameReader, HEADER_LEN};
 use wcm_wire::WireError;
 
@@ -236,9 +236,7 @@ impl FrameCorruptionPlan {
         let mut damaged: Vec<Extent> = Vec::new();
 
         for (i, injector) in self.injectors.iter().enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                self.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
+            let mut rng = injector_rng(self.seed, i);
             match *injector {
                 FrameInjector::BitFlips { ber_per_million } => {
                     let p = f64::from(ber_per_million) / 1e6;

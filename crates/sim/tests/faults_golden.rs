@@ -1,0 +1,181 @@
+//! Golden outputs of the simulator's fault injectors.
+//!
+//! Each test fixes a seed, a plan and an input and asserts the exact
+//! report plus an FNV-1a digest of the faulted output. A change to the
+//! per-injector seed derivation or to any injector's draw order shows up
+//! here as a changed digest, so refactors of the injector core must keep
+//! these passing unchanged.
+
+use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
+use wcm_mpeg::profile::standard_clips;
+use wcm_mpeg::{ClipWorkload, Synthesizer};
+use wcm_sim::{
+    FaultPlan, FaultReport, FaultedWorkload, FrameCorruptionPlan, FrameFaultReport, FrameInjector,
+    Injector, ProcessingElement,
+};
+use wcm_wire::StreamEncoder;
+
+/// FNV-1a over a byte stream.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// One GOP of a standard clip at QCIF size (99 macroblocks per frame).
+fn clip() -> ClipWorkload {
+    let params =
+        VideoParams::new(176, 144, 25.0, 1.5e6, GopStructure::new(12, 3).unwrap()).unwrap();
+    Synthesizer::new(params)
+        .generate(&standard_clips()[2], 1)
+        .unwrap()
+}
+
+fn digest_workload(w: &FaultedWorkload) -> u64 {
+    let mut h = Fnv::new();
+    for v in [&w.bits, &w.pe1_cycles, &w.pe2_cycles] {
+        h.u64(v.len() as u64);
+        v.iter().for_each(|&x| h.u64(x));
+    }
+    h.u64(w.kinds.len() as u64);
+    for k in &w.kinds {
+        h.u64(match k {
+            FrameKind::I => 0,
+            FrameKind::P => 1,
+            FrameKind::B => 2,
+        });
+    }
+    w.frame_of.iter().for_each(|&f| h.u64(f as u64));
+    for v in [
+        &w.arrival_delay_s,
+        &w.pe1_scale,
+        &w.pe2_scale,
+        &w.pe1_extra_s,
+        &w.pe2_extra_s,
+    ] {
+        h.u64(v.len() as u64);
+        v.iter().for_each(|&x| h.u64(x.to_bits()));
+    }
+    h.0
+}
+
+#[test]
+fn pipeline_plan_is_golden() {
+    let clip = clip();
+    let plan = FaultPlan::new(0x5EED)
+        .with(Injector::JitterBurst {
+            start: 40,
+            len: 300,
+            max_delay_s: 2e-3,
+        })
+        .with(Injector::DropEvents { per_mille: 40 })
+        .with(Injector::DuplicateEvents { per_mille: 25 })
+        .with(Injector::DemandSpike {
+            start: 200,
+            len: 150,
+            factor_pct: 250,
+        })
+        .with(Injector::ClockDrift {
+            pe: ProcessingElement::Pe2,
+            start: 500,
+            len: 100,
+            factor_pct: 140,
+        })
+        .with(Injector::Stall {
+            pe: ProcessingElement::Pe1,
+            at: 700,
+            extra_s: 1e-3,
+        })
+        .with(Injector::BitErrors { per_mille: 60 });
+    let w = plan.apply(&clip).unwrap();
+    assert_eq!(
+        w.report,
+        FaultReport {
+            dropped_events: 47,
+            duplicated_events: 28,
+            corrupted_events: 85,
+            spiked_events: 150,
+            jittered_events: 300,
+            slowed_events: 101,
+        }
+    );
+    assert_eq!(w.bits.len(), 1_169);
+    assert_eq!(digest_workload(&w), 15_632_122_962_398_474_214);
+}
+
+#[test]
+fn pipeline_plan_second_seed_is_golden() {
+    let clip = clip();
+    let plan = FaultPlan::new(3)
+        .with(Injector::BitErrors { per_mille: 200 })
+        .with(Injector::DropEvents { per_mille: 100 });
+    let w = plan.apply(&clip).unwrap();
+    assert_eq!(
+        w.report,
+        FaultReport {
+            dropped_events: 117,
+            duplicated_events: 0,
+            corrupted_events: 270,
+            spiked_events: 0,
+            jittered_events: 0,
+            slowed_events: 0,
+        }
+    );
+    assert_eq!(digest_workload(&w), 1_237_417_317_811_596_081);
+}
+
+fn stream() -> Vec<u8> {
+    let n = 20_000usize;
+    let demands: Vec<u64> = (0..n as u64)
+        .map(|i| i.wrapping_mul(2_654_435_761) >> 20)
+        .collect();
+    let times: Vec<f64> = (0..n).map(|i| i as f64 * 0.04).collect();
+    let mut enc = StreamEncoder::new();
+    enc.meta("faults-golden");
+    enc.demands(&demands);
+    enc.times(&times).unwrap();
+    enc.finish()
+}
+
+#[test]
+fn frame_plan_is_golden() {
+    let clean = stream();
+    let plan = FrameCorruptionPlan::new(0xF00D)
+        .with(FrameInjector::BitFlips { ber_per_million: 3 })
+        .with(FrameInjector::LengthLies { count: 2 })
+        .with(FrameInjector::DuplicateFrames { copies: 2 })
+        .with(FrameInjector::ReorderFrames { swaps: 2 })
+        .with(FrameInjector::Truncate { keep_pct: 97 });
+    let out = plan.apply(&clean).unwrap();
+    assert_eq!(
+        out.report,
+        FrameFaultReport {
+            frames_seen: 11,
+            bits_flipped: 6,
+            frames_damaged: 6,
+            damage_runs: 4,
+            damage_wire_bytes: 120207,
+            frames_duplicated: 2,
+            frames_reordered: 2,
+            length_lies: 2,
+            bytes_truncated: 7221,
+        }
+    );
+    assert_eq!(out.bytes.len(), 233_458);
+    let mut h = Fnv::new();
+    h.bytes(&out.bytes);
+    assert_eq!(h.0, 906_160_139_097_156_152);
+}
