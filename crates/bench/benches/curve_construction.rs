@@ -6,9 +6,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wcm_core::UpperWorkloadCurve;
 use wcm_events::summary::{CurveSummary, Sides, SummarySpine};
-use wcm_events::window::{
-    max_window_sums, max_window_sums_with, min_spans, min_spans_with, Parallelism, WindowMode,
-};
+use wcm_events::window::{max_window_sums, min_spans, Parallelism, WindowMode};
 
 fn demand_vector(n: usize) -> Vec<u64> {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -87,7 +85,8 @@ fn bench_old_vs_new(c: &mut Criterion) {
             BenchmarkId::new("new_prefix_seq", format!("N{n}_K{k}")),
             &(&v, k),
             |b, (v, k)| {
-                b.iter(|| max_window_sums_with(v, *k, WindowMode::Exact, Parallelism::Seq).unwrap())
+                Parallelism::Seq
+                    .scope(|| b.iter(|| max_window_sums(v, *k, WindowMode::Exact).unwrap()))
             },
         );
     }
@@ -103,26 +102,26 @@ fn bench_seq_vs_par(c: &mut Criterion) {
             BenchmarkId::new("seq", format!("N{n}_K{k}")),
             &(&v, k),
             |b, (v, k)| {
-                b.iter(|| max_window_sums_with(v, *k, WindowMode::Exact, Parallelism::Seq).unwrap())
+                Parallelism::Seq
+                    .scope(|| b.iter(|| max_window_sums(v, *k, WindowMode::Exact).unwrap()))
             },
         );
         group.bench_with_input(
             BenchmarkId::new(format!("threads{threads}"), format!("N{n}_K{k}")),
             &(&v, k),
             |b, (v, k)| {
-                b.iter(|| {
-                    max_window_sums_with(v, *k, WindowMode::Exact, Parallelism::Threads(threads))
-                        .unwrap()
-                })
+                Parallelism::Threads(threads)
+                    .scope(|| b.iter(|| max_window_sums(v, *k, WindowMode::Exact).unwrap()))
             },
         );
     }
     let t = timestamps(50_000);
     group.bench_function("spans_seq_N50000_K2000", |b| {
-        b.iter(|| min_spans_with(&t, 2_000, WindowMode::Exact, Parallelism::Seq).unwrap())
+        Parallelism::Seq.scope(|| b.iter(|| min_spans(&t, 2_000, WindowMode::Exact).unwrap()))
     });
     group.bench_function(format!("spans_threads{threads}_N50000_K2000"), |b| {
-        b.iter(|| min_spans_with(&t, 2_000, WindowMode::Exact, Parallelism::Threads(threads)).unwrap())
+        Parallelism::Threads(threads)
+            .scope(|| b.iter(|| min_spans(&t, 2_000, WindowMode::Exact).unwrap()))
     });
     group.finish();
 }

@@ -19,8 +19,8 @@ use std::time::Instant;
 use wcm_bench::alloc::{count_allocs, CountingAlloc};
 use wcm_bench::legacy::convolve_materialized;
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
-use wcm_events::summary::{summarize_with, CurveSummary, Sides, SummarySpine};
-use wcm_events::window::{max_window_sums_with, min_spans_with, Parallelism, WindowMode};
+use wcm_events::summary::{summarize, CurveSummary, Sides, SummarySpine};
+use wcm_events::window::{max_window_sums, min_spans, Parallelism, WindowMode};
 
 const N: usize = 50_000;
 const K: usize = 2_000;
@@ -190,23 +190,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     eprintln!("bench_curves: N={N} K={K} threads={threads} reps={REPS}");
 
+    // Each rung sets its worker count where the call enters.
+    let sums = |par: Parallelism| par.scope(|| max_window_sums(&v, K, WindowMode::Exact).unwrap());
+    let spans = |par: Parallelism| par.scope(|| min_spans(&t, K, WindowMode::Exact).unwrap());
     let core = measure([
         &mut || time_once(|| window_sums_rescan(&v, K)),
-        &mut || {
-            time_once(|| max_window_sums_with(&v, K, WindowMode::Exact, Parallelism::Seq).unwrap())
-        },
-        &mut || {
-            time_once(|| {
-                max_window_sums_with(&v, K, WindowMode::Exact, Parallelism::Threads(threads))
-                    .unwrap()
-            })
-        },
-        &mut || time_once(|| min_spans_with(&t, K, WindowMode::Exact, Parallelism::Seq).unwrap()),
-        &mut || {
-            time_once(|| {
-                min_spans_with(&t, K, WindowMode::Exact, Parallelism::Threads(threads)).unwrap()
-            })
-        },
+        &mut || time_once(|| sums(Parallelism::Seq)),
+        &mut || time_once(|| sums(Parallelism::Threads(threads))),
+        &mut || time_once(|| spans(Parallelism::Seq)),
+        &mut || time_once(|| spans(Parallelism::Threads(threads))),
     ]);
     let (old_rescan, prefix_seq, prefix_par) = (core.best(0), core.best(1), core.best(2));
     let (spans_seq, spans_par) = (core.best(3), core.best(4));
@@ -214,7 +206,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Outputs must agree exactly, whichever path produced them.
     assert_eq!(
         window_sums_rescan(&v, K),
-        max_window_sums_with(&v, K, WindowMode::Exact, Parallelism::Threads(threads)).unwrap(),
+        sums(Parallelism::Threads(threads)),
         "old and new window analyses disagree"
     );
 
@@ -225,22 +217,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // batches.
     let counts = thread_counts(threads);
     let mut scaling_runs: Vec<Box<dyn FnMut() -> f64 + '_>> = Vec::new();
-    scaling_runs.push(Box::new(|| {
-        time_once(|| max_window_sums_with(&v, K, WindowMode::Exact, Parallelism::Seq).unwrap())
-    }));
+    scaling_runs.push(Box::new(|| time_once(|| sums(Parallelism::Seq))));
     for &n in &counts {
-        let v = &v;
-        scaling_runs.push(Box::new(move || {
-            time_once(|| {
-                max_window_sums_with(v, K, WindowMode::Exact, Parallelism::Threads(n)).unwrap()
-            })
-        }));
+        scaling_runs.push(Box::new(move || time_once(|| sums(Parallelism::Threads(n)))));
     }
     let scaling = measure_dyn(&mut scaling_runs);
 
     // Chunked-summary fold behind the trace-parallel path. The 8-chunk
     // sequential fold isolates the merge overhead from any threading;
-    // `summarize_with` is the shipping auto-chunked entry point.
+    // `summarize` is the shipping auto-chunked entry point.
     let grid: Vec<usize> = (1..=K).collect();
     let chunked_fold = |chunks: usize| {
         let chunk = N.div_ceil(chunks);
@@ -253,7 +238,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let summaries = measure([
         &mut || time_once(|| CurveSummary::from_values(&v, &grid, Sides::Max)),
         &mut || time_once(|| chunked_fold(8)),
-        &mut || time_once(|| summarize_with(&v, &grid, Sides::Max, Parallelism::Threads(threads))),
+        &mut || {
+            time_once(|| {
+                Parallelism::Threads(threads).scope(|| summarize(&v, &grid, Sides::Max))
+            })
+        },
     ]);
     let (summary_single_s, summary_chunked8_s, summary_auto_s) =
         (summaries.best(0), summaries.best(1), summaries.best(2));

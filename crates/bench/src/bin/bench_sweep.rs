@@ -241,18 +241,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..spec.clone()
         }
     };
-    let dense_frontier = run_frontier(
-        &clips,
-        &frontier_spec,
-        Parallelism::Threads(threads),
-        FrontierMethod::Dense,
-    )?;
-    let bisect_frontier = run_frontier(
-        &clips,
-        &frontier_spec,
-        Parallelism::Threads(threads),
-        FrontierMethod::Bisect,
-    )?;
+    let frontier = |method| {
+        Parallelism::Threads(threads).scope(|| run_frontier(&clips, &frontier_spec, method))
+    };
+    let dense_frontier = frontier(FrontierMethod::Dense)?;
+    let bisect_frontier = frontier(FrontierMethod::Bisect)?;
     let frontier_identical = bisect_frontier.frontier == dense_frontier.frontier;
     assert!(
         frontier_identical,
@@ -261,28 +254,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bisect_fraction =
         bisect_frontier.evaluated_cells as f64 / bisect_frontier.grid_cells as f64;
     let frontier_times = measure([
-        &mut || {
-            time_once(|| {
-                run_frontier(
-                    &clips,
-                    &frontier_spec,
-                    Parallelism::Threads(threads),
-                    FrontierMethod::Dense,
-                )
-                .unwrap()
-            })
-        },
-        &mut || {
-            time_once(|| {
-                run_frontier(
-                    &clips,
-                    &frontier_spec,
-                    Parallelism::Threads(threads),
-                    FrontierMethod::Bisect,
-                )
-                .unwrap()
-            })
-        },
+        &mut || time_once(|| frontier(FrontierMethod::Dense).unwrap()),
+        &mut || time_once(|| frontier(FrontierMethod::Bisect).unwrap()),
     ]);
     let (frontier_dense_s, frontier_bisect_s) = (frontier_times.best(0), frontier_times.best(1));
 
@@ -386,7 +359,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let start = Instant::now();
         let (n, m) = measure_allocs(|| {
             let mut sink = NullSink { points: 0 };
-            run_sweep_streaming(sclips, spec, Parallelism::Seq, ShardRange::FULL, &mut sink)
+            Parallelism::Seq
+                .scope(|| run_sweep_streaming(sclips, spec, ShardRange::FULL, &mut sink))
                 .unwrap();
             sink.points
         });

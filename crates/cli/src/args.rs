@@ -78,7 +78,9 @@ impl Options {
     }
 
     /// The `--threads` knob: absent or `auto`/`0` → [`Parallelism::Auto`],
-    /// `1` → sequential, `N` → exactly `N` workers.
+    /// `1` → sequential, `N` → exactly `N` workers, up to
+    /// [`wcm_par::MAX_POOL_THREADS`]. `main` runs the command inside its
+    /// [`wcm_par::Parallelism::scope`].
     pub fn parallelism(&self) -> Result<wcm_par::Parallelism, String> {
         match self.optional("threads") {
             None => Ok(wcm_par::Parallelism::Auto),
@@ -140,6 +142,8 @@ mod tests {
         let o = Options::parse(&argv("--threads 6"), KEYS).unwrap();
         assert_eq!(o.parallelism().unwrap(), Parallelism::Threads(6));
         let o = Options::parse(&argv("--threads many"), KEYS).unwrap();
+        assert!(o.parallelism().unwrap_err().contains("threads"));
+        let o = Options::parse(&argv("--threads 100000000000"), KEYS).unwrap();
         assert!(o.parallelism().unwrap_err().contains("threads"));
     }
 }

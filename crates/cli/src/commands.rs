@@ -9,7 +9,7 @@ use wcm_core::polling::PollingTask;
 use wcm_core::sizing;
 use wcm_core::EnvelopeMonitor;
 use wcm_curves::{minplus, StepCurve};
-use wcm_events::window::{max_window_sums_with, min_window_sums_with, min_spans_with, WindowMode};
+use wcm_events::window::{max_window_sums, min_spans, min_window_sums, WindowMode};
 use wcm_events::Cycles;
 use wcm_sim::{FaultPlan, FifoConfig, Injector, OverflowPolicy, ProcessingElement, SourceModel};
 
@@ -122,7 +122,8 @@ exit codes: 0 ok, 1 analysis error, 2 usage, 3 bad input file,
 options:
   --threads T   worker threads for the window scans: `auto' (default; all
                 cores once the trace is large enough), `1' (sequential) or
-                an explicit count. Results are identical for any setting.";
+                an explicit count up to 256. Results are identical for any
+                setting. `serve --shards N' has the same cap.";
 
 fn mode(opts: &Options) -> Result<WindowMode, String> {
     match (opts.optional("exact-upto"), opts.optional("stride")) {
@@ -139,9 +140,8 @@ pub fn curves(opts: &Options) -> Result<(), CliError> {
     let demands = io::read_demands(Path::new(opts.required("demands")?))?;
     let k_max = opts.required_usize("k")?;
     let mode = mode(opts)?;
-    let par = opts.parallelism()?;
-    let upper = UpperWorkloadCurve::new(max_window_sums_with(&demands, k_max, mode, par)?)?;
-    let lower = LowerWorkloadCurve::new(min_window_sums_with(&demands, k_max, mode, par)?)?;
+    let upper = UpperWorkloadCurve::new(max_window_sums(&demands, k_max, mode)?)?;
+    let lower = LowerWorkloadCurve::new(min_window_sums(&demands, k_max, mode)?)?;
     println!("# k gamma_u gamma_l wcet_line bcet_line");
     let (w, b) = (upper.wcet().get(), lower.bcet().get());
     for k in 1..=k_max {
@@ -180,7 +180,7 @@ pub fn curves(opts: &Options) -> Result<(), CliError> {
 pub fn arrival(opts: &Options) -> Result<(), CliError> {
     let times = io::read_times(Path::new(opts.required("times")?))?;
     let k_max = opts.required_usize("k")?;
-    let spans = min_spans_with(&times, k_max, WindowMode::Exact, opts.parallelism()?)?;
+    let spans = min_spans(&times, k_max, WindowMode::Exact)?;
     println!("# delta_seconds events");
     for (i, d) in spans.iter().enumerate() {
         println!("{d} {}", i + 1);
@@ -203,8 +203,7 @@ pub fn fmin(opts: &Options) -> Result<(), CliError> {
     let buffer = opts.required_u64("buffer")?;
     let k_max = opts.required_usize("k")?;
     let mode = mode(opts)?;
-    let par = opts.parallelism()?;
-    let gamma = UpperWorkloadCurve::new(max_window_sums_with(&demands, k_max, mode, par)?)?;
+    let gamma = UpperWorkloadCurve::new(max_window_sums(&demands, k_max, mode)?)?;
     let mut reg = wcm_events::TypeRegistry::new();
     let ty = reg.register("event", wcm_events::ExecutionInterval::fixed(Cycles(1)))?;
     let trace = wcm_events::TimedTrace::new(
@@ -214,7 +213,7 @@ pub fn fmin(opts: &Options) -> Result<(), CliError> {
             .map(|&time| wcm_events::TimedEvent { time, ty })
             .collect(),
     )?;
-    let alpha = wcm_core::build::arrival_upper_with(&trace, k_max, mode, par)?;
+    let alpha = wcm_core::build::arrival_upper(&trace, k_max, mode)?;
     let f_gamma = sizing::min_frequency_workload(&alpha, &gamma, buffer)?;
     let f_wcet = sizing::min_frequency_wcet(&alpha, gamma.wcet(), buffer)?;
     println!("buffer_events {buffer}");
@@ -386,11 +385,10 @@ pub fn faults(opts: &Options) -> Result<(), CliError> {
     let mut monitor = if monitor_on {
         // γᵘ measured on the clean clip: the monitor then checks that the
         // (possibly faulted) consumed stream stays inside its own envelope.
-        let gamma = UpperWorkloadCurve::new(max_window_sums_with(
+        let gamma = UpperWorkloadCurve::new(max_window_sums(
             &clip.pe2_demands(),
             k_max,
             WindowMode::Exact,
-            opts.parallelism()?,
         )?)?;
         Some(EnvelopeMonitor::upper_only(&gamma, k_max)?)
     } else {
@@ -636,7 +634,7 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
     // Frontier-only mode: locate the Pareto frontier without reporting
     // (or, with `bisect`, even visiting) the full grid.
     if let Some(method) = frontier {
-        let out = wcm_sim::run_frontier(&clips, &spec, opts.parallelism()?, method);
+        let out = wcm_sim::run_frontier(&clips, &spec, method);
         if observe {
             wcm_obs::set_enabled(false);
         }
@@ -670,7 +668,7 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
         let mut sink = wcm_sim::WcmtShardSink::new(std::io::BufWriter::new(file))
             .map_err(map_err)?;
         let summary =
-            wcm_sim::run_sweep_streaming(&clips, &spec, opts.parallelism()?, shard, &mut sink)
+            wcm_sim::run_sweep_streaming(&clips, &spec, shard, &mut sink)
                 .map_err(map_err)?;
         let writer = sink.finish_stream().map_err(map_err)?;
         writer.into_inner().map_err(|e| CliError::Io {
@@ -693,7 +691,6 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let par = opts.parallelism()?;
     let (stats, pareto);
     if stream {
         // Constant-memory pipeline: artifact rows hit disk as points are
@@ -722,7 +719,7 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
         }
         let mut fan = FanoutSink { sinks };
         let summary =
-            wcm_sim::run_sweep_streaming(&clips, &spec, par, wcm_sim::ShardRange::FULL, &mut fan)
+            wcm_sim::run_sweep_streaming(&clips, &spec, wcm_sim::ShardRange::FULL, &mut fan)
                 .map_err(map_err)?;
         if let Some(s) = csv_sink {
             s.into_inner().into_inner().map_err(|e| CliError::Io {
@@ -736,7 +733,11 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
         stats = summary.stats;
         pareto = summary.pareto;
     } else {
-        let report = wcm_sim::run_sweep(&clips, &spec, par).map_err(map_err)?;
+        let mut sink = wcm_sim::CollectSink::new();
+        let summary =
+            wcm_sim::run_sweep_streaming(&clips, &spec, wcm_sim::ShardRange::FULL, &mut sink)
+                .map_err(map_err)?;
+        let report = sink.into_report(&summary);
         if let Some(path) = opts.optional("json") {
             write_report(Path::new(path), &report.to_json())?;
         }
@@ -1007,6 +1008,13 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
             "serve: need --tail FILE[,FILE...] and/or --listen HOST:PORT".to_string(),
         ));
     }
+    let shards = opts.usize_or("shards", 0)?;
+    if shards > wcm_par::MAX_POOL_THREADS {
+        return Err(CliError::Usage(format!(
+            "option `--shards`: {shards} exceeds the pool cap of {}",
+            wcm_par::MAX_POOL_THREADS
+        )));
+    }
     let policy = match opts.optional("policy").unwrap_or("backpressure") {
         "backpressure" => OverflowPolicy::Backpressure,
         "reject" => OverflowPolicy::Reject,
@@ -1061,8 +1069,8 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
         period_s,
         jitter_s: f64_or("jitter", 0.0)?.max(0.0),
         times_window: opts.usize_or("times-window", 4096)?,
-        shards: opts.usize_or("shards", 0)?,
-        par: opts.parallelism()?,
+        shards,
+        par: wcm_par::Parallelism::current(),
     };
     let mut svc = Service::new(cfg);
     if let Some(spec) = tails {

@@ -131,5 +131,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
             format!("unknown subcommand `{cmd}`")
         }));
     };
-    command(&args::Options::parse(rest, accepted)?)
+    let opts = args::Options::parse(rest, accepted)?;
+    // `--threads` sets the worker count for everything the command runs.
+    opts.parallelism()?.scope(|| command(&opts))
 }

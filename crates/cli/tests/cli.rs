@@ -612,6 +612,33 @@ fn faults_injector_spec_errors_are_usage_errors() {
     assert!(err.contains("unknown injector"), "{err}");
 }
 
+/// Runs `serve` on an empty tail with one oversized option and checks it
+/// is a usage error naming that option, raised before any work.
+fn assert_serve_rejects(option: &str, value: &str, file: &str) {
+    let tail = tmp_file(file, "");
+    let out = cli()
+        .args(["serve", "--tail", tail.to_str().unwrap(), "--max-rounds", "1", option, value])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{option} {value}: {out:?}");
+    assert!(out.stdout.is_empty(), "{option} {value} printed output before failing");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains(&format!("`{option}`")), "{option} {value}: {err}");
+    std::fs::remove_file(tail).ok();
+}
+
+#[test]
+fn serve_rejects_a_thread_count_above_the_pool_cap() {
+    assert_serve_rejects("--threads", "100000000000", "serve-threads-cap.wcmt");
+    assert_serve_rejects("--threads", "257", "serve-threads-257.wcmt");
+}
+
+#[test]
+fn serve_rejects_a_shard_count_above_the_pool_cap() {
+    assert_serve_rejects("--shards", "100000000000000", "serve-shards-cap.wcmt");
+    assert_serve_rejects("--shards", "257", "serve-shards-257.wcmt");
+}
+
 #[test]
 fn unknown_options_are_usage_errors_before_any_work() {
     let dem = tmp_file("unknown-opt-demands.txt", "5\n7\n3\n9\n");

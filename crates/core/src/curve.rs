@@ -11,7 +11,7 @@
 //! * dually `γˡ(q·K + r) ≥ q·γˡ(K) + γˡ(r)` is a valid lower value.
 
 use crate::WorkloadError;
-use wcm_events::window::{Parallelism, WindowMode};
+use wcm_events::window::WindowMode;
 use wcm_events::{Cycles, Trace};
 
 fn validate_monotone(values: &[u64]) -> Result<(), WorkloadError> {
@@ -95,23 +95,8 @@ impl UpperWorkloadCurve {
     ///
     /// Propagates window-analysis parameter errors.
     pub fn from_trace(trace: &Trace, k_max: usize, mode: WindowMode) -> Result<Self, WorkloadError> {
-        Self::from_trace_with(trace, k_max, mode, Parallelism::Auto)
-    }
-
-    /// [`UpperWorkloadCurve::from_trace`] with an explicit [`Parallelism`]
-    /// knob; sequential and parallel runs produce identical curves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates window-analysis parameter errors.
-    pub fn from_trace_with(
-        trace: &Trace,
-        k_max: usize,
-        mode: WindowMode,
-        par: Parallelism,
-    ) -> Result<Self, WorkloadError> {
         let demands: Vec<u64> = trace.worst_demands().iter().map(|c| c.get()).collect();
-        let values = wcm_events::window::max_window_sums_with(&demands, k_max, mode, par)?;
+        let values = wcm_events::window::max_window_sums(&demands, k_max, mode)?;
         Self::new(values)
     }
 
@@ -313,23 +298,8 @@ impl LowerWorkloadCurve {
     ///
     /// Propagates window-analysis parameter errors.
     pub fn from_trace(trace: &Trace, k_max: usize, mode: WindowMode) -> Result<Self, WorkloadError> {
-        Self::from_trace_with(trace, k_max, mode, Parallelism::Auto)
-    }
-
-    /// [`LowerWorkloadCurve::from_trace`] with an explicit [`Parallelism`]
-    /// knob; sequential and parallel runs produce identical curves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates window-analysis parameter errors.
-    pub fn from_trace_with(
-        trace: &Trace,
-        k_max: usize,
-        mode: WindowMode,
-        par: Parallelism,
-    ) -> Result<Self, WorkloadError> {
         let demands: Vec<u64> = trace.best_demands().iter().map(|c| c.get()).collect();
-        let values = wcm_events::window::min_window_sums_with(&demands, k_max, mode, par)?;
+        let values = wcm_events::window::min_window_sums(&demands, k_max, mode)?;
         Self::new(values)
     }
 
@@ -511,22 +481,8 @@ impl WorkloadBounds {
         k_max: usize,
         mode: WindowMode,
     ) -> Result<Self, WorkloadError> {
-        Self::from_trace_with(trace, k_max, mode, Parallelism::Auto)
-    }
-
-    /// [`WorkloadBounds::from_trace`] with an explicit [`Parallelism`] knob.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WorkloadBounds::from_trace`].
-    pub fn from_trace_with(
-        trace: &Trace,
-        k_max: usize,
-        mode: WindowMode,
-        par: Parallelism,
-    ) -> Result<Self, WorkloadError> {
-        let upper = UpperWorkloadCurve::from_trace_with(trace, k_max, mode, par)?;
-        let lower = LowerWorkloadCurve::from_trace_with(trace, k_max, mode, par)?;
+        let upper = UpperWorkloadCurve::from_trace(trace, k_max, mode)?;
+        let lower = LowerWorkloadCurve::from_trace(trace, k_max, mode)?;
         Ok(Self { upper, lower })
     }
 
@@ -657,12 +613,16 @@ mod tests {
     }
 
     #[test]
-    fn from_trace_with_matches_from_trace() {
+    fn from_trace_is_worker_count_invariant() {
+        use wcm_events::window::Parallelism;
         let t = alternating_trace(40);
-        let seq = WorkloadBounds::from_trace(&t, 20, WindowMode::Exact).unwrap();
-        for par in [Parallelism::Seq, Parallelism::Threads(4), Parallelism::Auto] {
+        let bounds = |par: Parallelism| {
+            par.scope(|| WorkloadBounds::from_trace(&t, 20, WindowMode::Exact).unwrap())
+        };
+        let seq = bounds(Parallelism::Seq);
+        for par in [Parallelism::Threads(2), Parallelism::Threads(4), Parallelism::Auto] {
             assert_eq!(
-                WorkloadBounds::from_trace_with(&t, 20, WindowMode::Exact, par).unwrap(),
+                bounds(par),
                 seq,
                 "bounds differ under {par:?}"
             );

@@ -239,7 +239,7 @@ impl EnvelopeMonitor {
     /// the rebind are still checked against `k_max` events of history.
     ///
     /// This is the online half of the incremental-bounds story: a
-    /// [`crate::build::IncrementalBounds`] refreshes its envelope in
+    /// [`wcm_events::summary::SummarySpine`] refreshes its envelope in
     /// `O(k_max)` per appended reference event, and a long-running monitor
     /// adopts the tighter envelope mid-stream instead of being rebuilt
     /// from scratch. Only the sides the monitor was constructed with are

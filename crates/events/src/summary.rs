@@ -16,7 +16,7 @@
 //! left fold, pairwise tree, parallel tree-reduce — produces bit-identical
 //! tables, which is what makes the structure useful three times over:
 //!
-//! 1. **Trace-parallel construction** ([`summarize_with`]): chunks are
+//! 1. **Trace-parallel construction** ([`summarize`]): chunks are
 //!    summarized independently on `wcm-par` and tree-folded, parallelizing
 //!    over the trace dimension instead of the window-size dimension.
 //! 2. **Incremental appends** ([`CurveSummary::append`], [`SummarySpine`]):
@@ -534,23 +534,19 @@ fn assert_grid(grid: &[usize]) {
 }
 
 /// Trace-parallel summary construction: split `values` into one chunk per
-/// worker, summarize the chunks independently, and fold the summaries
-/// pairwise. Bit-identical to [`CurveSummary::from_values`] on the whole
-/// slice for any worker count, including 1.
+/// worker of the [`Parallelism::current`] setting, summarize the chunks
+/// independently, and fold the summaries pairwise. Bit-identical to
+/// [`CurveSummary::from_values`] on the whole slice for any worker
+/// count, including 1.
 #[must_use]
-pub fn summarize_with(
-    values: &[u64],
-    grid: &[usize],
-    sides: Sides,
-    par: Parallelism,
-) -> CurveSummary {
+pub fn summarize(values: &[u64], grid: &[usize], sides: Sides) -> CurveSummary {
     assert_grid(grid);
     let per_side = match sides {
         Sides::Both => 2,
         Sides::Max | Sides::Min => 1,
     };
     let cost = values.len() as u64 * grid.len() as u64 * per_side;
-    let workers = par.workers(values.len(), cost);
+    let workers = Parallelism::current().workers(values.len(), cost);
     if workers <= 1 || values.len() < 2 {
         return CurveSummary::from_values(values, grid, sides);
     }
@@ -563,7 +559,7 @@ pub fn summarize_with(
         .map(|s| (s, (s + chunk).min(values.len())))
         .collect();
     wcm_obs::counter("summary.chunks", ranges.len() as u64);
-    let mut summaries = wcm_par::par_map(par, &ranges, cost, |_, &(s, e)| {
+    let mut summaries = wcm_par::par_map(&ranges, cost, |_, &(s, e)| {
         let _span = wcm_obs::span("summary.chunk");
         CurveSummary::from_values(&values[s..e], grid, sides)
     });
@@ -735,7 +731,7 @@ impl SummarySpine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{max_window_sums_with, min_window_sums_with, WindowMode};
+    use crate::window::{max_window_sums, min_window_sums, WindowMode};
 
     fn demo_values(n: usize) -> Vec<u64> {
         // Deterministic, spiky: exercises both extrema.
@@ -858,16 +854,18 @@ mod tests {
     }
 
     #[test]
-    fn summarize_with_matches_dense_window_sums() {
+    fn summarize_matches_dense_window_sums() {
         let values = demo_values(2_000);
         let k_max = 64;
         let grid: Vec<usize> = (1..=k_max).collect();
+        let (maxs, mins) = Parallelism::Seq.scope(|| {
+            (
+                max_window_sums(&values, k_max, WindowMode::Exact).unwrap(),
+                min_window_sums(&values, k_max, WindowMode::Exact).unwrap(),
+            )
+        });
         for par in [Parallelism::Seq, Parallelism::Threads(3), Parallelism::Auto] {
-            let s = summarize_with(&values, &grid, Sides::Both, par);
-            let maxs =
-                max_window_sums_with(&values, k_max, WindowMode::Exact, Parallelism::Seq).unwrap();
-            let mins =
-                min_window_sums_with(&values, k_max, WindowMode::Exact, Parallelism::Seq).unwrap();
+            let s = par.scope(|| summarize(&values, &grid, Sides::Both));
             assert_eq!(s.max_table(), &maxs[..]);
             assert_eq!(s.min_table(), &mins[..]);
         }

@@ -23,12 +23,15 @@
 //! sum of any window is two array reads (`p[i+k] − p[i]`), so the per-`k`
 //! scan has no loop-carried dependency and auto-vectorizes (the table stays
 //! in `u64` whenever the total demand fits, widening to `u128` only when it
-//! would wrap), and every grid size shares the same table. The independent per-`k` scans are chunked
-//! across threads by [`wcm_par::par_map`] with deterministic output
-//! ordering: the `*_with` variants take a [`Parallelism`] knob, the plain
-//! functions default to [`Parallelism::Auto`] (threads only when the work
-//! amortizes their start-up). Sequential and parallel runs produce
-//! **bit-identical** results.
+//! would wrap), and every grid size shares the same table.
+//!
+//! The worker count is the calling thread's [`Parallelism::current`]
+//! setting (see [`Parallelism::scope`]); it changes speed, never results.
+//! When it engages more than one worker, demand scans summarize chunks
+//! of the trace in parallel and merge them exactly
+//! ([`crate::summary::summarize`]), and span scans spread the grid's `k`
+//! over the pool with [`wcm_par::par_map`]. Sequential and parallel runs
+//! produce **bit-identical** results.
 //!
 //! A window that slides over a stream keeps its spans incrementally:
 //! [`SlidingSpans`] caches per-block span minima, so a query after a few
@@ -56,7 +59,7 @@ pub enum WindowMode {
 impl WindowMode {
     /// The grid of window sizes that will be computed exactly, up to
     /// `k_max` inclusive (always contains `k_max` itself). Values at
-    /// these `k` are exact in every `*_with` result; entries between
+    /// these `k` are exact in every window-scan result; entries between
     /// them are conservative fills. Public so callers that must not use
     /// filled values (e.g. the overflow certificate) can select the
     /// exact entries.
@@ -402,8 +405,7 @@ pub fn min_window_sum(values: &[u64], k: usize) -> Option<u64> {
     PrefixSums::new(values).min_window_sum(k)
 }
 
-/// Maximum window sums for all `k = 1 ..= k_max`, index 0 ↦ `k = 1`, with
-/// [`Parallelism::Auto`] threading.
+/// Maximum window sums for all `k = 1 ..= k_max`, index 0 ↦ `k = 1`.
 ///
 /// With [`WindowMode::Strided`], non-grid entries are filled with the value
 /// of the *next* grid point — an over-approximation, sound for upper curves
@@ -418,11 +420,12 @@ pub fn max_window_sums(
     k_max: usize,
     mode: WindowMode,
 ) -> Result<Vec<u64>, EventError> {
-    max_window_sums_with(values, k_max, mode, Parallelism::Auto)
+    window_sums(values, k_max, mode, true)
 }
 
-/// [`max_window_sums`] with an explicit [`Parallelism`] knob. Sequential
-/// and parallel runs return bit-identical vectors.
+/// [`max_window_sums`] inside `par.scope(..)`. It stays for the
+/// `examples/bench_e2e` harness; new code calls [`max_window_sums`]
+/// inside a [`Parallelism::scope`].
 ///
 /// # Errors
 ///
@@ -433,11 +436,10 @@ pub fn max_window_sums_with(
     mode: WindowMode,
     par: Parallelism,
 ) -> Result<Vec<u64>, EventError> {
-    window_sums(values, k_max, mode, true, par)
+    par.scope(|| max_window_sums(values, k_max, mode))
 }
 
-/// Minimum window sums for all `k = 1 ..= k_max`, index 0 ↦ `k = 1`, with
-/// [`Parallelism::Auto`] threading.
+/// Minimum window sums for all `k = 1 ..= k_max`, index 0 ↦ `k = 1`.
 ///
 /// With [`WindowMode::Strided`], non-grid entries are filled with the value
 /// of the *previous* grid point — an under-approximation, sound for lower
@@ -451,11 +453,12 @@ pub fn min_window_sums(
     k_max: usize,
     mode: WindowMode,
 ) -> Result<Vec<u64>, EventError> {
-    min_window_sums_with(values, k_max, mode, Parallelism::Auto)
+    window_sums(values, k_max, mode, false)
 }
 
-/// [`min_window_sums`] with an explicit [`Parallelism`] knob. Sequential
-/// and parallel runs return bit-identical vectors.
+/// [`min_window_sums`] inside `par.scope(..)`. It stays for the
+/// `examples/bench_e2e` harness; new code calls [`min_window_sums`]
+/// inside a [`Parallelism::scope`].
 ///
 /// # Errors
 ///
@@ -466,7 +469,7 @@ pub fn min_window_sums_with(
     mode: WindowMode,
     par: Parallelism,
 ) -> Result<Vec<u64>, EventError> {
-    window_sums(values, k_max, mode, false, par)
+    par.scope(|| min_window_sums(values, k_max, mode))
 }
 
 fn window_sums(
@@ -474,7 +477,6 @@ fn window_sums(
     k_max: usize,
     mode: WindowMode,
     maximize: bool,
-    par: Parallelism,
 ) -> Result<Vec<u64>, EventError> {
     if k_max == 0 || k_max > values.len() {
         return Err(EventError::InvalidParameter { name: "k_max" });
@@ -486,7 +488,7 @@ fn window_sums(
     // Each grid point scans ≤ N differences; the hint lets the runtime
     // skip thread start-up for small analyses.
     let cost = grid.len() as u64 * values.len() as u64;
-    let exact = if par.workers(values.len(), cost) <= 1 {
+    let exact = if Parallelism::current().workers(values.len(), cost) <= 1 {
         // Sequential: one cache-blocked pass over the prefix table,
         // k-tiles per block instead of one full sweep per k.
         PrefixSums::new(values).scan_grid(&grid, maximize)
@@ -498,7 +500,7 @@ fn window_sums(
         } else {
             crate::summary::Sides::Min
         };
-        let summary = crate::summary::summarize_with(values, &grid, sides, par);
+        let summary = crate::summary::summarize(values, &grid, sides);
         if maximize {
             summary.max_table().to_vec()
         } else {
@@ -580,55 +582,24 @@ fn span(times: &[f64], k: usize, maximize: bool) -> Option<f64> {
 /// same strided-conservative filling as the window sums: gaps take the
 /// *previous* grid value (an under-approximation of the span, hence an
 /// over-approximation of the event count per Δ — sound for upper arrival
-/// curves). Runs with [`Parallelism::Auto`] threading.
+/// curves).
 ///
 /// # Errors
 ///
 /// Returns [`EventError::InvalidParameter`] if `k_max` is 0 or exceeds the
 /// number of timestamps, or if a strided mode has `stride = 0`.
 pub fn min_spans(times: &[f64], k_max: usize, mode: WindowMode) -> Result<Vec<f64>, EventError> {
-    min_spans_with(times, k_max, mode, Parallelism::Auto)
-}
-
-/// [`min_spans`] with an explicit [`Parallelism`] knob. Sequential and
-/// parallel runs return bit-identical vectors.
-///
-/// # Errors
-///
-/// Same conditions as [`min_spans`].
-pub fn min_spans_with(
-    times: &[f64],
-    k_max: usize,
-    mode: WindowMode,
-    par: Parallelism,
-) -> Result<Vec<f64>, EventError> {
-    spans(times, k_max, mode, false, par)
+    spans(times, k_max, mode, false)
 }
 
 /// Maximal spans for all `k = 1 ..= k_max`; gaps take the *next* grid value
-/// (over-approximation of the span — sound for lower arrival curves). Runs
-/// with [`Parallelism::Auto`] threading.
+/// (over-approximation of the span — sound for lower arrival curves).
 ///
 /// # Errors
 ///
 /// Same conditions as [`min_spans`].
 pub fn max_spans(times: &[f64], k_max: usize, mode: WindowMode) -> Result<Vec<f64>, EventError> {
-    max_spans_with(times, k_max, mode, Parallelism::Auto)
-}
-
-/// [`max_spans`] with an explicit [`Parallelism`] knob. Sequential and
-/// parallel runs return bit-identical vectors.
-///
-/// # Errors
-///
-/// Same conditions as [`min_spans`].
-pub fn max_spans_with(
-    times: &[f64],
-    k_max: usize,
-    mode: WindowMode,
-    par: Parallelism,
-) -> Result<Vec<f64>, EventError> {
-    spans(times, k_max, mode, true, par)
+    spans(times, k_max, mode, true)
 }
 
 fn spans(
@@ -636,7 +607,6 @@ fn spans(
     k_max: usize,
     mode: WindowMode,
     maximize: bool,
-    par: Parallelism,
 ) -> Result<Vec<f64>, EventError> {
     if k_max == 0 || k_max > times.len() {
         return Err(EventError::InvalidParameter { name: "k_max" });
@@ -646,7 +616,7 @@ fn spans(
     }
     let grid = mode.grid(k_max);
     let cost = grid.len() as u64 * times.len() as u64;
-    let exact = wcm_par::par_map(par, &grid, cost, |_, &k| {
+    let exact = wcm_par::par_map(&grid, cost, |_, &k| {
         span(times, k, maximize).expect("k ≤ len by validation")
     });
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0.0f64))
@@ -655,7 +625,7 @@ fn spans(
 /// Span ends per cached block of [`SlidingSpans`].
 const SPAN_BLOCK: usize = 128;
 
-/// A sliding window of timestamps that answers [`min_spans_with`] in
+/// A sliding window of timestamps that answers [`min_spans`] in
 /// [`WindowMode::Exact`] without rescanning the whole window.
 ///
 /// Span ends are grouped by absolute position into blocks of 128. For
@@ -763,7 +733,7 @@ impl SlidingSpans {
 
     /// Minimal spans of the window for `k = 1..=k_max` into `out`
     /// (cleared first), bitwise equal to
-    /// `min_spans_with(window, k_max, WindowMode::Exact, _)`.
+    /// `min_spans(window, k_max, WindowMode::Exact)`.
     ///
     /// # Errors
     ///
@@ -786,13 +756,9 @@ impl SlidingSpans {
             return Err(EventError::InvalidParameter { name: "k_max" });
         }
         if self.neg_zeros > 0 {
+            // A sequential full rescan, whatever the thread's setting.
             let times = self.times.make_contiguous();
-            out.extend(min_spans_with(
-                times,
-                k_max,
-                WindowMode::Exact,
-                Parallelism::Seq,
-            )?);
+            out.extend((1..=k_max).map(|k| span(times, k, false).expect("k_max ≤ len")));
             self.diffs += (k_max as u64 - 1) * n as u64;
             return Ok(());
         }
@@ -990,36 +956,24 @@ mod tests {
                 stride: 7,
             },
         ] {
-            let seq = max_window_sums_with(&values, 500, mode, Parallelism::Seq).unwrap();
-            let seq_min = min_window_sums_with(&values, 500, mode, Parallelism::Seq).unwrap();
-            let seq_sp = min_spans_with(&times, 500, mode, Parallelism::Seq).unwrap();
-            let seq_sp_max = max_spans_with(&times, 500, mode, Parallelism::Seq).unwrap();
+            let scans = |par: Parallelism| {
+                par.scope(|| {
+                    (
+                        max_window_sums(&values, 500, mode).unwrap(),
+                        min_window_sums(&values, 500, mode).unwrap(),
+                        min_spans(&times, 500, mode).unwrap(),
+                        max_spans(&times, 500, mode).unwrap(),
+                    )
+                })
+            };
+            let seq = scans(Parallelism::Seq);
             for par in [
                 Parallelism::Threads(2),
                 Parallelism::Threads(3),
                 Parallelism::Threads(16),
                 Parallelism::Auto,
             ] {
-                assert_eq!(
-                    max_window_sums_with(&values, 500, mode, par).unwrap(),
-                    seq,
-                    "max sums differ under {par:?} {mode:?}"
-                );
-                assert_eq!(
-                    min_window_sums_with(&values, 500, mode, par).unwrap(),
-                    seq_min,
-                    "min sums differ under {par:?} {mode:?}"
-                );
-                assert_eq!(
-                    min_spans_with(&times, 500, mode, par).unwrap(),
-                    seq_sp,
-                    "min spans differ under {par:?} {mode:?}"
-                );
-                assert_eq!(
-                    max_spans_with(&times, 500, mode, par).unwrap(),
-                    seq_sp_max,
-                    "max spans differ under {par:?} {mode:?}"
-                );
+                assert_eq!(scans(par), seq, "scans differ under {par:?} {mode:?}");
             }
         }
     }
@@ -1263,7 +1217,7 @@ mod tests {
                         assert_eq!(e, EventError::UnsortedTimestamps { index });
                     }
                     (None, got) => {
-                        match min_spans_with(&times, depth, WindowMode::Exact, Parallelism::Seq) {
+                        match min_spans(&times, depth, WindowMode::Exact) {
                             Ok(want) => {
                                 assert!(got.is_ok(), "walk {walk} step {step}: {got:?}");
                                 let bits =

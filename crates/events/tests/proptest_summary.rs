@@ -16,10 +16,8 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use wcm_events::summary::{summarize_with, CurveSummary, Sides, SummarySpine};
-use wcm_events::window::{
-    max_window_sums_with, min_window_sums_with, Parallelism, WindowMode,
-};
+use wcm_events::summary::{summarize, CurveSummary, Sides, SummarySpine};
+use wcm_events::window::{max_window_sums, min_window_sums, Parallelism, WindowMode};
 
 /// A strictly ascending grid starting at ≥ 1, like the ones
 /// `WindowMode::grid` produces.
@@ -71,10 +69,12 @@ proptest! {
         for c in values.chunks(chunk) {
             acc = acc.merge(&CurveSummary::from_values(c, &grid, Sides::Both));
         }
-        let maxs = max_window_sums_with(&values, k_max, WindowMode::Exact, Parallelism::Seq)
-            .unwrap();
-        let mins = min_window_sums_with(&values, k_max, WindowMode::Exact, Parallelism::Seq)
-            .unwrap();
+        let (maxs, mins) = Parallelism::Seq.scope(|| {
+            (
+                max_window_sums(&values, k_max, WindowMode::Exact).unwrap(),
+                min_window_sums(&values, k_max, WindowMode::Exact).unwrap(),
+            )
+        });
         prop_assert_eq!(acc.max_table(), &maxs[..]);
         prop_assert_eq!(acc.min_table(), &mins[..]);
     }
@@ -91,32 +91,26 @@ proptest! {
             WindowMode::Exact,
             WindowMode::Strided { exact_upto: k_max / 3, stride },
         ] {
-            // Pin a tiny grain so Threads(n) really forks even on these
-            // small inputs — the point is path equivalence, not speed.
-            let seq_max =
-                max_window_sums_with(&values, k_max, mode, Parallelism::Seq).unwrap();
-            let seq_min =
-                min_window_sums_with(&values, k_max, mode, Parallelism::Seq).unwrap();
-            let par = Parallelism::Threads(threads);
-            prop_assert_eq!(
-                &max_window_sums_with(&values, k_max, mode, par).unwrap(),
-                &seq_max
-            );
-            prop_assert_eq!(
-                &min_window_sums_with(&values, k_max, mode, par).unwrap(),
-                &seq_min
-            );
+            let sums = |par: Parallelism| {
+                par.scope(|| {
+                    (
+                        max_window_sums(&values, k_max, mode).unwrap(),
+                        min_window_sums(&values, k_max, mode).unwrap(),
+                    )
+                })
+            };
+            prop_assert_eq!(sums(Parallelism::Threads(threads)), sums(Parallelism::Seq));
         }
     }
 
     #[test]
-    fn summarize_with_is_worker_count_invariant(
+    fn summarize_is_worker_count_invariant(
         values in vec(0u64..10_000, 2..250),
         grid in grid_strategy(48),
     ) {
         let oracle = CurveSummary::from_values(&values, &grid, Sides::Both);
         for par in [Parallelism::Seq, Parallelism::Threads(2), Parallelism::Threads(7)] {
-            let s = summarize_with(&values, &grid, Sides::Both, par);
+            let s = par.scope(|| summarize(&values, &grid, Sides::Both));
             prop_assert_eq!(s.max_table(), oracle.max_table());
             prop_assert_eq!(s.min_table(), oracle.min_table());
         }

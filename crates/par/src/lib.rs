@@ -26,14 +26,16 @@
 //! Every entry point places results by **input index**, so the combined
 //! result is identical to the sequential result — same values, same
 //! order — for any worker count and any steal interleaving, as long as
-//! the map function is a pure function of `(index, item)` and the
-//! reduction is associative ([`par_map_reduce`] folds block partials in
-//! index order).
+//! the map function is a pure function of `(index, item)`.
 //!
 //! # Choosing a worker count
 //!
-//! [`Parallelism`] is a small knob threaded through the public APIs of
-//! the analysis crates:
+//! The worker count changes speed, never results, so it is not an
+//! argument of the analysis APIs. It is a setting of the calling
+//! thread, made once where a call enters (the CLI's `--threads`, a
+//! serve round, a benchmark rung) with [`Parallelism::scope`], and read
+//! by every `par_*` call underneath with [`Parallelism::current`].
+//! Outside any scope it is [`Parallelism::Auto`]:
 //!
 //! * [`Parallelism::Seq`] — run inline on the caller's thread;
 //! * [`Parallelism::Threads(n)`] — at most `n` workers (reduced when the
@@ -42,18 +44,28 @@
 //!   workers, but only when the caller's cost hint says the work dwarfs
 //!   a dispatch.
 //!
+//! ```
+//! use wcm_par::{par_map, Parallelism};
+//!
+//! assert_eq!(Parallelism::current(), Parallelism::Auto);
+//! let squares = Parallelism::Threads(2).scope(|| {
+//!     assert_eq!(Parallelism::current(), Parallelism::Threads(2));
+//!     par_map(&[1u64, 2, 3], u64::MAX, |_, v| v * v)
+//! });
+//! assert_eq!(squares, [1, 4, 9]);
+//! assert_eq!(Parallelism::current(), Parallelism::Auto);
+//! ```
+//!
 //! # Grain threshold
 //!
 //! Every worker must be backed by at least [`grain_ops`] unit operations
 //! or it is not engaged: below the grain, waking a worker costs more
-//! than the work itself. The grain is auto-tuned once per process by
+//! than the work itself. The grain is calibrated once per process by
 //! timing an empty **pool dispatch** (not a thread spawn — the pool made
 //! the old spawn-based grain an order of magnitude too conservative)
-//! against a unit-operation loop, and can be pinned with the
-//! `WCM_PAR_GRAIN_OPS` environment variable (useful for reproducible
-//! benchmarks). Worker counts never affect results — every `par_*`
-//! entry point is deterministic — so the tuning only moves the speed,
-//! never the answer.
+//! against a unit-operation loop. Worker counts never affect results —
+//! every `par_*` entry point is deterministic — so the calibration only
+//! moves the speed, never the answer.
 //!
 //! # Observability
 //!
@@ -72,45 +84,45 @@
 mod pool;
 mod steal;
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, OnceLock};
+
+/// Hard cap on pool threads. [`Parallelism::parse`] rejects larger
+/// counts, and the pool never spawns more threads than this for any
+/// `Threads(n)`.
+pub const MAX_POOL_THREADS: usize = 256;
 
 /// Work below this many "unit operations" (caller-estimated) runs
 /// sequentially under [`Parallelism::Auto`]: dispatch would dominate.
 /// Kept as the calibration fallback when timing is unavailable.
-pub const AUTO_SEQ_THRESHOLD_OPS: u64 = 1 << 18;
+const AUTO_SEQ_THRESHOLD_OPS: u64 = 1 << 18;
 
-/// Lower clamp of the auto-tuned [`grain_ops`]: a pool wake-up costs
+/// Lower clamp of the calibrated [`grain_ops`]: a pool wake-up costs
 /// single-digit µs, so a worker backed by ~16k unit operations already
 /// amortizes it. (The old spawn-based lower clamp was 16× higher.)
-pub const GRAIN_OPS_MIN: u64 = 1 << 14;
+const GRAIN_OPS_MIN: u64 = 1 << 14;
 
-/// Upper clamp of the auto-tuned grain: even on machines where dispatch
+/// Upper clamp of the calibrated grain: even on machines where dispatch
 /// looks expensive, work this large is always worth one extra worker.
-pub const GRAIN_OPS_MAX: u64 = 1 << 22;
+const GRAIN_OPS_MAX: u64 = 1 << 22;
 
 static GRAIN_OPS: OnceLock<u64> = OnceLock::new();
+
+thread_local! {
+    /// The calling thread's setting; see [`Parallelism::scope`].
+    static CURRENT: Cell<Parallelism> = const { Cell::new(Parallelism::Auto) };
+}
 
 /// The per-worker grain in unit operations: a worker is only engaged
 /// when it can be handed at least this much work.
 ///
-/// Resolved once per process: the `WCM_PAR_GRAIN_OPS` environment
-/// variable wins when set to a positive integer; otherwise a one-shot
-/// calibration times an empty pool dispatch against a unit-operation
-/// loop and requires each worker to amortize ≈ 4 dispatch costs. The
-/// result is clamped to `[`[`GRAIN_OPS_MIN`]`, `[`GRAIN_OPS_MAX`]`]`.
+/// Resolved once per process: a one-shot calibration times an empty
+/// pool dispatch against a unit-operation loop and requires each worker
+/// to amortize ≈ 4 dispatch costs, clamped to `2¹⁴..=2²²` operations.
 #[must_use]
 pub fn grain_ops() -> u64 {
-    *GRAIN_OPS.get_or_init(|| {
-        if let Some(pinned) = std::env::var("WCM_PAR_GRAIN_OPS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&n| n > 0)
-        {
-            return pinned;
-        }
-        calibrate_grain().clamp(GRAIN_OPS_MIN, GRAIN_OPS_MAX)
-    })
+    *GRAIN_OPS.get_or_init(|| calibrate_grain().clamp(GRAIN_OPS_MIN, GRAIN_OPS_MAX))
 }
 
 /// Times empty pool dispatches and a unit-op loop; returns the ops
@@ -176,50 +188,79 @@ pub enum Parallelism {
 
 impl Parallelism {
     /// Parses a CLI-style value: `"auto"`/`"0"` → [`Parallelism::Auto`],
-    /// `"1"` → [`Parallelism::Seq`], `"n"` → [`Parallelism::Threads`]`(n)`.
+    /// `"1"` → [`Parallelism::Seq`], `"n"` → [`Parallelism::Threads`]`(n)`
+    /// for `n ≤` [`MAX_POOL_THREADS`].
     ///
     /// # Errors
     ///
-    /// Returns the offending string if it is neither `auto` nor an integer.
+    /// A message naming the offending string if it is neither `auto` nor
+    /// an integer, or if it asks for more than [`MAX_POOL_THREADS`]
+    /// workers.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "auto" | "Auto" | "AUTO" => Ok(Self::Auto),
             _ => match s.parse::<usize>() {
                 Ok(0) => Ok(Self::Auto),
                 Ok(1) => Ok(Self::Seq),
-                Ok(n) => Ok(Self::Threads(n)),
+                Ok(n) if n <= MAX_POOL_THREADS => Ok(Self::Threads(n)),
+                Ok(_) => Err(format!(
+                    "thread count `{s}` exceeds the pool cap of {MAX_POOL_THREADS}"
+                )),
                 Err(_) => Err(format!("invalid thread count `{s}` (expected `auto` or N)")),
             },
         }
     }
 
+    /// The calling thread's current setting: the innermost
+    /// [`Parallelism::scope`] around this call, or
+    /// [`Parallelism::Auto`] outside any scope.
+    #[must_use]
+    pub fn current() -> Self {
+        CURRENT.with(Cell::get)
+    }
+
+    /// Runs `f` with `self` as the calling thread's current setting, so
+    /// every `par_*` call `f` makes uses it. The previous setting is
+    /// restored when `f` returns and when it unwinds. A `par_*` call
+    /// nested inside a pool worker runs inline on that worker whatever
+    /// its setting.
+    pub fn scope<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Parallelism);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(CURRENT.with(|c| c.replace(self)));
+        f()
+    }
+
     /// The number of workers to use for `items` items whose total cost is
     /// roughly `cost_hint_ops` unit operations.
+    ///
+    /// A request for one worker (`Seq`, `Threads(0 | 1)`, one item)
+    /// answers 1 without calibrating [`grain_ops`], so sequential work
+    /// never wakes the pool, not even for the one-shot calibration.
     #[must_use]
     pub fn workers(self, items: usize, cost_hint_ops: u64) -> usize {
+        let requested = match self {
+            Self::Seq => 1,
+            Self::Threads(n) => n,
+            Self::Auto => std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1),
+        }
+        .min(items);
+        if requested <= 1 {
+            return 1;
+        }
         // Each worker must amortize its wake-up with at least one grain
         // of unit operations; below that, fall back towards sequential
         // whatever the requested count — this is the work-threshold
         // fallback that keeps `par_map` from ever losing to the
         // sequential path on small grids.
-        let affordable = usize::try_from(cost_hint_ops / grain_ops())
-            .unwrap_or(usize::MAX)
-            .max(1);
-        let hard = match self {
-            Self::Seq => 1,
-            Self::Threads(n) => n.max(1).min(affordable),
-            Self::Auto => {
-                if cost_hint_ops < grain_ops() {
-                    1
-                } else {
-                    let avail = std::thread::available_parallelism()
-                        .map(NonZeroUsize::get)
-                        .unwrap_or(1);
-                    avail.min(affordable)
-                }
-            }
-        };
-        hard.min(items.max(1))
+        let affordable = usize::try_from(cost_hint_ops / grain_ops()).unwrap_or(usize::MAX);
+        requested.min(affordable).max(1)
     }
 }
 
@@ -272,134 +313,72 @@ where
     out
 }
 
-/// Places `(start, values)` block results into a dense output vector.
-fn assemble<U>(n: usize, parts: Vec<(usize, Vec<U>)>) -> Vec<U> {
-    let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
+/// Places `(start, values)` block results covering `0..n` into `out`
+/// in index order, with `slots` as reusable scratch.
+fn assemble<U>(
+    n: usize,
+    parts: Vec<(usize, Vec<U>)>,
+    slots: &mut Vec<Option<U>>,
+    out: &mut Vec<U>,
+) {
+    slots.clear();
+    slots.resize_with(n, || None);
     for (start, vals) in parts {
         for (j, v) in vals.into_iter().enumerate() {
-            out[start + j] = Some(v);
+            slots[start + j] = Some(v);
         }
     }
-    out.into_iter()
-        .map(|slot| slot.expect("every block fills its own slots"))
-        .collect()
+    out.extend(
+        slots
+            .drain(..)
+            .map(|slot| slot.expect("every block fills its own slots")),
+    );
 }
 
 /// Maps `f` over `items` with deterministic output ordering:
-/// `out[i] = f(i, &items[i])` exactly as in the sequential loop.
+/// `out[i] = f(i, &items[i])` exactly as in the sequential loop, under
+/// the [`Parallelism::current`] setting.
 ///
 /// `cost_hint_ops` estimates the total work in unit operations (e.g.
 /// `items × inner-loop length`); the runtime uses it to decide whether
 /// waking pool workers is worth it — below the [`grain_ops`] threshold
-/// every mode degrades to the sequential path.
-pub fn par_map<T, U, F>(par: Parallelism, items: &[T], cost_hint_ops: u64, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_init(par, items, cost_hint_ops, || (), move |(), i, t| f(i, t))
-}
-
-/// Maps `f` over `items` and folds the results with the associative
-/// operation `reduce`, preserving input order inside and across blocks
-/// (`((r0 ⊕ r1) ⊕ r2) ⊕ …` in index order). Returns `None` for empty input.
+/// every setting degrades to the sequential path.
 ///
-/// For an associative `reduce` the result equals the sequential
-/// left-to-right fold **of the block partials in index order**; if
-/// `reduce` is only *approximately* associative (e.g. floating-point
-/// envelopes), results may differ across worker counts by the usual
-/// re-association error.
-pub fn par_map_reduce<T, U, F, R>(
-    par: Parallelism,
-    items: &[T],
-    cost_hint_ops: u64,
-    f: F,
-    reduce: R,
-) -> Option<U>
+/// Workers claim fixed-size blocks from per-worker deques and steal from
+/// each other once their own span is drained, so items with wildly
+/// different costs still spread evenly across threads.
+pub fn par_map<T, U, F>(items: &[T], cost_hint_ops: u64, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
-    R: Fn(U, U) -> U + Sync,
 {
-    let workers = par.workers(items.len(), cost_hint_ops);
+    let workers = Parallelism::current().workers(items.len(), cost_hint_ops);
     if workers <= 1 || items.len() <= 1 {
         wcm_obs::counter("par.seq_runs", 1);
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .reduce(&reduce);
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     wcm_obs::counter("par.par_runs", 1);
     wcm_obs::counter("par.workers_spawned", workers as u64);
-    let mut partials = run_blocks(
+    let parts = run_blocks(
         workers,
         items.len(),
         || (),
         |(), mine, block| {
-            let partial = items[block.start..block.end]
+            let vals: Vec<U> = items[block.start..block.end]
                 .iter()
                 .enumerate()
                 .map(|(j, t)| f(block.start + j, t))
-                .reduce(&reduce)
-                .expect("blocks are non-empty");
-            mine.push((block.start, partial));
+                .collect();
+            mine.push((block.start, vals));
         },
     );
-    partials.sort_unstable_by_key(|&(start, _)| start);
-    partials.into_iter().map(|(_, p)| p).reduce(&reduce)
+    let mut out = Vec::with_capacity(items.len());
+    assemble(items.len(), parts, &mut Vec::new(), &mut out);
+    out
 }
 
-/// Like [`par_map`], but with a per-worker state value (scratch buffers,
-/// RNGs, …) created once per engaged worker by `init`.
-///
-/// Workers claim fixed-size blocks from per-worker deques and steal from
-/// each other once their own span is drained, so items with wildly
-/// different costs (e.g. design-sweep points that are either analytically
-/// pruned in nanoseconds or simulated in milliseconds) still spread
-/// evenly across threads. Each result is placed by its input index, so
-/// the output equals the sequential `out[i] = f(&mut s, i, &items[i])`
-/// for any worker count and any scheduling.
-pub fn par_map_init<T, U, S, I, F>(
-    par: Parallelism,
-    items: &[T],
-    cost_hint_ops: u64,
-    init: I,
-    f: F,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> U + Sync,
-{
-    let workers = par.workers(items.len(), cost_hint_ops);
-    if workers <= 1 || items.len() <= 1 {
-        wcm_obs::counter("par.seq_runs", 1);
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
-    }
-    wcm_obs::counter("par.par_runs", 1);
-    wcm_obs::counter("par.workers_spawned", workers as u64);
-    let parts = run_blocks(workers, items.len(), init, |state, mine, block| {
-        let vals: Vec<U> = items[block.start..block.end]
-            .iter()
-            .enumerate()
-            .map(|(j, t)| f(state, block.start + j, t))
-            .collect();
-        mine.push((block.start, vals));
-    });
-    assemble(items.len(), parts)
-}
-
-/// Streaming variant of [`par_map_init`] for outputs too large to hold:
+/// Streaming variant of [`par_map`] for outputs too large to hold:
 /// evaluates the **virtual index range** `0..n_items` (no input slice —
 /// the caller decodes each index itself, so a million-cell grid is never
 /// materialized) one bounded chunk at a time and hands each completed
@@ -407,12 +386,13 @@ where
 /// O(`chunk_items`) values regardless of `n_items`.
 ///
 /// Within a chunk the items are spread across the worker pool through
-/// the same stealing block deques as [`par_map_init`] and placed by
-/// index, so the emitted sequence equals the sequential
-/// `for i in 0..n_items { f(&mut s, i) }` for any worker count. `emit`
-/// runs on the calling thread between chunks; returning `Err` aborts the
-/// run immediately (remaining chunks are never evaluated) — the hook for
-/// sink I/O failures.
+/// the same stealing block deques as [`par_map`] and placed by index, so
+/// the emitted sequence equals the sequential
+/// `for i in 0..n_items { f(&mut s, i) }` for any worker count. Each
+/// engaged worker creates one state with `init` (scratch buffers, …).
+/// `emit` runs on the calling thread between chunks; returning `Err`
+/// aborts the run immediately (remaining chunks are never evaluated) —
+/// the hook for sink I/O failures.
 ///
 /// The chunk buffer is reused across chunks; `emit` receives it by
 /// `&mut` and may drain it, but whatever it leaves is cleared before the
@@ -422,7 +402,6 @@ where
 ///
 /// Only what `emit` returns; evaluation itself is infallible.
 pub fn par_map_stream<U, S, I, F, M, E>(
-    par: Parallelism,
     n_items: usize,
     cost_hint_ops: u64,
     chunk_items: usize,
@@ -437,7 +416,7 @@ where
     M: FnMut(usize, &mut Vec<U>) -> Result<(), E>,
 {
     let chunk_items = chunk_items.max(1);
-    let workers = par.workers(n_items, cost_hint_ops);
+    let workers = Parallelism::current().workers(n_items, cost_hint_ops);
     if workers <= 1 || n_items <= 1 {
         wcm_obs::counter("par.seq_runs", 1);
         let mut state = init();
@@ -455,7 +434,7 @@ where
     }
     wcm_obs::counter("par.par_runs", 1);
     wcm_obs::counter("par.workers_spawned", workers as u64);
-    let mut buf: Vec<Option<U>> = Vec::new();
+    let mut slots: Vec<Option<U>> = Vec::new();
     let mut out: Vec<U> = Vec::with_capacity(chunk_items);
     let mut start = 0;
     while start < n_items {
@@ -475,18 +454,8 @@ where
                 mine.push((block.start, vals));
             },
         );
-        buf.clear();
-        buf.resize_with(len, || None);
-        for (bstart, vals) in parts {
-            for (j, v) in vals.into_iter().enumerate() {
-                buf[bstart + j] = Some(v);
-            }
-        }
         out.clear();
-        out.extend(
-            buf.drain(..)
-                .map(|slot| slot.expect("every block fills its own slots")),
-        );
+        assemble(len, parts, &mut slots, &mut out);
         wcm_obs::counter("par.stream_chunks", 1);
         emit(start, &mut out)?;
         start = end;
@@ -497,6 +466,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parse_knob() {
@@ -505,6 +475,53 @@ mod tests {
         assert_eq!(Parallelism::parse("1").unwrap(), Parallelism::Seq);
         assert_eq!(Parallelism::parse("4").unwrap(), Parallelism::Threads(4));
         assert!(Parallelism::parse("four").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_counts_above_the_pool_cap() {
+        let cap = MAX_POOL_THREADS.to_string();
+        assert_eq!(
+            Parallelism::parse(&cap).unwrap(),
+            Parallelism::Threads(MAX_POOL_THREADS)
+        );
+        let over = (MAX_POOL_THREADS + 1).to_string();
+        assert!(Parallelism::parse(&over).unwrap_err().contains(&over));
+        assert!(Parallelism::parse("100000000000").is_err());
+    }
+
+    #[test]
+    fn scope_defaults_to_auto() {
+        // A fresh thread has entered no scope.
+        let seen = std::thread::spawn(Parallelism::current).join().unwrap();
+        assert_eq!(seen, Parallelism::Auto);
+        assert_eq!(Parallelism::default(), Parallelism::Auto);
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_setting() {
+        let before = Parallelism::current();
+        Parallelism::Seq.scope(|| {
+            assert_eq!(Parallelism::current(), Parallelism::Seq);
+            let inner = Parallelism::Threads(3).scope(|| {
+                assert_eq!(Parallelism::current(), Parallelism::Threads(3));
+                7
+            });
+            assert_eq!(inner, 7);
+            assert_eq!(Parallelism::current(), Parallelism::Seq);
+        });
+        assert_eq!(Parallelism::current(), before);
+    }
+
+    #[test]
+    fn scope_is_restored_after_a_caught_panic() {
+        let before = Parallelism::current();
+        let r = std::panic::catch_unwind(|| {
+            Parallelism::Threads(5).scope(|| {
+                Parallelism::Seq.scope(|| panic!("boom"));
+            });
+        });
+        assert!(r.is_err());
+        assert_eq!(Parallelism::current(), before);
     }
 
     #[test]
@@ -533,14 +550,18 @@ mod tests {
     #[test]
     fn grain_is_positive_and_stable() {
         let g = grain_ops();
-        assert!(g > 0);
+        assert!((GRAIN_OPS_MIN..=GRAIN_OPS_MAX).contains(&g));
         assert_eq!(g, grain_ops(), "grain must be resolved once per process");
     }
 
     #[test]
     fn par_map_matches_sequential_for_all_worker_counts() {
         let items: Vec<u64> = (0..1_003).collect();
-        let expect: Vec<u64> = items.iter().enumerate().map(|(i, v)| v * 3 + i as u64).collect();
+        let expect: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v * 3 + i as u64)
+            .collect();
         for par in [
             Parallelism::Seq,
             Parallelism::Threads(1),
@@ -550,83 +571,18 @@ mod tests {
             Parallelism::Threads(64),
             Parallelism::Auto,
         ] {
-            let got = par_map(par, &items, u64::MAX, |i, v| v * 3 + i as u64);
+            let got = par.scope(|| par_map(&items, u64::MAX, |i, v| v * 3 + i as u64));
             assert_eq!(got, expect, "mismatch under {par:?}");
         }
     }
 
     #[test]
     fn par_map_handles_tiny_inputs() {
-        let empty: Vec<u32> = vec![];
-        assert!(par_map(Parallelism::Threads(4), &empty, u64::MAX, |_, v| *v).is_empty());
-        assert_eq!(
-            par_map(Parallelism::Threads(4), &[9u32], u64::MAX, |_, v| v + 1),
-            vec![10]
-        );
-    }
-
-    #[test]
-    fn par_map_reduce_matches_sequential_fold() {
-        let items: Vec<u64> = (1..=500).collect();
-        let expect = items.iter().sum::<u64>();
-        for par in [
-            Parallelism::Seq,
-            Parallelism::Threads(2),
-            Parallelism::Threads(5),
-            Parallelism::Threads(100),
-        ] {
-            let got = par_map_reduce(par, &items, u64::MAX, |_, v| *v, |a, b| a + b);
-            assert_eq!(got, Some(expect), "mismatch under {par:?}");
-        }
-        let empty: Vec<u64> = vec![];
-        assert_eq!(
-            par_map_reduce(Parallelism::Threads(2), &empty, 0, |_, v| *v, |a, b| a + b),
-            None
-        );
-    }
-
-    #[test]
-    fn par_map_init_matches_sequential_for_all_worker_counts() {
-        let items: Vec<u64> = (0..2_011).collect();
-        let expect: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v * 7 + i as u64)
-            .collect();
-        for par in [
-            Parallelism::Seq,
-            Parallelism::Threads(2),
-            Parallelism::Threads(3),
-            Parallelism::Threads(16),
-            Parallelism::Auto,
-        ] {
-            // The per-worker state counts calls: it must be reused within a
-            // worker, and results must land at the right indices anyway.
-            let got = par_map_init(
-                par,
-                &items,
-                u64::MAX,
-                || 0u64,
-                |calls, i, v| {
-                    *calls += 1;
-                    v * 7 + i as u64
-                },
-            );
-            assert_eq!(got, expect, "mismatch under {par:?}");
-        }
-    }
-
-    #[test]
-    fn par_map_init_handles_tiny_inputs() {
-        let empty: Vec<u32> = vec![];
-        assert!(
-            par_map_init(Parallelism::Threads(4), &empty, u64::MAX, || (), |(), _, v| *v)
-                .is_empty()
-        );
-        assert_eq!(
-            par_map_init(Parallelism::Threads(4), &[5u32], u64::MAX, || (), |(), _, v| v + 1),
-            vec![6]
-        );
+        Parallelism::Threads(4).scope(|| {
+            let empty: Vec<u32> = vec![];
+            assert!(par_map(&empty, u64::MAX, |_, v| *v).is_empty());
+            assert_eq!(par_map(&[9u32], u64::MAX, |_, v| v + 1), vec![10]);
+        });
     }
 
     #[test]
@@ -635,7 +591,10 @@ mod tests {
         // is bounded by cost / grain_ops().
         assert_eq!(Parallelism::Auto.workers(1000, grain_ops() - 1), 1);
         let w = Parallelism::Auto.workers(1000, 3 * grain_ops());
-        assert!((1..=3).contains(&w), "expected at most 3 affordable workers, got {w}");
+        assert!(
+            (1..=3).contains(&w),
+            "expected at most 3 affordable workers, got {w}"
+        );
     }
 
     #[test]
@@ -652,24 +611,25 @@ mod tests {
             for chunk in [1usize, 7, 256, 10_000] {
                 let mut got: Vec<u64> = Vec::new();
                 let mut next_start = 0usize;
-                par_map_stream::<_, _, _, _, _, ()>(
-                    par,
-                    n,
-                    u64::MAX,
-                    chunk,
-                    || 0u64,
-                    |calls, i| {
-                        *calls += 1;
-                        i as u64 * 13 + 5
-                    },
-                    |start, vals| {
-                        assert_eq!(start, next_start, "chunks out of order under {par:?}");
-                        assert!(vals.len() <= chunk, "chunk overflow under {par:?}");
-                        next_start = start + vals.len();
-                        got.append(vals);
-                        Ok(())
-                    },
-                )
+                par.scope(|| {
+                    par_map_stream::<_, _, _, _, _, ()>(
+                        n,
+                        u64::MAX,
+                        chunk,
+                        || 0u64,
+                        |calls, i| {
+                            *calls += 1;
+                            i as u64 * 13 + 5
+                        },
+                        |start, vals| {
+                            assert_eq!(start, next_start, "chunks out of order under {par:?}");
+                            assert!(vals.len() <= chunk, "chunk overflow under {par:?}");
+                            next_start = start + vals.len();
+                            got.append(vals);
+                            Ok(())
+                        },
+                    )
+                })
                 .unwrap();
                 assert_eq!(got, expect, "mismatch under {par:?} chunk {chunk}");
             }
@@ -677,29 +637,54 @@ mod tests {
     }
 
     #[test]
+    fn par_map_stream_creates_one_state_per_engaged_worker() {
+        for (par, most) in [(Parallelism::Seq, 1), (Parallelism::Threads(3), 3)] {
+            let inits = AtomicUsize::new(0);
+            let mut got = Vec::new();
+            par.scope(|| {
+                par_map_stream::<_, _, _, _, _, ()>(
+                    2_011,
+                    u64::MAX,
+                    2_011,
+                    || inits.fetch_add(1, Ordering::Relaxed),
+                    |_, i| i * 7,
+                    |_, vals| {
+                        got.append(vals);
+                        Ok(())
+                    },
+                )
+            })
+            .unwrap();
+            assert_eq!(got, (0..2_011).map(|i| i * 7).collect::<Vec<_>>());
+            let inits = inits.load(Ordering::Relaxed);
+            assert!((1..=most).contains(&inits), "{inits} states under {par:?}");
+        }
+    }
+
+    #[test]
     fn par_map_stream_aborts_on_emit_error() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let evaluated = AtomicUsize::new(0);
         let mut emits = 0usize;
-        let r = par_map_stream(
-            Parallelism::Threads(4),
-            100_000,
-            u64::MAX,
-            1_000,
-            || (),
-            |(), i| {
-                evaluated.fetch_add(1, Ordering::Relaxed);
-                i
-            },
-            |_, _| {
-                emits += 1;
-                if emits == 3 {
-                    Err("sink full")
-                } else {
-                    Ok(())
-                }
-            },
-        );
+        let r = Parallelism::Threads(4).scope(|| {
+            par_map_stream(
+                100_000,
+                u64::MAX,
+                1_000,
+                || (),
+                |(), i| {
+                    evaluated.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+                |_, _| {
+                    emits += 1;
+                    if emits == 3 {
+                        Err("sink full")
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
+        });
         assert_eq!(r, Err("sink full"));
         assert_eq!(emits, 3);
         // Only the chunks up to the failing emit were evaluated.
@@ -708,55 +693,36 @@ mod tests {
 
     #[test]
     fn par_map_stream_handles_empty_and_tiny_ranges() {
-        let mut emits = 0usize;
-        par_map_stream::<u32, _, _, _, _, ()>(
-            Parallelism::Threads(4),
-            0,
-            u64::MAX,
-            16,
-            || (),
-            |(), _| 0,
-            |_, _| {
-                emits += 1;
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(emits, 0, "empty range must not emit");
-        let mut got = Vec::new();
-        par_map_stream::<u32, _, _, _, _, ()>(
-            Parallelism::Threads(4),
-            1,
-            u64::MAX,
-            16,
-            || (),
-            |(), i| i as u32 + 40,
-            |start, vals| {
-                assert_eq!(start, 0);
-                got.append(vals);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(got, vec![40]);
-    }
-
-    #[test]
-    fn par_map_reduce_keeps_chunk_order_for_noncommutative_ops() {
-        // String concatenation is associative but NOT commutative: any
-        // chunk reordering would corrupt the result.
-        let items: Vec<String> = (0..57).map(|i| format!("{i},")).collect();
-        let expect = items.concat();
-        for threads in [2usize, 3, 8, 57] {
-            let got = par_map_reduce(
-                Parallelism::Threads(threads),
-                &items,
+        Parallelism::Threads(4).scope(|| {
+            let mut emits = 0usize;
+            par_map_stream::<u32, _, _, _, _, ()>(
+                0,
                 u64::MAX,
-                |_, s| s.clone(),
-                |a, b| a + &b,
+                16,
+                || (),
+                |(), _| 0,
+                |_, _| {
+                    emits += 1;
+                    Ok(())
+                },
             )
             .unwrap();
-            assert_eq!(got, expect, "order broken with {threads} workers");
-        }
+            assert_eq!(emits, 0, "empty range must not emit");
+            let mut got = Vec::new();
+            par_map_stream::<u32, _, _, _, _, ()>(
+                1,
+                u64::MAX,
+                16,
+                || (),
+                |(), i| i as u32 + 40,
+                |start, vals| {
+                    assert_eq!(start, 0);
+                    got.append(vals);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(got, vec![40]);
+        });
     }
 }

@@ -36,10 +36,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, OnceLock};
 
-/// Hard cap on pool threads: explicit `Threads(n)` requests are honoured
-/// up to this count (matching the old per-call spawn behaviour, which
-/// also oversubscribed on request), anything beyond is clamped.
-const MAX_POOL_THREADS: usize = 256;
+use crate::MAX_POOL_THREADS;
 
 /// A lifetime-erased shared job body. The pointee is guaranteed valid
 /// until the epoch's acknowledgement barrier completes (see module docs).

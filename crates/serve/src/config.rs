@@ -42,7 +42,8 @@ pub struct ServeConfig {
     pub times_window: usize,
     /// Session shards processed concurrently on the `wcm-par` pool.
     pub shards: usize,
-    /// Parallelism of the shard fan-out.
+    /// Parallelism of the shard fan-out: each round fans the shards out
+    /// inside `par.scope(..)`.
     pub par: wcm_par::Parallelism,
 }
 
@@ -68,19 +69,47 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The shard count actually used: the configured one, or (when 0)
-    /// the worker count the parallelism knob resolves to for a
-    /// CPU-bound load.
+    /// the worker count `par` resolves to for a CPU-bound load. Never
+    /// more than [`wcm_par::MAX_POOL_THREADS`], the most workers the pool
+    /// engages.
     #[must_use]
     pub fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
-        }
-        match self.par {
-            wcm_par::Parallelism::Seq => 1,
-            wcm_par::Parallelism::Threads(n) => n.max(1),
-            wcm_par::Parallelism::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
+        let shards = if self.shards > 0 {
+            self.shards
+        } else {
+            match self.par {
+                wcm_par::Parallelism::Seq => 1,
+                wcm_par::Parallelism::Threads(n) => n.max(1),
+                wcm_par::Parallelism::Auto => std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1),
+            }
+        };
+        shards.min(wcm_par::MAX_POOL_THREADS)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wcm_par::{Parallelism, MAX_POOL_THREADS};
+
+    #[test]
+    fn effective_shards_never_exceed_the_pool_cap() {
+        let huge = ServeConfig {
+            shards: 100_000_000_000_000,
+            ..ServeConfig::default()
+        };
+        assert_eq!(huge.effective_shards(), MAX_POOL_THREADS);
+        let threads = ServeConfig {
+            par: Parallelism::Threads(100_000_000_000),
+            ..ServeConfig::default()
+        };
+        assert_eq!(threads.effective_shards(), MAX_POOL_THREADS);
+        let seq = ServeConfig {
+            par: Parallelism::Seq,
+            ..ServeConfig::default()
+        };
+        assert_eq!(seq.effective_shards(), 1);
     }
 }

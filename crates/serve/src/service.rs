@@ -219,7 +219,7 @@ impl Service {
         let cfg = &self.cfg;
         let shards = &self.shards;
         let cost = (report.bytes / self.shards.len().max(1) as u64).max(1024);
-        let outcomes = wcm_par::par_map(cfg.par, &inboxes, cost, |i, inbox| {
+        let apply = |i: usize, inbox: &Mutex<Vec<(String, RoutedBatch)>>| {
             let mut out = ShardOutcome::default();
             let batches = std::mem::take(&mut *inbox.lock().expect("inbox lock"));
             let mut shard = shards[i].lock().expect("shard lock");
@@ -243,7 +243,8 @@ impl Service {
             }
             out.sessions = shard.sessions.len();
             out
-        });
+        };
+        let outcomes = cfg.par.scope(|| wcm_par::par_map(&inboxes, cost, apply));
 
         let mut sessions = 0usize;
         let mut fulls = 0usize;

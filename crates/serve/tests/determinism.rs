@@ -5,9 +5,9 @@
 use std::io::Write;
 use std::path::Path;
 
-use wcm_core::build::arrival_upper_with;
+use wcm_core::build::arrival_upper;
 use wcm_core::{sizing, UpperWorkloadCurve};
-use wcm_events::window::{max_window_sums_with, Parallelism, WindowMode};
+use wcm_events::window::{max_window_sums, Parallelism, WindowMode};
 use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
 use wcm_serve::{ServeConfig, Service, SessionState};
 use wcm_sim::OverflowPolicy;
@@ -213,18 +213,15 @@ fn field<'a>(line: &'a str, key: &str) -> &'a str {
 /// The eq.-9 verdict and `f_min_hz` of a session after `n` applied
 /// events, recomputed from scratch: γᵘ from a full window scan of the
 /// demands applied by the last refresh, ᾱ from a full rescan
-/// (`arrival_upper_with`) of the timestamps the window holds then.
+/// (`arrival_upper`) of the timestamps the window holds then, both on
+/// the calling thread.
 fn oracle_verdict(demands: &[u64], times: &[f64], n: usize, cfg: &ServeConfig) -> (String, String) {
     let every = cfg.refresh_every as usize;
     let r = n / every * every;
     let gamma = UpperWorkloadCurve::new(
-        max_window_sums_with(
-            &demands[..r],
-            cfg.k_max,
-            WindowMode::Exact,
-            Parallelism::Seq,
-        )
-        .unwrap(),
+        Parallelism::Seq
+            .scope(|| max_window_sums(&demands[..r], cfg.k_max, WindowMode::Exact))
+            .unwrap(),
     )
     .unwrap();
     let window = &times[r.saturating_sub(cfg.times_window)..r];
@@ -240,8 +237,9 @@ fn oracle_verdict(demands: &[u64], times: &[f64], n: usize, cfg: &ServeConfig) -
     let f_min = match TimedTrace::new(reg, events) {
         Err(_) => f64::INFINITY,
         Ok(trace) => {
-            let alpha =
-                arrival_upper_with(&trace, cfg.k_max, WindowMode::Exact, Parallelism::Seq).unwrap();
+            let alpha = Parallelism::Seq
+                .scope(|| arrival_upper(&trace, cfg.k_max, WindowMode::Exact))
+                .unwrap();
             sizing::min_frequency_workload(&alpha, &gamma, cfg.capacity_events)
                 .unwrap_or(f64::INFINITY)
         }

@@ -44,12 +44,12 @@ use crate::pipeline::{
     simulate_faulted, FifoConfig, OverflowPolicy, PipelineConfig, SimScratch, SourceModel,
 };
 use crate::SimError;
-use wcm_core::build::arrival_upper_with;
+use wcm_core::build::arrival_upper;
 use wcm_core::curve::{LowerWorkloadCurve, UpperWorkloadCurve};
 use wcm_core::sizing;
 use wcm_core::WorkloadError;
 use wcm_events::summary::{CurveSummary, Sides};
-use wcm_events::window::{min_spans_with, WindowMode};
+use wcm_events::window::{min_spans, WindowMode};
 use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
 use wcm_mpeg::ClipWorkload;
 use wcm_par::Parallelism;
@@ -354,7 +354,7 @@ struct DemandMemo {
 }
 
 impl DemandMemo {
-    fn build(clean: &[u64], grid: Vec<usize>, sides: Sides, par: Parallelism) -> Self {
+    fn build(clean: &[u64], grid: Vec<usize>, sides: Sides) -> Self {
         // Chunk length is a pure function of the grid so every thread
         // count sees identical chunks (merging is exact either way; this
         // just keeps the memo itself deterministic). 4·k_max keeps the
@@ -366,7 +366,7 @@ impl DemandMemo {
             .map(|s| (s, (s + chunk).min(clean.len())))
             .collect();
         let cost = clean.len() as u64 * grid.len() as u64;
-        let chunks = wcm_par::par_map(par, &ranges, cost, |_, &(s, e)| {
+        let chunks = wcm_par::par_map(&ranges, cost, |_, &(s, e)| {
             CurveSummary::from_values(&clean[s..e], &grid, sides)
         });
         Self {
@@ -419,11 +419,7 @@ impl DemandMemo {
 }
 
 impl ClipContext {
-    fn build(
-        clip: &ClipWorkload,
-        spec: &SweepSpec,
-        par: Parallelism,
-    ) -> Result<Self, SweepError> {
+    fn build(clip: &ClipWorkload, spec: &SweepSpec) -> Result<Self, SweepError> {
         let clean = FaultedWorkload::clean(clip)?;
         let n = clean.len();
         let k_max = spec.k_max.min(n);
@@ -449,18 +445,9 @@ impl ClipContext {
 
         // Clean-demand chunk summaries, shared by every seed whose demand
         // vector keeps a common prefix with the clean stream.
-        let upper_memo = DemandMemo::build(
-            &clean.pe2_cycles,
-            spec.mode.grid(k_max),
-            Sides::Max,
-            par,
-        );
-        let lower_memo = DemandMemo::build(
-            &clean.pe2_cycles,
-            cert_mode.grid(cert_depth),
-            Sides::Min,
-            par,
-        );
+        let upper_memo = DemandMemo::build(&clean.pe2_cycles, spec.mode.grid(k_max), Sides::Max);
+        let lower_memo =
+            DemandMemo::build(&clean.pe2_cycles, cert_mode.grid(cert_depth), Sides::Min);
 
         let mut streams = Vec::with_capacity(spec.seeds.len());
         for seed in &spec.seeds {
@@ -483,7 +470,6 @@ impl ClipContext {
                 w,
                 &clean,
                 spec,
-                par,
                 clip.params().bitrate_bps(),
                 cert_mode,
                 &upper_memo,
@@ -537,7 +523,6 @@ impl ClipContext {
         w: &FaultedWorkload,
         clean: &FaultedWorkload,
         spec: &SweepSpec,
-        par: Parallelism,
         bitrate_bps: f64,
         cert_mode: WindowMode,
         upper_memo: &DemandMemo,
@@ -571,7 +556,7 @@ impl ClipContext {
                 &spec.mode.grid(k_max),
             ))?;
             let trace = times_to_trace(&push_times)?;
-            let alpha = arrival_upper_with(&trace, k_max, spec.mode, par)?;
+            let alpha = arrival_upper(&trace, k_max, spec.mode)?;
             let out = spec
                 .capacities
                 .iter()
@@ -586,7 +571,7 @@ impl ClipContext {
         };
 
         let (cert_spans, cert_gamma_l) = if unsafe_ok {
-            let span_table = min_spans_with(&push_times, cert_depth, cert_mode, par)?;
+            let span_table = min_spans(&push_times, cert_depth, cert_mode)?;
             let spans: Vec<(u64, f64)> = cert_mode
                 .grid(cert_depth)
                 .into_iter()
@@ -795,9 +780,11 @@ fn eval_point_inner(
     ))
 }
 
-/// Runs the sweep over `clips × spec` with the given parallelism and
+/// Runs the sweep over `clips × spec` inside `par.scope(..)` and
 /// collects every point: [`run_sweep_streaming`] over the whole grid
-/// into a [`CollectSink`].
+/// into a [`CollectSink`]. The `par` argument stays for the
+/// `examples/bench_e2e` harness; new code sets the worker count with
+/// [`Parallelism::scope`] where its call enters.
 ///
 /// The returned report is deterministic: identical for every `par`
 /// setting, including the order of `points`.
@@ -811,9 +798,11 @@ pub fn run_sweep(
     spec: &SweepSpec,
     par: Parallelism,
 ) -> Result<SweepReport, SweepError> {
-    let mut sink = CollectSink::new();
-    let summary = run_sweep_streaming(clips, spec, par, ShardRange::FULL, &mut sink)?;
-    Ok(sink.into_report(&summary))
+    par.scope(|| {
+        let mut sink = CollectSink::new();
+        let summary = run_sweep_streaming(clips, spec, ShardRange::FULL, &mut sink)?;
+        Ok(sink.into_report(&summary))
+    })
 }
 
 /// Axis-validity checks shared by [`run_sweep_streaming`] and
@@ -1103,7 +1092,6 @@ fn solve_staircase(
 pub fn run_frontier(
     clips: &[ClipWorkload],
     spec: &SweepSpec,
-    par: Parallelism,
     method: FrontierMethod,
 ) -> Result<FrontierReport, SweepError> {
     validate(clips, spec)?;
@@ -1113,7 +1101,7 @@ pub fn run_frontier(
         let _span = wcm_obs::span("sweep.clip_analysis");
         clips
             .iter()
-            .map(|c| ClipContext::build(c, spec, par))
+            .map(|c| ClipContext::build(c, spec))
             .collect::<Result<_, _>>()?
     };
     let table = AnalyticTable::build(&ctxs, spec);
@@ -1845,9 +1833,10 @@ fn shard_slice(index: u64, count: u64, total: u64) -> (u64, u64) {
 /// slot per `(clip, seed, capacity, frequency)` cell — unless the sink
 /// itself keeps the points, as [`run_sweep`]'s [`CollectSink`] does.
 ///
-/// Points arrive in grid order for every `par` setting, and the returned
-/// [`SweepSummary`] — stats, advisory set and Pareto frontier, ties
-/// included — is bit-identical across `par` settings too. Stats and
+/// Points arrive in grid order for every [`Parallelism::current`]
+/// setting, and the returned [`SweepSummary`] — stats, advisory set and
+/// Pareto frontier, ties included — is bit-identical across settings
+/// too. Stats and
 /// frontier are tracked online while the points stream past
 /// ([`FrontierCells`] explains the frontier).
 ///
@@ -1859,7 +1848,6 @@ fn shard_slice(index: u64, count: u64, total: u64) -> (u64, u64) {
 pub fn run_sweep_streaming(
     clips: &[ClipWorkload],
     spec: &SweepSpec,
-    par: Parallelism,
     shard: ShardRange,
     sink: &mut dyn SweepSink,
 ) -> Result<SweepSummary, SweepError> {
@@ -1869,13 +1857,13 @@ pub fn run_sweep_streaming(
     }
     let _span = wcm_obs::span("sweep.run");
 
-    // Phase 1: per-clip analysis, memoized once (the window scans inside
-    // already honour `par`), then the analytic verdict table.
+    // Phase 1: per-clip analysis, memoized once, then the analytic
+    // verdict table.
     let ctxs: Vec<ClipContext> = {
         let _span = wcm_obs::span("sweep.clip_analysis");
         clips
             .iter()
-            .map(|c| ClipContext::build(c, spec, par))
+            .map(|c| ClipContext::build(c, spec))
             .collect::<Result<_, _>>()?
     };
     let table = AnalyticTable::build(&ctxs, spec);
@@ -1934,7 +1922,6 @@ pub fn run_sweep_streaming(
     {
         let _span = wcm_obs::span("sweep.eval");
         wcm_par::par_map_stream(
-            par,
             len,
             cost,
             STREAM_CHUNK,
@@ -2486,8 +2473,7 @@ mod tests {
         let spec = small_spec();
         let dense = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
         let mut sink = CsvSink::new(Vec::new());
-        run_sweep_streaming(&clips, &spec, Parallelism::Seq, ShardRange::FULL, &mut sink)
-            .unwrap();
+        run_sweep_streaming(&clips, &spec, ShardRange::FULL, &mut sink).unwrap();
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), dense.to_csv());
     }
 
@@ -2524,14 +2510,11 @@ mod tests {
             let mut files = Vec::new();
             for index in 0..count {
                 let mut sink = WcmtShardSink::new(Vec::new()).unwrap();
-                run_sweep_streaming(
-                    &clips,
-                    &spec,
-                    Parallelism::Threads(2),
-                    ShardRange { index, count },
-                    &mut sink,
-                )
-                .unwrap();
+                Parallelism::Threads(2)
+                    .scope(|| {
+                        run_sweep_streaming(&clips, &spec, ShardRange { index, count }, &mut sink)
+                    })
+                    .unwrap();
                 files.push(sink.finish_stream().unwrap());
             }
             let decoded: Vec<wcm_wire::Decoded> = files
@@ -2551,8 +2534,7 @@ mod tests {
         let spec = small_spec();
         let shard_bytes = |index: u32, count: u32, clips: &[ClipWorkload], spec: &SweepSpec| {
             let mut sink = WcmtShardSink::new(Vec::new()).unwrap();
-            run_sweep_streaming(clips, spec, Parallelism::Seq, ShardRange { index, count }, &mut sink)
-                .unwrap();
+            run_sweep_streaming(clips, spec, ShardRange { index, count }, &mut sink).unwrap();
             sink.finish_stream().unwrap()
         };
         let decode = |bytes: &[u8]| wcm_wire::decode(bytes, wcm_wire::DecodePolicy::Strict).unwrap();
@@ -2593,14 +2575,7 @@ mod tests {
         // clip lookup).
         let clips = small_clips(1);
         let mut sink = WcmtShardSink::new(Vec::new()).unwrap();
-        run_sweep_streaming(
-            &clips,
-            &small_spec(),
-            Parallelism::Seq,
-            ShardRange::FULL,
-            &mut sink,
-        )
-        .unwrap();
+        run_sweep_streaming(&clips, &small_spec(), ShardRange::FULL, &mut sink).unwrap();
         let bytes = sink.finish_stream().unwrap();
         let good = wcm_wire::decode(&bytes, wcm_wire::DecodePolicy::Strict).unwrap();
         assert!(merge_shards(std::slice::from_ref(&good)).is_ok());
@@ -2631,7 +2606,7 @@ mod tests {
         let mut sink = CollectSink::new();
         for shard in [ShardRange { index: 2, count: 2 }, ShardRange { index: 0, count: 0 }] {
             assert!(matches!(
-                run_sweep_streaming(&clips, &spec, Parallelism::Seq, shard, &mut sink),
+                run_sweep_streaming(&clips, &spec, shard, &mut sink),
                 Err(SweepError::Invalid(_))
             ));
         }
@@ -2652,8 +2627,7 @@ mod tests {
         let clips = small_clips(1);
         let spec = small_spec();
         let mut sink = FailAfter(3);
-        let err = run_sweep_streaming(&clips, &spec, Parallelism::Seq, ShardRange::FULL, &mut sink)
-            .unwrap_err();
+        let err = run_sweep_streaming(&clips, &spec, ShardRange::FULL, &mut sink).unwrap_err();
         assert!(matches!(err, SweepError::Io(_)), "got {err:?}");
     }
 

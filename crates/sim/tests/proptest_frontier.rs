@@ -127,8 +127,8 @@ fn bisected_frontier_is_bitwise_identical_to_dense_and_cheap() {
     let spec = frontier_spec();
 
     let sweep = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
-    let dense = run_frontier(&clips, &spec, Parallelism::Seq, FrontierMethod::Dense).unwrap();
-    let bisect = run_frontier(&clips, &spec, Parallelism::Seq, FrontierMethod::Bisect).unwrap();
+    let dense = run_frontier(&clips, &spec, FrontierMethod::Dense).unwrap();
+    let bisect = run_frontier(&clips, &spec, FrontierMethod::Bisect).unwrap();
 
     // Three ways to the same frontier, bit for bit.
     assert_eq!(dense.frontier, sweep.pareto, "dense frontier drifted from run_sweep");
@@ -157,8 +157,8 @@ fn frontier_without_prune_still_matches_dense() {
         frequencies_hz: frontier_spec().frequencies_hz[..12].to_vec(),
         ..frontier_spec()
     };
-    let dense = run_frontier(&clips, &spec, Parallelism::Seq, FrontierMethod::Dense).unwrap();
-    let bisect = run_frontier(&clips, &spec, Parallelism::Seq, FrontierMethod::Bisect).unwrap();
+    let dense = run_frontier(&clips, &spec, FrontierMethod::Dense).unwrap();
+    let bisect = run_frontier(&clips, &spec, FrontierMethod::Bisect).unwrap();
     assert_eq!(bisect.frontier, dense.frontier);
     assert!(bisect.evaluated_cells < dense.evaluated_cells);
 }
@@ -175,6 +175,6 @@ fn frontier_with_no_clean_seed_is_vacuously_all_safe() {
         ..frontier_spec()
     };
     let sweep = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
-    let bisect = run_frontier(&clips, &spec, Parallelism::Seq, FrontierMethod::Bisect).unwrap();
+    let bisect = run_frontier(&clips, &spec, FrontierMethod::Bisect).unwrap();
     assert_eq!(bisect.frontier, sweep.pareto);
 }

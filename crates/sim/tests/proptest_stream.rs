@@ -194,14 +194,11 @@ proptest! {
         let decoded: Vec<wcm_wire::Decoded> = (0..count)
             .map(|index| {
                 let mut sink = WcmtShardSink::new(Vec::new()).unwrap();
-                run_sweep_streaming(
-                    &clips,
-                    &spec,
-                    Parallelism::Threads(2),
-                    ShardRange { index, count },
-                    &mut sink,
-                )
-                .unwrap();
+                Parallelism::Threads(2)
+                    .scope(|| {
+                        run_sweep_streaming(&clips, &spec, ShardRange { index, count }, &mut sink)
+                    })
+                    .unwrap();
                 let bytes = sink.finish_stream().unwrap();
                 wcm_wire::decode(&bytes, wcm_wire::DecodePolicy::Strict).unwrap()
             })

@@ -4,8 +4,11 @@
 #
 #  * tail ingestion of a `.wcmt` stream produces one JSON snapshot
 #    line per session with an eq.-9 admission verdict;
-#  * the stable exit codes hold: 0 clean drain, 2 usage, 3 malformed
-#    source, 4 monitor violations;
+#  * the stable exit codes hold: 0 clean drain, 2 usage (oversized
+#    --threads/--shards included), 3 malformed source, 4 monitor
+#    violations;
+#  * the shard fan-out is deterministic: 2 threads x 2 shards write the
+#    same snapshot bytes as 1 x 1;
 #  * SIGTERM drains gracefully: everything already on disk is flushed
 #    into the final snapshots before the process exits 0;
 #  * TCP ingestion accepts a plain `.wcmt` stream over a socket;
@@ -40,6 +43,14 @@ rc=0; "$cli" serve --k 12 2>/dev/null >/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "serve without a source must exit 2, got $rc"; exit 1; }
 rc=0; "$cli" serve --tail "$out/calm.wcmt" --policy nope 2>/dev/null >/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "bad --policy must exit 2, got $rc"; exit 1; }
+# Counts above the pool cap (256) are usage errors, raised before any
+# shard state is allocated.
+rc=0; "$cli" serve --tail "$out/calm.wcmt" --threads 100000000000 --max-rounds 1 \
+  2>/dev/null >/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "oversized --threads must exit 2, got $rc"; exit 1; }
+rc=0; "$cli" serve --tail "$out/calm.wcmt" --shards 100000000000000 --max-rounds 1 \
+  2>/dev/null >/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "oversized --shards must exit 2, got $rc"; exit 1; }
 # Corrupt the first frame's sync byte: structurally malformed source.
 cp "$out/calm.wcmt" "$out/bad.wcmt"
 printf '\x00' | dd of="$out/bad.wcmt" bs=1 seek=8 count=1 conv=notrunc 2>/dev/null
@@ -54,6 +65,18 @@ rc=0; "$cli" serve --tail "$out/spike.wcmt" --idle-exit on \
 [ "$rc" -eq 4 ] || { echo "envelope violations must exit 4, got $rc"; exit 1; }
 grep -q '^violations [1-9]' "$out/spike.out"
 echo "ok: exits 2/3/4 hold"
+
+echo "== shard fan-out: 2 threads x 2 shards == 1 x 1 =="
+"$gen" "$out/fan.wcmt" 64 96 >/dev/null
+for n in 1 2; do
+  "$cli" serve --tail "$out/fan.wcmt" --idle-exit on --threads "$n" --shards "$n" \
+    --k 12 --refresh 32 --pe2-mhz 100 --capacity 400 \
+    --snapshots-out "$out/fan$n.snap" >/dev/null
+done
+[ "$(wc -l <"$out/fan1.snap")" -eq 64 ] || { echo "expected 64 snapshot lines"; exit 1; }
+cmp "$out/fan1.snap" "$out/fan2.snap" || {
+  echo "snapshots differ between 1 and 2 shards"; exit 1; }
+echo "ok: 64 sessions, byte-identical snapshots at 1 and 2 shards"
 
 echo "== graceful drain on SIGTERM =="
 "$gen" "$out/full.wcmt" 100 40 >/dev/null

@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use wcm::events::window::{
-    max_spans_with, max_window_sums_with, min_spans_with, min_window_sums_with, Parallelism,
-    PrefixSums, WindowMode,
+    max_spans, max_window_sums, min_spans, min_window_sums, Parallelism, PrefixSums, WindowMode,
 };
 
 /// The pre-prefix-sum implementation: one sliding-window rescan per `k`.
@@ -61,11 +60,15 @@ proptest! {
         threads in 2usize..9
     ) {
         let k_max = values.len();
-        let seq_max = max_window_sums_with(&values, k_max, mode, Parallelism::Seq).unwrap();
-        let seq_min = min_window_sums_with(&values, k_max, mode, Parallelism::Seq).unwrap();
-        let par = Parallelism::Threads(threads);
-        prop_assert_eq!(max_window_sums_with(&values, k_max, mode, par).unwrap(), seq_max);
-        prop_assert_eq!(min_window_sums_with(&values, k_max, mode, par).unwrap(), seq_min);
+        let sums = |par: Parallelism| {
+            par.scope(|| {
+                (
+                    max_window_sums(&values, k_max, mode).unwrap(),
+                    min_window_sums(&values, k_max, mode).unwrap(),
+                )
+            })
+        };
+        prop_assert_eq!(sums(Parallelism::Threads(threads)), sums(Parallelism::Seq));
     }
 
     /// Threaded span analysis is bit-identical to the sequential run
@@ -85,10 +88,14 @@ proptest! {
             })
             .collect();
         let k_max = times.len();
-        let seq_min = min_spans_with(&times, k_max, mode, Parallelism::Seq).unwrap();
-        let seq_max = max_spans_with(&times, k_max, mode, Parallelism::Seq).unwrap();
-        let par = Parallelism::Threads(threads);
-        prop_assert_eq!(min_spans_with(&times, k_max, mode, par).unwrap(), seq_min);
-        prop_assert_eq!(max_spans_with(&times, k_max, mode, par).unwrap(), seq_max);
+        let spans = |par: Parallelism| {
+            par.scope(|| {
+                (
+                    min_spans(&times, k_max, mode).unwrap(),
+                    max_spans(&times, k_max, mode).unwrap(),
+                )
+            })
+        };
+        prop_assert_eq!(spans(Parallelism::Threads(threads)), spans(Parallelism::Seq));
     }
 }
