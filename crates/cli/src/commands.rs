@@ -82,7 +82,7 @@ subcommands:
            [--trace-out FILE] [--metrics-out FILE]
            long-lived multi-tenant monitoring: tail growing `.wcmt'
            files (and/or accept streams on a TCP socket), demultiplex
-           frames into per-session summary spines + envelope monitors
+           frames into per-session workload curves + envelope monitors
            (sessions switch on META frames), and recompute the eq.-9
            admission verdict -- can this stream join PE2 at --pe2-mhz
            without overflowing a --capacity FIFO? -- every --refresh
@@ -1059,7 +1059,6 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
     }
     let cfg = ServeConfig {
         k_max,
-        chunk_target: 0,
         refresh_every: opts.usize_or("refresh", 64)?.max(1) as u64,
         frequency_hz: pe2_mhz * 1e6,
         capacity_events: capacity as u64,

@@ -24,7 +24,7 @@
 //!   summary;
 //! * `serve --tail FILE[,FILE] / --listen ADDR ...` — long-lived
 //!   multi-tenant monitoring: tail live `.wcmt` streams, demultiplex
-//!   frames into per-session summary spines + envelope monitors, and
+//!   frames into per-session workload curves + envelope monitors, and
 //!   recompute the eq.-9 admission verdict per session as the curves
 //!   refresh; graceful drain on SIGINT/SIGTERM with final snapshots;
 //! * `validate --json/--csv/--trace/--metrics/--wcmt FILE ...` — strictly

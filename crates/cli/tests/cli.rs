@@ -345,6 +345,36 @@ fn sweep_artifacts_round_trip_through_strict_readers_and_validate() {
         counters.get("sweep.points").and_then(|v| v.as_f64()),
         Some(points.len() as f64)
     );
+
+    // `serve` splits a session's work into its window scan, the ᾱ query
+    // and eq. 9, each under its own span.
+    let served = Artifacts::new("roundtrip-serve", &["d.txt", "s.wcmt", "trace"]);
+    std::fs::write(served.path(0), "5 1 1 1 5 1 1 1 5 1 1 1 5 1 1 1\n").unwrap();
+    let out = cli()
+        .args(["trace", "encode", "--demands", served.path(0)])
+        .args(["--out", served.path(1)])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let out = cli()
+        .args(["serve", "--tail", served.path(1), "--k", "4"])
+        .args(["--refresh", "4", "--idle-exit", "on"])
+        .args(["--trace-out", served.path(2)])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let trace = std::fs::read_to_string(served.path(2)).unwrap();
+    let t = wcm_obs::json::parse(&trace).expect("trace parses strictly");
+    let events = t.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+    let names: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+        .collect();
+    for span in ["serve.scan", "serve.alpha", "serve.eq9"] {
+        assert!(names.contains(&span), "{span} missing from {names:?}");
+    }
 }
 
 /// Observability must not perturb results: reports with and without the
@@ -637,6 +667,49 @@ fn serve_rejects_a_thread_count_above_the_pool_cap() {
 fn serve_rejects_a_shard_count_above_the_pool_cap() {
     assert_serve_rejects("--shards", "100000000000000", "serve-shards-cap.wcmt");
     assert_serve_rejects("--shards", "257", "serve-shards-257.wcmt");
+}
+
+/// A window sum past `u64::MAX` costs its session the curve, never the
+/// service: that session rejects at an unbounded frequency, a calm
+/// neighbour is unaffected, and the drain exits 0.
+#[test]
+fn serve_rejects_a_session_whose_window_sums_overflow() {
+    let art = Artifacts::new(
+        "serve-overflow",
+        &["huge.txt", "calm.txt", "huge.wcmt", "calm.wcmt", "snap"],
+    );
+    std::fs::write(art.path(0), "18446744073709551615 1 2 3 4 5 6 7 8 9\n").unwrap();
+    std::fs::write(art.path(1), "5 1 1 1 5 1 1 1 5 1\n").unwrap();
+    for (text, wcmt, name) in [(0, 2, "huge"), (1, 3, "calm")] {
+        let out = cli()
+            .args(["trace", "encode", "--demands", art.path(text)])
+            .args(["--name", name, "--out", art.path(wcmt)])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{err}");
+    }
+    let tails = format!("{},{}", art.path(2), art.path(3));
+    let out = cli()
+        .args(["serve", "--tail", &tails, "--k", "4", "--refresh", "4"])
+        .args(["--idle-exit", "on", "--snapshots-out", art.path(4)])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let snap = std::fs::read_to_string(art.path(4)).unwrap();
+    let line = |name: &str| {
+        snap.lines()
+            .find(|l| l.contains(&format!("/{name}\"")))
+            .unwrap_or_else(|| panic!("no {name} session in {snap}"))
+    };
+    let huge = line("huge");
+    assert!(huge.contains("\"events\":10,"), "{huge}");
+    let rejected = "\"verdict\":\"reject\",\"f_min_hz\":null";
+    assert!(huge.contains(rejected), "{huge}");
+    let calm = line("calm");
+    assert!(calm.contains("\"wcet\":5,\"gamma_u_k\":8,"), "{calm}");
+    assert!(calm.contains("\"verdict\":\"admit\""), "{calm}");
 }
 
 #[test]

@@ -14,15 +14,21 @@
 //! each event costs `O(k_max)` comparisons and memory stays constant
 //! regardless of trace length.
 //!
+//! Every closed window, bound or not, also feeds a per-`k` running
+//! maximum and minimum: the measured `γᵘ/γˡ` of the stream so far
+//! ([`EnvelopeMonitor::measured_bounds`]). So one scan can both measure
+//! a live stream's curves and check the stream against them.
+//!
 //! The scan is blocked per batch: [`EnvelopeMonitor::observe_all`]
 //! rebases the full ring plus up to 256 demands into a local `u64` prefix
 //! table and, for each `k`, takes the largest and smallest sum of the
 //! windows ending in the batch in one branch-free loop (the shape of the
 //! window scans in `wcm_events::window`). When no `k` breaks a bound,
-//! the slack minima, counters and ring are updated in bulk; otherwise the
-//! batch is replayed event by event, so violations are recorded in the
-//! same order with the same fields. Short batches, a ring that is not yet
-//! full and sums that do not fit `u64` take the per-event path. Either
+//! the extrema, slack minima, counters and ring are updated in bulk;
+//! otherwise the batch is replayed event by event, so violations are
+//! recorded in the same order with the same fields. Short batches, a
+//! ring that is not yet full, the first `k_max − 1` events after a bind
+//! and sums that do not fit `u64` take the per-event path. Either
 //! way the [`MonitorReport`] equals that of per-event [`EnvelopeMonitor::observe`].
 //!
 //! # Example
@@ -135,14 +141,13 @@ impl MonitorReport {
 /// Streaming checker of demand windows against `γᵘ(k)` / `γˡ(k)`.
 #[derive(Debug, Clone)]
 pub struct EnvelopeMonitor {
-    upper: Option<UpperWorkloadCurve>,
-    lower: Option<LowerWorkloadCurve>,
     k_max: usize,
-    /// `γᵘ(k)` for `k = 1..=k_max`, materialized once so the per-event loop
-    /// reads a flat table instead of re-running curve extrapolation.
-    upper_bounds: Vec<u64>,
-    /// `γˡ(k)` for `k = 1..=k_max`.
-    lower_bounds: Vec<u64>,
+    /// `γᵘ(k)` for `k = 1..=k_max`, or `None` when the upper side is not
+    /// checked; materialized so the per-event loop reads a flat table
+    /// instead of re-running curve extrapolation.
+    upper: Option<Vec<u64>>,
+    /// `γˡ(k)` for `k = 1..=k_max`, or `None`.
+    lower: Option<Vec<u64>>,
     /// Ring of cumulative demand sums; front is the sum before the oldest
     /// retained event, back the sum after the newest. Holds at most
     /// `k_max + 1` entries, so `sum(window of k ending now) = back − ...`.
@@ -157,6 +162,15 @@ pub struct EnvelopeMonitor {
     /// kept between batches so a long stream allocates it once, and
     /// never allocated while the ring is filling.
     scratch: Vec<u64>,
+    /// Only windows that start after this event are checked: the
+    /// events seen at the last [`Self::bind`], else 0.
+    bound_at: u64,
+    /// Largest sum of every closed window of size `k`, at `k − 1`.
+    max_win: Vec<u64>,
+    /// Smallest sum of every closed window of size `k`.
+    min_win: Vec<u64>,
+    /// Some closed window summed past `u64::MAX`.
+    overflowed: bool,
 }
 
 impl EnvelopeMonitor {
@@ -171,7 +185,7 @@ impl EnvelopeMonitor {
     ///
     /// Returns [`WorkloadError::InvalidParameter`] if `k_max` is 0.
     pub fn new(bounds: &WorkloadBounds, k_max: usize) -> Result<Self, WorkloadError> {
-        Self::build(Some(bounds.upper.clone()), Some(bounds.lower.clone()), k_max)
+        Self::build(Some(&bounds.upper), Some(&bounds.lower), k_max)
     }
 
     /// A monitor checking only the upper curve.
@@ -180,7 +194,7 @@ impl EnvelopeMonitor {
     ///
     /// Returns [`WorkloadError::InvalidParameter`] if `k_max` is 0.
     pub fn upper_only(gamma: &UpperWorkloadCurve, k_max: usize) -> Result<Self, WorkloadError> {
-        Self::build(Some(gamma.clone()), None, k_max)
+        Self::build(Some(gamma), None, k_max)
     }
 
     /// A monitor checking only the lower curve.
@@ -189,12 +203,23 @@ impl EnvelopeMonitor {
     ///
     /// Returns [`WorkloadError::InvalidParameter`] if `k_max` is 0.
     pub fn lower_only(gamma: &LowerWorkloadCurve, k_max: usize) -> Result<Self, WorkloadError> {
-        Self::build(None, Some(gamma.clone()), k_max)
+        Self::build(None, Some(gamma), k_max)
+    }
+
+    /// A monitor that checks nothing yet and only measures: it keeps the
+    /// running extrema behind [`Self::measured_bounds`] until
+    /// [`Self::bind`] installs bounds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkloadError::InvalidParameter`] if `k_max` is 0.
+    pub fn unbound(k_max: usize) -> Result<Self, WorkloadError> {
+        Self::build(None, None, k_max)
     }
 
     fn build(
-        upper: Option<UpperWorkloadCurve>,
-        lower: Option<LowerWorkloadCurve>,
+        upper: Option<&UpperWorkloadCurve>,
+        lower: Option<&LowerWorkloadCurve>,
         k_max: usize,
     ) -> Result<Self, WorkloadError> {
         if k_max == 0 {
@@ -202,20 +227,10 @@ impl EnvelopeMonitor {
         }
         let mut cum = VecDeque::with_capacity(k_max + 1);
         cum.push_back(0u128);
-        let upper_bounds = upper
-            .as_ref()
-            .map(|u| (1..=k_max).map(|k| u.value(k).get()).collect())
-            .unwrap_or_default();
-        let lower_bounds = lower
-            .as_ref()
-            .map(|l| (1..=k_max).map(|k| l.value(k).get()).collect())
-            .unwrap_or_default();
         Ok(Self {
-            upper,
-            lower,
             k_max,
-            upper_bounds,
-            lower_bounds,
+            upper: upper.map(|u| table(k_max, |k| u.value(k))),
+            lower: lower.map(|l| table(k_max, |k| l.value(k))),
             cum,
             events: 0,
             windows_checked: 0,
@@ -224,75 +239,59 @@ impl EnvelopeMonitor {
             upper_slack: vec![None; k_max],
             lower_slack: vec![None; k_max],
             scratch: Vec::new(),
+            bound_at: 0,
+            max_win: vec![0; k_max],
+            min_win: vec![u64::MAX; k_max],
+            overflowed: false,
         })
     }
 
-    /// Largest window size checked.
-    #[must_use]
-    pub fn k_max(&self) -> usize {
-        self.k_max
+    /// Installs both sides of `bounds`, checking only the windows that
+    /// start after the events seen so far, as a fresh [`Self::new`]
+    /// monitor created now would. Counters, violations and the running
+    /// extrema are kept.
+    pub fn bind(&mut self, bounds: &WorkloadBounds) {
+        self.upper = Some(table(self.k_max, |k| bounds.upper.value(k)));
+        self.lower = Some(table(self.k_max, |k| bounds.lower.value(k)));
+        self.bound_at = self.events;
     }
 
     /// Swaps in refreshed bound curves **without discarding the
     /// observation window**: the ring of retained cumulative sums, event
-    /// and violation counters all survive, so the windows closing after
-    /// the rebind are still checked against `k_max` events of history.
+    /// and violation counters and the running extrema all survive, so
+    /// the windows closing after the rebind are still checked against
+    /// `k_max` events of history.
     ///
-    /// This is the online half of the incremental-bounds story: a
-    /// [`wcm_events::summary::SummarySpine`] refreshes its envelope in
-    /// `O(k_max)` per appended reference event, and a long-running monitor
-    /// adopts the tighter envelope mid-stream instead of being rebuilt
-    /// from scratch. Only the sides the monitor was constructed with are
-    /// replaced (an upper-only monitor stays upper-only).
+    /// Only the sides the monitor has are replaced (an upper-only monitor
+    /// stays upper-only, an unbound one stays unbound).
     pub fn rebind(&mut self, bounds: &WorkloadBounds) {
-        if self.upper.is_some() {
-            self.upper_bounds = (1..=self.k_max)
-                .map(|k| bounds.upper.value(k).get())
-                .collect();
-            self.upper = Some(bounds.upper.clone());
+        if let Some(t) = &mut self.upper {
+            *t = table(self.k_max, |k| bounds.upper.value(k));
         }
-        if self.lower.is_some() {
-            self.lower_bounds = (1..=self.k_max)
-                .map(|k| bounds.lower.value(k).get())
-                .collect();
-            self.lower = Some(bounds.lower.clone());
+        if let Some(t) = &mut self.lower {
+            *t = table(self.k_max, |k| bounds.lower.value(k));
         }
     }
 
-    /// [`Self::rebind`] with a new window depth, for refreshes whose
-    /// curve covers a different exact range than the monitor was built
-    /// for (a spine refresh after a shorter GOP shrinks `k_max`; a
-    /// longer clip grows it).
-    ///
-    /// Everything that is indexed by `k` is resized *before* the bound
-    /// tables are rebuilt: the per-`k` slack statistics are truncated or
-    /// extended and the retained ring is trimmed to `k_max + 1` entries
-    /// — a shrink therefore cannot leave the scan reading windows
-    /// deeper than the new curve. Counters and stored violations
-    /// survive, exactly as in [`Self::rebind`].
+    /// `γᵘ/γˡ` of the stream so far (eq. 1/2): per `k`, the largest and
+    /// smallest sum of every window of `k` events since the first event,
+    /// bound or not. `None` until `k_max` events have been seen.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::InvalidParameter`] if `k_max` is 0; the
-    /// monitor is left unchanged.
-    pub fn rebind_with_k_max(
-        &mut self,
-        bounds: &WorkloadBounds,
-        k_max: usize,
-    ) -> Result<(), WorkloadError> {
-        if k_max == 0 {
-            return Err(WorkloadError::InvalidParameter { name: "k_max" });
+    /// Returns [`WorkloadError::Overflow`] once any window sum has
+    /// exceeded `u64::MAX`: the curve has no `u64` value from then on.
+    pub fn measured_bounds(&self) -> Result<Option<WorkloadBounds>, WorkloadError> {
+        if self.overflowed {
+            return Err(WorkloadError::Overflow { what: "window sum" });
         }
-        if k_max != self.k_max {
-            self.upper_slack.resize(k_max, None);
-            self.lower_slack.resize(k_max, None);
-            while self.cum.len() > k_max + 1 {
-                self.cum.pop_front();
-            }
-            self.k_max = k_max;
+        if self.events < self.k_max as u64 {
+            return Ok(None);
         }
-        self.rebind(bounds);
-        Ok(())
+        Ok(Some(WorkloadBounds {
+            upper: UpperWorkloadCurve::new(self.max_win.clone())?,
+            lower: LowerWorkloadCurve::new(self.min_win.clone())?,
+        }))
     }
 
     /// Feeds one event's demand; checks every window that this event
@@ -308,54 +307,64 @@ impl EnvelopeMonitor {
         let deepest = self.k_max.min(self.cum.len() - 1);
         for k in 1..=deepest {
             let sum = total - self.cum[self.cum.len() - 1 - k];
-            // 1-indexed first event of the window ending at `events`.
-            let offset = self.events - k as u64 + 1;
-            if self.upper.is_some() {
-                self.windows_checked += 1;
-                let bound = self.upper_bounds[k - 1];
-                let slack = i128::from(bound) - sum as i128;
-                let entry = &mut self.upper_slack[k - 1];
-                *entry = Some(entry.map_or(slack, |s| s.min(slack)));
-                if sum > u128::from(bound) {
-                    fresh += 1;
-                    self.record(Violation {
-                        offset,
-                        k,
-                        observed: sum,
-                        bound,
-                        kind: BoundKind::Upper,
-                    });
+            match u64::try_from(sum) {
+                Ok(sum) => {
+                    self.max_win[k - 1] = self.max_win[k - 1].max(sum);
+                    self.min_win[k - 1] = self.min_win[k - 1].min(sum);
                 }
+                Err(_) => self.overflowed = true,
             }
-            if self.lower.is_some() {
-                self.windows_checked += 1;
-                let bound = self.lower_bounds[k - 1];
-                let slack = sum as i128 - i128::from(bound);
-                let entry = &mut self.lower_slack[k - 1];
-                *entry = Some(entry.map_or(slack, |s| s.min(slack)));
-                if sum < u128::from(bound) {
-                    fresh += 1;
-                    self.record(Violation {
-                        offset,
-                        k,
-                        observed: sum,
-                        bound,
-                        kind: BoundKind::Lower,
-                    });
-                }
+            if self.events < self.bound_at + k as u64 {
+                continue; // the window starts at or before the bind
+            }
+            if let Some(bound) = self.upper.as_ref().map(|t| t[k - 1]) {
+                fresh += self.check(BoundKind::Upper, k, sum, bound);
+            }
+            if let Some(bound) = self.lower.as_ref().map(|t| t[k - 1]) {
+                fresh += self.check(BoundKind::Lower, k, sum, bound);
             }
         }
         fresh
+    }
+
+    /// Checks the window of `k` events ending now, summing to `sum`,
+    /// against one side's `bound`: counts it, tightens that side's slack
+    /// and records a violation. Returns 1 if the bound broke, else 0.
+    fn check(&mut self, kind: BoundKind, k: usize, sum: u128, bound: u64) -> usize {
+        self.windows_checked += 1;
+        let v = Violation {
+            offset: self.events - k as u64 + 1,
+            k,
+            observed: sum,
+            bound,
+            kind,
+        };
+        let slack = v.slack();
+        let entry = match kind {
+            BoundKind::Upper => &mut self.upper_slack[k - 1],
+            BoundKind::Lower => &mut self.lower_slack[k - 1],
+        };
+        *entry = Some(entry.map_or(slack, |s| s.min(slack)));
+        if slack >= 0 {
+            return 0;
+        }
+        self.total_violations += 1;
+        wcm_obs::counter("monitor.violations", 1);
+        if self.violations.len() < Self::VIOLATION_CAP {
+            self.violations.push(v);
+        }
+        1
     }
 
     /// Feeds a batch of demands in order; returns the new violations they
     /// caused.
     ///
     /// The result and the monitor's state are exactly those of calling
-    /// [`Self::observe`] per demand. Once the ring is full, the demands
-    /// go in blocks of up to 256 through a branch-free scan
-    /// (see the module docs); a block that breaks a bound is replayed
-    /// event by event, so the stored violations keep their order.
+    /// [`Self::observe`] per demand. Once the ring is full and `k_max`
+    /// events have passed a [`Self::bind`], the demands go in blocks of
+    /// up to 256 through a branch-free scan (see the module docs); a
+    /// block that breaks a bound is replayed event by event, so the
+    /// stored violations keep their order.
     pub fn observe_all(&mut self, demands: impl IntoIterator<Item = u64>) -> usize {
         let mut demands = demands.into_iter();
         let mut fresh = 0;
@@ -363,7 +372,9 @@ impl EnvelopeMonitor {
         let mut scratch = std::mem::take(&mut self.scratch);
         loop {
             scratch.clear();
-            if self.cum.len() <= self.k_max {
+            // The blocked scan checks every window ending in the batch:
+            // each must be closed (a full ring) and start after the bind.
+            if self.cum.len() <= self.k_max || self.events + 1 < self.bound_at + self.k_max as u64 {
                 match demands.next() {
                     Some(d) => fresh += self.observe(d),
                     None => break,
@@ -387,7 +398,7 @@ impl EnvelopeMonitor {
     /// to the batch the ring plus the batch rebased into a `u64` prefix
     /// table, then takes for every `k` the largest and smallest sum of
     /// the windows that end in the batch. If none breaks a bound, applies
-    /// the batch in bulk (slack minima, counters, ring) and returns
+    /// the batch in bulk (extrema, slack minima, counters, ring) and returns
     /// `true`. Returns `false`, with the monitor untouched, when a bound
     /// breaks or the table would overflow; the caller then replays the
     /// batch (still `s[..n]`) through [`Self::observe`].
@@ -423,21 +434,23 @@ impl EnvelopeMonitor {
                 mx = mx.max(sum);
                 mn = mn.min(sum);
             }
-            if (self.upper.is_some() && mx > self.upper_bounds[k - 1])
-                || (self.lower.is_some() && mn < self.lower_bounds[k - 1])
+            if self.upper.as_ref().is_some_and(|t| mx > t[k - 1])
+                || self.lower.as_ref().is_some_and(|t| mn < t[k - 1])
             {
                 return false;
             }
             ext.copy_from_slice(&[mx, mn]);
         }
         for (k, ext) in extremes.chunks_exact(2).enumerate() {
-            if self.upper.is_some() {
-                let slack = i128::from(self.upper_bounds[k]) - i128::from(ext[0]);
+            self.max_win[k] = self.max_win[k].max(ext[0]);
+            self.min_win[k] = self.min_win[k].min(ext[1]);
+            if let Some(t) = &self.upper {
+                let slack = i128::from(t[k]) - i128::from(ext[0]);
                 let entry = &mut self.upper_slack[k];
                 *entry = Some(entry.map_or(slack, |s| s.min(slack)));
             }
-            if self.lower.is_some() {
-                let slack = i128::from(ext[1]) - i128::from(self.lower_bounds[k]);
+            if let Some(t) = &self.lower {
+                let slack = i128::from(ext[1]) - i128::from(t[k]);
                 let entry = &mut self.lower_slack[k];
                 *entry = Some(entry.map_or(slack, |s| s.min(slack)));
             }
@@ -449,14 +462,6 @@ impl EnvelopeMonitor {
         self.cum
             .extend(p[n..].iter().map(|&v| front + u128::from(v)));
         true
-    }
-
-    fn record(&mut self, v: Violation) {
-        self.total_violations += 1;
-        wcm_obs::counter("monitor.violations", 1);
-        if self.violations.len() < Self::VIOLATION_CAP {
-            self.violations.push(v);
-        }
     }
 
     /// Events observed so far.
@@ -495,6 +500,11 @@ impl EnvelopeMonitor {
             lower_slack: self.lower_slack.clone(),
         }
     }
+}
+
+/// `bound(k)` for `k = 1..=k_max`.
+fn table(k_max: usize, bound: impl Fn(usize) -> crate::Cycles) -> Vec<u64> {
+    (1..=k_max).map(|k| bound(k).get()).collect()
 }
 
 #[cfg(test)]
@@ -568,57 +578,96 @@ mod tests {
     }
 
     #[test]
-    fn rebind_with_k_max_survives_a_shrinking_gop() {
-        // A stream that opens on 12-frame GOPs and switches to 6-frame
-        // GOPs: the spine refresh after the switch hands back a curve
-        // covering only k ≤ 6, so the monitor must shrink its window
-        // depth mid-stream. Every post-shrink verdict has to match a
-        // monitor built at k = 6 that saw the same history — stale
-        // slack tables or ring entries deeper than the new k_max would
-        // break the agreement (or index past the rebuilt 6-entry bound
-        // tables).
-        let gop12: Vec<u64> = [60, 10, 10, 30, 10, 10, 30, 10, 10, 30, 10, 10]
-            .repeat(2)
-            .to_vec();
-        let gop6: Vec<u64> = [40, 8, 8, 20, 8, 8].repeat(4).to_vec();
-        let bounds12 = bounds_of(&gop12, 12);
-        let bounds6 = bounds_of(&gop6, 6);
-        let mut shrunk = EnvelopeMonitor::new(&bounds12, 12).unwrap();
-        shrunk.observe_all(gop12.iter().copied());
-        assert!(shrunk.is_clean(), "prefix under own curve");
-        shrunk.rebind_with_k_max(&bounds6, 6).unwrap();
-        assert_eq!(shrunk.k_max(), 6);
-        assert_eq!(shrunk.report().upper_slack.len(), 6);
+    fn measured_bounds_equal_the_window_scan() {
+        let demands: Vec<u64> = (0..300u64).map(|i| 20 + (i * 37) % 23 + i / 50).collect();
+        let k_max = 12;
+        let mut unbound = EnvelopeMonitor::unbound(k_max).unwrap();
+        let mut checking =
+            EnvelopeMonitor::new(&bounds_of(&alternating(30), k_max), k_max).unwrap();
+        let mut at = 0;
+        for piece in [1usize, 5, 7, 64, 3, 200].into_iter().cycle() {
+            let end = (at + piece).min(demands.len());
+            unbound.observe_all(demands[at..end].iter().copied());
+            checking.observe_all(demands[at..end].iter().copied());
+            let want = (end >= k_max).then(|| bounds_of(&demands[..end], k_max));
+            assert_eq!(unbound.measured_bounds().unwrap(), want, "after {end}");
+            assert_eq!(checking.measured_bounds().unwrap(), want, "after {end}");
+            at = end;
+            if at == demands.len() {
+                break;
+            }
+        }
+        assert!(unbound.is_clean());
+        assert!(!checking.is_clean());
+    }
 
-        let mut reference = EnvelopeMonitor::new(&bounds6, 6).unwrap();
-        reference.observe_all(gop12.iter().copied());
-        for (i, &d) in gop6.iter().enumerate() {
+    #[test]
+    fn bind_checks_only_windows_that_start_after_it() {
+        // Bound mid-stream, the monitor must agree with a fresh one built
+        // at the same point: same violations (offsets shifted by the
+        // events before the bind), same slack, same windows checked.
+        let demands: Vec<u64> = (0..400u64)
+            .map(|i| if i % 41 == 0 { 90 } else { 10 + (i * 13) % 7 })
+            .collect();
+        let tight = bounds_of(&demands[..100], 8);
+        for split in [0usize, 1, 7, 100, 101, 260] {
+            let mut late = EnvelopeMonitor::unbound(8).unwrap();
+            late.observe_all(demands[..split].iter().copied());
+            late.bind(&tight);
+            let mut fresh = EnvelopeMonitor::new(&tight, 8).unwrap();
+            for piece in demands[split..].chunks(37) {
+                assert_eq!(
+                    late.observe_all(piece.iter().copied()),
+                    fresh.observe_all(piece.iter().copied()),
+                    "split {split}"
+                );
+            }
+            let (a, b) = (late.report(), fresh.report());
+            assert!(b.total_violations > 0, "split {split}");
+            assert_eq!(a.total_violations, b.total_violations, "split {split}");
+            assert_eq!(a.windows_checked, b.windows_checked, "split {split}");
             assert_eq!(
-                shrunk.observe(d),
-                reference.observe(d),
-                "event {i} after the shrink"
+                (a.upper_slack, a.lower_slack),
+                (b.upper_slack, b.lower_slack),
+                "split {split}"
+            );
+            let shifted: Vec<Violation> = b
+                .violations
+                .iter()
+                .map(|v| Violation {
+                    offset: v.offset + split as u64,
+                    ..*v
+                })
+                .collect();
+            assert_eq!(a.violations, shifted, "split {split}");
+            // The extrema still cover the windows before the bind.
+            assert_eq!(
+                late.measured_bounds().unwrap(),
+                Some(bounds_of(&demands, 8))
             );
         }
+    }
 
-        // And growing back out to the original depth stays sound. The
-        // shrink trimmed the ring to 6 events of history, so the grown
-        // monitor must agree with a fresh k = 12 monitor seeded with
-        // exactly those 6 retained events.
-        shrunk.rebind_with_k_max(&bounds12, 12).unwrap();
-        assert_eq!(shrunk.k_max(), 12);
-        let mut wide = EnvelopeMonitor::new(&bounds12, 12).unwrap();
-        wide.observe_all(gop6[gop6.len() - 6..].iter().copied());
-        for (i, &d) in gop12.iter().enumerate() {
-            assert_eq!(
-                shrunk.observe(d),
-                wide.observe(d),
-                "event {i} after growing back"
-            );
-        }
-        // k_max = 0 is rejected without touching the monitor.
-        let mut mon = EnvelopeMonitor::new(&bounds12, 12).unwrap();
-        assert!(mon.rebind_with_k_max(&bounds6, 0).is_err());
-        assert_eq!(mon.k_max(), 12);
+    #[test]
+    fn measured_bounds_report_an_overflowing_window_sum() {
+        let mut mon = EnvelopeMonitor::unbound(2).unwrap();
+        mon.observe(u64::MAX);
+        assert_eq!(mon.measured_bounds(), Ok(None));
+        mon.observe(1);
+        assert!(matches!(
+            mon.measured_bounds(),
+            Err(WorkloadError::Overflow { .. })
+        ));
+        // Through the blocked scan too: the batch's prefix table
+        // overflows, the per-event replay finds the window.
+        let mut mon = EnvelopeMonitor::unbound(2).unwrap();
+        mon.observe_all([1, 2, 3]);
+        let huge = u64::MAX / 2;
+        mon.observe_all((0..40).map(|i| if i == 30 { huge + 2 } else { huge }));
+        assert!(matches!(
+            mon.measured_bounds(),
+            Err(WorkloadError::Overflow { .. })
+        ));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The blocked exact scan of `EnvelopeMonitor::observe_all` against the
 //! per-event `observe` loop: random demands with injected upper and lower
 //! violations, random batch splits, every constructor, several window
-//! depths, mid-stream depth changes and demands near `u64::MAX` (whose
-//! sums only fit the `u128` ring) must all yield equal `MonitorReport`s.
+//! depths, mid-stream binds and rebinds and demands near `u64::MAX`
+//! (whose sums only fit the `u128` ring) must all yield equal
+//! `MonitorReport`s and equal measured bounds, and the measured bounds
+//! must be those of a direct window scan.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wcm_core::monitor::EnvelopeMonitor;
-use wcm_core::{LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
+use wcm_core::{LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds, WorkloadError};
 
 const DEPTHS: [usize; 4] = [1, 2, 8, 64];
 
@@ -32,9 +34,25 @@ fn monitor(kind: usize, b: &WorkloadBounds, k_max: usize) -> EnvelopeMonitor {
     match kind {
         0 => EnvelopeMonitor::new(b, k_max),
         1 => EnvelopeMonitor::upper_only(&b.upper, k_max),
-        _ => EnvelopeMonitor::lower_only(&b.lower, k_max),
+        2 => EnvelopeMonitor::lower_only(&b.lower, k_max),
+        _ => EnvelopeMonitor::unbound(k_max),
     }
     .unwrap()
+}
+
+/// Per-`k` largest and smallest window sum of `demands`, `None` when
+/// one exceeds `u64::MAX`.
+fn scanned_extrema(demands: &[u64], k_max: usize) -> Option<(Vec<u64>, Vec<u64>)> {
+    let (mut up, mut lo) = (Vec::new(), Vec::new());
+    for k in 1..=k_max {
+        let sums: Vec<u128> = demands
+            .windows(k)
+            .map(|w| w.iter().map(|&d| u128::from(d)).sum())
+            .collect();
+        up.push(u64::try_from(*sums.iter().max()?).ok()?);
+        lo.push(u64::try_from(*sums.iter().min()?).ok()?);
+    }
+    Some((up, lo))
 }
 
 proptest! {
@@ -42,7 +60,7 @@ proptest! {
     #[test]
     fn batched_observe_all_equals_per_event_observe(
         seed in 0u64..u64::MAX,
-        kind in 0usize..3,
+        kind in 0usize..4,
         depth in 0usize..4,
         huge in 0u32..4,
         odds in 50u64..2000,
@@ -59,25 +77,41 @@ proptest! {
                 _ => rng.gen_range(base / 2..=base / 2 * 3),
             })
             .collect();
-        let mut k_max = DEPTHS[depth];
+        let k_max = DEPTHS[depth];
         let b = bounds(base, k_max);
         let mut single = monitor(kind, &b, k_max);
         let mut batched = monitor(kind, &b, k_max);
         let mut at = 0;
         while at < n {
             if rng.gen_range(0..6u32) == 0 {
-                // Shrink or grow the window depth between batches.
-                k_max = DEPTHS[rng.gen_range(0..DEPTHS.len())];
-                let b = bounds(base, k_max);
-                single.rebind_with_k_max(&b, k_max).unwrap();
-                batched.rebind_with_k_max(&b, k_max).unwrap();
+                // Bind (all sides, checks restart after this event) or
+                // rebind (the sides the monitor has) to a rescaled
+                // envelope between batches.
+                let b = bounds(base / 4 * rng.gen_range(3..6u64), k_max);
+                if rng.gen_range(0..3u32) == 0 {
+                    single.bind(&b);
+                    batched.bind(&b);
+                } else {
+                    single.rebind(&b);
+                    batched.rebind(&b);
+                }
             }
             let end = (at + rng.gen_range(1..=200usize)).min(n);
             let one: usize = demands[at..end].iter().map(|&d| single.observe(d)).sum();
             let all = batched.observe_all(demands[at..end].iter().copied());
             prop_assert_eq!(one, all, "fresh violations of events {}..{}", at, end);
             prop_assert_eq!(single.report(), batched.report(), "after event {}", end);
+            prop_assert_eq!(single.measured_bounds(), batched.measured_bounds());
             at = end;
+        }
+        match (batched.measured_bounds(), scanned_extrema(&demands, k_max)) {
+            (Ok(Some(m)), Some((up, lo))) => {
+                prop_assert_eq!(m.upper.values(), &up[..]);
+                prop_assert_eq!(m.lower.values(), &lo[..]);
+            }
+            (Ok(None), _) => prop_assert!(n < k_max),
+            (Err(WorkloadError::Overflow { .. }), None) => {}
+            (got, want) => prop_assert!(false, "measured {:?}, scanned {:?}", got, want),
         }
     }
 }

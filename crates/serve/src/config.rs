@@ -10,14 +10,11 @@ use wcm_sim::OverflowPolicy;
 pub struct ServeConfig {
     /// Largest window size of the per-session curves and monitor.
     pub k_max: usize,
-    /// Spine chunk target (events per sealed chunk); clamped by the
-    /// spine itself to at least `4 · k_max`.
-    pub chunk_target: usize,
-    /// Events between spine refreshes: each refresh folds the spine,
-    /// rebinds the monitor to the fresh envelope and recomputes the
-    /// eq.-9 admission verdict. Cadence counts *events*, never chunks
-    /// or polls, so verdicts are a deterministic function of the stream
-    /// alone.
+    /// Events between session refreshes: each refresh reads the curves
+    /// the monitor measured, rebinds the monitor to them and recomputes
+    /// the eq.-9 admission verdict. Cadence counts *events*, never
+    /// chunks or polls, so verdicts are a deterministic function of the
+    /// stream alone.
     pub refresh_every: u64,
     /// PE2 clock frequency the admission question is asked about.
     pub frequency_hz: f64,
@@ -30,7 +27,8 @@ pub struct ServeConfig {
     pub policy: OverflowPolicy,
     /// Per-session ingest buffer capacity in events.
     pub session_buffer: usize,
-    /// Whether each session runs an [`wcm_core::EnvelopeMonitor`].
+    /// Whether each session's [`wcm_core::EnvelopeMonitor`] checks the
+    /// stream against its curves (off, it only measures them).
     pub monitor: bool,
     /// Fallback arrival model period (seconds) for sessions whose
     /// stream carries no timestamps.
@@ -51,7 +49,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             k_max: 64,
-            chunk_target: 0, // spine clamps to 4 * k_max
             refresh_every: 64,
             frequency_hz: 60.0e6,
             capacity_events: 400,

@@ -5,14 +5,13 @@
 //! per-session state, and keeps three things current for every
 //! session:
 //!
-//! * an incremental [`wcm_events::summary::SummarySpine`] — the
-//!   workload curves γᵘ/γˡ of everything seen so far, refreshed in
-//!   amortised-constant time per event;
-//! * a rebound [`wcm_core::EnvelopeMonitor`] — flags any window of
-//!   the live stream that escapes the spine's envelope;
+//! * the workload curves γᵘ/γˡ of everything seen so far, measured in
+//!   `O(k_max)` per event by the session's one window scan;
+//! * a rebound [`wcm_core::EnvelopeMonitor`] — that same scan, flagging
+//!   any window of the live stream that escapes the curves;
 //! * the eq.-9 admission verdict — *can this stream join PE2 at the
 //!   configured frequency without overflowing the FIFO?* —
-//!   recomputed at every spine refresh.
+//!   recomputed at every refresh.
 //!
 //! Sessions are sharded across the `wcm-par` work-stealing pool;
 //! per-session ingest buffers are bounded and reuse the simulator's
@@ -45,10 +44,10 @@
 //!
 //! Refresh cadence counts events, never wall-clock or poll
 //! boundaries, so the snapshots a live session produces are
-//! byte-identical to feeding the same stream through the batch
-//! `SummarySpine`/`EnvelopeMonitor` path — regardless of chunking and
-//! of how many shard threads the service runs. `tests/determinism.rs`
-//! pins this.
+//! byte-identical to feeding the same stream to one session in a
+//! single call — regardless of chunking and of how many shard threads
+//! the service runs. `tests/determinism.rs` pins this, and pins both
+//! against full window scans and a hand-driven `EnvelopeMonitor`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

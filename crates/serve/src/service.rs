@@ -51,7 +51,7 @@ struct ShardOutcome {
 pub struct RoundReport {
     /// Bytes consumed across all sources.
     pub bytes: u64,
-    /// Events applied into session spines.
+    /// Events applied to sessions.
     pub events: u64,
     /// Fresh monitor violations this round.
     pub violations: u64,
@@ -90,7 +90,7 @@ pub struct ServiceStats {
 }
 
 /// The long-lived monitoring service: live `.wcmt` sources demuxed
-/// into per-session spines/monitors/admission, sharded over the
+/// into per-session curves/monitors/admission, sharded over the
 /// `wcm-par` pool.
 #[derive(Debug)]
 pub struct Service {

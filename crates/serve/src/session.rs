@@ -1,6 +1,9 @@
-//! Per-session state: an incremental [`SummarySpine`], a rebound
-//! [`EnvelopeMonitor`], and the eq.-9 admission verdict, all refreshed
-//! on a deterministic event-count cadence.
+//! Per-session state: one [`EnvelopeMonitor`], the session's only
+//! window scan, and the eq.-9 admission verdict, refreshed on a
+//! deterministic event-count cadence. The monitor measures γᵘ/γˡ from
+//! the first event; a refresh reads them, binds the monitor to them the
+//! first time (checks begin with the windows that start after it) and
+//! rebinds it at every later refresh.
 //!
 //! ## Determinism contract
 //!
@@ -10,18 +13,14 @@
 //! were chunked across polls, sources, or shard threads. Feeding a
 //! whole trace in one call is therefore byte-identical (snapshots and
 //! all) to feeding it event by event: the batch path and the live path
-//! are the same code, which is how `tests/determinism.rs` pins the
-//! serve pipeline against the batch `SummarySpine`/`EnvelopeMonitor`
-//! oracle.
+//! are the same code. `tests/determinism.rs` pins the serve pipeline
+//! against a batch oracle built from full window scans and a
+//! hand-driven `EnvelopeMonitor`.
 
 use std::collections::VecDeque;
 
-use wcm_core::{
-    build::arrival_upper_from_spans, sizing, EnvelopeMonitor, LowerWorkloadCurve,
-    UpperWorkloadCurve, WorkloadBounds,
-};
+use wcm_core::{build::arrival_upper_from_spans, sizing, EnvelopeMonitor, UpperWorkloadCurve};
 use wcm_curves::arrival::PeriodicJitter;
-use wcm_events::summary::{Sides, SummarySpine};
 use wcm_events::window::SlidingSpans;
 use wcm_sim::OverflowPolicy;
 
@@ -71,8 +70,8 @@ pub struct EnqueueOutcome {
 /// All state the service keeps for one `(source, name)` stream.
 #[derive(Debug)]
 pub struct SessionState {
-    spine: SummarySpine,
-    monitor: Option<EnvelopeMonitor>,
+    /// Measures γᵘ/γˡ from the first event; checks windows once bound.
+    monitor: EnvelopeMonitor,
     /// Sliding window of *consumed* timestamps for the empirical
     /// arrival curve (bounded by `cfg.times_window`). Timestamps pair
     /// with demands index-wise: time `i` belongs to event `i`, and is
@@ -97,7 +96,7 @@ pub struct SessionState {
     dropped: u64,
     admission: Admission,
     flips: u64,
-    /// Refreshes that failed curve/sizing construction (should be 0).
+    /// Refreshes that found no workload or arrival curve to size by.
     errors: u64,
     /// γᵘ(1) and γᵘ(k) of the last refresh, for snapshots.
     wcet: u64,
@@ -109,10 +108,9 @@ impl SessionState {
     /// Fresh session under `cfg`.
     #[must_use]
     pub fn new(cfg: &ServeConfig) -> Self {
-        let grid: Vec<usize> = (1..=cfg.k_max.max(1)).collect();
         Self {
-            spine: SummarySpine::new(&grid, Sides::Both, cfg.chunk_target),
-            monitor: None,
+            monitor: EnvelopeMonitor::unbound(cfg.k_max.max(1))
+                .expect("a window depth of at least 1"),
             times: None,
             times_in: VecDeque::new(),
             times_used: 0,
@@ -214,9 +212,9 @@ impl SessionState {
         self.times_used += n as u64;
     }
 
-    /// Apply every pending demand: extend the spine, feed the monitor,
-    /// and run a refresh (fold + rebind + admission) at each
-    /// `refresh_every`-event boundary. Returns new violations caused.
+    /// Apply every pending demand: feed the monitor, and run a refresh
+    /// (curves + rebind + admission) at each `refresh_every`-event
+    /// boundary. Returns new violations caused.
     pub fn apply_pending(&mut self, cfg: &ServeConfig) -> u64 {
         let mut fresh = 0u64;
         let every = cfg.refresh_every.max(1);
@@ -226,9 +224,9 @@ impl SessionState {
             let n = self.pending.len().min(room);
             chunk.clear();
             chunk.extend(self.pending.drain(..n));
-            self.spine.extend_from_slice(&chunk);
-            if let Some(m) = self.monitor.as_mut() {
-                fresh += m.observe_all(chunk.iter().copied()) as u64;
+            {
+                let _span = wcm_obs::span("serve.scan");
+                fresh += self.monitor.observe_all(chunk.iter().copied()) as u64;
             }
             self.events += n as u64;
             self.since_refresh += n as u64;
@@ -246,58 +244,52 @@ impl SessionState {
         fresh
     }
 
-    /// Fold the spine, rebind the monitor to the fresh envelope and
-    /// recompute the eq.-9 admission verdict. Returns `true` when the
-    /// verdict flipped (admit ↔ reject).
-    pub fn refresh(&mut self, cfg: &ServeConfig) -> bool {
+    /// Read the monitor's measured curves, bind or rebind the monitor to
+    /// them and recompute the eq.-9 admission verdict, counting a flip
+    /// (admit ↔ reject).
+    fn refresh(&mut self, cfg: &ServeConfig) {
         let _span = wcm_obs::span("serve.refresh");
         self.refreshes += 1;
-        let curve = self.spine.curve();
-        let (Some(up), Some(lo)) = (curve.dense_max(), curve.dense_min()) else {
-            return false; // warming: fewer than k_max events
-        };
-        let k_eff = up.len();
-        let bounds = match (UpperWorkloadCurve::new(up), LowerWorkloadCurve::new(lo)) {
-            (Ok(upper), Ok(lower)) => WorkloadBounds { upper, lower },
-            _ => {
-                self.errors += 1;
-                return false;
-            }
-        };
-        self.wcet = bounds.upper.value(1).get();
-        self.gamma_k = bounds.upper.value(k_eff).get();
-        self.k_eff = k_eff;
-        if cfg.monitor {
-            match self.monitor.as_mut() {
-                Some(m) => {
-                    if m.rebind_with_k_max(&bounds, k_eff).is_err() {
-                        self.errors += 1;
-                    }
+        let verdict = match self.monitor.measured_bounds() {
+            Ok(None) => return, // warming: fewer than k_max events
+            Ok(Some(bounds)) => {
+                let k_eff = bounds.upper.k_max();
+                self.wcet = bounds.upper.value(1).get();
+                self.gamma_k = bounds.upper.value(k_eff).get();
+                // `k_eff` is 0 until the first curves: bind then, so
+                // checks begin with the windows that start after now.
+                if cfg.monitor && self.k_eff == 0 {
+                    self.monitor.bind(&bounds);
+                } else {
+                    self.monitor.rebind(&bounds);
                 }
-                None => match EnvelopeMonitor::new(&bounds, k_eff) {
-                    Ok(m) => self.monitor = Some(m),
-                    Err(_) => self.errors += 1,
-                },
+                self.k_eff = k_eff;
+                self.decide(&bounds.upper, k_eff, cfg)
             }
-        }
-        let verdict = self.decide(&bounds.upper, k_eff, cfg);
-        let flipped = matches!(
+            Err(_) => {
+                // A window summed past u64::MAX: no curve to size PE2 by.
+                self.errors += 1;
+                Admission::Reject {
+                    f_min_hz: f64::INFINITY,
+                }
+            }
+        };
+        if matches!(
             (self.admission, verdict),
             (Admission::Admit { .. }, Admission::Reject { .. })
                 | (Admission::Reject { .. }, Admission::Admit { .. })
-        );
-        if flipped {
+        ) {
             self.flips += 1;
             wcm_obs::counter("serve.admission_flips", 1);
         }
         self.admission = verdict;
-        flipped
     }
 
     /// Eq. 9 against the configured PE2: empirical arrival curve when
     /// the stream carries enough timestamps, the configured
     /// periodic-with-jitter model otherwise.
     fn decide(&mut self, gamma_u: &UpperWorkloadCurve, k_eff: usize, cfg: &ServeConfig) -> Admission {
+        let alpha_span = wcm_obs::span("serve.alpha");
         let alpha = match self.times.as_deref_mut() {
             Some(times) if times.len() > k_eff => {
                 let mut spans = Vec::with_capacity(k_eff);
@@ -313,12 +305,14 @@ impl SessionState {
             .and_then(|m| m.to_step_upper(cfg.period_s * (k_eff as f64 + 1.0)))
             .ok(),
         };
+        drop(alpha_span);
         let Some(alpha) = alpha else {
             self.errors += 1;
             return Admission::Reject {
                 f_min_hz: f64::INFINITY,
             };
         };
+        let _span = wcm_obs::span("serve.eq9");
         match sizing::min_frequency_workload(&alpha, gamma_u, cfg.capacity_events) {
             Ok(f_min_hz) if f_min_hz <= cfg.frequency_hz => Admission::Admit { f_min_hz },
             Ok(f_min_hz) => Admission::Reject { f_min_hz },
@@ -364,12 +358,6 @@ impl SessionState {
         self.admission
     }
 
-    /// The monitor, if one is bound yet.
-    #[must_use]
-    pub fn monitor(&self) -> Option<&EnvelopeMonitor> {
-        self.monitor.as_ref()
-    }
-
     /// One stable JSON object describing the session — the byte-level
     /// parity surface between the live and batch paths.
     #[must_use]
@@ -409,6 +397,30 @@ impl SessionState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_window_sum_past_u64_max_rejects_instead_of_panicking() {
+        let cfg = ServeConfig {
+            k_max: 4,
+            refresh_every: 4,
+            ..ServeConfig::default()
+        };
+        let mut state = SessionState::new(&cfg);
+        let mut demands = vec![u64::MAX];
+        demands.extend(1..=9);
+        state.enqueue(&demands, &cfg);
+        state.apply_pending(&cfg);
+        // Both refreshes (after 4 and 8 events) see the first window
+        // [u64::MAX, 1] in their curves: each counts as an error.
+        assert_eq!((state.refreshes, state.errors), (2, 2));
+        assert_eq!(state.violations, 0);
+        let line = state.snapshot_json("s");
+        assert!(
+            line.contains("\"events\":10,\"k\":0,")
+                && line.contains("\"verdict\":\"reject\",\"f_min_hz\":null"),
+            "{line}"
+        );
+    }
 
     #[test]
     fn steady_state_refresh_rescans_only_what_changed() {

@@ -6,8 +6,8 @@ use std::io::Write;
 use std::path::Path;
 
 use wcm_core::build::arrival_upper;
-use wcm_core::{sizing, UpperWorkloadCurve};
-use wcm_events::window::{max_window_sums, Parallelism, WindowMode};
+use wcm_core::{sizing, EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
+use wcm_events::window::{max_window_sums, min_window_sums, Parallelism, WindowMode};
 use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
 use wcm_serve::{ServeConfig, Service, SessionState};
 use wcm_sim::OverflowPolicy;
@@ -106,19 +106,22 @@ fn serve_snapshots(file: &Path, chunk: usize, cfg: ServeConfig) -> Vec<String> {
     svc.snapshots()
 }
 
-#[test]
-fn interleaved_sessions_match_batch_path_across_shard_counts() {
-    let n_sessions = 7;
-    let n_events = 160;
-    let sessions: Vec<(String, Vec<u64>, Vec<f64>)> = (0..n_sessions)
+/// Seven timestamped sessions of 160 events each.
+fn seven_cameras() -> Vec<(String, Vec<u64>, Vec<f64>)> {
+    (0..7)
         .map(|s| {
             (
                 format!("cam-{s:02}"),
-                demands_for(s, n_events),
-                timestamps_for(s, n_events),
+                demands_for(s, 160),
+                timestamps_for(s, 160),
             )
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn interleaved_sessions_match_batch_path_across_shard_counts() {
+    let sessions = seven_cameras();
     let bytes = interleaved_stream(&sessions);
 
     let dir = std::env::temp_dir().join(format!("wcm_serve_det_{}", std::process::id()));
@@ -160,6 +163,44 @@ fn interleaved_sessions_match_batch_path_across_shard_counts() {
         }
     }
 
+    std::fs::remove_file(&file).ok();
+    std::fs::remove_dir(&dir).ok();
+}
+
+#[test]
+fn monitor_off_changes_only_the_violation_count() {
+    // With the envelope check off, the session's scan still measures the
+    // curves every refresh reads: snapshots match the checked run in
+    // every field but `violations`, which stays 0. The stream is the one
+    // of the shard-count test above.
+    let sessions = seven_cameras();
+    let dir = std::env::temp_dir().join(format!("wcm_serve_off_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("off.wcmt");
+    std::fs::write(&file, interleaved_stream(&sessions)).unwrap();
+    let checked = serve_snapshots(&file, 97, small_cfg(1, wcm_par::Parallelism::Seq));
+    assert!(
+        checked.iter().any(|l| field(l, "violations") != "0"),
+        "{checked:?}"
+    );
+    for &(shards, par) in &[
+        (1usize, wcm_par::Parallelism::Seq),
+        (2, wcm_par::Parallelism::Threads(2)),
+    ] {
+        let cfg = ServeConfig {
+            monitor: false,
+            ..small_cfg(shards, par)
+        };
+        let off = serve_snapshots(&file, 97, cfg);
+        assert_eq!(off.len(), checked.len());
+        for (off, on) in off.iter().zip(&checked) {
+            let at = on.find("\"violations\":").expect("violations field");
+            let rest = &on[at..];
+            let end = rest.find(',').expect("field end");
+            let want = format!("{}\"violations\":0{}", &on[..at], &rest[end..]);
+            assert_eq!(off, &want, "shards={shards}");
+        }
+    }
     std::fs::remove_file(&file).ok();
     std::fs::remove_dir(&dir).ok();
 }
@@ -406,4 +447,139 @@ fn inverted_timestamps_reject_until_they_leave_the_window() {
     );
     std::fs::remove_file(&file).ok();
     std::fs::remove_dir(&dir).ok();
+}
+
+/// Deterministic pseudo-random `u64`s (SplitMix64).
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A random demand stream whose level shifts every 200 events, with
+/// rare spikes and zeros, so an envelope measured on a prefix is broken
+/// later in the stream.
+fn shifting_demands(seed: u64, n: usize) -> Vec<u64> {
+    let mut state = seed;
+    (0..n)
+        .map(|i| {
+            let r = splitmix(&mut state);
+            let level = 100 + 60 * ((i / 200) % 3) as u64;
+            match r % 150 {
+                0 => level * 5,
+                1 => 0,
+                _ => level + (r >> 32) % 60,
+            }
+        })
+        .collect()
+}
+
+/// γᵘ/γˡ of `prefix` from a full window scan on the calling thread.
+fn prefix_bounds(prefix: &[u64], k_max: usize) -> WorkloadBounds {
+    let (upper, lower) = Parallelism::Seq.scope(|| {
+        (
+            max_window_sums(prefix, k_max, WindowMode::Exact).unwrap(),
+            min_window_sums(prefix, k_max, WindowMode::Exact).unwrap(),
+        )
+    });
+    WorkloadBounds {
+        upper: UpperWorkloadCurve::new(upper).unwrap(),
+        lower: LowerWorkloadCurve::new(lower).unwrap(),
+    }
+}
+
+/// Total violations after each event (`out[n]` after `n` events) of a
+/// monitor with the session's lifecycle, built by hand: created fresh at
+/// the first refresh that has `k_max` events, fed one event at a time,
+/// and rebound to the prefix's bounds at every later refresh.
+fn oracle_violations(demands: &[u64], cfg: &ServeConfig) -> Vec<u64> {
+    let every = cfg.refresh_every as usize;
+    let mut monitor: Option<EnvelopeMonitor> = None;
+    let mut out = vec![0];
+    for (i, &d) in demands.iter().enumerate() {
+        if let Some(m) = monitor.as_mut() {
+            m.observe(d);
+        }
+        let n = i + 1;
+        if n % every == 0 && n >= cfg.k_max {
+            let bounds = prefix_bounds(&demands[..n], cfg.k_max);
+            match monitor.as_mut() {
+                Some(m) => m.rebind(&bounds),
+                None => monitor = Some(EnvelopeMonitor::new(&bounds, cfg.k_max).unwrap()),
+            }
+        }
+        out.push(
+            monitor
+                .as_ref()
+                .map_or(0, EnvelopeMonitor::total_violations),
+        );
+    }
+    out
+}
+
+#[test]
+fn snapshots_match_an_independent_window_scan_oracle() {
+    // Per (k_max, refresh_every): refreshes that warm for several
+    // rounds, refresh every event, and refresh less often than k_max.
+    let pairs = [(1usize, 1u64), (4, 7), (12, 5), (12, 16), (33, 64)];
+    const KEYS: [&str; 6] = [
+        "events",
+        "k",
+        "refreshes",
+        "wcet",
+        "gamma_u_k",
+        "violations",
+    ];
+    let mut total_violations = 0;
+    for (case, &(k_max, refresh_every)) in pairs.iter().enumerate() {
+        let cfg = ServeConfig {
+            k_max,
+            refresh_every,
+            session_buffer: 1 << 20,
+            ..small_cfg(1, wcm_par::Parallelism::Seq)
+        };
+        let every = refresh_every as usize;
+        for seed in 0..3u64 {
+            let n_events = 450 + 97 * seed as usize + case;
+            let demands = shifting_demands(seed * 31 + case as u64, n_events);
+            let violations = oracle_violations(&demands, &cfg);
+            total_violations += violations[n_events];
+            for piece in [1usize, 97, n_events] {
+                let mut state = SessionState::new(&cfg);
+                for at in (0..n_events).step_by(piece) {
+                    let n = (at + piece).min(n_events);
+                    state.enqueue(&demands[at..n], &cfg);
+                    state.apply_pending(&cfg);
+                    let line = state.snapshot_json("s");
+                    let r = n / every * every;
+                    let (k, wcet, gamma_k) = if r >= k_max {
+                        let up = Parallelism::Seq
+                            .scope(|| max_window_sums(&demands[..r], k_max, WindowMode::Exact))
+                            .unwrap();
+                        (k_max, up[0], up[k_max - 1])
+                    } else {
+                        (0, 0, 0)
+                    };
+                    let want = [
+                        n.to_string(),
+                        k.to_string(),
+                        (n / every).to_string(),
+                        wcet.to_string(),
+                        gamma_k.to_string(),
+                        violations[n].to_string(),
+                    ];
+                    let got = KEYS.map(|key| field(&line, key).to_string());
+                    assert_eq!(
+                        got, want,
+                        "k_max={k_max} refresh={refresh_every} seed={seed} piece={piece} after {n}"
+                    );
+                }
+            }
+        }
+    }
+    // The streams must break their own prefix envelopes, or the
+    // violation half of the oracle checks nothing.
+    assert!(total_violations > 0);
 }

@@ -7,6 +7,9 @@
 #  * the stable exit codes hold: 0 clean drain, 2 usage (oversized
 #    --threads/--shards included), 3 malformed source, 4 monitor
 #    violations;
+#  * hostile demands cannot crash the service: a session whose window
+#    sums pass u64::MAX rejects at an unbounded frequency and the drain
+#    still exits 0;
 #  * the shard fan-out is deterministic: 2 threads x 2 shards write the
 #    same snapshot bytes as 1 x 1;
 #  * SIGTERM drains gracefully: everything already on disk is flushed
@@ -65,6 +68,16 @@ rc=0; "$cli" serve --tail "$out/spike.wcmt" --idle-exit on \
 [ "$rc" -eq 4 ] || { echo "envelope violations must exit 4, got $rc"; exit 1; }
 grep -q '^violations [1-9]' "$out/spike.out"
 echo "ok: exits 2/3/4 hold"
+
+echo "== hostile demands: a window sum past u64::MAX =="
+printf '18446744073709551615\n1\n2\n3\n4\n5\n6\n7\n8\n9\n' >"$out/huge.txt"
+"$cli" trace encode --demands "$out/huge.txt" --name huge --out "$out/huge.wcmt" >/dev/null
+rc=0; "$cli" serve --tail "$out/huge.wcmt" --idle-exit on --k 4 --refresh 4 \
+  --snapshots-out "$out/huge.snap" >"$out/huge.out" || rc=$?
+[ "$rc" -eq 0 ] || { echo "an overflowing session must not fail the service, got $rc"; exit 1; }
+grep -q '/huge","events":10,.*"verdict":"reject","f_min_hz":null' "$out/huge.snap" || {
+  echo "an overflowing session must reject at an unbounded frequency"; exit 1; }
+echo "ok: the overflowing session rejects, exit 0"
 
 echo "== shard fan-out: 2 threads x 2 shards == 1 x 1 =="
 "$gen" "$out/fan.wcmt" 64 96 >/dev/null

@@ -15,7 +15,7 @@
 //! | [`sim`] | `wcm-sim` | the transaction-level CBR → PE₁ → FIFO → PE₂ pipeline simulator (Fig. 5) |
 //! | [`obs`] | `wcm-obs` | zero-dependency observability: spans, counters, log2 histograms, Chrome-trace export, strict JSON/CSV readers |
 //! | [`wire`] | `wcm-wire` | the versioned binary `.wcmt` trace wire format: streaming encoder/decoder, corruption-tolerant resync |
-//! | [`serve`] | `wcm-serve` | always-on monitoring: live `.wcmt` ingestion (file tail / TCP), per-session spines + monitors, eq.-9 admission control |
+//! | [`serve`] | `wcm-serve` | always-on monitoring: live `.wcmt` ingestion (file tail / TCP), per-session workload curves + monitors, eq.-9 admission control |
 //!
 //! # Quickstart
 //!
