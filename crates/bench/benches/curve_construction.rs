@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use wcm_core::UpperWorkloadCurve;
-use wcm_events::summary::{CurveSummary, Sides, SummarySpine};
+use wcm_core::{EnvelopeMonitor, UpperWorkloadCurve};
+use wcm_events::summary::{CurveSummary, Sides};
 use wcm_events::window::{max_window_sums, min_spans, Parallelism, WindowMode};
 
 fn demand_vector(n: usize) -> Vec<u64> {
@@ -169,16 +169,17 @@ fn bench_summaries(c: &mut Criterion) {
             acc
         })
     });
-    // Incremental path: extend a live spine by one 3 000-event GOP and
-    // refold, against the full-rebuild `from_values` above.
-    let mut spine = SummarySpine::new(&grid, Sides::Max, 0);
-    spine.extend_from_slice(&v[..47_000]);
+    // Incremental path: extend a live envelope monitor by one 3 000-event
+    // GOP and read its measured curve, against the full-rebuild
+    // `from_values` above.
+    let mut monitor = EnvelopeMonitor::unbound(2_000).unwrap();
+    monitor.observe_all(v[..47_000].iter().copied());
     let gop = &v[47_000..];
-    group.bench_function("spine_append_gop3000_over_47k", |b| {
+    group.bench_function("monitor_append_gop3000_over_47k", |b| {
         b.iter(|| {
-            let mut s = spine.clone();
-            s.extend_from_slice(gop);
-            s.curve()
+            let mut m = monitor.clone();
+            m.observe_all(gop.iter().copied());
+            m.measured_bounds().unwrap()
         })
     });
     group.finish();

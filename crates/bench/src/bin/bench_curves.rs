@@ -18,8 +18,9 @@
 use std::time::Instant;
 use wcm_bench::alloc::{count_allocs, CountingAlloc};
 use wcm_bench::legacy::convolve_materialized;
+use wcm_core::EnvelopeMonitor;
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
-use wcm_events::summary::{summarize, CurveSummary, Sides, SummarySpine};
+use wcm_events::summary::{summarize, CurveSummary, Sides};
 use wcm_events::window::{max_window_sums, min_spans, Parallelism, WindowMode};
 
 const N: usize = 50_000;
@@ -252,33 +253,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "chunked fold and single-pass summary disagree"
     );
 
-    // Incremental append, steady state: extend a live spine GOP by GOP —
-    // refolding the queryable curve after each — across `GOPS` arrivals,
-    // and report the per-GOP cost against rebuilding the whole N-event
-    // curve from scratch (what a monitor would otherwise do per GOP).
-    // Timing several GOPs amortizes the chunk seals honestly instead of
-    // always (or never) straddling one. The spine clone inside the timed
-    // region only makes the measured append pessimistic.
+    // Incremental append, steady state: extend a live envelope monitor
+    // (the per-session scan `wcm serve` runs) GOP by GOP — reading the
+    // measured curve after each — across `GOPS` arrivals, and report the
+    // per-GOP cost against rebuilding the whole N-event curve from
+    // scratch (what a session would otherwise do per GOP). The monitor
+    // clone inside the timed region only makes the measured append
+    // pessimistic.
     const GOPS: usize = 10;
     let base_len = N - GOPS * GOP_EVENTS;
-    let mut spine_base = SummarySpine::new(&grid, Sides::Max, 0);
-    spine_base.extend_from_slice(&v[..base_len]);
-    let run_gops = |spine: &SummarySpine| {
-        let mut s = spine.clone();
-        let mut last = CurveSummary::empty(&grid, Sides::Max);
+    let mut monitor_base = EnvelopeMonitor::unbound(K).expect("K > 0");
+    monitor_base.observe_all(v[..base_len].iter().copied());
+    let run_gops = |monitor: &EnvelopeMonitor| {
+        let mut m = monitor.clone();
+        let mut last = None;
         for g in 0..GOPS {
             let lo = base_len + g * GOP_EVENTS;
-            s.extend_from_slice(&v[lo..lo + GOP_EVENTS]);
-            last = s.curve();
+            m.observe_all(v[lo..lo + GOP_EVENTS].iter().copied());
+            last = m.measured_bounds().expect("demands fit u64");
         }
-        last
+        last.expect("more than K events observed")
     };
     let appends = measure([
         &mut || time_once(|| CurveSummary::from_values(&v, &grid, Sides::Max)),
-        &mut || time_once(|| run_gops(&spine_base)),
+        &mut || time_once(|| run_gops(&monitor_base)),
     ]);
     assert_eq!(
-        run_gops(&spine_base).max_table(),
+        run_gops(&monitor_base).upper.values(),
         CurveSummary::from_values(&v, &grid, Sides::Max).max_table(),
         "incremental append and full rebuild disagree"
     );

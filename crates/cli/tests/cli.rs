@@ -712,6 +712,42 @@ fn serve_rejects_a_session_whose_window_sums_overflow() {
     assert!(calm.contains("\"verdict\":\"admit\""), "{calm}");
 }
 
+/// Demands whose window sums pass `u64::MAX` are an analysis error
+/// (exit 1, naming the overflow) for `curves` and `fmin`, from text and
+/// from `.wcmt`, at one and two threads — never a panic.
+#[test]
+fn window_sums_past_u64_max_exit_1_instead_of_panicking() {
+    let art = Artifacts::new("sum-overflow", &["big.txt", "big.wcmt", "times.txt"]);
+    std::fs::write(art.path(0), "18446744073709551615\n1\n2\n3\n").unwrap();
+    std::fs::write(art.path(2), "0.0 1.0 2.0 3.0\n").unwrap();
+    let out = cli()
+        .args(["trace", "encode", "--demands", art.path(0), "--name", "big"])
+        .args(["--out", art.path(1)])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    for demands in [art.path(0), art.path(1)] {
+        for threads in ["1", "2"] {
+            let curves = cli()
+                .args(["curves", "--demands", demands, "--k", "2"])
+                .args(["--threads", threads])
+                .output()
+                .unwrap();
+            let fmin = cli()
+                .args(["fmin", "--times", art.path(2), "--demands", demands])
+                .args(["--buffer", "2", "--k", "2", "--threads", threads])
+                .output()
+                .unwrap();
+            for out in [curves, fmin] {
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(1), "{err}");
+                assert!(err.contains("window sum exceeds u64::MAX"), "{err}");
+            }
+        }
+    }
+}
+
 #[test]
 fn unknown_options_are_usage_errors_before_any_work() {
     let dem = tmp_file("unknown-opt-demands.txt", "5\n7\n3\n9\n");

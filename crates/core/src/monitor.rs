@@ -197,15 +197,6 @@ impl EnvelopeMonitor {
         Self::build(Some(gamma), None, k_max)
     }
 
-    /// A monitor checking only the lower curve.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidParameter`] if `k_max` is 0.
-    pub fn lower_only(gamma: &LowerWorkloadCurve, k_max: usize) -> Result<Self, WorkloadError> {
-        Self::build(None, Some(gamma), k_max)
-    }
-
     /// A monitor that checks nothing yet and only measures: it keeps the
     /// running extrema behind [`Self::measured_bounds`] until
     /// [`Self::bind`] installs bounds.

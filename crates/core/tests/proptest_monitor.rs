@@ -34,7 +34,6 @@ fn monitor(kind: usize, b: &WorkloadBounds, k_max: usize) -> EnvelopeMonitor {
     match kind {
         0 => EnvelopeMonitor::new(b, k_max),
         1 => EnvelopeMonitor::upper_only(&b.upper, k_max),
-        2 => EnvelopeMonitor::lower_only(&b.lower, k_max),
         _ => EnvelopeMonitor::unbound(k_max),
     }
     .unwrap()
@@ -60,7 +59,7 @@ proptest! {
     #[test]
     fn batched_observe_all_equals_per_event_observe(
         seed in 0u64..u64::MAX,
-        kind in 0usize..4,
+        kind in 0usize..3,
         depth in 0usize..4,
         huge in 0u32..4,
         odds in 50u64..2000,

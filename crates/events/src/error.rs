@@ -41,6 +41,12 @@ pub enum EventError {
         /// The violated invariant.
         what: &'static str,
     },
+    /// A result does not fit `u64`, e.g. a window sum of demands near
+    /// `u64::MAX`.
+    Overflow {
+        /// What overflowed.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for EventError {
@@ -64,6 +70,7 @@ impl fmt::Display for EventError {
             EventError::InvalidSummary { what } => {
                 write!(f, "invalid summary parts: {what}")
             }
+            EventError::Overflow { what } => write!(f, "{what} exceeds u64::MAX"),
         }
     }
 }

@@ -14,18 +14,19 @@
 //!
 //! Because `u64` max/min is associative and commutative, any merge order —
 //! left fold, pairwise tree, parallel tree-reduce — produces bit-identical
-//! tables, which is what makes the structure useful three times over:
+//! tables. The structure has two uses:
 //!
 //! 1. **Trace-parallel construction** ([`summarize`]): chunks are
 //!    summarized independently on `wcm-par` and tree-folded, parallelizing
-//!    over the trace dimension instead of the window-size dimension.
-//! 2. **Incremental appends** ([`CurveSummary::append`], [`SummarySpine`]):
-//!    extending a summarized trace by one event costs `O(k_max)` instead of
-//!    an `O(N·K)` rescan, and a logarithmic spine of sealed chunks keeps
-//!    merge work bounded regardless of trace length.
-//! 3. **Prefix sharing**: replays that perturb only a suffix of a trace
-//!    (fault-seeded sweep points) reuse the unperturbed prefix's summary
-//!    and only re-summarize the tail.
+//!    over the trace dimension instead of the window-size dimension. This
+//!    is the multi-worker path of [`crate::window::max_window_sums`] and
+//!    [`crate::window::min_window_sums`].
+//! 2. **The wire codec**: a summary travels as a `.wcmt` SUMMARY frame
+//!    ([`SummaryParts`]), and summaries decoded from separate chunks of a
+//!    stream merge into the summary of the whole stream.
+//!
+//! A live stream that grows event by event does not go through here:
+//! `wcm_core::monitor::EnvelopeMonitor` keeps its per-`k` running extrema.
 //!
 //! The crossing-window scan in `merge` is dominance-pruned: suffix sums of
 //! the left tail and prefix sums of the right head are monotone in length,
@@ -46,7 +47,7 @@ pub enum Sides {
     Max,
     /// Minimum window sums only (`γˡ` construction).
     Min,
-    /// Both extrema in one pass (spines, monitors).
+    /// Both extrema in one pass.
     Both,
 }
 
@@ -135,6 +136,12 @@ impl CurveSummary {
     /// `grid` must be non-empty and strictly ascending with `grid[0] ≥ 1`;
     /// window sizes larger than `values.len()` are allowed and keep their
     /// identity entries (they resolve once enough data is merged in).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid is malformed or a window extremum exceeds
+    /// `u64::MAX` (callers with untrusted demands check the total first,
+    /// as [`crate::window::max_window_sums`] does).
     #[must_use]
     pub fn from_values(values: &[u64], grid: &[usize], sides: Sides) -> Self {
         assert_grid(grid);
@@ -147,14 +154,14 @@ impl CurveSummary {
         } else {
             let prefix = PrefixSums::new(values);
             match sides {
-                Sides::Both => prefix.scan_grid_both(grid),
+                Sides::Both => prefix.scan_grid_both(grid).expect(OVERFLOW),
                 Sides::Max => (
-                    prefix.scan_grid(grid, true),
+                    prefix.scan_grid(grid, true).expect(OVERFLOW),
                     vec![MIN_IDENTITY; grid.len()],
                 ),
                 Sides::Min => (
                     vec![MAX_IDENTITY; grid.len()],
-                    prefix.scan_grid(grid, false),
+                    prefix.scan_grid(grid, false).expect(OVERFLOW),
                 ),
             }
         };
@@ -310,53 +317,15 @@ impl CurveSummary {
         &self.min_win
     }
 
-    /// Dense `γᵘ`-style table over `1..=k_max` (`k_max = grid.last()`),
-    /// spreading grid gaps with the *next* grid value — the same sound
-    /// over-approximation [`crate::window::max_window_sums`] uses.
-    ///
-    /// `None` when the summary is min-only or covers fewer than `k_max`
-    /// events (identity entries would leak into the dense table).
-    #[must_use]
-    pub fn dense_max(&self) -> Option<Vec<u64>> {
-        let k_max = *self.grid.last().expect("grid is non-empty");
-        if !self.sides.wants_max() || self.len < k_max {
-            return None;
-        }
-        Some(crate::window::fill_gaps(
-            &self.grid,
-            &self.max_win,
-            k_max,
-            true,
-            0u64,
-        ))
-    }
-
-    /// Dense `γˡ`-style table over `1..=k_max`, spreading gaps with the
-    /// *previous* grid value (sound under-approximation). `None` when the
-    /// summary is max-only or covers fewer than `k_max` events.
-    #[must_use]
-    pub fn dense_min(&self) -> Option<Vec<u64>> {
-        let k_max = *self.grid.last().expect("grid is non-empty");
-        if !self.sides.wants_min() || self.len < k_max {
-            return None;
-        }
-        Some(crate::window::fill_gaps(
-            &self.grid,
-            &self.min_win,
-            k_max,
-            false,
-            0u64,
-        ))
-    }
-
     /// Merge `self ⧺ other` (self is the *earlier* run) into the exact
     /// summary of the concatenation. Associative; bit-identical to
     /// summarizing the concatenated values directly.
     ///
     /// # Panics
     ///
-    /// Panics if the grids or sides differ, or if a crossing window sum
-    /// overflows `u64` (the sequential scan panics on the same input).
+    /// Panics if the grids or sides differ, or if a run of values around
+    /// the seam sums past `u64::MAX` (never when the total of both runs
+    /// fits `u64`).
     #[must_use]
     pub fn merge(&self, other: &Self) -> Self {
         let mut out = self.clone();
@@ -364,16 +333,10 @@ impl CurveSummary {
         out
     }
 
-    /// In-place [`merge`](CurveSummary::merge): folds `other` (the *later*
-    /// run) into `self`, reusing `self`'s window tables and head/tail
-    /// buffers instead of allocating a fresh summary per merge. Long
-    /// chunk folds (e.g. the sweep demand memo) keep one accumulator live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grids or sides differ, or if a crossing window sum
-    /// overflows `u64` (the sequential scan panics on the same input).
-    pub fn merge_in_place(&mut self, other: &Self) {
+    /// [`merge`](CurveSummary::merge) into `self`: folds `other` (the
+    /// *later* run) in, reusing `self`'s window tables and head/tail
+    /// buffers.
+    fn merge_in_place(&mut self, other: &Self) {
         assert_eq!(self.grid, other.grid, "summary grids must match");
         assert_eq!(self.sides, other.sides, "summary sides must match");
         if other.is_empty() {
@@ -445,56 +408,6 @@ impl CurveSummary {
         }
         self.len = merged_len;
         self.total += other.total;
-    }
-
-    /// Extend the run by one event in `O(k_max)`: the only new windows
-    /// are those *ending* at the appended value, and all of their earlier
-    /// values live in the stored tail.
-    pub fn append(&mut self, value: u64) {
-        let k_max = *self.grid.last().expect("grid is non-empty");
-        self.len += 1;
-        self.total += u128::from(value);
-        // Walk the tail backwards, growing the suffix sum one value at a
-        // time; whenever the suffix length hits a grid size, fold it in.
-        let mut gi = 0;
-        let mut sum = value;
-        let mut size = 1usize;
-        loop {
-            while gi < self.grid.len() && self.grid[gi] < size {
-                gi += 1;
-            }
-            if gi >= self.grid.len() {
-                break;
-            }
-            if self.grid[gi] == size && size <= self.len {
-                if self.sides.wants_max() {
-                    self.max_win[gi] = self.max_win[gi].max(sum);
-                }
-                if self.sides.wants_min() {
-                    self.min_win[gi] = self.min_win[gi].min(sum);
-                }
-                gi += 1;
-                if gi >= self.grid.len() {
-                    break;
-                }
-            }
-            if size > self.tail.len() {
-                break;
-            }
-            sum = sum
-                .checked_add(self.tail[self.tail.len() - size])
-                .expect(OVERFLOW);
-            size += 1;
-        }
-        if self.head.len() + 1 < k_max {
-            self.head.push(value);
-        }
-        if k_max > 1 {
-            if self.tail.len() + 1 == k_max {
-                self.tail.remove(0);
-            }
-            self.tail.push(value);
-        }
     }
 }
 
@@ -579,153 +492,6 @@ pub fn summarize(values: &[u64], grid: &[usize], sides: Sides) -> CurveSummary {
             .collect();
     }
     summaries.pop().expect("at least one chunk")
-}
-
-/// Logarithmic spine of sealed chunk summaries plus one open append
-/// chunk: `O(k_max)` per push amortized, with merge work bounded by the
-/// spine depth instead of the trace length.
-///
-/// The spine is a binary counter: sealing the open chunk inserts it at
-/// level 0 and carries (merging older-into-newer) until it finds a free
-/// level, exactly like binary increment. [`SummarySpine::curve`] folds
-/// the levels oldest-first and finishes with the open chunk — the result
-/// is bit-identical to summarizing the full pushed sequence at once.
-#[derive(Debug, Clone)]
-pub struct SummarySpine {
-    grid: Vec<usize>,
-    sides: Sides,
-    chunk_target: usize,
-    open: CurveSummary,
-    /// `levels[d]` holds a sealed summary of `chunk_target · 2^d` events,
-    /// or `None`. Higher levels are older in push order.
-    levels: Vec<Option<CurveSummary>>,
-    /// Fold of every sealed level, oldest-first, refreshed on carry —
-    /// levels only change when a chunk seals, so [`SummarySpine::curve`]
-    /// is a single merge between seals.
-    folded: Option<CurveSummary>,
-    pushed: usize,
-}
-
-impl SummarySpine {
-    /// New spine over `grid`/`sides`, sealing the open chunk every
-    /// `chunk_target` events (clamped to at least `4 · k_max` so the
-    /// boundary arrays stay a small fraction of each sealed chunk).
-    #[must_use]
-    pub fn new(grid: &[usize], sides: Sides, chunk_target: usize) -> Self {
-        assert_grid(grid);
-        let k_max = *grid.last().expect("grid is non-empty");
-        let chunk_target = chunk_target.max(4 * k_max).max(1);
-        Self {
-            grid: grid.to_vec(),
-            sides,
-            chunk_target,
-            open: CurveSummary::empty(grid, sides),
-            levels: Vec::new(),
-            folded: None,
-            pushed: 0,
-        }
-    }
-
-    /// Number of events pushed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.pushed
-    }
-
-    /// `true` when nothing has been pushed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pushed == 0
-    }
-
-    /// Append one event (`O(k_max)` amortized).
-    pub fn push(&mut self, value: u64) {
-        self.open.append(value);
-        self.pushed += 1;
-        if self.open.len() >= self.chunk_target {
-            let sealed = std::mem::replace(&mut self.open, CurveSummary::empty(&self.grid, self.sides));
-            self.carry(sealed);
-        }
-    }
-
-    /// Bulk-append a slice: summarize whole chunks directly instead of
-    /// pushing event by event, and fold partial runs into the open chunk
-    /// with one exact merge — the blocked summarize kernel is an order of
-    /// magnitude faster per window slot than the scalar [`CurveSummary::
-    /// append`] walk, so bulk arrivals (a GOP at a time) should never pay
-    /// the per-event constant. Bit-identical to pushing one by one.
-    pub fn extend_from_slice(&mut self, values: &[u64]) {
-        /// Below this many values the per-event walk is cheaper than a
-        /// summarize-plus-merge round trip.
-        const MERGE_MIN: usize = 64;
-        let mut rest = values;
-        while !rest.is_empty() {
-            let room = self.chunk_target - self.open.len();
-            let take = room.min(rest.len());
-            if self.open.is_empty() && take == self.chunk_target {
-                // Fast path: a full chunk arrives at once.
-                self.carry(CurveSummary::from_values(&rest[..take], &self.grid, self.sides));
-            } else {
-                if take >= MERGE_MIN {
-                    let run = CurveSummary::from_values(&rest[..take], &self.grid, self.sides);
-                    self.open = self.open.merge(&run);
-                } else {
-                    for &v in &rest[..take] {
-                        self.open.append(v);
-                    }
-                }
-                if self.open.len() >= self.chunk_target {
-                    let sealed = std::mem::replace(
-                        &mut self.open,
-                        CurveSummary::empty(&self.grid, self.sides),
-                    );
-                    self.carry(sealed);
-                }
-            }
-            self.pushed += take;
-            rest = &rest[take..];
-        }
-    }
-
-    fn carry(&mut self, mut incoming: CurveSummary) {
-        for level in &mut self.levels {
-            match level.take() {
-                None => {
-                    *level = Some(incoming);
-                    self.refold();
-                    return;
-                }
-                Some(older) => incoming = older.merge(&incoming),
-            }
-        }
-        self.levels.push(Some(incoming));
-        self.refold();
-    }
-
-    /// Recompute the cached oldest-first fold of the sealed levels.
-    /// Carries at level `d` happen every `2^d` seals, so the refold work
-    /// amortizes to `O(1)` merges per seal.
-    fn refold(&mut self) {
-        let mut acc: Option<CurveSummary> = None;
-        for level in self.levels.iter().rev().flatten() {
-            acc = Some(match acc {
-                None => level.clone(),
-                Some(a) => a.merge(level),
-            });
-        }
-        self.folded = acc;
-    }
-
-    /// The exact summary of everything pushed: the cached fold of the
-    /// sealed levels merged with the open chunk — one merge, `O(K ·
-    /// k_max)` worst case and usually far cheaper after pruning.
-    #[must_use]
-    pub fn curve(&self) -> CurveSummary {
-        match &self.folded {
-            None => self.open.clone(),
-            Some(a) => a.merge(&self.open),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -828,19 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn append_matches_rebuild() {
-        let values = demo_values(120);
-        let grid = vec![1, 2, 4, 8, 16];
-        let mut s = CurveSummary::empty(&grid, Sides::Both);
-        for (i, &v) in values.iter().enumerate() {
-            s.append(v);
-            let whole = CurveSummary::from_values(&values[..=i], &grid, Sides::Both);
-            assert_eq!(s.max_table(), whole.max_table(), "after {} appends", i + 1);
-            assert_eq!(s.min_table(), whole.min_table(), "after {} appends", i + 1);
-        }
-    }
-
-    #[test]
     fn one_sided_summaries_keep_identities() {
         let values = demo_values(50);
         let grid = vec![1, 3, 9];
@@ -869,40 +622,6 @@ mod tests {
             assert_eq!(s.max_table(), &maxs[..]);
             assert_eq!(s.min_table(), &mins[..]);
         }
-    }
-
-    #[test]
-    fn spine_matches_full_rebuild() {
-        let values = demo_values(500);
-        let grid = vec![1, 2, 5, 10];
-        let mut spine = SummarySpine::new(&grid, Sides::Both, 1);
-        for &v in &values {
-            spine.push(v);
-        }
-        assert_eq!(spine.len(), values.len());
-        let curve = spine.curve();
-        let whole = CurveSummary::from_values(&values, &grid, Sides::Both);
-        assert_eq!(curve.max_table(), whole.max_table());
-        assert_eq!(curve.min_table(), whole.min_table());
-        assert_eq!(curve.len(), whole.len());
-    }
-
-    #[test]
-    fn spine_extend_matches_push_loop() {
-        let values = demo_values(700);
-        let grid = vec![1, 4, 7];
-        let mut pushed = SummarySpine::new(&grid, Sides::Both, 64);
-        for &v in &values {
-            pushed.push(v);
-        }
-        let mut extended = SummarySpine::new(&grid, Sides::Both, 64);
-        extended.extend_from_slice(&values[..123]);
-        extended.extend_from_slice(&values[123..]);
-        let a = pushed.curve();
-        let b = extended.curve();
-        assert_eq!(a.max_table(), b.max_table());
-        assert_eq!(a.min_table(), b.min_table());
-        assert_eq!(extended.len(), values.len());
     }
 
     #[test]

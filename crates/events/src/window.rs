@@ -245,46 +245,35 @@ impl PrefixSums {
     /// bit-identical to per-`k` [`PrefixSums::max_window_sum`] /
     /// [`PrefixSums::min_window_sum`] scans (`u64` max/min is associative
     /// and commutative, so block order cannot matter).
-    pub(crate) fn scan_grid(&self, ks: &[usize], maximize: bool) -> Vec<u64> {
-        match &self.table {
-            Table::Narrow(p) => scan_blocked(p, ks, maximize, None).0,
-            Table::Wide(p) => scan_blocked(p, ks, maximize, None).0,
-        }
+    ///
+    /// `None` when a requested extremum exceeds `u64::MAX` (a wide table
+    /// only: on a narrow one every window fits).
+    pub(crate) fn scan_grid(&self, ks: &[usize], maximize: bool) -> Option<Vec<u64>> {
+        let (primary, _) = match &self.table {
+            Table::Narrow(p) => scan_blocked(p, ks, maximize, None)?,
+            Table::Wide(p) => scan_blocked(p, ks, maximize, None)?,
+        };
+        Some(primary)
     }
 
     /// Like [`PrefixSums::scan_grid`], but produces **both** extrema in the
     /// same blocked pass — the chunk-summary constructor needs max and min
     /// together, and sharing the pass halves the memory traffic.
-    pub(crate) fn scan_grid_both(&self, ks: &[usize]) -> (Vec<u64>, Vec<u64>) {
-        match &self.table {
-            Table::Narrow(p) => {
-                let (maxs, mins) = scan_blocked(p, ks, true, Some(()));
-                (maxs, mins.expect("both-sided scan fills mins"))
-            }
-            Table::Wide(p) => {
-                let (maxs, mins) = scan_blocked(p, ks, true, Some(()));
-                (maxs, mins.expect("both-sided scan fills mins"))
-            }
-        }
+    pub(crate) fn scan_grid_both(&self, ks: &[usize]) -> Option<(Vec<u64>, Vec<u64>)> {
+        let (maxs, mins) = match &self.table {
+            Table::Narrow(p) => scan_blocked(p, ks, true, Some(()))?,
+            Table::Wide(p) => scan_blocked(p, ks, true, Some(()))?,
+        };
+        Some((maxs, mins.expect("both-sided scan fills mins")))
     }
 }
 
 /// A prefix-table cell: the two storage widths of [`PrefixSums`].
-trait PrefixCell: Copy + Ord + std::ops::Sub<Output = Self> {
-    fn to_u64(self) -> u64;
-}
+trait PrefixCell: Copy + Ord + std::ops::Sub<Output = Self> + TryInto<u64> {}
 
-impl PrefixCell for u64 {
-    fn to_u64(self) -> u64 {
-        self
-    }
-}
+impl PrefixCell for u64 {}
 
-impl PrefixCell for u128 {
-    fn to_u64(self) -> u64 {
-        u64::try_from(self).expect("window sum exceeds u64::MAX")
-    }
-}
+impl PrefixCell for u128 {}
 
 /// Table positions per cache block: 8 Ki entries = 64 KiB of `u64`, so a
 /// block plus the `k`-shifted stream it is compared against stays resident
@@ -300,12 +289,13 @@ const SCAN_TILE: usize = 16;
 /// extremum of `p[i+k] − p[i]` over the block's valid positions. With
 /// `both` set, the primary output holds maxima and the second minima
 /// (`maximize` is ignored); otherwise only the requested side is computed.
+/// `None` when an extremum does not fit `u64`.
 fn scan_blocked<T: PrefixCell>(
     p: &[T],
     ks: &[usize],
     maximize: bool,
     both: Option<()>,
-) -> (Vec<u64>, Option<Vec<u64>>) {
+) -> Option<(Vec<u64>, Option<Vec<u64>>)> {
     let n = p.len() - 1;
     let want_both = both.is_some();
     let mut primary = vec![if maximize || want_both { 0 } else { u64::MAX }; ks.len()];
@@ -365,18 +355,18 @@ fn scan_blocked<T: PrefixCell>(
                 continue; // k > n: identity stays in place
             }
             if want_both {
-                primary[base + j] = mx.to_u64();
+                primary[base + j] = mx.try_into().ok()?;
                 if let Some(sec) = &mut secondary {
-                    sec[base + j] = mn.to_u64();
+                    sec[base + j] = mn.try_into().ok()?;
                 }
             } else if maximize {
-                primary[base + j] = mx.to_u64();
+                primary[base + j] = mx.try_into().ok()?;
             } else {
-                primary[base + j] = mn.to_u64();
+                primary[base + j] = mn.try_into().ok()?;
             }
         }
     }
-    (primary, secondary)
+    Some((primary, secondary))
 }
 
 /// Maximum sum of any `k` consecutive values, for a single `k`.
@@ -414,7 +404,9 @@ pub fn min_window_sum(values: &[u64], k: usize) -> Option<u64> {
 /// # Errors
 ///
 /// Returns [`EventError::InvalidParameter`] if `k_max` is 0 or exceeds the
-/// trace length, or if a strided mode has `stride = 0`.
+/// trace length, or if a strided mode has `stride = 0`;
+/// [`EventError::Overflow`] if a reported window sum exceeds
+/// `u64::MAX`.
 pub fn max_window_sums(
     values: &[u64],
     k_max: usize,
@@ -488,11 +480,16 @@ fn window_sums(
     // Each grid point scans ≤ N differences; the hint lets the runtime
     // skip thread start-up for small analyses.
     let cost = grid.len() as u64 * values.len() as u64;
-    let exact = if Parallelism::current().workers(values.len(), cost) <= 1 {
-        // Sequential: one cache-blocked pass over the prefix table,
-        // k-tiles per block instead of one full sweep per k.
-        PrefixSums::new(values).scan_grid(&grid, maximize)
-    } else {
+    // A total that fits `u64` bounds every window sum, so the chunk
+    // merges of the parallel path cannot overflow; wider traces take
+    // the sequential scan, which reports an extremum past `u64::MAX`.
+    let narrow = || {
+        values
+            .iter()
+            .try_fold(0u64, |acc, &v| acc.checked_add(v))
+            .is_some()
+    };
+    let exact = if Parallelism::current().workers(values.len(), cost) > 1 && narrow() {
         // Parallel: trace-parallel chunk summaries tree-folded into the
         // exact grid table — scales over N instead of fanning out per k.
         let sides = if maximize {
@@ -506,6 +503,12 @@ fn window_sums(
         } else {
             summary.min_table().to_vec()
         }
+    } else {
+        // Sequential: one cache-blocked pass over the prefix table,
+        // k-tiles per block instead of one full sweep per k.
+        PrefixSums::new(values)
+            .scan_grid(&grid, maximize)
+            .ok_or(EventError::Overflow { what: "window sum" })?
     };
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0u64))
 }
@@ -514,7 +517,7 @@ fn window_sums(
 /// conservative filling direction: gaps take the *next* grid value when
 /// maximizing (sound over-approximation for non-decreasing maxima) and the
 /// *previous* one when minimizing.
-pub(crate) fn fill_gaps<T: Copy>(
+fn fill_gaps<T: Copy>(
     grid: &[usize],
     exact: &[T],
     k_max: usize,
@@ -975,6 +978,29 @@ mod tests {
             ] {
                 assert_eq!(scans(par), seq, "scans differ under {par:?} {mode:?}");
             }
+        }
+    }
+
+    #[test]
+    fn window_sums_past_u64_max_are_an_error_at_any_worker_count() {
+        // K·N = 2^23 is twice the largest grain, so Threads(2) engages
+        // two workers whenever the trace takes the parallel path.
+        let mut values = vec![1u64; 4096];
+        values[0] = u64::MAX;
+        for par in [Parallelism::Seq, Parallelism::Threads(2)] {
+            let (mx, mn) = par.scope(|| {
+                (
+                    max_window_sums(&values, 2048, WindowMode::Exact),
+                    min_window_sums(&values, 2048, WindowMode::Exact),
+                )
+            });
+            assert_eq!(
+                mx,
+                Err(EventError::Overflow { what: "window sum" }),
+                "{par:?}"
+            );
+            // No smallest window holds the huge demand: every minimum fits.
+            assert_eq!(mn, Ok((1..=2048).collect::<Vec<u64>>()), "{par:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests of the mergeable curve summaries.
 //!
-//! The three exactness claims the trace-parallel and incremental paths
-//! rest on, each checked bitwise on `u64` sums:
+//! The two exactness claims the trace-parallel path rests on, each
+//! checked bitwise on `u64` sums:
 //!
 //! * **merge associativity** — `(A ⧺ B) ⧺ C` and `A ⧺ (B ⧺ C)` produce
 //!   identical tables (and both equal the direct summary of the
@@ -9,14 +9,11 @@
 //! * **chunked ≡ sequential oracle** — summarizing random chunkings and
 //!   folding equals the sequential [`max_window_sums`]/
 //!   [`min_window_sums`] scan, and the parallel `window_sums` path
-//!   equals the sequential one;
-//! * **incremental ≡ full rebuild** — appending event by event (and via
-//!   a [`SummarySpine`] with random chunk targets, including fault-plan
-//!   perturbed streams) matches rebuilding from scratch.
+//!   equals the sequential one.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use wcm_events::summary::{summarize, CurveSummary, Sides, SummarySpine};
+use wcm_events::summary::{summarize, CurveSummary, Sides};
 use wcm_events::window::{max_window_sums, min_window_sums, Parallelism, WindowMode};
 
 /// A strictly ascending grid starting at ≥ 1, like the ones
@@ -114,54 +111,5 @@ proptest! {
             prop_assert_eq!(s.max_table(), oracle.max_table());
             prop_assert_eq!(s.min_table(), oracle.min_table());
         }
-    }
-
-    #[test]
-    fn incremental_append_matches_full_rebuild(
-        values in vec(0u64..10_000, 1..150),
-        grid in grid_strategy(32),
-        prefix_frac in 0u8..=100,
-    ) {
-        // Start from a summarized prefix, append the rest one event at a
-        // time — the summary must stay exact at every length.
-        let split = (values.len() * prefix_frac as usize) / 100;
-        let mut s = CurveSummary::from_values(&values[..split], &grid, Sides::Both);
-        for (i, &v) in values[split..].iter().enumerate() {
-            s.append(v);
-            let upto = split + i + 1;
-            let whole = CurveSummary::from_values(&values[..upto], &grid, Sides::Both);
-            prop_assert_eq!(s.max_table(), whole.max_table(), "len {}", upto);
-            prop_assert_eq!(s.min_table(), whole.min_table(), "len {}", upto);
-        }
-    }
-
-    #[test]
-    fn spine_matches_rebuild_across_chunk_targets_and_fault_plans(
-        base in vec(0u64..10_000, 10..200),
-        grid in grid_strategy(24),
-        chunk_target in 1usize..100,
-        spike in (0u16..=u16::MAX, 1u64..8, 0u64..50_000),
-    ) {
-        // Perturb a suffix window, like a demand-spike fault plan does:
-        // scaled demand from a random start for a random length.
-        let mut values = base;
-        let start = spike.0 as usize % values.len();
-        let len = (spike.1 as usize).min(values.len() - start);
-        for v in &mut values[start..start + len] {
-            *v = v.saturating_mul(3).saturating_add(spike.2);
-        }
-        let mut spine = SummarySpine::new(&grid, Sides::Both, chunk_target);
-        // Mix push and bulk-extend across a random boundary.
-        let mid = values.len() / 2;
-        for &v in &values[..mid] {
-            spine.push(v);
-        }
-        spine.extend_from_slice(&values[mid..]);
-        let curve = spine.curve();
-        let whole = CurveSummary::from_values(&values, &grid, Sides::Both);
-        prop_assert_eq!(curve.max_table(), whole.max_table());
-        prop_assert_eq!(curve.min_table(), whole.min_table());
-        prop_assert_eq!(curve.len(), whole.len());
-        prop_assert_eq!(curve.total(), whole.total());
     }
 }

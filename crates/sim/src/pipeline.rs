@@ -264,29 +264,6 @@ pub enum SourceModel {
     },
 }
 
-/// [`simulate_pipeline`] with an explicit [`SourceModel`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_pipeline`], plus
-/// [`SimError::InvalidParameter`] for a non-positive `peak_bps`.
-pub fn simulate_pipeline_with_source(
-    clip: &ClipWorkload,
-    cfg: &PipelineConfig,
-    source: SourceModel,
-) -> Result<PipelineResult, SimError> {
-    validate_source(&source)?;
-    let w = FaultedWorkload::clean(clip)?;
-    run_full(
-        &w,
-        cfg,
-        &FifoConfig::unbounded(),
-        source,
-        clip.params().frame_period(),
-        None,
-    )
-}
-
 /// The full-control entry point: seeded fault injection, bounded FIFO with
 /// an explicit overflow policy, and optional online envelope monitoring of
 /// the demand stream PE₂ consumes.
@@ -924,12 +901,16 @@ mod tests {
             pe2_hz: 30.0e6,
         };
         let cbr = simulate_pipeline(&clip, &cfg).unwrap();
-        let burst = simulate_pipeline_with_source(
+        let burst = simulate_pipeline_robust(
             &clip,
             &cfg,
+            &FifoConfig::unbounded(),
             SourceModel::FrameBurst { peak_bps: 4.0e6 },
+            None,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .pipeline;
         assert!(burst.max_backlog >= cbr.max_backlog);
         // Conservation still holds.
         assert_eq!(burst.fifo_out_times.len(), clip.macroblock_count());
@@ -946,10 +927,13 @@ mod tests {
             pe1_hz: 100.0,
             pe2_hz: 100.0,
         };
-        assert!(simulate_pipeline_with_source(
+        assert!(simulate_pipeline_robust(
             &clip,
             &cfg,
-            SourceModel::FrameBurst { peak_bps: 0.0 }
+            &FifoConfig::unbounded(),
+            SourceModel::FrameBurst { peak_bps: 0.0 },
+            None,
+            None,
         )
         .is_err());
     }
@@ -963,8 +947,16 @@ mod tests {
             pe2_hz: 500.0,
         };
         let a = simulate_pipeline(&clip, &cfg).unwrap();
-        let b = simulate_pipeline_with_source(&clip, &cfg, SourceModel::Cbr).unwrap();
-        assert_eq!(a, b);
+        let b = simulate_pipeline_robust(
+            &clip,
+            &cfg,
+            &FifoConfig::unbounded(),
+            SourceModel::Cbr,
+            None,
+            None,
+        )
+        .unwrap();
+        assert_eq!(a, b.pipeline);
     }
 
     #[test]
@@ -1040,9 +1032,9 @@ mod tests {
 
     #[test]
     fn robust_clean_run_matches_legacy_bitwise() {
-        // The tentpole regression: no faults, unbounded backpressure FIFO,
-        // no monitor ⇒ the robust path must reproduce the legacy result
-        // bit-for-bit, on both source models.
+        // No faults, unbounded backpressure FIFO, no monitor ⇒ the robust
+        // path reproduces `simulate_pipeline` bit-for-bit, and a plan with
+        // no injectors changes nothing, on both source models.
         let params = VideoParams::new(160, 128, 25.0, 1.0e6, GopStructure::broadcast())
             .unwrap();
         let clip = wcm_mpeg::Synthesizer::new(params)
@@ -1053,20 +1045,18 @@ mod tests {
             pe1_hz: 20.0e6,
             pe2_hz: 30.0e6,
         };
+        let legacy = simulate_pipeline(&clip, &cfg).unwrap();
         for source in [SourceModel::Cbr, SourceModel::FrameBurst { peak_bps: 4.0e6 }] {
-            let legacy = simulate_pipeline_with_source(&clip, &cfg, source).unwrap();
-            for plan in [None, Some(FaultPlan::new(9))] {
-                let robust = simulate_pipeline_robust(
-                    &clip,
-                    &cfg,
-                    &FifoConfig::unbounded(),
-                    source,
-                    plan.as_ref(),
-                    None,
-                )
-                .unwrap();
-                assert_eq!(robust.pipeline, legacy);
-                assert!(robust.faults.is_clean());
+            let run = |plan: Option<&FaultPlan>| {
+                simulate_pipeline_robust(&clip, &cfg, &FifoConfig::unbounded(), source, plan, None)
+                    .unwrap()
+            };
+            let bare = run(None);
+            let planned = run(Some(&FaultPlan::new(9)));
+            assert_eq!(planned.pipeline, bare.pipeline);
+            assert!(bare.faults.is_clean() && planned.faults.is_clean());
+            if source == SourceModel::Cbr {
+                assert_eq!(bare.pipeline, legacy);
             }
         }
     }

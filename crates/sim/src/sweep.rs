@@ -23,11 +23,9 @@
 //!
 //! **Fault-seeded points prune too** when the seed's PE₂ fault shape
 //! keeps the analytic model exact: the FIFO-input recurrence replays the
-//! seed's jitter/drift/stall on PE₁ bit-for-bit, per-seed `ᾱᵘ`/`γᵘ` are
-//! derived from the *faulted* stream, and the demand curves reuse the
-//! clean stream's mergeable chunk summaries
-//! ([`wcm_events::summary::CurveSummary`]) over the unperturbed prefix —
-//! only the injector-touched suffix is re-summarized. The safe bound
+//! seed's jitter/drift/stall on PE₁ bit-for-bit, and per-seed `ᾱᵘ` and
+//! `γᵘ/γˡ` are derived from the *faulted* stream with the same window
+//! scans the clean stream gets. The safe bound
 //! (eq. 9) requires PE₂ service to scale exactly as `c/F`
 //! (`pe2_scale ≡ 1`, `pe2_extra ≡ 0`); the overflow certificate only
 //! needs service to be *no faster* (`pe2_scale ≥ 1`, `pe2_extra ≥ 0`).
@@ -48,8 +46,7 @@ use wcm_core::build::arrival_upper;
 use wcm_core::curve::{LowerWorkloadCurve, UpperWorkloadCurve};
 use wcm_core::sizing;
 use wcm_core::WorkloadError;
-use wcm_events::summary::{CurveSummary, Sides};
-use wcm_events::window::{min_spans, WindowMode};
+use wcm_events::window::{max_window_sums, min_spans, min_window_sums, WindowMode};
 use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
 use wcm_mpeg::ClipWorkload;
 use wcm_par::Parallelism;
@@ -343,87 +340,11 @@ fn push_times_of(w: &FaultedWorkload, bitrate_bps: f64, pe1_hz: f64) -> Vec<f64>
     push_times
 }
 
-/// Chunked [`CurveSummary`]s of the clean demand stream on one grid —
-/// the memo that lets every fault seed re-summarize only the
-/// injector-touched suffix of its demand vector.
-struct DemandMemo {
-    grid: Vec<usize>,
-    chunk: usize,
-    chunks: Vec<CurveSummary>,
-    sides: Sides,
-}
-
-impl DemandMemo {
-    fn build(clean: &[u64], grid: Vec<usize>, sides: Sides) -> Self {
-        // Chunk length is a pure function of the grid so every thread
-        // count sees identical chunks (merging is exact either way; this
-        // just keeps the memo itself deterministic). 4·k_max keeps the
-        // O(k_max) boundary arrays a small fraction of each chunk.
-        let k_max = *grid.last().expect("grid is non-empty");
-        let chunk = (4 * k_max).max(256);
-        let ranges: Vec<(usize, usize)> = (0..clean.len())
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(clean.len())))
-            .collect();
-        let cost = clean.len() as u64 * grid.len() as u64;
-        let chunks = wcm_par::par_map(&ranges, cost, |_, &(s, e)| {
-            CurveSummary::from_values(&clean[s..e], &grid, sides)
-        });
-        Self {
-            grid,
-            chunk,
-            chunks,
-            sides,
-        }
-    }
-
-    /// Dense window-sum table of `demand` on `grid`, reusing every memo
-    /// chunk that lies fully inside the common prefix of `demand` and the
-    /// clean stream. Exact-merge associativity makes the result
-    /// bit-identical to a from-scratch scan of `demand`.
-    fn dense_for(&self, demand: &[u64], clean: &[u64], grid: &[usize]) -> Vec<u64> {
-        let summary = if grid == self.grid {
-            let lcp = demand
-                .iter()
-                .zip(clean)
-                .take_while(|(a, b)| a == b)
-                .count();
-            let full = (lcp / self.chunk).min(self.chunks.len());
-            if full > 0 {
-                let shared = full * self.chunk;
-                // In-place fold: one accumulator reused across all chunk
-                // merges instead of a fresh summary per merge.
-                let mut acc = self.chunks[0].clone();
-                for c in &self.chunks[1..full] {
-                    acc.merge_in_place(c);
-                }
-                acc.merge_in_place(&CurveSummary::from_values(
-                    &demand[shared..],
-                    grid,
-                    self.sides,
-                ));
-                acc
-            } else {
-                CurveSummary::from_values(demand, grid, self.sides)
-            }
-        } else {
-            // Drop/duplication faults changed the stream length enough to
-            // change the grid: no sharing possible.
-            CurveSummary::from_values(demand, grid, self.sides)
-        };
-        match self.sides {
-            Sides::Min => summary.dense_min().expect("len ≥ k_max by construction"),
-            _ => summary.dense_max().expect("len ≥ k_max by construction"),
-        }
-    }
-}
-
 impl ClipContext {
     fn build(clip: &ClipWorkload, spec: &SweepSpec) -> Result<Self, SweepError> {
         let clean = FaultedWorkload::clean(clip)?;
         let n = clean.len();
         let k_max = spec.k_max.min(n);
-        let cert_depth = spec.cert_depth.min(n).max(1);
 
         // The certificate needs *exact* spans — a strided gap-fill
         // under-approximates the span and would claim overflow where none
@@ -442,12 +363,6 @@ impl ClipContext {
             exact_upto: 1,
             stride: cert_stride,
         };
-
-        // Clean-demand chunk summaries, shared by every seed whose demand
-        // vector keeps a common prefix with the clean stream.
-        let upper_memo = DemandMemo::build(&clean.pe2_cycles, spec.mode.grid(k_max), Sides::Max);
-        let lower_memo =
-            DemandMemo::build(&clean.pe2_cycles, cert_mode.grid(cert_depth), Sides::Min);
 
         let mut streams = Vec::with_capacity(spec.seeds.len());
         for seed in &spec.seeds {
@@ -472,8 +387,6 @@ impl ClipContext {
                 spec,
                 clip.params().bitrate_bps(),
                 cert_mode,
-                &upper_memo,
-                &lower_memo,
                 &mut clean_gamma_u,
             )?;
             prune.push(sp);
@@ -483,11 +396,7 @@ impl ClipContext {
         // period, the clip's (clean) γᵘ as its demand curve.
         let gamma_u = match clean_gamma_u {
             Some(g) => g,
-            None => UpperWorkloadCurve::new(upper_memo.dense_for(
-                &clean.pe2_cycles,
-                &clean.pe2_cycles,
-                &upper_memo.grid,
-            ))?,
+            None => UpperWorkloadCurve::new(max_window_sums(&clean.pe2_cycles, k_max, spec.mode)?)?,
         };
         let rms = {
             let period = 1.0 / clip.params().mb_rate();
@@ -518,15 +427,12 @@ impl ClipContext {
 
     /// Analytic prune data for one seed's stream, or `None` when its PE₂
     /// fault shape escapes both analytic models.
-    #[allow(clippy::too_many_arguments)]
     fn seed_prune(
         w: &FaultedWorkload,
         clean: &FaultedWorkload,
         spec: &SweepSpec,
         bitrate_bps: f64,
         cert_mode: WindowMode,
-        upper_memo: &DemandMemo,
-        lower_memo: &DemandMemo,
         clean_gamma_u: &mut Option<UpperWorkloadCurve>,
     ) -> Result<Option<SeedPrune>, SweepError> {
         let n = w.len();
@@ -550,11 +456,8 @@ impl ClipContext {
         let push_times = push_times_of(w, bitrate_bps, spec.pe1_hz);
 
         let f_min = if safe_ok {
-            let gamma_u = UpperWorkloadCurve::new(upper_memo.dense_for(
-                &w.pe2_cycles,
-                &clean.pe2_cycles,
-                &spec.mode.grid(k_max),
-            ))?;
+            let gamma_u =
+                UpperWorkloadCurve::new(max_window_sums(&w.pe2_cycles, k_max, spec.mode)?)?;
             let trace = times_to_trace(&push_times)?;
             let alpha = arrival_upper(&trace, k_max, spec.mode)?;
             let out = spec
@@ -577,11 +480,8 @@ impl ClipContext {
                 .into_iter()
                 .map(|k| (k as u64, span_table[k - 1]))
                 .collect();
-            let gamma_l = LowerWorkloadCurve::new(lower_memo.dense_for(
-                &w.pe2_cycles,
-                &clean.pe2_cycles,
-                &cert_mode.grid(cert_depth),
-            ))?;
+            let gamma_l =
+                LowerWorkloadCurve::new(min_window_sums(&w.pe2_cycles, cert_depth, cert_mode)?)?;
             (spans, Some(gamma_l))
         } else {
             (Vec::new(), None)
@@ -627,7 +527,7 @@ fn verdict_counter(v: Verdict) -> &'static str {
 /// evaluation starts: for each `(clip, seed, capacity)` the contiguous
 /// run of frequencies goes through
 /// [`sizing::provably_overflows_batch`] in one autovectorizable pass
-/// over the seed's shared prefix summaries, then the eq. 9 safe bound is
+/// over the seed's certificate spans and `γˡ`, then the eq. 9 safe bound is
 /// overlaid (safe wins on overlap, matching the order the scalar path
 /// checked them in). Point evaluation degrades to a table lookup.
 ///
@@ -2282,6 +2182,83 @@ mod tests {
                     a.verdict,
                     b.verdict
                 );
+            }
+        }
+    }
+
+    /// Window extrema of `d` by direct prefix differences on `mode`'s
+    /// grid, gaps filled from the next grid point (`maximize`) or the
+    /// previous one — the oracle for a seed's `γᵘ`/`γˡ`.
+    fn scanned_curve(d: &[u64], k_max: usize, mode: WindowMode, maximize: bool) -> Vec<u64> {
+        let mut p = vec![0u64];
+        for &v in d {
+            p.push(p.last().unwrap() + v);
+        }
+        let grid = mode.grid(k_max);
+        let at = |k: usize| {
+            let sums = (k..p.len()).map(|i| p[i] - p[i - k]);
+            if maximize {
+                sums.max().unwrap()
+            } else {
+                sums.min().unwrap()
+            }
+        };
+        (1..=k_max)
+            .map(|k| {
+                let g = if maximize {
+                    grid.iter().find(|&&g| g >= k)
+                } else {
+                    grid.iter().rev().find(|&&g| g <= k)
+                };
+                at(*g.unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seed_curves_are_measured_on_the_seeds_own_demand() {
+        // A spike that raises (250 %) or lowers (20 %) the seeded
+        // stream's demand moves its γᵘ or γˡ: its eq.-9 thresholds and
+        // certificate γˡ must come from its own demand vector, not the
+        // clean stream's.
+        let clips = small_clips(1);
+        let cert_mode = WindowMode::Strided {
+            exact_upto: 1,
+            stride: 40,
+        };
+        for factor_pct in [250, 20] {
+            let mut spec = small_spec();
+            spec.injectors[1] = Injector::DemandSpike {
+                start: 30,
+                len: 40,
+                factor_pct,
+            };
+            let ctx = ClipContext::build(&clips[0], &spec).unwrap();
+            let curves = |d: &[u64]| {
+                (
+                    scanned_curve(d, spec.k_max, spec.mode, true),
+                    scanned_curve(d, spec.cert_depth, cert_mode, false),
+                )
+            };
+            let clean = curves(&ctx.streams[0].pe2_cycles);
+            for (w, pr) in ctx.streams.iter().zip(&ctx.prune) {
+                let pr = pr.as_ref().expect("jitter and spike keep both bounds");
+                let (upper, lower) = curves(&w.pe2_cycles);
+                if w.pe2_cycles != ctx.streams[0].pe2_cycles {
+                    assert_ne!((&upper, &lower), (&clean.0, &clean.1), "{factor_pct} %");
+                }
+                let gamma_u = UpperWorkloadCurve::new(upper).unwrap();
+                let push_times = push_times_of(w, clips[0].params().bitrate_bps(), spec.pe1_hz);
+                let trace = times_to_trace(&push_times).unwrap();
+                let alpha = arrival_upper(&trace, spec.k_max, spec.mode).unwrap();
+                let want: Vec<Option<f64>> = spec
+                    .capacities
+                    .iter()
+                    .map(|&cap| sizing::min_frequency_workload(&alpha, &gamma_u, cap).ok())
+                    .collect();
+                assert_eq!(pr.f_min, want, "{factor_pct} %");
+                let got_l = pr.cert_gamma_l.as_ref().unwrap().values();
+                assert_eq!(got_l, &lower[..], "{factor_pct} %");
             }
         }
     }

@@ -3,7 +3,7 @@
 //! through the three in-repo readers, and curve summaries decoded from a
 //! chunked stream must merge bitwise-equal to the in-memory fold.
 
-use wcm_events::summary::{CurveSummary, Sides, SummarySpine};
+use wcm_events::summary::{CurveSummary, Sides};
 use wcm_wire::{decode, DecodePolicy, StreamEncoder};
 
 /// The reference trace: demands stay below 2^53 so the JSON reader's
@@ -118,10 +118,11 @@ fn summary_merges_over_decoded_chunks_equal_in_memory_fold() {
     let in_memory = fold(&chunks);
     assert_eq!(from_wire, in_memory);
 
-    // Both agree with a spine built from the raw values in one pass.
-    let mut spine = SummarySpine::new(&grid, Sides::Both, 256);
-    spine.extend_from_slice(&demands);
-    assert_eq!(from_wire, spine.curve());
+    // Both agree with a summary of the raw values in one pass.
+    assert_eq!(
+        from_wire,
+        CurveSummary::from_values(&demands, &grid, Sides::Both)
+    );
 }
 
 /// The merge survives damage: corrupt one summary frame, decode

@@ -7,6 +7,8 @@
 #    output identical to the text original (cross-format equivalence);
 #  * the `trace` exit-code contract holds: 0 clean, 2 empty stream,
 #    3 malformed/truncated, 4 partial decode under --policy skip-corrupt;
+#  * `curves` on a `.wcmt` trace whose window sums pass u64::MAX exits 1
+#    with an analysis error naming the overflow, never 101 (a panic);
 #  * `validate` diagnoses truncated text and binary artifacts as exit 3
 #    with a file:line:byte cut point;
 #  * `sweep --clips` rejects a `.wcmt` stream that carries no clips with
@@ -39,6 +41,18 @@ echo "== cross-format: binary and text traces analyze identically =="
 "$cli" curves --demands "$out/stream.wcmt" --k 4 > "$out/curves-wire.out"
 cmp "$out/curves-text.out" "$out/curves-wire.out"
 echo "ok: curves from .wcmt byte-identical to curves from text"
+
+echo "== hostile demands: window sums past u64::MAX are exit 1, not a panic =="
+printf '18446744073709551615\n1\n2\n3\n' > "$out/huge.txt"
+"$cli" trace encode --demands "$out/huge.txt" --name huge --out "$out/huge.wcmt" >/dev/null
+for threads in 1 2; do
+  rc=0; "$cli" curves --demands "$out/huge.wcmt" --k 2 --threads "$threads" \
+      >/dev/null 2>"$out/huge.err" || rc=$?
+  [ "$rc" -eq 1 ] || { echo "overflowing window sums must exit 1, got $rc"; exit 1; }
+  grep -q 'window sum exceeds u64::MAX' "$out/huge.err" \
+    || { echo "the error must name the overflow"; cat "$out/huge.err"; exit 1; }
+done
+echo "ok: an overflowing .wcmt trace is an analysis error (exit 1)"
 
 echo "== trace exit-code contract (0/2/3/4) =="
 size=$(stat -c %s "$out/stream.wcmt" 2>/dev/null || stat -f %z "$out/stream.wcmt")
