@@ -128,10 +128,13 @@ options:
 fn mode(opts: &Options) -> Result<WindowMode, String> {
     match (opts.optional("exact-upto"), opts.optional("stride")) {
         (None, None) => Ok(WindowMode::Exact),
-        _ => Ok(WindowMode::Strided {
-            exact_upto: opts.usize_or("exact-upto", 64)?,
-            stride: opts.usize_or("stride", 16)?,
-        }),
+        _ => match opts.usize_or("stride", 16)? {
+            0 => Err("--stride must be at least 1".to_string()),
+            stride => Ok(WindowMode::Strided {
+                exact_upto: opts.usize_or("exact-upto", 64)?,
+                stride,
+            }),
+        },
     }
 }
 
@@ -302,11 +305,12 @@ pub fn pipeline(opts: &Options) -> Result<(), CliError> {
         pe2_hz: opts.required_f64("pe2-mhz")? * 1e6,
     };
     let result = match opts.optional("capacity") {
-        Some(c) => wcm_sim::pipeline::simulate_pipeline_bounded(
-            &clip,
-            &cfg,
-            c.parse::<u64>().map_err(|e| format!("--capacity: {e}"))?,
-        )?,
+        Some(c) => {
+            let capacity = c.parse::<u64>().map_err(|e| format!("--capacity: {e}"))?;
+            let fifo = FifoConfig::bounded(capacity, OverflowPolicy::Backpressure);
+            wcm_sim::simulate_pipeline_robust(&clip, &cfg, &fifo, SourceModel::Cbr, None, None)?
+                .pipeline
+        }
         None => wcm_sim::simulate_pipeline(&clip, &cfg)?,
     };
     let worst_latency = result
@@ -1067,7 +1071,6 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
         monitor: on_off("monitor", true)?,
         period_s,
         jitter_s: f64_or("jitter", 0.0)?.max(0.0),
-        times_window: opts.usize_or("times-window", 4096)?,
         shards,
         par: wcm_par::Parallelism::current(),
     };

@@ -94,7 +94,7 @@ const COMMANDS: &[(&str, &str, Command, &[&str])] = &[
     ]),
     ("serve", "", commands::serve, &[
         "tail", "listen", "pe2-mhz", "capacity", "k", "refresh", "policy", "session-buffer",
-        "period", "jitter", "times-window", "monitor", "threads", "shards", "poll-ms",
+        "period", "jitter", "monitor", "threads", "shards", "poll-ms",
         "max-rounds", "idle-exit", "snapshots-out", "budget", "trace-out", "metrics-out",
     ]),
     ("validate", "", commands::validate, &["json", "csv", "trace", "metrics", "wcmt"]),

@@ -767,6 +767,7 @@ fn unknown_options_are_usage_errors_before_any_work() {
         vec!["sweep", "--bogus", "x"],
         vec!["serve", "--bogus", "x"],
         vec!["serve", "--tail", dem, "--fast-scan", "on"],
+        vec!["serve", "--tail", dem, "--times-window", "8"],
         vec!["validate", "--bogus", "x"],
         vec!["trace", "encode", "--out", out_path, "--demands", dem, "--bogus", "x"],
         vec!["trace", "decode", "--bogus", "x"],
@@ -781,6 +782,8 @@ fn unknown_options_are_usage_errors_before_any_work() {
             "--thread"
         } else if args.contains(&"--fast-scan") {
             "--fast-scan"
+        } else if args.contains(&"--times-window") {
+            "--times-window"
         } else {
             "--bogus"
         };
@@ -788,5 +791,27 @@ fn unknown_options_are_usage_errors_before_any_work() {
     }
     // The rejected encode wrote nothing.
     assert!(!out_file.exists());
+    std::fs::remove_file(dem).ok();
+}
+
+#[test]
+fn stride_zero_is_a_usage_error() {
+    let dem = tmp_file("stride-zero-demands.txt", "5\n7\n3\n9\n5\n7\n3\n9\n5\n7\n3\n");
+    let dem = dem.to_str().unwrap();
+    let cases: [&[&str]; 3] = [
+        &["curves", "--k", "10", "--stride", "0", "--demands", dem],
+        &["curves", "--k", "10", "--exact-upto", "2", "--stride", "0", "--demands", dem],
+        &[
+            "sweep", "--clips", "newscast", "--gops", "1", "--pe2-mhz", "2,340", "--capacities",
+            "4", "--stride", "0",
+        ],
+    ];
+    for args in cases {
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output before failing");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("--stride must be at least 1"), "{args:?}: {err}");
+    }
     std::fs::remove_file(dem).ok();
 }

@@ -91,7 +91,7 @@ pub fn arrival_upper_with(
 /// spans `spans[k − 1] = d(k)` of a trace with `len` events lasting
 /// `duration`: it jumps to `k` at `Δ = d(k)`, its horizon is `d(k_max)`
 /// and its tail rate `len / duration`. Shared by the batch path and the
-/// sliding window of `wcm serve`.
+/// running span minima of a `wcm serve` session.
 ///
 /// # Errors
 ///

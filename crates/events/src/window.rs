@@ -33,9 +33,8 @@
 //! over the pool with [`wcm_par::par_map`]. Sequential and parallel runs
 //! produce **bit-identical** results.
 //!
-//! A window that slides over a stream keeps its spans incrementally:
-//! [`SlidingSpans`] caches per-block span minima, so a query after a few
-//! pushes and pops rescans only the ends near the window's two edges.
+//! A stream that grows one stamp at a time keeps its minimal spans in a
+//! [`SpanMinima`] table: `O(depth)` per stamp, no rescans.
 
 use crate::EventError;
 pub use wcm_par::Parallelism;
@@ -107,9 +106,10 @@ impl WindowMode {
 /// use wcm_events::window::PrefixSums;
 ///
 /// let p = PrefixSums::new(&[1, 9, 2, 8]);
-/// assert_eq!(p.window_sum(1, 2), 11); // 9 + 2
-/// assert_eq!(p.max_window_sum(2), Some(11));
-/// assert_eq!(p.min_window_sum(2), Some(10));
+/// assert_eq!(p.window_sum(1, 2)?, 11); // 9 + 2
+/// assert_eq!(p.max_window_sum(2)?, Some(11));
+/// assert_eq!(p.min_window_sum(2)?, Some(10));
+/// # Ok::<(), wcm_events::EventError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixSums {
@@ -178,57 +178,60 @@ impl PrefixSums {
 
     /// Sum of the `k` values starting at `start` (two array reads).
     ///
+    /// # Errors
+    ///
+    /// [`EventError::Overflow`] if the sum exceeds `u64::MAX` (the table
+    /// itself cannot wrap).
+    ///
     /// # Panics
     ///
-    /// Panics if `start + k` exceeds the sequence length or the sum
-    /// overflows `u64` (the table itself cannot wrap).
-    #[must_use]
-    pub fn window_sum(&self, start: usize, k: usize) -> u64 {
+    /// Panics if `start + k` exceeds the sequence length.
+    pub fn window_sum(&self, start: usize, k: usize) -> Result<u64, EventError> {
         match &self.table {
-            Table::Narrow(p) => p[start + k] - p[start],
-            Table::Wide(p) => {
-                u64::try_from(p[start + k] - p[start]).expect("window sum exceeds u64::MAX")
-            }
+            Table::Narrow(p) => Ok(p[start + k] - p[start]),
+            Table::Wide(p) => to_u64(p[start + k] - p[start]),
         }
     }
 
     /// Maximum sum over all windows of `k` consecutive values.
     ///
     /// Returns `Some(0)` for `k = 0`, `None` if `k > len()`.
-    #[must_use]
-    pub fn max_window_sum(&self, k: usize) -> Option<u64> {
+    ///
+    /// # Errors
+    ///
+    /// [`EventError::Overflow`] if the maximum exceeds `u64::MAX`.
+    pub fn max_window_sum(&self, k: usize) -> Result<Option<u64>, EventError> {
         self.scan(k, true)
     }
 
     /// Minimum sum over all windows of `k` consecutive values.
     ///
     /// Returns `Some(0)` for `k = 0`, `None` if `k > len()`.
-    #[must_use]
-    pub fn min_window_sum(&self, k: usize) -> Option<u64> {
+    ///
+    /// # Errors
+    ///
+    /// [`EventError::Overflow`] if the minimum exceeds `u64::MAX`.
+    pub fn min_window_sum(&self, k: usize) -> Result<Option<u64>, EventError> {
         self.scan(k, false)
     }
 
-    fn scan(&self, k: usize, maximize: bool) -> Option<u64> {
+    fn scan(&self, k: usize, maximize: bool) -> Result<Option<u64>, EventError> {
         if k == 0 {
-            return Some(0);
+            return Ok(Some(0));
         }
         if k > self.len() {
-            return None;
+            return Ok(None);
         }
         // Independent differences p[i+k] − p[i]: no loop-carried state.
         match &self.table {
             Table::Narrow(p) => {
                 let diffs = p[k..].iter().zip(p).map(|(hi, lo)| hi - lo);
-                if maximize {
-                    diffs.max()
-                } else {
-                    diffs.min()
-                }
+                Ok(if maximize { diffs.max() } else { diffs.min() })
             }
             Table::Wide(p) => {
                 let diffs = p[k..].iter().zip(p).map(|(hi, lo)| hi - lo);
                 let best = if maximize { diffs.max() } else { diffs.min() };
-                best.map(|b| u64::try_from(b).expect("window sum exceeds u64::MAX"))
+                best.map(to_u64).transpose()
             }
         }
     }
@@ -266,6 +269,11 @@ impl PrefixSums {
         };
         Some((maxs, mins.expect("both-sided scan fills mins")))
     }
+}
+
+/// A wide-table window sum as `u64`, or [`EventError::Overflow`].
+fn to_u64(sum: u128) -> Result<u64, EventError> {
+    u64::try_from(sum).map_err(|_| EventError::Overflow { what: "window sum" })
 }
 
 /// A prefix-table cell: the two storage widths of [`PrefixSums`].
@@ -374,24 +382,32 @@ fn scan_blocked<T: PrefixCell>(
 /// Returns 0 for `k = 0`; `None` if `k > values.len()` (no full window
 /// exists).
 ///
+/// # Errors
+///
+/// [`EventError::Overflow`] if the maximum exceeds `u64::MAX`.
+///
 /// # Example
 ///
 /// ```
 /// use wcm_events::window::max_window_sum;
 ///
-/// assert_eq!(max_window_sum(&[1, 9, 2, 8], 2), Some(11));
-/// assert_eq!(max_window_sum(&[1, 9, 2, 8], 5), None);
+/// assert_eq!(max_window_sum(&[1, 9, 2, 8], 2)?, Some(11));
+/// assert_eq!(max_window_sum(&[1, 9, 2, 8], 5)?, None);
+/// assert!(max_window_sum(&[u64::MAX, 1], 2).is_err());
+/// # Ok::<(), wcm_events::EventError>(())
 /// ```
-#[must_use]
-pub fn max_window_sum(values: &[u64], k: usize) -> Option<u64> {
+pub fn max_window_sum(values: &[u64], k: usize) -> Result<Option<u64>, EventError> {
     PrefixSums::new(values).max_window_sum(k)
 }
 
 /// Minimum sum of any `k` consecutive values, for a single `k`.
 ///
 /// Returns 0 for `k = 0`; `None` if `k > values.len()`.
-#[must_use]
-pub fn min_window_sum(values: &[u64], k: usize) -> Option<u64> {
+///
+/// # Errors
+///
+/// [`EventError::Overflow`] if the minimum exceeds `u64::MAX`.
+pub fn min_window_sum(values: &[u64], k: usize) -> Result<Option<u64>, EventError> {
     PrefixSums::new(values).min_window_sum(k)
 }
 
@@ -625,235 +641,127 @@ fn spans(
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0.0f64))
 }
 
-/// Span ends per cached block of [`SlidingSpans`].
-const SPAN_BLOCK: usize = 128;
-
-/// A sliding window of timestamps that answers [`min_spans`] in
-/// [`WindowMode::Exact`] without rescanning the whole window.
+/// Whole-stream minimal spans, kept as the stamps arrive: for every
+/// `k = 2..=depth` the running minimum of `t[j] − t[j−k+1]` over all
+/// ends `j` so far. It is the dual of the envelope monitor's running
+/// per-`k` maximum demand.
 ///
-/// Span ends are grouped by absolute position into blocks of 128. For
-/// each block the window keeps the minimum of `t[j] − t[j−k+1]` over the
-/// block's ends `j`, for every `k = 2..=depth`. A block stays valid while
-/// its first end is at least `depth − 1` stamps past the window's front,
-/// so every window it covers is still retained; it is dropped once the
-/// front passes that point. A query therefore only rescans the ends
-/// before the first valid block, the ends after the last complete block,
-/// and the blocks completed since the last query. The result is the
-/// minimum over the same set of `f64` differences as the full rescan, so
-/// it is bitwise equal.
+/// A push costs `O(depth)` and needs only the last `depth − 1` stamps,
+/// which stay contiguous in a doubled buffer that is compacted every
+/// `depth − 1` pushes. Each `k`'s minimum is folded in stream order, as
+/// [`min_spans`] folds it, so [`SpanMinima::min_spans`] is bitwise equal
+/// to `min_spans(every stamp so far, depth, WindowMode::Exact)`, signed
+/// zeros included.
 ///
-/// The window counts its non-finite stamps and adjacent inversions;
-/// while any is retained, [`SlidingSpans::min_spans`] fails exactly as a
-/// [`crate::TimedTrace`] of the window contents would.
+/// The first non-finite or decreasing stamp is sticky: from then on
+/// [`SpanMinima::min_spans`] fails exactly as a [`crate::TimedTrace`] of
+/// every stamp so far would.
 ///
 /// # Example
 ///
 /// ```
-/// use wcm_events::window::{min_spans, SlidingSpans, WindowMode};
+/// use wcm_events::window::{min_spans, SpanMinima, WindowMode};
 ///
 /// let times = [0.0, 1.0, 1.25, 5.0, 5.5, 6.0];
-/// let mut w = SlidingSpans::default();
+/// let mut w = SpanMinima::new(3);
 /// for &t in &times {
 ///     w.push(t);
 /// }
-/// w.pop_front();
-/// let mut spans = Vec::new();
-/// w.min_spans(3, &mut spans)?;
-/// assert_eq!(spans, min_spans(&times[1..], 3, WindowMode::Exact)?);
+/// assert_eq!(w.min_spans()?, min_spans(&times, 3, WindowMode::Exact)?);
+/// assert_eq!((w.len(), w.duration()), (6, 6.0));
 /// # Ok::<(), wcm_events::EventError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct SlidingSpans {
-    times: std::collections::VecDeque<f64>,
-    /// Absolute position of `times[0]`: stamps popped so far.
-    base: u64,
-    /// Non-finite stamps plus adjacent inversions in the window.
-    unsorted: usize,
-    /// `−0.0` stamps in the window. The minimum over reordered blocks
-    /// could pick the other sign of a zero span, so queries rescan.
-    neg_zeros: usize,
-    /// Window depth the cached blocks were built for (0: none yet).
-    depth: usize,
-    /// Absolute index of the first cached block.
-    first_block: u64,
-    /// Cached block minima, `depth − 1` per block (`k = 2..=depth`).
-    block_mins: Vec<f64>,
-    /// Span differences computed so far (work counter).
-    diffs: u64,
+#[derive(Debug, Clone)]
+pub struct SpanMinima {
+    /// The last `depth − 1` stamps, up to twice that many before a
+    /// compaction.
+    recent: Vec<f64>,
+    /// `mins[k − 1]`: the minimal span of `k` consecutive stamps.
+    mins: Vec<f64>,
+    first: f64,
+    last: f64,
+    len: usize,
+    /// Index of the first non-finite or decreasing stamp.
+    unsorted: Option<usize>,
 }
 
-impl SlidingSpans {
-    /// Stamps in the window.
+impl SpanMinima {
+    /// An empty table of minimal spans for `k = 1..=depth`.
+    #[must_use]
+    pub fn new(depth: usize) -> Self {
+        Self {
+            recent: Vec::with_capacity(2 * depth.saturating_sub(1)),
+            mins: (0..depth).map(|k| if k == 0 { 0.0 } else { f64::INFINITY }).collect(),
+            first: 0.0,
+            last: 0.0,
+            len: 0,
+            unsorted: None,
+        }
+    }
+
+    /// Stamps pushed so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.len
     }
 
-    /// Whether the window is empty.
+    /// Whether no stamp has been pushed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.len == 0
     }
 
-    /// Time between the first and the last stamp (0 for fewer than two),
+    /// Time between the first and the last stamp (0 before the first),
     /// like [`crate::TimedTrace::duration`].
     #[must_use]
     pub fn duration(&self) -> f64 {
-        match (self.times.front(), self.times.back()) {
-            (Some(a), Some(b)) => b - a,
-            _ => 0.0,
-        }
+        self.last - self.first
     }
 
-    /// Span differences computed by all queries so far; a deterministic
-    /// measure of the work a query does.
-    #[must_use]
-    pub fn diffs_computed(&self) -> u64 {
-        self.diffs
-    }
-
-    /// Appends a stamp at the back.
+    /// Appends a stamp and folds the spans it closes into the minima.
     pub fn push(&mut self, t: f64) {
-        if let Some(&prev) = self.times.back() {
-            self.unsorted += usize::from(t < prev);
+        if self.unsorted.is_none() && (!t.is_finite() || (self.len > 0 && t < self.last)) {
+            self.unsorted = Some(self.len);
         }
-        self.unsorted += usize::from(!t.is_finite());
-        self.neg_zeros += usize::from(is_neg_zero(t));
-        self.times.push_back(t);
+        if self.len == 0 {
+            self.first = t;
+        }
+        self.last = t;
+        self.len += 1;
+        let keep = self.mins.len().saturating_sub(1);
+        if keep == 0 || self.unsorted.is_some() {
+            return;
+        }
+        // `recent` ends with t[j−1], t[j−2], …: the starts of the spans
+        // of k = 2, 3, … that end at t.
+        for (m, &lo) in self.mins[1..].iter_mut().zip(self.recent.iter().rev()) {
+            *m = m.min(t - lo);
+        }
+        if self.recent.len() == 2 * keep {
+            self.recent.copy_within(keep.., 0);
+            self.recent.truncate(keep);
+        }
+        self.recent.push(t);
     }
 
-    /// Removes the oldest stamp.
-    pub fn pop_front(&mut self) -> Option<f64> {
-        let t = self.times.pop_front()?;
-        if let Some(&next) = self.times.front() {
-            self.unsorted -= usize::from(next < t);
-        }
-        self.unsorted -= usize::from(!t.is_finite());
-        self.neg_zeros -= usize::from(is_neg_zero(t));
-        self.base += 1;
-        Some(t)
-    }
-
-    /// Minimal spans of the window for `k = 1..=k_max` into `out`
-    /// (cleared first), bitwise equal to
-    /// `min_spans(window, k_max, WindowMode::Exact)`.
+    /// Minimal spans of every stamp so far for `k = 1..=depth`, bitwise
+    /// equal to `min_spans(stamps, depth, WindowMode::Exact)`.
     ///
     /// # Errors
     ///
-    /// [`EventError::UnsortedTimestamps`] (first offending index in the
-    /// window) while a non-finite stamp or an inversion is retained;
-    /// [`EventError::InvalidParameter`] if `k_max` is 0 or exceeds the
-    /// window length.
-    pub fn min_spans(&mut self, k_max: usize, out: &mut Vec<f64>) -> Result<(), EventError> {
-        out.clear();
-        let n = self.times.len();
-        if self.unsorted > 0 {
-            let index = (0..n)
-                .find(|&i| {
-                    !self.times[i].is_finite() || (i > 0 && self.times[i] < self.times[i - 1])
-                })
-                .unwrap_or(0);
+    /// [`EventError::UnsortedTimestamps`] (index of the first
+    /// non-finite or decreasing stamp) once one was pushed;
+    /// [`EventError::InvalidParameter`] if `depth` is 0 or exceeds the
+    /// stamps pushed.
+    pub fn min_spans(&self) -> Result<&[f64], EventError> {
+        if let Some(index) = self.unsorted {
             return Err(EventError::UnsortedTimestamps { index });
         }
-        if k_max == 0 || k_max > n {
+        if self.mins.is_empty() || self.mins.len() > self.len {
             return Err(EventError::InvalidParameter { name: "k_max" });
         }
-        if self.neg_zeros > 0 {
-            // A sequential full rescan, whatever the thread's setting.
-            let times = self.times.make_contiguous();
-            out.extend((1..=k_max).map(|k| span(times, k, false).expect("k_max ≤ len")));
-            self.diffs += (k_max as u64 - 1) * n as u64;
-            return Ok(());
-        }
-        if k_max != self.depth {
-            self.depth = k_max;
-            self.block_mins.clear();
-        }
-        out.push(0.0);
-        out.resize(k_max, f64::INFINITY);
-        if k_max == 1 {
-            return Ok(());
-        }
-        let b = SPAN_BLOCK as u64;
-        let stride = k_max - 1;
-        let end = self.base + n as u64;
-        // Blocks whose ends all close windows of every depth inside the
-        // window, and whose ends are all retained.
-        let lo = (self.base + stride as u64).div_ceil(b);
-        let hi = end / b;
-        if lo >= hi {
-            for k in 2..=k_max {
-                out[k - 1] = self.fold_min(k - 1..n, k, f64::INFINITY);
-            }
-            return Ok(());
-        }
-        let mut cached = self.block_mins.len() / stride;
-        while cached > 0 && self.first_block < lo {
-            self.block_mins.drain(..stride);
-            self.first_block += 1;
-            cached -= 1;
-        }
-        if cached == 0 {
-            self.first_block = lo;
-        }
-        for blk in self.first_block + cached as u64..hi {
-            let from = (blk * b - self.base) as usize;
-            for k in 2..=k_max {
-                let m = self.fold_min(from..from + SPAN_BLOCK, k, f64::INFINITY);
-                self.block_mins.push(m);
-            }
-        }
-        let head = (lo * b - self.base) as usize;
-        let tail = (hi * b - self.base) as usize;
-        for k in 2..=k_max {
-            let m = self.fold_min(k - 1..head, k, f64::INFINITY);
-            out[k - 1] = self.fold_min(tail..n, k, m);
-        }
-        for block in self.block_mins.chunks_exact(stride) {
-            for (o, &m) in out[1..].iter_mut().zip(block) {
-                *o = o.min(m);
-            }
-        }
-        Ok(())
+        Ok(&self.mins)
     }
-
-    /// Folds `t[j] − t[j−k+1]` for the window ends `j` in `ends` into
-    /// `acc` with `f64::min`. The ring's two halves are walked as
-    /// contiguous slices: `ends` is cut where the end or the start of a
-    /// span crosses the seam, so each piece is a plain zipped scan.
-    fn fold_min(&mut self, ends: std::ops::Range<usize>, k: usize, mut acc: f64) -> f64 {
-        if ends.is_empty() {
-            return acc;
-        }
-        self.diffs += ends.len() as u64;
-        let halves = self.times.as_slices();
-        let seam = halves.0.len();
-        let mut from = ends.start;
-        for cut in [seam, seam + k - 1, ends.end] {
-            let to = cut.clamp(from, ends.end);
-            if to > from {
-                let hi = ring_piece(halves, from..to);
-                let lo = ring_piece(halves, from + 1 - k..to + 1 - k);
-                acc = hi.iter().zip(lo).map(|(h, l)| h - l).fold(acc, f64::min);
-                from = to;
-            }
-        }
-        acc
-    }
-}
-
-/// The window positions `r` of a ring split into `halves`; `r` must not
-/// cross the seam.
-fn ring_piece<'a>((a, b): (&'a [f64], &'a [f64]), r: std::ops::Range<usize>) -> &'a [f64] {
-    if r.end <= a.len() {
-        &a[r]
-    } else {
-        &b[r.start - a.len()..r.end - a.len()]
-    }
-}
-
-fn is_neg_zero(t: f64) -> bool {
-    t.to_bits() == (-0.0f64).to_bits()
 }
 
 #[cfg(test)]
@@ -882,14 +790,29 @@ mod tests {
 
     #[test]
     fn single_window_sums() {
-        assert_eq!(max_window_sum(&V, 1), Some(9));
-        assert_eq!(min_window_sum(&V, 1), Some(1));
-        assert_eq!(max_window_sum(&V, 2), Some(18));
-        assert_eq!(min_window_sum(&V, 2), Some(2));
-        assert_eq!(max_window_sum(&V, 8), Some(32));
-        assert_eq!(min_window_sum(&V, 8), Some(32));
-        assert_eq!(max_window_sum(&V, 9), None);
-        assert_eq!(max_window_sum(&V, 0), Some(0));
+        assert_eq!(max_window_sum(&V, 1), Ok(Some(9)));
+        assert_eq!(min_window_sum(&V, 1), Ok(Some(1)));
+        assert_eq!(max_window_sum(&V, 2), Ok(Some(18)));
+        assert_eq!(min_window_sum(&V, 2), Ok(Some(2)));
+        assert_eq!(max_window_sum(&V, 8), Ok(Some(32)));
+        assert_eq!(min_window_sum(&V, 8), Ok(Some(32)));
+        assert_eq!(max_window_sum(&V, 9), Ok(None));
+        assert_eq!(max_window_sum(&V, 0), Ok(Some(0)));
+    }
+
+    #[test]
+    fn single_window_sums_past_u64_max_are_an_error() {
+        let overflow = EventError::Overflow { what: "window sum" };
+        assert_eq!(max_window_sum(&[u64::MAX, 1], 2), Err(overflow.clone()));
+        assert_eq!(min_window_sum(&[u64::MAX, 1], 2), Err(overflow.clone()));
+        // Only the windows that pass u64::MAX fail.
+        assert_eq!(max_window_sum(&[u64::MAX, 1], 1), Ok(Some(u64::MAX)));
+        assert_eq!(min_window_sum(&[u64::MAX, 1, 2], 2), Ok(Some(3)));
+        let p = PrefixSums::new(&[u64::MAX, 1, 2]);
+        assert_eq!(p.window_sum(0, 2), Err(overflow.clone()));
+        assert_eq!(p.window_sum(1, 2), Ok(3));
+        assert_eq!(p.max_window_sum(2), Err(overflow.clone()));
+        assert_eq!(p.min_window_sum(3), Err(overflow));
     }
 
     #[test]
@@ -908,12 +831,12 @@ mod tests {
         for k in 0..=values.len() + 1 {
             assert_eq!(
                 p.max_window_sum(k),
-                window_sum_sliding_oracle(&values, k, true),
+                Ok(window_sum_sliding_oracle(&values, k, true)),
                 "max mismatch at k={k}"
             );
             assert_eq!(
                 p.min_window_sum(k),
-                window_sum_sliding_oracle(&values, k, false),
+                Ok(window_sum_sliding_oracle(&values, k, false)),
                 "min mismatch at k={k}"
             );
         }
@@ -926,9 +849,9 @@ mod tests {
         let big = u64::MAX / 2;
         let values = [big, big, big];
         let p = PrefixSums::new(&values);
-        assert_eq!(p.max_window_sum(1), Some(big));
-        assert_eq!(p.min_window_sum(1), Some(big));
-        assert_eq!(p.window_sum(2, 1), big);
+        assert_eq!(p.max_window_sum(1), Ok(Some(big)));
+        assert_eq!(p.min_window_sum(1), Ok(Some(big)));
+        assert_eq!(p.window_sum(2, 1), Ok(big));
     }
 
     #[test]
@@ -937,15 +860,15 @@ mod tests {
         let narrow = [u64::MAX - 10, 4, 6];
         let p = PrefixSums::new(&narrow);
         assert!(matches!(p.table, Table::Narrow(_)));
-        assert_eq!(p.max_window_sum(2), Some(u64::MAX - 6));
-        assert_eq!(p.min_window_sum(2), Some(10));
+        assert_eq!(p.max_window_sum(2), Ok(Some(u64::MAX - 6)));
+        assert_eq!(p.min_window_sum(2), Ok(Some(10)));
         // One more unit of demand: wide fallback, same per-window answers.
         let wide = [u64::MAX - 10, 4, 7];
         let p = PrefixSums::new(&wide);
         assert!(matches!(p.table, Table::Wide(_)));
-        assert_eq!(p.max_window_sum(2), Some(u64::MAX - 6));
-        assert_eq!(p.min_window_sum(2), Some(11));
-        assert_eq!(p.window_sum(1, 2), 11);
+        assert_eq!(p.max_window_sum(2), Ok(Some(u64::MAX - 6)));
+        assert_eq!(p.min_window_sum(2), Ok(Some(11)));
+        assert_eq!(p.window_sum(1, 2), Ok(11));
     }
 
     #[test]
@@ -1177,11 +1100,12 @@ mod tests {
     }
 
     #[test]
-    fn sliding_spans_match_full_rescan_bitwise() {
-        // Random push/pop walks over stamps that are mostly sorted, with
-        // ties, ±0, NaN, ±∞ and inversions injected; every query must
-        // equal the full Exact rescan of the window contents bit for bit,
-        // or fail exactly as a timed trace of those contents would.
+    fn span_minima_match_a_whole_prefix_rescan_bitwise() {
+        // Random streams of stamps that are mostly sorted, with ties, ±0,
+        // NaN, ±∞ and inversions injected, each into tables of several
+        // depths. At random points every table must equal the Exact
+        // rescan of the whole prefix bit for bit, or fail exactly as a
+        // timed trace of that prefix would.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             x ^= x << 13;
@@ -1189,23 +1113,26 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut checked = 0usize;
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (mut checked, mut rejected) = (0usize, 0usize);
         for walk in 0..24 {
-            let mut w = SlidingSpans::default();
-            let mut oracle: std::collections::VecDeque<f64> = Default::default();
-            let cap = [5usize, 40, 129, 300, 700][walk % 5];
+            let depths = [
+                1 + (next() % 3) as usize,
+                2 + (next() % 40) as usize,
+                64 + (next() % 80) as usize,
+            ];
+            let mut tables = depths.map(SpanMinima::new);
+            let mut prefix: Vec<f64> = Vec::new();
             let mut clock = 0.0f64;
-            let mut out = Vec::new();
-            for step in 0..3000 {
+            // A third of the walks never see a bad stamp.
+            let bad_odds = [u64::MAX, 4000, 800][walk % 3];
+            for step in 0..2000 {
                 let r = next();
-                // A third of the walks never see a bad stamp, so long
-                // windows reach the cached-block path.
-                let bad_odds = [u64::MAX, 4000, 800][walk % 3];
                 let t = match r % bad_odds {
                     0 => f64::NAN,
                     1 => f64::INFINITY,
                     2 => f64::NEG_INFINITY,
-                    3 => clock - 1.5, // inversion
+                    3 => clock - ((r >> 32) % 16 + 1) as f64 * 0.01, // inversion
                     // A run of signed zeros opens some walks.
                     _ if walk % 4 == 1 && step < 400 => [0.0, -0.0][(r >> 8) as usize & 1],
                     _ => {
@@ -1214,58 +1141,41 @@ mod tests {
                         clock
                     }
                 };
-                w.push(t);
-                oracle.push_back(t);
-                while oracle.len() > cap || (r >> 40) % 11 == 0 && !oracle.is_empty() {
-                    assert_eq!(
-                        w.pop_front().map(f64::to_bits),
-                        oracle.pop_front().map(f64::to_bits)
-                    );
-                    if oracle.len() <= cap {
-                        break;
-                    }
+                prefix.push(t);
+                for table in &mut tables {
+                    table.push(t);
                 }
-                if step % 7 != 0 {
+                if (r >> 24) % 53 != 0 && step != 1999 {
                     continue;
                 }
-                let times: Vec<f64> = oracle.iter().copied().collect();
-                assert_eq!(w.len(), times.len());
-                assert_eq!(
-                    w.duration().to_bits(),
-                    times.last().map_or(0.0, |l| l - times[0]).to_bits()
-                );
-                let depth = [1usize, 2, 64, 64, 64, 17][(r >> 20) as usize % 6];
-                let got = w.min_spans(depth, &mut out);
-                let bad = (0..times.len())
-                    .find(|&i| !times[i].is_finite() || (i > 0 && times[i] < times[i - 1]));
-                match (bad, got) {
-                    (Some(index), Err(e)) => {
-                        assert_eq!(e, EventError::UnsortedTimestamps { index });
-                    }
-                    (None, got) => {
-                        match min_spans(&times, depth, WindowMode::Exact) {
-                            Ok(want) => {
-                                assert!(got.is_ok(), "walk {walk} step {step}: {got:?}");
-                                let bits =
-                                    |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                                assert_eq!(
-                                    bits(&out),
-                                    bits(&want),
-                                    "walk {walk} step {step} depth {depth}"
-                                );
-                                checked += usize::from(times.len() > 2 * SPAN_BLOCK + depth);
-                            }
-                            Err(e) => assert_eq!(got, Err(e)),
+                let bad = (0..prefix.len())
+                    .find(|&i| !prefix[i].is_finite() || (i > 0 && prefix[i] < prefix[i - 1]));
+                for (table, &depth) in tables.iter().zip(&depths) {
+                    assert_eq!(table.len(), prefix.len());
+                    match (bad, table.min_spans()) {
+                        (Some(index), got) => {
+                            assert_eq!(got, Err(EventError::UnsortedTimestamps { index }));
+                            rejected += 1;
+                        }
+                        (None, got) => {
+                            let want = min_spans(&prefix, depth, WindowMode::Exact);
+                            assert_eq!(
+                                got.map(bits),
+                                want.as_deref().map(bits).map_err(Clone::clone),
+                                "walk {walk} step {step} depth {depth}"
+                            );
+                            assert_eq!(
+                                table.duration().to_bits(),
+                                (prefix[prefix.len() - 1] - prefix[0]).to_bits()
+                            );
+                            checked += usize::from(prefix.len() >= depth);
                         }
                     }
-                    (Some(_), Ok(())) => panic!("walk {walk} step {step}: accepted a bad window"),
                 }
             }
         }
-        assert!(
-            checked > 1000,
-            "only {checked} comparisons over cached blocks"
-        );
+        assert!(checked > 1000, "only {checked} full comparisons");
+        assert!(rejected > 100, "only {rejected} rejections");
     }
 
     #[test]

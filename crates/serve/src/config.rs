@@ -8,7 +8,8 @@ use wcm_sim::OverflowPolicy;
 /// Configuration shared by every session of one [`crate::Service`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Largest window size of the per-session curves and monitor.
+    /// Largest window size of the per-session curves (γᵘ/γˡ and the
+    /// minimal spans behind ᾱ) and of the monitor.
     pub k_max: usize,
     /// Events between session refreshes: each refresh reads the curves
     /// the monitor measured, rebinds the monitor to them and recomputes
@@ -35,9 +36,6 @@ pub struct ServeConfig {
     pub period_s: f64,
     /// Fallback arrival model jitter (seconds).
     pub jitter_s: f64,
-    /// Retained observed timestamps per session (sliding window) for
-    /// the empirical arrival curve.
-    pub times_window: usize,
     /// Session shards processed concurrently on the `wcm-par` pool.
     pub shards: usize,
     /// Parallelism of the shard fan-out: each round fans the shards out
@@ -57,7 +55,6 @@ impl Default for ServeConfig {
             monitor: true,
             period_s: 1.0 / 30.0,
             jitter_s: 0.0,
-            times_window: 4096,
             shards: 0, // resolved against the pool width at startup
             par: wcm_par::Parallelism::Auto,
         }

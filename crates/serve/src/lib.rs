@@ -9,9 +9,11 @@
 //!   `O(k_max)` per event by the session's one window scan;
 //! * a rebound [`wcm_core::EnvelopeMonitor`] — that same scan, flagging
 //!   any window of the live stream that escapes the curves;
+//! * the arrival curve ᾱ of every timestamp seen so far, from running
+//!   per-`k` minimal spans ([`wcm_events::window::SpanMinima`]);
 //! * the eq.-9 admission verdict — *can this stream join PE2 at the
 //!   configured frequency without overflowing the FIFO?* —
-//!   recomputed at every refresh.
+//!   recomputed at every refresh from γᵘ and ᾱ.
 //!
 //! Sessions are sharded across the `wcm-par` work-stealing pool;
 //! per-session ingest buffers are bounded and reuse the simulator's

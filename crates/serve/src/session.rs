@@ -1,9 +1,11 @@
-//! Per-session state: one [`EnvelopeMonitor`], the session's only
-//! window scan, and the eq.-9 admission verdict, refreshed on a
-//! deterministic event-count cadence. The monitor measures γᵘ/γˡ from
-//! the first event; a refresh reads them, binds the monitor to them the
-//! first time (checks begin with the windows that start after it) and
-//! rebinds it at every later refresh.
+//! Per-session state: one [`EnvelopeMonitor`] over the demands, one
+//! [`SpanMinima`] table over the timestamps, and the eq.-9 admission
+//! verdict, refreshed on a deterministic event-count cadence. Both
+//! curves of eq. 9 cover the whole session: the monitor keeps the
+//! running per-`k` maximum demand (γᵘ), the table the running per-`k`
+//! minimum span (ᾱ). A refresh reads them, binds the monitor to its
+//! curves the first time (checks begin with the windows that start
+//! after it) and rebinds it at every later refresh.
 //!
 //! ## Determinism contract
 //!
@@ -21,10 +23,14 @@ use std::collections::VecDeque;
 
 use wcm_core::{build::arrival_upper_from_spans, sizing, EnvelopeMonitor, UpperWorkloadCurve};
 use wcm_curves::arrival::PeriodicJitter;
-use wcm_events::window::SlidingSpans;
+use wcm_events::window::SpanMinima;
 use wcm_sim::OverflowPolicy;
 
 use crate::config::ServeConfig;
+
+/// Staged timestamps a session holds beyond its ingest buffer before it
+/// force-consumes them (see [`SessionState::record_times`]).
+const STAGED_TIMES: usize = 2 * 4096;
 
 /// The eq.-9 admission verdict of one session: can this stream join
 /// PE2 at the configured frequency without overflowing the FIFO?
@@ -72,20 +78,17 @@ pub struct EnqueueOutcome {
 pub struct SessionState {
     /// Measures γᵘ/γˡ from the first event; checks windows once bound.
     monitor: EnvelopeMonitor,
-    /// Sliding window of *consumed* timestamps for the empirical
-    /// arrival curve (bounded by `cfg.times_window`). Timestamps pair
-    /// with demands index-wise: time `i` belongs to event `i`, and is
-    /// consumed into this window exactly when event `i` is applied —
+    /// Running minimal spans of every *consumed* timestamp, for the
+    /// empirical arrival curve ᾱ: the whole session, like the monitor's
+    /// γᵘ. Timestamps pair with demands index-wise: time `i` belongs to
+    /// event `i`, and is consumed exactly when event `i` is applied —
     /// so every refresh sees the timestamps of the events applied so
-    /// far, never a chunk-dependent superset. The window caches its span
-    /// minima, so a refresh rescans only what changed; it is allocated
-    /// at the first consumed timestamp, so untimed sessions stay small.
-    times: Option<Box<SlidingSpans>>,
+    /// far, never a chunk-dependent superset. The table is allocated at
+    /// the first consumed timestamp, so untimed sessions stay small.
+    times: Option<Box<SpanMinima>>,
     /// Timestamps received but not yet consumed (their events are
     /// still pending or in flight).
     times_in: VecDeque<f64>,
-    /// Total timestamps consumed into the window.
-    times_used: u64,
     /// Demands decoded but not yet applied (bounded by
     /// `cfg.session_buffer` + one frame under backpressure).
     pending: VecDeque<u64>,
@@ -113,7 +116,6 @@ impl SessionState {
                 .expect("a window depth of at least 1"),
             times: None,
             times_in: VecDeque::new(),
-            times_used: 0,
             pending: VecDeque::new(),
             events: 0,
             since_refresh: 0,
@@ -174,7 +176,7 @@ impl SessionState {
     }
 
     /// Record observed timestamps. They are staged, not used: each is
-    /// consumed into the arrival window when its same-index demand is
+    /// consumed into the span table when its same-index demand is
     /// applied. A well-formed live stream writes a `TIMES` frame
     /// before (or with) the `DEMANDS` it stamps, so consumption never
     /// has to wait.
@@ -183,33 +185,25 @@ impl SessionState {
         // Degenerate streams (timestamps without demands) must not grow
         // without bound: force-consume the excess. This only fires when
         // the pairing contract is already broken.
-        let cap = cfg
-            .times_window
-            .max(2)
-            .saturating_mul(2)
-            .saturating_add(cfg.session_buffer);
+        let cap = STAGED_TIMES.saturating_add(cfg.session_buffer);
         if self.times_in.len() > cap {
             let over = self.times_in.len() - cap;
             self.consume_times(over, cfg);
         }
     }
 
-    /// Move up to `n` staged timestamps into the sliding window.
+    /// Move up to `n` staged timestamps into the span table.
     fn consume_times(&mut self, n: usize, cfg: &ServeConfig) {
         let n = n.min(self.times_in.len());
         if n == 0 {
             return;
         }
-        let window = cfg.times_window.max(2);
-        let times = self.times.get_or_insert_with(Box::default);
+        let times = self
+            .times
+            .get_or_insert_with(|| Box::new(SpanMinima::new(cfg.k_max.max(1))));
         for t in self.times_in.drain(..n) {
-            // Pop before push: the window never holds `window + 1` stamps.
-            while times.len() >= window {
-                times.pop_front();
-            }
             times.push(t);
         }
-        self.times_used += n as u64;
     }
 
     /// Apply every pending demand: feed the monitor, and run a refresh
@@ -232,8 +226,8 @@ impl SessionState {
             self.since_refresh += n as u64;
             // Consume the timestamps of exactly the events applied so
             // far (catching up if earlier times arrived late).
-            let due = usize::try_from(self.events.saturating_sub(self.times_used))
-                .unwrap_or(usize::MAX);
+            let used = self.times.as_ref().map_or(0, |t| t.len());
+            let due = usize::try_from(self.events).map_or(usize::MAX, |n| n.saturating_sub(used));
             self.consume_times(due, cfg);
             if self.since_refresh >= every {
                 self.refresh(cfg);
@@ -285,18 +279,16 @@ impl SessionState {
         self.admission = verdict;
     }
 
-    /// Eq. 9 against the configured PE2: empirical arrival curve when
-    /// the stream carries enough timestamps, the configured
-    /// periodic-with-jitter model otherwise.
+    /// Eq. 9 against the configured PE2: the empirical arrival curve of
+    /// every timestamp consumed so far when the stream carries more than
+    /// `k_eff` of them, the configured periodic-with-jitter model
+    /// otherwise.
     fn decide(&mut self, gamma_u: &UpperWorkloadCurve, k_eff: usize, cfg: &ServeConfig) -> Admission {
         let alpha_span = wcm_obs::span("serve.alpha");
-        let alpha = match self.times.as_deref_mut() {
-            Some(times) if times.len() > k_eff => {
-                let mut spans = Vec::with_capacity(k_eff);
-                times.min_spans(k_eff, &mut spans).ok().and_then(|()| {
-                    arrival_upper_from_spans(&spans, times.len(), times.duration()).ok()
-                })
-            }
+        let alpha = match self.times.as_deref() {
+            Some(times) if times.len() > k_eff => times.min_spans().ok().and_then(|spans| {
+                arrival_upper_from_spans(spans, times.len(), times.duration()).ok()
+            }),
             _ => PeriodicJitter::new(
                 cfg.period_s.max(f64::MIN_POSITIVE),
                 cfg.jitter_s.max(0.0),
@@ -419,51 +411,6 @@ mod tests {
             line.contains("\"events\":10,\"k\":0,")
                 && line.contains("\"verdict\":\"reject\",\"f_min_hz\":null"),
             "{line}"
-        );
-    }
-
-    #[test]
-    fn steady_state_refresh_rescans_only_what_changed() {
-        // One timestamped session, 313 refreshes of 64 events each.
-        // Once the 4 096-stamp window is full, a refresh must compute far
-        // fewer span differences than the 63 × 4 096 of a full rescan: the
-        // cached blocks carry the rest. A regression to the rescan fails
-        // here deterministically, without a clock.
-        let cfg = ServeConfig {
-            k_max: 64,
-            refresh_every: 64,
-            times_window: 4096,
-            par: wcm_par::Parallelism::Seq,
-            ..ServeConfig::default()
-        };
-        let mut state = SessionState::new(&cfg);
-        let (mut last, mut worst, mut steady) = (0u64, 0u64, 0usize);
-        for at in (0..313 * 64u64).step_by(64) {
-            let demands: Vec<u64> = (at..at + 64).map(|i| 400 + (i * 37) % 230).collect();
-            let times: Vec<f64> = (at..at + 64)
-                .map(|i| i as f64 / 30.0 + ((i * 13) % 7) as f64 * 1e-3)
-                .collect();
-            state.record_times(&times, &cfg);
-            state.enqueue(&demands, &cfg);
-            state.apply_pending(&cfg);
-            let work = state.times.as_ref().map_or(0, |t| t.diffs_computed());
-            if at >= 2 * 4096 {
-                worst = worst.max(work - last);
-                steady += 1;
-            }
-            last = work;
-        }
-        assert_eq!(state.refreshes, 313);
-        assert_eq!(state.errors, 0);
-        assert!(matches!(
-            state.admission,
-            Admission::Admit { .. } | Admission::Reject { .. }
-        ));
-        assert!(steady > 150, "{steady} steady refreshes");
-        let bound = 4096 * 64 / 8;
-        assert!(
-            worst <= bound,
-            "a steady refresh computed {worst} span differences (bound {bound})"
         );
     }
 }

@@ -39,7 +39,6 @@ fn small_cfg(shards: usize, par: wcm_par::Parallelism) -> ServeConfig {
         capacity_events: 8,
         policy: OverflowPolicy::Backpressure,
         session_buffer: 64,
-        times_window: 256,
         shards,
         par,
         ..ServeConfig::default()
@@ -227,7 +226,7 @@ fn admission_decides_both_ways() {
 }
 
 /// Timestamps whose rate drifts and that carry one dense burst, so the
-/// minimal spans of a sliding window change as it moves.
+/// minimal spans of a growing prefix change as it grows.
 fn drifting_timestamps(s: usize, n: usize) -> Vec<f64> {
     let base = 1.0 / (25.0 + s as f64);
     let mut t = 0.0;
@@ -251,31 +250,26 @@ fn field<'a>(line: &'a str, key: &str) -> &'a str {
     rest[..rest.find([',', '}']).expect("field end")].trim_matches('"')
 }
 
-/// The eq.-9 verdict and `f_min_hz` of a session after `n` applied
-/// events, recomputed from scratch: γᵘ from a full window scan of the
-/// demands applied by the last refresh, ᾱ from a full rescan
-/// (`arrival_upper`) of the timestamps the window holds then, both on
-/// the calling thread.
-fn oracle_verdict(demands: &[u64], times: &[f64], n: usize, cfg: &ServeConfig) -> (String, String) {
-    let every = cfg.refresh_every as usize;
-    let r = n / every * every;
+/// The eq.-9 `f_min` from scratch: γᵘ from a full window scan of
+/// `demands`, ᾱ from a full rescan (`arrival_upper`) of `times`, both on
+/// the calling thread; ∞ when `times` is not a valid timed trace.
+fn oracle_f_min(demands: &[u64], times: &[f64], cfg: &ServeConfig) -> f64 {
     let gamma = UpperWorkloadCurve::new(
         Parallelism::Seq
-            .scope(|| max_window_sums(&demands[..r], cfg.k_max, WindowMode::Exact))
+            .scope(|| max_window_sums(demands, cfg.k_max, WindowMode::Exact))
             .unwrap(),
     )
     .unwrap();
-    let window = &times[r.saturating_sub(cfg.times_window)..r];
     assert!(
-        window.len() > cfg.k_max,
+        times.len() > cfg.k_max,
         "the oracle covers the empirical path only"
     );
     let mut reg = TypeRegistry::new();
     let ty = reg
         .register("e", ExecutionInterval::fixed(Cycles(1)))
         .unwrap();
-    let events = window.iter().map(|&time| TimedEvent { time, ty }).collect();
-    let f_min = match TimedTrace::new(reg, events) {
+    let events = times.iter().map(|&time| TimedEvent { time, ty }).collect();
+    match TimedTrace::new(reg, events) {
         Err(_) => f64::INFINITY,
         Ok(trace) => {
             let alpha = Parallelism::Seq
@@ -284,7 +278,16 @@ fn oracle_verdict(demands: &[u64], times: &[f64], n: usize, cfg: &ServeConfig) -
             sizing::min_frequency_workload(&alpha, &gamma, cfg.capacity_events)
                 .unwrap_or(f64::INFINITY)
         }
-    };
+    }
+}
+
+/// The eq.-9 verdict and `f_min_hz` of a session after `n` applied
+/// events: [`oracle_f_min`] over the whole prefix of demands and
+/// timestamps the last refresh consumed.
+fn oracle_verdict(demands: &[u64], times: &[f64], n: usize, cfg: &ServeConfig) -> (String, String) {
+    let every = cfg.refresh_every as usize;
+    let r = n / every * every;
+    let f_min = oracle_f_min(&demands[..r], &times[..r], cfg);
     let verdict = if f_min <= cfg.frequency_hz {
         "admit"
     } else {
@@ -298,9 +301,8 @@ fn oracle_verdict(demands: &[u64], times: &[f64], n: usize, cfg: &ServeConfig) -
     (verdict.to_string(), f_min)
 }
 
-fn sliding_cfg(shards: usize, par: wcm_par::Parallelism) -> ServeConfig {
+fn timed_cfg(shards: usize, par: wcm_par::Parallelism) -> ServeConfig {
     ServeConfig {
-        times_window: 300,
         // Between the burst's f_min and the rest of the stream's.
         frequency_hz: 15.0e3,
         ..small_cfg(shards, par)
@@ -337,10 +339,30 @@ fn walk_against_oracle(
     seen
 }
 
+/// Writes `sessions` as one interleaved stream and returns the final
+/// snapshots of the live service at each read chunk size.
+fn serve_timed(
+    tag: &str,
+    sessions: &[(String, Vec<u64>, Vec<f64>)],
+    cfg: &ServeConfig,
+) -> Vec<Vec<String>> {
+    let dir = std::env::temp_dir().join(format!("wcm_serve_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join(format!("{tag}.wcmt"));
+    std::fs::write(&file, interleaved_stream(sessions)).unwrap();
+    let runs = [97usize, 1024, 1 << 20]
+        .iter()
+        .map(|&chunk| serve_snapshots(&file, chunk, cfg.clone()))
+        .collect();
+    std::fs::remove_file(&file).ok();
+    std::fs::remove_dir(&dir).ok();
+    runs
+}
+
 #[test]
-fn sliding_window_arrival_curve_matches_full_rescan() {
-    // 2 000 events per session against a 300-stamp window: the window
-    // slides ~6 times over, past the burst and back out.
+fn whole_session_arrival_curve_matches_full_rescan() {
+    // 2 000 events per session, each with a dense burst: the verdict
+    // admits before the burst and rejects from the refresh that sees it.
     let n_events = 2000;
     let sessions: Vec<(String, Vec<u64>, Vec<f64>)> = (0..3)
         .map(|s| {
@@ -351,58 +373,107 @@ fn sliding_window_arrival_curve_matches_full_rescan() {
             )
         })
         .collect();
-    let cfg = sliding_cfg(1, wcm_par::Parallelism::Seq);
+    let cfg = timed_cfg(1, wcm_par::Parallelism::Seq);
 
-    // Refresh by refresh, and at an odd piece size, against the oracle.
+    // Call by call, at several piece sizes, against the oracle.
     let mut verdicts = Vec::new();
     for (_, demands, times) in &sessions {
         verdicts.extend(walk_against_oracle(demands, times, 16, &cfg));
+        walk_against_oracle(demands, times, 1, &cfg);
         walk_against_oracle(demands, times, 97, &cfg);
     }
     assert!(verdicts.iter().any(|v| v == "admit"), "{verdicts:?}");
     assert!(verdicts.iter().any(|v| v == "reject"), "{verdicts:?}");
 
-    // The live service, whatever the read chunking, ends on the same
-    // verdicts as the oracle.
-    let dir = std::env::temp_dir().join(format!("wcm_serve_slide_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join("sliding.wcmt");
-    std::fs::write(&file, interleaved_stream(&sessions)).unwrap();
-    for &chunk in &[97usize, 1024, 1 << 20] {
-        let lines = serve_snapshots(
-            &file,
-            chunk,
-            sliding_cfg(2, wcm_par::Parallelism::Threads(2)),
-        );
-        assert_eq!(lines.len(), sessions.len());
-        for (line, (name, demands, times)) in lines.iter().zip(&sessions) {
-            assert!(line.contains(name.as_str()), "{line}");
-            let (verdict, f_min) = oracle_verdict(demands, times, n_events, &cfg);
-            assert_eq!(
-                (field(line, "verdict"), field(line, "f_min_hz")),
-                (verdict.as_str(), f_min.as_str()),
-                "chunk={chunk}: {line}"
-            );
+    // The live service, whatever the read chunking and the shard count,
+    // ends on the same verdicts as the oracle.
+    for (shards, par) in [
+        (1, wcm_par::Parallelism::Seq),
+        (2, wcm_par::Parallelism::Threads(2)),
+    ] {
+        for lines in serve_timed("whole", &sessions, &timed_cfg(shards, par)) {
+            assert_eq!(lines.len(), sessions.len());
+            for (line, (name, demands, times)) in lines.iter().zip(&sessions) {
+                assert!(line.contains(name.as_str()), "{line}");
+                let (verdict, f_min) = oracle_verdict(demands, times, n_events, &cfg);
+                assert_eq!(
+                    (field(line, "verdict"), field(line, "f_min_hz")),
+                    (verdict.as_str(), f_min.as_str()),
+                    "shards={shards}: {line}"
+                );
+            }
         }
     }
-    std::fs::remove_file(&file).ok();
-    std::fs::remove_dir(&dir).ok();
 }
 
 #[test]
-fn inverted_timestamps_reject_until_they_leave_the_window() {
-    // One stamp jumps back in time. While it is in the 300-stamp window
-    // no arrival curve exists and the session rejects at f = ∞; once it
-    // has slid out, the verdict agrees with the oracle again.
+fn an_early_burst_rejects_to_the_end_of_a_long_stream() {
+    // A dense burst in the first 300 stamps, then 6 016 events at the
+    // base rate. The PE2 clock lies between the whole stream's f_min and
+    // that of its last 4 096 stamps: an arrival curve measured on a
+    // recent window alone forgets the burst and admits; the session's
+    // whole-session curve rejects from the burst to the end.
+    let n_events = 6016;
+    let demands = demands_for(2, n_events);
+    let period = 1.0 / 25.0;
+    let mut t = 0.0;
+    let times: Vec<f64> = (0..n_events)
+        .map(|i| {
+            t += if (200..260).contains(&i) {
+                period / 8.0
+            } else {
+                period
+            };
+            t
+        })
+        .collect();
+    let base = small_cfg(1, wcm_par::Parallelism::Seq);
+    let whole = oracle_f_min(&demands, &times, &base);
+    let recent = oracle_f_min(&demands, &times[n_events - 4096..], &base);
+    assert!(recent < whole, "recent {recent} whole {whole}");
+    let cfg = ServeConfig {
+        frequency_hz: (recent + whole) / 2.0,
+        ..base
+    };
+    let verdicts = walk_against_oracle(&demands, &times, 64, &cfg);
+    let first_reject = verdicts
+        .iter()
+        .position(|v| v == "reject")
+        .expect("the burst rejects");
+    assert!(first_reject > 0, "{verdicts:?}");
+    assert!(
+        verdicts[first_reject..].iter().all(|v| v == "reject"),
+        "{verdicts:?}"
+    );
+    assert!(verdicts.len() - first_reject > 80, "{verdicts:?}");
+    // Behind a FIFO deeper than the horizon (b = 400 > k_max = 64), eq. 9
+    // binds past the measured spans, on the tail rate: the average rate
+    // of the whole stream, burst included.
+    let deep = ServeConfig {
+        k_max: 64,
+        refresh_every: 64,
+        capacity_events: 400,
+        ..cfg
+    };
+    let line = batch_snapshot("s", &demands, &times, &deep);
+    let (_, f_min) = oracle_verdict(&demands, &times, n_events, &deep);
+    assert_eq!(field(&line, "f_min_hz"), f_min);
+}
+
+#[test]
+fn inverted_timestamps_reject_to_the_end_of_the_stream() {
+    // One stamp jumps back in time. From the first refresh that consumes
+    // it, no arrival curve exists: every refresh to the end of the
+    // stream rejects at f = ∞, as the oracle over the whole prefix does.
     let n_events = 1200;
     let demands = demands_for(1, n_events);
     let mut times = drifting_timestamps(1, n_events);
     let inverted = 400;
     times[inverted] = times[inverted - 1] - 0.5;
-    let cfg = sliding_cfg(1, wcm_par::Parallelism::Seq);
+    let cfg = timed_cfg(1, wcm_par::Parallelism::Seq);
     let every = cfg.refresh_every as usize;
     let mut state = SessionState::new(&cfg);
-    let (mut inside, mut after) = (0, 0);
+    let (mut before, mut after) = (0, 0);
     for at in (0..n_events).step_by(every) {
         state.record_times(&times[at..at + every], &cfg);
         state.enqueue(&demands[at..at + every], &cfg);
@@ -412,15 +483,16 @@ fn inverted_timestamps_reject_until_they_leave_the_window() {
             continue;
         }
         let line = state.snapshot_json("s");
-        let retained = end.saturating_sub(cfg.times_window)..end;
-        if retained.contains(&inverted) {
+        if end > inverted {
             assert_eq!(
                 (field(&line, "verdict"), field(&line, "f_min_hz")),
-                ("reject", "null")
+                ("reject", "null"),
+                "after {end} events"
             );
-            inside += 1;
+            after += 1;
         } else {
-            after += usize::from(end > inverted);
+            assert_ne!(field(&line, "f_min_hz"), "null", "after {end} events");
+            before += 1;
         }
         let (verdict, f_min) = oracle_verdict(&demands, &times, end, &cfg);
         assert_eq!(
@@ -429,24 +501,22 @@ fn inverted_timestamps_reject_until_they_leave_the_window() {
             "after {end} events: {line}"
         );
     }
-    assert!(inside >= cfg.times_window / every, "inside {inside}");
-    assert!(after > 10, "after {after}");
+    assert!(before > 10, "before {before}");
+    assert_eq!(
+        after,
+        (n_events - inverted).div_ceil(every),
+        "after {after}"
+    );
     // The same stream through the live service: the decoder carries the
     // decreasing stamp (TIMES deltas are zigzag-coded), and the final
-    // verdict, long after the inversion left the window, matches.
-    let dir = std::env::temp_dir().join(format!("wcm_serve_inv_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join("inverted.wcmt");
-    let sessions = [("inv".to_string(), demands.clone(), times.clone())];
-    std::fs::write(&file, interleaved_stream(&sessions)).unwrap();
-    let lines = serve_snapshots(&file, 1024, cfg.clone());
-    let (verdict, f_min) = oracle_verdict(&demands, &times, n_events, &cfg);
-    assert_eq!(
-        (field(&lines[0], "verdict"), field(&lines[0], "f_min_hz")),
-        (verdict.as_str(), f_min.as_str())
-    );
-    std::fs::remove_file(&file).ok();
-    std::fs::remove_dir(&dir).ok();
+    // verdict still rejects at f = ∞.
+    let sessions = [("inv".to_string(), demands, times)];
+    for lines in serve_timed("inv", &sessions, &cfg) {
+        assert_eq!(
+            (field(&lines[0], "verdict"), field(&lines[0], "f_min_hz")),
+            ("reject", "null")
+        );
+    }
 }
 
 /// Deterministic pseudo-random `u64`s (SplitMix64).

@@ -222,32 +222,6 @@ pub fn simulate_pipeline(
     )
 }
 
-/// Simulates the clip with a *bounded* FIFO of `capacity` macroblocks and
-/// blocking-write backpressure: PE₁ stalls when the FIFO (including the
-/// macroblock in service at PE₂) is full, resuming as PE₂ frees slots.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidParameter`] if `capacity` is 0 or the rates
-/// are invalid, [`SimError::EmptyWorkload`] for an empty clip.
-pub fn simulate_pipeline_bounded(
-    clip: &ClipWorkload,
-    cfg: &PipelineConfig,
-    capacity: u64,
-) -> Result<PipelineResult, SimError> {
-    let fifo = FifoConfig::bounded(capacity, OverflowPolicy::Backpressure);
-    validate_fifo(&fifo)?;
-    let w = FaultedWorkload::clean(clip)?;
-    run_full(
-        &w,
-        cfg,
-        &fifo,
-        SourceModel::Cbr,
-        clip.params().frame_period(),
-        None,
-    )
-}
-
 /// How compressed bits reach PE₁.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SourceModel {
@@ -959,6 +933,17 @@ mod tests {
         assert_eq!(a, b.pipeline);
     }
 
+    /// A clean CBR run through a blocking-write FIFO of `capacity`.
+    fn backpressure(
+        clip: &ClipWorkload,
+        cfg: &PipelineConfig,
+        capacity: u64,
+    ) -> Result<PipelineResult, SimError> {
+        let fifo = FifoConfig::bounded(capacity, OverflowPolicy::Backpressure);
+        simulate_pipeline_robust(clip, cfg, &fifo, SourceModel::Cbr, None, None)
+            .map(|r| r.pipeline)
+    }
+
     #[test]
     fn backpressure_caps_occupancy() {
         // PE2 4× slower than PE1's output: unbounded backlog grows, the
@@ -972,7 +957,7 @@ mod tests {
         let unbounded = simulate_pipeline(&clip, &cfg).unwrap();
         assert!(unbounded.max_backlog > 2);
         assert_eq!(unbounded.pe1_stalled, 0.0);
-        let bounded = simulate_pipeline_bounded(&clip, &cfg, 2).unwrap();
+        let bounded = backpressure(&clip, &cfg, 2).unwrap();
         assert!(bounded.max_backlog <= 2);
         assert!(bounded.pe1_stalled > 0.0, "PE1 must have stalled");
         // Work conservation: every macroblock still processed, in order.
@@ -992,8 +977,7 @@ mod tests {
             pe2_hz: 250.0,
         };
         let unbounded = simulate_pipeline(&clip, &cfg).unwrap();
-        let bounded =
-            simulate_pipeline_bounded(&clip, &cfg, unbounded.max_backlog).unwrap();
+        let bounded = backpressure(&clip, &cfg, unbounded.max_backlog).unwrap();
         assert_eq!(bounded, unbounded);
     }
 
@@ -1005,7 +989,7 @@ mod tests {
             pe1_hz: 1.0,
             pe2_hz: 1.0,
         };
-        assert!(simulate_pipeline_bounded(&clip, &cfg, 0).is_err());
+        assert!(backpressure(&clip, &cfg, 0).is_err());
         assert!(simulate_pipeline_robust(
             &clip,
             &cfg,

@@ -7,7 +7,18 @@ use wcm_mpeg::mb::{Macroblock, MacroblockClass};
 use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
 use wcm_mpeg::workload::FrameWorkload;
 use wcm_mpeg::ClipWorkload;
-use wcm_sim::pipeline::{simulate_pipeline, simulate_pipeline_bounded, PipelineConfig};
+use wcm_sim::pipeline::{
+    simulate_pipeline, simulate_pipeline_robust, FifoConfig, OverflowPolicy, PipelineConfig,
+    PipelineResult, SourceModel,
+};
+
+/// A clean CBR run through a blocking-write FIFO of `capacity`.
+fn backpressure(clip: &ClipWorkload, cfg: &PipelineConfig, capacity: u64) -> PipelineResult {
+    let fifo = FifoConfig::bounded(capacity, OverflowPolicy::Backpressure);
+    simulate_pipeline_robust(clip, cfg, &fifo, SourceModel::Cbr, None, None)
+        .unwrap()
+        .pipeline
+}
 
 fn clip_from(bits: Vec<u32>) -> ClipWorkload {
     let params =
@@ -82,13 +93,12 @@ proptest! {
         let clip = clip_from(bits);
         let cfg = PipelineConfig { bitrate_bps: 1e5, pe1_hz: 1e6, pe2_hz: 5e4 };
         let unbounded = simulate_pipeline(&clip, &cfg).unwrap();
-        let bounded = simulate_pipeline_bounded(&clip, &cfg, cap).unwrap();
+        let bounded = backpressure(&clip, &cfg, cap);
         prop_assert!(bounded.max_backlog <= cap);
         prop_assert!((bounded.pe2_busy - unbounded.pe2_busy).abs() < 1e-9);
         prop_assert!(bounded.makespan + 1e-9 >= unbounded.makespan);
         // With capacity at least the unbounded peak, behaviour is identical.
-        let roomy = simulate_pipeline_bounded(&clip, &cfg, unbounded.max_backlog.max(1))
-            .unwrap();
+        let roomy = backpressure(&clip, &cfg, unbounded.max_backlog.max(1));
         prop_assert_eq!(roomy, unbounded);
     }
 }

@@ -12,6 +12,9 @@
 #    still exits 0;
 #  * the shard fan-out is deterministic: 2 threads x 2 shards write the
 #    same snapshot bytes as 1 x 1;
+#  * a timestamped session sizes PE2 by the arrival curve of its whole
+#    stream: its final f_min equals `wcm-cli fmin` over the same files,
+#    an early burst included, at 1 and 2 shards alike;
 #  * SIGTERM drains gracefully: everything already on disk is flushed
 #    into the final snapshots before the process exits 0;
 #  * TCP ingestion accepts a plain `.wcmt` stream over a socket;
@@ -90,6 +93,38 @@ done
 cmp "$out/fan1.snap" "$out/fan2.snap" || {
   echo "snapshots differ between 1 and 2 shards"; exit 1; }
 echo "ok: 64 sessions, byte-identical snapshots at 1 and 2 shards"
+
+echo "== timestamped session: whole-stream arrival curve =="
+# 6 016 events at 25 Hz with a burst at 8x that rate in stamps 200..259,
+# so the whole stream's arrival curve differs from any recent window's.
+awk 'BEGIN { split("900 150 150 420 150 150 420 150 150 420 150 150", g, " ");
+  for (i = 0; i < 6016; i++) print g[i % 12 + 1] + (i * 37) % 23 }' >"$out/timed-d.txt"
+awk 'BEGIN { t = 0; p = 1 / 25;
+  for (i = 0; i < 6016; i++) { t += (i >= 200 && i < 260) ? p / 8 : p; printf "%.6f\n", t } }' \
+  >"$out/timed-t.txt"
+"$cli" trace encode --demands "$out/timed-d.txt" --times "$out/timed-t.txt" --name timed \
+  --out "$out/timed.wcmt" >/dev/null
+for n in 1 2; do
+  rc=0; "$cli" serve --tail "$out/timed.wcmt" --idle-exit on --threads "$n" --shards "$n" \
+    --k 64 --refresh 64 --capacity 400 --snapshots-out "$out/timed$n.snap" >/dev/null 2>&1 || rc=$?
+  # The burst and the demand pattern break curves measured on earlier
+  # prefixes: the monitor flags 230 windows (exit 4).
+  [ "$rc" -eq 4 ] || { echo "timed serve must exit 4, got $rc"; exit 1; }
+done
+cmp "$out/timed1.snap" "$out/timed2.snap" || {
+  echo "timed snapshots differ between 1 and 2 shards"; exit 1; }
+grep -q '"events":6016,.*"refreshes":94,.*"violations":230,' "$out/timed1.snap"
+served=$(sed -n 's/.*"f_min_hz":\([0-9.]*\).*/\1/p' "$out/timed1.snap")
+"$cli" fmin --times "$out/timed-t.txt" --demands "$out/timed-d.txt" --k 64 --buffer 400 \
+  >"$out/timed.fmin"
+whole=$(awk '/^f_min_workload_hz/ { print $2 }' "$out/timed.fmin")
+awk -v a="$served" -v b="$whole" 'BEGIN { d = a - b; exit !(a != "" && d <= 0.1 && d >= -0.1) }' || {
+  echo "served f_min $served Hz != whole-trace fmin $whole Hz"; exit 1; }
+# The arrival-curve window knob is gone: the option is a usage error.
+rc=0; "$cli" serve --tail "$out/timed.wcmt" --idle-exit on --times-window 8 \
+  2>/dev/null >/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "--times-window must exit 2, got $rc"; exit 1; }
+echo "ok: timed session f_min ${served} Hz = fmin ${whole} Hz at 1 and 2 shards"
 
 echo "== graceful drain on SIGTERM =="
 "$gen" "$out/full.wcmt" 100 40 >/dev/null
