@@ -1,7 +1,7 @@
 //! Bench summary for the design-space sweep engine and the simulator
 //! hot-path rewrite, written to `BENCH_sweep.json`.
 //!
-//! Four measurements, interleaved best-of-`REPS`:
+//! Five measurements, interleaved best-of-`REPS`:
 //!
 //! * **sweep points/s** — the full 14-clip grid, sequential without
 //!   pruning vs threaded with the analytic pre-pass (the shipping
@@ -16,6 +16,12 @@
 //! * **simulator ns/event** — the legacy heap-driven event loop
 //!   (`wcm_bench::legacy`) vs the heap-free hot path with a reusable
 //!   scratch, on one identical clip (3 events per macroblock).
+//! * **simulator per policy** — one overloaded point (the same clip at
+//!   a PE₂ clock far below its demand, capacity `4 · BUFFER_MB` = 6 480
+//!   filled to the brim) under each overflow policy, in ns/event, and
+//!   the same-process ratio `drop_priority_over_backpressure`: priority
+//!   eviction must cost no more per push than a blocking write
+//!   (guarded by `scripts/bench_smoke.sh`).
 //! * **streaming result pipeline** — peak allocator bytes of the
 //!   materializing `run_sweep` vs `run_sweep_streaming` into a
 //!   stat-only sink, at a ~100k-cell grid and at 10× that: the
@@ -306,6 +312,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let legacy_ns = sim.best(0) / events * 1e9;
     let hot_ns = sim.best(1) / events * 1e9;
 
+    // One overloaded point per overflow policy: the same clip and clock,
+    // with the largest sweep capacity, so a `DropByPriority` push finds
+    // thousands of queued macroblocks. Per event means per the same
+    // `3 · macroblocks` as above for every policy (drops skip PE₂), so
+    // the ns/event figures compare as run times.
+    let overload_capacity = 4 * wcm_bench::BUFFER_MB;
+    let overload_fifo = [
+        OverflowPolicy::Backpressure,
+        OverflowPolicy::Reject,
+        OverflowPolicy::DropByPriority,
+    ]
+    .map(|p| FifoConfig::bounded(overload_capacity, p));
+    let run_policy = |fifo: &FifoConfig, scratch: &mut SimScratch| {
+        simulate_faulted(
+            &stream,
+            &cfg,
+            fifo,
+            SourceModel::Cbr,
+            frame_period,
+            None,
+            scratch,
+        )
+        .unwrap()
+    };
+    // One scratch per candidate: each timed closure borrows its own.
+    let mut scratches: [SimScratch; 3] = Default::default();
+    for (fifo, scratch) in overload_fifo.iter().zip(&mut scratches) {
+        assert_eq!(
+            run_policy(fifo, scratch).max_backlog,
+            overload_capacity,
+            "{:?}: the point must fill the FIFO",
+            fifo.policy
+        );
+    }
+    let [bp, reject, drop] = &mut scratches;
+    let per_policy = measure([
+        &mut || time_once(|| run_policy(&overload_fifo[0], bp)),
+        &mut || time_once(|| run_policy(&overload_fifo[1], reject)),
+        &mut || time_once(|| run_policy(&overload_fifo[2], drop)),
+    ]);
+    let [bp_ns, reject_ns, drop_ns] = [0, 1, 2].map(|i| per_policy.best(i) / events * 1e9);
+    let drop_over_bp = per_policy.speedup(2, 0);
+
     // Streaming result pipeline: allocator peak of materializing vs
     // streaming, at a ~100k-cell grid and at 10× that. The grid grows
     // along the policy axis (duplicated entries): the analytic table
@@ -403,7 +452,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"events\": {events},\n\
          \x20   \"legacy_heap_ns_per_event\": {legacy_ns:.2},\n\
          \x20   \"hot_path_ns_per_event\": {hot_ns:.2},\n\
-         \x20   \"speedup\": {:.1}\n\
+         \x20   \"speedup\": {:.1},\n\
+         \x20   \"overload_capacity\": {overload_capacity},\n\
+         \x20   \"backpressure_ns_per_event\": {bp_ns:.2},\n\
+         \x20   \"reject_ns_per_event\": {reject_ns:.2},\n\
+         \x20   \"drop_priority_ns_per_event\": {drop_ns:.2},\n\
+         \x20   \"drop_priority_over_backpressure\": {drop_over_bp:.2}\n\
          \x20 }},\n\
          \x20 \"stream\": {{\n\
          \x20   \"grid_points_1x\": {mat_n_1x},\n\
@@ -440,7 +494,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&out_path, &json)?;
     print!("{json}");
     eprintln!(
-        "bench_sweep: {:.2}x points/s (pruned fraction {:.0}%), frontier bisection {}/{} cells, simulator {:.2}x ns/event, stream peak {:.2}x at 10x grid (materializing {:.2}x), wrote {out_path}",
+        "bench_sweep: {:.2}x points/s (pruned fraction {:.0}%), frontier bisection {}/{} cells, simulator {:.2}x ns/event, drop-priority/backpressure {drop_over_bp:.2}x, stream peak {:.2}x at 10x grid (materializing {:.2}x), wrote {out_path}",
         sweeps.speedup(0, 1),
         pruned_fraction * 100.0,
         bisect_frontier.evaluated_cells,

@@ -154,19 +154,25 @@ impl SessionState {
             OverflowPolicy::DropByPriority => {
                 self.pending.extend(demands.iter().copied());
                 out.accepted = demands.len();
-                while self.pending.len() > cap {
-                    // Evict the smallest-demand pending event (lowest
+                let excess = self.pending.len().saturating_sub(cap);
+                if excess > 0 {
+                    // Evict the smallest-demand pending events (lowest
                     // priority); earliest wins ties so eviction is
-                    // deterministic.
-                    let (idx, _) = self
-                        .pending
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(i, &d)| (d, i))
-                        .expect("buffer over capacity is non-empty");
-                    self.pending.remove(idx);
-                    out.dropped += 1;
-                    out.accepted -= 1;
+                    // deterministic. Removing a minimum never reorders
+                    // the rest, so the victims are exactly the `excess`
+                    // smallest `(demand, position)` keys: select the
+                    // largest of them, then drop every key up to it.
+                    let mut keys: Vec<(u64, usize)> =
+                        self.pending.iter().copied().zip(0..).collect();
+                    let (_, &mut last, _) = keys.select_nth_unstable(excess - 1);
+                    let mut pos = 0;
+                    self.pending.retain(|&d| {
+                        let keep = (d, pos) > last;
+                        pos += 1;
+                        keep
+                    });
+                    out.dropped = excess;
+                    out.accepted -= excess;
                 }
             }
         }
@@ -389,6 +395,62 @@ impl SessionState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The eviction loop `enqueue` replaced: one linear scan for the
+    /// smallest `(demand, position)` and one removal per excess event.
+    fn evict_one_at_a_time(pending: &mut VecDeque<u64>, cap: usize) -> usize {
+        let mut dropped = 0;
+        while pending.len() > cap {
+            let (idx, _) = pending
+                .iter()
+                .enumerate()
+                .min_by_key(|&(i, &d)| (d, i))
+                .unwrap();
+            pending.remove(idx);
+            dropped += 1;
+        }
+        dropped
+    }
+
+    #[test]
+    fn drop_by_priority_evicts_like_the_one_at_a_time_loop() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for cap in [1usize, 2, 7, 64] {
+            // Demand ranges from all-tied (1) to nearly distinct.
+            for range in [1u64, 3, 10, 1_000_000] {
+                let cfg = ServeConfig {
+                    policy: OverflowPolicy::DropByPriority,
+                    session_buffer: cap,
+                    ..ServeConfig::default()
+                };
+                let mut state = SessionState::new(&cfg);
+                let mut model = VecDeque::new();
+                for _ in 0..40 {
+                    let batch: Vec<u64> =
+                        (0..next(3 * cap as u64 + 2)).map(|_| next(range)).collect();
+                    let out = state.enqueue(&batch, &cfg);
+                    model.extend(batch.iter().copied());
+                    let dropped = evict_one_at_a_time(&mut model, cap);
+                    assert_eq!(state.pending, model, "cap {cap} range {range}");
+                    assert_eq!(
+                        (out.dropped, out.accepted),
+                        (dropped, batch.len() - dropped)
+                    );
+                    if next(4) == 0 {
+                        let drain = next(model.len() as u64 + 1) as usize;
+                        state.pending.drain(..drain);
+                        model.drain(..drain);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn a_window_sum_past_u64_max_rejects_instead_of_panicking() {

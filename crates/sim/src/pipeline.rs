@@ -27,15 +27,17 @@
 //! The event loop does not use a binary heap. At any instant at most one
 //! `Pe1Done` and one `Pe2Done` event are outstanding, and every `BitsReady`
 //! time is known up front, so the next event is the minimum of a sorted
-//! arrival arena cursor and two slots — O(1) per event, no per-event
-//! allocation. Tie-breaking replicates the former heap's `(time, seq)`
-//! order exactly: arrivals were pushed first (seq `0..n`, so a stable sort
-//! by time preserves their index order and ranks them before same-time PE
-//! completions), and PE completions take increasing sequence numbers at
-//! schedule time. [`SimScratch`] makes all per-run buffers reusable so a
-//! design-space sweep can evaluate thousands of points without touching
-//! the allocator; [`simulate_faulted`] is the scratch-aware entry point
-//! over a shared, read-only [`FaultedWorkload`].
+//! arrival arena cursor and two slots. The FIFO keeps one queue per frame
+//! class, so a push, a pop and a `DropByPriority` eviction are O(1) too,
+//! whatever the capacity: each event costs O(1) under every policy, with
+//! no per-event allocation. Tie-breaking replicates the former heap's
+//! `(time, seq)` order exactly: arrivals were pushed first (seq `0..n`, so
+//! a stable sort by time preserves their index order and ranks them before
+//! same-time PE completions), and PE completions take increasing sequence
+//! numbers at schedule time. [`SimScratch`] makes all per-run buffers
+//! reusable so a design-space sweep can evaluate thousands of points
+//! without touching the allocator; [`simulate_faulted`] is the
+//! scratch-aware entry point over a shared, read-only [`FaultedWorkload`].
 
 use crate::faults::{FaultPlan, FaultReport, FaultedWorkload};
 use crate::SimError;
@@ -66,7 +68,9 @@ pub enum OverflowPolicy {
     /// The lowest-priority macroblock among the queued ones and the
     /// incoming one is discarded — B-frame macroblocks before P before I,
     /// newest first within a priority class. The macroblock in service at
-    /// PE₂ is never dropped.
+    /// PE₂ is never dropped. Finding and removing the victim is O(1): the
+    /// FIFO keeps one queue per frame class, and the victim is the back
+    /// of the lowest non-empty class below the incoming macroblock's.
     DropByPriority,
 }
 
@@ -98,11 +102,71 @@ impl FifoConfig {
 }
 
 /// MPEG drop priority: B is most expendable, I least (reference frames).
-fn frame_priority(kind: FrameKind) -> u8 {
+fn frame_priority(kind: FrameKind) -> usize {
     match kind {
         FrameKind::B => 0,
         FrameKind::P => 1,
         FrameKind::I => 2,
+    }
+}
+
+/// The inter-PE FIFO, kept as one queue per frame class (indexed by
+/// [`frame_priority`]) so every operation is O(1) whatever the capacity.
+///
+/// Macroblocks are pushed in increasing stream index (PE₁ decodes in
+/// order, and a macroblock held by backpressure is pushed before PE₁
+/// moves on), so each class queue is sorted and the FIFO head is the
+/// smallest of the three fronts.
+#[derive(Debug, Default)]
+struct ClassFifo {
+    queues: [VecDeque<usize>; 3],
+}
+
+impl ClassFifo {
+    fn clear(&mut self) {
+        self.queues.iter_mut().for_each(VecDeque::clear);
+    }
+
+    fn len(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
+
+    fn push(&mut self, i: usize, kind: FrameKind) {
+        debug_assert!(
+            self.queues.iter().all(|q| q.back().is_none_or(|&b| b < i)),
+            "pushes must arrive in stream order"
+        );
+        self.queues[frame_priority(kind)].push_back(i);
+    }
+
+    /// Removes the oldest macroblock of the whole FIFO.
+    fn pop_front(&mut self) -> Option<usize> {
+        // An empty class reads as `usize::MAX`; if all three are empty,
+        // the pop below finds the I queue empty and returns `None`.
+        let [b, p, i] = self
+            .queues
+            .each_ref()
+            .map(|q| q.front().copied().unwrap_or(usize::MAX));
+        let class = if b < p.min(i) {
+            0
+        } else if p < i {
+            1
+        } else {
+            2
+        };
+        self.queues[class].pop_front()
+    }
+
+    /// The `DropByPriority` victim for an incoming macroblock of `kind`:
+    /// the newest queued macroblock of the lowest class strictly below
+    /// it, removed. `None` means nothing queued ranks below the incoming
+    /// macroblock, which is then the victim itself (it is the newest of
+    /// all, so it loses every tie).
+    fn evict_newest_below(&mut self, kind: FrameKind) -> Option<usize> {
+        self.queues[..frame_priority(kind)]
+            .iter_mut()
+            .find(|q| !q.is_empty())?
+            .pop_back()
     }
 }
 
@@ -154,7 +218,7 @@ pub struct SimScratch {
     /// `(bits-ready time, stream index)`, sorted by `(time, index)`.
     ready: Vec<(f64, usize)>,
     available: Vec<bool>,
-    fifo: VecDeque<usize>,
+    fifo: ClassFifo,
     fifo_in: Vec<f64>,
     fifo_out: Vec<f64>,
     dropped: Vec<usize>,
@@ -544,7 +608,7 @@ fn simulate_core(
                 } else {
                     if !full {
                         scratch.fifo_in[i] = now;
-                        scratch.fifo.push_back(i);
+                        scratch.fifo.push(i, w.kinds[i]);
                         max_backlog = max_backlog
                             .max(scratch.fifo.len() as u64 + u64::from(pe2_live));
                     } else {
@@ -557,37 +621,20 @@ fn simulate_core(
                                 scratch.dropped.push(i);
                             }
                             OverflowPolicy::DropByPriority => {
-                                // Victim: lowest frame priority among the
-                                // queued macroblocks and the incoming one;
-                                // ties go to the newest (the incoming one
-                                // is newest of all). Scanning back-to-front
-                                // with a strict `<` picks exactly that.
-                                let mut victim: Option<usize> = None;
-                                let mut best = frame_priority(w.kinds[i]);
-                                for pos in (0..scratch.fifo.len()).rev() {
-                                    let pq = frame_priority(w.kinds[scratch.fifo[pos]]);
-                                    if pq < best {
-                                        best = pq;
-                                        victim = Some(pos);
-                                    }
-                                }
-                                match victim {
+                                match scratch.fifo.evict_newest_below(w.kinds[i]) {
                                     None => {
                                         // The incoming macroblock is the victim.
                                         scratch.fifo_in[i] = now;
                                         scratch.fifo_out[i] = now;
                                         scratch.dropped.push(i);
                                     }
-                                    Some(pos) => {
-                                        let v = scratch.fifo.remove(pos).unwrap_or(i);
+                                    Some(v) => {
                                         scratch.fifo_out[v] = now;
                                         scratch.dropped.push(v);
                                         scratch.fifo_in[i] = now;
-                                        scratch.fifo.push_back(i);
-                                        max_backlog = max_backlog.max(
-                                            scratch.fifo.len() as u64
-                                                + u64::from(pe2_live),
-                                        );
+                                        scratch.fifo.push(i, w.kinds[i]);
+                                        max_backlog = max_backlog
+                                            .max(scratch.fifo.len() as u64 + u64::from(pe2_live));
                                     }
                                 }
                             }
@@ -624,7 +671,7 @@ fn simulate_core(
                 if let Some((h, since)) = pe1_held.take() {
                     pe1_stalled += now - since;
                     scratch.fifo_in[h] = now;
-                    scratch.fifo.push_back(h);
+                    scratch.fifo.push(h, w.kinds[h]);
                     max_backlog =
                         max_backlog.max(scratch.fifo.len() as u64 + u64::from(pe2_busy_now));
                     // PE1 resumes with the next macroblock.
@@ -1237,6 +1284,86 @@ mod tests {
         .pipeline;
         assert_eq!(r.dropped, vec![1]);
         assert!(r.fifo_out_times[2] > r.fifo_in_times[2], "the I must survive");
+    }
+
+    /// The FIFO and victim rule the simulator used before [`ClassFifo`]:
+    /// one queue in arrival order, and a back-to-front scan with a strict
+    /// `<` for the lowest-priority macroblock below the incoming one (so
+    /// ties go to the newest), removed from the middle of the queue.
+    #[derive(Default)]
+    struct ScanFifo {
+        queue: VecDeque<usize>,
+    }
+
+    impl ScanFifo {
+        fn evict(&mut self, kinds: &[FrameKind], incoming: FrameKind) -> Option<usize> {
+            let mut victim = None;
+            let mut best = frame_priority(incoming);
+            for pos in (0..self.queue.len()).rev() {
+                let pq = frame_priority(kinds[self.queue[pos]]);
+                if pq < best {
+                    best = pq;
+                    victim = Some(pos);
+                }
+            }
+            victim.map(|pos| self.queue.remove(pos).unwrap())
+        }
+    }
+
+    #[test]
+    fn class_fifo_matches_the_back_to_front_scan() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        use FrameKind::{B, I, P};
+        // Kind mixes: single-class streams (two classes always empty),
+        // a stream with no P, rare B among I, and a uniform mix.
+        let mixes: [&[FrameKind]; 7] = [
+            &[B],
+            &[P],
+            &[I],
+            &[B, I],
+            &[I, I, I, I, I, I, I, B],
+            &[B, P, I],
+            &[B, B, P, I, B, B, P],
+        ];
+        for (m, mix) in mixes.iter().enumerate() {
+            for seed in 0..20u64 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed * 31 + m as u64);
+                let kinds: Vec<FrameKind> =
+                    (0..600).map(|_| mix[rng.gen_range(0..mix.len())]).collect();
+                let (mut fifo, mut model) = (ClassFifo::default(), ScanFifo::default());
+                let mut next = 0usize;
+                // Bias toward pushes in some runs so the queue grows deep
+                // before pops drain it.
+                let push_pct = if seed % 2 == 0 { 50 } else { 75 };
+                while next < kinds.len() {
+                    let roll = rng.gen_range(0..100);
+                    if roll < push_pct {
+                        fifo.push(next, kinds[next]);
+                        model.queue.push_back(next);
+                        next += 1;
+                    } else if roll < push_pct + 10 {
+                        assert_eq!(fifo.pop_front(), model.queue.pop_front(), "pop");
+                    } else {
+                        // An overflowing push: evict, and admit the
+                        // incoming macroblock unless it is the victim.
+                        let incoming = kinds[next];
+                        let victim = fifo.evict_newest_below(incoming);
+                        assert_eq!(victim, model.evict(&kinds, incoming), "victim");
+                        if victim.is_some() {
+                            fifo.push(next, incoming);
+                            model.queue.push_back(next);
+                        }
+                        next += 1;
+                    }
+                    assert_eq!(fifo.len(), model.queue.len(), "len");
+                }
+                while let Some(j) = model.queue.pop_front() {
+                    assert_eq!(fifo.pop_front(), Some(j), "drain");
+                }
+                assert_eq!((fifo.pop_front(), fifo.len()), (None, 0));
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! Golden outputs of the simulator's fault injectors.
+//! Golden outputs of the simulator's fault injectors and bounded FIFO.
 //!
 //! Each test fixes a seed, a plan and an input and asserts the exact
 //! report plus an FNV-1a digest of the faulted output. A change to the
 //! per-injector seed derivation or to any injector's draw order shows up
 //! here as a changed digest, so refactors of the injector core must keep
-//! these passing unchanged.
+//! these passing unchanged. `bounded_pipeline_is_golden` does the same
+//! for the overflow policies: which macroblock each one drops, and when.
 
 use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
 use wcm_mpeg::profile::standard_clips;
 use wcm_mpeg::{ClipWorkload, Synthesizer};
 use wcm_sim::{
-    FaultPlan, FaultReport, FaultedWorkload, FrameCorruptionPlan, FrameFaultReport, FrameInjector,
-    Injector, ProcessingElement,
+    simulate_pipeline_robust, FaultPlan, FaultReport, FaultedWorkload, FifoConfig,
+    FrameCorruptionPlan, FrameFaultReport, FrameInjector, Injector, OverflowPolicy, PipelineConfig,
+    ProcessingElement, SourceModel,
 };
 use wcm_wire::StreamEncoder;
 
@@ -35,12 +37,13 @@ impl Fnv {
     }
 }
 
-/// One GOP of a standard clip at QCIF size (99 macroblocks per frame).
-fn clip() -> ClipWorkload {
+/// `gops` GOPs of a standard clip at QCIF size (99 macroblocks per
+/// frame, 12 frames of I, P and B per GOP).
+fn clip(gops: usize) -> ClipWorkload {
     let params =
         VideoParams::new(176, 144, 25.0, 1.5e6, GopStructure::new(12, 3).unwrap()).unwrap();
     Synthesizer::new(params)
-        .generate(&standard_clips()[2], 1)
+        .generate(&standard_clips()[2], gops)
         .unwrap()
 }
 
@@ -74,7 +77,7 @@ fn digest_workload(w: &FaultedWorkload) -> u64 {
 
 #[test]
 fn pipeline_plan_is_golden() {
-    let clip = clip();
+    let clip = clip(1);
     let plan = FaultPlan::new(0x5EED)
         .with(Injector::JitterBurst {
             start: 40,
@@ -118,7 +121,7 @@ fn pipeline_plan_is_golden() {
 
 #[test]
 fn pipeline_plan_second_seed_is_golden() {
-    let clip = clip();
+    let clip = clip(1);
     let plan = FaultPlan::new(3)
         .with(Injector::BitErrors { per_mille: 200 })
         .with(Injector::DropEvents { per_mille: 100 });
@@ -178,4 +181,75 @@ fn frame_plan_is_golden() {
     let mut h = Fnv::new();
     h.bytes(&out.bytes);
     assert_eq!(h.0, 906_160_139_097_156_152);
+}
+
+/// PE₂ clock slow enough that the unbounded backlog (1 780) passes the
+/// largest capacity, so every run overflows and a `DropByPriority` queue
+/// holds macroblocks of several frames when it is full.
+const PE2_HZ: f64 = 2.5e6;
+
+/// FNV-1a digest of every bounded-FIFO run of one policy: 4 capacities ×
+/// {clean, drop/duplicate/jitter plan} × {`Cbr`, `FrameBurst`}. It covers
+/// the push and drop times of every macroblock, the victims in drop
+/// order, the peak backlog and the backpressure stall, so a change to
+/// which macroblock an overflow policy evicts, or when, changes it.
+fn digest_bounded_runs(clip: &ClipWorkload, policy: OverflowPolicy) -> u64 {
+    let cfg = PipelineConfig {
+        bitrate_bps: clip.params().bitrate_bps(),
+        pe1_hz: 60.0e6,
+        pe2_hz: PE2_HZ,
+    };
+    let plan = FaultPlan::new(11)
+        .with(Injector::DropEvents { per_mille: 30 })
+        .with(Injector::DuplicateEvents { per_mille: 30 })
+        .with(Injector::JitterBurst {
+            start: 100,
+            len: 400,
+            max_delay_s: 3e-3,
+        });
+    let sources = [
+        SourceModel::Cbr,
+        SourceModel::FrameBurst {
+            peak_bps: 10.0 * clip.params().bitrate_bps(),
+        },
+    ];
+    let mut h = Fnv::new();
+    for capacity in [1, 7, 64, 1620] {
+        for plan in [None, Some(&plan)] {
+            for source in sources {
+                let fifo = FifoConfig::bounded(capacity, policy);
+                let r = simulate_pipeline_robust(clip, &cfg, &fifo, source, plan, None).unwrap();
+                let p = &r.pipeline;
+                // The PE₂ clock makes every run overflow its capacity.
+                assert_eq!(p.max_backlog, capacity, "{policy:?} {source:?}");
+                for v in [&p.fifo_in_times, &p.fifo_out_times] {
+                    h.u64(v.len() as u64);
+                    v.iter().for_each(|&x| h.u64(x.to_bits()));
+                }
+                h.u64(p.dropped.len() as u64);
+                p.dropped.iter().for_each(|&i| h.u64(i as u64));
+                h.u64(p.max_backlog);
+                h.u64(p.pe1_stalled.to_bits());
+            }
+        }
+    }
+    h.0
+}
+
+#[test]
+fn bounded_pipeline_is_golden() {
+    let clip = clip(2);
+    assert_eq!(clip.macroblock_count(), 2_376);
+    assert_eq!(
+        digest_bounded_runs(&clip, OverflowPolicy::Backpressure),
+        11_158_402_203_600_341_842
+    );
+    assert_eq!(
+        digest_bounded_runs(&clip, OverflowPolicy::Reject),
+        15_341_603_013_492_152_572
+    );
+    assert_eq!(
+        digest_bounded_runs(&clip, OverflowPolicy::DropByPriority),
+        9_620_404_829_759_170_572
+    );
 }

@@ -86,6 +86,13 @@ check "wire.lenient_overhead"         "$(jq .wire.lenient_overhead_vs_strict BEN
 check "sweep.points_per_s_speedup"    "$(jq .sweep.speedup_par_pruned_vs_seq_unpruned BENCH_sweep.json)" ">=" 2.0
 check "sweep.simulator_speedup"       "$(jq .simulator.speedup BENCH_sweep.json)" ">=" 3.0
 
+# Overflow policies: on one overloaded point at capacity 6480 (the FIFO
+# full on almost every push), priority eviction must cost at most twice
+# a blocking write per event. The per-class FIFO makes every eviction
+# O(1) (recorded 0.98); a victim search that rescans the queue costs
+# O(capacity) per push and reads ~54 here.
+check "simulator.drop_priority_over_backpressure" "$(jq .simulator.drop_priority_over_backpressure BENCH_sweep.json)" "<=" 2.0
+
 # Streaming result pipeline: growing the grid 10x (100k -> 1M cells)
 # must leave the streaming path's peak allocator bytes flat — that is
 # the constant-memory contract of run_sweep_streaming. Peak bytes are
