@@ -4,7 +4,12 @@
 //! (sequential and threaded) on the headline `N = 50 000`, `K = 2 000`
 //! exact-mode workload, plus the lazy vs materialized min-plus tandem, the
 //! chunked-summary fold behind the trace-parallel path, and a one-GOP
-//! incremental append against a full rebuild. Writes the interleaved
+//! incremental append against a full rebuild. Two rungs pin the pruned
+//! window scan: the share of windows it evaluates on one MP@ML clip at
+//! `k` = 24 frames (a deterministic count, read from the
+//! `events.windows_scanned`/`events.windows_total` counters), and the
+//! prefix-vs-rescan speedup on a constant trace, where no block of
+//! window starts can be skipped. Writes the interleaved
 //! best-of-`REPS` times, a thread-scaling array (1/2/4/8 workers capped
 //! at the host's cores, plus a `speedup_at_4` headline field — `null`
 //! on hosts with fewer than 4 cores), and the speedups to
@@ -17,11 +22,12 @@
 
 use std::time::Instant;
 use wcm_bench::alloc::{count_allocs, CountingAlloc};
-use wcm_bench::legacy::convolve_materialized;
+use wcm_bench::legacy::{convolve_materialized, window_maxima_unpruned};
 use wcm_core::EnvelopeMonitor;
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
-use wcm_events::summary::{summarize, CurveSummary, Sides};
-use wcm_events::window::{max_window_sums, min_spans, Parallelism, WindowMode};
+use wcm_events::summary::{summarize, summarize_chunks, CurveSummary, Sides};
+use wcm_events::window::{max_window_sums, min_spans, min_window_sums, Parallelism, WindowMode};
+use wcm_mpeg::VideoParams;
 
 const N: usize = 50_000;
 const K: usize = 2_000;
@@ -211,6 +217,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "old and new window analyses disagree"
     );
 
+    // Pruned scans, where they prune: the paper's own workload (one
+    // MP@ML clip, γᵘ and γˡ at k = 24 frames on the full-scale grid).
+    // The counters count windows, not time, so the share is exact and
+    // the same on every host.
+    let (scan_clip, scanned_frac) = {
+        let params = VideoParams::main_profile_main_level()?;
+        let clip = wcm_bench::synthesize_clips(4)?.swap_remove(0);
+        let demands = clip.pe2_demands();
+        let (k, mode) = (wcm_bench::k_max_24_frames(&params), wcm_bench::full_scale_mode(&params));
+        let rec = wcm_obs::mem();
+        rec.reset();
+        wcm_obs::set_enabled(true);
+        Parallelism::Seq.scope(|| {
+            max_window_sums(&demands, k, mode).and_then(|_| min_window_sums(&demands, k, mode))
+        })?;
+        wcm_obs::set_enabled(false);
+        let snap = rec.snapshot();
+        let frac = snap.counter("events.windows_scanned") as f64
+            / snap.counter("events.windows_total") as f64;
+        (clip.name().to_string(), frac)
+    };
+
+    // Where nothing prunes: on a constant trace every block of window
+    // starts may hold the maximum, so the scan pays its bounds on top
+    // of evaluating every window. Same-process ratios against the
+    // unchanged sliding rescan, like the i.i.d. rung above, and against
+    // the blocked scan as it was before it pruned (the bounds' price).
+    let flat = vec![2_000u64; N];
+    let flat_sums =
+        |par: Parallelism| par.scope(|| max_window_sums(&flat, K, WindowMode::Exact).unwrap());
+    let all_k: Vec<usize> = (1..=K).collect();
+    let constant = measure([
+        &mut || time_once(|| window_sums_rescan(&flat, K)),
+        &mut || time_once(|| flat_sums(Parallelism::Seq)),
+        &mut || time_once(|| window_maxima_unpruned(&flat, &all_k)),
+        &mut || time_once(|| flat_sums(Parallelism::Threads(threads))),
+    ]);
+    let flat_sums = || flat_sums(Parallelism::Seq);
+    assert_eq!(window_sums_rescan(&flat, K), flat_sums(), "constant-trace scans disagree");
+    assert_eq!(window_maxima_unpruned(&flat, &all_k), flat_sums(), "unpruned scan disagrees");
+
     // Thread-scaling curve: the same window-sum construction on the
     // 1/2/4/8 ladder capped at the host's core count (a single entry on
     // one core). The sequential baseline runs inside the same interleaved
@@ -225,17 +272,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scaling = measure_dyn(&mut scaling_runs);
 
     // Chunked-summary fold behind the trace-parallel path. The 8-chunk
-    // sequential fold isolates the merge overhead from any threading;
-    // `summarize` is the shipping auto-chunked entry point.
+    // fold on one thread (whole-trace seeds, chunk scans, merges)
+    // isolates the chunking overhead from any threading; `summarize` is
+    // the shipping auto-chunked entry point.
     let grid: Vec<usize> = (1..=K).collect();
-    let chunked_fold = |chunks: usize| {
-        let chunk = N.div_ceil(chunks);
-        let mut acc = CurveSummary::empty(&grid, Sides::Max);
-        for c in v.chunks(chunk) {
-            acc = acc.merge(&CurveSummary::from_values(c, &grid, Sides::Max));
-        }
-        acc
-    };
+    let chunked_fold =
+        |chunks: usize| Parallelism::Seq.scope(|| summarize_chunks(&v, &grid, Sides::Max, chunks));
     let summaries = measure([
         &mut || time_once(|| CurveSummary::from_values(&v, &grid, Sides::Max)),
         &mut || time_once(|| chunked_fold(8)),
@@ -405,6 +447,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"speedup_par_vs_seq\": {:.1},\n\
          \x20   \"speedup_total\": {speedup_old_vs_par:.1}\n\
          \x20 }},\n\
+         \x20 \"pruned_scan\": {{\n\
+         \x20   \"clip\": \"{scan_clip}\",\n\
+         \x20   \"scanned_frac\": {scanned_frac:.4}\n\
+         \x20 }},\n\
+         \x20 \"window_sums_constant\": {{\n\
+         \x20   \"old_rescan_s\": {:.6},\n\
+         \x20   \"prefix_seq_s\": {:.6},\n\
+         \x20   \"unpruned_s\": {:.6},\n\
+         \x20   \"speedup_prefix_vs_old\": {:.1},\n\
+         \x20   \"pruned_over_unpruned\": {:.3},\n\
+         \x20   \"speedup_par_vs_seq\": {:.1}\n\
+         \x20 }},\n\
          \x20 \"thread_scaling\": [\n      {scaling_json}\n    ],\n\
          \x20 \"speedup_at_4\": {speedup_at_4},\n\
          \x20 \"chunk_summaries\": {{\n\
@@ -446,6 +500,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20 }}\n}}\n",
         core.speedup(0, 1),
         core.speedup(1, 2),
+        constant.best(0),
+        constant.best(1),
+        constant.best(2),
+        constant.speedup(0, 1),
+        constant.speedup(1, 2),
+        constant.speedup(1, 3),
         summaries.speedup(1, 0),
         core.speedup(3, 4),
         tandem.speedup(0, 1),

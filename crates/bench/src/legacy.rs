@@ -16,6 +16,11 @@
 //!   eager side of `bench_curves`' 32-stage tandem, whose allocation ratio
 //!   against the lazy stream is a perf guard, and an independent second
 //!   implementation the lazy result is asserted bit-identical to.
+//! * [`window_maxima_unpruned`] — the blocked window-maximum scan before
+//!   it learned to skip blocks of window starts by their bounds: every
+//!   window of every size evaluated, 16 sizes per pass over each cache
+//!   block of the prefix table. On a trace where nothing can be skipped
+//!   it is the reference the pruned scan's overhead is measured against.
 
 use wcm_curves::{approx_eq, Pwl};
 use wcm_mpeg::ClipWorkload;
@@ -199,6 +204,53 @@ fn pruned_shifts(h: &Pwl) -> Vec<(f64, f64)> {
     out
 }
 
+/// Largest window sum for each size in `ks` (`0` where `k = 0` or `k >
+/// values.len()`), every window evaluated: the unpruned blocked scan over
+/// a `u64` prefix table, 8 Ki table positions per cache block and 16
+/// window sizes per tile.
+///
+/// # Panics
+///
+/// Panics if the total of `values` exceeds `u64::MAX`.
+#[must_use]
+pub fn window_maxima_unpruned(values: &[u64], ks: &[usize]) -> Vec<u64> {
+    const SCAN_BLOCK: usize = 8 * 1024;
+    const SCAN_TILE: usize = 16;
+    let mut p = Vec::with_capacity(values.len() + 1);
+    let mut acc = 0u64;
+    p.push(acc);
+    for &v in values {
+        acc = acc.checked_add(v).expect("the total fits u64");
+        p.push(acc);
+    }
+    let n = values.len();
+    let mut out = vec![0u64; ks.len()];
+    for (tile_idx, tile) in ks.chunks(SCAN_TILE).enumerate() {
+        let best = &mut out[tile_idx * SCAN_TILE..tile_idx * SCAN_TILE + tile.len()];
+        let mut start = 0usize;
+        while start < n {
+            let block_end = (start + SCAN_BLOCK).min(n);
+            for (j, &k) in tile.iter().enumerate() {
+                if k == 0 || k > n {
+                    continue;
+                }
+                let end = block_end.min(n - k + 1);
+                if start >= end {
+                    continue;
+                }
+                let (lo, hi) = (&p[start..end], &p[start + k..end + k]);
+                let mut mx = best[j];
+                for (h, l) in hi.iter().zip(lo) {
+                    mx = mx.max(*h - *l);
+                }
+                best[j] = mx;
+            }
+            start = block_end;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,5 +300,19 @@ mod tests {
         for (f, g) in [(&stairs, &rl), (&rl, &kinks), (&kinks, &stairs), (&kinks, &kinks)] {
             assert_eq!(convolve_materialized(f, g), wcm_curves::minplus::convolve(f, g));
         }
+    }
+
+    #[test]
+    fn unpruned_and_pruned_window_maxima_agree() {
+        use wcm_events::window::{max_window_sums, WindowMode};
+        let values: Vec<u64> = (0..3000u64)
+            .map(|i| (i * 7919) % 1000 + u64::from(i % 97 == 0) * 9000)
+            .collect();
+        let ks: Vec<usize> = (1..=300).collect();
+        assert_eq!(
+            window_maxima_unpruned(&values, &ks),
+            max_window_sums(&values, 300, WindowMode::Exact).unwrap()
+        );
+        assert_eq!(window_maxima_unpruned(&values, &[0, 3001]), vec![0, 0]);
     }
 }

@@ -815,3 +815,24 @@ fn stride_zero_is_a_usage_error() {
     }
     std::fs::remove_file(dem).ok();
 }
+
+#[test]
+fn strides_near_usize_max_match_any_stride_past_k() {
+    // `--exact-upto 3 --stride 18446744073709551615` once panicked and
+    // `… 18446744073709551614` overwrote the exact entries; every stride
+    // ≥ k must print what `--stride 1000` prints.
+    let values: String = (0..40u64).map(|i| format!("{}\n", (i * 7919 + 13) % 1009)).collect();
+    let dem = tmp_file("huge-stride-demands.txt", &values);
+    let dem = dem.to_str().unwrap();
+    let curves = |stride: &str| {
+        let args = ["curves", "--k", "10", "--exact-upto", "3", "--stride", stride, "--demands", dem];
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "--stride {stride}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let want = curves("1000");
+    for stride in [u64::MAX, u64::MAX - 1] {
+        assert_eq!(curves(&stride.to_string()), want, "--stride {stride}");
+    }
+    std::fs::remove_file(dem).ok();
+}

@@ -20,16 +20,22 @@
 //! a live stream's curves and check the stream against them.
 //!
 //! The scan is blocked per batch: [`EnvelopeMonitor::observe_all`]
-//! rebases the full ring plus up to 256 demands into a local `u64` prefix
-//! table and, for each `k`, takes the largest and smallest sum of the
-//! windows ending in the batch in one branch-free loop (the shape of the
-//! window scans in `wcm_events::window`). When no `k` breaks a bound,
-//! the extrema, slack minima, counters and ring are updated in bulk;
-//! otherwise the batch is replayed event by event, so violations are
-//! recorded in the same order with the same fields. Short batches, a
-//! ring that is not yet full, the first `k_max − 1` events after a bind
-//! and sums that do not fit `u64` take the per-event path. Either
-//! way the [`MonitorReport`] equals that of per-event [`EnvelopeMonitor::observe`].
+//! rebases the full ring plus up to `max(256, k_max)` demands into a
+//! local `u64` prefix table and, for each `k`, takes the largest and
+//! smallest sum of the windows ending in the batch in one branch-free
+//! loop (the shape of the window scans in `wcm_events::window`). For `k ≥ 64` the loop skips,
+//! as those scans do, each block of 16 window ends whose bounds from the
+//! monotone table (`p[e+15] − p[e−k]` above, `p[e] − p[e+15−k]` below)
+//! show that none of its windows can move the running extrema or a slack
+//! minimum, or break a bound; on a long stream that is most blocks, since
+//! a new batch rarely beats the extrema of everything before it. When no
+//! `k` breaks a bound, the extrema, slack minima, counters and ring are
+//! updated in bulk; otherwise the batch is replayed event by event, so
+//! violations are recorded in the same order with the same fields. Short
+//! batches, a ring that is not yet full, the first `k_max − 1` events
+//! after a bind and sums that do not fit `u64` take the per-event path.
+//! Either way the [`MonitorReport`] equals that of per-event
+//! [`EnvelopeMonitor::observe`].
 //!
 //! # Example
 //!
@@ -55,8 +61,29 @@ use crate::curve::{LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use crate::WorkloadError;
 use std::collections::VecDeque;
 
-/// Most demands per blocked exact scan in [`EnvelopeMonitor::observe_all`].
+/// Most demands per blocked exact scan in [`EnvelopeMonitor::observe_all`],
+/// unless `k_max` is larger: a batch pays `O(k_max)` to set up (ring,
+/// cuts, bulk update), so it spans at least `k_max` demands.
 const SCAN_BATCH: usize = 256;
+
+/// Window ends that share one bound in [`EnvelopeMonitor::observe_all`]'s
+/// batch scan.
+const PRUNE_BLOCK: usize = 16;
+
+/// The smallest window size whose blocks that scan may skip. A block's
+/// bounds overshoot its windows by up to 15 values, a quarter of a
+/// 64-event window and more below it, so shorter windows rarely lie
+/// under the cut and are scanned whole: flagging sizes 16 to 64 made
+/// `wcm serve`'s 64-deep session monitors over a fifth slower.
+const PRUNE_FROM: usize = 64;
+
+/// Window sizes that share one bound in that scan before each is checked
+/// on its own.
+const SIZE_GROUP: usize = 8;
+
+/// Size groups per block of window ends: consecutive blocks' group
+/// bounds sit this many samples apart.
+const STEPS: usize = PRUNE_BLOCK / SIZE_GROUP;
 
 /// Fewer demands than this go through [`EnvelopeMonitor::observe`] one
 /// by one: the blocked scan's set-up would not pay off.
@@ -353,9 +380,9 @@ impl EnvelopeMonitor {
     /// The result and the monitor's state are exactly those of calling
     /// [`Self::observe`] per demand. Once the ring is full and `k_max`
     /// events have passed a [`Self::bind`], the demands go in blocks of
-    /// up to 256 through a branch-free scan (see the module docs); a
-    /// block that breaks a bound is replayed event by event, so the
-    /// stored violations keep their order.
+    /// up to `max(256, k_max)` through a branch-free scan (see the module
+    /// docs); a block that breaks a bound is replayed event by event, so
+    /// the stored violations keep their order.
     pub fn observe_all(&mut self, demands: impl IntoIterator<Item = u64>) -> usize {
         let mut demands = demands.into_iter();
         let mut fresh = 0;
@@ -372,7 +399,7 @@ impl EnvelopeMonitor {
                 }
                 continue;
             }
-            scratch.extend(demands.by_ref().take(SCAN_BATCH));
+            scratch.extend(demands.by_ref().take(SCAN_BATCH.max(self.k_max)));
             let n = scratch.len();
             if n == 0 {
                 break;
@@ -388,14 +415,21 @@ impl EnvelopeMonitor {
     /// The blocked exact scan of the batch in `s` on a full ring. Appends
     /// to the batch the ring plus the batch rebased into a `u64` prefix
     /// table, then takes for every `k` the largest and smallest sum of
-    /// the windows that end in the batch. If none breaks a bound, applies
-    /// the batch in bulk (extrema, slack minima, counters, ring) and returns
-    /// `true`. Returns `false`, with the monitor untouched, when a bound
-    /// breaks or the table would overflow; the caller then replays the
-    /// batch (still `s[..n]`) through [`Self::observe`].
+    /// the windows that end in the batch, skipping the blocks of windows
+    /// that [`Self::cuts`] shows cannot matter. If none breaks a bound,
+    /// applies the batch in bulk (extrema, slack minima, counters, ring)
+    /// and returns `true`. Returns `false`, with the monitor untouched,
+    /// when a bound breaks or the table would overflow; the caller then
+    /// replays the batch (still `s[..n]`) through [`Self::observe`].
     fn scan_batch(&mut self, s: &mut Vec<u64>) -> bool {
         let (n, k_max) = (s.len(), self.k_max);
-        s.reserve_exact(k_max + 1 + n + 2 * k_max);
+        // The longest sizes from PRUNE_FROM on go in groups of 8 with cuts
+        // (see below); the shorter ones are scanned whole.
+        let long = k_max.saturating_sub(PRUNE_FROM - 1) / SIZE_GROUP * SIZE_GROUP;
+        let (short, groups) = (k_max - long, long / SIZE_GROUP);
+        let samples = if groups > 0 { STEPS * (n / PRUNE_BLOCK) + groups } else { 0 };
+        let scratch = 2 * k_max + 2 * long + 3 * groups + 2 * samples;
+        s.reserve_exact(k_max + 1 + n + scratch);
         let front = self.cum[0];
         for &c in &self.cum {
             match u64::try_from(c - front) {
@@ -411,13 +445,18 @@ impl EnvelopeMonitor {
             }
             s.push(acc);
         }
-        // s = [batch | prefix table | (max, min) per k]
+        // s = [batch | prefix table | (max, min) per k | cuts per long k
+        //      | cuts per group | table samples | flag per group]
         let table = s.len();
-        s.resize(table + 2 * k_max, 0);
-        let (head, extremes) = s.split_at_mut(table);
+        s.resize(table + scratch, 0);
+        let (head, rest) = s.split_at_mut(table);
+        let (extremes, rest) = rest.split_at_mut(2 * k_max);
+        let (cuts, rest) = rest.split_at_mut(2 * long);
+        let (group_cuts, rest) = rest.split_at_mut(2 * groups);
+        let (sampled, flags) = rest.split_at_mut(2 * samples);
         let p = &head[n..];
         let ends = &p[k_max + 1..];
-        for (k, ext) in (1..=k_max).zip(extremes.chunks_exact_mut(2)) {
+        for (k, ext) in (1..=short).zip(extremes.chunks_exact_mut(2)) {
             let starts = &p[k_max + 1 - k..k_max + 1 - k + n];
             let (mut mx, mut mn) = (0u64, u64::MAX);
             for (h, l) in ends.iter().zip(starts) {
@@ -425,12 +464,83 @@ impl EnvelopeMonitor {
                 mx = mx.max(sum);
                 mn = mn.min(sum);
             }
-            if self.upper.as_ref().is_some_and(|t| mx > t[k - 1])
-                || self.lower.as_ref().is_some_and(|t| mn < t[k - 1])
+            ext.copy_from_slice(&[mx, mn]);
+        }
+        // Longer windows block by block of window ends: the table is
+        // non-decreasing, so every window of size k ending in a block
+        // lies between `first − p[start of its last window]` and
+        // `last − p[start of its first window]`, and the windows of a
+        // group of 8 sizes between the group's widest such bounds. One
+        // branch-free pass over the groups flags those whose windows may
+        // matter; in those, each size is checked on its own bounds and
+        // evaluated only if they may matter too. Sizes run from k_max
+        // down (index `i` is size `k_max − i`), so that the starts are
+        // read ascending.
+        let (cut_max, cut_min) = cuts.split_at_mut(long);
+        for (i, k) in (short + 1..=k_max).rev().enumerate() {
+            extremes[2 * (k - 1)..2 * k].copy_from_slice(&[0, u64::MAX]);
+            // (0, u64::MAX) skips nothing: no block of sums lies at or
+            // below 0 and at or above u64::MAX at once.
+            (cut_max[i], cut_min[i]) = match self.cuts(k) {
+                (Some(below), Some(above)) => (below, above),
+                _ => (0, u64::MAX),
+            };
+        }
+        let (group_max, group_min) = group_cuts.split_at_mut(groups);
+        for (g, (gmax, gmin)) in group_max.iter_mut().zip(group_min.iter_mut()).enumerate() {
+            let sizes = g * SIZE_GROUP..(g + 1) * SIZE_GROUP;
+            *gmax = cut_max[sizes.clone()].iter().copied().min().expect("a full group");
+            *gmin = cut_min[sizes].iter().copied().max().expect("a full group");
+        }
+        // A full block `b` starts the first window of its group `g`'s
+        // widest size at `p[1 + 16b + 8g]` and the last window of its
+        // narrowest size at `p[23 + 16b + 8g]`: every 8th table entry
+        // from 1 and from 7, read contiguously.
+        let (firsts, lasts) = sampled.split_at_mut(samples);
+        for (j, (a, z)) in firsts.iter_mut().zip(lasts.iter_mut()).enumerate() {
+            (*a, *z) = (p[1 + SIZE_GROUP * j], p[SIZE_GROUP - 1 + SIZE_GROUP * j]);
+        }
+        // Without a group of long sizes there is nothing to flag.
+        let blocks = if groups == 0 { 0 } else { n.div_ceil(PRUNE_BLOCK) };
+        for (b, e) in ends.chunks(PRUNE_BLOCK).take(blocks).enumerate() {
+            let (first, last, len) = (e[0], e[e.len() - 1], e.len());
+            if len == PRUNE_BLOCK {
+                let j = STEPS * b;
+                let bounds = firsts[j..j + groups].iter().zip(&lasts[j + STEPS..j + STEPS + groups]);
+                let cuts = group_max.iter().zip(group_min.iter());
+                for (flag, ((&a, &z), (&below, &above))) in flags.iter_mut().zip(bounds.zip(cuts)) {
+                    *flag = u64::from((last - a > below) | (first.saturating_sub(z) < above));
+                }
+            } else {
+                // The batch's last, short block: every size on its own.
+                flags.fill(1);
+            }
+            // Index in `p` of the start of the first window of k_max.
+            let lo = 1 + b * PRUNE_BLOCK;
+            for g in (0..groups).filter(|&g| flags[g] != 0) {
+                for i in g * SIZE_GROUP..(g + 1) * SIZE_GROUP {
+                    let (a, z) = (p[lo + i], p[lo + len - 1 + i]);
+                    if last - a <= cut_max[i] && first.saturating_sub(z) >= cut_min[i] {
+                        continue;
+                    }
+                    let k = k_max - i;
+                    let ext = &mut extremes[2 * (k - 1)..2 * k];
+                    let (mut mx, mut mn) = (ext[0], ext[1]);
+                    for (h, l) in e.iter().zip(&p[lo + i..]) {
+                        let sum = h - l;
+                        mx = mx.max(sum);
+                        mn = mn.min(sum);
+                    }
+                    ext.copy_from_slice(&[mx, mn]);
+                }
+            }
+        }
+        for (k, ext) in (1..=k_max).zip(extremes.chunks_exact(2)) {
+            if self.upper.as_ref().is_some_and(|t| ext[0] > t[k - 1])
+                || self.lower.as_ref().is_some_and(|t| ext[1] < t[k - 1])
             {
                 return false;
             }
-            ext.copy_from_slice(&[mx, mn]);
         }
         for (k, ext) in extremes.chunks_exact(2).enumerate() {
             self.max_win[k] = self.max_win[k].max(ext[0]);
@@ -453,6 +563,31 @@ impl EnvelopeMonitor {
         self.cum
             .extend(p[n..].iter().map(|&v| front + u128::from(v)));
         true
+    }
+
+    /// The windows of size `k` that [`Self::scan_batch`] may skip: sums
+    /// at or below the first cut (at or above the second) change neither
+    /// the running extremum nor the slack minimum and break no bound.
+    /// `None` where every window counts: a bound side before its first
+    /// check, or a slack past the bound. A side that skips every window
+    /// keeps its identity (`0` / `u64::MAX`), and that changes nothing
+    /// either: the slack it yields is no smaller than the cut's.
+    fn cuts(&self, k: usize) -> (Option<u64>, Option<u64>) {
+        let cut_max = match (&self.upper, self.upper_slack[k - 1]) {
+            (None, _) => Some(self.max_win[k - 1]),
+            (Some(_), None) => None,
+            (Some(t), Some(slack)) => u64::try_from(i128::from(t[k - 1]) - slack.max(0))
+                .ok()
+                .map(|c| c.min(self.max_win[k - 1])),
+        };
+        let cut_min = match (&self.lower, self.lower_slack[k - 1]) {
+            (None, _) => Some(self.min_win[k - 1]),
+            (Some(_), None) => None,
+            (Some(t), Some(slack)) => u64::try_from(i128::from(t[k - 1]) + slack.max(0))
+                .ok()
+                .map(|c| c.max(self.min_win[k - 1])),
+        };
+        (cut_max, cut_min)
     }
 
     /// Events observed so far.
@@ -537,6 +672,57 @@ mod tests {
         // tightest window has exactly zero slack on each side.
         assert_eq!(report.min_upper_slack(), Some(0));
         assert_eq!(report.min_lower_slack(), Some(0));
+    }
+
+    #[test]
+    fn pruned_batches_match_per_event_observe_across_rebinds() {
+        // Phases of 300 low (~50) and 300 high (~200) demands: inside a
+        // phase every window lies far from one running extremum and, once
+        // a peak has raised the maximum, under the other, so most blocks
+        // of window ends are skipped (sizes 64 to 100). Rebinding to the
+        // envelope of the first half leaves slack minima from the loose
+        // one that exceed the new bound, so nothing may be skipped until
+        // each size is checked again. A peak then breaks every size and
+        // drives its slack far below zero; a later rise breaks only the
+        // sizes from about 80 on, and at sums below that peak's, so the
+        // batch scan must flag it from the bound, not from the running
+        // maximum.
+        let k_max = 100;
+        let demands: Vec<u64> = (0..6000u64)
+            .map(|i| match i {
+                // 63 events that set the envelope of every size below 64.
+                1000..=1062 => 400,
+                3500 => 40_000,
+                4800..=4999 => 360,
+                _ => (if (i / 300) % 2 == 0 { 50 } else { 200 }) + (i * 7919) % 23,
+            })
+            .collect();
+        let loose = WorkloadBounds {
+            upper: UpperWorkloadCurve::new((1..=k_max as u64).map(|k| 1_000_000 * k).collect()).unwrap(),
+            lower: LowerWorkloadCurve::new(vec![0; k_max]).unwrap(),
+        };
+        let tight = bounds_of(&demands[..3000], k_max);
+        for kind in 0..3 {
+            let make = || match kind {
+                0 => EnvelopeMonitor::new(&loose, k_max),
+                1 => EnvelopeMonitor::upper_only(&loose.upper, k_max),
+                _ => EnvelopeMonitor::unbound(k_max),
+            };
+            let (mut single, mut batched) = (make().unwrap(), make().unwrap());
+            for (i, part) in demands.chunks(1000).enumerate() {
+                if i == 3 {
+                    single.rebind(&tight);
+                    batched.rebind(&tight);
+                }
+                let one: usize = part.iter().map(|&d| single.observe(d)).sum();
+                assert_eq!(batched.observe_all(part.iter().copied()), one, "kind {kind} part {i}");
+                assert_eq!(batched.report(), single.report(), "kind {kind} part {i}");
+                assert_eq!(batched.measured_bounds(), single.measured_bounds());
+            }
+            if kind < 2 {
+                assert!(!batched.is_clean(), "kind {kind}");
+            }
+        }
     }
 
     #[test]

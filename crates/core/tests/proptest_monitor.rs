@@ -12,7 +12,8 @@ use rand_chacha::ChaCha8Rng;
 use wcm_core::monitor::EnvelopeMonitor;
 use wcm_core::{LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds, WorkloadError};
 
-const DEPTHS: [usize; 4] = [1, 2, 8, 64];
+/// Depths 64 and up skip blocks of window ends in the batch scan.
+const DEPTHS: [usize; 5] = [1, 2, 8, 64, 100];
 
 /// Bounds around demands in `[base/2, 1.5·base]`: `γᵘ(k) = 1.5·base·k +
 /// base` and `γˡ(k) = base·k/2 − base/4` (saturating), so one spike of
@@ -60,7 +61,7 @@ proptest! {
     fn batched_observe_all_equals_per_event_observe(
         seed in 0u64..u64::MAX,
         kind in 0usize..3,
-        depth in 0usize..4,
+        depth in 0usize..5,
         huge in 0u32..4,
         odds in 50u64..2000,
     ) {

@@ -16,10 +16,13 @@
 //! left fold, pairwise tree, parallel tree-reduce — produces bit-identical
 //! tables. The structure has two uses:
 //!
-//! 1. **Trace-parallel construction** ([`summarize`]): chunks are
-//!    summarized independently on `wcm-par` and tree-folded, parallelizing
-//!    over the trace dimension instead of the window-size dimension. This
-//!    is the multi-worker path of [`crate::window::max_window_sums`] and
+//! 1. **Trace-parallel construction** ([`summarize`]): chunks of one
+//!    prefix table are scanned independently on `wcm-par` and their
+//!    tables folded, parallelizing over the trace dimension instead of
+//!    the window-size dimension. The whole table is at hand, so a chunk
+//!    scans every window that starts in it and no seam needs merging.
+//!    This is the multi-worker path of
+//!    [`crate::window::max_window_sums`] and
 //!    [`crate::window::min_window_sums`].
 //! 2. **The wire codec**: a summary travels as a `.wcmt` SUMMARY frame
 //!    ([`SummaryParts`]), and summaries decoded from separate chunks of a
@@ -28,11 +31,13 @@
 //! A live stream that grows event by event does not go through here:
 //! `wcm_core::monitor::EnvelopeMonitor` keeps its per-`k` running extrema.
 //!
-//! The crossing-window scan in `merge` is dominance-pruned: suffix sums of
-//! the left tail and prefix sums of the right head are monotone in length,
-//! so a single `O(1)` bound per window size decides whether the seam can
-//! beat the interior extremum before any per-split work is done — the same
-//! pruning idea the `minplus` envelope fold uses.
+//! Every table comes out of the pruned window scan of
+//! [`crate::window`], which skips the blocks of window starts that cannot
+//! beat the extremum it starts from. `merge` scans only the seam, started
+//! from both runs' extrema; the chunks of [`summarize`] start from exact
+//! seeds taken from the whole trace, so each chunk skips what cannot beat
+//! the whole trace's extremum, not only its own, and the chunks together
+//! evaluate about as many windows as one pass ([`summarize_chunks`]).
 
 use crate::window::PrefixSums;
 use crate::EventError;
@@ -52,11 +57,11 @@ pub enum Sides {
 }
 
 impl Sides {
-    fn wants_max(self) -> bool {
+    pub(crate) fn wants_max(self) -> bool {
         matches!(self, Self::Max | Self::Both)
     }
 
-    fn wants_min(self) -> bool {
+    pub(crate) fn wants_min(self) -> bool {
         matches!(self, Self::Min | Self::Both)
     }
 }
@@ -145,26 +150,17 @@ impl CurveSummary {
     #[must_use]
     pub fn from_values(values: &[u64], grid: &[usize], sides: Sides) -> Self {
         assert_grid(grid);
+        Self::with_tables(values, grid, sides, window_tables(values, grid, sides, None))
+    }
+
+    /// The summary of `values` around its scanned window tables.
+    fn with_tables(
+        values: &[u64],
+        grid: &[usize],
+        sides: Sides,
+        (max_win, min_win): (Vec<u64>, Vec<u64>),
+    ) -> Self {
         let k_max = *grid.last().expect("grid is non-empty");
-        let (max_win, min_win) = if values.is_empty() {
-            (
-                vec![MAX_IDENTITY; grid.len()],
-                vec![MIN_IDENTITY; grid.len()],
-            )
-        } else {
-            let prefix = PrefixSums::new(values);
-            match sides {
-                Sides::Both => prefix.scan_grid_both(grid).expect(OVERFLOW),
-                Sides::Max => (
-                    prefix.scan_grid(grid, true).expect(OVERFLOW),
-                    vec![MIN_IDENTITY; grid.len()],
-                ),
-                Sides::Min => (
-                    vec![MAX_IDENTITY; grid.len()],
-                    prefix.scan_grid(grid, false).expect(OVERFLOW),
-                ),
-            }
-        };
         let boundary = values.len().min(k_max - 1);
         Self {
             grid: grid.to_vec(),
@@ -323,9 +319,9 @@ impl CurveSummary {
     ///
     /// # Panics
     ///
-    /// Panics if the grids or sides differ, or if a run of values around
-    /// the seam sums past `u64::MAX` (never when the total of both runs
-    /// fits `u64`).
+    /// Panics if the grids or sides differ, or if a window around the
+    /// seam sums past `u64::MAX` (never when the total of both runs fits
+    /// `u64`).
     #[must_use]
     pub fn merge(&self, other: &Self) -> Self {
         let mut out = self.clone();
@@ -347,52 +343,22 @@ impl CurveSummary {
             return;
         }
         let k_max = *self.grid.last().expect("grid is non-empty");
-        // Monotone seam profiles: suf[i] = sum of the last i values of
-        // self, pre[j] = sum of the first j values of other. Every
-        // crossing window of size k is suf[i] + pre[k − i] for exactly one
-        // split i, and monotonicity gives O(1) dominance bounds per k.
-        let suf = suffix_sums(&self.tail);
-        let pre = prefix_sums(&other.head);
-        let ta = self.tail.len();
-        let hb = other.head.len();
-        let merged_len = self.len + other.len;
-        // Window tables update in place: entries with k > merged_len are
-        // already identities (k exceeds self.len too) and stay untouched.
+        // Every window that crosses the seam takes at most k_max − 1
+        // values from each side, so it lies in tail ⧺ head. The windows
+        // of tail ⧺ head that do not cross are windows of one run, already
+        // in its tables, so folding in all of them is exact.
+        let mut seam = Vec::with_capacity(self.tail.len() + other.head.len());
+        seam.extend_from_slice(&self.tail);
+        seam.extend_from_slice(&other.head);
         for j in 0..self.grid.len() {
-            let k = self.grid[j];
-            if k > merged_len {
-                continue;
-            }
-            let mut mx = self.max_win[j].max(other.max_win[j]);
-            let mut mn = self.min_win[j].min(other.min_win[j]);
-            // Crossing splits: i values from self's tail, k − i from
-            // other's head. The head/tail lengths already encode the
-            // chunk-length caps (i ≤ len_a, k − i ≤ len_b).
-            let i_lo = 1.max(k.saturating_sub(hb));
-            let i_hi = ta.min(k - 1);
-            if i_lo <= i_hi {
-                // One checked add proves every crossing sum of this k fits
-                // in u64 (suf and pre are monotone, so `ub` dominates them
-                // all); the scans below can use plain adds.
-                let ub = suf[i_hi].checked_add(pre[k - i_lo]).expect(OVERFLOW);
-                let a = &suf[i_lo..=i_hi];
-                let b = &pre[k - i_hi..=k - i_lo];
-                if self.sides.wants_max() && ub > mx {
-                    mx = a
-                        .iter()
-                        .zip(b.iter().rev())
-                        .fold(mx, |m, (&x, &y)| m.max(x + y));
-                }
-                if self.sides.wants_min() && suf[i_lo] + pre[k - i_hi] < mn {
-                    mn = a
-                        .iter()
-                        .zip(b.iter().rev())
-                        .fold(mn, |m, (&x, &y)| m.min(x + y));
-                }
-            }
-            self.max_win[j] = mx;
-            self.min_win[j] = mn;
+            self.max_win[j] = self.max_win[j].max(other.max_win[j]);
+            self.min_win[j] = self.min_win[j].min(other.min_win[j]);
         }
+        // Starting the seam scan from both runs' extrema prunes every
+        // seam block that cannot beat them.
+        let start = Some((&self.max_win[..], &self.min_win[..]));
+        (self.max_win, self.min_win) = window_tables(&seam, &self.grid, self.sides, start);
+        let merged_len = self.len + other.len;
         let boundary = k_max - 1;
         if self.len < boundary {
             let want = (boundary - self.len).min(other.head.len());
@@ -411,30 +377,28 @@ impl CurveSummary {
     }
 }
 
-/// `out[i]` = sum of the last `i` values (so `out[0] = 0`). Each entry is
-/// a genuine window sum of the underlying run, so overflow means the
-/// sequential oracle would have panicked too.
-fn suffix_sums(tail: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(tail.len() + 1);
-    out.push(0);
-    let mut acc = 0u64;
-    for &v in tail.iter().rev() {
-        acc = acc.checked_add(v).expect(OVERFLOW);
-        out.push(acc);
+/// The max and min tables of `values` in one pruned scan of its prefix
+/// table, each entry folded into its `start` (default: the identities,
+/// which also stay for the sides not wanted and for `k > len`).
+///
+/// # Panics
+///
+/// Panics if a window extremum exceeds `u64::MAX`.
+fn window_tables(
+    values: &[u64],
+    grid: &[usize],
+    sides: Sides,
+    start: Option<(&[u64], &[u64])>,
+) -> (Vec<u64>, Vec<u64>) {
+    if values.is_empty() {
+        return match start {
+            Some((maxs, mins)) => (maxs.to_vec(), mins.to_vec()),
+            None => (vec![MAX_IDENTITY; grid.len()], vec![MIN_IDENTITY; grid.len()]),
+        };
     }
-    out
-}
-
-/// `out[j]` = sum of the first `j` values (so `out[0] = 0`).
-fn prefix_sums(head: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(head.len() + 1);
-    out.push(0);
-    let mut acc = 0u64;
-    for &v in head {
-        acc = acc.checked_add(v).expect(OVERFLOW);
-        out.push(acc);
-    }
-    out
+    PrefixSums::new(values)
+        .scan_grid(0..values.len(), grid, sides, start)
+        .expect(OVERFLOW)
 }
 
 fn assert_grid(grid: &[usize]) {
@@ -447,51 +411,79 @@ fn assert_grid(grid: &[usize]) {
 }
 
 /// Trace-parallel summary construction: split `values` into one chunk per
-/// worker of the [`Parallelism::current`] setting, summarize the chunks
-/// independently, and fold the summaries pairwise. Bit-identical to
-/// [`CurveSummary::from_values`] on the whole slice for any worker
-/// count, including 1.
+/// worker of the [`Parallelism::current`] setting and summarize them with
+/// [`summarize_chunks`]. Bit-identical to [`CurveSummary::from_values`] on
+/// the whole slice for any worker count, including 1.
 #[must_use]
 pub fn summarize(values: &[u64], grid: &[usize], sides: Sides) -> CurveSummary {
     assert_grid(grid);
-    let per_side = match sides {
-        Sides::Both => 2,
-        Sides::Max | Sides::Min => 1,
-    };
-    let cost = values.len() as u64 * grid.len() as u64 * per_side;
-    let workers = Parallelism::current().workers(values.len(), cost);
+    let workers = Parallelism::current().workers(values.len(), scan_cost(values, grid, sides));
     if workers <= 1 || values.len() < 2 {
         return CurveSummary::from_values(values, grid, sides);
     }
-    // One chunk per worker; chunks at least k_max long so the summarize
-    // pass dominates the (serial) merge work.
-    let k_max = *grid.last().expect("grid is non-empty");
-    let chunk = values.len().div_ceil(workers).max(k_max).max(1);
+    summarize_chunks(values, grid, sides, workers)
+}
+
+/// [`summarize`] with `chunks` chunks, whatever the worker count: the
+/// chunks are scanned on the [`Parallelism::current`] workers (on the
+/// calling thread under [`Parallelism::Seq`]). Bit-identical to
+/// [`CurveSummary::from_values`] on the whole slice.
+///
+/// All chunks read one prefix table of the whole trace, and each scans
+/// the windows that *start* in it, reading on past its end, so every
+/// window is scanned exactly once and the chunk tables fold entry by
+/// entry: no seam between chunks is scanned twice. Before the chunks,
+/// one bound pass over the whole trace takes exact seed windows
+/// ([`PrefixSums::seed_tables`]) that every chunk scan starts from: a
+/// chunk then skips each block of starts that cannot beat the whole
+/// trace's seed, as one pass would, where on its own it would know only
+/// its own smaller extrema and evaluate several times more windows.
+///
+/// # Panics
+///
+/// Panics if the grid is malformed or a window extremum exceeds
+/// `u64::MAX`.
+#[must_use]
+pub fn summarize_chunks(values: &[u64], grid: &[usize], sides: Sides, chunks: usize) -> CurveSummary {
+    assert_grid(grid);
+    // Chunks of whole bound blocks: a chunk's starts past its last full
+    // block have no bound and would all be evaluated.
+    let chunk = values.len().div_ceil(chunks.max(1)).next_multiple_of(crate::window::BOUND_BLOCK);
     let ranges: Vec<(usize, usize)> = (0..values.len())
         .step_by(chunk)
         .map(|s| (s, (s + chunk).min(values.len())))
         .collect();
     wcm_obs::counter("summary.chunks", ranges.len() as u64);
-    let mut summaries = wcm_par::par_map(&ranges, cost, |_, &(s, e)| {
+    let table = PrefixSums::new(values);
+    let seeds = {
+        let _span = wcm_obs::span("summary.seeds");
+        table.seed_tables(grid, sides)
+    };
+    let start = Some((&seeds.0[..], &seeds.1[..]));
+    let parts = wcm_par::par_map(&ranges, scan_cost(values, grid, sides), |_, &(s, e)| {
         let _span = wcm_obs::span("summary.chunk");
-        CurveSummary::from_values(&values[s..e], grid, sides)
+        table.scan_grid(s..e, grid, sides, start).expect(OVERFLOW)
     });
-    // Pairwise tree fold: same result as any other order (the merge is
-    // exact), chosen for its log depth.
-    let _fold_span = wcm_obs::span("summary.fold");
-    while summaries.len() > 1 {
-        summaries = summaries
-            .chunks(2)
-            .map(|pair| {
-                if pair.len() == 2 {
-                    pair[0].merge(&pair[1])
-                } else {
-                    pair[0].clone()
-                }
-            })
-            .collect();
+    let (mut max_win, mut min_win) = seeds;
+    for (maxs, mins) in &parts {
+        for (acc, &v) in max_win.iter_mut().zip(maxs) {
+            *acc = (*acc).max(v);
+        }
+        for (acc, &v) in min_win.iter_mut().zip(mins) {
+            *acc = (*acc).min(v);
+        }
     }
-    summaries.pop().expect("at least one chunk")
+    CurveSummary::with_tables(values, grid, sides, (max_win, min_win))
+}
+
+/// Windows an unpruned scan of `values` would evaluate: the work hint
+/// that decides how many workers a trace-parallel summary engages.
+fn scan_cost(values: &[u64], grid: &[usize], sides: Sides) -> u64 {
+    let per_side = match sides {
+        Sides::Both => 2,
+        Sides::Max | Sides::Min => 1,
+    };
+    values.len() as u64 * grid.len() as u64 * per_side
 }
 
 #[cfg(test)]

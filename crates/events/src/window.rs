@@ -12,7 +12,8 @@
 //!   spans are the inverse view of the empirical *arrival curve* `ᾱ(Δ)`:
 //!   `ᾱ(Δ) = max { k : min_span(k) ≤ Δ }`.
 //!
-//! Exact computation of all window sizes is `O(N·K)`; [`WindowMode::Strided`]
+//! Exact computation of all window sizes is `O(N·K)` in the worst case
+//! (see § Performance for what the scan skips); [`WindowMode::Strided`]
 //! computes exact values on a grid of `k` and extends them *conservatively*
 //! (upper results rounded up to the next grid point, lower results down), so
 //! derived bounds stay guaranteed and only lose tightness.
@@ -25,10 +26,26 @@
 //! in `u64` whenever the total demand fits, widening to `u128` only when it
 //! would wrap), and every grid size shares the same table.
 //!
+//! Whole-grid scans evaluate only the windows that can hold an extremum.
+//! The table is non-decreasing, so for a block of 16 window starts
+//! `[s, s+16)` every window of size `k` lies between `p[s+k] − p[s+15]`
+//! and `p[s+15+k] − p[s]`. Per group of nearby window sizes the scan reads
+//! these bounds for all blocks in one vectorized pass over an interleaved
+//! copy of the table, evaluates the most promising block exactly, and
+//! then evaluates only the blocks whose bound beats that seed. The result
+//! is exact (a block is skipped only when none of its windows can change
+//! the extremum). On the paper's MP@ML clips at `k` = 24 frames it
+//! evaluates about 5 % of the windows. Pruning needs the extreme windows
+//! to stand out from the rest by more than a bound's overshoot (22
+//! values); the worst case, a trace where every block can win (a
+//! constant one), still evaluates all `O(N·K)` windows and pays a few
+//! percent more for the bounds.
+//!
 //! The worker count is the calling thread's [`Parallelism::current`]
 //! setting (see [`Parallelism::scope`]); it changes speed, never results.
-//! When it engages more than one worker, demand scans summarize chunks
-//! of the trace in parallel and merge them exactly
+//! When it engages more than one worker, demand scans split the window
+//! starts of one prefix table into chunks, scan them in parallel from
+//! exact seed windows of the whole trace and fold their tables
 //! ([`crate::summary::summarize`]), and span scans spread the grid's `k`
 //! over the pool with [`wcm_par::par_map`]. Sequential and parallel runs
 //! produce **bit-identical** results.
@@ -36,6 +53,7 @@
 //! A stream that grows one stamp at a time keeps its minimal spans in a
 //! [`SpanMinima`] table: `O(depth)` per stamp, no rescans.
 
+use crate::summary::Sides;
 use crate::EventError;
 pub use wcm_par::Parallelism;
 
@@ -68,14 +86,15 @@ impl WindowMode {
             WindowMode::Exact => (1..=k_max).collect(),
             WindowMode::Strided { exact_upto, stride } => {
                 let stride = stride.max(1);
-                // Early clamp: `exact_upto ≥ k_max` covers the whole range
-                // (and an unclamped `exact_upto + stride` could overflow).
+                // `exact_upto ≥ k_max` covers the whole range; a step past
+                // `usize::MAX` ends the strided part like one past `k_max`,
+                // so any stride ≥ k_max leaves `1..=exact_upto` plus k_max.
                 let exact_upto = exact_upto.min(k_max);
                 let mut ks: Vec<usize> = (1..=exact_upto).collect();
-                let mut k = exact_upto + stride;
-                while k < k_max {
-                    ks.push(k);
-                    k += stride;
+                let mut k = exact_upto.checked_add(stride);
+                while let Some(next) = k.filter(|&next| next < k_max) {
+                    ks.push(next);
+                    k = next.checked_add(stride);
                 }
                 if ks.last() != Some(&k_max) && k_max > 0 {
                     ks.push(k_max);
@@ -236,38 +255,73 @@ impl PrefixSums {
         }
     }
 
-    /// Cache-blocked scan of many window sizes in one pass over the table:
-    /// `ks` must be sorted ascending; entries with `k > len` yield the
-    /// identity (`0` when maximizing, `u64::MAX` when minimizing) so grid
-    /// points beyond a short chunk merge away naturally.
+    /// Scan of many window sizes over the windows that start inside
+    /// `part` of the values (they may end past it): the max and min
+    /// tables of the wanted `sides` (the other side's table is its
+    /// start). Parts that tile the values so split the windows between
+    /// them, each window in exactly one part. `ks` should be ascending, as
+    /// [`WindowMode::grid`] makes it: sizes within 8 of each other then
+    /// share one bound pass (any order gives the same values).
     ///
-    /// The table is streamed in L1/L2-sized blocks with a small tile of
-    /// `k` values per pass, so every block is loaded once per tile instead
-    /// of once per `k` — the difference between `O(N·K)` arithmetic on a
-    /// cache-resident block and `O(N·K)` DRAM traffic. Results are
-    /// bit-identical to per-`k` [`PrefixSums::max_window_sum`] /
-    /// [`PrefixSums::min_window_sum`] scans (`u64` max/min is associative
-    /// and commutative, so block order cannot matter).
+    /// Every entry starts from `start` (default: the identities, `0` for
+    /// maxima and `u64::MAX` for minima) and folds in every window of its
+    /// size, so a known window sum both seeds the pruning and stays in
+    /// the result: a summary merge passes its two runs' tables and scans
+    /// only the seam, and a chunk of a trace-parallel summary passes the
+    /// whole trace's [`PrefixSums::seed_tables`]. Entries with no window
+    /// (`k = 0`, or `k` past the values from every start in `part`) keep
+    /// their start, so grid points beyond a short chunk merge away
+    /// naturally; summaries rely on this.
+    ///
+    /// Exact and pruned: a block of 16 window starts is evaluated only
+    /// when its bound from the monotone table beats an exactly evaluated
+    /// seed block or the start (see [`plan_group`]). What survives is
+    /// streamed in L1/L2 sized blocks with a small tile of `k` values per
+    /// pass, so every block is loaded once per tile instead of once per
+    /// `k`. Results are bit-identical to per-`k`
+    /// [`PrefixSums::max_window_sum`] / [`PrefixSums::min_window_sum`]
+    /// scans: a block is skipped only when none of its windows can change
+    /// the extremum, and `u64` max/min is associative and commutative, so
+    /// evaluation order cannot matter.
     ///
     /// `None` when a requested extremum exceeds `u64::MAX` (a wide table
     /// only: on a narrow one every window fits).
-    pub(crate) fn scan_grid(&self, ks: &[usize], maximize: bool) -> Option<Vec<u64>> {
-        let (primary, _) = match &self.table {
-            Table::Narrow(p) => scan_blocked(p, ks, maximize, None)?,
-            Table::Wide(p) => scan_blocked(p, ks, maximize, None)?,
+    pub(crate) fn scan_grid(
+        &self,
+        part: std::ops::Range<usize>,
+        ks: &[usize],
+        sides: Sides,
+        start: Option<(&[u64], &[u64])>,
+    ) -> Option<(Vec<u64>, Vec<u64>)> {
+        let local_seeds = start.is_none();
+        let (maxs, mins) = match start {
+            Some((maxs, mins)) => (maxs.to_vec(), mins.to_vec()),
+            None => (vec![0; ks.len()], vec![u64::MAX; ks.len()]),
         };
-        Some(primary)
+        // Window sums are differences, so the windows that start in a
+        // part read the whole table's slice from the part's start to
+        // the end of its last start's largest window.
+        let reach = part.end.saturating_add(ks.iter().max().map_or(0, |k| k.saturating_sub(1)));
+        let cells = part.start..reach.min(self.len()).max(part.end) + 1;
+        let starts = part.len();
+        match &self.table {
+            Table::Narrow(p) => scan_blocked(&p[cells], ks, sides, maxs, mins, local_seeds, starts),
+            Table::Wide(p) => scan_blocked(&p[cells], ks, sides, maxs, mins, local_seeds, starts),
+        }
     }
 
-    /// Like [`PrefixSums::scan_grid`], but produces **both** extrema in the
-    /// same blocked pass — the chunk-summary constructor needs max and min
-    /// together, and sharing the pass halves the memory traffic.
-    pub(crate) fn scan_grid_both(&self, ks: &[usize]) -> Option<(Vec<u64>, Vec<u64>)> {
-        let (maxs, mins) = match &self.table {
-            Table::Narrow(p) => scan_blocked(p, ks, true, Some(()))?,
-            Table::Wide(p) => scan_blocked(p, ks, true, Some(()))?,
-        };
-        Some((maxs, mins.expect("both-sided scan fills mins")))
+    /// Exact window sums near each size's extremum, to start scans of
+    /// parts of the values with: per size in `ks`, the extrema over the
+    /// block of 16 starts whose bound is most extreme (the seeds of the
+    /// pruned scan), on the wanted `sides`. Identities where a size has
+    /// no bound (`k > len`, or minima of fewer than 15 values) or a seed
+    /// does not fit `u64`. Costs the scan's bound pass: one bound per 16
+    /// starts per group of nearby sizes.
+    pub(crate) fn seed_tables(&self, ks: &[usize], sides: Sides) -> (Vec<u64>, Vec<u64>) {
+        match &self.table {
+            Table::Narrow(p) => seeds_blocked(p, ks, sides),
+            Table::Wide(p) => seeds_blocked(p, ks, sides),
+        }
     }
 }
 
@@ -277,7 +331,7 @@ fn to_u64(sum: u128) -> Result<u64, EventError> {
 }
 
 /// A prefix-table cell: the two storage widths of [`PrefixSums`].
-trait PrefixCell: Copy + Ord + std::ops::Sub<Output = Self> + TryInto<u64> {}
+trait PrefixCell: Copy + Ord + std::ops::Sub<Output = Self> + TryInto<u64> + From<u64> {}
 
 impl PrefixCell for u64 {}
 
@@ -292,89 +346,428 @@ const SCAN_BLOCK: usize = 8 * 1024;
 /// second stream, few enough accumulators to keep them in registers.
 const SCAN_TILE: usize = 16;
 
-/// The blocked kernel behind [`PrefixSums::scan_grid`]: for each tile of
-/// window sizes, stream the table block by block and fold the per-`k`
-/// extremum of `p[i+k] − p[i]` over the block's valid positions. With
-/// `both` set, the primary output holds maxima and the second minima
-/// (`maximize` is ignored); otherwise only the requested side is computed.
-/// `None` when an extremum does not fit `u64`.
+/// Window starts that share one bound: a sixteenth of the windows, so
+/// the bounds cost little next to a full scan, while a bound overshoots a
+/// window by only `BOUND_BLOCK − 1` values.
+pub(crate) const BOUND_BLOCK: usize = 16;
+
+/// Window sizes that share one bound when they lie within this distance:
+/// the exact (dense) part of a grid pays one bound pass per 8 sizes, at
+/// the price of 7 more values of overshoot.
+const BOUND_GROUP: usize = 8;
+
+/// Bound blocks decided together: one vectorized max/min over a chunk of
+/// block bounds prunes 1 024 window starts at once, and a `u64` mask
+/// holds which of its blocks survive.
+const FILTER_CHUNK: usize = 64;
+
+/// The prefix table once more as [`BOUND_BLOCK`] interleaved rows,
+/// `row(r)[q] = p[q·B + r]` (padded with `p[n]`), so the bounds of
+/// consecutive blocks are differences of two contiguous slices.
+struct BoundRows<T> {
+    cells: Vec<T>,
+    width: usize,
+}
+
+impl<T: PrefixCell> BoundRows<T> {
+    fn new(p: &[T]) -> Self {
+        let n = p.len() - 1;
+        let width = n / BOUND_BLOCK + 1;
+        let mut cells = Vec::with_capacity(BOUND_BLOCK * width);
+        for r in 0..BOUND_BLOCK {
+            cells.extend((0..width).map(|q| p[(q * BOUND_BLOCK + r).min(n)]));
+        }
+        Self { cells, width }
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.cells[r * self.width..(r + 1) * self.width]
+    }
+}
+
+/// `hi[q] − lo[q]` folded with `pick` (`Ord::max` or `Ord::min`); the
+/// slices are non-empty. The one fold behind the bounds, the seeds and
+/// the window scan itself.
+#[inline(always)]
+fn fold_diffs<T: PrefixCell>(hi: &[T], lo: &[T], pick: impl Fn(T, T) -> T) -> T {
+    let mut acc = hi[0] - lo[0];
+    for (h, l) in hi.iter().zip(lo) {
+        acc = pick(acc, *h - *l);
+    }
+    acc
+}
+
+/// Bit `q` set where `keep(hi[q] − lo[q])`, over one filter chunk.
+#[inline(always)]
+fn chunk_mask<T: PrefixCell>(hi: &[T], lo: &[T], keep: impl Fn(T) -> bool) -> u64 {
+    let mut m = 0u64;
+    for (q, (h, l)) in hi.iter().zip(lo).enumerate() {
+        m |= u64::from(keep(*h - *l)) << q;
+    }
+    m
+}
+
+/// Appends `[lo, hi)` to sorted disjoint ranges, joining a touching one.
+fn push_range(ranges: &mut Vec<(usize, usize)>, lo: usize, hi: usize) {
+    match ranges.last_mut() {
+        Some(last) if last.1 == lo => last.1 = hi,
+        _ => ranges.push((lo, hi)),
+    }
+}
+
+/// How many leading sizes of `ks` are planned together: ascending sizes
+/// `1 ≤ k ≤ n` within [`BOUND_GROUP`] of the first. A size with no
+/// window (`k = 0` or `k > n`) stands alone.
+fn group_len(ks: &[usize], n: usize) -> usize {
+    let first = ks[0];
+    if first == 0 || first > n {
+        return 1;
+    }
+    let near = |&&k: &&usize| k >= first && k - first < BOUND_GROUP && k <= n;
+    1 + ks[1..].iter().take_while(near).count()
+}
+
+/// The block bounds of one group of window sizes `k_lo..=k_hi` (each
+/// `1 ≤ k ≤ n`, within [`BOUND_GROUP`]). The table is non-decreasing, so
+/// for the starts `i ∈ [qB, qB+B)` every window `W(i,k) = p[i+k] − p[i]`
+/// of the group lies between `lb(q) = p[qB+k_lo] − p[qB+B−1]` and
+/// `ub(q) = p[qB+B−1+k_hi] − p[qB]`, each the difference of two rows of
+/// [`BoundRows`].
+struct GroupBounds<'a, T> {
+    /// `(hi, lo)` rows with `ub(q) = hi[q] − lo[q]`.
+    ub: (&'a [T], &'a [T]),
+    /// `(hi, lo)` rows with `lb(q) = hi[q] − lo[q]`.
+    lb: (&'a [T], &'a [T]),
+    /// Blocks whose starts all hold a window of size `k_hi`.
+    full: usize,
+}
+
+impl<'a, T: PrefixCell> GroupBounds<'a, T> {
+    /// `None` when no block is full, or when minima of windows shorter
+    /// than `B − 1` are wanted (`lb` would be vacuous): every start of
+    /// the group is then evaluated. `last` gives each size's number of
+    /// window starts.
+    fn new(
+        rows: &'a BoundRows<T>,
+        group: &[usize],
+        sides: Sides,
+        last: impl Fn(usize) -> usize,
+    ) -> Option<Self> {
+        const B: usize = BOUND_BLOCK;
+        let k_lo = group[0];
+        let k_hi = *group.iter().max().expect("groups are non-empty");
+        let full = last(k_hi) / B;
+        if full == 0 || (sides.wants_min() && k_lo + 1 < B) {
+            return None;
+        }
+        let reach = k_hi + B - 1;
+        Some(Self {
+            ub: (&rows.row(reach % B)[reach / B..], rows.row(0)),
+            lb: (&rows.row(k_lo % B)[k_lo / B..], rows.row(B - 1)),
+            full,
+        })
+    }
+
+    fn ub(&self, c: usize, e: usize) -> (&[T], &[T]) {
+        (&self.ub.0[c..e], &self.ub.1[c..e])
+    }
+
+    fn lb(&self, c: usize, e: usize) -> (&[T], &[T]) {
+        (&self.lb.0[c..e], &self.lb.1[c..e])
+    }
+}
+
+/// The bound pass of one group: each filter chunk's largest `ub` and
+/// smallest `lb` into `chunks` (an unwanted side stays at `p[0]` and is
+/// never read).
+fn bound_pass<T: PrefixCell>(
+    p: &[T],
+    bounds: &GroupBounds<T>,
+    sides: Sides,
+    chunks: &mut Vec<(T, T)>,
+) {
+    chunks.clear();
+    for c in (0..bounds.full).step_by(FILTER_CHUNK) {
+        let e = (c + FILTER_CHUNK).min(bounds.full);
+        let (ub_hi, ub_lo) = bounds.ub(c, e);
+        let (lb_hi, lb_lo) = bounds.lb(c, e);
+        let top = if sides.wants_max() { fold_diffs(ub_hi, ub_lo, Ord::max) } else { p[0] };
+        let bottom = if sides.wants_min() { fold_diffs(lb_hi, lb_lo, Ord::min) } else { p[0] };
+        chunks.push((top, bottom));
+    }
+}
+
+/// The seeds of one group after its [`bound_pass`]: evaluates for every
+/// size the first block holding the largest `ub` (max side) and the one
+/// holding the smallest `lb` (min side) exactly into `seeds` (an unwanted
+/// side mirrors the wanted one). Returns the windows evaluated.
+fn seed_group<T: PrefixCell>(
+    p: &[T],
+    bounds: &GroupBounds<T>,
+    group: &[usize],
+    sides: Sides,
+    chunks: &[(T, T)],
+    seeds: &mut [Option<(T, T)>],
+) -> usize {
+    const B: usize = BOUND_BLOCK;
+    let (want_max, want_min) = (sides.wants_max(), sides.wants_min());
+    let q_max = want_max.then(|| {
+        let top = chunks.iter().map(|c| c.0).max().expect("a full block");
+        let c = chunks.iter().position(|c| c.0 == top).expect("the max is a chunk's") * FILTER_CHUNK;
+        (c..).find(|&q| bounds.ub.0[q] - bounds.ub.1[q] == top).expect("the chunk holds its max")
+    });
+    let q_min = want_min.then(|| {
+        let bottom = chunks.iter().map(|c| c.1).min().expect("a full block");
+        let c = chunks.iter().position(|c| c.1 == bottom).expect("the min is a chunk's") * FILTER_CHUNK;
+        (c..).find(|&q| bounds.lb.0[q] - bounds.lb.1[q] == bottom).expect("the chunk holds its min")
+    });
+    for (&k, seed) in group.iter().zip(seeds) {
+        let mx = q_max.map(|q| fold_diffs(&p[q * B + k..q * B + B + k], &p[q * B..q * B + B], Ord::max));
+        let mn = q_min.map(|q| fold_diffs(&p[q * B + k..q * B + B + k], &p[q * B..q * B + B], Ord::min));
+        *seed = mx.or(mn).zip(mn.or(mx));
+    }
+    group.len() * B * (usize::from(want_max) + usize::from(want_min))
+}
+
+/// Plans one group of window sizes (see [`GroupBounds`]): writes into
+/// `seeds` each size's exact extrema over its seed blocks ([`seed_group`],
+/// when `local_seeds`; `None` otherwise or where the group has no bounds)
+/// and into `ranges` the window starts left to evaluate, and returns the
+/// windows the seeds evaluated. A scan that starts from known window
+/// sums (a merge's runs, a chunk's whole-trace seeds) skips the local
+/// seeds: they would rarely beat the start and cost a fixed price per
+/// group, which a trace cut into many short scans pays many times.
+///
+/// A block survives only where its bound beats the cut: the smallest
+/// seeded maximum and the largest seeded minimum over the group, each
+/// seed first folded with its size's `start`. Each run of surviving
+/// blocks is one range; the starts past the last full block, which have
+/// no bound, follow up to `n − k_lo + 1`, and each size clips that tail
+/// to its own `n − k + 1`. A group without bounds keeps one range of all
+/// starts.
+fn plan_group<T: PrefixCell>(
+    scan: &Scan<T>,
+    group: &[usize],
+    start: &[(u64, u64)],
+    chunks: &mut Vec<(T, T)>,
+    seeds: &mut [Option<(T, T)>],
+    ranges: &mut Vec<(usize, usize)>,
+) -> usize {
+    const B: usize = BOUND_BLOCK;
+    let (p, sides) = (scan.p, scan.sides);
+    let tail_end = scan.last(group[0]);
+    ranges.clear();
+    seeds.fill(None);
+    let Some(bounds) = GroupBounds::new(&scan.rows, group, sides, |k| scan.last(k)) else {
+        ranges.push((0, tail_end));
+        return 0;
+    };
+    bound_pass(p, &bounds, sides, chunks);
+    let evaluated = if scan.local_seeds {
+        seed_group(p, &bounds, group, sides, chunks, seeds)
+    } else {
+        0
+    };
+    let (cut_max, cut_min) = seeds
+        .iter()
+        .zip(start)
+        .map(|(seed, &(from_max, from_min))| {
+            let (from_max, from_min) = (T::from(from_max), T::from(from_min));
+            seed.map_or((from_max, from_min), |(mx, mn)| (mx.max(from_max), mn.min(from_min)))
+        })
+        .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
+        .expect("groups are non-empty");
+    // Only chunks whose extreme bound beats the cut are masked.
+    for (i, &(top, bottom)) in chunks.iter().enumerate() {
+        let (c, e) = (i * FILTER_CHUNK, ((i + 1) * FILTER_CHUNK).min(bounds.full));
+        let mut mask = 0u64;
+        if sides.wants_max() && top > cut_max {
+            let (hi, lo) = bounds.ub(c, e);
+            mask |= chunk_mask(hi, lo, |d| d > cut_max);
+        }
+        if sides.wants_min() && bottom < cut_min {
+            let (hi, lo) = bounds.lb(c, e);
+            mask |= chunk_mask(hi, lo, |d| d < cut_min);
+        }
+        while mask != 0 {
+            let lo = mask.trailing_zeros() as usize;
+            let run = (!(mask >> lo)).trailing_zeros() as usize;
+            push_range(ranges, (c + lo) * B, (c + lo + run) * B);
+            mask = if lo + run == FILTER_CHUNK { 0 } else { mask & (!0 << (lo + run)) };
+        }
+    }
+    if bounds.full * B < tail_end {
+        push_range(ranges, bounds.full * B, tail_end);
+    }
+    evaluated
+}
+
+/// What the groups of one scan share: the table, its interleaved rows,
+/// the wanted sides, whether groups evaluate seeds of their own, and how
+/// many window starts a size may take.
+struct Scan<'a, T> {
+    p: &'a [T],
+    rows: BoundRows<T>,
+    sides: Sides,
+    local_seeds: bool,
+    starts: usize,
+}
+
+impl<T: PrefixCell> Scan<'_, T> {
+    /// Window starts of size `k` (`1 ≤ k ≤ n`): those whose window fits
+    /// the table, at most `starts`.
+    fn last(&self, k: usize) -> usize {
+        (self.p.len() - k).min(self.starts)
+    }
+}
+
+/// The kernel behind [`PrefixSums::scan_grid`]: for each tile of window
+/// sizes, plan its groups of nearby sizes ([`plan_group`]: exact seeds,
+/// block bounds, the surviving start ranges), then stream the table
+/// block by block and fold the per-`k` extremum of `p[i+k] − p[i]` over
+/// the surviving starts in the block, into `maxs`/`mins` (the start
+/// tables) for the wanted sides. `None` when an extremum does not fit
+/// `u64`.
+///
+/// The extrema are folded in the table's width from the evaluated
+/// windows alone, and meet the starts only in `u64`: a start can never
+/// hide a window past `u64::MAX`.
+///
+/// Counts the windows it evaluates (`events.windows_scanned`, seeds
+/// included) and the windows the grid covers (`events.windows_total`),
+/// one counter call each per scan.
 fn scan_blocked<T: PrefixCell>(
     p: &[T],
     ks: &[usize],
-    maximize: bool,
-    both: Option<()>,
-) -> Option<(Vec<u64>, Option<Vec<u64>>)> {
+    sides: Sides,
+    mut maxs: Vec<u64>,
+    mut mins: Vec<u64>,
+    local_seeds: bool,
+    starts: usize,
+) -> Option<(Vec<u64>, Vec<u64>)> {
     let n = p.len() - 1;
-    let want_both = both.is_some();
-    let mut primary = vec![if maximize || want_both { 0 } else { u64::MAX }; ks.len()];
-    let mut secondary = if want_both {
-        Some(vec![u64::MAX; ks.len()])
-    } else {
-        None
-    };
-    let mut tile_best: Vec<(T, T)> = Vec::with_capacity(SCAN_TILE);
+    let (want_max, want_min) = (sides.wants_max(), sides.wants_min());
+    let scan = Scan { p, rows: BoundRows::new(p), sides, local_seeds, starts };
+    let last = |k: usize| scan.last(k);
+    let mut chunks = Vec::new();
+    let mut start = Vec::with_capacity(SCAN_TILE);
+    // Per size of a tile: its extrema so far (`None` before its first
+    // window), the group whose ranges it scans, and its cursor in them.
+    let mut best: Vec<Option<(T, T)>> = Vec::with_capacity(SCAN_TILE);
+    let mut group_of = Vec::with_capacity(SCAN_TILE);
+    let mut cursor = Vec::with_capacity(SCAN_TILE);
+    // One range list per group of the tile, kept across tiles.
+    let mut ranges: Vec<Vec<(usize, usize)>> = Vec::new();
+    let (mut scanned, mut total) = (0usize, 0usize);
     for (tile_idx, tile) in ks.chunks(SCAN_TILE).enumerate() {
-        tile_best.clear();
-        let mut seen = vec![false; tile.len()];
-        tile_best.resize(tile.len(), (p[0], p[0]));
-        let mut start = 0usize;
-        while start < n {
-            let block_end = (start + SCAN_BLOCK).min(n);
-            for (j, &k) in tile.iter().enumerate() {
-                if k == 0 || k > n {
-                    continue;
-                }
-                // Valid window starts in this block: i + k ≤ n.
-                let end = block_end.min(n - k + 1);
-                if start >= end {
-                    continue;
-                }
-                let lo = &p[start..end];
-                let hi = &p[start + k..end + k];
-                let (mut mx, mut mn) = if seen[j] {
-                    tile_best[j]
-                } else {
-                    let first = hi[0] - lo[0];
-                    (first, first)
-                };
-                seen[j] = true;
-                if want_both {
-                    for (h, l) in hi.iter().zip(lo) {
-                        let d = *h - *l;
-                        mx = mx.max(d);
-                        mn = mn.min(d);
-                    }
-                } else if maximize {
-                    for (h, l) in hi.iter().zip(lo) {
-                        mx = mx.max(*h - *l);
-                    }
-                } else {
-                    for (h, l) in hi.iter().zip(lo) {
-                        mn = mn.min(*h - *l);
-                    }
-                }
-                tile_best[j] = (mx, mn);
-            }
-            start = block_end;
-        }
         let base = tile_idx * SCAN_TILE;
-        for (j, &(mx, mn)) in tile_best.iter().enumerate() {
-            if !seen[j] {
-                continue; // k > n: identity stays in place
+        best.clear();
+        best.resize(tile.len(), None);
+        group_of.clear();
+        cursor.clear();
+        cursor.resize(tile.len(), 0);
+        let (mut j, mut groups) = (0, 0);
+        while j < tile.len() {
+            let len = group_len(&tile[j..], n);
+            let group = &tile[j..j + len];
+            if ranges.len() == groups {
+                ranges.push(Vec::new());
             }
-            if want_both {
-                primary[base + j] = mx.try_into().ok()?;
-                if let Some(sec) = &mut secondary {
-                    sec[base + j] = mn.try_into().ok()?;
+            let group_ranges = &mut ranges[groups];
+            group_ranges.clear();
+            if (1..=n).contains(&group[0]) {
+                start.clear();
+                start.extend((base + j..base + j + len).map(|i| (maxs[i], mins[i])));
+                let seeds = &mut best[j..j + len];
+                scanned += plan_group(&scan, group, &start, &mut chunks, seeds, group_ranges);
+                for &k in group {
+                    total += last(k);
+                    let clip = |&(lo, hi): &(usize, usize)| hi.min(last(k)).saturating_sub(lo);
+                    scanned += group_ranges.iter().map(clip).sum::<usize>();
                 }
-            } else if maximize {
-                primary[base + j] = mx.try_into().ok()?;
-            } else {
-                primary[base + j] = mn.try_into().ok()?;
+            }
+            group_of.extend(std::iter::repeat_n(groups, len));
+            groups += 1;
+            j += len;
+        }
+        let mut at = 0usize;
+        while at < n {
+            let block_end = (at + SCAN_BLOCK).min(n);
+            for (j, &k) in tile.iter().enumerate() {
+                let ranges = &ranges[group_of[j]];
+                while cursor[j] < ranges.len() && ranges[cursor[j]].1 <= at {
+                    cursor[j] += 1;
+                }
+                for &(lo, hi) in &ranges[cursor[j]..] {
+                    // The surviving starts of this range inside the block;
+                    // only the last range (the tail) can end past `n − k`.
+                    let (lo, hi) = (lo.max(at), hi.min(block_end).min(last(k)));
+                    if lo >= hi {
+                        break;
+                    }
+                    let (hi_p, lo_p) = (&p[lo + k..hi + k], &p[lo..hi]);
+                    let mx = if want_max { fold_diffs(hi_p, lo_p, Ord::max) } else { p[0] };
+                    let mn = if want_min { fold_diffs(hi_p, lo_p, Ord::min) } else { p[0] };
+                    best[j] = Some(best[j].map_or((mx, mn), |(bx, bn)| (bx.max(mx), bn.min(mn))));
+                }
+            }
+            at = block_end;
+        }
+        for (j, &extrema) in best.iter().enumerate() {
+            let Some((mx, mn)) = extrema else {
+                continue; // k = 0 or k > n: the start stays in place
+            };
+            if want_max {
+                maxs[base + j] = maxs[base + j].max(mx.try_into().ok()?);
+            }
+            if want_min {
+                mins[base + j] = mins[base + j].min(mn.try_into().ok()?);
             }
         }
     }
-    Some((primary, secondary))
+    if wcm_obs::enabled() {
+        wcm_obs::counter("events.windows_scanned", scanned as u64);
+        wcm_obs::counter("events.windows_total", total as u64);
+    }
+    Some((maxs, mins))
+}
+
+/// The kernel behind [`PrefixSums::seed_tables`]: per group of nearby
+/// sizes, the bound pass and seed blocks of [`seed_group`], kept where
+/// they fit `u64` on the wanted sides; identities elsewhere. Counts the
+/// windows the seeds evaluate (`events.windows_scanned`).
+fn seeds_blocked<T: PrefixCell>(p: &[T], ks: &[usize], sides: Sides) -> (Vec<u64>, Vec<u64>) {
+    let n = p.len() - 1;
+    let rows = BoundRows::new(p);
+    let (mut maxs, mut mins) = (vec![0; ks.len()], vec![u64::MAX; ks.len()]);
+    let (mut chunks, mut seeds) = (Vec::new(), Vec::new());
+    let (mut j, mut scanned) = (0, 0);
+    while j < ks.len() {
+        let len = group_len(&ks[j..], n);
+        let group = &ks[j..j + len];
+        seeds.clear();
+        seeds.resize(len, None);
+        let last = |k: usize| n + 1 - k;
+        let bounds = (1..=n).contains(&group[0]).then(|| GroupBounds::new(&rows, group, sides, last));
+        if let Some(bounds) = bounds.flatten() {
+            bound_pass(p, &bounds, sides, &mut chunks);
+            scanned += seed_group(p, &bounds, group, sides, &chunks, &mut seeds);
+            for (i, seed) in seeds.iter().enumerate() {
+                let (mx, mn) = seed.expect("a group with bounds is seeded");
+                if sides.wants_max() {
+                    maxs[j + i] = mx.try_into().unwrap_or(0);
+                }
+                if sides.wants_min() {
+                    mins[j + i] = mn.try_into().unwrap_or(u64::MAX);
+                }
+            }
+        }
+        j += len;
+    }
+    if wcm_obs::enabled() {
+        wcm_obs::counter("events.windows_scanned", scanned as u64);
+    }
+    (maxs, mins)
 }
 
 /// Maximum sum of any `k` consecutive values, for a single `k`.
@@ -505,14 +898,10 @@ fn window_sums(
             .try_fold(0u64, |acc, &v| acc.checked_add(v))
             .is_some()
     };
+    let sides = if maximize { Sides::Max } else { Sides::Min };
     let exact = if Parallelism::current().workers(values.len(), cost) > 1 && narrow() {
         // Parallel: trace-parallel chunk summaries tree-folded into the
         // exact grid table — scales over N instead of fanning out per k.
-        let sides = if maximize {
-            crate::summary::Sides::Max
-        } else {
-            crate::summary::Sides::Min
-        };
         let summary = crate::summary::summarize(values, &grid, sides);
         if maximize {
             summary.max_table().to_vec()
@@ -520,11 +909,16 @@ fn window_sums(
             summary.min_table().to_vec()
         }
     } else {
-        // Sequential: one cache-blocked pass over the prefix table,
-        // k-tiles per block instead of one full sweep per k.
-        PrefixSums::new(values)
-            .scan_grid(&grid, maximize)
-            .ok_or(EventError::Overflow { what: "window sum" })?
+        // Sequential: one pruned, cache-blocked pass over the prefix
+        // table, k-tiles per block instead of one full sweep per k.
+        let (maxs, mins) = PrefixSums::new(values)
+            .scan_grid(0..values.len(), &grid, sides, None)
+            .ok_or(EventError::Overflow { what: "window sum" })?;
+        if maximize {
+            maxs
+        } else {
+            mins
+        }
     };
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0u64))
 }
@@ -1026,6 +1420,41 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sums, max_window_sums(&V, 6, WindowMode::Exact).unwrap());
+    }
+
+    #[test]
+    fn strided_grid_survives_strides_near_usize_max() {
+        // exact_upto + stride would wrap: the grid must stay ascending
+        // and end at k_max, exactly as any stride ≥ k_max does.
+        for stride in [usize::MAX, usize::MAX - 1, 10, 1000] {
+            let mode = WindowMode::Strided {
+                exact_upto: 3,
+                stride,
+            };
+            assert_eq!(mode.grid(10), vec![1, 2, 3, 10], "stride {stride}");
+            let wide = WindowMode::Strided {
+                exact_upto: 3,
+                stride: 1000,
+            };
+            assert_eq!(
+                max_window_sums(&V, 8, mode).unwrap(),
+                max_window_sums(&V, 8, wide).unwrap(),
+                "stride {stride}"
+            );
+            assert_eq!(
+                min_window_sums(&V, 8, mode).unwrap(),
+                min_window_sums(&V, 8, wide).unwrap(),
+                "stride {stride}"
+            );
+        }
+        // A stride that fits once keeps its one interior point; the
+        // step after it would wrap and ends the grid at k_max.
+        let grid = WindowMode::Strided {
+            exact_upto: 2,
+            stride: usize::MAX - 3,
+        }
+        .grid(usize::MAX);
+        assert_eq!(grid, vec![1, 2, usize::MAX - 1, usize::MAX]);
     }
 
     #[test]
