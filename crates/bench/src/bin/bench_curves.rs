@@ -23,7 +23,7 @@
 use std::time::Instant;
 use wcm_bench::alloc::{count_allocs, CountingAlloc};
 use wcm_bench::legacy::{convolve_materialized, window_maxima_unpruned};
-use wcm_core::EnvelopeMonitor;
+use wcm_core::{EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
 use wcm_events::summary::{summarize, summarize_chunks, CurveSummary, Sides};
 use wcm_events::window::{max_window_sums, min_spans, min_window_sums, Parallelism, WindowMode};
@@ -329,6 +329,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let append_s = appends.best(1) / GOPS as f64;
     let append_ratio = appends.speedup(1, 0) / GOPS as f64;
 
+    // Envelope monitor on a violated envelope: the same demand stream
+    // through an unbound monitor (which only measures) and through one
+    // bound once to `γᵘ(k) = γˡ(k) = k·mean`, which almost every window
+    // breaks on one side, at `wcm serve`'s depth of 64. Once the
+    // violation store is full a violating batch is counted in bulk, so
+    // the checks cost a small multiple of the measuring scan; replaying
+    // those batches event by event costs ~60×.
+    const MONITOR_K: usize = 64;
+    let mean = v.iter().sum::<u64>() / N as u64;
+    let line: Vec<u64> = (1..=MONITOR_K as u64).map(|k| k * mean).collect();
+    let too_tight = WorkloadBounds {
+        upper: UpperWorkloadCurve::new(line.clone())?,
+        lower: LowerWorkloadCurve::new(line)?,
+    };
+    let measuring = EnvelopeMonitor::unbound(MONITOR_K)?;
+    let checking = EnvelopeMonitor::new(&too_tight, MONITOR_K)?;
+    let run_monitor = |monitor: &EnvelopeMonitor| {
+        let mut m = monitor.clone();
+        m.observe_all(v.iter().copied());
+        m
+    };
+    let monitors = measure([
+        &mut || time_once(|| run_monitor(&measuring)),
+        &mut || time_once(|| run_monitor(&checking)),
+    ]);
+    let monitor_violations = {
+        let mut per_event = checking.clone();
+        for &d in &v {
+            per_event.observe(d);
+        }
+        let batched = run_monitor(&checking);
+        assert_eq!(batched.report(), per_event.report(), "bulk-counted monitor disagrees");
+        batched.total_violations()
+    };
+    let (monitor_clean_s, monitor_violating_s) = (monitors.best(0), monitors.best(1));
+
     // Lazy streaming curve algebra: a 32-stage tandem service
     // composition (left fold of min-plus convolutions). The eager fold
     // runs the materializing convolution kept in `wcm_bench::legacy`,
@@ -473,6 +509,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"incremental_append_s\": {append_s:.6},\n\
          \x20   \"append_over_rebuild\": {append_ratio:.4}\n\
          \x20 }},\n\
+         \x20 \"monitor_violating\": {{\n\
+         \x20   \"k_max\": {MONITOR_K},\n\
+         \x20   \"events\": {N},\n\
+         \x20   \"violations\": {monitor_violations},\n\
+         \x20   \"clean_s\": {monitor_clean_s:.6},\n\
+         \x20   \"violating_s\": {monitor_violating_s:.6},\n\
+         \x20   \"violating_over_clean\": {:.2}\n\
+         \x20 }},\n\
          \x20 \"min_spans\": {{ \"seq_s\": {spans_seq:.6}, \"par_s\": {spans_par:.6}, \"speedup\": {:.1} }},\n\
          \x20 \"lazy_tandem_32\": {{\n\
          \x20   \"stages\": {STAGES},\n\
@@ -507,6 +551,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         constant.speedup(1, 2),
         constant.speedup(1, 3),
         summaries.speedup(1, 0),
+        monitors.speedup(1, 0),
         core.speedup(3, 4),
         tandem.speedup(0, 1),
     );

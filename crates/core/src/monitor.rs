@@ -23,18 +23,25 @@
 //! rebases the full ring plus up to `max(256, k_max)` demands into a
 //! local `u64` prefix table and, for each `k`, takes the largest and
 //! smallest sum of the windows ending in the batch in one branch-free
-//! loop (the shape of the window scans in `wcm_events::window`). For `k ≥ 64` the loop skips,
-//! as those scans do, each block of 16 window ends whose bounds from the
+//! loop (the shape of the window scans in `wcm_events::window`). For the
+//! sizes `k ≥ 64` that fill groups of 8 counted down from `k_max` (none
+//! below `k_max` = 71; the rest are scanned whole) the loop skips, as
+//! those scans do, each block of 16 window ends whose bounds from the
 //! monotone table (`p[e+15] − p[e−k]` above, `p[e] − p[e+15−k]` below)
 //! show that none of its windows can move the running extrema or a slack
 //! minimum, or break a bound; on a long stream that is most blocks, since
-//! a new batch rarely beats the extrema of everything before it. When no
-//! `k` breaks a bound, the extrema, slack minima, counters and ring are
-//! updated in bulk; otherwise the batch is replayed event by event, so
-//! violations are recorded in the same order with the same fields. Short
-//! batches, a ring that is not yet full, the first `k_max − 1` events
-//! after a bind and sums that do not fit `u64` take the per-event path.
-//! Either way the [`MonitorReport`] equals that of per-event
+//! a new batch rarely beats the extrema of everything before it. The
+//! extrema, slack minima, counters and ring are then updated in bulk.
+//! A batch in which some `k` breaks a bound is replayed event by event
+//! while the violation store still has room, so the stored violations
+//! keep their order and fields; once the store is full (it never
+//! empties), each such `k` costs one more branch-free pass over its
+//! windows in the batch that counts those breaking each side, and the
+//! batch stays in bulk. Short batches, a ring that is not yet full, the
+//! first `k_max − 1` events after a bind and sums that do not fit `u64`
+//! take the per-event path; the `monitor.replayed_events` counter adds
+//! up the events of the batches handed back to it. Either way the
+//! [`MonitorReport`] equals that of per-event
 //! [`EnvelopeMonitor::observe`].
 //!
 //! # Example
@@ -381,8 +388,10 @@ impl EnvelopeMonitor {
     /// [`Self::observe`] per demand. Once the ring is full and `k_max`
     /// events have passed a [`Self::bind`], the demands go in blocks of
     /// up to `max(256, k_max)` through a branch-free scan (see the module
-    /// docs); a block that breaks a bound is replayed event by event, so
-    /// the stored violations keep their order.
+    /// docs). A block that breaks a bound while fewer than
+    /// [`Self::VIOLATION_CAP`] violations are stored is replayed event by
+    /// event, so the stored violations keep their order; after that its
+    /// violations are counted in bulk.
     pub fn observe_all(&mut self, demands: impl IntoIterator<Item = u64>) -> usize {
         let mut demands = demands.into_iter();
         let mut fresh = 0;
@@ -404,9 +413,14 @@ impl EnvelopeMonitor {
             if n == 0 {
                 break;
             }
-            if n < SCAN_MIN || !self.scan_batch(&mut scratch) {
-                fresh += scratch[..n].iter().map(|&d| self.observe(d)).sum::<usize>();
-            }
+            let bulk = if n < SCAN_MIN { None } else { self.scan_batch(&mut scratch) };
+            fresh += match bulk {
+                Some(broken) => broken,
+                None => {
+                    wcm_obs::counter("monitor.replayed_events", n as u64);
+                    scratch[..n].iter().map(|&d| self.observe(d)).sum::<usize>()
+                }
+            };
         }
         self.scratch = scratch;
         fresh
@@ -417,11 +431,14 @@ impl EnvelopeMonitor {
     /// table, then takes for every `k` the largest and smallest sum of
     /// the windows that end in the batch, skipping the blocks of windows
     /// that [`Self::cuts`] shows cannot matter. If none breaks a bound,
-    /// applies the batch in bulk (extrema, slack minima, counters, ring)
-    /// and returns `true`. Returns `false`, with the monitor untouched,
-    /// when a bound breaks or the table would overflow; the caller then
-    /// replays the batch (still `s[..n]`) through [`Self::observe`].
-    fn scan_batch(&mut self, s: &mut Vec<u64>) -> bool {
+    /// or the violation store is full, applies the batch in bulk
+    /// (extrema, slack minima, counters, ring, and the windows that break
+    /// a bound, counted per side in one pass per broken `k`) and returns
+    /// how many windows broke a bound. Returns `None`, with the monitor
+    /// untouched, when a bound breaks while the store has room or the
+    /// table would overflow; the caller then replays the batch (still
+    /// `s[..n]`) through [`Self::observe`].
+    fn scan_batch(&mut self, s: &mut Vec<u64>) -> Option<usize> {
         let (n, k_max) = (s.len(), self.k_max);
         // The longest sizes from PRUNE_FROM on go in groups of 8 with cuts
         // (see below); the shorter ones are scanned whole.
@@ -434,14 +451,14 @@ impl EnvelopeMonitor {
         for &c in &self.cum {
             match u64::try_from(c - front) {
                 Ok(v) => s.push(v),
-                Err(_) => return false,
+                Err(_) => return None,
             }
         }
         let mut acc = s[n + k_max];
         for i in 0..n {
             match acc.checked_add(s[i]) {
                 Some(v) => acc = v,
-                None => return false,
+                None => return None,
             }
             s.push(acc);
         }
@@ -535,11 +552,26 @@ impl EnvelopeMonitor {
                 }
             }
         }
+        // A size whose extremum breaks a bound is counted in one more
+        // branch-free pass over its windows, once the store is full;
+        // before that the batch is replayed, so the stored violations
+        // keep their order and fields. A side that is absent or that no
+        // window breaks counts nothing in that pass.
+        let full = self.violations.len() == Self::VIOLATION_CAP;
+        let mut broken = 0usize;
         for (k, ext) in (1..=k_max).zip(extremes.chunks_exact(2)) {
-            if self.upper.as_ref().is_some_and(|t| ext[0] > t[k - 1])
-                || self.lower.as_ref().is_some_and(|t| ext[1] < t[k - 1])
-            {
-                return false;
+            let above = self.upper.as_ref().map_or(u64::MAX, |t| t[k - 1]);
+            let below = self.lower.as_ref().map_or(0, |t| t[k - 1]);
+            if ext[0] <= above && ext[1] >= below {
+                continue;
+            }
+            if !full {
+                return None;
+            }
+            let starts = &p[k_max + 1 - k..k_max + 1 - k + n];
+            for (h, l) in ends.iter().zip(starts) {
+                let sum = h - l;
+                broken += usize::from(sum > above) + usize::from(sum < below);
             }
         }
         for (k, ext) in extremes.chunks_exact(2).enumerate() {
@@ -562,7 +594,11 @@ impl EnvelopeMonitor {
         self.cum.clear();
         self.cum
             .extend(p[n..].iter().map(|&v| front + u128::from(v)));
-        true
+        if broken > 0 {
+            self.total_violations += broken as u64;
+            wcm_obs::counter("monitor.violations", broken as u64);
+        }
+        Some(broken)
     }
 
     /// The windows of size `k` that [`Self::scan_batch`] may skip: sums
@@ -922,6 +958,29 @@ mod tests {
         }
         assert_eq!(mon.total_violations(), 200);
         assert_eq!(mon.violations().len(), EnvelopeMonitor::VIOLATION_CAP);
+    }
+
+    #[test]
+    fn a_full_store_counts_a_violating_batch_as_per_event_observe() {
+        // γᵘ(k) = γˡ(k) = 10·k under demands 0..=20: almost every window
+        // breaks one side, many sit exactly on the bound, and the store
+        // fills within the first events. The 256-event batch after that
+        // is counted in bulk and must agree with the per-event path.
+        let line: Vec<u64> = (1..=16).map(|k| 10 * k).collect();
+        let tight = WorkloadBounds {
+            upper: UpperWorkloadCurve::new(line.clone()).unwrap(),
+            lower: LowerWorkloadCurve::new(line).unwrap(),
+        };
+        let demands: Vec<u64> = (0..600u64).map(|i| (i * 7919) % 21).collect();
+        let mut batched = EnvelopeMonitor::new(&tight, 16).unwrap();
+        batched.observe_all(demands[..344].iter().copied());
+        assert_eq!(batched.violations().len(), EnvelopeMonitor::VIOLATION_CAP);
+        let mut single = batched.clone();
+        let one: usize = demands[344..].iter().map(|&d| single.observe(d)).sum();
+        assert_eq!(batched.observe_all(demands[344..].iter().copied()), one);
+        assert!(one > 2000, "{one} violations");
+        assert_eq!(batched.report(), single.report());
+        assert_eq!(batched.measured_bounds(), single.measured_bounds());
     }
 
     #[test]

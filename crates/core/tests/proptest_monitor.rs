@@ -4,7 +4,9 @@
 //! depths, mid-stream binds and rebinds and demands near `u64::MAX`
 //! (whose sums only fit the `u128` ring) must all yield equal
 //! `MonitorReport`s and equal measured bounds, and the measured bounds
-//! must be those of a direct window scan.
+//! must be those of a direct window scan. An envelope broken by almost
+//! every window, after the violation store is full, must be counted the
+//! same way too.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -113,6 +115,56 @@ proptest! {
             (Err(WorkloadError::Overflow { .. }), None) => {}
             (got, want) => prop_assert!(false, "measured {:?}, scanned {:?}", got, want),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn an_envelope_broken_thousands_of_times_counts_as_per_event_observe(
+        seed in 0u64..u64::MAX,
+        depth in 0usize..3,
+        sides in 1usize..3,
+    ) {
+        // Bound once, after a random prefix, to `γᵘ(k) = γˡ(k) = 10·k`
+        // under demands 0..=20: almost every window breaks a side, many
+        // sit exactly on the bound, and the violation store fills within
+        // the first batch, so most batches are counted in bulk.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let k_max = [8, 64, 100][depth];
+        let upper_only = sides == 1;
+        let line: Vec<u64> = (1..=k_max as u64).map(|k| 10 * k).collect();
+        let tight = WorkloadBounds {
+            upper: UpperWorkloadCurve::new(line.clone()).unwrap(),
+            lower: LowerWorkloadCurve::new(line).unwrap(),
+        };
+        let n = rng.gen_range(1500..4000usize);
+        let demands: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=20)).collect();
+        let mut single = if upper_only {
+            EnvelopeMonitor::upper_only(&tight.upper, k_max)
+        } else {
+            EnvelopeMonitor::unbound(k_max)
+        }
+        .unwrap();
+        let mut batched = single.clone();
+        let bind_at = if upper_only { 0 } else { rng.gen_range(0..600usize) };
+        let mut at = 0;
+        while at < n {
+            if at == bind_at && !upper_only {
+                single.bind(&tight);
+                batched.bind(&tight);
+            }
+            let cap = if at < bind_at { bind_at } else { n };
+            let end = (at + rng.gen_range(1..=600usize)).min(cap);
+            let one: usize = demands[at..end].iter().map(|&d| single.observe(d)).sum();
+            let all = batched.observe_all(demands[at..end].iter().copied());
+            prop_assert_eq!(one, all, "fresh violations of events {}..{}", at, end);
+            prop_assert_eq!(single.report(), batched.report(), "after event {}", end);
+            prop_assert_eq!(single.measured_bounds(), batched.measured_bounds());
+            at = end;
+        }
+        prop_assert!(batched.total_violations() > 1000);
+        prop_assert_eq!(batched.violations().len(), EnvelopeMonitor::VIOLATION_CAP);
     }
 }
 

@@ -218,15 +218,12 @@ impl SessionState {
     pub fn apply_pending(&mut self, cfg: &ServeConfig) -> u64 {
         let mut fresh = 0u64;
         let every = cfg.refresh_every.max(1);
-        let mut chunk: Vec<u64> = Vec::new();
         while !self.pending.is_empty() {
             let room = usize::try_from(every - self.since_refresh).unwrap_or(usize::MAX);
             let n = self.pending.len().min(room);
-            chunk.clear();
-            chunk.extend(self.pending.drain(..n));
             {
                 let _span = wcm_obs::span("serve.scan");
-                fresh += self.monitor.observe_all(chunk.iter().copied()) as u64;
+                fresh += self.monitor.observe_all(self.pending.drain(..n)) as u64;
             }
             self.events += n as u64;
             self.since_refresh += n as u64;
