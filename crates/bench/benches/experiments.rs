@@ -109,17 +109,18 @@ fn bench_e6_pipeline_sim(c: &mut Criterion) {
     let clip = Synthesizer::new(params)
         .generate(&profile::standard_clips()[13], 1)
         .unwrap();
+    let cfg = wcm_sim::PipelineConfig {
+        bitrate_bps: params.bitrate_bps(),
+        pe1_hz: 10.0e6,
+        pe2_hz: 60.0e6,
+    };
+    let fifo = wcm_sim::FifoConfig::unbounded();
     c.bench_function("e6_fig7_pipeline_sim_1gop", |b| {
         b.iter(|| {
-            wcm_sim::pipeline::simulate_pipeline(
-                &clip,
-                &wcm_sim::pipeline::PipelineConfig {
-                    bitrate_bps: params.bitrate_bps(),
-                    pe1_hz: 10.0e6,
-                    pe2_hz: 60.0e6,
-                },
-            )
-            .unwrap()
+            let w = wcm_sim::FaultedWorkload::clean(&clip).unwrap();
+            let mut scratch = wcm_sim::SimScratch::new();
+            wcm_sim::simulate(&w, &cfg, &fifo, None, &mut scratch).unwrap();
+            scratch
         })
     });
 }

@@ -47,14 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 },
                 None => b,
             });
-            let r = wcm_sim::pipeline::simulate_pipeline(
-                &clip,
-                &wcm_sim::pipeline::PipelineConfig {
-                    bitrate_bps: params.bitrate_bps(),
-                    pe1_hz: wcm_bench::PE1_HZ,
-                    pe2_hz: 1.0e9,
-                },
-            )?;
+            let r = wcm_bench::simulate_clip(&clip, 1.0e9)?;
             let trace = wcm_bench::times_to_trace(&r.fifo_in_times)?;
             let a = wcm_core::build::arrival_upper(&trace, k_max, mode)?;
             alpha = Some(match alpha {

@@ -13,7 +13,8 @@ use wcm_core::sizing::{min_frequency_wcet, min_frequency_workload};
 use wcm_core::UpperWorkloadCurve;
 use wcm_events::window::{max_window_sums, WindowMode};
 use wcm_mpeg::VideoParams;
-use wcm_sim::pipeline::{simulate_pipeline, PipelineConfig};
+use wcm_sim::pipeline::{simulate, FifoConfig, PipelineConfig, SimScratch};
+use wcm_sim::FaultedWorkload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = VideoParams::main_profile_main_level()?;
@@ -44,19 +45,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  {:<10} {:>16} {:>14} {:>14}",
         "PE1 (MHz)", "alpha(1 frame)", "F_gamma (MHz)", "F_wcet (MHz)"
     );
+    let streams: Vec<FaultedWorkload> = clips
+        .iter()
+        .skip(10)
+        .map(FaultedWorkload::clean)
+        .collect::<Result<_, _>>()?;
+    let mut scratch = SimScratch::new();
     let mut prev_burst = 0u64;
     for pe1_mhz in [45.0, 60.0, 90.0, 180.0, 360.0] {
         let mut alpha: Option<wcm_curves::StepCurve> = None;
-        for clip in clips.iter().skip(10) {
-            let r = simulate_pipeline(
-                clip,
-                &PipelineConfig {
-                    bitrate_bps: params.bitrate_bps(),
-                    pe1_hz: pe1_mhz * 1e6,
-                    pe2_hz: 1.0e9,
-                },
-            )?;
-            let trace = times_to_trace(&r.fifo_in_times)?;
+        for w in &streams {
+            let cfg = PipelineConfig {
+                bitrate_bps: params.bitrate_bps(),
+                pe1_hz: pe1_mhz * 1e6,
+                pe2_hz: 1.0e9,
+            };
+            simulate(w, &cfg, &FifoConfig::unbounded(), None, &mut scratch)?;
+            let trace = times_to_trace(scratch.fifo_in_times())?;
             let a = arrival_upper(&trace, k_max, mode)?;
             alpha = Some(match alpha {
                 Some(acc) => acc.max(&a)?,

@@ -38,7 +38,7 @@ use wcm_bench::legacy::simulate_pipeline_legacy;
 use wcm_events::window::WindowMode;
 use wcm_mpeg::{profile::standard_clips, GopStructure, Synthesizer, VideoParams};
 use wcm_par::Parallelism;
-use wcm_sim::pipeline::{simulate_faulted, FifoConfig, PipelineConfig, SimScratch, SourceModel};
+use wcm_sim::pipeline::{simulate, FifoConfig, PipelineConfig, SimScratch};
 use wcm_sim::{
     run_frontier, run_sweep, run_sweep_streaming, FaultedWorkload, FrontierMethod, OverflowPolicy,
     PointRecord, ShardRange, SweepError, SweepSink, SweepSpec,
@@ -275,38 +275,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let stream = FaultedWorkload::clean(clip)?;
     let fifo = FifoConfig::unbounded();
-    let frame_period = clip.params().frame_period();
     let mut scratch = SimScratch::new();
     // Equality gate (the bench lib's unit test covers it too, on a
     // smaller clip): both paths must agree on the backlog.
     let legacy_result = simulate_pipeline_legacy(clip, &cfg)?;
-    let hot = simulate_faulted(
-        &stream,
-        &cfg,
-        &fifo,
-        SourceModel::Cbr,
-        frame_period,
-        None,
-        &mut scratch,
-    )?;
+    let hot = simulate(&stream, &cfg, &fifo, None, &mut scratch)?;
     assert_eq!(legacy_result.max_backlog, hot.max_backlog);
 
     let sim = measure([
         &mut || time_once(|| simulate_pipeline_legacy(clip, &cfg).unwrap()),
-        &mut || {
-            time_once(|| {
-                simulate_faulted(
-                    &stream,
-                    &cfg,
-                    &fifo,
-                    SourceModel::Cbr,
-                    frame_period,
-                    None,
-                    &mut scratch,
-                )
-                .unwrap()
-            })
-        },
+        &mut || time_once(|| simulate(&stream, &cfg, &fifo, None, &mut scratch).unwrap()),
     ]);
     let events = 3.0 * clip.macroblock_count() as f64;
     let legacy_ns = sim.best(0) / events * 1e9;
@@ -325,16 +303,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]
     .map(|p| FifoConfig::bounded(overload_capacity, p));
     let run_policy = |fifo: &FifoConfig, scratch: &mut SimScratch| {
-        simulate_faulted(
-            &stream,
-            &cfg,
-            fifo,
-            SourceModel::Cbr,
-            frame_period,
-            None,
-            scratch,
-        )
-        .unwrap()
+        simulate(&stream, &cfg, fifo, None, scratch).unwrap()
     };
     // One scratch per candidate: each timed closure borrows its own.
     let mut scratches: [SimScratch; 3] = Default::default();

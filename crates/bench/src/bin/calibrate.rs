@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut worst = 0u64;
     for clip in &clips {
         let r = simulate_clip(clip, f_gamma)?;
-        worst = worst.max(r.max_backlog);
+        worst = worst.max(r.summary.max_backlog);
     }
     println!(
         "\nsimulated worst backlog at F_gamma: {} / {} = {:.3}",

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clips = synthesize_clips(GOPS_PER_CLIP)?;
     let mut worst = 0.0f64;
     for clip in &clips {
-        let result = simulate_clip(clip, study.f_gamma)?;
+        let result = simulate_clip(clip, study.f_gamma)?.summary;
         let norm = result.max_backlog as f64 / BUFFER_MB as f64;
         worst = worst.max(norm);
         let bar: String = std::iter::repeat_n('#', (norm * 30.0).round() as usize)

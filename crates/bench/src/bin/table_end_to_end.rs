@@ -52,12 +52,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:<16} {:>12} {:>12} {:>12.2} {:>12.2}",
             clip.name(),
             gpc.backlog_events,
-            sim.max_backlog,
+            sim.summary.max_backlog,
             gpc.delay * 1e3,
             worst_latency * 1e3,
         );
         assert!(
-            sim.max_backlog <= gpc.backlog_events,
+            sim.summary.max_backlog <= gpc.backlog_events,
             "simulated backlog exceeds the MPA bound for {}",
             clip.name()
         );

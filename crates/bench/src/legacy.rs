@@ -51,9 +51,9 @@ pub struct LegacyResult {
 ///
 /// # Errors
 ///
-/// Same contract as `wcm_sim::pipeline::simulate_pipeline`: invalid
-/// clock/bitrate parameters, empty workloads and non-finite event times
-/// are rejected.
+/// Same contract as `wcm_sim::simulate` on a clean stream through an
+/// unbounded FIFO: invalid clock/bitrate parameters, empty workloads and
+/// non-finite event times are rejected.
 pub fn simulate_pipeline_legacy(
     clip: &ClipWorkload,
     cfg: &PipelineConfig,
@@ -255,7 +255,6 @@ pub fn window_maxima_unpruned(values: &[u64], ks: &[usize]) -> Vec<u64> {
 mod tests {
     use super::*;
     use wcm_mpeg::{profile::standard_clips, GopStructure, Synthesizer, VideoParams};
-    use wcm_sim::pipeline::simulate_pipeline;
 
     #[test]
     fn legacy_and_hot_path_agree_bitwise() {
@@ -270,10 +269,13 @@ mod tests {
             pe2_hz: 30.0e6,
         };
         let old = simulate_pipeline_legacy(&clip, &cfg).unwrap();
-        let new = simulate_pipeline(&clip, &cfg).unwrap();
-        assert_eq!(old.fifo_in_times, new.fifo_in_times);
-        assert_eq!(old.fifo_out_times, new.fifo_out_times);
-        assert_eq!(old.max_backlog, new.max_backlog);
+        let mut new = wcm_sim::SimScratch::new();
+        let w = wcm_sim::FaultedWorkload::clean(&clip).unwrap();
+        let fifo = wcm_sim::FifoConfig::unbounded();
+        let summary = wcm_sim::simulate(&w, &cfg, &fifo, None, &mut new).unwrap();
+        assert_eq!(old.fifo_in_times, new.fifo_in_times());
+        assert_eq!(old.fifo_out_times, new.fifo_out_times());
+        assert_eq!(old.max_backlog, summary.max_backlog);
     }
 
     #[test]

@@ -23,7 +23,8 @@ use wcm_events::window::{max_window_sums, min_window_sums, WindowMode};
 use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
 use wcm_mpeg::profile::{standard_clips, ClipProfile};
 use wcm_mpeg::{ClipWorkload, Synthesizer, VideoParams};
-use wcm_sim::pipeline::{simulate_pipeline, PipelineConfig, PipelineResult};
+use wcm_sim::pipeline::{simulate, FifoConfig, PipelineConfig, PipelineSummary, SimScratch};
+use wcm_sim::FaultedWorkload;
 
 /// Default PE₁ clock used by the case-study experiments (fast enough to
 /// sustain the stream, slow enough that VLD paces the output realistically).
@@ -106,22 +107,39 @@ pub fn merged_workload_bounds(
     WorkloadBounds::merge_all(&all)
 }
 
-/// Simulates the PE₁ stage of one clip (PE₂ infinitely fast is irrelevant:
-/// without backpressure the FIFO input timing does not depend on PE₂) and
-/// returns the pipeline result carrying the FIFO-input timestamps.
+/// One clean run of a clip through the case-study pipeline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClipRun {
+    /// Time each macroblock entered the FIFO, seconds: the measured `ᾱ`.
+    pub fifo_in_times: Vec<f64>,
+    /// Time each macroblock left the FIFO, seconds.
+    pub fifo_out_times: Vec<f64>,
+    /// The run's backlog, busy times and makespan.
+    pub summary: PipelineSummary,
+}
+
+/// Simulates one clip through the case-study pipeline (the clip's bit
+/// rate, PE₁ at [`PE1_HZ`], an unbounded FIFO) with PE₂ at `pe2_hz`.
+/// Without backpressure the FIFO-input timing does not depend on PE₂, so
+/// any PE₂ clock measures `ᾱ`.
 ///
 /// # Errors
 ///
 /// Propagates simulator configuration errors.
-pub fn simulate_clip(clip: &ClipWorkload, pe2_hz: f64) -> Result<PipelineResult, wcm_sim::SimError> {
-    simulate_pipeline(
-        clip,
-        &PipelineConfig {
-            bitrate_bps: clip.params().bitrate_bps(),
-            pe1_hz: PE1_HZ,
-            pe2_hz,
-        },
-    )
+pub fn simulate_clip(clip: &ClipWorkload, pe2_hz: f64) -> Result<ClipRun, wcm_sim::SimError> {
+    let cfg = PipelineConfig {
+        bitrate_bps: clip.params().bitrate_bps(),
+        pe1_hz: PE1_HZ,
+        pe2_hz,
+    };
+    let mut scratch = SimScratch::new();
+    let w = FaultedWorkload::clean(clip)?;
+    let summary = simulate(&w, &cfg, &FifoConfig::unbounded(), None, &mut scratch)?;
+    Ok(ClipRun {
+        fifo_in_times: scratch.fifo_in_times().to_vec(),
+        fifo_out_times: scratch.fifo_out_times().to_vec(),
+        summary,
+    })
 }
 
 /// Measures the empirical macroblock arrival curve `ᾱ` at the FIFO input

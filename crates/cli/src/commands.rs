@@ -11,7 +11,10 @@ use wcm_core::EnvelopeMonitor;
 use wcm_curves::{minplus, StepCurve};
 use wcm_events::window::{max_window_sums, min_spans, min_window_sums, WindowMode};
 use wcm_events::Cycles;
-use wcm_sim::{FaultPlan, FifoConfig, Injector, OverflowPolicy, ProcessingElement, SourceModel};
+use wcm_sim::{
+    FaultPlan, FaultedWorkload, FifoConfig, Injector, OverflowPolicy, PipelineConfig,
+    ProcessingElement, SimScratch,
+};
 
 /// Usage text shown by `help` and on errors.
 pub const USAGE: &str = "usage: wcm-cli <subcommand> [--option value]...
@@ -289,8 +292,11 @@ pub fn mpeg(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `pipeline` subcommand.
-pub fn pipeline(opts: &Options) -> Result<(), CliError> {
+/// The synthesized clip and pipeline clocks that `pipeline` and `faults`
+/// share: `--clip`, `--gops`, `--pe1-mhz` and `--pe2-mhz`.
+fn clip_pipeline(
+    opts: &Options,
+) -> Result<(&str, wcm_mpeg::ClipWorkload, PipelineConfig), CliError> {
     let name = opts.required("clip")?;
     let profile = wcm_mpeg::profile::standard_clips()
         .into_iter()
@@ -299,24 +305,30 @@ pub fn pipeline(opts: &Options) -> Result<(), CliError> {
     let gops = opts.required_usize("gops")?;
     let params = wcm_mpeg::VideoParams::main_profile_main_level()?;
     let clip = wcm_mpeg::Synthesizer::new(params).generate(&profile, gops)?;
-    let cfg = wcm_sim::PipelineConfig {
+    let cfg = PipelineConfig {
         bitrate_bps: params.bitrate_bps(),
         pe1_hz: opts.required_f64("pe1-mhz")? * 1e6,
         pe2_hz: opts.required_f64("pe2-mhz")? * 1e6,
     };
-    let result = match opts.optional("capacity") {
+    Ok((name, clip, cfg))
+}
+
+/// `pipeline` subcommand.
+pub fn pipeline(opts: &Options) -> Result<(), CliError> {
+    let (name, clip, cfg) = clip_pipeline(opts)?;
+    let fifo = match opts.optional("capacity") {
         Some(c) => {
             let capacity = c.parse::<u64>().map_err(|e| format!("--capacity: {e}"))?;
-            let fifo = FifoConfig::bounded(capacity, OverflowPolicy::Backpressure);
-            wcm_sim::simulate_pipeline_robust(&clip, &cfg, &fifo, SourceModel::Cbr, None, None)?
-                .pipeline
+            FifoConfig::bounded(capacity, OverflowPolicy::Backpressure)
         }
-        None => wcm_sim::simulate_pipeline(&clip, &cfg)?,
+        None => FifoConfig::unbounded(),
     };
-    let worst_latency = result
-        .fifo_in_times
+    let mut run = SimScratch::new();
+    let result = wcm_sim::simulate(&FaultedWorkload::clean(&clip)?, &cfg, &fifo, None, &mut run)?;
+    let worst_latency = run
+        .fifo_in_times()
         .iter()
-        .zip(&result.fifo_out_times)
+        .zip(run.fifo_out_times())
         .map(|(i, o)| o - i)
         .fold(0.0f64, f64::max);
     println!("clip {name}");
@@ -330,22 +342,10 @@ pub fn pipeline(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `faults` subcommand: the robust pipeline under seeded fault injection,
+/// `faults` subcommand: the pipeline under seeded fault injection,
 /// bounded-FIFO degradation and an online γᵘ envelope monitor.
 pub fn faults(opts: &Options) -> Result<(), CliError> {
-    let name = opts.required("clip")?;
-    let profile = wcm_mpeg::profile::standard_clips()
-        .into_iter()
-        .find(|c| c.name == name)
-        .ok_or_else(|| format!("unknown clip `{name}` (try `mpeg --clip list`)"))?;
-    let gops = opts.required_usize("gops")?;
-    let params = wcm_mpeg::VideoParams::main_profile_main_level()?;
-    let clip = wcm_mpeg::Synthesizer::new(params).generate(&profile, gops)?;
-    let cfg = wcm_sim::PipelineConfig {
-        bitrate_bps: params.bitrate_bps(),
-        pe1_hz: opts.required_f64("pe1-mhz")? * 1e6,
-        pe2_hz: opts.required_f64("pe2-mhz")? * 1e6,
-    };
+    let (name, clip, cfg) = clip_pipeline(opts)?;
 
     let policy = match opts.optional("policy").unwrap_or("backpressure") {
         "backpressure" => OverflowPolicy::Backpressure,
@@ -399,14 +399,9 @@ pub fn faults(opts: &Options) -> Result<(), CliError> {
         None
     };
 
-    let result = wcm_sim::simulate_pipeline_robust(
-        &clip,
-        &cfg,
-        &fifo,
-        SourceModel::Cbr,
-        Some(&plan),
-        monitor.as_mut(),
-    )?;
+    let stream = plan.apply(&clip)?;
+    let mut run = SimScratch::new();
+    let result = wcm_sim::simulate(&stream, &cfg, &fifo, monitor.as_mut(), &mut run)?;
 
     println!("clip {name}");
     println!("seed {seed}");
@@ -417,8 +412,8 @@ pub fn faults(opts: &Options) -> Result<(), CliError> {
             (Some(c), p) => format!("{p:?}({c})").to_lowercase(),
         }
     );
-    println!("stream_macroblocks {}", result.stream_len);
-    let fr = &result.faults;
+    println!("stream_macroblocks {}", stream.len());
+    let fr = &stream.report;
     println!(
         "injected dropped={} duplicated={} corrupted={} spiked={} jittered={} slowed={}",
         fr.dropped_events,
@@ -428,14 +423,11 @@ pub fn faults(opts: &Options) -> Result<(), CliError> {
         fr.jittered_events,
         fr.slowed_events
     );
-    println!("max_backlog_mb {}", result.pipeline.max_backlog);
-    println!("dropped_by_fifo {}", result.pipeline.dropped.len());
-    if !result.pipeline.dropped.is_empty() {
-        // Re-derive the faulted stream (deterministic under the seed) to
-        // attribute each FIFO drop to its frame kind.
-        let stream = plan.apply(&clip)?;
+    println!("max_backlog_mb {}", result.max_backlog);
+    println!("dropped_by_fifo {}", result.dropped);
+    if result.dropped > 0 {
         let (mut b, mut p, mut i) = (0u64, 0u64, 0u64);
-        for &idx in &result.pipeline.dropped {
+        for &idx in run.dropped() {
             match stream.kinds[idx] {
                 wcm_mpeg::params::FrameKind::B => b += 1,
                 wcm_mpeg::params::FrameKind::P => p += 1,
@@ -444,8 +436,8 @@ pub fn faults(opts: &Options) -> Result<(), CliError> {
         }
         println!("dropped_kinds B={b} P={p} I={i}");
     }
-    println!("pe1_stalled_s {:.4}", result.pipeline.pe1_stalled);
-    println!("makespan_s {:.4}", result.pipeline.makespan);
+    println!("pe1_stalled_s {:.4}", result.pe1_stalled);
+    println!("makespan_s {:.4}", result.makespan);
 
     if let Some(m) = &monitor {
         let report = m.report();

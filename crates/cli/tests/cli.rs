@@ -836,3 +836,89 @@ fn strides_near_usize_max_match_any_stride_past_k() {
     }
     std::fs::remove_file(dem).ok();
 }
+
+/// Runs `wcm-cli` and returns its stdout, asserting exit code 0.
+fn stdout_of(args: &[&str]) -> String {
+    let out = cli().args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+const NEWSCAST_PIPELINE: [&str; 9] = [
+    "pipeline", "--clip", "newscast", "--gops", "1", "--pe1-mhz", "60", "--pe2-mhz", "340",
+];
+
+#[test]
+fn pipeline_stdout_is_golden() {
+    let want = "clip newscast
+macroblocks 19440
+max_backlog_mb 3
+worst_fifo_latency_ms 0.057
+pe1_busy_s 0.4347
+pe2_busy_s 0.1881
+pe1_stalled_s 0.0000
+makespan_s 0.5259
+";
+    assert_eq!(stdout_of(&NEWSCAST_PIPELINE), want);
+    // 64 slots never fill at 340 MHz: the bounded run prints the same.
+    let bounded = [&NEWSCAST_PIPELINE[..], &["--capacity", "64"]].concat();
+    assert_eq!(stdout_of(&bounded), want);
+}
+
+#[test]
+fn pipeline_backpressure_stdout_is_golden() {
+    let mut args = NEWSCAST_PIPELINE;
+    args[8] = "150";
+    let args = [&args[..], &["--capacity", "64"]].concat();
+    assert_eq!(
+        stdout_of(&args),
+        "clip newscast
+macroblocks 19440
+max_backlog_mb 64
+worst_fifo_latency_ms 2.262
+pe1_busy_s 0.4347
+pe2_busy_s 0.4263
+pe1_stalled_s 0.0229
+makespan_s 0.5460
+"
+    );
+}
+
+#[test]
+fn faults_fifo_drops_stdout_is_golden() {
+    let faults = |pe2_mhz: &str| {
+        stdout_of(&[
+            "faults", "--clip", "newscast", "--gops", "1", "--pe1-mhz", "60", "--pe2-mhz",
+            pe2_mhz, "--capacity", "64", "--policy", "drop-priority", "--inject",
+            "drop:pm=30;dup:pm=30;jitter:start=0,len=200,delay=0.001", "--monitor", "off",
+        ])
+    };
+    let head = "clip newscast
+seed 0
+policy dropbypriority(64)
+stream_macroblocks 19467
+injected dropped=536 duplicated=563 corrupted=0 spiked=0 jittered=200 slowed=0
+";
+    assert_eq!(
+        faults("340"),
+        format!(
+            "{head}max_backlog_mb 4
+dropped_by_fifo 0
+pe1_stalled_s 0.0000
+makespan_s 0.5269
+"
+        )
+    );
+    // At 100 MHz the FIFO overflows and each drop is labelled by kind.
+    assert_eq!(
+        faults("100"),
+        format!(
+            "{head}max_backlog_mb 64
+dropped_by_fifo 5572
+dropped_kinds B=5419 P=153 I=0
+pe1_stalled_s 0.0000
+makespan_s 0.5295
+"
+        )
+    );
+}

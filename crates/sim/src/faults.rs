@@ -300,8 +300,6 @@ pub struct FaultedWorkload {
     /// Enclosing picture kind per macroblock (drop priority: B before P
     /// before I).
     pub kinds: Vec<FrameKind>,
-    /// Original frame index per macroblock (burst-source grouping).
-    pub frame_of: Vec<usize>,
     /// Extra seconds added to the bit-arrival instant (jitter).
     pub arrival_delay_s: Vec<f64>,
     /// PE₁ service-time multiplier (clock drift; 1.0 = nominal).
@@ -328,19 +326,14 @@ impl FaultedWorkload {
             return Err(SimError::EmptyWorkload);
         }
         let mut kinds = Vec::with_capacity(n);
-        let mut frame_of = Vec::with_capacity(n);
-        for (f, frame) in clip.frames().iter().enumerate() {
-            for mb in frame.macroblocks() {
-                kinds.push(mb.frame);
-                frame_of.push(f);
-            }
+        for frame in clip.frames() {
+            kinds.extend(frame.macroblocks().iter().map(|mb| mb.frame));
         }
         Ok(Self {
             bits: clip.mb_bits(),
             pe1_cycles: clip.pe1_demands(),
             pe2_cycles: clip.pe2_demands(),
             kinds,
-            frame_of,
             arrival_delay_s: vec![0.0; n],
             pe1_scale: vec![1.0; n],
             pe2_scale: vec![1.0; n],
@@ -467,8 +460,6 @@ impl FaultedWorkload {
         let mut it = keep.iter();
         self.kinds.retain(|_| *it.next().unwrap_or(&true));
         let mut it = keep.iter();
-        self.frame_of.retain(|_| *it.next().unwrap_or(&true));
-        let mut it = keep.iter();
         self.arrival_delay_s.retain(|_| *it.next().unwrap_or(&true));
         let mut it = keep.iter();
         self.pe1_scale.retain(|_| *it.next().unwrap_or(&true));
@@ -496,7 +487,6 @@ impl FaultedWorkload {
         self.pe1_cycles = dup_vec(&self.pe1_cycles, dup);
         self.pe2_cycles = dup_vec(&self.pe2_cycles, dup);
         self.kinds = dup_vec(&self.kinds, dup);
-        self.frame_of = dup_vec(&self.frame_of, dup);
         self.arrival_delay_s = dup_vec(&self.arrival_delay_s, dup);
         self.pe1_scale = dup_vec(&self.pe1_scale, dup);
         self.pe2_scale = dup_vec(&self.pe2_scale, dup);
@@ -645,7 +635,6 @@ mod tests {
             assert_eq!(w.bits.len(), w.len());
             assert_eq!(w.pe2_cycles.len(), w.len());
             assert_eq!(w.kinds.len(), w.len());
-            assert_eq!(w.frame_of.len(), w.len());
             assert_eq!(w.arrival_delay_s.len(), w.len());
         }
     }

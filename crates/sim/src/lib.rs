@@ -14,8 +14,9 @@
 //!   capacity-bounded with an explicit [`pipeline::OverflowPolicy`];
 //! * [`faults`] — seeded, composable fault injection (jitter bursts,
 //!   drops/duplicates, demand spikes, clock drift, stalls, bit errors)
-//!   consumed by [`pipeline::simulate_pipeline_robust`];
-//! * [`stats`] — occupancy sweeps over enqueue/dequeue timestamp pairs;
+//!   that turns a clip into the [`FaultedWorkload`] that
+//!   [`pipeline::simulate`] runs;
+//! * [`stats`] — the occupancy sweep over enqueue/dequeue timestamp pairs;
 //! * [`sweep`] — parallel design-space exploration over a
 //!   `(clip × frequency × capacity × policy × seed)` grid, with an
 //!   analytic pre-pass (eqs. 8–10) that proves most points safe or unsafe
@@ -25,19 +26,19 @@
 //!
 //! ```
 //! use wcm_mpeg::{params::VideoParams, profile, Synthesizer};
-//! use wcm_sim::pipeline::{simulate_pipeline, PipelineConfig};
+//! use wcm_sim::pipeline::{simulate, FifoConfig, PipelineConfig, SimScratch};
+//! use wcm_sim::FaultedWorkload;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let params = VideoParams::new(160, 128, 25.0, 1.0e6,
 //!     wcm_mpeg::GopStructure::broadcast())?;
 //! let clip = Synthesizer::new(params).generate(&profile::standard_clips()[0], 1)?;
-//! let result = simulate_pipeline(&clip, &PipelineConfig {
-//!     bitrate_bps: 1.0e6,
-//!     pe1_hz: 20.0e6,
-//!     pe2_hz: 40.0e6,
-//! })?;
-//! assert!(result.max_backlog > 0);
-//! assert_eq!(result.fifo_in_times.len(), clip.macroblock_count());
+//! let cfg = PipelineConfig { bitrate_bps: 1.0e6, pe1_hz: 20.0e6, pe2_hz: 40.0e6 };
+//! let mut scratch = SimScratch::new();
+//! let w = FaultedWorkload::clean(&clip)?;
+//! let summary = simulate(&w, &cfg, &FifoConfig::unbounded(), None, &mut scratch)?;
+//! assert!(summary.max_backlog > 0);
+//! assert_eq!(scratch.fifo_in_times().len(), clip.macroblock_count());
 //! # Ok(())
 //! # }
 //! ```
@@ -56,8 +57,7 @@ pub use error::SimError;
 pub use faults::frames::{FrameCorruptionPlan, FrameFaultReport, FrameFaulted, FrameInjector};
 pub use faults::{FaultPlan, FaultReport, FaultedWorkload, Injector, ProcessingElement};
 pub use pipeline::{
-    simulate_pipeline, simulate_pipeline_robust, FifoConfig, OverflowPolicy, PipelineConfig,
-    PipelineResult, RobustPipelineResult, SourceModel,
+    simulate, FifoConfig, OverflowPolicy, PipelineConfig, PipelineSummary, SimScratch,
 };
 pub use sweep::{
     merge_shards, run_frontier, run_sweep, run_sweep_streaming, spec_fingerprint,

@@ -17,10 +17,13 @@
 //! backpressure, rejection of the incoming macroblock, or priority
 //! dropping that sacrifices B-frame macroblocks before P before I.
 //!
-//! [`simulate_pipeline_robust`] additionally threads a seeded
-//! [`FaultPlan`] through the stream and can feed every macroblock PE₂
+//! [`simulate`] is the one entry point. It runs a [`FaultedWorkload`]: a
+//! clip's stream as it is ([`FaultedWorkload::clean`]) or after a seeded
+//! [`FaultPlan`](crate::FaultPlan). It can feed every macroblock PE₂
 //! consumes into an online [`EnvelopeMonitor`], turning the a-posteriori
-//! backlog check into a live verdict against `γᵘ/γˡ`.
+//! backlog check into a live verdict against `γᵘ/γˡ`. It returns a
+//! [`PipelineSummary`]; the run's per-macroblock FIFO timing stays in the
+//! [`SimScratch`] and is read through its slices.
 //!
 //! # Hot path
 //!
@@ -36,15 +39,14 @@
 //! same-time PE completions), and PE completions take increasing sequence
 //! numbers at schedule time. [`SimScratch`] makes all per-run buffers
 //! reusable so a design-space sweep can evaluate thousands of points
-//! without touching the allocator; [`simulate_faulted`] is the
-//! scratch-aware entry point over a shared, read-only [`FaultedWorkload`].
+//! without touching the allocator, and the [`FaultedWorkload`] is
+//! read-only, so workers can share it.
 
-use crate::faults::{FaultPlan, FaultReport, FaultedWorkload};
+use crate::faults::FaultedWorkload;
 use crate::SimError;
 use std::collections::VecDeque;
 use wcm_core::monitor::EnvelopeMonitor;
 use wcm_mpeg::params::FrameKind;
-use wcm_mpeg::ClipWorkload;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,49 +172,11 @@ impl ClassFifo {
     }
 }
 
-/// Result of one pipeline simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineResult {
-    /// Time each macroblock entered the FIFO (PE₁ completion, or the later
-    /// un-blocking instant under backpressure), seconds. A dropped
-    /// macroblock carries its drop instant.
-    pub fifo_in_times: Vec<f64>,
-    /// Time each macroblock left the FIFO (PE₂ completion, or the drop
-    /// instant for discarded macroblocks), seconds.
-    pub fifo_out_times: Vec<f64>,
-    /// Maximum FIFO occupancy in macroblocks (including the one in
-    /// service at PE₂).
-    pub max_backlog: u64,
-    /// Total PE₁ busy time, seconds.
-    pub pe1_busy: f64,
-    /// Total PE₂ busy time, seconds.
-    pub pe2_busy: f64,
-    /// Time PE₁ spent blocked on a full FIFO (0 without backpressure).
-    pub pe1_stalled: f64,
-    /// Completion time of the last macroblock PE₂ processed.
-    pub makespan: f64,
-    /// Stream indices of macroblocks discarded by `Reject` /
-    /// `DropByPriority` (empty for lossless runs), in drop order.
-    pub dropped: Vec<usize>,
-}
-
-/// Result of [`simulate_pipeline_robust`]: the pipeline outcome plus what
-/// the fault plan did to the stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustPipelineResult {
-    /// The simulation outcome over the (possibly faulted) stream.
-    pub pipeline: PipelineResult,
-    /// Injection counters (all zero without a fault plan).
-    pub faults: FaultReport,
-    /// Length of the stream actually simulated (drops/duplications change
-    /// it relative to `clip.macroblock_count()`).
-    pub stream_len: usize,
-}
-
-/// Reusable per-run buffers for the pipeline simulator. A sweep worker
-/// creates one and passes it to [`simulate_faulted`] for every point it
-/// evaluates: after the first run no allocation happens (buffers are
-/// cleared, not freed), and workers share no state.
+/// Reusable per-run buffers for the pipeline simulator, and the
+/// per-macroblock timing of the last run. A sweep worker creates one and
+/// passes it to [`simulate`] for every point it evaluates: after the first
+/// run no allocation happens (buffers are cleared, not freed), and workers
+/// share no state.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     /// `(bits-ready time, stream index)`, sorted by `(time, index)`.
@@ -243,10 +207,34 @@ impl SimScratch {
         self.fifo_out.resize(n, 0.0);
         self.dropped.clear();
     }
+
+    /// Time each macroblock of the last run entered the FIFO (PE₁
+    /// completion, or the later un-blocking instant under backpressure),
+    /// seconds, in stream order. A dropped macroblock carries its drop
+    /// instant.
+    #[must_use]
+    pub fn fifo_in_times(&self) -> &[f64] {
+        &self.fifo_in
+    }
+
+    /// Time each macroblock of the last run left the FIFO (PE₂
+    /// completion, or the drop instant for a discarded macroblock),
+    /// seconds, in stream order.
+    #[must_use]
+    pub fn fifo_out_times(&self) -> &[f64] {
+        &self.fifo_out
+    }
+
+    /// Stream indices of the macroblocks the last run discarded under
+    /// `Reject`/`DropByPriority`, in drop order (empty for lossless runs).
+    #[must_use]
+    pub fn dropped(&self) -> &[usize] {
+        &self.dropped
+    }
 }
 
-/// Allocation-free digest of one pipeline run — what a design-space sweep
-/// needs from a point without materializing per-macroblock time vectors.
+/// Digest of one pipeline run. The per-macroblock timing stays in the
+/// [`SimScratch`] the run used.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineSummary {
     /// Maximum FIFO occupancy in macroblocks (including the one in service).
@@ -256,6 +244,8 @@ pub struct PipelineSummary {
     pub overflowed: bool,
     /// Number of macroblocks discarded by `Reject`/`DropByPriority`.
     pub dropped: usize,
+    /// Total PE₁ busy time, seconds.
+    pub pe1_busy: f64,
     /// Time PE₁ spent blocked on a full FIFO (0 without backpressure).
     pub pe1_stalled: f64,
     /// Total PE₂ busy time, seconds.
@@ -264,180 +254,12 @@ pub struct PipelineSummary {
     pub makespan: f64,
 }
 
-/// Simulates the clip through the pipeline with an unbounded FIFO
-/// (the paper's measurement setup: capacity is checked a posteriori).
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidParameter`] for non-positive rates and
-/// [`SimError::EmptyWorkload`] for a clip without macroblocks.
-pub fn simulate_pipeline(
-    clip: &ClipWorkload,
-    cfg: &PipelineConfig,
-) -> Result<PipelineResult, SimError> {
-    let w = FaultedWorkload::clean(clip)?;
-    run_full(
-        &w,
-        cfg,
-        &FifoConfig::unbounded(),
-        SourceModel::Cbr,
-        clip.params().frame_period(),
-        None,
-    )
-}
-
-/// How compressed bits reach PE₁.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SourceModel {
-    /// Continuous constant-bit-rate channel at `PipelineConfig::bitrate_bps`
-    /// — the paper's setup and the default of [`simulate_pipeline`].
-    Cbr,
-    /// Frame-burst delivery (VBR-style transport): each picture's bits
-    /// become available starting at its release instant (one frame period
-    /// apart) and stream in at `peak_bps` — idle gaps between pictures
-    /// instead of a smooth channel.
-    FrameBurst {
-        /// Peak delivery rate within a burst, bits per second.
-        peak_bps: f64,
-    },
-}
-
-/// The full-control entry point: seeded fault injection, bounded FIFO with
-/// an explicit overflow policy, and optional online envelope monitoring of
-/// the demand stream PE₂ consumes.
-///
-/// With `plan` absent (or a clean plan), `FifoConfig::unbounded()` and no
-/// monitor, the [`PipelineResult`] is bit-identical to
-/// [`simulate_pipeline`]'s — the robust path costs nothing on the clean
-/// path (regression-tested).
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidParameter`] for invalid rates, a zero
-/// capacity or a non-positive `peak_bps`; [`SimError::EmptyWorkload`] for
-/// an empty clip; [`SimError::InvalidInjector`] /
-/// [`SimError::AllEventsDropped`] from the fault plan.
-pub fn simulate_pipeline_robust(
-    clip: &ClipWorkload,
-    cfg: &PipelineConfig,
-    fifo: &FifoConfig,
-    source: SourceModel,
-    plan: Option<&FaultPlan>,
-    monitor: Option<&mut EnvelopeMonitor>,
-) -> Result<RobustPipelineResult, SimError> {
-    validate_fifo(fifo)?;
-    validate_source(&source)?;
-    let w = match plan {
-        Some(p) => p.apply(clip)?,
-        None => FaultedWorkload::clean(clip)?,
-    };
-    let faults = w.report;
-    let stream_len = w.len();
-    let pipeline = run_full(
-        &w,
-        cfg,
-        fifo,
-        source,
-        clip.params().frame_period(),
-        monitor,
-    )?;
-    Ok(RobustPipelineResult {
-        pipeline,
-        faults,
-        stream_len,
-    })
-}
-
-/// The sweep-facing entry point: simulates a pre-built (possibly faulted)
-/// stream with reusable scratch buffers and returns only the
-/// [`PipelineSummary`] — no per-macroblock vectors, no allocation after the
-/// scratch has warmed up. The `FaultedWorkload` is read-only and can be
-/// shared across workers; `frame_period` is the clip's picture period
-/// (`ClipWorkload::params().frame_period()`), used by the
-/// [`SourceModel::FrameBurst`] release schedule.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_pipeline_robust`].
-pub fn simulate_faulted(
-    w: &FaultedWorkload,
-    cfg: &PipelineConfig,
-    fifo: &FifoConfig,
-    source: SourceModel,
-    frame_period: f64,
-    monitor: Option<&mut EnvelopeMonitor>,
-    scratch: &mut SimScratch,
-) -> Result<PipelineSummary, SimError> {
-    validate_fifo(fifo)?;
-    validate_source(&source)?;
-    let out = simulate_core(w, cfg, fifo, source, frame_period, monitor, scratch)?;
-    Ok(PipelineSummary {
-        max_backlog: out.max_backlog,
-        overflowed: out.overflowed,
-        dropped: scratch.dropped.len(),
-        pe1_stalled: out.pe1_stalled,
-        pe2_busy: out.pe2_busy,
-        makespan: out.makespan,
-    })
-}
-
-/// Runs the core with a one-shot scratch and materializes the full
-/// [`PipelineResult`].
-fn run_full(
-    w: &FaultedWorkload,
-    cfg: &PipelineConfig,
-    fifo_cfg: &FifoConfig,
-    source: SourceModel,
-    frame_period: f64,
-    monitor: Option<&mut EnvelopeMonitor>,
-) -> Result<PipelineResult, SimError> {
-    let mut scratch = SimScratch::new();
-    let out = simulate_core(w, cfg, fifo_cfg, source, frame_period, monitor, &mut scratch)?;
-    Ok(PipelineResult {
-        fifo_in_times: std::mem::take(&mut scratch.fifo_in),
-        fifo_out_times: std::mem::take(&mut scratch.fifo_out),
-        max_backlog: out.max_backlog,
-        pe1_busy: out.pe1_busy,
-        pe2_busy: out.pe2_busy,
-        pe1_stalled: out.pe1_stalled,
-        makespan: out.makespan,
-        dropped: std::mem::take(&mut scratch.dropped),
-    })
-}
-
-fn validate_fifo(fifo: &FifoConfig) -> Result<(), SimError> {
-    if fifo.capacity == Some(0) {
-        return Err(SimError::InvalidParameter { name: "capacity" });
-    }
-    Ok(())
-}
-
-fn validate_source(source: &SourceModel) -> Result<(), SimError> {
-    if let SourceModel::FrameBurst { peak_bps } = source {
-        if !(peak_bps.is_finite() && *peak_bps > 0.0) {
-            return Err(SimError::InvalidParameter { name: "peak_bps" });
-        }
-    }
-    Ok(())
-}
-
-/// Small Copy digest the core hands back; vectors live in the scratch.
-#[derive(Debug, Clone, Copy)]
-struct CoreOut {
-    max_backlog: u64,
-    overflowed: bool,
-    pe1_busy: f64,
-    pe2_busy: f64,
-    pe1_stalled: f64,
-    makespan: f64,
-}
-
-/// Which of the three event sources fires next.
+/// Which of the three event sources fires next, and for which macroblock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Next {
-    Bits,
-    Pe1,
-    Pe2,
+    Bits(usize),
+    Pe1(usize),
+    Pe2(usize),
 }
 
 /// `(time, seq)` strictly before the current best? Uses `total_cmp` like
@@ -462,15 +284,27 @@ fn finite(time: f64) -> Result<f64, SimError> {
     }
 }
 
-fn simulate_core(
+/// Simulates the stream `w` through the pipeline with the FIFO `fifo`,
+/// reusing `scratch`'s buffers, and feeds every macroblock PE₂ starts into
+/// `monitor`, if given. A clean stream through an unbounded FIFO is the
+/// paper's measurement setup.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidParameter`] for a zero capacity or a
+/// non-positive or non-finite rate, [`SimError::EmptyWorkload`] for an
+/// empty stream and [`SimError::NonFiniteTime`] when injected faults push
+/// an event time past `f64`'s range.
+pub fn simulate(
     w: &FaultedWorkload,
     cfg: &PipelineConfig,
-    fifo_cfg: &FifoConfig,
-    source: SourceModel,
-    frame_period: f64,
+    fifo: &FifoConfig,
     mut monitor: Option<&mut EnvelopeMonitor>,
     scratch: &mut SimScratch,
-) -> Result<CoreOut, SimError> {
+) -> Result<PipelineSummary, SimError> {
+    if fifo.capacity == Some(0) {
+        return Err(SimError::InvalidParameter { name: "capacity" });
+    }
     let _span = wcm_obs::span("sim.run");
     if !(cfg.bitrate_bps.is_finite() && cfg.bitrate_bps > 0.0) {
         return Err(SimError::InvalidParameter {
@@ -487,41 +321,18 @@ fn simulate_core(
     if n == 0 {
         return Err(SimError::EmptyWorkload);
     }
-    let capacity = fifo_cfg.capacity;
-    let policy = fifo_cfg.policy;
+    let capacity = fifo.capacity;
+    let policy = fifo.policy;
     scratch.reset(n);
 
-    match source {
-        SourceModel::Cbr => {
-            // Bits arrive continuously; MB i is complete at cum_bits/rate,
-            // shifted by any injected transport jitter. `x + 0.0 == x`
-            // exactly, so a clean stream reproduces the unfaulted times
-            // bit-for-bit.
-            let mut cum = 0.0f64;
-            for i in 0..n {
-                cum += w.bits[i] as f64;
-                let t = finite(cum / cfg.bitrate_bps + w.arrival_delay_s[i])?;
-                scratch.ready.push((t, i));
-            }
-        }
-        SourceModel::FrameBurst { peak_bps } => {
-            // Each picture's bits stream in at the peak rate from its
-            // release instant (or the end of the previous burst, whichever
-            // is later). Faulted streams keep their original frame index,
-            // so drops/duplications don't shift later pictures' releases.
-            let mut channel_free = 0.0f64;
-            let mut current_frame = usize::MAX;
-            let mut t = 0.0f64;
-            for i in 0..n {
-                if w.frame_of[i] != current_frame {
-                    current_frame = w.frame_of[i];
-                    t = channel_free.max(current_frame as f64 * frame_period);
-                }
-                t += w.bits[i].max(1) as f64 / peak_bps;
-                scratch.ready.push((finite(t + w.arrival_delay_s[i])?, i));
-                channel_free = t;
-            }
-        }
+    // Bits arrive continuously; MB i is complete at cum_bits/rate, shifted
+    // by any injected transport jitter. `x + 0.0 == x` exactly, so a clean
+    // stream reproduces the unfaulted times bit-for-bit.
+    let mut cum = 0.0f64;
+    for i in 0..n {
+        cum += w.bits[i] as f64;
+        let t = finite(cum / cfg.bitrate_bps + w.arrival_delay_s[i])?;
+        scratch.ready.push((t, i));
     }
     // Clean streams are already time-sorted; injected jitter may reorder.
     // A *stable* sort by time preserves the index order of ties, which is
@@ -566,19 +377,21 @@ fn simulate_core(
         let mut best: Option<(f64, u64, Next)> = None;
         if cursor < n {
             let (t, i) = scratch.ready[cursor];
-            best = Some((t, i as u64, Next::Bits));
+            best = Some((t, i as u64, Next::Bits(i)));
         }
-        for (slot, which) in [(&pe1_slot, Next::Pe1), (&pe2_slot, Next::Pe2)] {
-            if let Some(&(t, s, _)) = slot.as_ref() {
-                if best.is_none_or(|(bt, bs, _)| beats(t, s, bt, bs)) {
-                    best = Some((t, s, which));
-                }
+        if let Some((t, s, i)) = pe1_slot {
+            if best.is_none_or(|(bt, bs, _)| beats(t, s, bt, bs)) {
+                best = Some((t, s, Next::Pe1(i)));
+            }
+        }
+        if let Some((t, s, i)) = pe2_slot {
+            if best.is_none_or(|(bt, bs, _)| beats(t, s, bt, bs)) {
+                best = Some((t, s, Next::Pe2(i)));
             }
         }
         let Some((now, _, which)) = best else { break };
         match which {
-            Next::Bits => {
-                let i = scratch.ready[cursor].1;
+            Next::Bits(i) => {
                 cursor += 1;
                 scratch.available[i] = true;
                 if pe1_idle && pe1_held.is_none() && i == next_pe1 {
@@ -589,8 +402,8 @@ fn simulate_core(
                     next_seq += 1;
                 }
             }
-            Next::Pe1 => {
-                let i = pe1_slot.take().map(|(_, _, i)| i).unwrap_or(0);
+            Next::Pe1(i) => {
+                pe1_slot = None;
                 next_pe1 = i + 1;
                 let resident = scratch.fifo.len() as u64 + u64::from(pe2_busy_now);
                 let full = capacity.is_some_and(|c| resident >= c);
@@ -662,8 +475,8 @@ fn simulate_core(
                     }
                 }
             }
-            Next::Pe2 => {
-                let i = pe2_slot.take().map(|(_, _, i)| i).unwrap_or(0);
+            Next::Pe2(i) => {
+                pe2_slot = None;
                 scratch.fifo_out[i] = now;
                 makespan = makespan.max(now);
                 pe2_busy_now = false;
@@ -712,12 +525,13 @@ fn simulate_core(
         }
     }
 
-    Ok(CoreOut {
+    Ok(PipelineSummary {
         max_backlog,
         overflowed,
+        dropped: scratch.dropped.len(),
         pe1_busy,
-        pe2_busy,
         pe1_stalled,
+        pe2_busy,
         makespan,
     })
 }
@@ -725,11 +539,12 @@ fn simulate_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::Injector;
+    use crate::faults::{FaultPlan, Injector};
     use wcm_mpeg::demand::{Pe1Model, Pe2Model};
     use wcm_mpeg::mb::{Macroblock, MacroblockClass};
     use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
     use wcm_mpeg::workload::FrameWorkload;
+    use wcm_mpeg::ClipWorkload;
 
     /// A hand-sized workload: `n` identical intra macroblocks of 100 bits.
     fn tiny_clip(n: usize) -> ClipWorkload {
@@ -773,6 +588,28 @@ mod tests {
         )
     }
 
+    /// Runs `clip`, after `plan` if one is given, through `fifo`; the
+    /// scratch holds the run's per-macroblock timing.
+    fn run_with(
+        clip: &ClipWorkload,
+        cfg: &PipelineConfig,
+        fifo: &FifoConfig,
+        plan: Option<&FaultPlan>,
+    ) -> Result<(PipelineSummary, SimScratch), SimError> {
+        let w = match plan {
+            Some(p) => p.apply(clip)?,
+            None => FaultedWorkload::clean(clip)?,
+        };
+        let mut scratch = SimScratch::new();
+        let summary = simulate(&w, cfg, fifo, None, &mut scratch)?;
+        Ok((summary, scratch))
+    }
+
+    /// A clean run through an unbounded FIFO.
+    fn run(clip: &ClipWorkload, cfg: &PipelineConfig) -> (PipelineSummary, SimScratch) {
+        run_with(clip, cfg, &FifoConfig::unbounded(), None).unwrap()
+    }
+
     #[test]
     fn hand_computed_timeline() {
         // 3 MBs × 100 bits at 100 bit/s → bits ready at 1, 2, 3 s.
@@ -780,21 +617,20 @@ mod tests {
         // bits: finishes at 2, 3, 4 s.
         // PE2: 1000 cycles at 1000 Hz → 1 s per MB: finishes at 3, 4, 5 s.
         let clip = tiny_clip(3);
-        let r = simulate_pipeline(
+        let (r, t) = run(
             &clip,
             &PipelineConfig {
                 bitrate_bps: 100.0,
                 pe1_hz: 100.0,
                 pe2_hz: 1000.0,
             },
-        )
-        .unwrap();
+        );
         let expect_in = [2.0, 3.0, 4.0];
         let expect_out = [3.0, 4.0, 5.0];
         for i in 0..3 {
-            assert!((r.fifo_in_times[i] - expect_in[i]).abs() < 1e-9, "in {i}");
+            assert!((t.fifo_in_times()[i] - expect_in[i]).abs() < 1e-9, "in {i}");
             assert!(
-                (r.fifo_out_times[i] - expect_out[i]).abs() < 1e-9,
+                (t.fifo_out_times()[i] - expect_out[i]).abs() < 1e-9,
                 "out {i}"
             );
         }
@@ -802,25 +638,25 @@ mod tests {
         assert!((r.makespan - 5.0).abs() < 1e-9);
         assert!((r.pe1_busy - 3.0).abs() < 1e-9);
         assert!((r.pe2_busy - 3.0).abs() < 1e-9);
-        assert!(r.dropped.is_empty());
+        assert_eq!(r.dropped, 0);
+        assert!(t.dropped().is_empty());
     }
 
     #[test]
     fn slow_pe2_accumulates_backlog() {
         // PE2 at 250 Hz → 4 s per MB while PE1 emits one per second.
         let clip = tiny_clip(5);
-        let r = simulate_pipeline(
+        let (r, t) = run(
             &clip,
             &PipelineConfig {
                 bitrate_bps: 100.0,
                 pe1_hz: 100.0,
                 pe2_hz: 250.0,
             },
-        )
-        .unwrap();
+        );
         assert!(r.max_backlog >= 3, "backlog {}", r.max_backlog);
         // FIFO discipline: out times strictly increasing.
-        for w in r.fifo_out_times.windows(2) {
+        for w in t.fifo_out_times().windows(2) {
             assert!(w[1] > w[0]);
         }
     }
@@ -828,15 +664,14 @@ mod tests {
     #[test]
     fn fast_pe2_keeps_backlog_at_one() {
         let clip = tiny_clip(10);
-        let r = simulate_pipeline(
+        let (r, _) = run(
             &clip,
             &PipelineConfig {
                 bitrate_bps: 100.0,
                 pe1_hz: 100.0,
                 pe2_hz: 1.0e6,
             },
-        )
-        .unwrap();
+        );
         assert_eq!(r.max_backlog, 1);
     }
 
@@ -853,22 +688,21 @@ mod tests {
         let clip = wcm_mpeg::Synthesizer::new(params)
             .generate(&wcm_mpeg::profile::standard_clips()[4], 1)
             .unwrap();
-        let r = simulate_pipeline(
+        let (r, t) = run(
             &clip,
             &PipelineConfig {
                 bitrate_bps: 1.0e6,
                 pe1_hz: 20.0e6,
                 pe2_hz: 50.0e6,
             },
-        )
-        .unwrap();
+        );
         let n = clip.macroblock_count();
-        assert_eq!(r.fifo_in_times.len(), n);
-        assert_eq!(r.fifo_out_times.len(), n);
+        assert_eq!(t.fifo_in_times().len(), n);
+        assert_eq!(t.fifo_out_times().len(), n);
         for i in 0..n {
-            assert!(r.fifo_out_times[i] >= r.fifo_in_times[i]);
+            assert!(t.fifo_out_times()[i] >= t.fifo_in_times()[i]);
         }
-        for w in r.fifo_in_times.windows(2) {
+        for w in t.fifo_in_times().windows(2) {
             assert!(w[1] >= w[0], "PE1 output must be in order");
         }
         // Work conservation: busy times equal total demand / frequency.
@@ -894,90 +728,15 @@ mod tests {
             pe1_hz: 20.0e6,
             pe2_hz: 10.0e6,
         };
-        let slow = simulate_pipeline(&clip, &base).unwrap();
-        let fast = simulate_pipeline(
+        let (slow, _) = run(&clip, &base);
+        let (fast, _) = run(
             &clip,
             &PipelineConfig {
                 pe2_hz: 100.0e6,
                 ..base
             },
-        )
-        .unwrap();
+        );
         assert!(fast.max_backlog <= slow.max_backlog);
-    }
-
-    #[test]
-    fn frame_burst_source_is_burstier_than_cbr() {
-        // Same clip, same long-run bits: the frame-burst source delivers
-        // each picture fast then idles, so PE1's input is available earlier
-        // within each frame and the FIFO sees sharper bursts.
-        let params = VideoParams::new(160, 128, 25.0, 1.0e6, GopStructure::broadcast())
-            .unwrap();
-        let clip = wcm_mpeg::Synthesizer::new(params)
-            .generate(&wcm_mpeg::profile::standard_clips()[12], 1)
-            .unwrap();
-        let cfg = PipelineConfig {
-            bitrate_bps: 1.0e6,
-            pe1_hz: 20.0e6,
-            pe2_hz: 30.0e6,
-        };
-        let cbr = simulate_pipeline(&clip, &cfg).unwrap();
-        let burst = simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::unbounded(),
-            SourceModel::FrameBurst { peak_bps: 4.0e6 },
-            None,
-            None,
-        )
-        .unwrap()
-        .pipeline;
-        assert!(burst.max_backlog >= cbr.max_backlog);
-        // Conservation still holds.
-        assert_eq!(burst.fifo_out_times.len(), clip.macroblock_count());
-        for w in burst.fifo_in_times.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
-    }
-
-    #[test]
-    fn frame_burst_validates_peak() {
-        let clip = tiny_clip(2);
-        let cfg = PipelineConfig {
-            bitrate_bps: 100.0,
-            pe1_hz: 100.0,
-            pe2_hz: 100.0,
-        };
-        assert!(simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::unbounded(),
-            SourceModel::FrameBurst { peak_bps: 0.0 },
-            None,
-            None,
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn cbr_source_model_matches_default() {
-        let clip = tiny_clip(6);
-        let cfg = PipelineConfig {
-            bitrate_bps: 100.0,
-            pe1_hz: 100.0,
-            pe2_hz: 500.0,
-        };
-        let a = simulate_pipeline(&clip, &cfg).unwrap();
-        let b = simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::unbounded(),
-            SourceModel::Cbr,
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(a, b.pipeline);
     }
 
     /// A clean CBR run through a blocking-write FIFO of `capacity`.
@@ -985,10 +744,9 @@ mod tests {
         clip: &ClipWorkload,
         cfg: &PipelineConfig,
         capacity: u64,
-    ) -> Result<PipelineResult, SimError> {
+    ) -> Result<(PipelineSummary, SimScratch), SimError> {
         let fifo = FifoConfig::bounded(capacity, OverflowPolicy::Backpressure);
-        simulate_pipeline_robust(clip, cfg, &fifo, SourceModel::Cbr, None, None)
-            .map(|r| r.pipeline)
+        run_with(clip, cfg, &fifo, None)
     }
 
     #[test]
@@ -1001,14 +759,14 @@ mod tests {
             pe1_hz: 100.0,
             pe2_hz: 250.0,
         };
-        let unbounded = simulate_pipeline(&clip, &cfg).unwrap();
+        let (unbounded, _) = run(&clip, &cfg);
         assert!(unbounded.max_backlog > 2);
         assert_eq!(unbounded.pe1_stalled, 0.0);
-        let bounded = backpressure(&clip, &cfg, 2).unwrap();
+        let (bounded, t) = backpressure(&clip, &cfg, 2).unwrap();
         assert!(bounded.max_backlog <= 2);
         assert!(bounded.pe1_stalled > 0.0, "PE1 must have stalled");
         // Work conservation: every macroblock still processed, in order.
-        for w in bounded.fifo_out_times.windows(2) {
+        for w in t.fifo_out_times().windows(2) {
             assert!(w[1] > w[0]);
         }
         // PE2 does the same total work either way.
@@ -1023,9 +781,11 @@ mod tests {
             pe1_hz: 100.0,
             pe2_hz: 250.0,
         };
-        let unbounded = simulate_pipeline(&clip, &cfg).unwrap();
-        let bounded = backpressure(&clip, &cfg, unbounded.max_backlog).unwrap();
+        let (unbounded, u) = run(&clip, &cfg);
+        let (bounded, b) = backpressure(&clip, &cfg, unbounded.max_backlog).unwrap();
         assert_eq!(bounded, unbounded);
+        assert_eq!(b.fifo_in_times(), u.fifo_in_times());
+        assert_eq!(b.fifo_out_times(), u.fifo_out_times());
     }
 
     #[test]
@@ -1037,15 +797,8 @@ mod tests {
             pe2_hz: 1.0,
         };
         assert!(backpressure(&clip, &cfg, 0).is_err());
-        assert!(simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::bounded(0, OverflowPolicy::Reject),
-            SourceModel::Cbr,
-            None,
-            None,
-        )
-        .is_err());
+        let reject = FifoConfig::bounded(0, OverflowPolicy::Reject);
+        assert!(run_with(&clip, &cfg, &reject, None).is_err());
     }
 
     #[test]
@@ -1056,16 +809,27 @@ mod tests {
             pe1_hz: 1.0,
             pe2_hz: 1.0,
         };
-        assert!(simulate_pipeline(&clip, &PipelineConfig { bitrate_bps: 0.0, ..ok }).is_err());
-        assert!(simulate_pipeline(&clip, &PipelineConfig { pe1_hz: -1.0, ..ok }).is_err());
-        assert!(simulate_pipeline(&clip, &PipelineConfig { pe2_hz: f64::NAN, ..ok }).is_err());
+        let unbounded = FifoConfig::unbounded();
+        for bad in [
+            PipelineConfig {
+                bitrate_bps: 0.0,
+                ..ok
+            },
+            PipelineConfig { pe1_hz: -1.0, ..ok },
+            PipelineConfig {
+                pe2_hz: f64::NAN,
+                ..ok
+            },
+        ] {
+            assert!(run_with(&clip, &bad, &unbounded, None).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
-    fn robust_clean_run_matches_legacy_bitwise() {
-        // No faults, unbounded backpressure FIFO, no monitor ⇒ the robust
-        // path reproduces `simulate_pipeline` bit-for-bit, and a plan with
-        // no injectors changes nothing, on both source models.
+    fn empty_plan_matches_clean_run_bitwise() {
+        // A plan with no injectors changes neither the stream nor any
+        // output of the run, and one scratch reused across runs of
+        // different lengths leaves nothing behind.
         let params = VideoParams::new(160, 128, 25.0, 1.0e6, GopStructure::broadcast())
             .unwrap();
         let clip = wcm_mpeg::Synthesizer::new(params)
@@ -1076,20 +840,19 @@ mod tests {
             pe1_hz: 20.0e6,
             pe2_hz: 30.0e6,
         };
-        let legacy = simulate_pipeline(&clip, &cfg).unwrap();
-        for source in [SourceModel::Cbr, SourceModel::FrameBurst { peak_bps: 4.0e6 }] {
-            let run = |plan: Option<&FaultPlan>| {
-                simulate_pipeline_robust(&clip, &cfg, &FifoConfig::unbounded(), source, plan, None)
-                    .unwrap()
-            };
-            let bare = run(None);
-            let planned = run(Some(&FaultPlan::new(9)));
-            assert_eq!(planned.pipeline, bare.pipeline);
-            assert!(bare.faults.is_clean() && planned.faults.is_clean());
-            if source == SourceModel::Cbr {
-                assert_eq!(bare.pipeline, legacy);
-            }
-        }
+        let clean = FaultedWorkload::clean(&clip).unwrap();
+        let planned = FaultPlan::new(9).apply(&clip).unwrap();
+        assert_eq!(planned, clean);
+        assert!(planned.report.is_clean());
+        let (bare, t) = run(&clip, &cfg);
+        let mut scratch = SimScratch::new();
+        let tiny = FaultedWorkload::clean(&tiny_clip(5)).unwrap();
+        simulate(&tiny, &cfg, &FifoConfig::unbounded(), None, &mut scratch).unwrap();
+        let reused =
+            simulate(&planned, &cfg, &FifoConfig::unbounded(), None, &mut scratch).unwrap();
+        assert_eq!(reused, bare);
+        assert_eq!(scratch.fifo_in_times(), t.fifo_in_times());
+        assert_eq!(scratch.fifo_out_times(), t.fifo_out_times());
     }
 
     #[test]
@@ -1128,18 +891,8 @@ mod tests {
                             factor_pct: 300,
                         })
                 });
-                let r = simulate_pipeline_robust(
-                    &clip,
-                    &cfg,
-                    fifo,
-                    SourceModel::Cbr,
-                    plan.as_ref(),
-                    None,
-                )
-                .unwrap()
-                .pipeline;
-                let swept =
-                    crate::stats::max_occupancy(&r.fifo_in_times, &r.fifo_out_times);
+                let (r, t) = run_with(&clip, &cfg, fifo, plan.as_ref()).unwrap();
+                let swept = crate::stats::max_occupancy(t.fifo_in_times(), t.fifo_out_times());
                 assert_eq!(
                     r.max_backlog, swept,
                     "fifo {fifo:?} seed {seed:?}: online backlog diverged"
@@ -1156,23 +909,28 @@ mod tests {
             pe1_hz: 100.0,
             pe2_hz: 250.0,
         };
-        let r = simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::bounded(2, OverflowPolicy::Reject),
-            SourceModel::Cbr,
-            None,
-            None,
-        )
-        .unwrap()
-        .pipeline;
+        let fifo = FifoConfig::bounded(2, OverflowPolicy::Reject);
+        let (r, t) = run_with(&clip, &cfg, &fifo, None).unwrap();
         assert!(r.max_backlog <= 2);
         assert_eq!(r.pe1_stalled, 0.0);
-        assert!(!r.dropped.is_empty(), "overload must reject something");
+        assert!(r.dropped > 0, "overload must reject something");
+        assert_eq!(t.dropped().len(), r.dropped);
         // Rejected macroblocks never occupy the FIFO.
-        for &d in &r.dropped {
-            assert_eq!(r.fifo_in_times[d], r.fifo_out_times[d]);
+        for &d in t.dropped() {
+            assert_eq!(t.fifo_in_times()[d], t.fifo_out_times()[d]);
         }
+    }
+
+    /// The macroblocks a capacity-2 `DropByPriority` FIFO drops, in drop
+    /// order, and the run's timing.
+    fn drop_by_priority(kinds: &[FrameKind]) -> (PipelineSummary, SimScratch) {
+        let cfg = PipelineConfig {
+            bitrate_bps: 100.0,
+            pe1_hz: 100.0,
+            pe2_hz: 250.0,
+        };
+        let fifo = FifoConfig::bounded(2, OverflowPolicy::DropByPriority);
+        run_with(&tiny_clip_kinds(kinds), &cfg, &fifo, None).unwrap()
     }
 
     #[test]
@@ -1197,30 +955,10 @@ mod tests {
             FrameKind::B,
             FrameKind::B,
         ];
-        let clip = tiny_clip_kinds(&kinds);
-        let cfg = PipelineConfig {
-            bitrate_bps: 100.0,
-            pe1_hz: 100.0,
-            pe2_hz: 250.0,
-        };
-        let r = simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::bounded(2, OverflowPolicy::DropByPriority),
-            SourceModel::Cbr,
-            None,
-            None,
-        )
-        .unwrap()
-        .pipeline;
+        let (r, t) = drop_by_priority(&kinds);
         assert!(r.max_backlog <= 2);
-        assert_eq!(r.dropped, vec![2, 3, 5, 4, 7, 8, 10, 11]);
-        let count = |kind| {
-            r.dropped
-                .iter()
-                .filter(|&&d| kinds[d] == kind)
-                .count()
-        };
+        assert_eq!(t.dropped(), [2, 3, 5, 4, 7, 8, 10, 11]);
+        let count = |kind| t.dropped().iter().filter(|&&d| kinds[d] == kind).count();
         // B is sacrificed first and most (7 of 8); one P falls to protect
         // an I; no I is ever dropped.
         assert_eq!(count(FrameKind::B), 7);
@@ -1229,7 +967,10 @@ mod tests {
         // Every I macroblock was fully processed (out > in).
         for (i, &k) in kinds.iter().enumerate() {
             if k == FrameKind::I {
-                assert!(r.fifo_out_times[i] > r.fifo_in_times[i], "lost {k:?} at {i}");
+                assert!(
+                    t.fifo_out_times()[i] > t.fifo_in_times()[i],
+                    "lost {k:?} at {i}"
+                );
             }
         }
     }
@@ -1238,26 +979,10 @@ mod tests {
     fn drop_by_priority_sacrifices_incoming_b_over_queued_p() {
         // Queue holds a P, incoming B: the incoming one is the victim (its
         // slot never materializes) and both references are processed.
-        let kinds = [FrameKind::I, FrameKind::P, FrameKind::B, FrameKind::B];
-        let clip = tiny_clip_kinds(&kinds);
-        let cfg = PipelineConfig {
-            bitrate_bps: 100.0,
-            pe1_hz: 100.0,
-            pe2_hz: 250.0,
-        };
-        let r = simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::bounded(2, OverflowPolicy::DropByPriority),
-            SourceModel::Cbr,
-            None,
-            None,
-        )
-        .unwrap()
-        .pipeline;
-        assert_eq!(r.dropped, vec![2, 3]);
+        let (_, t) = drop_by_priority(&[FrameKind::I, FrameKind::P, FrameKind::B, FrameKind::B]);
+        assert_eq!(t.dropped(), [2, 3]);
         for i in [0usize, 1] {
-            assert!(r.fifo_out_times[i] > r.fifo_in_times[i]);
+            assert!(t.fifo_out_times()[i] > t.fifo_in_times()[i]);
         }
     }
 
@@ -1265,25 +990,9 @@ mod tests {
     fn drop_by_priority_evicts_queued_b_for_incoming_i() {
         // Queue holds a B when an I arrives at a full FIFO: the queued B
         // is evicted and the I takes its slot.
-        let kinds = [FrameKind::I, FrameKind::B, FrameKind::I];
-        let clip = tiny_clip_kinds(&kinds);
-        let cfg = PipelineConfig {
-            bitrate_bps: 100.0,
-            pe1_hz: 100.0,
-            pe2_hz: 250.0,
-        };
-        let r = simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::bounded(2, OverflowPolicy::DropByPriority),
-            SourceModel::Cbr,
-            None,
-            None,
-        )
-        .unwrap()
-        .pipeline;
-        assert_eq!(r.dropped, vec![1]);
-        assert!(r.fifo_out_times[2] > r.fifo_in_times[2], "the I must survive");
+        let (_, t) = drop_by_priority(&[FrameKind::I, FrameKind::B, FrameKind::I]);
+        assert_eq!(t.dropped(), [1]);
+        assert!(t.fifo_out_times()[2] > t.fifo_in_times()[2], "the I must survive");
     }
 
     /// The FIFO and victim rule the simulator used before [`ClassFifo`]:
@@ -1391,19 +1100,12 @@ mod tests {
             OverflowPolicy::Reject,
             OverflowPolicy::DropByPriority,
         ] {
-            let r = simulate_pipeline_robust(
-                &clip,
-                &cfg,
-                &FifoConfig::bounded(3, policy),
-                SourceModel::Cbr,
-                Some(&plan),
-                None,
-            )
-            .unwrap();
+            let fifo = FifoConfig::bounded(3, policy);
+            let (r, _) = run_with(&clip, &cfg, &fifo, Some(&plan)).unwrap();
             assert!(
-                r.pipeline.max_backlog <= 3,
+                r.max_backlog <= 3,
                 "{policy:?}: backlog {} exceeds capacity",
-                r.pipeline.max_backlog
+                r.max_backlog
             );
         }
     }
@@ -1417,37 +1119,26 @@ mod tests {
             pe1_hz: 100.0,
             pe2_hz: 1000.0,
         };
+        let unbounded = FifoConfig::unbounded();
+        let mut scratch = SimScratch::new();
         // Every MB costs 1000 PE2 cycles; a γᵘ of exactly k·1000 is tight.
         let gamma = UpperWorkloadCurve::new((1..=4).map(|k| 1000 * k).collect()).unwrap();
         let mut mon = wcm_core::EnvelopeMonitor::upper_only(&gamma, 4).unwrap();
-        let r = simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::unbounded(),
-            SourceModel::Cbr,
-            None,
-            Some(&mut mon),
-        )
-        .unwrap();
+        let w = FaultedWorkload::clean(&clip).unwrap();
+        simulate(&w, &cfg, &unbounded, Some(&mut mon), &mut scratch).unwrap();
         assert_eq!(mon.events(), 8);
         assert!(mon.is_clean());
-        assert_eq!(r.stream_len, 8);
         // A demand spike above the profile must trip the monitor.
-        let plan = FaultPlan::new(4).with(Injector::DemandSpike {
-            start: 3,
-            len: 2,
-            factor_pct: 200,
-        });
+        let spiked = FaultPlan::new(4)
+            .with(Injector::DemandSpike {
+                start: 3,
+                len: 2,
+                factor_pct: 200,
+            })
+            .apply(&clip)
+            .unwrap();
         let mut mon2 = wcm_core::EnvelopeMonitor::upper_only(&gamma, 4).unwrap();
-        simulate_pipeline_robust(
-            &clip,
-            &cfg,
-            &FifoConfig::unbounded(),
-            SourceModel::Cbr,
-            Some(&plan),
-            Some(&mut mon2),
-        )
-        .unwrap();
+        simulate(&spiked, &cfg, &unbounded, Some(&mut mon2), &mut scratch).unwrap();
         assert!(mon2.total_violations() >= 1);
     }
 }

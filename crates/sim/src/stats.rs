@@ -41,30 +41,6 @@ pub fn max_occupancy(enq: &[f64], deq: &[f64]) -> u64 {
     max.max(0) as u64
 }
 
-/// Full occupancy timeline as `(time, occupancy)` steps (after applying
-/// each event), dequeue-first tie-breaking.
-///
-/// # Panics
-///
-/// Same conditions as [`max_occupancy`].
-#[must_use]
-pub fn occupancy_timeline(enq: &[f64], deq: &[f64]) -> Vec<(f64, u64)> {
-    assert_eq!(enq.len(), deq.len(), "enqueue/dequeue length mismatch");
-    let mut events: Vec<(f64, i64)> = Vec::with_capacity(enq.len() * 2);
-    for (&e, &d) in enq.iter().zip(deq) {
-        events.push((e, 1));
-        events.push((d, -1));
-    }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut occ: i64 = 0;
-    let mut out = Vec::with_capacity(events.len());
-    for (t, delta) in events {
-        occ += delta;
-        out.push((t, occ.max(0) as u64));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,7 +48,6 @@ mod tests {
     #[test]
     fn empty_is_zero() {
         assert_eq!(max_occupancy(&[], &[]), 0);
-        assert!(occupancy_timeline(&[], &[]).is_empty());
     }
 
     #[test]
@@ -95,15 +70,6 @@ mod tests {
         let enq = [0.0, 1.0, 2.0];
         let deq = [1.0, 2.0, 3.0];
         assert_eq!(max_occupancy(&enq, &deq), 1);
-    }
-
-    #[test]
-    fn timeline_matches_max() {
-        let enq = [0.0, 0.5, 0.6, 3.0];
-        let deq = [1.0, 2.0, 0.9, 4.0];
-        let tl = occupancy_timeline(&enq, &deq);
-        let max_tl = tl.iter().map(|&(_, o)| o).max().unwrap();
-        assert_eq!(max_tl, max_occupancy(&enq, &deq));
     }
 
     #[test]

@@ -38,9 +38,7 @@
 //! the same reason.
 
 use crate::faults::{FaultPlan, FaultedWorkload, Injector};
-use crate::pipeline::{
-    simulate_faulted, FifoConfig, OverflowPolicy, PipelineConfig, SimScratch, SourceModel,
-};
+use crate::pipeline::{simulate, FifoConfig, OverflowPolicy, PipelineConfig, SimScratch};
 use crate::SimError;
 use wcm_core::build::arrival_upper;
 use wcm_core::curve::{LowerWorkloadCurve, UpperWorkloadCurve};
@@ -308,7 +306,6 @@ struct SeedPrune {
 struct ClipContext {
     name: String,
     bitrate_bps: f64,
-    frame_period: f64,
     /// `streams[seed_idx]` — the (possibly faulted) workload per seed.
     streams: Vec<FaultedWorkload>,
     /// `prune[seed_idx]` — analytic prune data per seed.
@@ -319,7 +316,7 @@ struct ClipContext {
 
 /// The FIFO-input instants of a (possibly faulted) stream in O(N):
 /// without backpressure the PE₁ output obeys
-/// `done_i = max(done_{i-1}, ready_i) + (c₁ᵢ/F₁)·scaleᵢ + extraᵢ` with
+/// `done_i = max(done_{i-1}, ready_i) + ((c₁ᵢ/F₁)·scaleᵢ + extraᵢ)` with
 /// `ready_i = cum_bits/rate + delayᵢ` — PE₁ serves macroblocks in stream
 /// order regardless of arrival reordering, so this is exactly the
 /// recurrence the event loop executes. Clean streams multiply by 1.0 and
@@ -333,8 +330,10 @@ fn push_times_of(w: &FaultedWorkload, bitrate_bps: f64, pe1_hz: f64) -> Vec<f64>
     for i in 0..n {
         cum_bits += w.bits[i] as f64;
         let ready = cum_bits / bitrate_bps + w.arrival_delay_s[i];
-        done = done.max(ready) + (w.pe1_cycles[i] as f64 / pe1_hz) * w.pe1_scale[i]
-            + w.pe1_extra_s[i];
+        // Service time first, as in the event loop: under a stall,
+        // `(start + c) + extra` can differ from it in the last bit.
+        let service = (w.pe1_cycles[i] as f64 / pe1_hz) * w.pe1_scale[i] + w.pe1_extra_s[i];
+        done = done.max(ready) + service;
         push_times.push(done);
     }
     push_times
@@ -418,7 +417,6 @@ impl ClipContext {
         Ok(ClipContext {
             name: clip.name().to_string(),
             bitrate_bps: clip.params().bitrate_bps(),
-            frame_period: clip.params().frame_period(),
             streams,
             prune,
             rms,
@@ -660,15 +658,7 @@ fn eval_point_inner(
         pe2_hz: freq,
     };
     let fifo = FifoConfig::bounded(cap, spec.policies[p.policy]);
-    let summary = simulate_faulted(
-        &ctx.streams[p.seed],
-        &cfg,
-        &fifo,
-        SourceModel::Cbr,
-        ctx.frame_period,
-        None,
-        scratch,
-    )?;
+    let summary = simulate(&ctx.streams[p.seed], &cfg, &fifo, None, scratch)?;
     let verdict = if summary.overflowed {
         Verdict::SimOverflow
     } else {
@@ -2663,5 +2653,58 @@ mod tests {
             spec_fingerprint(&clips[..1], &base),
             "clip set not fingerprinted"
         );
+    }
+
+    #[test]
+    fn push_times_match_the_simulated_fifo_input() {
+        // Nothing blocks PE₁ in front of an unbounded FIFO, so the
+        // recurrence must reproduce the simulator's FIFO-input instants
+        // bit for bit: on the clean stream and under every injector that
+        // acts on arrivals or on PE₁, with PE₁ mostly idle and mostly busy.
+        use crate::faults::ProcessingElement::Pe1;
+        let clip = &small_clips(1)[0];
+        let bitrate_bps = clip.params().bitrate_bps();
+        let injectors = [
+            Injector::JitterBurst {
+                start: 5,
+                len: 200,
+                max_delay_s: 0.004,
+            },
+            Injector::DropEvents { per_mille: 80 },
+            Injector::DuplicateEvents { per_mille: 80 },
+            Injector::ClockDrift {
+                pe: Pe1,
+                start: 10,
+                len: 300,
+                factor_pct: 170,
+            },
+            Injector::Stall {
+                pe: Pe1,
+                at: 40,
+                extra_s: 3e-3,
+            },
+            Injector::BitErrors { per_mille: 100 },
+        ];
+        let mut streams = vec![FaultedWorkload::clean(clip).unwrap()];
+        for inj in injectors {
+            streams.push(FaultPlan::new(5).with(inj).apply(clip).unwrap());
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = SimScratch::new();
+        for pe1_hz in [60.0e6, 2.0e6] {
+            let cfg = PipelineConfig {
+                bitrate_bps,
+                pe1_hz,
+                pe2_hz: 1.0e9,
+            };
+            for (s, w) in streams.iter().enumerate() {
+                simulate(w, &cfg, &FifoConfig::unbounded(), None, &mut scratch).unwrap();
+                assert_eq!(
+                    bits(&push_times_of(w, bitrate_bps, pe1_hz)),
+                    bits(scratch.fifo_in_times()),
+                    "stream {s} at PE1 {pe1_hz} Hz"
+                );
+            }
+        }
     }
 }

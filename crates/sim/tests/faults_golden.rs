@@ -11,9 +11,9 @@ use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
 use wcm_mpeg::profile::standard_clips;
 use wcm_mpeg::{ClipWorkload, Synthesizer};
 use wcm_sim::{
-    simulate_pipeline_robust, FaultPlan, FaultReport, FaultedWorkload, FifoConfig,
-    FrameCorruptionPlan, FrameFaultReport, FrameInjector, Injector, OverflowPolicy, PipelineConfig,
-    ProcessingElement, SourceModel,
+    simulate, FaultPlan, FaultReport, FaultedWorkload, FifoConfig, FrameCorruptionPlan,
+    FrameFaultReport, FrameInjector, Injector, OverflowPolicy, PipelineConfig, ProcessingElement,
+    SimScratch,
 };
 use wcm_wire::StreamEncoder;
 
@@ -61,7 +61,6 @@ fn digest_workload(w: &FaultedWorkload) -> u64 {
             FrameKind::B => 2,
         });
     }
-    w.frame_of.iter().for_each(|&f| h.u64(f as u64));
     for v in [
         &w.arrival_delay_s,
         &w.pe1_scale,
@@ -116,7 +115,7 @@ fn pipeline_plan_is_golden() {
         }
     );
     assert_eq!(w.bits.len(), 1_169);
-    assert_eq!(digest_workload(&w), 15_632_122_962_398_474_214);
+    assert_eq!(digest_workload(&w), 16_031_830_274_993_571_518);
 }
 
 #[test]
@@ -137,7 +136,7 @@ fn pipeline_plan_second_seed_is_golden() {
             slowed_events: 0,
         }
     );
-    assert_eq!(digest_workload(&w), 1_237_417_317_811_596_081);
+    assert_eq!(digest_workload(&w), 528_921_917_289_027_338);
 }
 
 fn stream() -> Vec<u8> {
@@ -189,10 +188,10 @@ fn frame_plan_is_golden() {
 const PE2_HZ: f64 = 2.5e6;
 
 /// FNV-1a digest of every bounded-FIFO run of one policy: 4 capacities ×
-/// {clean, drop/duplicate/jitter plan} × {`Cbr`, `FrameBurst`}. It covers
-/// the push and drop times of every macroblock, the victims in drop
-/// order, the peak backlog and the backpressure stall, so a change to
-/// which macroblock an overflow policy evicts, or when, changes it.
+/// {clean, drop/duplicate/jitter plan}. It covers the push and drop times
+/// of every macroblock, the victims in drop order, the peak backlog and
+/// the backpressure stall, so a change to which macroblock an overflow
+/// policy evicts, or when, changes it.
 fn digest_bounded_runs(clip: &ClipWorkload, policy: OverflowPolicy) -> u64 {
     let cfg = PipelineConfig {
         bitrate_bps: clip.params().bitrate_bps(),
@@ -207,30 +206,26 @@ fn digest_bounded_runs(clip: &ClipWorkload, policy: OverflowPolicy) -> u64 {
             len: 400,
             max_delay_s: 3e-3,
         });
-    let sources = [
-        SourceModel::Cbr,
-        SourceModel::FrameBurst {
-            peak_bps: 10.0 * clip.params().bitrate_bps(),
-        },
+    let streams = [
+        FaultedWorkload::clean(clip).unwrap(),
+        plan.apply(clip).unwrap(),
     ];
+    let mut scratch = SimScratch::new();
     let mut h = Fnv::new();
     for capacity in [1, 7, 64, 1620] {
-        for plan in [None, Some(&plan)] {
-            for source in sources {
-                let fifo = FifoConfig::bounded(capacity, policy);
-                let r = simulate_pipeline_robust(clip, &cfg, &fifo, source, plan, None).unwrap();
-                let p = &r.pipeline;
-                // The PE₂ clock makes every run overflow its capacity.
-                assert_eq!(p.max_backlog, capacity, "{policy:?} {source:?}");
-                for v in [&p.fifo_in_times, &p.fifo_out_times] {
-                    h.u64(v.len() as u64);
-                    v.iter().for_each(|&x| h.u64(x.to_bits()));
-                }
-                h.u64(p.dropped.len() as u64);
-                p.dropped.iter().for_each(|&i| h.u64(i as u64));
-                h.u64(p.max_backlog);
-                h.u64(p.pe1_stalled.to_bits());
+        for w in &streams {
+            let fifo = FifoConfig::bounded(capacity, policy);
+            let r = simulate(w, &cfg, &fifo, None, &mut scratch).unwrap();
+            // The PE₂ clock makes every run overflow its capacity.
+            assert_eq!(r.max_backlog, capacity, "{policy:?}");
+            for v in [scratch.fifo_in_times(), scratch.fifo_out_times()] {
+                h.u64(v.len() as u64);
+                v.iter().for_each(|&x| h.u64(x.to_bits()));
             }
+            h.u64(scratch.dropped().len() as u64);
+            scratch.dropped().iter().for_each(|&i| h.u64(i as u64));
+            h.u64(r.max_backlog);
+            h.u64(r.pe1_stalled.to_bits());
         }
     }
     h.0
@@ -242,14 +237,14 @@ fn bounded_pipeline_is_golden() {
     assert_eq!(clip.macroblock_count(), 2_376);
     assert_eq!(
         digest_bounded_runs(&clip, OverflowPolicy::Backpressure),
-        11_158_402_203_600_341_842
+        13_590_137_632_145_084_930
     );
     assert_eq!(
         digest_bounded_runs(&clip, OverflowPolicy::Reject),
-        15_341_603_013_492_152_572
+        15_603_634_928_209_941_425
     );
     assert_eq!(
         digest_bounded_runs(&clip, OverflowPolicy::DropByPriority),
-        9_620_404_829_759_170_572
+        10_445_293_444_192_658_152
     );
 }

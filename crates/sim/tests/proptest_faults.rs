@@ -10,8 +10,8 @@ use wcm_mpeg::mb::{Macroblock, MacroblockClass, MotionKind};
 use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
 use wcm_mpeg::workload::FrameWorkload;
 use wcm_mpeg::ClipWorkload;
-use wcm_sim::pipeline::{simulate_pipeline, simulate_pipeline_robust, PipelineConfig};
-use wcm_sim::{FaultPlan, FifoConfig, Injector, OverflowPolicy, SourceModel};
+use wcm_sim::pipeline::{simulate, PipelineConfig, PipelineSummary, SimScratch};
+use wcm_sim::{FaultPlan, FaultedWorkload, FifoConfig, Injector, OverflowPolicy, SimError};
 
 /// A clip with mixed frame kinds: frame `i` holds one macroblock of the
 /// `i`-th kind in an I/P/B/B rotation.
@@ -79,6 +79,27 @@ fn cfg() -> PipelineConfig {
     }
 }
 
+/// One run: the (possibly faulted) stream, the summary, and the scratch
+/// holding the run's per-macroblock timing.
+type Run = (FaultedWorkload, PipelineSummary, SimScratch);
+
+/// Runs `clip`, after `plan` if one is given, through `fifo` at [`cfg`],
+/// feeding `monitor` if one is given.
+fn run(
+    clip: &ClipWorkload,
+    fifo: &FifoConfig,
+    plan: Option<&FaultPlan>,
+    monitor: Option<&mut EnvelopeMonitor>,
+) -> Result<Run, SimError> {
+    let w = match plan {
+        Some(p) => p.apply(clip)?,
+        None => FaultedWorkload::clean(clip)?,
+    };
+    let mut scratch = SimScratch::new();
+    let summary = simulate(&w, &cfg(), fifo, monitor, &mut scratch)?;
+    Ok((w, summary, scratch))
+}
+
 /// A plan exercising every injector at moderate intensity.
 fn noisy_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed)
@@ -109,19 +130,24 @@ proptest! {
     ) {
         let clip = mixed_clip(bits);
         let fifo = FifoConfig::bounded(4, OverflowPolicy::Reject);
-        let a = simulate_pipeline_robust(
-            &clip, &cfg(), &fifo, SourceModel::Cbr, Some(&noisy_plan(seed)), None);
-        let b = simulate_pipeline_robust(
-            &clip, &cfg(), &fifo, SourceModel::Cbr, Some(&noisy_plan(seed)), None);
+        let a = run(&clip, &fifo, Some(&noisy_plan(seed)), None);
+        let b = run(&clip, &fifo, Some(&noisy_plan(seed)), None);
         match (a, b) {
-            (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+            (Ok((wa, sa, ta)), Ok((wb, sb, tb))) => {
+                prop_assert_eq!(wa, wb);
+                prop_assert_eq!(sa, sb);
+                prop_assert_eq!(ta.fifo_in_times(), tb.fifo_in_times());
+                prop_assert_eq!(ta.fifo_out_times(), tb.fifo_out_times());
+                prop_assert_eq!(ta.dropped(), tb.dropped());
+            }
             (Err(x), Err(y)) => prop_assert_eq!(x, y),
-            (x, y) => prop_assert!(false, "diverged: {:?} vs {:?}", x, y),
+            (x, y) => prop_assert!(
+                false, "diverged: {:?} vs {:?}", x.map(|r| r.1), y.map(|r| r.1)),
         }
     }
 
-    /// Zero-intensity injectors leave the pipeline result bit-identical to
-    /// the legacy (pre-fault-layer) unbounded simulation.
+    /// Zero-intensity injectors leave the stream, and so every output of an
+    /// unbounded run, bit-identical to the clean clip's.
     #[test]
     fn zero_intensity_plan_is_the_identity(
         bits in proptest::collection::vec(1u32..2000, 4..40),
@@ -134,12 +160,14 @@ proptest! {
             .with(Injector::JitterBurst { start: 0, len: 0, max_delay_s: 0.0 })
             .with(Injector::DemandSpike { start: 0, len: 0, factor_pct: 100 })
             .with(Injector::BitErrors { per_mille: 0 });
-        let legacy = simulate_pipeline(&clip, &cfg()).unwrap();
-        let robust = simulate_pipeline_robust(
-            &clip, &cfg(), &FifoConfig::unbounded(), SourceModel::Cbr, Some(&plan), None)
-            .unwrap();
-        prop_assert!(robust.faults.is_clean());
-        prop_assert_eq!(robust.pipeline, legacy);
+        let unbounded = FifoConfig::unbounded();
+        let (clean, bare, u) = run(&clip, &unbounded, None, None).unwrap();
+        let (w, planned, t) = run(&clip, &unbounded, Some(&plan), None).unwrap();
+        prop_assert!(w.report.is_clean());
+        prop_assert_eq!(w, clean);
+        prop_assert_eq!(planned, bare);
+        prop_assert_eq!(t.fifo_in_times(), u.fifo_in_times());
+        prop_assert_eq!(t.fifo_out_times(), u.fifo_out_times());
     }
 
     /// The FIFO never holds more than its capacity, under any overflow
@@ -156,27 +184,19 @@ proptest! {
             OverflowPolicy::Reject,
             OverflowPolicy::DropByPriority,
         ] {
-            let r = simulate_pipeline_robust(
-                &clip,
-                &cfg(),
-                &FifoConfig::bounded(cap, policy),
-                SourceModel::Cbr,
-                Some(&noisy_plan(seed)),
-                None,
-            );
+            let fifo = FifoConfig::bounded(cap, policy);
             // Heavy drop plans can empty tiny streams; that error is fine.
-            if let Ok(r) = r {
+            if let Ok((_, r, t)) = run(&clip, &fifo, Some(&noisy_plan(seed)), None) {
                 prop_assert!(
-                    r.pipeline.max_backlog <= cap,
+                    r.max_backlog <= cap,
                     "policy {:?}: backlog {} > cap {}",
-                    policy, r.pipeline.max_backlog, cap
+                    policy, r.max_backlog, cap
                 );
                 // Rejected macroblocks never enter, so they occupy the
                 // FIFO for zero time; priority-evicted ones may have
                 // waited in the queue before eviction (out ≥ in).
-                for &i in &r.pipeline.dropped {
-                    let (fin, fout) =
-                        (r.pipeline.fifo_in_times[i], r.pipeline.fifo_out_times[i]);
+                for &i in t.dropped() {
+                    let (fin, fout) = (t.fifo_in_times()[i], t.fifo_out_times()[i]);
                     if policy == OverflowPolicy::Reject {
                         prop_assert_eq!(fin.to_bits(), fout.to_bits());
                     } else {
@@ -185,7 +205,7 @@ proptest! {
                 }
                 // Backpressure is lossless by definition.
                 if policy == OverflowPolicy::Backpressure {
-                    prop_assert!(r.pipeline.dropped.is_empty());
+                    prop_assert!(t.dropped().is_empty());
                 }
             }
         }
@@ -206,9 +226,7 @@ proptest! {
 
         // Soundness: the clean clip stays inside its own envelope.
         let mut clean = EnvelopeMonitor::upper_only(&gamma, k_max).unwrap();
-        simulate_pipeline_robust(
-            &clip, &cfg(), &FifoConfig::unbounded(), SourceModel::Cbr, None, Some(&mut clean))
-            .unwrap();
+        run(&clip, &FifoConfig::unbounded(), None, Some(&mut clean)).unwrap();
         prop_assert!(clean.is_clean(), "violations on own trace: {:?}", clean.violations());
         prop_assert_eq!(clean.events() as usize, demands.len());
         // Some window attains its bound exactly.
@@ -221,10 +239,7 @@ proptest! {
             factor_pct: 400,
         });
         let mut spiked = EnvelopeMonitor::upper_only(&gamma, k_max).unwrap();
-        simulate_pipeline_robust(
-            &clip, &cfg(), &FifoConfig::unbounded(), SourceModel::Cbr, Some(&spike),
-            Some(&mut spiked))
-            .unwrap();
+        run(&clip, &FifoConfig::unbounded(), Some(&spike), Some(&mut spiked)).unwrap();
         prop_assert!(spiked.total_violations() > 0);
         let v = &spiked.violations()[0];
         prop_assert!(v.observed > u128::from(v.bound));

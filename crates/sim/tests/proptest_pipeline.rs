@@ -8,16 +8,33 @@ use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
 use wcm_mpeg::workload::FrameWorkload;
 use wcm_mpeg::ClipWorkload;
 use wcm_sim::pipeline::{
-    simulate_pipeline, simulate_pipeline_robust, FifoConfig, OverflowPolicy, PipelineConfig,
-    PipelineResult, SourceModel,
+    simulate, FifoConfig, OverflowPolicy, PipelineConfig, PipelineSummary, SimScratch,
 };
+use wcm_sim::FaultedWorkload;
 
-/// A clean CBR run through a blocking-write FIFO of `capacity`.
-fn backpressure(clip: &ClipWorkload, cfg: &PipelineConfig, capacity: u64) -> PipelineResult {
-    let fifo = FifoConfig::bounded(capacity, OverflowPolicy::Backpressure);
-    simulate_pipeline_robust(clip, cfg, &fifo, SourceModel::Cbr, None, None)
-        .unwrap()
-        .pipeline
+/// A clean run of `clip` through `fifo`; the scratch holds its timing.
+fn run(
+    clip: &ClipWorkload,
+    cfg: &PipelineConfig,
+    fifo: &FifoConfig,
+) -> (PipelineSummary, SimScratch) {
+    let w = FaultedWorkload::clean(clip).unwrap();
+    let mut scratch = SimScratch::new();
+    let summary = simulate(&w, cfg, fifo, None, &mut scratch).unwrap();
+    (summary, scratch)
+}
+
+/// A clean run through a blocking-write FIFO of `capacity`.
+fn backpressure(
+    clip: &ClipWorkload,
+    cfg: &PipelineConfig,
+    capacity: u64,
+) -> (PipelineSummary, SimScratch) {
+    run(
+        clip,
+        cfg,
+        &FifoConfig::bounded(capacity, OverflowPolicy::Backpressure),
+    )
 }
 
 fn clip_from(bits: Vec<u32>) -> ClipWorkload {
@@ -60,17 +77,18 @@ proptest! {
         let clip = clip_from(bits);
         let n = clip.macroblock_count();
         let cfg = PipelineConfig { bitrate_bps: bitrate, pe1_hz: pe1, pe2_hz: pe2 };
-        let r = simulate_pipeline(&clip, &cfg).unwrap();
+        let (r, t) = run(&clip, &cfg, &FifoConfig::unbounded());
+        let (fifo_in, fifo_out) = (t.fifo_in_times(), t.fifo_out_times());
         // Every macroblock processed, in order, out after in.
-        prop_assert_eq!(r.fifo_in_times.len(), n);
-        for w in r.fifo_in_times.windows(2) {
+        prop_assert_eq!(fifo_in.len(), n);
+        for w in fifo_in.windows(2) {
             prop_assert!(w[1] >= w[0]);
         }
-        for w in r.fifo_out_times.windows(2) {
+        for w in fifo_out.windows(2) {
             prop_assert!(w[1] > w[0]);
         }
         for i in 0..n {
-            prop_assert!(r.fifo_out_times[i] >= r.fifo_in_times[i]);
+            prop_assert!(fifo_out[i] >= fifo_in[i]);
         }
         // Work conservation.
         let pe1_total: u64 = clip.pe1_demands().iter().sum();
@@ -92,13 +110,15 @@ proptest! {
     ) {
         let clip = clip_from(bits);
         let cfg = PipelineConfig { bitrate_bps: 1e5, pe1_hz: 1e6, pe2_hz: 5e4 };
-        let unbounded = simulate_pipeline(&clip, &cfg).unwrap();
-        let bounded = backpressure(&clip, &cfg, cap);
+        let (unbounded, u) = run(&clip, &cfg, &FifoConfig::unbounded());
+        let (bounded, _) = backpressure(&clip, &cfg, cap);
         prop_assert!(bounded.max_backlog <= cap);
         prop_assert!((bounded.pe2_busy - unbounded.pe2_busy).abs() < 1e-9);
         prop_assert!(bounded.makespan + 1e-9 >= unbounded.makespan);
         // With capacity at least the unbounded peak, behaviour is identical.
-        let roomy = backpressure(&clip, &cfg, unbounded.max_backlog.max(1));
+        let (roomy, r) = backpressure(&clip, &cfg, unbounded.max_backlog.max(1));
         prop_assert_eq!(roomy, unbounded);
+        prop_assert_eq!(r.fifo_in_times(), u.fifo_in_times());
+        prop_assert_eq!(r.fifo_out_times(), u.fifo_out_times());
     }
 }

@@ -21,7 +21,8 @@ use wcm_mpeg::mb::{Macroblock, MacroblockClass};
 use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
 use wcm_mpeg::workload::FrameWorkload;
 use wcm_mpeg::ClipWorkload;
-use wcm_sim::pipeline::{simulate_pipeline, PipelineConfig};
+use wcm_sim::pipeline::{simulate, FifoConfig, PipelineConfig, PipelineSummary, SimScratch};
+use wcm_sim::FaultedWorkload;
 
 fn clip_from(bits: Vec<u32>) -> ClipWorkload {
     let params =
@@ -66,6 +67,15 @@ fn arrival_of(times: &[f64]) -> StepCurve {
     arrival_upper(&trace, times.len(), WindowMode::Exact).unwrap()
 }
 
+/// A clean run of `clip` through an unbounded FIFO; the scratch holds its
+/// timing.
+fn run(clip: &ClipWorkload, cfg: &PipelineConfig) -> (PipelineSummary, SimScratch) {
+    let w = FaultedWorkload::clean(clip).unwrap();
+    let mut scratch = SimScratch::new();
+    let summary = simulate(&w, cfg, &FifoConfig::unbounded(), None, &mut scratch).unwrap();
+    (summary, scratch)
+}
+
 /// The measured `ᾱ` and `γᵘ` of one random clip. FIFO-input times do not
 /// depend on the PE₂ clock (unbounded FIFO, no backpressure), so any fast
 /// PE₂ works for the measurement run.
@@ -75,8 +85,8 @@ fn measure(clip: &ClipWorkload, bitrate: f64, pe1: f64) -> (StepCurve, UpperWork
         pe1_hz: pe1,
         pe2_hz: 1.0e9,
     };
-    let r = simulate_pipeline(clip, &cfg).unwrap();
-    let alpha = arrival_of(&r.fifo_in_times);
+    let (_, t) = run(clip, &cfg);
+    let alpha = arrival_of(t.fifo_in_times());
     let demands = clip.pe2_demands();
     let gamma = UpperWorkloadCurve::new(
         max_window_sums(&demands, demands.len(), WindowMode::Exact).unwrap(),
@@ -130,19 +140,18 @@ proptest! {
         let (alpha, gamma) = measure(&clip, bitrate, pe1);
         let f = min_frequency_workload(&alpha, &gamma, b).unwrap();
         prop_assume!(f.is_finite() && f > 0.0);
-        let run = simulate_pipeline(
+        let (r, _) = run(
             &clip,
             &PipelineConfig {
                 bitrate_bps: bitrate,
                 pe1_hz: pe1,
                 pe2_hz: f * (1.0 + 1e-6),
             },
-        )
-        .unwrap();
+        );
         prop_assert!(
-            run.max_backlog <= b,
+            r.max_backlog <= b,
             "backlog {} exceeds sized buffer {b} at F^γ_min = {f}",
-            run.max_backlog
+            r.max_backlog
         );
     }
 }

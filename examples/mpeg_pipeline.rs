@@ -14,7 +14,8 @@ use wcm::core::{LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use wcm::events::window::{max_window_sums, min_window_sums, WindowMode};
 use wcm::events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
 use wcm::mpeg::{profile, Synthesizer, VideoParams};
-use wcm::sim::pipeline::{simulate_pipeline, PipelineConfig};
+use wcm::sim::pipeline::{simulate, FifoConfig, PipelineConfig, SimScratch};
+use wcm::sim::FaultedWorkload;
 
 const PE1_HZ: f64 = 60.0e6;
 const BUFFER: u64 = 1620; // one frame of macroblocks
@@ -40,9 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Merge γᵘ/γˡ and ᾱ over the clips (the paper maximizes over 14).
+    let streams: Vec<FaultedWorkload> = clips
+        .iter()
+        .map(FaultedWorkload::clean)
+        .collect::<Result<_, _>>()?;
+    let mut scratch = SimScratch::new();
     let mut bounds: Option<WorkloadBounds> = None;
     let mut alpha: Option<wcm::curves::StepCurve> = None;
-    for clip in &clips {
+    for (clip, w) in clips.iter().zip(&streams) {
         let demands = clip.pe2_demands();
         let b = WorkloadBounds {
             upper: UpperWorkloadCurve::new(max_window_sums(&demands, k_max, mode)?)?,
@@ -57,19 +63,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
         // Measure the FIFO input times by running the pipeline (the input
         // side does not depend on PE₂'s speed).
-        let r = simulate_pipeline(
-            clip,
-            &PipelineConfig {
-                bitrate_bps: params.bitrate_bps(),
-                pe1_hz: PE1_HZ,
-                pe2_hz: 1.0e9,
-            },
-        )?;
+        let cfg = PipelineConfig {
+            bitrate_bps: params.bitrate_bps(),
+            pe1_hz: PE1_HZ,
+            pe2_hz: 1.0e9,
+        };
+        simulate(w, &cfg, &FifoConfig::unbounded(), None, &mut scratch)?;
         let mut reg = TypeRegistry::new();
         let mb = reg.register("mb", ExecutionInterval::fixed(Cycles(1)))?;
         let tt = TimedTrace::new(
             reg,
-            r.fifo_in_times
+            scratch
+                .fifo_in_times()
                 .iter()
                 .map(|&time| TimedEvent { time, ty: mb })
                 .collect(),
@@ -102,15 +107,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Validate: run the pipeline at F_gamma and watch the FIFO.
     println!("\nSimulated max backlog at F_gamma:");
-    for clip in &clips {
-        let r = simulate_pipeline(
-            clip,
-            &PipelineConfig {
-                bitrate_bps: params.bitrate_bps(),
-                pe1_hz: PE1_HZ,
-                pe2_hz: f_gamma,
-            },
-        )?;
+    for (clip, w) in clips.iter().zip(&streams) {
+        let cfg = PipelineConfig {
+            bitrate_bps: params.bitrate_bps(),
+            pe1_hz: PE1_HZ,
+            pe2_hz: f_gamma,
+        };
+        let r = simulate(w, &cfg, &FifoConfig::unbounded(), None, &mut scratch)?;
         println!(
             "  {:<14} {:>5} / {BUFFER} macroblocks ({:.3})",
             clip.name(),

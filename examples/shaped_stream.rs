@@ -15,7 +15,8 @@ use wcm::curves::{Pwl, StepCurve};
 use wcm::events::window::{max_window_sums, WindowMode};
 use wcm::events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
 use wcm::mpeg::{profile, GopStructure, Synthesizer, VideoParams};
-use wcm::sim::pipeline::{simulate_pipeline, PipelineConfig};
+use wcm::sim::pipeline::{simulate, FifoConfig, PipelineConfig, SimScratch};
+use wcm::sim::FaultedWorkload;
 
 /// Event-domain buffer bound: `sup_Δ (ᾱ(Δ) − γᵘ⁻¹(F·Δ))`, evaluated on a
 /// Δ grid plus the staircase steps.
@@ -38,23 +39,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pe1_hz = 10.0e6;
     let k_max = 6 * params.mb_per_frame();
 
+    let mut scratch = SimScratch::new();
     let mut alpha_steps: Option<StepCurve> = None;
     let mut gamma: Option<UpperWorkloadCurve> = None;
     for p in &profile::standard_clips()[11..] {
         let clip = synth.generate(p, 2)?;
-        let r = simulate_pipeline(
-            &clip,
-            &PipelineConfig {
-                bitrate_bps: params.bitrate_bps(),
-                pe1_hz,
-                pe2_hz: 1.0e9,
-            },
-        )?;
+        let cfg = PipelineConfig {
+            bitrate_bps: params.bitrate_bps(),
+            pe1_hz,
+            pe2_hz: 1.0e9,
+        };
+        let w = FaultedWorkload::clean(&clip)?;
+        simulate(&w, &cfg, &FifoConfig::unbounded(), None, &mut scratch)?;
         let mut reg = TypeRegistry::new();
         let mb = reg.register("mb", ExecutionInterval::fixed(Cycles(1)))?;
         let tt = TimedTrace::new(
             reg,
-            r.fifo_in_times
+            scratch
+                .fifo_in_times()
                 .iter()
                 .map(|&time| TimedEvent { time, ty: mb })
                 .collect(),

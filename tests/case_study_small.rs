@@ -7,7 +7,8 @@ use wcm::core::UpperWorkloadCurve;
 use wcm::events::window::{max_window_sums, WindowMode};
 use wcm::events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
 use wcm::mpeg::{profile, ClipWorkload, GopStructure, Synthesizer, VideoParams};
-use wcm::sim::pipeline::{simulate_pipeline, PipelineConfig, PipelineResult};
+use wcm::sim::pipeline::{simulate, FifoConfig, PipelineConfig, PipelineSummary, SimScratch};
+use wcm::sim::FaultedWorkload;
 
 const PE1_HZ: f64 = 10.0e6;
 
@@ -22,16 +23,28 @@ fn clip(index: usize, gops: usize) -> ClipWorkload {
         .unwrap()
 }
 
-fn run(clip: &ClipWorkload, pe2_hz: f64) -> PipelineResult {
-    simulate_pipeline(
-        clip,
-        &PipelineConfig {
-            bitrate_bps: clip.params().bitrate_bps(),
-            pe1_hz: PE1_HZ,
-            pe2_hz,
-        },
-    )
-    .unwrap()
+/// One clean run through an unbounded FIFO.
+#[derive(Debug, PartialEq)]
+struct Run {
+    summary: PipelineSummary,
+    fifo_in_times: Vec<f64>,
+    fifo_out_times: Vec<f64>,
+}
+
+fn run(clip: &ClipWorkload, pe2_hz: f64) -> Run {
+    let cfg = PipelineConfig {
+        bitrate_bps: clip.params().bitrate_bps(),
+        pe1_hz: PE1_HZ,
+        pe2_hz,
+    };
+    let w = FaultedWorkload::clean(clip).unwrap();
+    let mut scratch = SimScratch::new();
+    let summary = simulate(&w, &cfg, &FifoConfig::unbounded(), None, &mut scratch).unwrap();
+    Run {
+        summary,
+        fifo_in_times: scratch.fifo_in_times().to_vec(),
+        fifo_out_times: scratch.fifo_out_times().to_vec(),
+    }
 }
 
 fn measure(clip: &ClipWorkload, k_max: usize) -> (wcm::curves::StepCurve, UpperWorkloadCurve) {
@@ -92,9 +105,9 @@ fn backlog_bound_dominates_simulation() {
         };
         let sim = run(&c, f);
         assert!(
-            sim.max_backlog <= bound,
+            sim.summary.max_backlog <= bound,
             "F = {f_mhz} MHz: simulated {} exceeds bound {bound}",
-            sim.max_backlog
+            sim.summary.max_backlog
         );
     }
 }
@@ -130,10 +143,10 @@ fn eq9_frequency_prevents_overflow() {
     for c in &clips {
         let sim = run(c, f_gamma);
         assert!(
-            sim.max_backlog <= buffer,
+            sim.summary.max_backlog <= buffer,
             "{}: backlog {} exceeds buffer {buffer} at F_gamma",
             c.name(),
-            sim.max_backlog
+            sim.summary.max_backlog
         );
     }
 }
@@ -221,9 +234,9 @@ fn backlog_monotone_in_frequency() {
     for f_mhz in [40.0, 80.0, 160.0, 320.0] {
         let sim = run(&c, f_mhz * 1e6);
         assert!(
-            sim.max_backlog <= prev,
+            sim.summary.max_backlog <= prev,
             "backlog rose with frequency at {f_mhz} MHz"
         );
-        prev = sim.max_backlog;
+        prev = sim.summary.max_backlog;
     }
 }
