@@ -115,11 +115,13 @@ fn bench_seq_vs_par(c: &mut Criterion) {
             },
         );
     }
+    // Span scans run on the calling thread under any setting: the pair
+    // shows that a thread scope costs them nothing.
     let t = timestamps(50_000);
-    group.bench_function("spans_seq_N50000_K2000", |b| {
+    group.bench_function("spans_N50000_K2000_in_seq_scope", |b| {
         Parallelism::Seq.scope(|| b.iter(|| min_spans(&t, 2_000, WindowMode::Exact).unwrap()))
     });
-    group.bench_function(format!("spans_threads{threads}_N50000_K2000"), |b| {
+    group.bench_function(format!("spans_N50000_K2000_in_threads{threads}_scope"), |b| {
         Parallelism::Threads(threads)
             .scope(|| b.iter(|| min_spans(&t, 2_000, WindowMode::Exact).unwrap()))
     });

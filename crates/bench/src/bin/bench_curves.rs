@@ -9,7 +9,11 @@
 //! `k` = 24 frames (a deterministic count, read from the
 //! `events.windows_scanned`/`events.windows_total` counters), and the
 //! prefix-vs-rescan speedup on a constant trace, where no block of
-//! window starts can be skipped. Writes the interleaved
+//! window starts can be skipped. The `pruned_spans` rung does the same
+//! for ᾱ's span scan on the clip's FIFO-input stamps (the share from the
+//! `events.spans_scanned`/`events.spans_total` counters, the time against
+//! the naive fold over every span) and on stamps with constant gaps,
+//! where nothing prunes. Writes the interleaved
 //! best-of-`REPS` times, a thread-scaling array (1/2/4/8 workers capped
 //! at the host's cores, plus a `speedup_at_4` headline field — `null`
 //! on hosts with fewer than 4 cores), and the speedups to
@@ -22,7 +26,7 @@
 
 use std::time::Instant;
 use wcm_bench::alloc::{count_allocs, CountingAlloc};
-use wcm_bench::legacy::{convolve_materialized, window_maxima_unpruned};
+use wcm_bench::legacy::{convolve_materialized, min_spans_naive, window_maxima_unpruned};
 use wcm_core::{EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
 use wcm_events::summary::{summarize, summarize_chunks, CurveSummary, Sides};
@@ -221,23 +225,67 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // MP@ML clip, γᵘ and γˡ at k = 24 frames on the full-scale grid).
     // The counters count windows, not time, so the share is exact and
     // the same on every host.
-    let (scan_clip, scanned_frac) = {
-        let params = VideoParams::main_profile_main_level()?;
-        let clip = wcm_bench::synthesize_clips(4)?.swap_remove(0);
-        let demands = clip.pe2_demands();
-        let (k, mode) = (wcm_bench::k_max_24_frames(&params), wcm_bench::full_scale_mode(&params));
+    let params = VideoParams::main_profile_main_level()?;
+    let clip = wcm_bench::synthesize_clips(4)?.swap_remove(0);
+    let (clip_k, clip_mode) =
+        (wcm_bench::k_max_24_frames(&params), wcm_bench::full_scale_mode(&params));
+    let scan_clip = clip.name().to_string();
+    let counted = |scan: &dyn Fn(), scanned: &str, total: &str| {
         let rec = wcm_obs::mem();
         rec.reset();
         wcm_obs::set_enabled(true);
-        Parallelism::Seq.scope(|| {
-            max_window_sums(&demands, k, mode).and_then(|_| min_window_sums(&demands, k, mode))
-        })?;
+        Parallelism::Seq.scope(scan);
         wcm_obs::set_enabled(false);
         let snap = rec.snapshot();
-        let frac = snap.counter("events.windows_scanned") as f64
-            / snap.counter("events.windows_total") as f64;
-        (clip.name().to_string(), frac)
+        snap.counter(scanned) as f64 / snap.counter(total) as f64
     };
+    let demands = clip.pe2_demands();
+    let scanned_frac = counted(
+        &|| {
+            max_window_sums(&demands, clip_k, clip_mode).unwrap();
+            min_window_sums(&demands, clip_k, clip_mode).unwrap();
+        },
+        "events.windows_scanned",
+        "events.windows_total",
+    );
+
+    // ᾱ's span scan on the same clip's FIFO-input stamps: the share of
+    // spans the block bounds leave to evaluate (a count), and the time
+    // against the naive fold over every span
+    // (`wcm_bench::legacy::min_spans_naive`) as a same-process ratio.
+    // With constant gaps every span of a size is equal and nothing
+    // prunes, so there the ratio is the price of the bounds.
+    let stamps = wcm_bench::simulate_clip(&clip, 1.0e9)?.fifo_in_times;
+    let blocked_spans = |t: &[f64], k: usize, mode: WindowMode| {
+        Parallelism::Seq.scope(|| min_spans(t, k, mode).unwrap())
+    };
+    let spans_frac = counted(
+        &|| {
+            blocked_spans(&stamps, clip_k, clip_mode);
+        },
+        "events.spans_scanned",
+        "events.spans_total",
+    );
+    let clip_spans = measure([
+        &mut || time_once(|| blocked_spans(&stamps, clip_k, clip_mode)),
+        &mut || time_once(|| min_spans_naive(&stamps, clip_k, clip_mode)),
+    ]);
+    let steady: Vec<f64> = (0..N).map(|i| i as f64 * 0.25).collect();
+    let steady_spans = measure([
+        &mut || time_once(|| blocked_spans(&steady, K, WindowMode::Exact)),
+        &mut || time_once(|| min_spans_naive(&steady, K, WindowMode::Exact)),
+    ]);
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(blocked_spans(&stamps, clip_k, clip_mode)),
+        bits(min_spans_naive(&stamps, clip_k, clip_mode)),
+        "blocked and naive span scans disagree"
+    );
+    assert_eq!(
+        bits(blocked_spans(&steady, K, WindowMode::Exact)),
+        bits(min_spans_naive(&steady, K, WindowMode::Exact)),
+        "constant-gap span scans disagree"
+    );
 
     // Where nothing prunes: on a constant trace every block of window
     // starts may hold the maximum, so the scan pays its bounds on top
@@ -487,6 +535,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"clip\": \"{scan_clip}\",\n\
          \x20   \"scanned_frac\": {scanned_frac:.4}\n\
          \x20 }},\n\
+         \x20 \"pruned_spans\": {{\n\
+         \x20   \"clip\": \"{scan_clip}\",\n\
+         \x20   \"k_max\": {clip_k},\n\
+         \x20   \"scanned_frac\": {spans_frac:.4},\n\
+         \x20   \"blocked_s\": {:.6},\n\
+         \x20   \"naive_s\": {:.6},\n\
+         \x20   \"blocked_over_naive\": {:.3},\n\
+         \x20   \"constant_blocked_s\": {:.6},\n\
+         \x20   \"constant_naive_s\": {:.6},\n\
+         \x20   \"constant_pruned_over_unpruned\": {:.3}\n\
+         \x20 }},\n\
          \x20 \"window_sums_constant\": {{\n\
          \x20   \"old_rescan_s\": {:.6},\n\
          \x20   \"prefix_seq_s\": {:.6},\n\
@@ -544,6 +603,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20 }}\n}}\n",
         core.speedup(0, 1),
         core.speedup(1, 2),
+        clip_spans.best(0),
+        clip_spans.best(1),
+        clip_spans.speedup(0, 1),
+        steady_spans.best(0),
+        steady_spans.best(1),
+        steady_spans.speedup(0, 1),
         constant.best(0),
         constant.best(1),
         constant.best(2),

@@ -21,8 +21,14 @@
 //!   window of every size evaluated, 16 sizes per pass over each cache
 //!   block of the prefix table. On a trace where nothing can be skipped
 //!   it is the reference the pruned scan's overhead is measured against.
+//! * [`min_spans_naive`] — the minimal-span scan before it shared the
+//!   pruned window kernel: one fold over every span per grid size. It is
+//!   the baseline of `bench_curves`' `pruned_spans` rung and an
+//!   independent second implementation the blocked scan is asserted
+//!   bit-identical to.
 
 use wcm_curves::{approx_eq, Pwl};
+use wcm_events::window::WindowMode;
 use wcm_mpeg::ClipWorkload;
 use wcm_sim::engine::EventQueue;
 use wcm_sim::pipeline::PipelineConfig;
@@ -251,6 +257,31 @@ pub fn window_maxima_unpruned(values: &[u64], ks: &[usize]) -> Vec<u64> {
     out
 }
 
+/// Minimal spans of `k = 1..=k_max` stamps over the grid of `mode`, every
+/// span of every grid size evaluated (`0` for `k = 1`), gaps filled with
+/// the previous grid value.
+///
+/// # Panics
+///
+/// Panics if `k_max` is 0 or exceeds the number of stamps.
+#[must_use]
+pub fn min_spans_naive(times: &[f64], k_max: usize, mode: WindowMode) -> Vec<f64> {
+    let mut out = vec![0.0; k_max];
+    let (mut prev_k, mut prev) = (0, 0.0);
+    for k in mode.grid(k_max) {
+        let span = if k <= 1 {
+            0.0
+        } else {
+            let diffs = times[k - 1..].iter().zip(times).map(|(hi, lo)| hi - lo);
+            diffs.fold(f64::INFINITY, f64::min)
+        };
+        out[prev_k..k - 1].fill(prev);
+        out[k - 1] = span;
+        (prev_k, prev) = (k, span);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,5 +347,20 @@ mod tests {
             max_window_sums(&values, 300, WindowMode::Exact).unwrap()
         );
         assert_eq!(window_maxima_unpruned(&values, &[0, 3001]), vec![0, 0]);
+    }
+
+    #[test]
+    fn naive_and_blocked_min_spans_agree() {
+        use wcm_events::window::min_spans;
+        let times: Vec<f64> = (0..3000u32)
+            .map(|i| f64::from(i) * 0.5 + f64::from(i % 89 == 0) * 0.3)
+            .collect();
+        for mode in [WindowMode::Exact, WindowMode::Strided { exact_upto: 20, stride: 37 }] {
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(min_spans_naive(&times, 400, mode)),
+                bits(min_spans(&times, 400, mode).unwrap())
+            );
+        }
     }
 }

@@ -10,7 +10,11 @@
 //! * **Event spans** — over a sequence of timestamps, what is the smallest
 //!   (largest) time span covered by any `k` consecutive events? The minimal
 //!   spans are the inverse view of the empirical *arrival curve* `ᾱ(Δ)`:
-//!   `ᾱ(Δ) = max { k : min_span(k) ≤ Δ }`.
+//!   `ᾱ(Δ) = max { k : d(k) ≤ Δ }` for the minimal span `d(k)`.
+//!
+//! Both are one question to one kernel. The sorted stamps are the prefix
+//! table of their gaps, so the span of `k` stamps, `t[i+k−1] − t[i]`, is
+//! a window of `k − 1` gaps, read straight off the stamps.
 //!
 //! Exact computation of all window sizes is `O(N·K)` in the worst case
 //! (see § Performance for what the scan skips); [`WindowMode::Strided`]
@@ -24,18 +28,21 @@
 //! sum of any window is two array reads (`p[i+k] − p[i]`), so the per-`k`
 //! scan has no loop-carried dependency and auto-vectorizes (the table stays
 //! in `u64` whenever the total demand fits, widening to `u128` only when it
-//! would wrap), and every grid size shares the same table.
+//! would wrap), and every grid size shares the same table. Span scans use
+//! the stamps as the table, without a copy.
 //!
 //! Whole-grid scans evaluate only the windows that can hold an extremum.
 //! The table is non-decreasing, so for a block of 16 window starts
 //! `[s, s+16)` every window of size `k` lies between `p[s+k] − p[s+15]`
 //! and `p[s+15+k] − p[s]`. Per group of nearby window sizes the scan reads
-//! these bounds for all blocks in one vectorized pass over an interleaved
-//! copy of the table, evaluates the most promising block exactly, and
+//! these bounds for all blocks in one vectorized pass over strided rows
+//! of the table, evaluates the most promising block exactly, and
 //! then evaluates only the blocks whose bound beats that seed. The result
 //! is exact (a block is skipped only when none of its windows can change
-//! the extremum). On the paper's MP@ML clips at `k` = 24 frames it
-//! evaluates about 5 % of the windows. Pruning needs the extreme windows
+//! the extremum; for stamps this holds bit for bit under rounding, see
+//! the `f64` cell). On the paper's MP@ML clips at `k` = 24 frames it
+//! evaluates about 5 % of the demand windows and 35–55 % of the spans:
+//! CBR-paced stamps stand out less. Pruning needs the extreme windows
 //! to stand out from the rest by more than a bound's overshoot (22
 //! values); the worst case, a trace where every block can win (a
 //! constant one), still evaluates all `O(N·K)` windows and pays a few
@@ -46,9 +53,8 @@
 //! When it engages more than one worker, demand scans split the window
 //! starts of one prefix table into chunks, scan them in parallel from
 //! exact seed windows of the whole trace and fold their tables
-//! ([`crate::summary::summarize`]), and span scans spread the grid's `k`
-//! over the pool with [`wcm_par::par_map`]. Sequential and parallel runs
-//! produce **bit-identical** results.
+//! ([`crate::summary::summarize`]). Span scans always run on the calling
+//! thread. Sequential and parallel runs produce **bit-identical** results.
 //!
 //! A stream that grows one stamp at a time keeps its minimal spans in a
 //! [`SpanMinima`] table: `O(depth)` per stamp, no rescans.
@@ -330,12 +336,140 @@ fn to_u64(sum: u128) -> Result<u64, EventError> {
     u64::try_from(sum).map_err(|_| EventError::Overflow { what: "window sum" })
 }
 
-/// A prefix-table cell: the two storage widths of [`PrefixSums`].
-trait PrefixCell: Copy + Ord + std::ops::Sub<Output = Self> + TryInto<u64> + From<u64> {}
+/// A prefix-table cell: the two storage widths of [`PrefixSums`], and the
+/// timestamps of a span scan. Window extrema come out as `Sum`s (`u64`
+/// for demands, `f64` for spans) and scans start from `Sum` tables. The
+/// folds pick with explicit comparisons ([`max_of`], [`min_of`]), so a
+/// cell needs only a partial order.
+trait PrefixCell: Copy + PartialOrd + std::ops::Sub<Output = Self> {
+    /// A reported window extremum, and an entry of a start table.
+    type Sum: Copy + PartialOrd;
+    /// Bound rows a scan holds at once (see [`BoundRows`]).
+    const HELD_ROWS: usize;
+    /// The obs counters of the windows a scan evaluates and covers.
+    const COUNTERS: (&'static str, &'static str);
+    /// A start-table entry in the table's width.
+    fn widen(sum: Self::Sum) -> Self;
+    /// A window extremum as reported; `None` if it does not fit.
+    fn narrow(self) -> Option<Self::Sum>;
+    /// `hi[q] − lo[q]` folded with `pick` ([`max_of`] or [`min_of`]); the
+    /// slices are non-empty and equally long. The one fold behind the
+    /// bounds, the seeds and the window scan itself.
+    #[inline(always)]
+    fn fold_diffs(hi: &[Self], lo: &[Self], pick: impl Fn(Self, Self) -> Self) -> Self {
+        let mut acc = hi[0] - lo[0];
+        for (h, l) in hi.iter().zip(lo) {
+            acc = pick(acc, *h - *l);
+        }
+        acc
+    }
+}
 
-impl PrefixCell for u64 {}
+/// The demand scans count windows.
+const WINDOW_COUNTERS: (&str, &str) = ("events.windows_scanned", "events.windows_total");
 
-impl PrefixCell for u128 {}
+impl PrefixCell for u64 {
+    type Sum = u64;
+    const HELD_ROWS: usize = BOUND_BLOCK;
+    const COUNTERS: (&'static str, &'static str) = WINDOW_COUNTERS;
+    fn widen(sum: u64) -> u64 {
+        sum
+    }
+    fn narrow(self) -> Option<u64> {
+        Some(self)
+    }
+}
+
+impl PrefixCell for u128 {
+    type Sum = u64;
+    const HELD_ROWS: usize = BOUND_BLOCK;
+    const COUNTERS: (&'static str, &'static str) = WINDOW_COUNTERS;
+    fn widen(sum: u64) -> u128 {
+        u128::from(sum)
+    }
+    fn narrow(self) -> Option<u64> {
+        u64::try_from(self).ok()
+    }
+}
+
+/// Timestamps as a prefix table: the span of `k` stamps,
+/// `t[i+k−1] − t[i]`, is the window `p[i+k−1] − p[i]` of `k − 1` gaps
+/// over `p = times`, so span scans run the demand scans' kernel on the
+/// stamps themselves.
+///
+/// The block bounds stay sound bit for bit although every difference is
+/// rounded. Each bound of [`GroupBounds`] is one difference `p[x] − p[y]`
+/// of the non-decreasing table: `x ≤ i+k` and `y ≥ i` for the lower
+/// bound of a window `p[i+k] − p[i]` in the block, `x ≥ i+k` and
+/// `y ≤ i` for the upper one. Correctly rounded subtraction is monotone
+/// in both operands (a larger minuend or a smaller subtrahend never gives
+/// a smaller result), so `fl(lb) ≤ fl(p[i+k] − p[i]) ≤ fl(ub)` for every
+/// window of the block, and a block is still skipped only when none of
+/// its rounded spans can change the extremum.
+///
+/// The span scans take finite sorted stamps only, so no difference is
+/// NaN and the max/min folds do not depend on the order in which windows
+/// are evaluated, except for the sign of a zero span (`−0.0 − 0.0` is
+/// `−0.0`). [`PrefixCell::narrow`] reports every zero as `+0.0`, which
+/// makes the result independent of which windows were evaluated.
+///
+/// The stamps are the caller's, and ᾱ's scan runs where `analyze` peaks
+/// in heap: a scan holds four bound rows (a quarter of a copy of the
+/// stamps), enough for both sides' rows of a group and for the two row
+/// phases the dense part of a grid alternates between.
+impl PrefixCell for f64 {
+    type Sum = f64;
+    const HELD_ROWS: usize = 4;
+    const COUNTERS: (&'static str, &'static str) = ("events.spans_scanned", "events.spans_total");
+    fn widen(sum: f64) -> f64 {
+        sum
+    }
+    fn narrow(self) -> Option<f64> {
+        Some(self + 0.0)
+    }
+    /// The fold in [`FOLD_LANES`] independent lanes: `f64` max/min has no
+    /// associativity the compiler may assume, so one accumulator would
+    /// serialize the scan on its latency.
+    #[inline(always)]
+    fn fold_diffs(hi: &[f64], lo: &[f64], pick: impl Fn(f64, f64) -> f64) -> f64 {
+        let mut acc = [hi[0] - lo[0]; FOLD_LANES];
+        let (hs, ls) = (hi.chunks_exact(FOLD_LANES), lo.chunks_exact(FOLD_LANES));
+        let (h_rest, l_rest) = (hs.remainder(), ls.remainder());
+        for (h, l) in hs.zip(ls) {
+            for j in 0..FOLD_LANES {
+                acc[j] = pick(acc[j], h[j] - l[j]);
+            }
+        }
+        for (h, l) in h_rest.iter().zip(l_rest) {
+            acc[0] = pick(acc[0], h - l);
+        }
+        acc.into_iter().reduce(pick).expect("lanes are non-empty")
+    }
+}
+
+/// Accumulators of the `f64` fold: enough independent chains to hide the
+/// max/min latency behind 256- or 512-bit vector units.
+const FOLD_LANES: usize = 16;
+
+/// The larger of two cells, `a` on a tie.
+#[inline(always)]
+fn max_of<T: PartialOrd>(a: T, b: T) -> T {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The smaller of two cells, `a` on a tie.
+#[inline(always)]
+fn min_of<T: PartialOrd>(a: T, b: T) -> T {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
 
 /// Table positions per cache block: 8 Ki entries = 64 KiB of `u64`, so a
 /// block plus the `k`-shifted stream it is compared against stays resident
@@ -361,40 +495,68 @@ const BOUND_GROUP: usize = 8;
 /// holds which of its blocks survive.
 const FILTER_CHUNK: usize = 64;
 
-/// The prefix table once more as [`BOUND_BLOCK`] interleaved rows,
+/// The prefix table once more as [`BOUND_BLOCK`] strided rows,
 /// `row(r)[q] = p[q·B + r]` (padded with `p[n]`), so the bounds of
-/// consecutive blocks are differences of two contiguous slices.
+/// consecutive blocks are differences of two contiguous slices. A row is
+/// gathered when a group first reads it, into one of
+/// [`PrefixCell::HELD_ROWS`] slots of one allocation; once all slots are
+/// taken, a row the group does not read makes room.
 struct BoundRows<T> {
+    /// The held rows back to back, `width` cells each.
     cells: Vec<T>,
+    /// The slot of each row, while held.
+    slot: [Option<usize>; BOUND_BLOCK],
+    /// The row in each taken slot.
+    held: Vec<usize>,
     width: usize,
 }
 
 impl<T: PrefixCell> BoundRows<T> {
-    fn new(p: &[T]) -> Self {
-        let n = p.len() - 1;
-        let width = n / BOUND_BLOCK + 1;
-        let mut cells = Vec::with_capacity(BOUND_BLOCK * width);
-        for r in 0..BOUND_BLOCK {
-            cells.extend((0..width).map(|q| p[(q * BOUND_BLOCK + r).min(n)]));
+    /// No rows yet, for a table of `n + 1` cells.
+    fn new(n: usize) -> Self {
+        Self {
+            cells: Vec::new(),
+            slot: [None; BOUND_BLOCK],
+            held: Vec::new(),
+            width: n / BOUND_BLOCK + 1,
         }
-        Self { cells, width }
+    }
+
+    /// Makes the rows `want` (at most four) readable, gathering from `p`
+    /// those not held.
+    fn hold(&mut self, p: &[T], want: &[usize]) {
+        let (n, width) = (p.len() - 1, self.width);
+        for &r in want {
+            if self.slot[r].is_some() {
+                continue;
+            }
+            let row = (0..width).map(|q| p[(q * BOUND_BLOCK + r).min(n)]);
+            let s = if self.held.len() < T::HELD_ROWS {
+                if self.held.is_empty() {
+                    self.cells.reserve_exact(T::HELD_ROWS * width);
+                }
+                self.cells.extend(row);
+                self.held.push(r);
+                self.held.len() - 1
+            } else {
+                let s = (0..self.held.len())
+                    .find(|&s| !want.contains(&self.held[s]))
+                    .expect("a scan holds more rows than a group reads");
+                self.slot[self.held[s]] = None;
+                for (cell, v) in self.cells[s * width..(s + 1) * width].iter_mut().zip(row) {
+                    *cell = v;
+                }
+                self.held[s] = r;
+                s
+            };
+            self.slot[r] = Some(s);
+        }
     }
 
     fn row(&self, r: usize) -> &[T] {
-        &self.cells[r * self.width..(r + 1) * self.width]
+        let s = self.slot[r].expect("rows are held before they are read");
+        &self.cells[s * self.width..(s + 1) * self.width]
     }
-}
-
-/// `hi[q] − lo[q]` folded with `pick` (`Ord::max` or `Ord::min`); the
-/// slices are non-empty. The one fold behind the bounds, the seeds and
-/// the window scan itself.
-#[inline(always)]
-fn fold_diffs<T: PrefixCell>(hi: &[T], lo: &[T], pick: impl Fn(T, T) -> T) -> T {
-    let mut acc = hi[0] - lo[0];
-    for (h, l) in hi.iter().zip(lo) {
-        acc = pick(acc, *h - *l);
-    }
-    acc
 }
 
 /// Bit `q` set where `keep(hi[q] − lo[q])`, over one filter chunk.
@@ -432,7 +594,8 @@ fn group_len(ks: &[usize], n: usize) -> usize {
 /// for the starts `i ∈ [qB, qB+B)` every window `W(i,k) = p[i+k] − p[i]`
 /// of the group lies between `lb(q) = p[qB+k_lo] − p[qB+B−1]` and
 /// `ub(q) = p[qB+B−1+k_hi] − p[qB]`, each the difference of two rows of
-/// [`BoundRows`].
+/// [`BoundRows`]. Only the wanted sides' rows are held; an unwanted
+/// side's rows are empty and never read.
 struct GroupBounds<'a, T> {
     /// `(hi, lo)` rows with `ub(q) = hi[q] − lo[q]`.
     ub: (&'a [T], &'a [T]),
@@ -448,7 +611,8 @@ impl<'a, T: PrefixCell> GroupBounds<'a, T> {
     /// the group is then evaluated. `last` gives each size's number of
     /// window starts.
     fn new(
-        rows: &'a BoundRows<T>,
+        rows: &'a mut BoundRows<T>,
+        p: &[T],
         group: &[usize],
         sides: Sides,
         last: impl Fn(usize) -> usize,
@@ -461,9 +625,20 @@ impl<'a, T: PrefixCell> GroupBounds<'a, T> {
             return None;
         }
         let reach = k_hi + B - 1;
+        let (want_max, want_min) = (sides.wants_max(), sides.wants_min());
+        // The rows of `ub`, then of `lb`: the wanted sides' rows are held
+        // in one call, so none of them makes room for another.
+        let both = [reach % B, 0, k_lo % B, B - 1];
+        rows.hold(p, match (want_max, want_min) {
+            (true, true) => &both,
+            (true, false) => &both[..2],
+            _ => &both[2..],
+        });
+        let rows: &'a BoundRows<T> = rows;
+        let none: (&[T], &[T]) = (&[], &[]);
         Some(Self {
-            ub: (&rows.row(reach % B)[reach / B..], rows.row(0)),
-            lb: (&rows.row(k_lo % B)[k_lo / B..], rows.row(B - 1)),
+            ub: if want_max { (&rows.row(reach % B)[reach / B..], rows.row(0)) } else { none },
+            lb: if want_min { (&rows.row(k_lo % B)[k_lo / B..], rows.row(B - 1)) } else { none },
             full,
         })
     }
@@ -489,10 +664,18 @@ fn bound_pass<T: PrefixCell>(
     chunks.clear();
     for c in (0..bounds.full).step_by(FILTER_CHUNK) {
         let e = (c + FILTER_CHUNK).min(bounds.full);
-        let (ub_hi, ub_lo) = bounds.ub(c, e);
-        let (lb_hi, lb_lo) = bounds.lb(c, e);
-        let top = if sides.wants_max() { fold_diffs(ub_hi, ub_lo, Ord::max) } else { p[0] };
-        let bottom = if sides.wants_min() { fold_diffs(lb_hi, lb_lo, Ord::min) } else { p[0] };
+        let top = if sides.wants_max() {
+            let (hi, lo) = bounds.ub(c, e);
+            T::fold_diffs(hi, lo, max_of)
+        } else {
+            p[0]
+        };
+        let bottom = if sides.wants_min() {
+            let (hi, lo) = bounds.lb(c, e);
+            T::fold_diffs(hi, lo, min_of)
+        } else {
+            p[0]
+        };
         chunks.push((top, bottom));
     }
 }
@@ -512,18 +695,19 @@ fn seed_group<T: PrefixCell>(
     const B: usize = BOUND_BLOCK;
     let (want_max, want_min) = (sides.wants_max(), sides.wants_min());
     let q_max = want_max.then(|| {
-        let top = chunks.iter().map(|c| c.0).max().expect("a full block");
+        let top = chunks.iter().map(|c| c.0).reduce(max_of).expect("a full block");
         let c = chunks.iter().position(|c| c.0 == top).expect("the max is a chunk's") * FILTER_CHUNK;
         (c..).find(|&q| bounds.ub.0[q] - bounds.ub.1[q] == top).expect("the chunk holds its max")
     });
     let q_min = want_min.then(|| {
-        let bottom = chunks.iter().map(|c| c.1).min().expect("a full block");
+        let bottom = chunks.iter().map(|c| c.1).reduce(min_of).expect("a full block");
         let c = chunks.iter().position(|c| c.1 == bottom).expect("the min is a chunk's") * FILTER_CHUNK;
         (c..).find(|&q| bounds.lb.0[q] - bounds.lb.1[q] == bottom).expect("the chunk holds its min")
     });
     for (&k, seed) in group.iter().zip(seeds) {
-        let mx = q_max.map(|q| fold_diffs(&p[q * B + k..q * B + B + k], &p[q * B..q * B + B], Ord::max));
-        let mn = q_min.map(|q| fold_diffs(&p[q * B + k..q * B + B + k], &p[q * B..q * B + B], Ord::min));
+        let block = |q: usize| (&p[q * B + k..q * B + B + k], &p[q * B..q * B + B]);
+        let mx = q_max.map(|q| T::fold_diffs(block(q).0, block(q).1, max_of));
+        let mn = q_min.map(|q| T::fold_diffs(block(q).0, block(q).1, min_of));
         *seed = mx.or(mn).zip(mn.or(mx));
     }
     group.len() * B * (usize::from(want_max) + usize::from(want_min))
@@ -547,8 +731,9 @@ fn seed_group<T: PrefixCell>(
 /// starts.
 fn plan_group<T: PrefixCell>(
     scan: &Scan<T>,
+    rows: &mut BoundRows<T>,
     group: &[usize],
-    start: &[(u64, u64)],
+    start: &[(T::Sum, T::Sum)],
     chunks: &mut Vec<(T, T)>,
     seeds: &mut [Option<(T, T)>],
     ranges: &mut Vec<(usize, usize)>,
@@ -558,7 +743,7 @@ fn plan_group<T: PrefixCell>(
     let tail_end = scan.last(group[0]);
     ranges.clear();
     seeds.fill(None);
-    let Some(bounds) = GroupBounds::new(&scan.rows, group, sides, |k| scan.last(k)) else {
+    let Some(bounds) = GroupBounds::new(rows, p, group, sides, |k| scan.last(k)) else {
         ranges.push((0, tail_end));
         return 0;
     };
@@ -572,10 +757,10 @@ fn plan_group<T: PrefixCell>(
         .iter()
         .zip(start)
         .map(|(seed, &(from_max, from_min))| {
-            let (from_max, from_min) = (T::from(from_max), T::from(from_min));
-            seed.map_or((from_max, from_min), |(mx, mn)| (mx.max(from_max), mn.min(from_min)))
+            let (from_max, from_min) = (T::widen(from_max), T::widen(from_min));
+            seed.map_or((from_max, from_min), |(mx, mn)| (max_of(mx, from_max), min_of(mn, from_min)))
         })
-        .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
+        .reduce(|a, b| (min_of(a.0, b.0), max_of(a.1, b.1)))
         .expect("groups are non-empty");
     // Only chunks whose extreme bound beats the cut are masked.
     for (i, &(top, bottom)) in chunks.iter().enumerate() {
@@ -602,12 +787,11 @@ fn plan_group<T: PrefixCell>(
     evaluated
 }
 
-/// What the groups of one scan share: the table, its interleaved rows,
-/// the wanted sides, whether groups evaluate seeds of their own, and how
-/// many window starts a size may take.
+/// What the groups of one scan share: the table, the wanted sides,
+/// whether groups evaluate seeds of their own, and how many window
+/// starts a size may take.
 struct Scan<'a, T> {
     p: &'a [T],
-    rows: BoundRows<T>,
     sides: Sides,
     local_seeds: bool,
     starts: usize,
@@ -621,35 +805,40 @@ impl<T: PrefixCell> Scan<'_, T> {
     }
 }
 
-/// The kernel behind [`PrefixSums::scan_grid`]: for each tile of window
-/// sizes, plan its groups of nearby sizes ([`plan_group`]: exact seeds,
-/// block bounds, the surviving start ranges), then stream the table
-/// block by block and fold the per-`k` extremum of `p[i+k] − p[i]` over
-/// the surviving starts in the block, into `maxs`/`mins` (the start
-/// tables) for the wanted sides. `None` when an extremum does not fit
-/// `u64`.
+/// The max and min tables of a scan, one entry per window size.
+type Tables<S> = (Vec<S>, Vec<S>);
+
+/// The one window kernel, behind [`PrefixSums::scan_grid`] and the span
+/// scans ([`min_spans`], [`max_spans`]): for each tile of window sizes,
+/// plan its groups of nearby sizes ([`plan_group`]: exact seeds, block
+/// bounds, the surviving start ranges), then stream the table block by
+/// block and fold the per-`k` extremum of `p[i+k] − p[i]` over the
+/// surviving starts in the block, into `maxs`/`mins` (the start tables)
+/// for the wanted sides. `None` when an extremum does not fit a `Sum`.
 ///
 /// The extrema are folded in the table's width from the evaluated
-/// windows alone, and meet the starts only in `u64`: a start can never
+/// windows alone, and meet the starts only as `Sum`s: a start can never
 /// hide a window past `u64::MAX`.
 ///
-/// Counts the windows it evaluates (`events.windows_scanned`, seeds
-/// included) and the windows the grid covers (`events.windows_total`),
-/// one counter call each per scan.
+/// Counts the windows it evaluates (seeds included) and the windows the
+/// grid covers, one counter call each per scan, under the cell's
+/// [`PrefixCell::COUNTERS`] (`events.windows_*` for demands,
+/// `events.spans_*` for stamps).
 fn scan_blocked<T: PrefixCell>(
     p: &[T],
     ks: &[usize],
     sides: Sides,
-    mut maxs: Vec<u64>,
-    mut mins: Vec<u64>,
+    mut maxs: Vec<T::Sum>,
+    mut mins: Vec<T::Sum>,
     local_seeds: bool,
     starts: usize,
-) -> Option<(Vec<u64>, Vec<u64>)> {
+) -> Option<Tables<T::Sum>> {
     let n = p.len() - 1;
     let (want_max, want_min) = (sides.wants_max(), sides.wants_min());
-    let scan = Scan { p, rows: BoundRows::new(p), sides, local_seeds, starts };
+    let scan = Scan { p, sides, local_seeds, starts };
+    let mut rows = BoundRows::new(n);
     let last = |k: usize| scan.last(k);
-    let mut chunks = Vec::new();
+    let mut chunks = Vec::with_capacity(n / (BOUND_BLOCK * FILTER_CHUNK) + 1);
     let mut start = Vec::with_capacity(SCAN_TILE);
     // Per size of a tile: its extrema so far (`None` before its first
     // window), the group whose ranges it scans, and its cursor in them.
@@ -657,7 +846,7 @@ fn scan_blocked<T: PrefixCell>(
     let mut group_of = Vec::with_capacity(SCAN_TILE);
     let mut cursor = Vec::with_capacity(SCAN_TILE);
     // One range list per group of the tile, kept across tiles.
-    let mut ranges: Vec<Vec<(usize, usize)>> = Vec::new();
+    let mut ranges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(SCAN_TILE);
     let (mut scanned, mut total) = (0usize, 0usize);
     for (tile_idx, tile) in ks.chunks(SCAN_TILE).enumerate() {
         let base = tile_idx * SCAN_TILE;
@@ -671,7 +860,9 @@ fn scan_blocked<T: PrefixCell>(
             let len = group_len(&tile[j..], n);
             let group = &tile[j..j + len];
             if ranges.len() == groups {
-                ranges.push(Vec::new());
+                // Room for the few dozen runs of surviving blocks a
+                // group keeps on the clips, so the lists rarely grow.
+                ranges.push(Vec::with_capacity(FILTER_CHUNK));
             }
             let group_ranges = &mut ranges[groups];
             group_ranges.clear();
@@ -679,7 +870,8 @@ fn scan_blocked<T: PrefixCell>(
                 start.clear();
                 start.extend((base + j..base + j + len).map(|i| (maxs[i], mins[i])));
                 let seeds = &mut best[j..j + len];
-                scanned += plan_group(&scan, group, &start, &mut chunks, seeds, group_ranges);
+                scanned +=
+                    plan_group(&scan, &mut rows, group, &start, &mut chunks, seeds, group_ranges);
                 for &k in group {
                     total += last(k);
                     let clip = |&(lo, hi): &(usize, usize)| hi.min(last(k)).saturating_sub(lo);
@@ -706,9 +898,9 @@ fn scan_blocked<T: PrefixCell>(
                         break;
                     }
                     let (hi_p, lo_p) = (&p[lo + k..hi + k], &p[lo..hi]);
-                    let mx = if want_max { fold_diffs(hi_p, lo_p, Ord::max) } else { p[0] };
-                    let mn = if want_min { fold_diffs(hi_p, lo_p, Ord::min) } else { p[0] };
-                    best[j] = Some(best[j].map_or((mx, mn), |(bx, bn)| (bx.max(mx), bn.min(mn))));
+                    let mx = if want_max { T::fold_diffs(hi_p, lo_p, max_of) } else { p[0] };
+                    let mn = if want_min { T::fold_diffs(hi_p, lo_p, min_of) } else { p[0] };
+                    best[j] = Some(best[j].map_or((mx, mn), |(bx, bn)| (max_of(bx, mx), min_of(bn, mn))));
                 }
             }
             at = block_end;
@@ -718,16 +910,16 @@ fn scan_blocked<T: PrefixCell>(
                 continue; // k = 0 or k > n: the start stays in place
             };
             if want_max {
-                maxs[base + j] = maxs[base + j].max(mx.try_into().ok()?);
+                maxs[base + j] = max_of(maxs[base + j], mx.narrow()?);
             }
             if want_min {
-                mins[base + j] = mins[base + j].min(mn.try_into().ok()?);
+                mins[base + j] = min_of(mins[base + j], mn.narrow()?);
             }
         }
     }
     if wcm_obs::enabled() {
-        wcm_obs::counter("events.windows_scanned", scanned as u64);
-        wcm_obs::counter("events.windows_total", total as u64);
+        wcm_obs::counter(T::COUNTERS.0, scanned as u64);
+        wcm_obs::counter(T::COUNTERS.1, total as u64);
     }
     Some((maxs, mins))
 }
@@ -736,9 +928,13 @@ fn scan_blocked<T: PrefixCell>(
 /// sizes, the bound pass and seed blocks of [`seed_group`], kept where
 /// they fit `u64` on the wanted sides; identities elsewhere. Counts the
 /// windows the seeds evaluate (`events.windows_scanned`).
-fn seeds_blocked<T: PrefixCell>(p: &[T], ks: &[usize], sides: Sides) -> (Vec<u64>, Vec<u64>) {
+fn seeds_blocked<T: PrefixCell<Sum = u64>>(
+    p: &[T],
+    ks: &[usize],
+    sides: Sides,
+) -> (Vec<u64>, Vec<u64>) {
     let n = p.len() - 1;
-    let rows = BoundRows::new(p);
+    let mut rows = BoundRows::new(n);
     let (mut maxs, mut mins) = (vec![0; ks.len()], vec![u64::MAX; ks.len()]);
     let (mut chunks, mut seeds) = (Vec::new(), Vec::new());
     let (mut j, mut scanned) = (0, 0);
@@ -748,24 +944,28 @@ fn seeds_blocked<T: PrefixCell>(p: &[T], ks: &[usize], sides: Sides) -> (Vec<u64
         seeds.clear();
         seeds.resize(len, None);
         let last = |k: usize| n + 1 - k;
-        let bounds = (1..=n).contains(&group[0]).then(|| GroupBounds::new(&rows, group, sides, last));
-        if let Some(bounds) = bounds.flatten() {
+        let bounds = if (1..=n).contains(&group[0]) {
+            GroupBounds::new(&mut rows, p, group, sides, last)
+        } else {
+            None
+        };
+        if let Some(bounds) = bounds {
             bound_pass(p, &bounds, sides, &mut chunks);
             scanned += seed_group(p, &bounds, group, sides, &chunks, &mut seeds);
             for (i, seed) in seeds.iter().enumerate() {
                 let (mx, mn) = seed.expect("a group with bounds is seeded");
                 if sides.wants_max() {
-                    maxs[j + i] = mx.try_into().unwrap_or(0);
+                    maxs[j + i] = mx.narrow().unwrap_or(0);
                 }
                 if sides.wants_min() {
-                    mins[j + i] = mn.try_into().unwrap_or(u64::MAX);
+                    mins[j + i] = mn.narrow().unwrap_or(u64::MAX);
                 }
             }
         }
         j += len;
     }
     if wcm_obs::enabled() {
-        wcm_obs::counter("events.windows_scanned", scanned as u64);
+        wcm_obs::counter(T::COUNTERS.0, scanned as u64);
     }
     (maxs, mins)
 }
@@ -948,59 +1148,36 @@ fn fill_gaps<T: Copy>(
     out
 }
 
-/// Minimal time span covered by any `k` consecutive timestamps
-/// (`times` must be sorted; `k ≥ 2` spans are `t[i+k−1] − t[i]`, `k ≤ 1`
-/// spans are 0).
+/// Minimal spans for all `k = 1 ..= k_max` (index 0 ↦ `k = 1`): the
+/// smallest `t[i+k−1] − t[i]` over the sorted `times` (0 for `k = 1`),
+/// with the same strided-conservative filling as the window sums: gaps
+/// take the *previous* grid value (an under-approximation of the span,
+/// hence an over-approximation of the event count per Δ — sound for
+/// upper arrival curves). A zero span is reported as `+0.0`.
 ///
-/// Returns `None` if `k > times.len()`.
-///
-/// # Example
-///
-/// ```
-/// use wcm_events::window::min_span;
-///
-/// let times = [0.0, 1.0, 1.25, 5.0];
-/// assert_eq!(min_span(&times, 2), Some(0.25)); // the 1.0–1.25 pair
-/// assert_eq!(min_span(&times, 3), Some(1.25));
-/// ```
-#[must_use]
-pub fn min_span(times: &[f64], k: usize) -> Option<f64> {
-    span(times, k, false)
-}
-
-/// Maximal time span covered by any `k` consecutive timestamps.
-#[must_use]
-pub fn max_span(times: &[f64], k: usize) -> Option<f64> {
-    span(times, k, true)
-}
-
-fn span(times: &[f64], k: usize, maximize: bool) -> Option<f64> {
-    if k > times.len() {
-        return None;
-    }
-    if k <= 1 {
-        return Some(0.0);
-    }
-    // Like the prefix-sum scan: t[i+k−1] − t[i] are independent reads with
-    // no loop-carried state.
-    let diffs = times[k - 1..].iter().zip(times).map(|(hi, lo)| hi - lo);
-    Some(if maximize {
-        diffs.fold(f64::NEG_INFINITY, f64::max)
-    } else {
-        diffs.fold(f64::INFINITY, f64::min)
-    })
-}
-
-/// Minimal spans for all `k = 1 ..= k_max` (index 0 ↦ `k = 1`), with the
-/// same strided-conservative filling as the window sums: gaps take the
-/// *previous* grid value (an under-approximation of the span, hence an
-/// over-approximation of the event count per Δ — sound for upper arrival
-/// curves).
+/// The stamps are the prefix table of their gaps, so this is the window
+/// scan of [`min_window_sums`] over them (see § Performance): block
+/// bounds skip the spans that cannot be minimal, with the same result as
+/// evaluating every span. It runs on the calling thread under any
+/// [`Parallelism`].
 ///
 /// # Errors
 ///
 /// Returns [`EventError::InvalidParameter`] if `k_max` is 0 or exceeds the
-/// number of timestamps, or if a strided mode has `stride = 0`.
+/// number of timestamps, or if a strided mode has `stride = 0`;
+/// [`EventError::UnsortedTimestamps`] (index of the first) if a stamp is
+/// not finite or lies before its predecessor.
+///
+/// # Example
+///
+/// ```
+/// use wcm_events::window::{min_spans, WindowMode};
+///
+/// let times = [0.0, 1.0, 1.25, 5.0];
+/// // k = 2: the 1.0–1.25 pair; k = 3: 0.0–1.25; k = 4: all of it.
+/// assert_eq!(min_spans(&times, 4, WindowMode::Exact)?, [0.0, 0.25, 1.25, 5.0]);
+/// # Ok::<(), wcm_events::EventError>(())
+/// ```
 pub fn min_spans(times: &[f64], k_max: usize, mode: WindowMode) -> Result<Vec<f64>, EventError> {
     spans(times, k_max, mode, false)
 }
@@ -1027,11 +1204,25 @@ fn spans(
     if let WindowMode::Strided { stride: 0, .. } = mode {
         return Err(EventError::InvalidParameter { name: "stride" });
     }
+    // The block bounds hold only on a non-decreasing table.
+    if let Some(index) =
+        (0..times.len()).find(|&i| !times[i].is_finite() || (i > 0 && times[i] < times[i - 1]))
+    {
+        return Err(EventError::UnsortedTimestamps { index });
+    }
     let grid = mode.grid(k_max);
-    let cost = grid.len() as u64 * times.len() as u64;
-    let exact = wcm_par::par_map(&grid, cost, |_, &k| {
-        span(times, k, maximize).expect("k ≤ len by validation")
-    });
+    // A span of `k` stamps is a window of `k − 1` gaps; `k = 1` has no
+    // window and keeps its start, the span 0 of one stamp.
+    let gaps: Vec<usize> = grid.iter().map(|k| k - 1).collect();
+    let start = |identity: f64| -> Vec<f64> {
+        gaps.iter().map(|&g| if g == 0 { 0.0 } else { identity }).collect()
+    };
+    let sides = if maximize { Sides::Max } else { Sides::Min };
+    let (start_max, start_min) = (start(f64::NEG_INFINITY), start(f64::INFINITY));
+    let (maxs, mins) =
+        scan_blocked(times, &gaps, sides, start_max, start_min, true, times.len() - 1)
+            .expect("every f64 extremum is reported");
+    let exact = if maximize { maxs } else { mins };
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0.0f64))
 }
 
@@ -1042,10 +1233,11 @@ fn spans(
 ///
 /// A push costs `O(depth)` and needs only the last `depth − 1` stamps,
 /// which stay contiguous in a doubled buffer that is compacted every
-/// `depth − 1` pushes. Each `k`'s minimum is folded in stream order, as
-/// [`min_spans`] folds it, so [`SpanMinima::min_spans`] is bitwise equal
-/// to `min_spans(every stamp so far, depth, WindowMode::Exact)`, signed
-/// zeros included.
+/// `depth − 1` pushes. The minimum of sorted finite stamps' spans does
+/// not depend on the order they are folded in, and a zero span is kept
+/// as `+0.0` as [`min_spans`] reports it, so [`SpanMinima::min_spans`] is
+/// bitwise equal to `min_spans(every stamp so far, depth,
+/// WindowMode::Exact)`, signed zeros included.
 ///
 /// The first non-finite or decreasing stamp is sticky: from then on
 /// [`SpanMinima::min_spans`] fails exactly as a [`crate::TimedTrace`] of
@@ -1128,8 +1320,9 @@ impl SpanMinima {
         }
         // `recent` ends with t[j−1], t[j−2], …: the starts of the spans
         // of k = 2, 3, … that end at t.
+        // `+ 0.0` turns the span `−0.0 − 0.0` into `+0.0`.
         for (m, &lo) in self.mins[1..].iter_mut().zip(self.recent.iter().rev()) {
-            *m = m.min(t - lo);
+            *m = m.min((t - lo) + 0.0);
         }
         if self.recent.len() == 2 * keep {
             self.recent.copy_within(keep.., 0);
@@ -1472,14 +1665,114 @@ mod tests {
         .is_err());
     }
 
+    /// The naive fold over every span of `k` stamps, as `min_spans` ran
+    /// it before it shared the window kernel, with a zero span reported
+    /// as `+0.0`: the oracle of the blocked span scan.
+    fn span_oracle(times: &[f64], k: usize, maximize: bool) -> f64 {
+        if k <= 1 {
+            return 0.0;
+        }
+        let diffs = times[k - 1..].iter().zip(times).map(|(hi, lo)| hi - lo);
+        let best = if maximize {
+            diffs.fold(f64::NEG_INFINITY, f64::max)
+        } else {
+            diffs.fold(f64::INFINITY, f64::min)
+        };
+        best + 0.0
+    }
+
+    /// [`span_oracle`] on every grid size, filled like [`spans`].
+    fn spans_oracle(times: &[f64], k_max: usize, mode: WindowMode, maximize: bool) -> Vec<f64> {
+        let grid = mode.grid(k_max);
+        let exact: Vec<f64> = grid.iter().map(|&k| span_oracle(times, k, maximize)).collect();
+        fill_gaps(&grid, &exact, k_max, maximize, 0.0)
+    }
+
     #[test]
     fn spans_basic() {
         let t = [0.0, 1.0, 1.2, 5.0, 5.1];
-        assert_eq!(min_span(&t, 1), Some(0.0));
-        assert!((min_span(&t, 2).unwrap() - 0.1).abs() < 1e-12);
-        assert!((max_span(&t, 2).unwrap() - 3.8).abs() < 1e-12);
-        assert!((min_span(&t, 5).unwrap() - 5.1).abs() < 1e-12);
-        assert_eq!(min_span(&t, 6), None);
+        let mins = min_spans(&t, 5, WindowMode::Exact).unwrap();
+        let maxs = max_spans(&t, 5, WindowMode::Exact).unwrap();
+        assert_eq!(mins[0], 0.0);
+        assert!((mins[1] - 0.1).abs() < 1e-12);
+        assert!((maxs[1] - 3.8).abs() < 1e-12);
+        assert!((mins[4] - 5.1).abs() < 1e-12);
+        assert!(min_spans(&t, 6, WindowMode::Exact).is_err());
+        // The bounds need sorted finite stamps: anything else is refused.
+        for (bad, index) in [(vec![0.0, 2.0, 1.0], 2), (vec![0.0, f64::NAN, 1.0], 1)] {
+            let err = Err(EventError::UnsortedTimestamps { index });
+            assert_eq!(min_spans(&bad, 2, WindowMode::Exact), err);
+            assert_eq!(max_spans(&bad, 2, WindowMode::Exact), err);
+        }
+    }
+
+    #[test]
+    fn blocked_spans_equal_the_naive_fold_bitwise() {
+        let mut x = 0x5851_F42D_4C95_7F2Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let n = 2000;
+        let mut walk = |step: &mut dyn FnMut(u64) -> f64| {
+            let mut clock = 0.0f64;
+            (0..n)
+                .map(|_| {
+                    clock += step(next());
+                    clock
+                })
+                .collect::<Vec<f64>>()
+        };
+        let random = walk(&mut |r| (r % 1_000_000) as f64 * 1e-9);
+        // Runs of 1..32 equal stamps, some in near-equal bursts.
+        let bursts = walk(&mut |r| match r % 32 {
+            0 => (r >> 8) as f64 % 997.0 * 1e-3,
+            1..=3 => 1e-12,
+            _ => 0.0,
+        });
+        // Every span of a size equal: no block can be skipped.
+        let constant: Vec<f64> = (0..n).map(|i| i as f64 * 0.25).collect();
+        // Where one ulp (~1.2e-10) is a sizeable share of a gap.
+        let offset: Vec<f64> = walk(&mut |r| (r % 4000) as f64 * 1e-10)
+            .into_iter()
+            .map(|t| t + 1e6)
+            .collect();
+        // A run of signed zeros (`−0.0 − 0.0` is `−0.0`), then steps.
+        let mut zeros = walk(&mut |r| (r % 3) as f64 * 0.1);
+        for (i, t) in zeros.iter_mut().take(300).enumerate() {
+            *t = if i % 3 == 2 { -0.0 } else { 0.0 };
+        }
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let modes = [
+            WindowMode::Exact,
+            WindowMode::Strided { exact_upto: 5, stride: 7 },
+            WindowMode::Strided { exact_upto: 40, stride: 33 },
+            WindowMode::Strided { exact_upto: 0, stride: 19 },
+        ];
+        for (name, t) in [
+            ("random", &random),
+            ("bursts", &bursts),
+            ("constant", &constant),
+            ("offset", &offset),
+            ("zeros", &zeros),
+        ] {
+            for k_max in [1, 2, 15, 16, 17, n] {
+                for mode in modes {
+                    for maximize in [false, true] {
+                        assert_eq!(
+                            bits(&spans(t, k_max, mode, maximize).unwrap()),
+                            bits(&spans_oracle(t, k_max, mode, maximize)),
+                            "{name} k_max {k_max} {mode:?} maximize {maximize}"
+                        );
+                    }
+                }
+            }
+        }
+        // The signed zeros do reach the results: as `+0.0` only.
+        let mins = min_spans(&zeros, 300, WindowMode::Exact).unwrap();
+        assert!(mins.iter().all(|d| d.to_bits() == 0));
     }
 
     #[test]

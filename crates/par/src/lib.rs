@@ -537,8 +537,8 @@ mod tests {
 
     #[test]
     fn explicit_threads_respect_the_grain() {
-        // Tiny work: even an explicit Threads(8) collapses to 1 worker —
-        // this is the fix for the min_spans parallel regression.
+        // Tiny work: even an explicit Threads(8) collapses to 1 worker,
+        // so thread start-up never costs more than the work it splits.
         assert_eq!(Parallelism::Threads(8).workers(100, 0), 1);
         assert_eq!(Parallelism::Threads(8).workers(100, grain_ops() - 1), 1);
         // Work backing exactly two grains affords two workers.

@@ -341,10 +341,6 @@ fn push_times_of(w: &FaultedWorkload, bitrate_bps: f64, pe1_hz: f64) -> Vec<f64>
 
 impl ClipContext {
     fn build(clip: &ClipWorkload, spec: &SweepSpec) -> Result<Self, SweepError> {
-        let clean = FaultedWorkload::clean(clip)?;
-        let n = clean.len();
-        let k_max = spec.k_max.min(n);
-
         // The certificate needs *exact* spans — a strided gap-fill
         // under-approximates the span and would claim overflow where none
         // exists — but it does not need *every* window size: each grid
@@ -363,10 +359,16 @@ impl ClipContext {
             stride: cert_stride,
         };
 
+        // The clean stream is built once, and becomes the first clean
+        // seed's stream.
+        let mut unclaimed = Some(FaultedWorkload::clean(clip)?);
         let mut streams = Vec::with_capacity(spec.seeds.len());
         for seed in &spec.seeds {
             streams.push(match seed {
-                None => FaultedWorkload::clean(clip)?,
+                None => match unclaimed.take() {
+                    Some(w) => w,
+                    None => FaultedWorkload::clean(clip)?,
+                },
                 Some(s) => {
                     let mut plan = FaultPlan::new(*s);
                     for inj in &spec.injectors {
@@ -377,12 +379,18 @@ impl ClipContext {
             });
         }
 
+        let clean = match spec.seeds.iter().position(Option::is_none) {
+            Some(i) => &streams[i],
+            None => unclaimed.as_ref().expect("no seed claimed the clean stream"),
+        };
+        let k_max = spec.k_max.min(clean.len());
+
         let mut prune = Vec::with_capacity(streams.len());
         let mut clean_gamma_u: Option<UpperWorkloadCurve> = None;
         for w in &streams {
             let sp = Self::seed_prune(
                 w,
-                &clean,
+                clean,
                 spec,
                 clip.params().bitrate_bps(),
                 cert_mode,

@@ -60,12 +60,23 @@ check "curves.speedup_prefix_vs_old"  "$(jq .window_sums.speedup_prefix_vs_old B
 check "curves.pruned_scanned_frac"    "$(jq .pruned_scan.scanned_frac BENCH_curves.json)" "<=" 0.15
 check "curves.constant_speedup_prefix_vs_old" "$(jq .window_sums_constant.speedup_prefix_vs_old BENCH_curves.json)" ">=" 3.0
 check "curves.constant_pruned_over_unpruned" "$(jq .window_sums_constant.pruned_over_unpruned BENCH_curves.json)" "<=" 1.2
+# ᾱ's span scan runs the same pruned kernel on the clip's FIFO-input
+# stamps. CBR-paced stamps stand out less than demands, so it evaluates
+# more (a count again: recorded 0.46; 1.0 means nothing is pruned), and
+# must stay well ahead of the naive fold over every span in the same
+# process (recorded 0.40). With constant gaps nothing prunes; the bounds
+# may then cost at most 1.2x the naive fold (recorded 0.68).
+check "curves.pruned_spans_scanned_frac" "$(jq .pruned_spans.scanned_frac BENCH_curves.json)" "<=" 0.5
+check "curves.pruned_spans_blocked_over_naive" "$(jq .pruned_spans.blocked_over_naive BENCH_curves.json)" "<=" 0.7
+check "curves.constant_spans_pruned_over_unpruned" "$(jq .pruned_spans.constant_pruned_over_unpruned BENCH_curves.json)" "<=" 1.2
 # Thread-scaling ratios need real cores behind them: on <=2-core runners
 # the parallel path fights the measurement harness for the machine and
 # the 0.85x floor flakes without any code regression. Guard them on
 # host width instead of asserting unconditionally.
 if [ "$(nproc)" -ge 4 ]; then
     check "curves.speedup_par_vs_seq" "$(jq .window_sums.speedup_par_vs_seq BENCH_curves.json)" ">=" 0.85
+    # Span scans run on the calling thread under any setting: a thread
+    # scope must not slow them down.
     check "curves.min_spans_speedup"  "$(jq .min_spans.speedup              BENCH_curves.json)" ">=" 0.85
     # Multi-core guard: the work-stealing pool must turn 4 cores into at
     # least a 2x pruned-sweep speedup over 1 thread.
