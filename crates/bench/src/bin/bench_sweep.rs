@@ -8,7 +8,10 @@
 //!   configuration), plus a thread-scaling array (1/2/4/8 workers capped
 //!   at the host's cores) and a `speedup_at_4` headline (`null` below
 //!   4 cores). The pruned fraction is reported alongside, because on a
-//!   single-core host it — not thread count — is what buys the speedup.
+//!   single-core host it — not thread count — is what buys the speedup,
+//!   and so is `simulated_frac`, the exact share of points left to the
+//!   simulator (a deterministic count, guarded by
+//!   `scripts/bench_smoke.sh`).
 //! * **frontier bisection** — the Pareto frontier of a 64-frequency
 //!   axis located by monotone staircase bisection vs the dense cell
 //!   scan: identical frontier asserted, cell counts and the evaluated
@@ -190,6 +193,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let points = report_pruned.stats.total as f64;
     let pruned_fraction = report_pruned.stats.pruned_fraction();
+    // Exact and host-independent: the share of the grid the analytic
+    // pre-pass left to the simulator (guarded by scripts/bench_smoke.sh).
+    let simulated_frac = report_pruned.stats.simulated as f64 / points;
 
     let sweeps = measure([
         &mut || time_once(|| run_sweep(&clips, &unpruned, Parallelism::Seq).unwrap()),
@@ -398,6 +404,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{{\n  \"config\": {{ \"clips\": {n_clips}, \"gops\": 2, \"grid_points\": {points}, \"threads\": {threads}, \"reps\": {REPS} }},\n\
          \x20 \"sweep\": {{\n\
          \x20   \"pruned_fraction\": {pruned_fraction:.4},\n\
+         \x20   \"simulated_frac\": {simulated_frac:.4},\n\
          \x20   \"seq_unpruned_s\": {seq_unpruned_s:.6},\n\
          \x20   \"seq_pruned_s\": {seq_pruned_s:.6},\n\
          \x20   \"par_pruned_s\": {par_pruned_s:.6},\n\

@@ -608,6 +608,7 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
         injectors,
         k_max: opts.usize_or("k", 600)?,
         mode: mode(opts)?,
+        // Accepted for existing scripts and fingerprinted; no longer read.
         cert_depth: opts.usize_or("cert-depth", 400)?,
         prune,
     };

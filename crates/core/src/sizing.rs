@@ -20,7 +20,7 @@
 //! MPEG-2 decoder — over 50 % savings from the workload-curve conversion.
 
 use crate::convert;
-use crate::curve::{LowerWorkloadCurve, UpperWorkloadCurve};
+use crate::curve::UpperWorkloadCurve;
 use crate::WorkloadError;
 use wcm_curves::{Pwl, StepCurve};
 use wcm_events::Cycles;
@@ -132,121 +132,6 @@ fn min_frequency_by(
     // Long-run requirement: the PE must keep up with the sustained rate.
     best = best.max(alpha_events.tail_rate() * tail_cycles_per_event);
     Ok(best)
-}
-
-/// Certifies that a FIFO of `buffer` events **must** overflow when the PE
-/// runs at `frequency` — the dual of [`service_satisfies_buffer`], used to
-/// prune provably-infeasible design points without simulating them.
-///
-/// `min_spans` holds `(k, d(k))` pairs where `d(k)` is the **exact**
-/// minimal span of `k` consecutive FIFO arrivals — any subset of window
-/// sizes is sound (skipping a `k` can only weaken the certificate), but an
-/// under-approximated span would claim overflow where none exists, so
-/// strided gap-fills must never be passed (use [`WindowMode::grid`] to
-/// select the exactly-computed entries).
-///
-/// `gamma_l` may itself be a strided under-approximation: a too-small
-/// `γˡ(m)` only over-credits the PE with completions, weakening — never
-/// falsifying — the certificate. Within a window of `k` arrivals the PE
-/// completes at most `m* = max { m : γˡ(m) ≤ F·d(k) + γᵘ(1) }` events:
-/// `m` consecutive completions demand at least `γˡ(m)` cycles, minus at
-/// most one macroblock's worth (`γᵘ(1)`) already in service at the window
-/// start. If `k − m* > buffer` for any `k`, the occupancy provably exceeds
-/// the capacity, so every overflow policy records a violation
-/// (backpressure stalls, the others drop).
-///
-/// [`WindowMode::grid`]: wcm_events::window::WindowMode::grid
-#[must_use]
-pub fn provably_overflows(
-    min_spans: &[(u64, f64)],
-    gamma_l: &LowerWorkloadCurve,
-    gamma_u_1: Cycles,
-    frequency: f64,
-    buffer: u64,
-) -> bool {
-    if !(frequency.is_finite() && frequency >= 0.0) {
-        return false; // fail closed: no certificate for nonsense inputs
-    }
-    let lows = gamma_l.values();
-    for &(k, d) in min_spans {
-        if k <= buffer || !d.is_finite() || d < 0.0 {
-            continue;
-        }
-        // Cycle budget with a small *over*-approximation margin so float
-        // rounding can only weaken the certificate, never fabricate one.
-        let budget = frequency * d * (1.0 + 1e-9) + gamma_u_1.get() as f64;
-        // `lows` is non-decreasing: binary search the largest m with
-        // γˡ(m) ≤ budget. If even γˡ(k_max) fits, departures are unbounded
-        // by this certificate — skip.
-        let fits = lows.partition_point(|&v| v as f64 <= budget);
-        if fits == lows.len() {
-            continue;
-        }
-        if k.saturating_sub(fits as u64) > buffer {
-            return true;
-        }
-    }
-    false
-}
-
-/// Batched [`provably_overflows`]: evaluates a contiguous run of
-/// `frequencies` against one shared certificate (`min_spans`, `gamma_l`)
-/// in a single pass, writing one verdict per frequency into `out`.
-///
-/// Produces **bit-identical** verdicts to calling [`provably_overflows`]
-/// per frequency — the cycle-budget expression is kept in the exact same
-/// association (`frequency * d * (1.0 + 1e-9) + credit`), and the
-/// per-frequency binary search is replaced by the equivalent comparison
-/// against the one demand value that decides the span: for a span `(k, d)`
-/// with `q = k − buffer`, the scalar path triggers iff fewer than
-/// `min(q, len)` entries of `γˡ` fit the budget, i.e. iff
-/// `budget < γˡ(min(q, len))`. Hoisting `k`/`d`/that threshold out of the
-/// frequency loop leaves a branch-free multiply–add–compare inner loop
-/// over the frequency run, amenable to autovectorization — this is the
-/// kernel the sweep's analytic pre-pass spends its time in.
-///
-/// # Panics
-///
-/// Panics if `out.len() != frequencies.len()`.
-pub fn provably_overflows_batch(
-    min_spans: &[(u64, f64)],
-    gamma_l: &LowerWorkloadCurve,
-    gamma_u_1: Cycles,
-    frequencies: &[f64],
-    buffer: u64,
-    out: &mut [bool],
-) {
-    assert_eq!(
-        out.len(),
-        frequencies.len(),
-        "one output slot per frequency"
-    );
-    out.fill(false);
-    let lows = gamma_l.values();
-    if lows.is_empty() {
-        return; // every binary search would end at len: no certificate
-    }
-    let credit = gamma_u_1.get() as f64;
-    for &(k, d) in min_spans {
-        if k <= buffer || !d.is_finite() || d < 0.0 {
-            continue;
-        }
-        // k > buffer ⇒ q ≥ 1; the threshold γˡ(min(q, len)) decides the
-        // span for every frequency at once.
-        let q = usize::try_from(k - buffer).unwrap_or(usize::MAX);
-        let v_star = lows[q.min(lows.len()) - 1] as f64;
-        for (o, &frequency) in out.iter_mut().zip(frequencies) {
-            // Same expression, same association as the scalar path (a
-            // pre-scaled `d` would round differently). NaN/∞ budgets
-            // compare false, matching the scalar fail-closed behaviour.
-            *o |= frequency * d * (1.0 + 1e-9) + credit < v_star;
-        }
-    }
-    // The scalar path fails closed on negative frequencies before any
-    // span is consulted; mask them out here (NaN/∞ never set a slot).
-    for (o, &frequency) in out.iter_mut().zip(frequencies) {
-        *o = *o && frequency.is_finite() && frequency >= 0.0;
-    }
 }
 
 /// Minimum FIFO capacity (in events) for a PE clocked at `frequency`:
@@ -367,98 +252,6 @@ mod tests {
     fn min_buffer_validates_frequency() {
         assert!(min_buffer(&alpha(), &gamma(), 0.0).is_err());
         assert!(min_buffer(&alpha(), &gamma(), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn overflow_certificate_fires_only_when_demand_outruns_service() {
-        // 5 events arrive instantaneously (d(k) = 0 for k ≤ 5); each needs
-        // exactly 10 cycles (γˡ = γᵘ = 10k). In-service credit γᵘ(1) = 10
-        // lets at most one event depart ⇒ occupancy ≥ 4 > buffer 3.
-        let spans: Vec<(u64, f64)> = (1..=5).map(|k| (k, 0.0)).collect();
-        let gl = LowerWorkloadCurve::new(vec![10, 20, 30, 40, 50]).unwrap();
-        assert!(provably_overflows(&spans, &gl, Cycles(10), 100.0, 3));
-        // A buffer of 4 absorbs the burst: no certificate.
-        assert!(!provably_overflows(&spans, &gl, Cycles(10), 100.0, 4));
-        // Spread the arrivals out (1 s apart) and a fast PE keeps up.
-        let spread: Vec<(u64, f64)> = (1..=5).map(|k| (k, (k - 1) as f64)).collect();
-        assert!(!provably_overflows(&spread, &gl, Cycles(10), 100.0, 3));
-        // …but a nearly stopped PE still provably overflows.
-        assert!(provably_overflows(&spread, &gl, Cycles(10), 1e-6, 3));
-        // Nonsense inputs fail closed.
-        assert!(!provably_overflows(&spread, &gl, Cycles(10), f64::NAN, 3));
-    }
-
-    #[test]
-    fn overflow_certificate_never_contradicts_safe_sizing() {
-        // At (a margin above) F^γ_min the no-overflow constraint holds, so
-        // the overflow certificate must not fire — on any buffer.
-        let a = alpha();
-        let g = gamma();
-        // γˡ = γᵘ here (most adversarial pairing for the certificate) and
-        // exact spans taken from the arrival staircase steps.
-        let gl = LowerWorkloadCurve::new(g.values().to_vec()).unwrap();
-        let spans: Vec<(u64, f64)> = [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (i as u64 + 1, d))
-            .collect();
-        for b in 3..8 {
-            let f = min_frequency_workload(&a, &g, b).unwrap();
-            assert!(
-                !provably_overflows(&spans, &gl, g.value(1), f * (1.0 + 1e-6), b),
-                "certificate contradicts eq. 9 at b={b}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_certificate_matches_scalar_bit_for_bit() {
-        // Deterministic pseudo-random fixtures (splitmix-style) spanning
-        // triggering, non-triggering, degenerate and fail-closed inputs.
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for case in 0..50 {
-            let n_low = 1 + (next() % 12) as usize;
-            let mut lows = Vec::with_capacity(n_low);
-            let mut acc = 0u64;
-            for _ in 0..n_low {
-                acc += 1 + next() % 40;
-                lows.push(acc);
-            }
-            let gl = LowerWorkloadCurve::new(lows).unwrap();
-            let spans: Vec<(u64, f64)> = (0..(1 + next() % 10))
-                .map(|_| {
-                    let k = next() % 16;
-                    let d = match next() % 8 {
-                        0 => f64::NAN,
-                        1 => -1.0,
-                        _ => (next() % 1000) as f64 / 250.0,
-                    };
-                    (k, d)
-                })
-                .collect();
-            let mut freqs: Vec<f64> = (0..17)
-                .map(|_| (next() % 4_000) as f64 / 10.0)
-                .collect();
-            freqs.extend([0.0, -5.0, f64::NAN, f64::INFINITY]);
-            let buffer = next() % 8;
-            let g1 = Cycles(next() % 60);
-            let mut batch = vec![false; freqs.len()];
-            provably_overflows_batch(&spans, &gl, g1, &freqs, buffer, &mut batch);
-            for (i, &f) in freqs.iter().enumerate() {
-                assert_eq!(
-                    batch[i],
-                    provably_overflows(&spans, &gl, g1, f, buffer),
-                    "case {case}: divergence at freq index {i} ({f})"
-                );
-            }
-        }
     }
 
     #[test]

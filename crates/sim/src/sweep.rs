@@ -6,30 +6,32 @@
 //! grid. Simulating every point is wasteful: eqs. 8–10 already decide
 //! most of them analytically.
 //!
-//! For each clip the engine builds, **once**, the measured arrival curve
-//! `ᾱᵘ` at the FIFO input, the PE₂ workload bounds `γᵘ/γˡ`, and the exact
-//! minimal spans of the arrival process. A pre-pass then classifies every
-//! clean grid point:
+//! For each clip and seed the engine builds, **once**, the measured
+//! arrival curve `ᾱᵘ` at the FIFO input and the PE₂ workload bound `γᵘ`.
+//! A pre-pass then classifies every grid point:
 //!
 //! * **provably safe** — `F ≥ F^γ_min(ᾱᵘ, γᵘ, b)` (eq. 9): the
 //!   no-overflow constraint of eq. 8 holds, no simulation needed;
-//! * **provably unsafe** — [`wcm_core::sizing::provably_overflows`]
-//!   certifies via `γˡ` that some `k`-event burst must exceed the
-//!   capacity at this frequency;
-//! * **uncertain** — only the band between the WCET bound and the
-//!   workload-curve bound (the paper's ≈710 MHz vs ≈340 MHz gap) is
-//!   actually simulated, on the heap-free hot path of [`crate::pipeline`]
-//!   with one reusable [`SimScratch`] per worker.
+//! * **provably unsafe** — a replay of the *unbounded* PE₂ departures
+//!   `D_m = max(D_{m−1}, A_m) + s_m` over the FIFO-input instants `A`
+//!   (the simulator's own floats, bit for bit) finds a push `i` with
+//!   `D_{i−b} > A_i`: macroblocks `i−b … i−1` are all resident when `i`
+//!   arrives, and a bounded run equals the unbounded one up to its first
+//!   full push, so the FIFO fills under every policy;
+//! * **uncertain** — the rest (the band between the two, plus pushes
+//!   that tie exactly `D_{i−b} == A_i`, which the simulator's event
+//!   order decides) is simulated, on the heap-free hot path of
+//!   [`crate::pipeline`] with one reusable [`SimScratch`] per worker.
 //!
-//! **Fault-seeded points prune too** when the seed's PE₂ fault shape
-//! keeps the analytic model exact: the FIFO-input recurrence replays the
-//! seed's jitter/drift/stall on PE₁ bit-for-bit, and per-seed `ᾱᵘ` and
-//! `γᵘ/γˡ` are derived from the *faulted* stream with the same window
-//! scans the clean stream gets. The safe bound
-//! (eq. 9) requires PE₂ service to scale exactly as `c/F`
-//! (`pe2_scale ≡ 1`, `pe2_extra ≡ 0`); the overflow certificate only
-//! needs service to be *no faster* (`pe2_scale ≥ 1`, `pe2_extra ≥ 0`).
-//! Seeds outside those envelopes fall back to simulation.
+//! **Fault-seeded points prune too.** The FIFO-input recurrence replays
+//! the seed's jitter/drift/stall on PE₁ bit for bit, and the departure
+//! replay uses the seed's exact PE₂ service times, so the unsafe
+//! certificate holds under every injector. Per-seed `ᾱᵘ` and `γᵘ` are
+//! derived from the *faulted* stream with the same window scans the
+//! clean stream gets; the safe bound (eq. 9) additionally requires PE₂
+//! service to scale exactly as `c/F` (`pe2_scale ≡ 1`,
+//! `pe2_extra ≡ 0`), and seeds outside that envelope are never called
+//! safe.
 //!
 //! Evaluation runs on [`wcm_par::par_map_stream`]: dynamic block
 //! dispatch over bounded chunks of the grid, results emitted in index
@@ -40,12 +42,11 @@
 use crate::faults::{FaultPlan, FaultedWorkload, Injector};
 use crate::pipeline::{simulate, FifoConfig, OverflowPolicy, PipelineConfig, SimScratch};
 use crate::SimError;
-use wcm_core::build::arrival_upper;
-use wcm_core::curve::{LowerWorkloadCurve, UpperWorkloadCurve};
+use wcm_core::build::arrival_upper_from_spans;
+use wcm_core::curve::UpperWorkloadCurve;
 use wcm_core::sizing;
 use wcm_core::WorkloadError;
-use wcm_events::window::{max_window_sums, min_spans, min_window_sums, WindowMode};
-use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
+use wcm_events::window::{max_window_sums, min_spans, WindowMode};
 use wcm_mpeg::ClipWorkload;
 use wcm_par::Parallelism;
 use wcm_sched::{rms, PeriodicTask, TaskSet};
@@ -66,9 +67,9 @@ pub struct SweepSpec {
     pub capacities: Vec<u64>,
     /// Overflow policies to evaluate.
     pub policies: Vec<OverflowPolicy>,
-    /// Fault seeds; `None` is the clean stream. Seeded points also go
-    /// through the analytic pre-pass when the seed's PE₂ faults keep the
-    /// model sound (see the module docs); otherwise they simulate.
+    /// Fault seeds; `None` is the clean stream. Seeded points go through
+    /// the analytic pre-pass too (see the module docs for when the safe
+    /// bound applies to them).
     pub seeds: Vec<Option<u64>>,
     /// Injectors applied under each `Some` seed.
     pub injectors: Vec<Injector>,
@@ -76,12 +77,12 @@ pub struct SweepSpec {
     pub k_max: usize,
     /// Window mode for the `k_max`-deep curves.
     pub mode: WindowMode,
-    /// Depth (events) of the span/`γˡ` analysis feeding the overflow
-    /// certificate. The certificate only uses exactly-computed grid
-    /// windows (gap-filled strided spans would be unsound there), so deep
-    /// certificates stay cheap: cost grows with `cert_depth / stride`,
-    /// not `cert_depth` itself. Must exceed the largest capacity for the
-    /// unsafe pre-pass to be able to fire at all.
+    /// No longer read. It set the depth of the former `γˡ` overflow
+    /// certificate; the departure replay that replaced it scans the
+    /// whole stream. The field stays only because [`spec_fingerprint`]
+    /// hashes it (shard files stay mergeable across versions) and
+    /// existing specs set it; `--cert-depth` is accepted and ignored
+    /// for the same reason.
     pub cert_depth: usize,
     /// Run the analytic pre-pass (`false` simulates every point).
     pub prune: bool,
@@ -92,7 +93,8 @@ pub struct SweepSpec {
 pub enum Verdict {
     /// eq. 8 holds at this frequency/capacity: cannot overflow.
     ProvablySafe,
-    /// A `γˡ` burst certificate shows the capacity must be exceeded.
+    /// The unbounded departure replay shows a push that must find the
+    /// FIFO full, under every policy.
     ProvablyUnsafe,
     /// Simulated; no overflow event occurred.
     SimOk,
@@ -282,25 +284,6 @@ impl From<wcm_events::EventError> for SweepError {
     }
 }
 
-/// Per-seed analytic prune data. Absent (`None` in
-/// [`ClipContext::prune`]) when the seed's PE₂ fault shape invalidates
-/// both analytic bounds — then every point of that seed simulates.
-struct SeedPrune {
-    /// `F^γ_min` per capacity index, from the seed's own `ᾱᵘ`/`γᵘ`
-    /// (`None` when eq. 9 is infeasible or the safe gate failed — then
-    /// the point cannot be proven safe).
-    f_min: Vec<Option<f64>>,
-    /// Exact minimal spans `(k, d(k))` of the seed's FIFO-input times on
-    /// the certificate grid (empty when the unsafe gate failed).
-    cert_spans: Vec<(u64, f64)>,
-    /// `γˡ` of the seed's demand to the certificate depth (`None` when
-    /// the unsafe gate failed).
-    cert_gamma_l: Option<LowerWorkloadCurve>,
-    /// Largest single-event demand — in-service credit of the overflow
-    /// certificate.
-    gamma_u1: Cycles,
-}
-
 /// Everything the evaluator needs about one clip, computed once and
 /// shared read-only across all workers and grid points.
 struct ClipContext {
@@ -308,8 +291,11 @@ struct ClipContext {
     bitrate_bps: f64,
     /// `streams[seed_idx]` — the (possibly faulted) workload per seed.
     streams: Vec<FaultedWorkload>,
-    /// `prune[seed_idx]` — analytic prune data per seed.
-    prune: Vec<Option<SeedPrune>>,
+    /// `f_min[seed_idx][cap_idx]` — `F^γ_min` from the seed's own
+    /// `ᾱᵘ`/`γᵘ` (`None` when eq. 9 is infeasible or the seed's PE₂
+    /// faults break the `c/F` model — then the point cannot be proven
+    /// safe).
+    f_min: Vec<Vec<Option<f64>>>,
     /// Lehoczky advisory per frequency index.
     rms: Vec<Option<(bool, f64)>>,
 }
@@ -339,65 +325,117 @@ fn push_times_of(w: &FaultedWorkload, bitrate_bps: f64, pe1_hz: f64) -> Vec<f64>
     push_times
 }
 
+/// Replays an **unbounded** run's PE₂ departures at `pe2_hz` into
+/// `departures`: `D_m = max(D_{m−1}, A_m) + s_m` over the FIFO-input
+/// instants `A = push_times`, with the service time `s_m` written exactly
+/// as the event loop writes it. PE₂ serves in push order and starts a
+/// macroblock when it is pushed or when its predecessor leaves, whichever
+/// is later, so `D` is bit-equal to the unbounded run's
+/// `fifo_out_times()`.
+///
+/// Returns whether `D` can certify overflow ([`overflows_at`]): every
+/// departure finite and none before its predecessor. A non-finite
+/// instant is where the simulator fails or diverges, and a negative
+/// service time breaks the argument that the residents are a suffix.
+fn replay_departures(
+    w: &FaultedWorkload,
+    push_times: &[f64],
+    pe2_hz: f64,
+    departures: &mut Vec<f64>,
+) -> bool {
+    let mut done = f64::NEG_INFINITY;
+    let service = w.pe2_cycles.iter().zip(&w.pe2_scale).zip(&w.pe2_extra_s);
+    let replay = push_times
+        .iter()
+        .zip(service)
+        .map(|(&a, ((&c, &scale), &extra))| {
+            // A compare-select rather than `f64::max`: one instruction on the
+            // serial chain, and equal operands are the same instant anyway.
+            done = (if a > done { a } else { done }) + ((c as f64 / pe2_hz) * scale + extra);
+            done
+        });
+    departures.clear();
+    departures.extend(replay);
+    // Non-decreasing with finite ends means finite throughout (a NaN
+    // fails every comparison).
+    let d = &departures[..];
+    d.first().is_none_or(|x| x.is_finite())
+        && d.last().is_none_or(|x| x.is_finite())
+        && d.windows(2).fold(true, |ok, p| ok & (p[1] >= p[0]))
+}
+
+/// Whether a FIFO of `capacity` `b` overflows under every policy, by the
+/// replayed unbounded departures `D` of the FIFO-input instants `A`:
+/// some push `i ≥ b` has `D_{i−b} > A_i`. `D` is non-decreasing, so
+/// macroblocks `i−b … i−1` are then all still resident (queued or in
+/// service) when `i` is pushed, and a bounded run is the unbounded run
+/// until its first full push. An exact tie `D_{i−b} == A_i` does not
+/// count: the simulator's event order decides it, so simulation does.
+/// (`b = 0`, which the simulator rejects, reads `D_i > A_i`: some
+/// service time is positive, and no push fits.)
+///
+/// Monotone in both arguments: a larger capacity or a faster PE₂ (a
+/// bitwise smaller `D`) never overflows where this one did not.
+fn overflows_at(push_times: &[f64], departures: &[f64], capacity: u64) -> bool {
+    let n = push_times.len();
+    let b = usize::try_from(capacity).unwrap_or(usize::MAX);
+    if b >= n {
+        return false;
+    }
+    departures[..n - b]
+        .iter()
+        .zip(&push_times[b..])
+        .any(|(d, a)| d > a)
+}
+
 impl ClipContext {
     fn build(clip: &ClipWorkload, spec: &SweepSpec) -> Result<Self, SweepError> {
-        // The certificate needs *exact* spans — a strided gap-fill
-        // under-approximates the span and would claim overflow where none
-        // exists — but it does not need *every* window size: each grid
-        // `k` yields an independent, individually sound certificate, and
-        // the certificate is only useful for `k > capacity` anyway. So
-        // compute spans on a coarse grid (every `stride`-th window) and
-        // keep only the exactly-computed entries. The strided `γˡ`
-        // gap-fill under-approximates demand, which merely weakens the
-        // certificate — sound as-is.
-        let cert_stride = match spec.mode {
-            WindowMode::Exact => 1,
-            WindowMode::Strided { stride, .. } => stride.max(1),
-        };
-        let cert_mode = WindowMode::Strided {
-            exact_upto: 1,
-            stride: cert_stride,
-        };
+        let streams = spec
+            .seeds
+            .iter()
+            .map(|seed| match seed {
+                None => FaultedWorkload::clean(clip),
+                Some(s) => spec
+                    .injectors
+                    .iter()
+                    .fold(FaultPlan::new(*s), |plan, inj| plan.with(inj.clone()))
+                    .apply(clip),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::from_streams(clip, spec, streams)
+    }
 
-        // The clean stream is built once, and becomes the first clean
-        // seed's stream.
-        let mut unclaimed = Some(FaultedWorkload::clean(clip)?);
-        let mut streams = Vec::with_capacity(spec.seeds.len());
-        for seed in &spec.seeds {
-            streams.push(match seed {
-                None => match unclaimed.take() {
-                    Some(w) => w,
-                    None => FaultedWorkload::clean(clip)?,
-                },
-                Some(s) => {
-                    let mut plan = FaultPlan::new(*s);
-                    for inj in &spec.injectors {
-                        plan = plan.with(inj.clone());
-                    }
-                    plan.apply(clip)?
-                }
-            });
-        }
-
+    /// The analysis of `clip` over its per-seed streams (`streams[i]`
+    /// belongs to `spec.seeds[i]`). The first clean seed's stream is the
+    /// clean reference; without one, the clean stream is built here.
+    fn from_streams(
+        clip: &ClipWorkload,
+        spec: &SweepSpec,
+        streams: Vec<FaultedWorkload>,
+    ) -> Result<Self, SweepError> {
+        let spare;
         let clean = match spec.seeds.iter().position(Option::is_none) {
             Some(i) => &streams[i],
-            None => unclaimed.as_ref().expect("no seed claimed the clean stream"),
+            None => {
+                spare = FaultedWorkload::clean(clip)?;
+                &spare
+            }
         };
         let k_max = spec.k_max.min(clean.len());
 
-        let mut prune = Vec::with_capacity(streams.len());
         let mut clean_gamma_u: Option<UpperWorkloadCurve> = None;
-        for w in &streams {
-            let sp = Self::seed_prune(
-                w,
-                clean,
-                spec,
-                clip.params().bitrate_bps(),
-                cert_mode,
-                &mut clean_gamma_u,
-            )?;
-            prune.push(sp);
-        }
+        let f_min = streams
+            .iter()
+            .map(|w| {
+                Self::seed_f_min(
+                    w,
+                    clean,
+                    spec,
+                    clip.params().bitrate_bps(),
+                    &mut clean_gamma_u,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Advisory column: one RMS task per clip, one macroblock per
         // period, the clip's (clean) γᵘ as its demand curve.
@@ -426,83 +464,44 @@ impl ClipContext {
             name: clip.name().to_string(),
             bitrate_bps: clip.params().bitrate_bps(),
             streams,
-            prune,
+            f_min,
             rms,
         })
     }
 
-    /// Analytic prune data for one seed's stream, or `None` when its PE₂
-    /// fault shape escapes both analytic models.
-    fn seed_prune(
+    /// `F^γ_min` per capacity for one seed's stream, from its own `ᾱᵘ`
+    /// and `γᵘ`; all `None` when eq. 9 does not transfer to the stream:
+    /// the frequency threshold needs PE₂ service to be exactly `c/F`.
+    fn seed_f_min(
         w: &FaultedWorkload,
         clean: &FaultedWorkload,
         spec: &SweepSpec,
         bitrate_bps: f64,
-        cert_mode: WindowMode,
         clean_gamma_u: &mut Option<UpperWorkloadCurve>,
-    ) -> Result<Option<SeedPrune>, SweepError> {
+    ) -> Result<Vec<Option<f64>>, SweepError> {
         let n = w.len();
-        if n == 0 {
-            return Ok(None);
-        }
-        // Safe bound (eq. 9): PE₂ service must be exactly `c/F` so the
-        // frequency threshold transfers. Overflow certificate: service
-        // must be *no faster* than `c/F` so the cycle budget `F·d` stays
-        // an over-approximation of what PE₂ can retire.
-        let safe_ok = w.pe2_scale.iter().all(|&s| s == 1.0)
+        let safe_ok = n > 0
+            && w.pe2_scale.iter().all(|&s| s == 1.0)
             && w.pe2_extra_s.iter().all(|&e| e == 0.0);
-        let unsafe_ok = w.pe2_scale.iter().all(|&s| s >= 1.0)
-            && w.pe2_extra_s.iter().all(|&e| e >= 0.0);
-        if !safe_ok && !unsafe_ok {
-            return Ok(None);
+        if !safe_ok {
+            return Ok(vec![None; spec.capacities.len()]);
         }
-
         let k_max = spec.k_max.min(n);
-        let cert_depth = spec.cert_depth.min(n).max(1);
+        let gamma_u = UpperWorkloadCurve::new(max_window_sums(&w.pe2_cycles, k_max, spec.mode)?)?;
+        // ᾱᵘ straight from the stamps: `arrival_upper` over a trace of
+        // them, without copying them into one.
         let push_times = push_times_of(w, bitrate_bps, spec.pe1_hz);
-
-        let f_min = if safe_ok {
-            let gamma_u =
-                UpperWorkloadCurve::new(max_window_sums(&w.pe2_cycles, k_max, spec.mode)?)?;
-            let trace = times_to_trace(&push_times)?;
-            let alpha = arrival_upper(&trace, k_max, spec.mode)?;
-            let out = spec
-                .capacities
-                .iter()
-                .map(|&cap| sizing::min_frequency_workload(&alpha, &gamma_u, cap).ok())
-                .collect();
-            if std::ptr::eq(w, clean) || w.pe2_cycles == clean.pe2_cycles {
-                *clean_gamma_u = clean_gamma_u.take().or(Some(gamma_u));
-            }
-            out
-        } else {
-            vec![None; spec.capacities.len()]
-        };
-
-        let (cert_spans, cert_gamma_l) = if unsafe_ok {
-            let span_table = min_spans(&push_times, cert_depth, cert_mode)?;
-            let spans: Vec<(u64, f64)> = cert_mode
-                .grid(cert_depth)
-                .into_iter()
-                .map(|k| (k as u64, span_table[k - 1]))
-                .collect();
-            let gamma_l =
-                LowerWorkloadCurve::new(min_window_sums(&w.pe2_cycles, cert_depth, cert_mode)?)?;
-            (spans, Some(gamma_l))
-        } else {
-            (Vec::new(), None)
-        };
-
-        // In-service credit: the largest single-event demand of *this*
-        // stream (over-crediting only weakens the certificate).
-        let gamma_u1 = Cycles(w.pe2_cycles.iter().copied().max().unwrap_or(0));
-
-        Ok(Some(SeedPrune {
-            f_min,
-            cert_spans,
-            cert_gamma_l,
-            gamma_u1,
-        }))
+        let spans = min_spans(&push_times, k_max, spec.mode)?;
+        let alpha = arrival_upper_from_spans(&spans, n, push_times[n - 1] - push_times[0])?;
+        let out = spec
+            .capacities
+            .iter()
+            .map(|&cap| sizing::min_frequency_workload(&alpha, &gamma_u, cap).ok())
+            .collect();
+        if std::ptr::eq(w, clean) || w.pe2_cycles == clean.pe2_cycles {
+            *clean_gamma_u = clean_gamma_u.take().or(Some(gamma_u));
+        }
+        Ok(out)
     }
 }
 
@@ -530,16 +529,18 @@ fn verdict_counter(v: Verdict) -> &'static str {
 }
 
 /// Analytic verdicts for the whole grid, computed **before** point
-/// evaluation starts: for each `(clip, seed, capacity)` the contiguous
-/// run of frequencies goes through
-/// [`sizing::provably_overflows_batch`] in one autovectorizable pass
-/// over the seed's certificate spans and `γˡ`, then the eq. 9 safe bound is
-/// overlaid (safe wins on overlap, matching the order the scalar path
-/// checked them in). Point evaluation degrades to a table lookup.
+/// evaluation starts. Per `(clip, seed)` the FIFO-input instants are
+/// computed once and the frequencies are visited in ascending order, one
+/// departure replay ([`replay_departures`]) each, which then serves
+/// every capacity ([`overflows_at`]). The certified set is a down-set in
+/// `(F, b)`, so each replay only searches the capacities the previous
+/// frequency certified, and the scan stops at the first frequency that
+/// certifies none. The eq. 9 safe bound is overlaid last (safe wins on
+/// overlap). Point evaluation degrades to a table lookup.
 ///
 /// The table is a pure function of `(ctxs, spec)` — policies don't enter
 /// the analytic bounds, thread counts don't enter the table — so reports
-/// stay bit-identical to the per-point pruning it replaces.
+/// stay bit-identical across worker counts.
 struct AnalyticTable {
     n_freq: usize,
     n_cap: usize,
@@ -563,35 +564,48 @@ impl AnalyticTable {
         }
         let _span = wcm_obs::span("sweep.analytic_table");
         let mut verdicts = vec![None; ctxs.len() * n_seed * n_cap * n_freq];
-        let mut unsafe_run = vec![false; n_freq];
+        // Both axes in ascending value order: they may be unsorted or
+        // repeat values.
+        let mut freq_order: Vec<usize> = (0..n_freq).collect();
+        freq_order.sort_by(|&a, &b| spec.frequencies_hz[a].total_cmp(&spec.frequencies_hz[b]));
+        let mut cap_order: Vec<usize> = (0..n_cap).collect();
+        cap_order.sort_by_key(|&i| spec.capacities[i]);
+        let mut departures = Vec::new();
         for (ci, ctx) in ctxs.iter().enumerate() {
-            for (si, pr) in ctx.prune.iter().enumerate() {
-                let Some(pr) = pr else { continue };
-                for (bi, &cap) in spec.capacities.iter().enumerate() {
-                    let base = ((ci * n_seed + si) * n_cap + bi) * n_freq;
-                    let run = &mut verdicts[base..base + n_freq];
-                    if let Some(gamma_l) = &pr.cert_gamma_l {
-                        sizing::provably_overflows_batch(
-                            &pr.cert_spans,
-                            gamma_l,
-                            pr.gamma_u1,
-                            &spec.frequencies_hz,
-                            cap,
-                            &mut unsafe_run,
-                        );
-                        for (v, &u) in run.iter_mut().zip(&unsafe_run) {
-                            if u {
-                                *v = Some(Verdict::ProvablyUnsafe);
-                            }
-                        }
+            for (si, w) in ctx.streams.iter().enumerate() {
+                let at = |bi: usize| ((ci * n_seed + si) * n_cap + bi) * n_freq;
+                let push_times = push_times_of(w, ctx.bitrate_bps, spec.pe1_hz);
+                // A non-finite push is a simulation error: certify nothing.
+                let mut certified = if push_times.iter().all(|a| a.is_finite()) {
+                    n_cap
+                } else {
+                    0
+                };
+                for &fi in &freq_order {
+                    if certified == 0 {
+                        break;
                     }
-                    // Overlaid last: the scalar path tested the safe
-                    // bound first, so on overlap safe must win here too.
-                    if let Some(f_min) = pr.f_min[bi] {
-                        for (v, &freq) in run.iter_mut().zip(&spec.frequencies_hz) {
-                            if freq >= f_min * (1.0 + SAFE_MARGIN) {
-                                *v = Some(Verdict::ProvablySafe);
-                            }
+                    let f = spec.frequencies_hz[fi];
+                    // The certified capacities are a prefix of
+                    // `cap_order`; a faster PE₂ can only shorten it.
+                    certified = if replay_departures(w, &push_times, f, &mut departures) {
+                        cap_order[..certified].partition_point(|&bi| {
+                            overflows_at(&push_times, &departures, spec.capacities[bi])
+                        })
+                    } else {
+                        0
+                    };
+                    for &bi in &cap_order[..certified] {
+                        verdicts[at(bi) + fi] = Some(Verdict::ProvablyUnsafe);
+                    }
+                }
+                // Overlaid last: on overlap safe wins, as it did when
+                // each point was pruned on its own.
+                for (bi, f_min) in ctx.f_min[si].iter().enumerate() {
+                    let Some(f_min) = *f_min else { continue };
+                    for (fi, &freq) in spec.frequencies_hz.iter().enumerate() {
+                        if freq >= f_min * (1.0 + SAFE_MARGIN) {
+                            verdicts[at(bi) + fi] = Some(Verdict::ProvablySafe);
                         }
                     }
                 }
@@ -2030,24 +2044,11 @@ pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepEr
     })
 }
 
-fn times_to_trace(times: &[f64]) -> Result<TimedTrace, SimError> {
-    let mut reg = TypeRegistry::new();
-    let mb = reg
-        .register("mb", ExecutionInterval::fixed(Cycles(1)))
-        .map_err(|_| SimError::EmptyWorkload)?;
-    TimedTrace::new(
-        reg,
-        times
-            .iter()
-            .map(|&time| TimedEvent { time, ty: mb })
-            .collect(),
-    )
-    .map_err(|_| SimError::NonFiniteTime { time: f64::NAN })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wcm_core::build::arrival_upper;
+    use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
     use wcm_mpeg::{profile::standard_clips, Synthesizer, VideoParams};
 
     fn small_clips(count: usize) -> Vec<ClipWorkload> {
@@ -2184,46 +2185,41 @@ mod tests {
         }
     }
 
-    /// Window extrema of `d` by direct prefix differences on `mode`'s
-    /// grid, gaps filled from the next grid point (`maximize`) or the
-    /// previous one — the oracle for a seed's `γᵘ`/`γˡ`.
-    fn scanned_curve(d: &[u64], k_max: usize, mode: WindowMode, maximize: bool) -> Vec<u64> {
+    /// Window maxima of `d` by direct prefix differences on `mode`'s
+    /// grid, gaps filled from the next grid point — the oracle for a
+    /// seed's `γᵘ`.
+    fn scanned_upper(d: &[u64], k_max: usize, mode: WindowMode) -> Vec<u64> {
         let mut p = vec![0u64];
         for &v in d {
             p.push(p.last().unwrap() + v);
         }
         let grid = mode.grid(k_max);
-        let at = |k: usize| {
-            let sums = (k..p.len()).map(|i| p[i] - p[i - k]);
-            if maximize {
-                sums.max().unwrap()
-            } else {
-                sums.min().unwrap()
-            }
-        };
+        let at = |k: usize| (k..p.len()).map(|i| p[i] - p[i - k]).max().unwrap();
         (1..=k_max)
-            .map(|k| {
-                let g = if maximize {
-                    grid.iter().find(|&&g| g >= k)
-                } else {
-                    grid.iter().rev().find(|&&g| g <= k)
-                };
-                at(*g.unwrap())
-            })
+            .map(|k| at(*grid.iter().find(|&&g| g >= k).unwrap()))
             .collect()
+    }
+
+    /// `stamps` as a timed trace of one event type.
+    fn stamp_trace(stamps: &[f64]) -> TimedTrace {
+        let mut reg = TypeRegistry::new();
+        let mb = reg
+            .register("mb", ExecutionInterval::fixed(Cycles(1)))
+            .unwrap();
+        let events = stamps
+            .iter()
+            .map(|&time| TimedEvent { time, ty: mb })
+            .collect();
+        TimedTrace::new(reg, events).unwrap()
     }
 
     #[test]
     fn seed_curves_are_measured_on_the_seeds_own_demand() {
         // A spike that raises (250 %) or lowers (20 %) the seeded
-        // stream's demand moves its γᵘ or γˡ: its eq.-9 thresholds and
-        // certificate γˡ must come from its own demand vector, not the
-        // clean stream's.
+        // stream's demand moves its γᵘ: its eq.-9 thresholds must come
+        // from its own demand vector and its own FIFO-input stamps, and
+        // equal `arrival_upper` over a trace of those stamps.
         let clips = small_clips(1);
-        let cert_mode = WindowMode::Strided {
-            exact_upto: 1,
-            stride: 40,
-        };
         for factor_pct in [250, 20] {
             let mut spec = small_spec();
             spec.injectors[1] = Injector::DemandSpike {
@@ -2232,31 +2228,30 @@ mod tests {
                 factor_pct,
             };
             let ctx = ClipContext::build(&clips[0], &spec).unwrap();
-            let curves = |d: &[u64]| {
-                (
-                    scanned_curve(d, spec.k_max, spec.mode, true),
-                    scanned_curve(d, spec.cert_depth, cert_mode, false),
-                )
-            };
-            let clean = curves(&ctx.streams[0].pe2_cycles);
-            for (w, pr) in ctx.streams.iter().zip(&ctx.prune) {
-                let pr = pr.as_ref().expect("jitter and spike keep both bounds");
-                let (upper, lower) = curves(&w.pe2_cycles);
+            let clean = scanned_upper(&ctx.streams[0].pe2_cycles, spec.k_max, spec.mode);
+            for (w, f_min) in ctx.streams.iter().zip(&ctx.f_min) {
+                let upper = scanned_upper(&w.pe2_cycles, spec.k_max, spec.mode);
                 if w.pe2_cycles != ctx.streams[0].pe2_cycles {
-                    assert_ne!((&upper, &lower), (&clean.0, &clean.1), "{factor_pct} %");
+                    assert_ne!(upper, clean, "{factor_pct} %");
                 }
                 let gamma_u = UpperWorkloadCurve::new(upper).unwrap();
                 let push_times = push_times_of(w, clips[0].params().bitrate_bps(), spec.pe1_hz);
-                let trace = times_to_trace(&push_times).unwrap();
-                let alpha = arrival_upper(&trace, spec.k_max, spec.mode).unwrap();
+                let alpha =
+                    arrival_upper(&stamp_trace(&push_times), spec.k_max, spec.mode).unwrap();
                 let want: Vec<Option<f64>> = spec
                     .capacities
                     .iter()
                     .map(|&cap| sizing::min_frequency_workload(&alpha, &gamma_u, cap).ok())
                     .collect();
-                assert_eq!(pr.f_min, want, "{factor_pct} %");
-                let got_l = pr.cert_gamma_l.as_ref().unwrap().values();
-                assert_eq!(got_l, &lower[..], "{factor_pct} %");
+                assert!(want.iter().any(Option::is_some), "{factor_pct} %");
+                assert_eq!(
+                    f_min
+                        .iter()
+                        .map(|f| f.map(f64::to_bits))
+                        .collect::<Vec<_>>(),
+                    want.iter().map(|f| f.map(f64::to_bits)).collect::<Vec<_>>(),
+                    "{factor_pct} %"
+                );
             }
         }
     }
@@ -2265,7 +2260,7 @@ mod tests {
     fn scale_faulted_seeds_fall_back_to_simulation_for_safe_prunes() {
         // A PE₂ clock drift (pe2_scale > 1) breaks the `c/F` model: the
         // safe bound must not fire for that seed, while the overflow
-        // certificate (still sound for slower-than-modelled service) may.
+        // certificate (it replays the exact service times) may.
         let clips = small_clips(1);
         let mut spec = small_spec();
         spec.injectors = vec![Injector::ClockDrift {
@@ -2667,9 +2662,10 @@ mod tests {
     fn push_times_match_the_simulated_fifo_input() {
         // Nothing blocks PE₁ in front of an unbounded FIFO, so the
         // recurrence must reproduce the simulator's FIFO-input instants
-        // bit for bit: on the clean stream and under every injector that
-        // acts on arrivals or on PE₁, with PE₁ mostly idle and mostly busy.
-        use crate::faults::ProcessingElement::Pe1;
+        // bit for bit, and the departure replay its FIFO-output instants:
+        // on the clean stream and under every injector, with PE₁ and PE₂
+        // each mostly idle and mostly busy.
+        use crate::faults::ProcessingElement::{Pe1, Pe2};
         let clip = &small_clips(1)[0];
         let bitrate_bps = clip.params().bitrate_bps();
         let injectors = [
@@ -2692,27 +2688,163 @@ mod tests {
                 extra_s: 3e-3,
             },
             Injector::BitErrors { per_mille: 100 },
+            Injector::DemandSpike {
+                start: 30,
+                len: 40,
+                factor_pct: 250,
+            },
+            Injector::ClockDrift {
+                pe: Pe2,
+                start: 10,
+                len: 300,
+                factor_pct: 170,
+            },
+            Injector::Stall {
+                pe: Pe2,
+                at: 40,
+                extra_s: 3e-3,
+            },
         ];
-        let mut streams = vec![FaultedWorkload::clean(clip).unwrap()];
+        let clean = FaultedWorkload::clean(clip).unwrap();
+        let mut streams = vec![clean.clone()];
         for inj in injectors {
             streams.push(FaultPlan::new(5).with(inj).apply(clip).unwrap());
         }
+        // A PE₂ *faster* than modelled, which no plan can inject.
+        let mut faster = clean;
+        faster.pe2_scale[10..310].fill(0.6);
+        streams.push(faster);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut scratch = SimScratch::new();
+        let mut departures = Vec::new();
         for pe1_hz in [60.0e6, 2.0e6] {
-            let cfg = PipelineConfig {
-                bitrate_bps,
-                pe1_hz,
-                pe2_hz: 1.0e9,
-            };
-            for (s, w) in streams.iter().enumerate() {
-                simulate(w, &cfg, &FifoConfig::unbounded(), None, &mut scratch).unwrap();
-                assert_eq!(
-                    bits(&push_times_of(w, bitrate_bps, pe1_hz)),
-                    bits(scratch.fifo_in_times()),
-                    "stream {s} at PE1 {pe1_hz} Hz"
-                );
+            for pe2_hz in [1.0e9, 20.0e6, 6.0e6] {
+                let cfg = PipelineConfig {
+                    bitrate_bps,
+                    pe1_hz,
+                    pe2_hz,
+                };
+                for (s, w) in streams.iter().enumerate() {
+                    simulate(w, &cfg, &FifoConfig::unbounded(), None, &mut scratch).unwrap();
+                    let push_times = push_times_of(w, bitrate_bps, pe1_hz);
+                    assert_eq!(
+                        bits(&push_times),
+                        bits(scratch.fifo_in_times()),
+                        "stream {s} at PE1 {pe1_hz} Hz"
+                    );
+                    assert!(replay_departures(w, &push_times, pe2_hz, &mut departures));
+                    assert_eq!(
+                        bits(&departures),
+                        bits(scratch.fifo_out_times()),
+                        "stream {s} at PE1 {pe1_hz} Hz, PE2 {pe2_hz} Hz"
+                    );
+                }
             }
         }
+    }
+
+    /// Two macroblocks whose instants are exact binary fractions: bits
+    /// arrive at 1 024 bit/s, PE₁ runs at 1 024 Hz and PE₂ at 2 048 Hz.
+    /// MB 0 is pushed at 0.5 s and leaves at exactly 1.5 s, the instant MB 1
+    /// is pushed; PE₁ waited for MB 1's bits, so the simulator retires
+    /// MB 0 first and the push finds the FIFO empty.
+    fn tie_stream() -> FaultedWorkload {
+        FaultedWorkload {
+            bits: vec![256, 768],
+            pe1_cycles: vec![256, 512],
+            pe2_cycles: vec![2048, 100],
+            kinds: vec![wcm_mpeg::FrameKind::I; 2],
+            arrival_delay_s: vec![0.0; 2],
+            pe1_scale: vec![1.0; 2],
+            pe2_scale: vec![1.0; 2],
+            pe1_extra_s: vec![0.0; 2],
+            pe2_extra_s: vec![0.0; 2],
+            report: crate::faults::FaultReport::default(),
+        }
+    }
+
+    #[test]
+    fn a_push_that_ties_a_departure_is_left_to_simulation() {
+        let w = tie_stream();
+        let push_times = push_times_of(&w, 1024.0, 1024.0);
+        assert_eq!(push_times, [0.5, 1.5]);
+        let mut departures = Vec::new();
+        let mut scratch = SimScratch::new();
+        // At 2 048 Hz MB 0 leaves exactly when MB 1 arrives: no
+        // certificate, and indeed no overflow. One hertz slower it leaves
+        // after: certified, and every policy overflows.
+        for (pe2_hz, overflows) in [(2048.0, false), (2047.0, true)] {
+            assert!(replay_departures(&w, &push_times, pe2_hz, &mut departures));
+            assert_eq!(departures[0] == push_times[1], !overflows);
+            assert_eq!(
+                overflows_at(&push_times, &departures, 1),
+                overflows,
+                "{pe2_hz} Hz"
+            );
+            assert!(!overflows_at(&push_times, &departures, 2));
+            let cfg = PipelineConfig {
+                bitrate_bps: 1024.0,
+                pe1_hz: 1024.0,
+                pe2_hz,
+            };
+            for policy in [
+                OverflowPolicy::Backpressure,
+                OverflowPolicy::Reject,
+                OverflowPolicy::DropByPriority,
+            ] {
+                let fifo = FifoConfig::bounded(1, policy);
+                let run = simulate(&w, &cfg, &fifo, None, &mut scratch).unwrap();
+                assert_eq!(run.overflowed, overflows, "{pe2_hz} Hz, {policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn faster_pe2_drift_prunes_unsafe_and_agrees_with_simulation() {
+        // A seed whose PE₂ runs faster than modelled (60 % of the nominal
+        // service time over part of the stream) is outside eq. 9's `c/F`
+        // model, so none of its points may be called safe; the departure
+        // replay still certifies its overflowing points exactly.
+        let clip = &small_clips(1)[0];
+        let spec = small_spec();
+        let mut streams = ClipContext::build(clip, &spec).unwrap().streams;
+        streams[1].pe2_scale[10..310].fill(0.6);
+        let ctxs = [ClipContext::from_streams(clip, &spec, streams).unwrap()];
+        let pruned = AnalyticTable::build(&ctxs, &spec);
+        let unpruned_spec = SweepSpec {
+            prune: false,
+            ..spec.clone()
+        };
+        let unpruned = AnalyticTable::build(&ctxs, &unpruned_spec);
+        let mut scratch = SimScratch::new();
+        let mut seeded_unsafe = 0;
+        for freq in 0..spec.frequencies_hz.len() {
+            for cap in 0..spec.capacities.len() {
+                for policy in 0..spec.policies.len() {
+                    for seed in 0..spec.seeds.len() {
+                        let p = GridPoint {
+                            clip: 0,
+                            freq,
+                            cap,
+                            policy,
+                            seed,
+                        };
+                        let (got, _) = eval_point(p, &ctxs, &spec, &pruned, &mut scratch).unwrap();
+                        let (want, _) =
+                            eval_point(p, &ctxs, &unpruned_spec, &unpruned, &mut scratch).unwrap();
+                        assert_eq!(
+                            got.overflowed(),
+                            want.overflowed(),
+                            "{p:?}: {got:?} vs {want:?}"
+                        );
+                        if seed == 1 {
+                            assert_ne!(got, Verdict::ProvablySafe, "{p:?}");
+                            seeded_unsafe += usize::from(got == Verdict::ProvablyUnsafe);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seeded_unsafe > 0, "the faster seed should prune unsafe");
     }
 }

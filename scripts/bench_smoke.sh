@@ -113,6 +113,13 @@ check "wire.lenient_overhead"         "$(jq .wire.lenient_overhead_vs_strict BEN
 # exhaustive sequential sweep, and the heap-free simulator hot path must
 # stay clearly ahead of the legacy heap loop (ns/event).
 check "sweep.points_per_s_speedup"    "$(jq .sweep.speedup_par_pruned_vs_seq_unpruned BENCH_sweep.json)" ">=" 2.0
+
+# Sweep pruning: the share of the 714-point case-study grid the analytic
+# pre-pass leaves to the simulator. An exact count (same verdicts on any
+# host), so any move is a change in what the certificates decide. The
+# departure-replay overflow certificate leaves 12 points (0.0168); the
+# gamma-l certificate it replaced left 33 (0.0462).
+check "sweep.simulated_frac"          "$(jq .sweep.simulated_frac BENCH_sweep.json)" "<=" 0.025
 check "sweep.simulator_speedup"       "$(jq .simulator.speedup BENCH_sweep.json)" ">=" 3.0
 
 # Overflow policies: on one overloaded point at capacity 6480 (the FIFO

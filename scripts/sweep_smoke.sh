@@ -5,7 +5,8 @@
 #
 #  * pruned (`--prune on`) and exhaustive (`--prune off`) sweeps agree on
 #    the overflow verdict of every grid point (the analytic pre-pass may
-#    decide a point, never re-classify it);
+#    decide a point, never re-classify it), on clean streams and on a
+#    seed with arrival jitter, PE2 clock drift and a PE2 stall;
 #  * reports are byte-identical across `--threads 1` and `--threads 8`
 #    (deterministic work splitting, no wall-clock in the output);
 #  * the stable exit codes hold end-to-end: 0 on success, 2 on usage
@@ -39,6 +40,24 @@ norm() {
 }
 diff <(norm "$out/pruned.csv") <(norm "$out/full.csv")
 echo "ok: $(($(wc -l <"$out/pruned.csv") - 1)) points agree"
+
+echo "== pruned vs exhaustive, seeded: jitter + PE2 drift + PE2 stall =="
+# The overflow certificate replays the seed's exact PE2 service times, so
+# a slowed or stalled PE2 is pruned too; eq. 9 (safe) must not fire there.
+seeded=(sweep --clips newscast,drama,sports --gops 1
+        --pe2-mhz 5,20,60,200,340 --capacities 16,400,1620
+        --policies backpressure,reject,drop-priority --seeds clean,7
+        --inject "jitter:start=0,len=400,delay=0.002;drift:pe=2,start=200,len=2000,factor=150;stall:pe=2,at=500,extra=0.01"
+        --k 600)
+"$cli" "${seeded[@]}" --prune on --csv "$out/seeded_pruned.csv" >/dev/null
+"$cli" "${seeded[@]}" --prune off --csv "$out/seeded_full.csv" >/dev/null
+diff <(norm "$out/seeded_pruned.csv") <(norm "$out/seeded_full.csv")
+# Column 5 is the seed (empty for clean).
+seeded_unsafe=$(awk -F, 'NR>1 && $5 == "7" && $6 == "provably_unsafe"' "$out/seeded_pruned.csv" | wc -l)
+seeded_safe=$(awk -F, 'NR>1 && $5 == "7" && $6 == "provably_safe"' "$out/seeded_pruned.csv" | wc -l)
+[ "$seeded_unsafe" -gt 0 ] || { echo "the faulted seed should prune unsafe"; exit 1; }
+[ "$seeded_safe" -eq 0 ] || { echo "eq. 9 must not call a PE2-drifted seed safe"; exit 1; }
+echo "ok: $(($(wc -l <"$out/seeded_pruned.csv") - 1)) points agree, $seeded_unsafe seeded points pruned unsafe"
 
 echo "== determinism: byte-identical reports across thread counts =="
 "$cli" "${base[@]}" --threads 1 --json "$out/t1.json" --csv "$out/t1.csv" >/dev/null
