@@ -22,7 +22,7 @@
 
 use crate::curve::WorkloadBounds;
 use crate::WorkloadError;
-use wcm_curves::{bounds, minplus, CurveIter, Pwl, Segment, StepCurve};
+use wcm_curves::{bounds, minplus, CurveIter, Pwl, StepCurve};
 
 /// An event stream abstracted by upper and lower arrival curves
 /// (events per time window).
@@ -43,31 +43,6 @@ impl EventStream {
             upper: alpha.to_pwl_upper(),
             lower: Pwl::zero(),
         }
-    }
-
-    /// Builds a stream from measured upper *and* lower staircases (e.g.
-    /// [`crate::build::arrival_upper`] and [`crate::build::arrival_lower`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidParameter`] if the lower staircase
-    /// exceeds the upper anywhere on the common horizon.
-    pub fn from_staircases(
-        upper: &StepCurve,
-        lower: &StepCurve,
-    ) -> Result<Self, WorkloadError> {
-        let horizon = upper.horizon().min(lower.horizon());
-        let mut d = 0.0;
-        while d <= horizon {
-            if lower.value(d) > upper.value(d) {
-                return Err(WorkloadError::InvalidParameter { name: "lower" });
-            }
-            d += horizon / 64.0 + f64::EPSILON;
-        }
-        Ok(Self {
-            upper: upper.to_pwl_upper(),
-            lower: lower.to_pwl_lower(),
-        })
     }
 }
 
@@ -317,29 +292,6 @@ fn deconvolve_or_zero(f: &Pwl, g: &Pwl) -> Pwl {
         .unwrap_or_else(|_| Pwl::zero())
 }
 
-/// End-to-end service of `N` servers in tandem: `β₁ ⊗ β₂ ⊗ … ⊗ β_N` (the
-/// classic "pay bursts only once" composition). The left fold runs through
-/// the lazy streaming convolution and ping-pongs two segment buffers, so
-/// an `N`-stage pipeline keeps one accumulator curve and one scratch
-/// buffer live instead of materializing eager intermediates at every
-/// stage. Bit-identical to folding [`minplus::convolve`].
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidParameter`] if `betas` is empty.
-pub fn tandem_service(betas: &[Pwl]) -> Result<Pwl, WorkloadError> {
-    let Some((first, rest)) = betas.split_first() else {
-        return Err(WorkloadError::InvalidParameter { name: "betas" });
-    };
-    let mut acc = first.clone();
-    let mut buf: Vec<Segment> = Vec::new();
-    for beta in rest {
-        let next = minplus::convolve_lazy(&acc, beta).collect_pwl_reusing(std::mem::take(&mut buf));
-        buf = std::mem::replace(&mut acc, next).into_segments();
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,17 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_from_both_staircases() {
-        let up = StepCurve::new(vec![(0.0, 2), (1.0, 4)], 2.0, 2.0).unwrap();
-        let lo = StepCurve::new(vec![(0.0, 0), (1.5, 1)], 2.0, 0.0).unwrap();
-        let s = EventStream::from_staircases(&up, &lo).unwrap();
-        assert!(s.lower.value(1.7) <= s.upper.value(1.7));
-        // A crossing pair is rejected.
-        let bad_lo = StepCurve::new(vec![(0.0, 5)], 2.0, 0.0).unwrap();
-        assert!(EventStream::from_staircases(&up, &bad_lo).is_err());
-    }
-
-    #[test]
     fn gpc_with_nontrivial_lower_stream() {
         let up = StepCurve::new(
             vec![(0.0, 1), (1.0, 2), (2.0, 3), (3.0, 4)],
@@ -501,7 +442,10 @@ mod tests {
         // guaranteed to complete.
         let lo = StepCurve::new(vec![(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)], 4.0, 0.5)
             .unwrap();
-        let stream = EventStream::from_staircases(&up, &lo).unwrap();
+        let stream = EventStream {
+            upper: up.to_pwl_upper(),
+            lower: lo.to_pwl_lower(),
+        };
         let out = greedy_processing(&stream, &Service::dedicated(40.0).unwrap(), &task(), 64)
             .unwrap();
         // A non-zero lower input gives a non-zero lower output eventually.
@@ -510,28 +454,6 @@ mod tests {
             let d = i as f64 * 0.5;
             assert!(out.output.lower.value(d) <= out.output.upper.value(d) + 1e-6);
         }
-    }
-
-    #[test]
-    fn tandem_service_matches_eager_fold() {
-        let betas: Vec<Pwl> = (1..=8)
-            .map(|i| {
-                Pwl::from_breakpoints(vec![
-                    (0.0, 0.0, 0.0),
-                    (0.25 * i as f64, 0.0, 10.0 + i as f64),
-                ])
-                .unwrap()
-            })
-            .collect();
-        let lazy = tandem_service(&betas).unwrap();
-        let mut eager = betas[0].clone();
-        for b in &betas[1..] {
-            eager = minplus::convolve(&eager, b);
-        }
-        assert_eq!(lazy, eager);
-        // Rate-latency servers compose to sum-of-latencies, min-of-rates.
-        assert!((lazy.ultimate_rate() - 11.0).abs() < 1e-9);
-        assert!(tandem_service(&[]).is_err());
     }
 
     #[test]

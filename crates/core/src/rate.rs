@@ -118,19 +118,6 @@ pub fn processing_delay(
     Ok(bounds::delay(&demand, beta_cycles)?)
 }
 
-/// Minimum long-run output rate of the processed stream in events per
-/// second: the PE can sustain `β`-rate cycles, each event consuming at
-/// most `γᵘ`-tail cycles, capped by the input's own long-run rate.
-#[must_use]
-pub fn sustained_output_rate(
-    alpha_events: &StepCurve,
-    beta_cycles: &Pwl,
-    gamma_u: &UpperWorkloadCurve,
-) -> f64 {
-    let service_rate = beta_cycles.ultimate_rate() / gamma_u.tail_cycles_per_event();
-    service_rate.min(alpha_events.tail_rate())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,18 +180,5 @@ mod tests {
         let beta = FullCapacity::new(17.0).unwrap().to_pwl();
         let d = processing_delay(&alpha(), &beta, &gamma()).unwrap();
         assert!(d >= 2.0 - 1e-9, "delay {d} below burst drain time");
-    }
-
-    #[test]
-    fn sustained_rate_is_min_of_input_and_capacity() {
-        let gamma = gamma(); // tail ≈ 8.33 cycles/event
-        // Capacity-limited: 25 c/s / 8.33 = 3 events/s > input 1.0 → input.
-        let beta = FullCapacity::new(25.0).unwrap().to_pwl();
-        let r = sustained_output_rate(&alpha(), &beta, &gamma);
-        assert!((r - 1.0).abs() < 1e-9);
-        // Service-limited.
-        let beta_slow = FullCapacity::new(4.0).unwrap().to_pwl();
-        let r2 = sustained_output_rate(&alpha(), &beta_slow, &gamma);
-        assert!(r2 < 0.5);
     }
 }

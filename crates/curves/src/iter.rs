@@ -6,10 +6,9 @@
 //! adapters* that stream [`Segment`]s in x-order: a chain such as
 //! `f.lazy().lazy_min(g.lazy()).lazy_add(h.lazy()).collect_pwl()` keeps only
 //! O(active segments) of state per stage and allocates once, at the terminal
-//! [`CurveIter::collect_pwl`]. The min-plus and max-plus operators
-//! ([`crate::minplus`], [`crate::maxplus`]) are built only here, as
-//! [`LazyCurve`] compositions of branch streams; their materializing names
-//! collect the stream.
+//! [`CurveIter::collect_pwl`]. The min-plus operators ([`crate::minplus`])
+//! are built only here, as [`LazyCurve`] compositions of branch streams;
+//! their materializing names collect the stream.
 //!
 //! # Bitwise contract
 //!
@@ -20,8 +19,8 @@
 //! [`Pwl`]'s internal constructor runs. Consequently a lazy chain's
 //! `collect_pwl()` is bit-identical (`f64::to_bits`) to the materialized
 //! result; the proptests in `tests/proptest_lazy.rs` pin this for random
-//! curve pairs and deep random chains, and pin the min-plus and max-plus
-//! operators against an exact pointwise oracle.
+//! curve pairs and deep random chains, and pin the min-plus operators
+//! against an exact pointwise oracle.
 //!
 //! Inputs must be *normalized* segment streams — exactly what
 //! [`Pwl::lazy`] and every adapter in this module emit. Feeding an arbitrary
@@ -72,23 +71,6 @@ pub trait CurveIter: Iterator<Item = Segment> + Sized {
     /// or NaN.
     fn shift_by(self, dx: f64, dy: f64) -> Result<Shifted<Self>, CurveError> {
         Shifted::new(self, dx, dy)
-    }
-
-    /// Dominance-based segment compaction with an explicit deviation
-    /// bound; see [`crate::compact`]. With `epsilon == 0.0` this is
-    /// exactly the identity on normalized streams (the bitwise contract
-    /// is preserved).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CurveError::NegativeParameter`] if `epsilon` is negative
-    /// or not finite.
-    fn compact(
-        self,
-        side: crate::compact::CompactSide,
-        epsilon: f64,
-    ) -> Result<crate::compact::CompactStream<Self>, CurveError> {
-        crate::compact::CompactStream::new(self, side, epsilon)
     }
 
     /// Terminal: collect the stream into a [`Pwl`].
@@ -956,34 +938,9 @@ impl Iterator for ReflectedRaw<'_> {
     }
 }
 
-/// Raw stream of the max-plus branch `t ↦ curve(t − dx) + dy` for
-/// `t ≥ dx`, zero below: a zero head, then the curve shifted right by `dx`
-/// and up by `dy`.
-struct ZeroHeadRaw<'a> {
-    segs: &'a [Segment],
-    dx: f64,
-    dy: f64,
-    i: usize,
-    emitted_head: bool,
-}
-
-impl Iterator for ZeroHeadRaw<'_> {
-    type Item = Segment;
-
-    fn next(&mut self) -> Option<Segment> {
-        if !self.emitted_head {
-            self.emitted_head = true;
-            return Some(Segment::new(0.0, 0.0, 0.0));
-        }
-        let s = self.segs.get(self.i)?;
-        self.i += 1;
-        Some(Segment::new(s.x + self.dx, s.y + self.dy, s.slope))
-    }
-}
-
 /// One node of a dynamically shaped lazy composition — the branch
-/// envelopes of `minplus::convolve`, `minplus::deconvolve` and
-/// `maxplus::convolve`, whose fold shapes are only known at runtime.
+/// envelopes of `minplus::convolve` and `minplus::deconvolve`, whose fold
+/// shapes are only known at runtime.
 enum LazyNode<'a> {
     /// A materialized curve's segment stream.
     Source(SegmentSource<'a>),
@@ -993,8 +950,6 @@ enum LazyNode<'a> {
     ShiftLeft(Norm<ShiftLeftRaw<'a>>),
     /// `t ↦ fa − g(a − t)` (see [`ReflectedRaw`]).
     Reflected(Norm<ReflectedRaw<'a>>),
-    /// Zero-headed shifted copy (see [`ZeroHeadRaw`]).
-    ZeroHead(Norm<ZeroHeadRaw<'a>>),
     /// The zero curve (deconvolution's final clamp operand).
     Zero(bool),
     /// A pointwise merge of two sub-compositions.
@@ -1010,7 +965,6 @@ impl Iterator for LazyNode<'_> {
             LazyNode::Shift(s) => s.next(),
             LazyNode::ShiftLeft(s) => s.next(),
             LazyNode::Reflected(s) => s.next(),
-            LazyNode::ZeroHead(s) => s.next(),
             LazyNode::Zero(done) => {
                 if *done {
                     None
@@ -1024,9 +978,9 @@ impl Iterator for LazyNode<'_> {
     }
 }
 
-/// A lazily composed curve: the streaming result of a min-plus / max-plus
-/// operator chain (see [`crate::minplus::convolve_lazy`],
-/// [`crate::minplus::deconvolve_lazy`], [`crate::maxplus::convolve_lazy`]).
+/// A lazily composed curve: the streaming result of a min-plus operator
+/// chain (see [`crate::minplus::convolve_lazy`] and
+/// [`crate::minplus::deconvolve_lazy`]).
 ///
 /// Implements `Iterator<Item = Segment>`, so it plugs into any further
 /// [`CurveIter`] adapter or a terminal [`CurveIter::collect_pwl`].
@@ -1072,16 +1026,6 @@ impl<'a> LazyCurve<'a> {
             emitted_zero: false,
             cur: None,
             done: false,
-        })))
-    }
-
-    pub(crate) fn zero_head(p: &'a Pwl, dx: f64, dy: f64) -> Self {
-        LazyCurve(LazyNode::ZeroHead(Norm::new(ZeroHeadRaw {
-            segs: p.segments(),
-            dx,
-            dy,
-            i: 0,
-            emitted_head: false,
         })))
     }
 
@@ -1174,6 +1118,29 @@ mod tests {
         );
         assert!(f.lazy().scale_by(-1.0).is_err());
         assert!(f.lazy().shift_by(-1.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn recycled_buffer_fold_matches_eager_convolution_fold() {
+        // A tandem of rate-latency servers folded by ⊗, ping-ponging two
+        // segment buffers through `collect_pwl_reusing`/`into_segments`.
+        let betas: Vec<Pwl> = (1..=8)
+            .map(|i| rate_latency(10.0 + f64::from(i), 0.25 * f64::from(i)))
+            .collect();
+        let mut acc = betas[0].clone();
+        let mut buf: Vec<Segment> = Vec::new();
+        for beta in &betas[1..] {
+            let next = crate::minplus::convolve_lazy(&acc, beta)
+                .collect_pwl_reusing(std::mem::take(&mut buf));
+            buf = std::mem::replace(&mut acc, next).into_segments();
+        }
+        let mut eager = betas[0].clone();
+        for beta in &betas[1..] {
+            eager = crate::minplus::convolve(&eager, beta);
+        }
+        assert_bitwise(&acc, &eager);
+        // Rate-latency servers compose to sum-of-latencies, min-of-rates.
+        assert!((acc.ultimate_rate() - 11.0).abs() < 1e-9);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! * min-plus convolution `⊗`, deconvolution `⊘` and the sub-additive
 //!   closure in [`minplus`];
 //! * a lazy, composable streaming form of the same algebra in [`iter`]
-//!   (operator chains as segment iterators; the min-plus and max-plus
-//!   operators are such streams, collected by their materializing names)
-//!   and dominance-based segment compaction in [`compact`];
+//!   (operator chains as segment iterators; the min-plus operators are
+//!   such streams, collected by their materializing names);
 //! * the classic Network Calculus bounds in [`bounds`]: backlog
 //!   `B ≤ sup_{Δ≥0} (α(Δ) − β(Δ))` (eq. 6 of the paper), delay as the
 //!   horizontal deviation, and the output arrival curve `α′ = α ⊘ β`;
@@ -50,10 +49,8 @@
 
 pub mod arrival;
 pub mod bounds;
-pub mod compact;
 mod error;
 pub mod iter;
-pub mod maxplus;
 pub mod minplus;
 mod num;
 pub mod pwl;
@@ -61,7 +58,6 @@ pub mod service;
 pub mod shaper;
 pub mod step;
 
-pub use compact::{CompactSide, Compacted};
 pub use error::CurveError;
 pub use iter::{CurveIter, LazyCurve};
 pub use num::{approx_eq, approx_ge, approx_le, EPSILON};

@@ -141,33 +141,6 @@ impl Pwl {
         Self::from_segments(segments)
     }
 
-    /// Builds a continuous curve through `(x, y)` points, extended past the
-    /// last point with `final_rate`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pwl::from_breakpoints`].
-    pub fn from_points(points: &[(f64, f64)], final_rate: f64) -> Result<Self, CurveError> {
-        if points.is_empty() {
-            return Err(CurveError::Empty);
-        }
-        require_non_negative("final_rate", final_rate)?;
-        let mut bps = Vec::with_capacity(points.len());
-        for (i, &(x, y)) in points.iter().enumerate() {
-            let slope = if i + 1 < points.len() {
-                let (nx, ny) = points[i + 1];
-                if nx <= x {
-                    return Err(CurveError::NotIncreasing { index: i + 1 });
-                }
-                (ny - y) / (nx - x)
-            } else {
-                final_rate
-            };
-            bps.push((x, y, slope));
-        }
-        Self::from_breakpoints(bps)
-    }
-
     /// Trusted constructor for segment lists that are already deduplicated,
     /// validated and normalized — i.e. the exact output the
     /// [`Pwl::from_segments`] pipeline would produce. Used by the lazy
@@ -658,14 +631,6 @@ mod tests {
                 .unwrap();
         assert_eq!(f.segments().len(), 1);
         assert!(approx_eq(f.value(3.0), 6.0));
-    }
-
-    #[test]
-    fn from_points_interpolates() {
-        let f = Pwl::from_points(&[(0.0, 0.0), (2.0, 4.0), (4.0, 5.0)], 0.25).unwrap();
-        assert!(approx_eq(f.value(1.0), 2.0));
-        assert!(approx_eq(f.value(3.0), 4.5));
-        assert!(approx_eq(f.value(8.0), 6.0));
     }
 
     #[test]

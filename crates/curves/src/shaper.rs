@@ -60,12 +60,6 @@ impl GreedyShaper {
         Ok(Self { sigma })
     }
 
-    /// The (closed) shaping curve `σ`.
-    #[must_use]
-    pub fn shaping_curve(&self) -> &Pwl {
-        &self.sigma
-    }
-
     /// Arrival curve of the shaped output: `α ⊗ σ`.
     #[must_use]
     pub fn output_arrival(&self, alpha: &Pwl) -> Pwl {
@@ -145,7 +139,7 @@ mod tests {
         let sigma =
             Pwl::from_breakpoints(vec![(0.0, 0.0, 6.0), (1.0, 6.0, 0.5)]).unwrap();
         let shaper = GreedyShaper::new(sigma).unwrap();
-        assert!(minplus::is_subadditive(shaper.shaping_curve(), 48));
+        assert!(minplus::is_subadditive(&shaper.sigma, 48));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The pointwise adapters' contract is *bitwise* equality: collecting a
 //! lazy chain must produce exactly the segment list the materializing
 //! [`Pwl`] operators produce, bit for bit (`f64::to_bits`), for every
-//! operator and for arbitrarily deep chains. The min-plus and max-plus
-//! operators exist only as lazy streams, so they are pinned against an
-//! exact pointwise oracle instead: at every sample point off the operands'
+//! operator and for arbitrarily deep chains. The min-plus operators exist
+//! only as lazy streams, so they are pinned against an exact pointwise
+//! oracle instead: at every sample point off the operands'
 //! kinks, the optimum over the split `s` is attained at a kink of one of
 //! the operands, so a scan over that finite candidate set gives the exact
 //! value. Generators draw breakpoint coordinates
@@ -14,8 +14,7 @@
 //! jumps, flats and steep pieces all occur.
 
 use proptest::prelude::*;
-use wcm_curves::compact::compact;
-use wcm_curves::{approx_eq, maxplus, minplus, CompactSide, CurveIter, Pwl, Segment};
+use wcm_curves::{approx_eq, minplus, CurveIter, Pwl, Segment};
 
 /// Bit-exact segment-list equality with a readable failure message.
 fn prop_bitwise(lazy: &Pwl, eager: &Pwl, what: &str) -> Result<(), TestCaseError> {
@@ -73,7 +72,7 @@ fn points_off(mut kinks: Vec<f64>) -> Vec<f64> {
     ts
 }
 
-/// Kinks of `f ⊗ g` and `f ⊕ g`: breakpoints of either operand and their
+/// Kinks of `f ⊗ g`: breakpoints of either operand and their
 /// pairwise sums.
 fn sum_kinks(f: &Pwl, g: &Pwl) -> Vec<f64> {
     let mut k: Vec<f64> = f.breakpoint_xs().chain(g.breakpoint_xs()).collect();
@@ -119,20 +118,6 @@ fn minplus_deconvolve_at(f: &Pwl, g: &Pwl, t: f64) -> f64 {
         best = best.max(hi(f, a) - lo(g, a - t));
     }
     best.max(0.0)
-}
-
-/// Exact `(f ⊕ g)(t) = sup_{0≤s≤t} f(t−s) + g(s)` at a `t` off the kinks;
-/// the sup takes the limits `s → 0⁺` and `s → t⁻`, i.e. the stored
-/// right-limits at 0.
-fn maxplus_convolve_at(f: &Pwl, g: &Pwl, t: f64) -> f64 {
-    let mut best = (f.value(t) + g.value(0.0)).max(f.value(0.0) + g.value(t));
-    for b in g.breakpoint_xs().filter(|&b| b > 0.0 && b < t) {
-        best = best.max(hi(f, t - b) + hi(g, b));
-    }
-    for a in f.breakpoint_xs().filter(|&a| a > 0.0 && a < t) {
-        best = best.max(hi(f, a) + hi(g, t - a));
-    }
-    best
 }
 
 /// Checks `curve` against `oracle` at every point of `ts`, within
@@ -246,25 +231,12 @@ proptest! {
         }
     }
 
-    /// Max-plus convolution equals the exact pointwise oracle.
-    #[test]
-    fn maxplus_convolve_matches_oracle(
-        f in pwl_strategy(6),
-        g in pwl_strategy(6),
-    ) {
-        let c = maxplus::convolve(&f, &g);
-        let ts = points_off(sum_kinks(&f, &g));
-        prop_matches_oracle(&c, &ts, |t| maxplus_convolve_at(&f, &g, t), "maxplus convolve")?;
-    }
-
     /// Deep chains (2–32 stages) of alternating pointwise operators stay
-    /// bitwise-identical to the eager fold, with and without interleaved
-    /// zero-epsilon compaction.
+    /// bitwise-identical to the eager fold.
     #[test]
     fn deep_chains_match_eager_bitwise(
         curves in proptest::collection::vec(pwl_strategy(5), 2..32),
         ops in proptest::collection::vec(0u8..3, 31),
-        upper in (0u32..2).prop_map(|b| b == 0),
     ) {
         let mut eager = curves[0].clone();
         for (i, c) in curves.iter().enumerate().skip(1) {
@@ -282,10 +254,7 @@ proptest! {
                 _ => Box::new(lazy.lazy_add(c.lazy())),
             };
         }
-        // Zero-epsilon compaction terminating the chain must be a no-op.
-        let side = if upper { CompactSide::Upper } else { CompactSide::Lower };
-        let compacted = lazy.compact(side, 0.0).unwrap().collect_pwl();
-        prop_bitwise(&compacted, &eager, "deep chain")?;
+        prop_bitwise(&lazy.collect_pwl(), &eager, "deep chain")?;
     }
 
     /// Every closure iterate is `min(previous, previous ⊗ f)` against the
@@ -318,54 +287,5 @@ proptest! {
             let next = report.curve.min(&minplus::convolve(&report.curve, &f));
             prop_assert_eq!(&next, &report.curve, "converged but not a fixpoint");
         }
-    }
-
-    /// Compaction soundness: the compacted curve stays on the declared side
-    /// of the original, within the declared epsilon, and the dropped count
-    /// matches the removed breakpoints. Compaction is also idempotent.
-    #[test]
-    fn compaction_dominance_and_bound(
-        f in pwl_strategy(10),
-        eps_grid in 0u32..=8,
-        upper in (0u32..2).prop_map(|b| b == 0),
-    ) {
-        let eps = eps_grid as f64 / 4.0;
-        let side = if upper { CompactSide::Upper } else { CompactSide::Lower };
-        let c = compact(&f, side, eps).unwrap();
-        // The surfaced bound is zero exactly when nothing merged.
-        prop_assert_eq!(c.dropped == 0, c.epsilon == 0.0);
-        prop_assert_eq!(
-            f.segments().len() - c.curve.segments().len(),
-            c.dropped,
-            "dropped miscount"
-        );
-        // Sample breakpoints of both curves plus midpoints and a tail point.
-        let mut ts: Vec<f64> = f.breakpoint_xs().chain(c.curve.breakpoint_xs()).collect();
-        ts.push(f.tail_start() + 1.5);
-        let mids: Vec<f64> = ts.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect();
-        ts.extend(mids);
-        for &t in &ts {
-            let (orig, comp) = (f.value(t), c.curve.value(t));
-            let dev = match side {
-                CompactSide::Upper => {
-                    prop_assert!(comp >= orig - 1e-9, "not dominating at t={}", t);
-                    comp - orig
-                }
-                CompactSide::Lower => {
-                    prop_assert!(comp <= orig + 1e-9, "not dominated at t={}", t);
-                    orig - comp
-                }
-            };
-            prop_assert!(
-                dev <= c.epsilon + 1e-9,
-                "deviation {} > bound {} at t={}",
-                dev,
-                c.epsilon,
-                t
-            );
-        }
-        let again = compact(&c.curve, side, eps).unwrap();
-        prop_assert_eq!(&again.curve, &c.curve, "compaction not idempotent");
-        prop_assert_eq!(again.dropped, 0, "fixed point must not merge further");
     }
 }

@@ -10,8 +10,6 @@ pub enum MpegError {
         /// Name of the offending parameter.
         name: &'static str,
     },
-    /// An error bubbled up from the event substrate.
-    Event(wcm_events::EventError),
 }
 
 impl fmt::Display for MpegError {
@@ -20,26 +18,11 @@ impl fmt::Display for MpegError {
             MpegError::InvalidParameter { name } => {
                 write!(f, "invalid value for parameter `{name}`")
             }
-            MpegError::Event(e) => write!(f, "event error: {e}"),
         }
     }
 }
 
-impl Error for MpegError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            MpegError::Event(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-#[doc(hidden)]
-impl From<wcm_events::EventError> for MpegError {
-    fn from(e: wcm_events::EventError) -> Self {
-        MpegError::Event(e)
-    }
-}
+impl Error for MpegError {}
 
 #[cfg(test)]
 mod tests {

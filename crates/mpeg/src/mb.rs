@@ -71,28 +71,6 @@ impl MacroblockClass {
             } | MacroblockClass::Skipped
         )
     }
-
-    /// A short stable name for type registries, e.g. `"inter-bidi-3"`.
-    #[must_use]
-    pub fn type_name(&self) -> String {
-        match *self {
-            MacroblockClass::Intra { coded_blocks } => format!("intra-{coded_blocks}"),
-            MacroblockClass::Inter {
-                motion,
-                coded_blocks,
-            } => {
-                let m = match motion {
-                    MotionKind::None => "zero",
-                    MotionKind::Single => "single",
-                    MotionKind::SingleField => "single-field",
-                    MotionKind::Bidirectional => "bidi",
-                    MotionKind::BidirectionalField => "bidi-field",
-                };
-                format!("inter-{m}-{coded_blocks}")
-            }
-            MacroblockClass::Skipped => "skipped".to_string(),
-        }
-    }
 }
 
 /// One synthesized macroblock.
@@ -139,20 +117,5 @@ mod tests {
             coded_blocks: 2
         }
         .uses_motion());
-    }
-
-    #[test]
-    fn type_names_are_distinct_and_stable() {
-        let a = MacroblockClass::Inter {
-            motion: MotionKind::Bidirectional,
-            coded_blocks: 3,
-        };
-        let b = MacroblockClass::Inter {
-            motion: MotionKind::Single,
-            coded_blocks: 3,
-        };
-        assert_eq!(a.type_name(), "inter-bidi-3");
-        assert_ne!(a.type_name(), b.type_name());
-        assert_eq!(MacroblockClass::Skipped.type_name(), "skipped");
     }
 }

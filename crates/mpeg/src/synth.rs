@@ -33,27 +33,13 @@ const BIT_WEIGHTS: (f64, f64, f64) = (5.0, 3.0, 1.0);
 #[derive(Debug, Clone)]
 pub struct Synthesizer {
     params: VideoParams,
-    pe1: Pe1Model,
-    pe2: Pe2Model,
 }
 
 impl Synthesizer {
     /// Creates a synthesizer with the default cost models.
     #[must_use]
     pub fn new(params: VideoParams) -> Self {
-        Self {
-            params,
-            pe1: Pe1Model::default(),
-            pe2: Pe2Model::default(),
-        }
-    }
-
-    /// Replaces the PE cost models (for ablation studies).
-    #[must_use]
-    pub fn with_models(mut self, pe1: Pe1Model, pe2: Pe2Model) -> Self {
-        self.pe1 = pe1;
-        self.pe2 = pe2;
-        self
+        Self { params }
     }
 
     /// The stream parameters.
@@ -83,8 +69,8 @@ impl Synthesizer {
         Ok(ClipWorkload::new(
             clip.name.clone(),
             self.params,
-            self.pe1,
-            self.pe2,
+            Pe1Model::default(),
+            Pe2Model::default(),
             frames,
         ))
     }

@@ -123,21 +123,6 @@ pub fn encode_clip(clip: &ClipWorkload) -> Vec<u8> {
     enc.finish()
 }
 
-/// Append a clip to an already-sealed `.wcmt` stream, returning the
-/// extended (re-sealed) bytes. The existing buffer is revalidated and
-/// reused in place via [`StreamEncoder::reopen`], so growing a clip
-/// library file never copies the clips already in it.
-///
-/// # Errors
-///
-/// Any strict framing error from the reopen walk: a damaged, truncated,
-/// or unterminated stream is refused rather than extended.
-pub fn append_clip_to_stream(bytes: Vec<u8>, clip: &ClipWorkload) -> Result<Vec<u8>, WireError> {
-    let mut enc = StreamEncoder::reopen(bytes)?;
-    append_clip(&mut enc, clip);
-    Ok(enc.finish())
-}
-
 fn decode_meta(payload: &[u8]) -> Result<(ClipWorkload, usize), WireError> {
     let mut c = Cursor::new(payload, 0);
     let name = c.str()?.to_string();
@@ -341,7 +326,9 @@ mod tests {
             .generate(&standard_clips()[9], 1)
             .unwrap();
         // Two sittings: encode a, then reopen and append b.
-        let reopened = append_clip_to_stream(encode_clip(&a), &b).unwrap();
+        let mut enc = StreamEncoder::reopen(encode_clip(&a)).unwrap();
+        append_clip(&mut enc, &b);
+        let reopened = enc.finish();
         // One sitting: both clips in a fresh encoder.
         let mut enc = StreamEncoder::new();
         append_clip(&mut enc, &a);
@@ -356,7 +343,7 @@ mod tests {
         let mut dirty = encode_clip(&a);
         let mid = dirty.len() / 2;
         dirty[mid] ^= 0x01;
-        assert!(append_clip_to_stream(dirty, &b).is_err());
+        assert!(StreamEncoder::reopen(dirty).is_err());
     }
 
     #[test]

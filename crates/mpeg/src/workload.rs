@@ -1,11 +1,8 @@
-//! Generated clip workloads and their exports to the event substrate.
+//! Generated clip workloads and their per-macroblock demand vectors.
 
 use crate::demand::{Pe1Model, Pe2Model};
 use crate::mb::Macroblock;
 use crate::params::{FrameKind, VideoParams};
-use crate::MpegError;
-use std::collections::HashMap;
-use wcm_events::{Cycles, EventType, ExecutionInterval, Trace, TypeRegistry};
 
 /// One picture's worth of synthesized macroblocks.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,34 +142,6 @@ impl ClipWorkload {
     pub fn pe1_model(&self) -> &Pe1Model {
         &self.pe1
     }
-
-    /// Exports the PE₂ task as a typed [`Trace`]: one event type per
-    /// macroblock class (the PE₂ cost is a deterministic function of the
-    /// class, so each type's interval is a point `[c, c]`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates registry errors (cannot occur: names are unique by
-    /// construction).
-    pub fn to_pe2_trace(&self) -> Result<Trace, MpegError> {
-        let mut registry = TypeRegistry::new();
-        let mut by_class: HashMap<String, EventType> = HashMap::new();
-        let mut events = Vec::with_capacity(self.macroblock_count());
-        for mb in self.macroblocks() {
-            let name = mb.class.type_name();
-            let ty = match by_class.get(&name) {
-                Some(&t) => t,
-                None => {
-                    let c: Cycles = self.pe2.cycles(mb.class);
-                    let t = registry.register(name.clone(), ExecutionInterval::fixed(c))?;
-                    by_class.insert(name, t);
-                    t
-                }
-            };
-            events.push(ty);
-        }
-        Ok(Trace::new(registry, events))
-    }
 }
 
 #[cfg(test)]
@@ -201,18 +170,6 @@ mod tests {
         assert_eq!(w.pe2_demands().len(), w.macroblock_count());
         assert_eq!(w.pe1_demands().len(), w.macroblock_count());
         assert_eq!(w.mb_bits().len(), w.macroblock_count());
-    }
-
-    #[test]
-    fn typed_trace_reproduces_demands() {
-        let w = sample();
-        let trace = w.to_pe2_trace().unwrap();
-        assert_eq!(trace.len(), w.macroblock_count());
-        let from_trace: Vec<u64> = trace.worst_demands().iter().map(|c| c.get()).collect();
-        assert_eq!(from_trace, w.pe2_demands());
-        // bcet == wcet for deterministic class costs.
-        let bcets: Vec<u64> = trace.best_demands().iter().map(|c| c.get()).collect();
-        assert_eq!(bcets, from_trace);
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub struct SweepSpec {
     pub pe1_hz: f64,
     /// Candidate PE₂ clock frequencies in Hz.
     pub frequencies_hz: Vec<f64>,
-    /// Candidate FIFO capacities in macroblocks (in-service one included).
+    /// Candidate FIFO capacities in macroblocks (in-service one included),
+    /// each at least 1.
     pub capacities: Vec<u64>,
     /// Overflow policies to evaluate.
     pub policies: Vec<OverflowPolicy>,
@@ -723,7 +724,7 @@ fn validate(clips: &[ClipWorkload], spec: &SweepSpec) -> Result<u64, SweepError>
     let total = validate_axes(
         clips.len(),
         &spec.frequencies_hz,
-        spec.capacities.len(),
+        &spec.capacities,
         spec.policies.len(),
         spec.seeds.len(),
     )?;
@@ -738,19 +739,21 @@ fn validate(clips: &[ClipWorkload], spec: &SweepSpec) -> Result<u64, SweepError>
 
 /// The grid rules of every sweep, whether its axes come from a
 /// [`SweepSpec`] or off the wire in [`merge_shards`]: no empty axis,
-/// positive finite frequencies, and a point count that fits `u64`.
+/// positive finite frequencies, positive capacities (the simulator
+/// rejects a zero-slot FIFO, so a pruned and an exhaustive run must
+/// both refuse it up front), and a point count that fits `u64`.
 /// Returns that count.
 fn validate_axes(
     n_clips: usize,
     frequencies_hz: &[f64],
-    n_cap: usize,
+    capacities: &[u64],
     n_pol: usize,
     n_seed: usize,
 ) -> Result<u64, SweepError> {
     if n_clips == 0 {
         return Err(SweepError::Invalid("no clips"));
     }
-    if frequencies_hz.is_empty() || n_cap == 0 || n_pol == 0 || n_seed == 0 {
+    if frequencies_hz.is_empty() || capacities.is_empty() || n_pol == 0 || n_seed == 0 {
         return Err(SweepError::Invalid("an axis of the grid is empty"));
     }
     if frequencies_hz.iter().any(|f| !(f.is_finite() && *f > 0.0)) {
@@ -758,6 +761,10 @@ fn validate_axes(
             "frequencies must be positive and finite",
         ));
     }
+    if capacities.contains(&0) {
+        return Err(SweepError::Invalid("capacities must be at least 1"));
+    }
+    let n_cap = capacities.len();
     [n_clips, frequencies_hz.len(), n_cap, n_pol, n_seed]
         .iter()
         .try_fold(1u64, |acc, &n| acc.checked_mul(n as u64))
@@ -1961,7 +1968,7 @@ pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepEr
     let total = validate_axes(
         first.clips.len(),
         &first.frequencies_hz,
-        first.capacities.len(),
+        &first.capacities,
         first.policies.len(),
         first.seeds.len(),
     )?;
@@ -2580,6 +2587,43 @@ mod tests {
                 Err(SweepError::Invalid(_))
             ));
         }
+    }
+
+    #[test]
+    fn streaming_rejects_zero_capacity_with_and_without_pruning() {
+        // A grid a pruned run decides analytically (slow and fast PE₂)
+        // must be refused exactly like the exhaustive run that would hand
+        // the zero-slot FIFO to the simulator.
+        let clips = small_clips(1);
+        for prune in [true, false] {
+            for capacities in [vec![0, 16], vec![0]] {
+                let spec = SweepSpec {
+                    frequencies_hz: vec![5.0e6, 2.0e9],
+                    capacities,
+                    prune,
+                    ..small_spec()
+                };
+                let mut sink = CollectSink::new();
+                assert!(matches!(
+                    run_sweep_streaming(&clips, &spec, ShardRange::FULL, &mut sink),
+                    Err(SweepError::Invalid("capacities must be at least 1"))
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn merge_rejects_a_zero_capacity_off_the_wire() {
+        let clips = small_clips(1);
+        let mut sink = WcmtShardSink::new(Vec::new()).unwrap();
+        run_sweep_streaming(&clips, &small_spec(), ShardRange::FULL, &mut sink).unwrap();
+        let bytes = sink.finish_stream().unwrap();
+        let mut bad = wcm_wire::decode(&bytes, wcm_wire::DecodePolicy::Strict).unwrap();
+        bad.sweep_meta.as_mut().unwrap().capacities[0] = 0;
+        assert!(matches!(
+            merge_shards(&[bad]),
+            Err(SweepError::Invalid("capacities must be at least 1"))
+        ));
     }
 
     #[test]

@@ -76,6 +76,15 @@ rc=0; "$cli" sweep --pe2-mhz 60 --capacities 400 --clips no_such_clip 2>/dev/nul
 [ "$rc" -eq 2 ] || { echo "unknown clip must exit 2, got $rc"; exit 1; }
 rc=0; "$cli" sweep --pe2-mhz 60 --capacities 400 --prune maybe 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "bad --prune must exit 2, got $rc"; exit 1; }
+# A zero-slot FIFO is a usage error whether or not the analytic pre-pass
+# would decide the point before the simulator sees it.
+for caps in 0,16 0; do
+  for prune in on off; do
+    rc=0; "$cli" sweep --clips newscast --gops 1 --pe2-mhz 5,2000 \
+      --capacities "$caps" --k 600 --prune "$prune" >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || { echo "--capacities $caps --prune $prune must exit 2, got $rc"; exit 1; }
+  done
+done
 echo "ok: exit codes 0/2 as documented"
 
 echo "sweep smoke: all checks passed"

@@ -233,24 +233,6 @@ proptest! {
         }
     }
 
-    /// Max-plus convolution dominates min-plus convolution (sup over the
-    /// same splits vs inf), and both are commutative.
-    #[test]
-    fn maxplus_dominates_minplus(f in arb_pwl(), g in arb_pwl()) {
-        use wcm::curves::maxplus;
-        let hi = maxplus::convolve(&f, &g);
-        let lo = minplus::convolve(&f, &g);
-        let hi_rev = maxplus::convolve(&g, &f);
-        for i in 0..40 {
-            let t = i as f64 * 0.3;
-            prop_assert!(hi.value(t) + 1e-6 >= lo.value(t), "order violated at t={}", t);
-            prop_assert!(
-                (hi.value(t) - hi_rev.value(t)).abs() < 1e-6 * (1.0 + hi.value(t).abs()),
-                "max-plus conv not commutative at t={}", t
-            );
-        }
-    }
-
     /// The pointwise envelope really is the pointwise min/max.
     #[test]
     fn envelope_is_pointwise(f in arb_pwl(), g in arb_pwl()) {
