@@ -93,6 +93,8 @@ fn bench_old_vs_new(c: &mut Criterion) {
     group.finish();
 }
 
+/// Window and span scans run on the calling thread under any setting:
+/// each pair shows that a thread scope costs them nothing.
 fn bench_seq_vs_par(c: &mut Criterion) {
     let mut group = c.benchmark_group("window_sums_threads");
     let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
@@ -115,8 +117,6 @@ fn bench_seq_vs_par(c: &mut Criterion) {
             },
         );
     }
-    // Span scans run on the calling thread under any setting: the pair
-    // shows that a thread scope costs them nothing.
     let t = timestamps(50_000);
     group.bench_function("spans_N50000_K2000_in_seq_scope", |b| {
         Parallelism::Seq.scope(|| b.iter(|| min_spans(&t, 2_000, WindowMode::Exact).unwrap()))

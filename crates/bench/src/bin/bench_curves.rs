@@ -1,11 +1,11 @@
-//! Bench summary for the single-pass, multi-threaded curve construction.
+//! Bench summary for the single-pass curve construction.
 //!
 //! Times the old per-`k` sliding-window rescan against the prefix-sum scan
-//! (sequential and threaded) on the headline `N = 50 000`, `K = 2 000`
-//! exact-mode workload, plus the lazy vs materialized min-plus tandem, the
-//! chunked-summary fold behind the trace-parallel path, and a one-GOP
-//! incremental append against a full rebuild. Two rungs pin the pruned
-//! window scan: the share of windows it evaluates on one MP@ML clip at
+//! on the headline `N = 50 000`, `K = 2 000` exact-mode workload (the
+//! scan runs on the calling thread, so its threaded rungs time what a
+//! thread scope costs it), plus the lazy vs materialized min-plus tandem
+//! and a one-GOP incremental append against a full rebuild. Two rungs pin
+//! the pruned window scan: the share of windows it evaluates on one MP@ML clip at
 //! `k` = 24 frames (a deterministic count, read from the
 //! `events.windows_scanned`/`events.windows_total` counters), and the
 //! prefix-vs-rescan speedup on a constant trace, where no block of
@@ -29,7 +29,7 @@ use wcm_bench::alloc::{count_allocs, CountingAlloc};
 use wcm_bench::legacy::{convolve_materialized, min_spans_naive, window_maxima_unpruned};
 use wcm_core::{EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
-use wcm_events::summary::{summarize, summarize_chunks, CurveSummary, Sides};
+use wcm_events::summary::{CurveSummary, Sides};
 use wcm_events::window::{max_window_sums, min_spans, min_window_sums, Parallelism, WindowMode};
 use wcm_mpeg::VideoParams;
 
@@ -319,30 +319,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let scaling = measure_dyn(&mut scaling_runs);
 
-    // Chunked-summary fold behind the trace-parallel path. The 8-chunk
-    // fold on one thread (whole-trace seeds, chunk scans, merges)
-    // isolates the chunking overhead from any threading; `summarize` is
-    // the shipping auto-chunked entry point.
-    let grid: Vec<usize> = (1..=K).collect();
-    let chunked_fold =
-        |chunks: usize| Parallelism::Seq.scope(|| summarize_chunks(&v, &grid, Sides::Max, chunks));
-    let summaries = measure([
-        &mut || time_once(|| CurveSummary::from_values(&v, &grid, Sides::Max)),
-        &mut || time_once(|| chunked_fold(8)),
-        &mut || {
-            time_once(|| {
-                Parallelism::Threads(threads).scope(|| summarize(&v, &grid, Sides::Max))
-            })
-        },
-    ]);
-    let (summary_single_s, summary_chunked8_s, summary_auto_s) =
-        (summaries.best(0), summaries.best(1), summaries.best(2));
-    assert_eq!(
-        chunked_fold(8).max_table(),
-        CurveSummary::from_values(&v, &grid, Sides::Max).max_table(),
-        "chunked fold and single-pass summary disagree"
-    );
-
     // Incremental append, steady state: extend a live envelope monitor
     // (the per-session scan `wcm serve` runs) GOP by GOP — reading the
     // measured curve after each — across `GOPS` arrivals, and report the
@@ -352,6 +328,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // pessimistic.
     const GOPS: usize = 10;
     let base_len = N - GOPS * GOP_EVENTS;
+    let grid: Vec<usize> = (1..=K).collect();
     let mut monitor_base = EnvelopeMonitor::unbound(K).expect("K > 0");
     monitor_base.observe_all(v[..base_len].iter().copied());
     let run_gops = |monitor: &EnvelopeMonitor| {
@@ -556,12 +533,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20 }},\n\
          \x20 \"thread_scaling\": [\n      {scaling_json}\n    ],\n\
          \x20 \"speedup_at_4\": {speedup_at_4},\n\
-         \x20 \"chunk_summaries\": {{\n\
-         \x20   \"single_pass_s\": {summary_single_s:.6},\n\
-         \x20   \"chunked8_fold_s\": {summary_chunked8_s:.6},\n\
-         \x20   \"auto_summarize_s\": {summary_auto_s:.6},\n\
-         \x20   \"merge_overhead_vs_single\": {:.2}\n\
-         \x20 }},\n\
          \x20 \"append_one_gop\": {{\n\
          \x20   \"gop_events\": {GOP_EVENTS},\n\
          \x20   \"full_rebuild_s\": {rebuild_s:.6},\n\
@@ -615,7 +586,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         constant.speedup(0, 1),
         constant.speedup(1, 2),
         constant.speedup(1, 3),
-        summaries.speedup(1, 0),
         monitors.speedup(1, 0),
         core.speedup(3, 4),
         tandem.speedup(0, 1),

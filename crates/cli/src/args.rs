@@ -77,8 +77,8 @@ impl Options {
         }
     }
 
-    /// The `--threads` knob: absent or `auto`/`0` → [`Parallelism::Auto`],
-    /// `1` → sequential, `N` → exactly `N` workers, up to
+    /// The `--threads` knob: absent or `auto`/`0` →
+    /// [`wcm_par::Parallelism::Auto`], `1` → sequential, `N` → exactly `N` workers, up to
     /// [`wcm_par::MAX_POOL_THREADS`]. `main` runs the command inside its
     /// [`wcm_par::Parallelism::scope`].
     pub fn parallelism(&self) -> Result<wcm_par::Parallelism, String> {

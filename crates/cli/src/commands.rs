@@ -21,14 +21,15 @@ pub const USAGE: &str = "usage: wcm-cli <subcommand> [--option value]...
 
 subcommands:
   curves   --demands FILE --k K [--exact-upto N --stride S]
-           [--closure N] [--threads T]
+           [--closure N]
            workload curves gamma_u/gamma_l from a per-event demand trace;
            --closure N also takes the sub-additive closure of gamma_u
            (at most N min-plus iterations on the lazy streaming path)
            and reports whether it converged to a fixpoint
-  arrival  --times FILE --k K [--threads T]
+  arrival  --times FILE --k K
            empirical arrival staircase from sorted timestamps
-  fmin     --times FILE --demands FILE --buffer B --k K [--threads T]
+  fmin     --times FILE --demands FILE --buffer B --k K
+           [--exact-upto N --stride S]
            minimum clock frequency (eq. 9 vs eq. 10)
   polling  --period T --theta-min A --theta-max B --ep E --ec C --k K
            analytic polling-task curves (Example 1 / Fig. 2)
@@ -123,10 +124,11 @@ exit codes: 0 ok, 1 analysis error, 2 usage, 3 bad input file,
             4 monitor violations
 
 options:
-  --threads T   worker threads for the window scans: `auto' (default; all
-                cores once the trace is large enough), `1' (sequential) or
-                an explicit count up to 256. Results are identical for any
-                setting. `serve --shards N' has the same cap.";
+  --threads T   worker threads for the points of `sweep' and the shards
+                of `serve': `auto' (default; all cores once the work is
+                large enough), `1' (sequential) or an explicit count up
+                to 256. Results are identical for any setting.
+                `serve --shards N' has the same cap.";
 
 fn mode(opts: &Options) -> Result<WindowMode, String> {
     match (opts.optional("exact-upto"), opts.optional("stride")) {

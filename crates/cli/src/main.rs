@@ -57,8 +57,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             if e.wants_usage() {
-                eprintln!();
-                eprintln!("{}", commands::USAGE);
+                eprintln!("see `wcm-cli help` for usage");
             }
             ExitCode::from(e.exit_code())
         }
@@ -74,18 +73,15 @@ type Command = fn(&args::Options) -> Result<(), CliError>;
 /// positional action (`encode|decode|verify`) before its options.
 const COMMANDS: &[(&str, &str, Command, &[&str])] = &[
     ("curves", "", commands::curves, &[
-        "demands", "k", "exact-upto", "stride", "closure", "threads",
+        "demands", "k", "exact-upto", "stride", "closure",
     ]),
-    ("arrival", "", commands::arrival, &["times", "k", "threads"]),
-    ("fmin", "", commands::fmin, &[
-        "times", "demands", "buffer", "k", "exact-upto", "stride", "threads",
-    ]),
+    ("arrival", "", commands::arrival, &["times", "k"]),
+    ("fmin", "", commands::fmin, &["times", "demands", "buffer", "k", "exact-upto", "stride"]),
     ("polling", "", commands::polling, &["period", "theta-min", "theta-max", "ep", "ec", "k"]),
     ("mpeg", "", commands::mpeg, &["clip", "gops", "out-demands", "out-bits"]),
     ("pipeline", "", commands::pipeline, &["clip", "gops", "pe1-mhz", "pe2-mhz", "capacity"]),
     ("faults", "", commands::faults, &[
         "clip", "gops", "pe1-mhz", "pe2-mhz", "capacity", "policy", "seed", "inject", "monitor", "k",
-        "threads",
     ]),
     ("sweep", "", commands::sweep, &[
         "pe2-mhz", "capacities", "clips", "gops", "pe1-mhz", "policies", "seeds", "inject", "k",

@@ -34,6 +34,23 @@ fn unknown_subcommand_fails_with_usage() {
 }
 
 #[test]
+fn usage_errors_print_one_pointer_line_not_the_help_text() {
+    let dem = tmp_file("usage-pointer-demands.txt", "5\n7\n3\n9\n");
+    for args in [
+        vec!["frobnicate"],
+        vec!["curves", "--demands", dem.to_str().unwrap(), "--k", "4", "--bogus", "x"],
+        vec!["sweep", "--pe2-mhz", "5", "--capacities", "0", "--k", "4"],
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.lines().count() <= 3, "{args:?}: {err}");
+        assert!(err.contains("`wcm-cli help`"), "{args:?}: {err}");
+    }
+    std::fs::remove_file(dem).ok();
+}
+
+#[test]
 fn curves_from_demand_file() {
     let p = tmp_file("demands.txt", "5 1 1 5 1 1 5 1\n");
     let out = cli()
@@ -714,7 +731,7 @@ fn serve_rejects_a_session_whose_window_sums_overflow() {
 
 /// Demands whose window sums pass `u64::MAX` are an analysis error
 /// (exit 1, naming the overflow) for `curves` and `fmin`, from text and
-/// from `.wcmt`, at one and two threads — never a panic.
+/// from `.wcmt` — never a panic.
 #[test]
 fn window_sums_past_u64_max_exit_1_instead_of_panicking() {
     let art = Artifacts::new("sum-overflow", &["big.txt", "big.wcmt", "times.txt"]);
@@ -728,22 +745,19 @@ fn window_sums_past_u64_max_exit_1_instead_of_panicking() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{err}");
     for demands in [art.path(0), art.path(1)] {
-        for threads in ["1", "2"] {
-            let curves = cli()
-                .args(["curves", "--demands", demands, "--k", "2"])
-                .args(["--threads", threads])
-                .output()
-                .unwrap();
-            let fmin = cli()
-                .args(["fmin", "--times", art.path(2), "--demands", demands])
-                .args(["--buffer", "2", "--k", "2", "--threads", threads])
-                .output()
-                .unwrap();
-            for out in [curves, fmin] {
-                let err = String::from_utf8_lossy(&out.stderr);
-                assert_eq!(out.status.code(), Some(1), "{err}");
-                assert!(err.contains("window sum exceeds u64::MAX"), "{err}");
-            }
+        let curves = cli()
+            .args(["curves", "--demands", demands, "--k", "2"])
+            .output()
+            .unwrap();
+        let fmin = cli()
+            .args(["fmin", "--times", art.path(2), "--demands", demands])
+            .args(["--buffer", "2", "--k", "2"])
+            .output()
+            .unwrap();
+        for out in [curves, fmin] {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{err}");
+            assert!(err.contains("window sum exceeds u64::MAX"), "{err}");
         }
     }
 }
@@ -772,6 +786,12 @@ fn unknown_options_are_usage_errors_before_any_work() {
         vec!["trace", "encode", "--out", out_path, "--demands", dem, "--bogus", "x"],
         vec!["trace", "decode", "--bogus", "x"],
         vec!["trace", "verify", "--bogus", "x"],
+        // `--threads` selects nothing on the subcommands that run no
+        // `wcm-par` map, so they refuse it like any unknown option.
+        vec!["curves", "--demands", dem, "--k", "4", "--threads", "2"],
+        vec!["arrival", "--threads", "2"],
+        vec!["fmin", "--threads", "2"],
+        vec!["faults", "--clip", "newscast", "--gops", "1", "--threads", "2"],
     ];
     for args in &cases {
         let out = cli().args(args).output().unwrap();
@@ -784,6 +804,8 @@ fn unknown_options_are_usage_errors_before_any_work() {
             "--fast-scan"
         } else if args.contains(&"--times-window") {
             "--times-window"
+        } else if args.contains(&"--threads") {
+            "--threads"
         } else {
             "--bogus"
         };

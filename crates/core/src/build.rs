@@ -71,9 +71,9 @@ pub fn arrival_upper(
     arrival_upper_from_spans(&spans, trace.len(), trace.duration())
 }
 
-/// [`arrival_upper`] inside `par.scope(..)`. It stays for the
-/// `examples/bench_e2e` harness; new code calls [`arrival_upper`]
-/// inside a [`Parallelism::scope`].
+/// [`arrival_upper`] inside `par.scope(..)`, which the span scan does
+/// not read. It stays for the `examples/bench_e2e` harness; new code
+/// calls [`arrival_upper`].
 ///
 /// # Errors
 ///

@@ -13,39 +13,25 @@
 //! crossing window.
 //!
 //! Because `u64` max/min is associative and commutative, any merge order —
-//! left fold, pairwise tree, parallel tree-reduce — produces bit-identical
-//! tables. The structure has two uses:
-//!
-//! 1. **Trace-parallel construction** ([`summarize`]): chunks of one
-//!    prefix table are scanned independently on `wcm-par` and their
-//!    tables folded, parallelizing over the trace dimension instead of
-//!    the window-size dimension. The whole table is at hand, so a chunk
-//!    scans every window that starts in it and no seam needs merging.
-//!    This is the multi-worker path of
-//!    [`crate::window::max_window_sums`] and
-//!    [`crate::window::min_window_sums`].
-//! 2. **The wire codec**: a summary travels as a `.wcmt` SUMMARY frame
-//!    ([`SummaryParts`]), and summaries decoded from separate chunks of a
-//!    stream merge into the summary of the whole stream.
+//! left fold or pairwise tree — produces bit-identical tables. A summary
+//! travels as a `.wcmt` SUMMARY frame ([`SummaryParts`]), and summaries
+//! decoded from separate chunks of a stream merge into the summary of the
+//! whole stream.
 //!
 //! A live stream that grows event by event does not go through here:
 //! `wcm_core::monitor::EnvelopeMonitor` keeps its per-`k` running extrema.
 //!
 //! Every table comes out of the pruned window scan of
 //! [`crate::window`], which skips the blocks of window starts that cannot
-//! beat the extremum it starts from. `merge` scans only the seam, started
-//! from both runs' extrema; the chunks of [`summarize`] start from exact
-//! seeds taken from the whole trace, so each chunk skips what cannot beat
-//! the whole trace's extremum, not only its own, and the chunks together
-//! evaluate about as many windows as one pass ([`summarize_chunks`]).
+//! beat the extremum it starts from; `merge` scans only the seam, started
+//! from both runs' extrema.
 
 use crate::window::PrefixSums;
 use crate::EventError;
-use wcm_par::Parallelism;
 
-/// Which extrema a summary carries. One-sided summaries skip half the
-/// table work — [`crate::window::max_window_sums`] only ever reads maxima,
-/// and paying for minima there would halve the parallel speedup.
+/// Which extrema a scan or a summary carries. One-sided scans skip half
+/// the table work: [`crate::window::max_window_sums`] only ever reads
+/// maxima.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sides {
     /// Maximum window sums only (`γᵘ` construction).
@@ -146,20 +132,12 @@ impl CurveSummary {
     ///
     /// Panics if the grid is malformed or a window extremum exceeds
     /// `u64::MAX` (callers with untrusted demands check the total first,
-    /// as [`crate::window::max_window_sums`] does).
+    /// or call [`crate::window::max_window_sums`], which reports the
+    /// overflow as an error).
     #[must_use]
     pub fn from_values(values: &[u64], grid: &[usize], sides: Sides) -> Self {
         assert_grid(grid);
-        Self::with_tables(values, grid, sides, window_tables(values, grid, sides, None))
-    }
-
-    /// The summary of `values` around its scanned window tables.
-    fn with_tables(
-        values: &[u64],
-        grid: &[usize],
-        sides: Sides,
-        (max_win, min_win): (Vec<u64>, Vec<u64>),
-    ) -> Self {
+        let (max_win, min_win) = window_tables(values, grid, sides, None);
         let k_max = *grid.last().expect("grid is non-empty");
         let boundary = values.len().min(k_max - 1);
         Self {
@@ -397,7 +375,7 @@ fn window_tables(
         };
     }
     PrefixSums::new(values)
-        .scan_grid(0..values.len(), grid, sides, start)
+        .scan_grid(grid, sides, start)
         .expect(OVERFLOW)
 }
 
@@ -410,86 +388,9 @@ fn assert_grid(grid: &[usize]) {
     );
 }
 
-/// Trace-parallel summary construction: split `values` into one chunk per
-/// worker of the [`Parallelism::current`] setting and summarize them with
-/// [`summarize_chunks`]. Bit-identical to [`CurveSummary::from_values`] on
-/// the whole slice for any worker count, including 1.
-#[must_use]
-pub fn summarize(values: &[u64], grid: &[usize], sides: Sides) -> CurveSummary {
-    assert_grid(grid);
-    let workers = Parallelism::current().workers(values.len(), scan_cost(values, grid, sides));
-    if workers <= 1 || values.len() < 2 {
-        return CurveSummary::from_values(values, grid, sides);
-    }
-    summarize_chunks(values, grid, sides, workers)
-}
-
-/// [`summarize`] with `chunks` chunks, whatever the worker count: the
-/// chunks are scanned on the [`Parallelism::current`] workers (on the
-/// calling thread under [`Parallelism::Seq`]). Bit-identical to
-/// [`CurveSummary::from_values`] on the whole slice.
-///
-/// All chunks read one prefix table of the whole trace, and each scans
-/// the windows that *start* in it, reading on past its end, so every
-/// window is scanned exactly once and the chunk tables fold entry by
-/// entry: no seam between chunks is scanned twice. Before the chunks,
-/// one bound pass over the whole trace takes exact seed windows
-/// ([`PrefixSums::seed_tables`]) that every chunk scan starts from: a
-/// chunk then skips each block of starts that cannot beat the whole
-/// trace's seed, as one pass would, where on its own it would know only
-/// its own smaller extrema and evaluate several times more windows.
-///
-/// # Panics
-///
-/// Panics if the grid is malformed or a window extremum exceeds
-/// `u64::MAX`.
-#[must_use]
-pub fn summarize_chunks(values: &[u64], grid: &[usize], sides: Sides, chunks: usize) -> CurveSummary {
-    assert_grid(grid);
-    // Chunks of whole bound blocks: a chunk's starts past its last full
-    // block have no bound and would all be evaluated.
-    let chunk = values.len().div_ceil(chunks.max(1)).next_multiple_of(crate::window::BOUND_BLOCK);
-    let ranges: Vec<(usize, usize)> = (0..values.len())
-        .step_by(chunk)
-        .map(|s| (s, (s + chunk).min(values.len())))
-        .collect();
-    wcm_obs::counter("summary.chunks", ranges.len() as u64);
-    let table = PrefixSums::new(values);
-    let seeds = {
-        let _span = wcm_obs::span("summary.seeds");
-        table.seed_tables(grid, sides)
-    };
-    let start = Some((&seeds.0[..], &seeds.1[..]));
-    let parts = wcm_par::par_map(&ranges, scan_cost(values, grid, sides), |_, &(s, e)| {
-        let _span = wcm_obs::span("summary.chunk");
-        table.scan_grid(s..e, grid, sides, start).expect(OVERFLOW)
-    });
-    let (mut max_win, mut min_win) = seeds;
-    for (maxs, mins) in &parts {
-        for (acc, &v) in max_win.iter_mut().zip(maxs) {
-            *acc = (*acc).max(v);
-        }
-        for (acc, &v) in min_win.iter_mut().zip(mins) {
-            *acc = (*acc).min(v);
-        }
-    }
-    CurveSummary::with_tables(values, grid, sides, (max_win, min_win))
-}
-
-/// Windows an unpruned scan of `values` would evaluate: the work hint
-/// that decides how many workers a trace-parallel summary engages.
-fn scan_cost(values: &[u64], grid: &[usize], sides: Sides) -> u64 {
-    let per_side = match sides {
-        Sides::Both => 2,
-        Sides::Max | Sides::Min => 1,
-    };
-    values.len() as u64 * grid.len() as u64 * per_side
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{max_window_sums, min_window_sums, WindowMode};
 
     fn demo_values(n: usize) -> Vec<u64> {
         // Deterministic, spiky: exercises both extrema.
@@ -596,24 +497,6 @@ mod tests {
         let whole = CurveSummary::from_values(&values, &grid, Sides::Both);
         assert_eq!(mx.max_table(), whole.max_table());
         assert_eq!(mn.min_table(), whole.min_table());
-    }
-
-    #[test]
-    fn summarize_matches_dense_window_sums() {
-        let values = demo_values(2_000);
-        let k_max = 64;
-        let grid: Vec<usize> = (1..=k_max).collect();
-        let (maxs, mins) = Parallelism::Seq.scope(|| {
-            (
-                max_window_sums(&values, k_max, WindowMode::Exact).unwrap(),
-                min_window_sums(&values, k_max, WindowMode::Exact).unwrap(),
-            )
-        });
-        for par in [Parallelism::Seq, Parallelism::Threads(3), Parallelism::Auto] {
-            let s = par.scope(|| summarize(&values, &grid, Sides::Both));
-            assert_eq!(s.max_table(), &maxs[..]);
-            assert_eq!(s.min_table(), &mins[..]);
-        }
     }
 
     #[test]

@@ -48,13 +48,10 @@
 //! constant one), still evaluates all `O(N·K)` windows and pays a few
 //! percent more for the bounds.
 //!
-//! The worker count is the calling thread's [`Parallelism::current`]
-//! setting (see [`Parallelism::scope`]); it changes speed, never results.
-//! When it engages more than one worker, demand scans split the window
-//! starts of one prefix table into chunks, scan them in parallel from
-//! exact seed windows of the whole trace and fold their tables
-//! ([`crate::summary::summarize`]). Span scans always run on the calling
-//! thread. Sequential and parallel runs produce **bit-identical** results.
+//! Every scan is that one pass, on the calling thread, under any
+//! [`Parallelism`] setting (re-exported here for the callers that set
+//! it): the worker count reaches only the `wcm-par` maps of other layers,
+//! such as the points of a sweep.
 //!
 //! A stream that grows one stamp at a time keeps its minimal spans in a
 //! [`SpanMinima`] table: `O(depth)` per stamp, no rescans.
@@ -261,23 +258,19 @@ impl PrefixSums {
         }
     }
 
-    /// Scan of many window sizes over the windows that start inside
-    /// `part` of the values (they may end past it): the max and min
-    /// tables of the wanted `sides` (the other side's table is its
-    /// start). Parts that tile the values so split the windows between
-    /// them, each window in exactly one part. `ks` should be ascending, as
-    /// [`WindowMode::grid`] makes it: sizes within 8 of each other then
-    /// share one bound pass (any order gives the same values).
+    /// Scan of many window sizes over every window of the values: the
+    /// max and min tables of the wanted `sides` (the other side's table
+    /// is its start). `ks` should be ascending, as [`WindowMode::grid`]
+    /// makes it: sizes within 8 of each other then share one bound pass
+    /// (any order gives the same values).
     ///
     /// Every entry starts from `start` (default: the identities, `0` for
     /// maxima and `u64::MAX` for minima) and folds in every window of its
     /// size, so a known window sum both seeds the pruning and stays in
     /// the result: a summary merge passes its two runs' tables and scans
-    /// only the seam, and a chunk of a trace-parallel summary passes the
-    /// whole trace's [`PrefixSums::seed_tables`]. Entries with no window
-    /// (`k = 0`, or `k` past the values from every start in `part`) keep
-    /// their start, so grid points beyond a short chunk merge away
-    /// naturally; summaries rely on this.
+    /// only the seam. Entries with no window (`k = 0`, or `k` past the
+    /// values) keep their start, so grid points beyond a short run merge
+    /// away naturally; summaries rely on this.
     ///
     /// Exact and pruned: a block of 16 window starts is evaluated only
     /// when its bound from the monotone table beats an exactly evaluated
@@ -294,7 +287,6 @@ impl PrefixSums {
     /// only: on a narrow one every window fits).
     pub(crate) fn scan_grid(
         &self,
-        part: std::ops::Range<usize>,
         ks: &[usize],
         sides: Sides,
         start: Option<(&[u64], &[u64])>,
@@ -304,29 +296,9 @@ impl PrefixSums {
             Some((maxs, mins)) => (maxs.to_vec(), mins.to_vec()),
             None => (vec![0; ks.len()], vec![u64::MAX; ks.len()]),
         };
-        // Window sums are differences, so the windows that start in a
-        // part read the whole table's slice from the part's start to
-        // the end of its last start's largest window.
-        let reach = part.end.saturating_add(ks.iter().max().map_or(0, |k| k.saturating_sub(1)));
-        let cells = part.start..reach.min(self.len()).max(part.end) + 1;
-        let starts = part.len();
         match &self.table {
-            Table::Narrow(p) => scan_blocked(&p[cells], ks, sides, maxs, mins, local_seeds, starts),
-            Table::Wide(p) => scan_blocked(&p[cells], ks, sides, maxs, mins, local_seeds, starts),
-        }
-    }
-
-    /// Exact window sums near each size's extremum, to start scans of
-    /// parts of the values with: per size in `ks`, the extrema over the
-    /// block of 16 starts whose bound is most extreme (the seeds of the
-    /// pruned scan), on the wanted `sides`. Identities where a size has
-    /// no bound (`k > len`, or minima of fewer than 15 values) or a seed
-    /// does not fit `u64`. Costs the scan's bound pass: one bound per 16
-    /// starts per group of nearby sizes.
-    pub(crate) fn seed_tables(&self, ks: &[usize], sides: Sides) -> (Vec<u64>, Vec<u64>) {
-        match &self.table {
-            Table::Narrow(p) => seeds_blocked(p, ks, sides),
-            Table::Wide(p) => seeds_blocked(p, ks, sides),
+            Table::Narrow(p) => scan_blocked(p, ks, sides, maxs, mins, local_seeds),
+            Table::Wide(p) => scan_blocked(p, ks, sides, maxs, mins, local_seeds),
         }
     }
 }
@@ -483,7 +455,7 @@ const SCAN_TILE: usize = 16;
 /// Window starts that share one bound: a sixteenth of the windows, so
 /// the bounds cost little next to a full scan, while a bound overshoots a
 /// window by only `BOUND_BLOCK − 1` values.
-pub(crate) const BOUND_BLOCK: usize = 16;
+const BOUND_BLOCK: usize = 16;
 
 /// Window sizes that share one bound when they lie within this distance:
 /// the exact (dense) part of a grid pays one bound pass per 8 sizes, at
@@ -608,19 +580,12 @@ struct GroupBounds<'a, T> {
 impl<'a, T: PrefixCell> GroupBounds<'a, T> {
     /// `None` when no block is full, or when minima of windows shorter
     /// than `B − 1` are wanted (`lb` would be vacuous): every start of
-    /// the group is then evaluated. `last` gives each size's number of
-    /// window starts.
-    fn new(
-        rows: &'a mut BoundRows<T>,
-        p: &[T],
-        group: &[usize],
-        sides: Sides,
-        last: impl Fn(usize) -> usize,
-    ) -> Option<Self> {
+    /// the group is then evaluated.
+    fn new(rows: &'a mut BoundRows<T>, p: &[T], group: &[usize], sides: Sides) -> Option<Self> {
         const B: usize = BOUND_BLOCK;
         let k_lo = group[0];
         let k_hi = *group.iter().max().expect("groups are non-empty");
-        let full = last(k_hi) / B;
+        let full = (p.len() - k_hi) / B;
         if full == 0 || (sides.wants_min() && k_lo + 1 < B) {
             return None;
         }
@@ -718,9 +683,9 @@ fn seed_group<T: PrefixCell>(
 /// when `local_seeds`; `None` otherwise or where the group has no bounds)
 /// and into `ranges` the window starts left to evaluate, and returns the
 /// windows the seeds evaluated. A scan that starts from known window
-/// sums (a merge's runs, a chunk's whole-trace seeds) skips the local
-/// seeds: they would rarely beat the start and cost a fixed price per
-/// group, which a trace cut into many short scans pays many times.
+/// sums (a merge's two runs) skips the local seeds: they would rarely
+/// beat the start and cost a fixed price per group, which a stream
+/// merged from many short runs pays many times.
 ///
 /// A block survives only where its bound beats the cut: the smallest
 /// seeded maximum and the largest seeded minimum over the group, each
@@ -743,7 +708,7 @@ fn plan_group<T: PrefixCell>(
     let tail_end = scan.last(group[0]);
     ranges.clear();
     seeds.fill(None);
-    let Some(bounds) = GroupBounds::new(rows, p, group, sides, |k| scan.last(k)) else {
+    let Some(bounds) = GroupBounds::new(rows, p, group, sides) else {
         ranges.push((0, tail_end));
         return 0;
     };
@@ -787,21 +752,19 @@ fn plan_group<T: PrefixCell>(
     evaluated
 }
 
-/// What the groups of one scan share: the table, the wanted sides,
-/// whether groups evaluate seeds of their own, and how many window
-/// starts a size may take.
+/// What the groups of one scan share: the table, the wanted sides and
+/// whether groups evaluate seeds of their own.
 struct Scan<'a, T> {
     p: &'a [T],
     sides: Sides,
     local_seeds: bool,
-    starts: usize,
 }
 
 impl<T: PrefixCell> Scan<'_, T> {
     /// Window starts of size `k` (`1 ≤ k ≤ n`): those whose window fits
-    /// the table, at most `starts`.
+    /// the table.
     fn last(&self, k: usize) -> usize {
-        (self.p.len() - k).min(self.starts)
+        self.p.len() - k
     }
 }
 
@@ -831,11 +794,10 @@ fn scan_blocked<T: PrefixCell>(
     mut maxs: Vec<T::Sum>,
     mut mins: Vec<T::Sum>,
     local_seeds: bool,
-    starts: usize,
 ) -> Option<Tables<T::Sum>> {
     let n = p.len() - 1;
     let (want_max, want_min) = (sides.wants_max(), sides.wants_min());
-    let scan = Scan { p, sides, local_seeds, starts };
+    let scan = Scan { p, sides, local_seeds };
     let mut rows = BoundRows::new(n);
     let last = |k: usize| scan.last(k);
     let mut chunks = Vec::with_capacity(n / (BOUND_BLOCK * FILTER_CHUNK) + 1);
@@ -924,52 +886,6 @@ fn scan_blocked<T: PrefixCell>(
     Some((maxs, mins))
 }
 
-/// The kernel behind [`PrefixSums::seed_tables`]: per group of nearby
-/// sizes, the bound pass and seed blocks of [`seed_group`], kept where
-/// they fit `u64` on the wanted sides; identities elsewhere. Counts the
-/// windows the seeds evaluate (`events.windows_scanned`).
-fn seeds_blocked<T: PrefixCell<Sum = u64>>(
-    p: &[T],
-    ks: &[usize],
-    sides: Sides,
-) -> (Vec<u64>, Vec<u64>) {
-    let n = p.len() - 1;
-    let mut rows = BoundRows::new(n);
-    let (mut maxs, mut mins) = (vec![0; ks.len()], vec![u64::MAX; ks.len()]);
-    let (mut chunks, mut seeds) = (Vec::new(), Vec::new());
-    let (mut j, mut scanned) = (0, 0);
-    while j < ks.len() {
-        let len = group_len(&ks[j..], n);
-        let group = &ks[j..j + len];
-        seeds.clear();
-        seeds.resize(len, None);
-        let last = |k: usize| n + 1 - k;
-        let bounds = if (1..=n).contains(&group[0]) {
-            GroupBounds::new(&mut rows, p, group, sides, last)
-        } else {
-            None
-        };
-        if let Some(bounds) = bounds {
-            bound_pass(p, &bounds, sides, &mut chunks);
-            scanned += seed_group(p, &bounds, group, sides, &chunks, &mut seeds);
-            for (i, seed) in seeds.iter().enumerate() {
-                let (mx, mn) = seed.expect("a group with bounds is seeded");
-                if sides.wants_max() {
-                    maxs[j + i] = mx.narrow().unwrap_or(0);
-                }
-                if sides.wants_min() {
-                    mins[j + i] = mn.narrow().unwrap_or(u64::MAX);
-                }
-            }
-        }
-        j += len;
-    }
-    if wcm_obs::enabled() {
-        wcm_obs::counter(T::COUNTERS.0, scanned as u64);
-    }
-    (maxs, mins)
-}
-
 /// Maximum sum of any `k` consecutive values, for a single `k`.
 ///
 /// Returns 0 for `k = 0`; `None` if `k > values.len()` (no full window
@@ -1016,6 +932,9 @@ pub fn min_window_sum(values: &[u64], k: usize) -> Result<Option<u64>, EventErro
 /// trace length, or if a strided mode has `stride = 0`;
 /// [`EventError::Overflow`] if a reported window sum exceeds
 /// `u64::MAX`.
+///
+/// One pruned pass over the prefix table (see § Performance), on the
+/// calling thread under any [`Parallelism`].
 pub fn max_window_sums(
     values: &[u64],
     k_max: usize,
@@ -1024,9 +943,9 @@ pub fn max_window_sums(
     window_sums(values, k_max, mode, true)
 }
 
-/// [`max_window_sums`] inside `par.scope(..)`. It stays for the
-/// `examples/bench_e2e` harness; new code calls [`max_window_sums`]
-/// inside a [`Parallelism::scope`].
+/// [`max_window_sums`] inside `par.scope(..)`, which the scan does not
+/// read. It stays for the `examples/bench_e2e` harness; new code calls
+/// [`max_window_sums`].
 ///
 /// # Errors
 ///
@@ -1057,9 +976,9 @@ pub fn min_window_sums(
     window_sums(values, k_max, mode, false)
 }
 
-/// [`min_window_sums`] inside `par.scope(..)`. It stays for the
-/// `examples/bench_e2e` harness; new code calls [`min_window_sums`]
-/// inside a [`Parallelism::scope`].
+/// [`min_window_sums`] inside `par.scope(..)`, which the scan does not
+/// read. It stays for the `examples/bench_e2e` harness; new code calls
+/// [`min_window_sums`].
 ///
 /// # Errors
 ///
@@ -1086,40 +1005,13 @@ fn window_sums(
         return Err(EventError::InvalidParameter { name: "stride" });
     }
     let grid = mode.grid(k_max);
-    // Each grid point scans ≤ N differences; the hint lets the runtime
-    // skip thread start-up for small analyses.
-    let cost = grid.len() as u64 * values.len() as u64;
-    // A total that fits `u64` bounds every window sum, so the chunk
-    // merges of the parallel path cannot overflow; wider traces take
-    // the sequential scan, which reports an extremum past `u64::MAX`.
-    let narrow = || {
-        values
-            .iter()
-            .try_fold(0u64, |acc, &v| acc.checked_add(v))
-            .is_some()
-    };
     let sides = if maximize { Sides::Max } else { Sides::Min };
-    let exact = if Parallelism::current().workers(values.len(), cost) > 1 && narrow() {
-        // Parallel: trace-parallel chunk summaries tree-folded into the
-        // exact grid table — scales over N instead of fanning out per k.
-        let summary = crate::summary::summarize(values, &grid, sides);
-        if maximize {
-            summary.max_table().to_vec()
-        } else {
-            summary.min_table().to_vec()
-        }
-    } else {
-        // Sequential: one pruned, cache-blocked pass over the prefix
-        // table, k-tiles per block instead of one full sweep per k.
-        let (maxs, mins) = PrefixSums::new(values)
-            .scan_grid(0..values.len(), &grid, sides, None)
-            .ok_or(EventError::Overflow { what: "window sum" })?;
-        if maximize {
-            maxs
-        } else {
-            mins
-        }
-    };
+    // One pruned, cache-blocked pass over the prefix table, k-tiles per
+    // block instead of one full sweep per k.
+    let (maxs, mins) = PrefixSums::new(values)
+        .scan_grid(&grid, sides, None)
+        .ok_or(EventError::Overflow { what: "window sum" })?;
+    let exact = if maximize { maxs } else { mins };
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0u64))
 }
 
@@ -1219,9 +1111,8 @@ fn spans(
     };
     let sides = if maximize { Sides::Max } else { Sides::Min };
     let (start_max, start_min) = (start(f64::NEG_INFINITY), start(f64::INFINITY));
-    let (maxs, mins) =
-        scan_blocked(times, &gaps, sides, start_max, start_min, true, times.len() - 1)
-            .expect("every f64 extremum is reported");
+    let (maxs, mins) = scan_blocked(times, &gaps, sides, start_max, start_min, true)
+        .expect("every f64 extremum is reported");
     let exact = if maximize { maxs } else { mins };
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0.0f64))
 }
@@ -1493,8 +1384,7 @@ mod tests {
 
     #[test]
     fn window_sums_past_u64_max_are_an_error_at_any_worker_count() {
-        // K·N = 2^23 is twice the largest grain, so Threads(2) engages
-        // two workers whenever the trace takes the parallel path.
+        // K·N = 2^23, large enough that a worker count could split it.
         let mut values = vec![1u64; 4096];
         values[0] = u64::MAX;
         for par in [Parallelism::Seq, Parallelism::Threads(2)] {

@@ -1,7 +1,7 @@
 //! Property tests of the pruned window scans.
 //!
 //! The blocked kernel behind `max_window_sums`/`min_window_sums` and the
-//! chunk summaries skips every block of window starts whose bound cannot
+//! curve summaries skips every block of window starts whose bound cannot
 //! beat the best window found so far. These tests pin it to a plain
 //! rescan of every window on the shapes where a bound is tightest or
 //! loosest — all zeros, constants (nothing prunes), a single spike,
@@ -11,7 +11,7 @@
 //! at `Parallelism::Seq` and `Parallelism::Threads(2)`.
 
 use proptest::prelude::*;
-use wcm_events::summary::{summarize, CurveSummary, Sides};
+use wcm_events::summary::{CurveSummary, Sides};
 use wcm_events::window::{max_window_sums, min_window_sums, Parallelism, WindowMode};
 use wcm_events::EventError;
 
@@ -178,11 +178,6 @@ proptest! {
                 .merge(&CurveSummary::from_values(right, &grid, sides));
             prop_assert_eq!(merged.max_table(), whole.max_table());
             prop_assert_eq!(merged.min_table(), whole.min_table());
-            for par in PARS {
-                let s = par.scope(|| summarize(&values, &grid, sides));
-                prop_assert_eq!(s.max_table(), whole.max_table());
-                prop_assert_eq!(s.min_table(), whole.min_table());
-            }
         }
     }
 }
@@ -193,8 +188,8 @@ fn sides_want(sides: Sides, max: bool) -> bool {
 
 #[test]
 fn shapes_at_a_size_that_engages_two_workers() {
-    // K·N = 2^23 is twice the largest grain, so Threads(2) runs the
-    // trace-parallel chunk summaries here, not the sequential scan.
+    // K·N = 2^23 is twice the largest grain: a trace a pool would split
+    // between two workers, were the scan ever to dispatch.
     let n = 4096;
     for kind in 0..KINDS {
         let values = shape(kind, n, 5_000, 1234);

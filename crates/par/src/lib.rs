@@ -10,11 +10,11 @@
 //! # Runtime
 //!
 //! Workers are spawned **once per process** and parked on a condvar
-//! between jobs ([`pool`]); a `par_*` call wakes them instead of paying a
+//! between jobs (module `pool`); a `par_*` call wakes them instead of paying a
 //! `std::thread::scope` spawn/join (≈ 50–100 µs per worker) per call —
 //! the overhead that used to leave paper-scale sweeps at
 //! `speedup_par_vs_seq: 1.0`. Work is distributed through per-worker
-//! chunked block deques with stealing ([`steal`]): each worker owns a
+//! chunked block deques with stealing (module `steal`): each worker owns a
 //! contiguous span of the input split into blocks, drains it
 //! front-to-back, then steals blocks from the back of other deques, so
 //! items with wildly different costs (a design-sweep point that is
@@ -38,7 +38,7 @@
 //! Outside any scope it is [`Parallelism::Auto`]:
 //!
 //! * [`Parallelism::Seq`] — run inline on the caller's thread;
-//! * [`Parallelism::Threads(n)`] — at most `n` workers (reduced when the
+//! * [`Parallelism::Threads`]`(n)` — at most `n` workers (reduced when the
 //!   cost hint says the work cannot amortize even a pool wake-up);
 //! * [`Parallelism::Auto`] — [`std::thread::available_parallelism`]
 //!   workers, but only when the caller's cost hint says the work dwarfs
@@ -58,7 +58,7 @@
 //!
 //! # Grain threshold
 //!
-//! Every worker must be backed by at least [`grain_ops`] unit operations
+//! Every worker must be backed by at least a grain of unit operations
 //! or it is not engaged: below the grain, waking a worker costs more
 //! than the work itself. The grain is calibrated once per process by
 //! timing an empty **pool dispatch** (not a thread spawn — the pool made
@@ -121,7 +121,7 @@ thread_local! {
 /// pool dispatch against a unit-operation loop and requires each worker
 /// to amortize ≈ 4 dispatch costs, clamped to `2¹⁴..=2²²` operations.
 #[must_use]
-pub fn grain_ops() -> u64 {
+pub(crate) fn grain_ops() -> u64 {
     *GRAIN_OPS.get_or_init(|| calibrate_grain().clamp(GRAIN_OPS_MIN, GRAIN_OPS_MAX))
 }
 
@@ -176,8 +176,8 @@ pub enum Parallelism {
     /// Run on the calling thread.
     Seq,
     /// Use at most this many workers (`0` is treated as `1`); the count
-    /// is reduced when the cost hint cannot back each worker with
-    /// [`grain_ops`] unit operations, so an explicit thread count is
+    /// is reduced when the cost hint cannot back each worker with a
+    /// grain of unit operations (see the crate docs), so an explicit thread count is
     /// never slower than sequential on small inputs.
     Threads(usize),
     /// Use all available cores when the work is large enough to amortize
@@ -242,7 +242,7 @@ impl Parallelism {
     /// answers 1 without calibrating [`grain_ops`], so sequential work
     /// never wakes the pool, not even for the one-shot calibration.
     #[must_use]
-    pub fn workers(self, items: usize, cost_hint_ops: u64) -> usize {
+    pub(crate) fn workers(self, items: usize, cost_hint_ops: u64) -> usize {
         let requested = match self {
             Self::Seq => 1,
             Self::Threads(n) => n,
@@ -341,7 +341,7 @@ fn assemble<U>(
 ///
 /// `cost_hint_ops` estimates the total work in unit operations (e.g.
 /// `items × inner-loop length`); the runtime uses it to decide whether
-/// waking pool workers is worth it — below the [`grain_ops`] threshold
+/// waking pool workers is worth it — below the grain threshold
 /// every setting degrades to the sequential path.
 ///
 /// Workers claim fixed-size blocks from per-worker deques and steal from

@@ -8,7 +8,7 @@
 //! parallel step is uncontended — and fold the per-shard outcomes into
 //! service counters. Session state only ever mutates inside the shard
 //! step, and the event-count refresh cadence of
-//! [`SessionState`](crate::session::SessionState) makes every snapshot
+//! [`crate::session::SessionState`] makes every snapshot
 //! independent of how rounds, polls, and shard threads sliced the
 //! stream.
 

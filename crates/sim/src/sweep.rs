@@ -1757,7 +1757,7 @@ fn shard_slice(index: u64, count: u64, total: u64) -> (u64, u64) {
 /// Pareto frontier, ties included — is bit-identical across settings
 /// too. Stats and
 /// frontier are tracked online while the points stream past
-/// ([`FrontierCells`] explains the frontier).
+/// (the private `FrontierCells` explains the frontier).
 ///
 /// # Errors
 ///

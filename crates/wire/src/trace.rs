@@ -1,10 +1,10 @@
 //! Payload codecs for traces and the high-level stream encode/decode API.
 //!
-//! One `.wcmt` stream carries any mix of: a name ([`frame::KIND_META`]),
-//! varint demand values ([`frame::KIND_DEMANDS`]), delta-coded timestamps
-//! ([`frame::KIND_TIMES`]), a type registry ([`frame::KIND_REGISTRY`]),
-//! typed events ([`frame::KIND_EVENTS`]), curve-summary blobs
-//! ([`frame::KIND_SUMMARY`]), and application frames
+//! One `.wcmt` stream carries any mix of: a name ([`KIND_META`]),
+//! varint demand values ([`KIND_DEMANDS`]), delta-coded timestamps
+//! ([`KIND_TIMES`]), a type registry ([`KIND_REGISTRY`]),
+//! typed events ([`KIND_EVENTS`]), curve-summary blobs
+//! ([`KIND_SUMMARY`]), and application frames
 //! (`0x40..=0x7D`, e.g. `wcm-mpeg` clips). Data frames are chunked a few
 //! thousand elements each and every chunk is self-contained (a `Times`
 //! frame starts from an absolute key, not a delta into the previous

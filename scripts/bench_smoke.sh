@@ -43,10 +43,9 @@ check() {
 }
 
 # Curve construction: the prefix-sum rewrite must stay clearly ahead of
-# the per-k sliding rescan, every parallel path must stay within noise
-# of sequential on 1 core (and ahead on multi-core), chunked summary
-# construction must not drown in merge overhead, and appending one GOP
-# to a summarized trace must stay far cheaper than a rebuild.
+# the per-k sliding rescan, a thread scope must cost the scans nothing
+# (they run on the calling thread), and appending one GOP to a
+# summarized trace must stay far cheaper than a rebuild.
 check "curves.speedup_prefix_vs_old"  "$(jq .window_sums.speedup_prefix_vs_old BENCH_curves.json)" ">=" 3.0
 # Pruned window scans: on one MP@ML clip at k = 24 frames the block
 # bounds must keep skipping most windows. The share is a count, not a
@@ -74,9 +73,9 @@ check "curves.constant_spans_pruned_over_unpruned" "$(jq .pruned_spans.constant_
 # the 0.85x floor flakes without any code regression. Guard them on
 # host width instead of asserting unconditionally.
 if [ "$(nproc)" -ge 4 ]; then
+    # Demand scans run on the calling thread under any setting too.
     check "curves.speedup_par_vs_seq" "$(jq .window_sums.speedup_par_vs_seq BENCH_curves.json)" ">=" 0.85
-    # Span scans run on the calling thread under any setting: a thread
-    # scope must not slow them down.
+    # Likewise span scans: a thread scope must not slow them down.
     check "curves.min_spans_speedup"  "$(jq .min_spans.speedup              BENCH_curves.json)" ">=" 0.85
     # Multi-core guard: the work-stealing pool must turn 4 cores into at
     # least a 2x pruned-sweep speedup over 1 thread.
@@ -86,7 +85,6 @@ else
     echo "SKIPPED curves.min_spans_speedup (nproc $(nproc) < 4: thread-scaling ratio is noise-bound)"
     echo "SKIPPED sweep.speedup_at_4 (nproc $(nproc) < 4: no 4-thread rung on this host)"
 fi
-check "curves.merge_overhead"         "$(jq .chunk_summaries.merge_overhead_vs_single BENCH_curves.json)" "<=" 1.5
 check "curves.append_over_rebuild"    "$(jq .append_one_gop.append_over_rebuild BENCH_curves.json)" "<=" 0.25
 # Envelope monitor on an envelope almost every window breaks (k = 64):
 # once the violation store is full, violating batches are counted in

@@ -45,13 +45,10 @@ echo "ok: curves from .wcmt byte-identical to curves from text"
 echo "== hostile demands: window sums past u64::MAX are exit 1, not a panic =="
 printf '18446744073709551615\n1\n2\n3\n' > "$out/huge.txt"
 "$cli" trace encode --demands "$out/huge.txt" --name huge --out "$out/huge.wcmt" >/dev/null
-for threads in 1 2; do
-  rc=0; "$cli" curves --demands "$out/huge.wcmt" --k 2 --threads "$threads" \
-      >/dev/null 2>"$out/huge.err" || rc=$?
-  [ "$rc" -eq 1 ] || { echo "overflowing window sums must exit 1, got $rc"; exit 1; }
-  grep -q 'window sum exceeds u64::MAX' "$out/huge.err" \
-    || { echo "the error must name the overflow"; cat "$out/huge.err"; exit 1; }
-done
+rc=0; "$cli" curves --demands "$out/huge.wcmt" --k 2 >/dev/null 2>"$out/huge.err" || rc=$?
+[ "$rc" -eq 1 ] || { echo "overflowing window sums must exit 1, got $rc"; exit 1; }
+grep -q 'window sum exceeds u64::MAX' "$out/huge.err" \
+  || { echo "the error must name the overflow"; cat "$out/huge.err"; exit 1; }
 echo "ok: an overflowing .wcmt trace is an analysis error (exit 1)"
 
 echo "== trace exit-code contract (0/2/3/4) =="
