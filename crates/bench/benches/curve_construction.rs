@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wcm_core::{EnvelopeMonitor, UpperWorkloadCurve};
 use wcm_events::summary::{CurveSummary, Sides};
-use wcm_events::window::{max_window_sums, min_spans, Parallelism, WindowMode};
+use wcm_events::window::{max_window_sums, min_spans, WindowMode};
 
 fn demand_vector(n: usize) -> Vec<u64> {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -84,47 +84,9 @@ fn bench_old_vs_new(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("new_prefix_seq", format!("N{n}_K{k}")),
             &(&v, k),
-            |b, (v, k)| {
-                Parallelism::Seq
-                    .scope(|| b.iter(|| max_window_sums(v, *k, WindowMode::Exact).unwrap()))
-            },
+            |b, (v, k)| b.iter(|| max_window_sums(v, *k, WindowMode::Exact).unwrap()),
         );
     }
-    group.finish();
-}
-
-/// Window and span scans run on the calling thread under any setting:
-/// each pair shows that a thread scope costs them nothing.
-fn bench_seq_vs_par(c: &mut Criterion) {
-    let mut group = c.benchmark_group("window_sums_threads");
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    for &(n, k) in &[(50_000usize, 2_000usize), (100_000, 4_000)] {
-        let v = demand_vector(n);
-        group.bench_with_input(
-            BenchmarkId::new("seq", format!("N{n}_K{k}")),
-            &(&v, k),
-            |b, (v, k)| {
-                Parallelism::Seq
-                    .scope(|| b.iter(|| max_window_sums(v, *k, WindowMode::Exact).unwrap()))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("threads{threads}"), format!("N{n}_K{k}")),
-            &(&v, k),
-            |b, (v, k)| {
-                Parallelism::Threads(threads)
-                    .scope(|| b.iter(|| max_window_sums(v, *k, WindowMode::Exact).unwrap()))
-            },
-        );
-    }
-    let t = timestamps(50_000);
-    group.bench_function("spans_N50000_K2000_in_seq_scope", |b| {
-        Parallelism::Seq.scope(|| b.iter(|| min_spans(&t, 2_000, WindowMode::Exact).unwrap()))
-    });
-    group.bench_function(format!("spans_N50000_K2000_in_threads{threads}_scope"), |b| {
-        Parallelism::Threads(threads)
-            .scope(|| b.iter(|| min_spans(&t, 2_000, WindowMode::Exact).unwrap()))
-    });
     group.finish();
 }
 
@@ -204,7 +166,6 @@ criterion_group!(
     benches,
     bench_window_sums,
     bench_old_vs_new,
-    bench_seq_vs_par,
     bench_curve_from_values,
     bench_pseudo_inverse,
     bench_summaries,

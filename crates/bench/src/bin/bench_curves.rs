@@ -1,9 +1,8 @@
 //! Bench summary for the single-pass curve construction.
 //!
 //! Times the old per-`k` sliding-window rescan against the prefix-sum scan
-//! on the headline `N = 50 000`, `K = 2 000` exact-mode workload (the
-//! scan runs on the calling thread, so its threaded rungs time what a
-//! thread scope costs it), plus the lazy vs materialized min-plus tandem
+//! on the headline `N = 50 000`, `K = 2 000` exact-mode workload, plus
+//! the lazy vs materialized min-plus tandem
 //! and a one-GOP incremental append against a full rebuild. Two rungs pin
 //! the pruned window scan: the share of windows it evaluates on one MP@ML clip at
 //! `k` = 24 frames (a deterministic count, read from the
@@ -14,10 +13,9 @@
 //! `events.spans_scanned`/`events.spans_total` counters, the time against
 //! the naive fold over every span) and on stamps with constant gaps,
 //! where nothing prunes. Writes the interleaved
-//! best-of-`REPS` times, a thread-scaling array (1/2/4/8 workers capped
-//! at the host's cores, plus a `speedup_at_4` headline field — `null`
-//! on hosts with fewer than 4 cores), and the speedups to
-//! `BENCH_curves.json`. Unlike the
+//! best-of-`REPS` times and the speedups to `BENCH_curves.json`. The
+//! scans run on the calling thread, so no rung varies the worker
+//! count. Unlike the
 //! criterion benches this runs in seconds and produces one
 //! machine-readable file, so `scripts/` can invoke it as part of a
 //! reproduction run.
@@ -30,7 +28,7 @@ use wcm_bench::legacy::{convolve_materialized, min_spans_naive, window_maxima_un
 use wcm_core::{EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
 use wcm_events::summary::{CurveSummary, Sides};
-use wcm_events::window::{max_window_sums, min_spans, min_window_sums, Parallelism, WindowMode};
+use wcm_events::window::{max_window_sums, min_spans, min_window_sums, WindowMode};
 use wcm_mpeg::VideoParams;
 
 const N: usize = 50_000;
@@ -156,28 +154,6 @@ fn measure<const M: usize>(candidates: [&mut dyn FnMut() -> f64; M]) -> Timings 
     Timings { rounds }
 }
 
-/// [`measure`] for a runtime-sized candidate list (the thread-scaling
-/// sweep, whose length depends on the host's core count).
-fn measure_dyn(candidates: &mut [Box<dyn FnMut() -> f64 + '_>]) -> Timings {
-    let m = candidates.len();
-    let mut rounds = vec![Vec::with_capacity(REPS); m];
-    for round in 0..REPS {
-        for o in 0..m {
-            let i = if round % 2 == 0 { o } else { m - 1 - o };
-            let t = candidates[i]();
-            rounds[i].push(t);
-        }
-    }
-    Timings { rounds }
-}
-
-/// The fixed `1/2/4/8` thread ladder, capped at `max` (the host's core
-/// count) — every artifact carries the same rungs, so `speedup_at_4` is
-/// comparable across hosts that have at least 4 cores.
-fn thread_counts(max: usize) -> Vec<usize> {
-    [1, 2, 4, 8].into_iter().filter(|&t| t <= max).collect()
-}
-
 fn staircase(segments: usize, seed: u64) -> Pwl {
     let mut rng = XorShift(seed);
     let mut x = 0.0;
@@ -195,31 +171,21 @@ fn staircase(segments: usize, seed: u64) -> Pwl {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_curves.json".into());
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
     let v = demand_vector(N);
     let t = timestamps(N);
 
-    eprintln!("bench_curves: N={N} K={K} threads={threads} reps={REPS}");
+    eprintln!("bench_curves: N={N} K={K} reps={REPS}");
 
-    // Each rung sets its worker count where the call enters.
-    let sums = |par: Parallelism| par.scope(|| max_window_sums(&v, K, WindowMode::Exact).unwrap());
-    let spans = |par: Parallelism| par.scope(|| min_spans(&t, K, WindowMode::Exact).unwrap());
+    let sums = || max_window_sums(&v, K, WindowMode::Exact).unwrap();
     let core = measure([
         &mut || time_once(|| window_sums_rescan(&v, K)),
-        &mut || time_once(|| sums(Parallelism::Seq)),
-        &mut || time_once(|| sums(Parallelism::Threads(threads))),
-        &mut || time_once(|| spans(Parallelism::Seq)),
-        &mut || time_once(|| spans(Parallelism::Threads(threads))),
+        &mut || time_once(sums),
+        &mut || time_once(|| min_spans(&t, K, WindowMode::Exact).unwrap()),
     ]);
-    let (old_rescan, prefix_seq, prefix_par) = (core.best(0), core.best(1), core.best(2));
-    let (spans_seq, spans_par) = (core.best(3), core.best(4));
+    let (old_rescan, prefix_seq, spans_seq) = (core.best(0), core.best(1), core.best(2));
 
     // Outputs must agree exactly, whichever path produced them.
-    assert_eq!(
-        window_sums_rescan(&v, K),
-        sums(Parallelism::Threads(threads)),
-        "old and new window analyses disagree"
-    );
+    assert_eq!(window_sums_rescan(&v, K), sums(), "old and new window analyses disagree");
 
     // Pruned scans, where they prune: the paper's own workload (one
     // MP@ML clip, γᵘ and γˡ at k = 24 frames on the full-scale grid).
@@ -234,7 +200,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rec = wcm_obs::mem();
         rec.reset();
         wcm_obs::set_enabled(true);
-        Parallelism::Seq.scope(scan);
+        scan();
         wcm_obs::set_enabled(false);
         let snap = rec.snapshot();
         snap.counter(scanned) as f64 / snap.counter(total) as f64
@@ -256,9 +222,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // With constant gaps every span of a size is equal and nothing
     // prunes, so there the ratio is the price of the bounds.
     let stamps = wcm_bench::simulate_clip(&clip, 1.0e9)?.fifo_in_times;
-    let blocked_spans = |t: &[f64], k: usize, mode: WindowMode| {
-        Parallelism::Seq.scope(|| min_spans(t, k, mode).unwrap())
-    };
+    let blocked_spans = |t: &[f64], k: usize, mode: WindowMode| min_spans(t, k, mode).unwrap();
     let spans_frac = counted(
         &|| {
             blocked_spans(&stamps, clip_k, clip_mode);
@@ -293,31 +257,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // unchanged sliding rescan, like the i.i.d. rung above, and against
     // the blocked scan as it was before it pruned (the bounds' price).
     let flat = vec![2_000u64; N];
-    let flat_sums =
-        |par: Parallelism| par.scope(|| max_window_sums(&flat, K, WindowMode::Exact).unwrap());
+    let flat_sums = || max_window_sums(&flat, K, WindowMode::Exact).unwrap();
     let all_k: Vec<usize> = (1..=K).collect();
     let constant = measure([
         &mut || time_once(|| window_sums_rescan(&flat, K)),
-        &mut || time_once(|| flat_sums(Parallelism::Seq)),
+        &mut || time_once(flat_sums),
         &mut || time_once(|| window_maxima_unpruned(&flat, &all_k)),
-        &mut || time_once(|| flat_sums(Parallelism::Threads(threads))),
     ]);
-    let flat_sums = || flat_sums(Parallelism::Seq);
     assert_eq!(window_sums_rescan(&flat, K), flat_sums(), "constant-trace scans disagree");
     assert_eq!(window_maxima_unpruned(&flat, &all_k), flat_sums(), "unpruned scan disagrees");
-
-    // Thread-scaling curve: the same window-sum construction on the
-    // 1/2/4/8 ladder capped at the host's core count (a single entry on
-    // one core). The sequential baseline runs inside the same interleaved
-    // batch so the per-count speedups are not skewed by drift between
-    // batches.
-    let counts = thread_counts(threads);
-    let mut scaling_runs: Vec<Box<dyn FnMut() -> f64 + '_>> = Vec::new();
-    scaling_runs.push(Box::new(|| time_once(|| sums(Parallelism::Seq))));
-    for &n in &counts {
-        scaling_runs.push(Box::new(move || time_once(|| sums(Parallelism::Threads(n)))));
-    }
-    let scaling = measure_dyn(&mut scaling_runs);
 
     // Incremental append, steady state: extend a live envelope monitor
     // (the per-session scan `wcm serve` runs) GOP by GOP — reading the
@@ -472,41 +420,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(back.report.is_clean(), "clean stream decoded unclean");
     }
 
-    let scaling_json = counts
-        .iter()
-        .enumerate()
-        .map(|(idx, &n)| {
-            format!(
-                "{{ \"threads\": {n}, \"window_sums_s\": {:.6}, \"speedup_vs_seq\": {:.1} }}",
-                scaling.best(idx + 1),
-                scaling.speedup(0, idx + 1)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n      ");
-    // Headline multi-core number: median per-round seq/4-thread ratio,
-    // `null` on hosts without 4 cores (the smoke guard skips it there).
-    let speedup_at_4 = counts
-        .iter()
-        .position(|&n| n == 4)
-        .map_or("null".to_string(), |idx| {
-            format!("{:.2}", scaling.speedup(0, idx + 1))
-        });
-
-    let speedup_old_vs_par = core.speedup(0, 2);
     let wire_enc_mb_s = wire_mb / wire_enc_s;
     let wire_enc_ev_s = N as f64 * 2.0 / wire_enc_s; // demand + timestamp per event
     let wire_dec_mb_s = wire_mb / wire_dec_s;
     let wire_dec_ev_s = N as f64 * 2.0 / wire_dec_s;
     let json = format!(
-        "{{\n  \"config\": {{ \"n_events\": {N}, \"k_max\": {K}, \"threads\": {threads}, \"reps\": {REPS}, \"gop_events\": {GOP_EVENTS} }},\n\
+        "{{\n  \"config\": {{ \"n_events\": {N}, \"k_max\": {K}, \"reps\": {REPS}, \"gop_events\": {GOP_EVENTS} }},\n\
          \x20 \"window_sums\": {{\n\
          \x20   \"old_rescan_s\": {old_rescan:.6},\n\
          \x20   \"prefix_seq_s\": {prefix_seq:.6},\n\
-         \x20   \"prefix_par_s\": {prefix_par:.6},\n\
-         \x20   \"speedup_prefix_vs_old\": {:.1},\n\
-         \x20   \"speedup_par_vs_seq\": {:.1},\n\
-         \x20   \"speedup_total\": {speedup_old_vs_par:.1}\n\
+         \x20   \"speedup_prefix_vs_old\": {:.1}\n\
          \x20 }},\n\
          \x20 \"pruned_scan\": {{\n\
          \x20   \"clip\": \"{scan_clip}\",\n\
@@ -528,11 +451,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"prefix_seq_s\": {:.6},\n\
          \x20   \"unpruned_s\": {:.6},\n\
          \x20   \"speedup_prefix_vs_old\": {:.1},\n\
-         \x20   \"pruned_over_unpruned\": {:.3},\n\
-         \x20   \"speedup_par_vs_seq\": {:.1}\n\
+         \x20   \"pruned_over_unpruned\": {:.3}\n\
          \x20 }},\n\
-         \x20 \"thread_scaling\": [\n      {scaling_json}\n    ],\n\
-         \x20 \"speedup_at_4\": {speedup_at_4},\n\
          \x20 \"append_one_gop\": {{\n\
          \x20   \"gop_events\": {GOP_EVENTS},\n\
          \x20   \"full_rebuild_s\": {rebuild_s:.6},\n\
@@ -547,7 +467,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"violating_s\": {monitor_violating_s:.6},\n\
          \x20   \"violating_over_clean\": {:.2}\n\
          \x20 }},\n\
-         \x20 \"min_spans\": {{ \"seq_s\": {spans_seq:.6}, \"par_s\": {spans_par:.6}, \"speedup\": {:.1} }},\n\
+         \x20 \"min_spans\": {{ \"seq_s\": {spans_seq:.6} }},\n\
          \x20 \"lazy_tandem_32\": {{\n\
          \x20   \"stages\": {STAGES},\n\
          \x20   \"eager_s\": {tandem_eager_s:.6},\n\
@@ -573,7 +493,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"lenient_overhead_vs_strict\": {wire_lenient_ratio:.2}\n\
          \x20 }}\n}}\n",
         core.speedup(0, 1),
-        core.speedup(1, 2),
         clip_spans.best(0),
         clip_spans.best(1),
         clip_spans.speedup(0, 1),
@@ -585,15 +504,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         constant.best(2),
         constant.speedup(0, 1),
         constant.speedup(1, 2),
-        constant.speedup(1, 3),
         monitors.speedup(1, 0),
-        core.speedup(3, 4),
         tandem.speedup(0, 1),
     );
     std::fs::write(&out_path, &json)?;
     print!("{json}");
     eprintln!(
-        "bench_curves: total speedup {speedup_old_vs_par:.1}x, one-GOP append at {:.0}% of a rebuild, wrote {out_path}",
+        "bench_curves: prefix scan {:.1}x the rescan, one-GOP append at {:.0}% of a rebuild, wrote {out_path}",
+        core.speedup(0, 1),
         append_ratio * 100.0
     );
     Ok(())

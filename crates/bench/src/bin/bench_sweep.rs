@@ -13,9 +13,9 @@
 //!   simulator (a deterministic count, guarded by
 //!   `scripts/bench_smoke.sh`).
 //! * **frontier bisection** — the Pareto frontier of a 64-frequency
-//!   axis located by monotone staircase bisection vs the dense cell
-//!   scan: identical frontier asserted, cell counts and the evaluated
-//!   fraction recorded.
+//!   axis located by monotone staircase bisection: the full sweep's
+//!   `pareto` asserted identical, cell counts, the evaluated fraction
+//!   and the bisection's time recorded.
 //! * **simulator ns/event** — the legacy heap-driven event loop
 //!   (`wcm_bench::legacy`) vs the heap-free hot path with a reusable
 //!   scratch, on one identical clip (3 events per macroblock).
@@ -43,8 +43,8 @@ use wcm_mpeg::{profile::standard_clips, GopStructure, Synthesizer, VideoParams};
 use wcm_par::Parallelism;
 use wcm_sim::pipeline::{simulate, FifoConfig, PipelineConfig, SimScratch};
 use wcm_sim::{
-    run_frontier, run_sweep, run_sweep_streaming, FaultedWorkload, FrontierMethod, OverflowPolicy,
-    PointRecord, ShardRange, SweepError, SweepSink, SweepSpec,
+    run_frontier, run_sweep, run_sweep_streaming, FaultedWorkload, OverflowPolicy, PointRecord,
+    ShardRange, SweepError, SweepSink, SweepSpec,
 };
 
 #[global_allocator]
@@ -160,8 +160,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             exact_upto: params.mb_per_frame() / 2,
             stride: params.mb_per_frame() / 10,
         },
-        // Deep enough to certify overflow even at the largest capacity
-        // (the strided certificate grid keeps this cheap).
+        // Unread (see `SweepSpec::cert_depth`).
         cert_depth: 2 * 4 * wcm_bench::BUFFER_MB as usize,
         prune: true,
     };
@@ -240,9 +239,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.2}", scaling.speedup(0, i4))
         });
 
-    // Frontier bisection vs dense cell scan, on a frequency axis fine
-    // enough (64 points) that O(log) bisection has room to win. Clean
-    // seed only — the frontier predicate ignores fault seeds anyway.
+    // Frontier bisection against the full sweep's frontier, on a
+    // frequency axis fine enough (64 points) that O(log) bisection has
+    // room to win. Clean seed only — the frontier predicate ignores
+    // fault seeds anyway.
     let frontier_spec = {
         let n = 64usize;
         let (lo, hi) = (20.0e6f64, 2000.0e6f64);
@@ -253,23 +253,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..spec.clone()
         }
     };
-    let frontier = |method| {
-        Parallelism::Threads(threads).scope(|| run_frontier(&clips, &frontier_spec, method))
-    };
-    let dense_frontier = frontier(FrontierMethod::Dense)?;
-    let bisect_frontier = frontier(FrontierMethod::Bisect)?;
-    let frontier_identical = bisect_frontier.frontier == dense_frontier.frontier;
+    let frontier =
+        || Parallelism::Threads(threads).scope(|| run_frontier(&clips, &frontier_spec));
+    let sweep_pareto = run_sweep(&clips, &frontier_spec, Parallelism::Threads(threads))?.pareto;
+    let bisect_frontier = frontier()?;
+    let frontier_identical = bisect_frontier.frontier == sweep_pareto;
     assert!(
         frontier_identical,
-        "bisected frontier diverged from the dense grid"
+        "bisected frontier diverged from the full sweep's"
     );
     let bisect_fraction =
         bisect_frontier.evaluated_cells as f64 / bisect_frontier.grid_cells as f64;
-    let frontier_times = measure([
-        &mut || time_once(|| frontier(FrontierMethod::Dense).unwrap()),
-        &mut || time_once(|| frontier(FrontierMethod::Bisect).unwrap()),
-    ]);
-    let (frontier_dense_s, frontier_bisect_s) = (frontier_times.best(0), frontier_times.best(1));
+    let frontier_bisect_s = measure([&mut || time_once(|| frontier().unwrap())]).best(0);
 
     // Simulator hot path: ns per event (3 events per macroblock) on one
     // clip, legacy heap loop vs heap-free loop with a reused scratch.
@@ -416,13 +411,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20 }},\n\
          \x20 \"frontier\": {{\n\
          \x20   \"grid_cells\": {},\n\
-         \x20   \"dense_cells_evaluated\": {},\n\
          \x20   \"bisect_cells_evaluated\": {},\n\
          \x20   \"bisect_fraction\": {bisect_fraction:.4},\n\
          \x20   \"identical\": {frontier_identical},\n\
-         \x20   \"dense_s\": {frontier_dense_s:.6},\n\
-         \x20   \"bisect_s\": {frontier_bisect_s:.6},\n\
-         \x20   \"speedup\": {:.1}\n\
+         \x20   \"bisect_s\": {frontier_bisect_s:.6}\n\
          \x20 }},\n\
          \x20 \"simulator\": {{\n\
          \x20   \"events\": {events},\n\
@@ -455,9 +447,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         points / par_pruned_s,
         sweeps.speedup(0, 1),
         bisect_frontier.grid_cells,
-        dense_frontier.evaluated_cells,
         bisect_frontier.evaluated_cells,
-        frontier_times.speedup(0, 1),
         sim.speedup(0, 1),
         mat_1x.peak_bytes,
         mat_10x.peak_bytes,

@@ -48,6 +48,11 @@ impl Options {
         self.values.get(name).map(String::as_str)
     }
 
+    /// The names of the given options, sorted.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().map(String::as_str)
+    }
+
     /// A required `usize` option.
     pub fn required_usize(&self, name: &str) -> Result<usize, String> {
         self.required(name)?

@@ -46,31 +46,30 @@ subcommands:
            [--clips all|NAME,NAME] [--gops N] [--pe1-mhz X]
            [--policies backpressure,reject,drop-priority]
            [--seeds clean,S1,S2] [--inject SPEC[;SPEC...]]
-           [--k K --exact-upto N --stride S] [--cert-depth D]
-           [--prune on|off] [--frontier bisect|dense] [--threads T]
-           [--json FILE] [--csv FILE] [--stream on|off]
+           [--k K --exact-upto N --stride S]
+           [--prune on|off] [--frontier bisect] [--threads T]
+           [--json FILE] [--csv FILE]
            [--shard I/N --out-wcmt FILE]
-           [--merge a.wcmt,b.wcmt,...]
+           [--merge a.wcmt,b.wcmt,... [--json FILE] [--csv FILE]]
            [--trace-out FILE] [--metrics-out FILE]
            parallel design-space sweep over the
            (clip x frequency x capacity x policy x seed) grid; an
            analytic pre-pass (eq. 8-10) skips provably safe/unsafe
-           points, only the uncertain band is simulated.
-           --frontier computes only the Pareto frontier: `bisect'
-           binary-searches the monotone safe/unsafe staircase
-           (O(log grid) cell evaluations per capacity), `dense'
-           evaluates every cell; both print the identical frontier
+           points, only the uncertain band is simulated. --json/--csv
+           artifacts are written row by row as points are decided, so
+           peak memory stays flat however large the grid is; a failed
+           run leaves neither file behind.
+           --frontier bisect computes only the Pareto frontier by
+           binary-searching the monotone safe/unsafe staircase
+           (O(log grid) cell evaluations per capacity) and prints it
            plus how many cells deciding it took (no --json/--csv)
-           --stream on evaluates through the constant-memory result
-           pipeline: --json/--csv artifacts are written row by row as
-           points are decided (byte-identical to the default path) and
-           peak memory stays flat however large the grid is
            --shard I/N evaluates only the i-th of N balanced grid
            slices and writes it as a binary partial-sweep stream to
            --out-wcmt (run one process per shard); --merge folds the
            shard files back into the single-process report — stats,
            Pareto frontier and --json/--csv artifacts byte-identical —
-           refusing mismatched or incomplete shard sets
+           refusing mismatched or incomplete shard sets, and any grid
+           option or --threads
            --trace-out writes a chrome://tracing JSON trace of the run,
            --metrics-out a counters/gauges/histograms summary
            --clips entries ending in `.wcmt' are read as binary clip
@@ -468,21 +467,63 @@ pub fn faults(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses one `name:key=val,key=val` injector spec.
-/// `sweep` subcommand — the design-space exploration engine.
+/// The options `sweep --merge` reads. Every other sweep option shapes
+/// the grid or how it is evaluated, which the shard files already fix.
+const MERGE_OPTIONS: &[&str] = &["merge", "json", "csv", "trace-out", "metrics-out"];
+
+/// `sweep` subcommand — the design-space exploration engine. A full
+/// run (`--json`/`--csv`) and a merge stream their points through the
+/// same [`ReportSinks`]; `--shard` streams them into a `.wcmt` file,
+/// and `--frontier bisect` prints only the Pareto frontier.
 pub fn sweep(opts: &Options) -> Result<(), CliError> {
     // Merge mode folds already-evaluated shard files; it takes no grid
     // arguments at all, so dispatch before anything is synthesized.
     if let Some(list) = opts.optional("merge") {
-        for key in ["shard", "out-wcmt", "frontier", "stream", "pe2-mhz", "capacities"] {
-            if opts.optional(key).is_some() {
-                return Err(CliError::Usage(format!(
-                    "--merge cannot be combined with --{key}"
-                )));
-            }
+        if let Some(key) = opts.keys().find(|k| !MERGE_OPTIONS.contains(k)) {
+            return Err(CliError::Usage(format!(
+                "--merge cannot be combined with --{key}"
+            )));
         }
         return sweep_merge(opts, list);
     }
+    let frontier = match opts.optional("frontier") {
+        None => false,
+        Some("bisect") => true,
+        Some(other) => {
+            return Err(CliError::Usage(format!(
+                "--frontier: `{other}` is not bisect"
+            )))
+        }
+    };
+    let shard = match opts.optional("shard") {
+        None => None,
+        Some(s) => Some(parse_shard(s)?),
+    };
+    if shard.is_some() != opts.optional("out-wcmt").is_some() {
+        return Err(CliError::Usage(
+            "--shard I/N and --out-wcmt FILE go together (a full run writes --json/--csv)"
+                .to_string(),
+        ));
+    }
+    if opts.optional("out-wcmt").is_some() {
+        for key in ["frontier", "json", "csv"] {
+            if opts.optional(key).is_some() {
+                return Err(CliError::Usage(format!(
+                    "--out-wcmt cannot be combined with --{key} (merge the shards first)"
+                )));
+            }
+        }
+    }
+    if frontier {
+        for key in ["json", "csv"] {
+            if opts.optional(key).is_some() {
+                return Err(CliError::Usage(format!(
+                    "--frontier cannot be combined with --{key} (it writes no report)"
+                )));
+            }
+        }
+    }
+
     let params = wcm_mpeg::VideoParams::main_profile_main_level()?;
     let all = wcm_mpeg::profile::standard_clips();
     let gops = opts.usize_or("gops", 1)?;
@@ -555,48 +596,6 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
             )))
         }
     };
-    let frontier = match opts.optional("frontier") {
-        None => None,
-        Some("bisect") => Some(wcm_sim::FrontierMethod::Bisect),
-        Some("dense") => Some(wcm_sim::FrontierMethod::Dense),
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--frontier: `{other}` is not bisect|dense"
-            )))
-        }
-    };
-    let stream = match opts.optional("stream").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--stream: `{other}` is not on|off"
-            )))
-        }
-    };
-    let shard = match opts.optional("shard") {
-        None => None,
-        Some(s) => Some(parse_shard(s)?),
-    };
-    if shard.is_some() && opts.optional("out-wcmt").is_none() {
-        return Err(CliError::Usage(
-            "--shard needs --out-wcmt FILE for the partial-sweep stream".to_string(),
-        ));
-    }
-    if opts.optional("out-wcmt").is_some() {
-        for key in ["frontier", "json", "csv", "stream"] {
-            if opts.optional(key).is_some() {
-                return Err(CliError::Usage(format!(
-                    "--out-wcmt cannot be combined with --{key} (merge the shards first)"
-                )));
-            }
-        }
-    }
-    if frontier.is_some() && stream {
-        return Err(CliError::Usage(
-            "--frontier cannot be combined with --stream".to_string(),
-        ));
-    }
 
     let spec = wcm_sim::SweepSpec {
         pe1_hz: match opts.optional("pe1-mhz") {
@@ -610,171 +609,55 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
         injectors,
         k_max: opts.usize_or("k", 600)?,
         mode: mode(opts)?,
-        // Accepted for existing scripts and fingerprinted; no longer read.
-        cert_depth: opts.usize_or("cert-depth", 400)?,
+        cert_depth: 0, // unread, see the field's docs
         prune,
     };
-    // Observability: with --trace-out/--metrics-out the shared in-memory
-    // recorder captures the run. Instrumentation never touches report
-    // contents, so JSON/CSV artifacts are byte-identical either way
-    // (checked by scripts/obs_smoke.sh).
-    let trace_out = opts.optional("trace-out");
-    let metrics_out = opts.optional("metrics-out");
-    let observe = trace_out.is_some() || metrics_out.is_some();
-    if observe {
-        wcm_obs::mem().reset();
-        wcm_obs::set_enabled(true);
-    }
-    let map_err = |e: wcm_sim::SweepError| match e {
-        wcm_sim::SweepError::Invalid(what) => CliError::Usage(what.to_string()),
-        other => CliError::Analysis(other.to_string()),
-    };
 
-    // Frontier-only mode: locate the Pareto frontier without reporting
-    // (or, with `bisect`, even visiting) the full grid.
-    if let Some(method) = frontier {
-        let out = wcm_sim::run_frontier(&clips, &spec, method);
-        if observe {
-            wcm_obs::set_enabled(false);
-        }
-        let fr = out.map_err(map_err)?;
-        if observe {
-            let snap = wcm_obs::mem().snapshot();
-            if let Some(path) = trace_out {
-                write_report(Path::new(path), &snap.to_chrome_trace())?;
-            }
-            if let Some(path) = metrics_out {
-                write_report(Path::new(path), &snap.to_metrics_json())?;
-            }
-        }
+    // Frontier-only mode: locate the Pareto frontier by bisection,
+    // without visiting most of the grid.
+    if frontier {
+        let fr = recorded(opts, || Ok(wcm_sim::run_frontier(&clips, &spec)?))?;
         println!("grid_cells {}", fr.grid_cells);
         println!("evaluated_cells {}", fr.evaluated_cells);
-        for &(f, c) in &fr.frontier {
-            println!("pareto {:.2} MHz capacity {c}", f / 1e6);
-        }
+        print_pareto(&fr.frontier);
         return Ok(());
     }
 
-    // Shard mode: evaluate one balanced slice of the grid through the
-    // streaming pipeline and write it as a partial-sweep `.wcmt` stream
-    // for a later `--merge`.
+    // Shard mode: evaluate one balanced slice of the grid and write it
+    // as a partial-sweep `.wcmt` stream for a later `--merge`.
     if let Some(shard) = shard {
         let out = opts.required("out-wcmt")?;
-        let file = std::fs::File::create(out).map_err(|source| CliError::Io {
-            path: out.into(),
-            source,
+        let (file, part) = create_part(Path::new(out), ".part")?;
+        let mut sink = wcm_sim::WcmtShardSink::new(std::io::BufWriter::new(file))?;
+        let summary = recorded(opts, || {
+            Ok(wcm_sim::run_sweep_streaming(&clips, &spec, shard, &mut sink)?)
         })?;
-        let mut sink = wcm_sim::WcmtShardSink::new(std::io::BufWriter::new(file))
-            .map_err(map_err)?;
-        let summary =
-            wcm_sim::run_sweep_streaming(&clips, &spec, shard, &mut sink)
-                .map_err(map_err)?;
-        let writer = sink.finish_stream().map_err(map_err)?;
-        writer.into_inner().map_err(|e| CliError::Io {
-            path: out.into(),
-            source: e.into_error(),
-        })?;
-        if observe {
-            wcm_obs::set_enabled(false);
-            let snap = wcm_obs::mem().snapshot();
-            if let Some(path) = trace_out {
-                write_report(Path::new(path), &snap.to_chrome_trace())?;
-            }
-            if let Some(path) = metrics_out {
-                write_report(Path::new(path), &snap.to_metrics_json())?;
-            }
-        }
+        commit(sink.finish_stream()?, part, Path::new(out))?;
         println!("shard {}/{}", shard.index, shard.count);
         println!("points {}", summary.stats.total);
         println!("wrote {out}");
         return Ok(());
     }
 
-    let (stats, pareto);
-    if stream {
-        // Constant-memory pipeline: artifact rows hit disk as points are
-        // decided; the JSON document is composed head + rows + tail once
-        // the summary exists, so its bytes match `to_json` exactly.
-        let mut csv_sink = match opts.optional("csv") {
-            Some(p) => {
-                let file = std::fs::File::create(p).map_err(|source| CliError::Io {
-                    path: p.into(),
-                    source,
-                })?;
-                Some(wcm_sim::CsvSink::new(std::io::BufWriter::new(file)))
-            }
-            None => None,
-        };
-        let mut json_sink = match opts.optional("json") {
-            Some(p) => Some(JsonRowsSink::create(Path::new(p))?),
-            None => None,
-        };
-        let mut sinks: Vec<&mut dyn wcm_sim::SweepSink> = Vec::new();
-        if let Some(s) = csv_sink.as_mut() {
-            sinks.push(s);
-        }
-        if let Some(s) = json_sink.as_mut() {
-            sinks.push(s);
-        }
-        let mut fan = FanoutSink { sinks };
-        let summary =
-            wcm_sim::run_sweep_streaming(&clips, &spec, wcm_sim::ShardRange::FULL, &mut fan)
-                .map_err(map_err)?;
-        if let Some(s) = csv_sink {
-            s.into_inner().into_inner().map_err(|e| CliError::Io {
-                path: opts.optional("csv").unwrap_or_default().into(),
-                source: e.into_error(),
-            })?;
-        }
-        if let Some(s) = json_sink {
-            s.compose(&summary)?;
-        }
-        stats = summary.stats;
-        pareto = summary.pareto;
-    } else {
-        let mut sink = wcm_sim::CollectSink::new();
-        let summary =
-            wcm_sim::run_sweep_streaming(&clips, &spec, wcm_sim::ShardRange::FULL, &mut sink)
-                .map_err(map_err)?;
-        let report = sink.into_report(&summary);
-        if let Some(path) = opts.optional("json") {
-            write_report(Path::new(path), &report.to_json())?;
-        }
-        if let Some(path) = opts.optional("csv") {
-            write_report(Path::new(path), &report.to_csv())?;
-        }
-        stats = report.stats;
-        pareto = report.pareto;
-    }
-    if observe {
-        wcm_obs::set_enabled(false);
-        let snap = wcm_obs::mem().snapshot();
-        if let Some(path) = trace_out {
-            write_report(Path::new(path), &snap.to_chrome_trace())?;
-        }
-        if let Some(path) = metrics_out {
-            write_report(Path::new(path), &snap.to_metrics_json())?;
-        }
-    }
-
-    println!("points {}", stats.total);
-    println!(
-        "pruned_safe {} pruned_unsafe {} simulated {}",
-        stats.pruned_safe, stats.pruned_unsafe, stats.simulated
-    );
-    println!("pruned_fraction {:.4}", stats.pruned_fraction());
-    println!("overflowed {}", stats.overflowed);
-    for &(f, c) in &pareto {
-        println!("pareto {:.2} MHz capacity {c}", f / 1e6);
-    }
+    let mut sinks = ReportSinks::create(opts)?;
+    let summary = recorded(opts, || {
+        Ok(wcm_sim::run_sweep_streaming(
+            &clips,
+            &spec,
+            wcm_sim::ShardRange::FULL,
+            &mut sinks,
+        )?)
+    })?;
+    sinks.finish(&summary)?;
+    print_summary(&summary);
     Ok(())
 }
 
 /// `sweep --merge`: fold shard `.wcmt` streams back into the
-/// single-process report. Exit codes follow the global table: a
-/// malformed or truncated shard file is a bad input (3, via the strict
-/// wire decode), an inconsistent or incomplete shard set is a usage
-/// error (2).
+/// single-process report, written through the same sinks as a full
+/// run. Exit codes follow the global table: a malformed or truncated
+/// shard file is a bad input (3, via the strict wire decode), an
+/// inconsistent or incomplete shard set is a usage error (2).
 fn sweep_merge(opts: &Options, list: &str) -> Result<(), CliError> {
     let mut decoded = Vec::new();
     for entry in list.split(',').filter(|s| !s.is_empty()) {
@@ -790,18 +673,47 @@ fn sweep_merge(opts: &Options, list: &str) -> Result<(), CliError> {
             "--merge needs at least one shard file".to_string(),
         ));
     }
-    let report = wcm_sim::merge_shards(&decoded).map_err(|e| match e {
-        wcm_sim::SweepError::Invalid(what) => CliError::Usage(what.to_string()),
-        other => CliError::Analysis(other.to_string()),
-    })?;
-    if let Some(path) = opts.optional("json") {
-        write_report(Path::new(path), &report.to_json())?;
-    }
-    if let Some(path) = opts.optional("csv") {
-        write_report(Path::new(path), &report.to_csv())?;
-    }
-    let s = &report.stats;
+    let mut sinks = ReportSinks::create(opts)?;
+    let summary = recorded(opts, || Ok(wcm_sim::merge_shards(&decoded, &mut sinks)?))?;
+    sinks.finish(&summary)?;
     println!("merged_shards {}", decoded.len());
+    print_summary(&summary);
+    Ok(())
+}
+
+/// Runs `work` under the in-memory `wcm-obs` recorder when the command
+/// was given `--trace-out` and/or `--metrics-out`, then writes the
+/// capture there as a `chrome://tracing` trace and a counters/gauges/
+/// histograms summary. Without either option the recorder stays off.
+/// Instrumentation never touches results, so reports are byte-identical
+/// either way (checked by `scripts/obs_smoke.sh`).
+fn recorded<T>(
+    opts: &Options,
+    work: impl FnOnce() -> Result<T, CliError>,
+) -> Result<T, CliError> {
+    let trace_out = opts.optional("trace-out");
+    let metrics_out = opts.optional("metrics-out");
+    if trace_out.is_none() && metrics_out.is_none() {
+        return work();
+    }
+    wcm_obs::mem().reset();
+    wcm_obs::set_enabled(true);
+    let out = work();
+    wcm_obs::set_enabled(false);
+    let out = out?;
+    let snap = wcm_obs::mem().snapshot();
+    if let Some(path) = trace_out {
+        write_report(Path::new(path), &snap.to_chrome_trace())?;
+    }
+    if let Some(path) = metrics_out {
+        write_report(Path::new(path), &snap.to_metrics_json())?;
+    }
+    Ok(out)
+}
+
+/// The stats and Pareto lines of a full sweep or a merge.
+fn print_summary(summary: &wcm_sim::SweepSummary) {
+    let s = &summary.stats;
     println!("points {}", s.total);
     println!(
         "pruned_safe {} pruned_unsafe {} simulated {}",
@@ -809,10 +721,13 @@ fn sweep_merge(opts: &Options, list: &str) -> Result<(), CliError> {
     );
     println!("pruned_fraction {:.4}", s.pruned_fraction());
     println!("overflowed {}", s.overflowed);
-    for &(f, c) in &report.pareto {
+    print_pareto(&summary.pareto);
+}
+
+fn print_pareto(pareto: &[(f64, u64)]) {
+    for &(f, c) in pareto {
         println!("pareto {:.2} MHz capacity {c}", f / 1e6);
     }
-    Ok(())
 }
 
 /// Parses `--shard I/N`.
@@ -834,31 +749,71 @@ fn parse_shard(s: &str) -> Result<wcm_sim::ShardRange, CliError> {
     Ok(wcm_sim::ShardRange { index, count })
 }
 
-/// Forwards every sink callback to each inner sink in order.
-struct FanoutSink<'a> {
-    sinks: Vec<&'a mut dyn wcm_sim::SweepSink>,
+/// The `--csv`/`--json` writers of a full sweep or a merge, fed as the
+/// points stream past. Neither final file exists before
+/// [`ReportSinks::finish`]: the CSV goes to `<path>.part`, renamed into
+/// place once the run has succeeded, and the JSON is composed the same
+/// way by a [`JsonRowsSink`]. Every temporary sits under a
+/// [`TempFileGuard`], so a run that fails leaves no artifact behind.
+struct ReportSinks {
+    csv: Option<CsvPart>,
+    json: Option<JsonRowsSink>,
 }
 
-impl wcm_sim::SweepSink for FanoutSink<'_> {
-    fn begin(&mut self, header: &wcm_sim::SweepRunHeader<'_>) -> Result<(), wcm_sim::SweepError> {
-        for s in &mut self.sinks {
-            s.begin(header)?;
+/// A [`ReportSinks`] CSV: its sink, the guarded `.part` file the sink
+/// writes, and the path the file moves to.
+type CsvPart = (
+    wcm_sim::CsvSink<std::io::BufWriter<std::fs::File>>,
+    TempFileGuard,
+    std::path::PathBuf,
+);
+
+impl ReportSinks {
+    fn create(opts: &Options) -> Result<Self, CliError> {
+        let csv = match opts.optional("csv") {
+            Some(p) => {
+                let (file, part) = create_part(Path::new(p), ".part")?;
+                let sink = wcm_sim::CsvSink::new(std::io::BufWriter::new(file));
+                Some((sink, part, p.into()))
+            }
+            None => None,
+        };
+        let json = match opts.optional("json") {
+            Some(p) => Some(JsonRowsSink::create(Path::new(p))?),
+            None => None,
+        };
+        Ok(Self { csv, json })
+    }
+
+    /// Composes the JSON document, then moves the CSV into place.
+    fn finish(self, summary: &wcm_sim::SweepSummary) -> Result<(), CliError> {
+        if let Some(json) = self.json {
+            json.compose(summary)?;
+        }
+        if let Some((sink, part, path)) = self.csv {
+            commit(sink.into_inner(), part, &path)?;
         }
         Ok(())
+    }
+
+    fn sinks(&mut self) -> impl Iterator<Item = &mut dyn wcm_sim::SweepSink> {
+        let csv = self.csv.as_mut().map(|(s, ..)| s as &mut dyn wcm_sim::SweepSink);
+        let json = self.json.as_mut().map(|s| s as &mut dyn wcm_sim::SweepSink);
+        csv.into_iter().chain(json)
+    }
+}
+
+impl wcm_sim::SweepSink for ReportSinks {
+    fn begin(&mut self, header: &wcm_sim::SweepRunHeader<'_>) -> Result<(), wcm_sim::SweepError> {
+        self.sinks().try_for_each(|s| s.begin(header))
     }
 
     fn point(&mut self, rec: &wcm_sim::PointRecord<'_>) -> Result<(), wcm_sim::SweepError> {
-        for s in &mut self.sinks {
-            s.point(rec)?;
-        }
-        Ok(())
+        self.sinks().try_for_each(|s| s.point(rec))
     }
 
     fn finish(&mut self, summary: &wcm_sim::SweepSummary) -> Result<(), wcm_sim::SweepError> {
-        for s in &mut self.sinks {
-            s.finish(summary)?;
-        }
-        Ok(())
+        self.sinks().try_for_each(|s| s.finish(summary))
     }
 }
 
@@ -882,12 +837,40 @@ impl Drop for TempFileGuard {
     }
 }
 
+/// Creates the side file `<path><suffix>` under a [`TempFileGuard`].
+fn create_part(path: &Path, suffix: &str) -> Result<(std::fs::File, TempFileGuard), CliError> {
+    let part = std::path::PathBuf::from(format!("{}{suffix}", path.display()));
+    let file = std::fs::File::create(&part).map_err(|source| CliError::Io {
+        path: part.clone(),
+        source,
+    })?;
+    Ok((file, TempFileGuard { path: part }))
+}
+
+/// Flushes `out`, the writer of the side file `part`, and moves the
+/// file to `path`: the artifact appears complete or not at all.
+fn commit(
+    out: std::io::BufWriter<std::fs::File>,
+    part: TempFileGuard,
+    path: &Path,
+) -> Result<(), CliError> {
+    out.into_inner().map_err(|e| CliError::Io {
+        path: part.path().to_path_buf(),
+        source: e.into_error(),
+    })?;
+    std::fs::rename(part.path(), path).map_err(|source| CliError::Io {
+        path: path.to_path_buf(),
+        source,
+    })
+}
+
 /// Streams JSON point rows to a `<path>.rows.part` side file during the
 /// sweep, then composes the final document (stats head + rows + tail)
-/// once the summary is known — the stats block precedes the points in
-/// the report layout, so a single pass cannot write the file in order.
-/// The side file lives under a [`TempFileGuard`], so it is removed even
-/// when the sweep errors out before `compose` runs.
+/// in `<path>.part` once the summary is known, and moves it to `path` —
+/// the stats block precedes the points in the report layout, so a
+/// single pass cannot write the file in order. Both side files live
+/// under [`TempFileGuard`]s, so they are removed even when the sweep
+/// errors out before `compose` runs or `compose` fails.
 struct JsonRowsSink {
     out: std::io::BufWriter<std::fs::File>,
     part: TempFileGuard,
@@ -897,14 +880,10 @@ struct JsonRowsSink {
 
 impl JsonRowsSink {
     fn create(path: &Path) -> Result<Self, CliError> {
-        let part = std::path::PathBuf::from(format!("{}.rows.part", path.display()));
-        let file = std::fs::File::create(&part).map_err(|source| CliError::Io {
-            path: part.clone(),
-            source,
-        })?;
+        let (file, part) = create_part(path, ".rows.part")?;
         Ok(Self {
             out: std::io::BufWriter::new(file),
-            part: TempFileGuard { path: part },
+            part,
             path: path.to_path_buf(),
             rows: 0,
         })
@@ -924,21 +903,20 @@ impl JsonRowsSink {
         };
         out.into_inner()
             .map_err(|e| io_err(part.path())(e.into_error()))?;
-        let file = std::fs::File::create(&path).map_err(io_err(&path))?;
+        let (file, doc) = create_part(&path, ".part")?;
         let mut w = std::io::BufWriter::new(file);
         w.write_all(wcm_sim::sweep::json_head(&summary.stats).as_bytes())
-            .map_err(io_err(&path))?;
+            .map_err(io_err(doc.path()))?;
         let mut rows_file = std::fs::File::open(part.path()).map_err(io_err(part.path()))?;
-        std::io::copy(&mut rows_file, &mut w).map_err(io_err(&path))?;
+        std::io::copy(&mut rows_file, &mut w).map_err(io_err(doc.path()))?;
         if rows > 0 {
-            w.write_all(b"\n").map_err(io_err(&path))?;
+            w.write_all(b"\n").map_err(io_err(doc.path()))?;
         }
         w.write_all(wcm_sim::sweep::json_tail(&summary.advisories, &summary.pareto).as_bytes())
-            .map_err(io_err(&path))?;
-        w.into_inner().map_err(|e| io_err(&path)(e.into_error()))?;
+            .map_err(io_err(doc.path()))?;
         // `part` drops here — and on every early return above — removing
-        // the side file unconditionally.
-        Ok(())
+        // the side file unconditionally; `doc` only reaches `path` whole.
+        commit(w, doc, &path)
     }
 }
 
@@ -955,11 +933,6 @@ impl wcm_sim::SweepSink for JsonRowsSink {
     }
 }
 
-/// `validate` subcommand: strict well-formedness checks on the machine-
-/// readable artifacts the other subcommands emit, using the in-repo
-/// zero-dependency readers (`wcm_obs::json` / `wcm_obs::csv`). CI runs this
-/// against freshly emitted reports so an emission regression (e.g. a bare
-/// `NaN` float) fails the pipeline instead of the downstream consumer.
 /// Graceful-shutdown flag for `serve`, flipped by SIGINT/SIGTERM.
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1092,50 +1065,33 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
         );
     }
 
-    let trace_out = opts.optional("trace-out");
-    let metrics_out = opts.optional("metrics-out");
-    let observe = trace_out.is_some() || metrics_out.is_some();
-    if observe {
-        wcm_obs::mem().reset();
-        wcm_obs::set_enabled(true);
-    }
-
     let max_rounds = opts.usize_or("max-rounds", 0)?;
     let idle_exit = on_off("idle-exit", false)?;
     let poll_ms = opts.usize_or("poll-ms", 50)?;
     sig::install();
     let serve_err = |e: std::io::Error| CliError::Analysis(format!("serve: {e}"));
-    let mut dead: Vec<(String, wcm_wire::WireError)> = Vec::new();
-    let mut rounds = 0usize;
-    while !sig::stopped() {
-        let report = svc.round().map_err(serve_err)?;
-        dead.extend(report.dead.iter().cloned());
-        rounds += 1;
-        if max_rounds > 0 && rounds >= max_rounds {
-            break;
+    let dead = recorded(opts, || {
+        let mut dead: Vec<(String, wcm_wire::WireError)> = Vec::new();
+        let mut rounds = 0usize;
+        while !sig::stopped() {
+            let report = svc.round().map_err(serve_err)?;
+            dead.extend(report.dead.iter().cloned());
+            rounds += 1;
+            if max_rounds > 0 && rounds >= max_rounds {
+                break;
+            }
+            if idle_exit && report.idle {
+                break;
+            }
+            if report.bytes == 0 && !sig::stopped() {
+                std::thread::sleep(std::time::Duration::from_millis(poll_ms as u64));
+            }
         }
-        if idle_exit && report.idle {
-            break;
-        }
-        if report.bytes == 0 && !sig::stopped() {
-            std::thread::sleep(std::time::Duration::from_millis(poll_ms as u64));
-        }
-    }
-    // Graceful drain: flush everything already decoded or on disk, then
-    // snapshot every session.
-    let drained = svc.drain().map_err(serve_err)?;
-    dead.extend(drained.dead);
-
-    if observe {
-        wcm_obs::set_enabled(false);
-        let snap = wcm_obs::mem().snapshot();
-        if let Some(path) = trace_out {
-            write_report(Path::new(path), &snap.to_chrome_trace())?;
-        }
-        if let Some(path) = metrics_out {
-            write_report(Path::new(path), &snap.to_metrics_json())?;
-        }
-    }
+        // Graceful drain: flush everything already decoded or on disk,
+        // then snapshot every session.
+        dead.extend(svc.drain().map_err(serve_err)?.dead);
+        Ok(dead)
+    })?;
 
     let snapshots = svc.snapshots();
     if let Some(path) = opts.optional("snapshots-out") {
@@ -1180,6 +1136,11 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `validate` subcommand: strict well-formedness checks on the machine-
+/// readable artifacts the other subcommands emit, using the in-repo
+/// zero-dependency readers (`wcm_obs::json` / `wcm_obs::csv`). CI runs this
+/// against freshly emitted reports so an emission regression (e.g. a bare
+/// `NaN` float) fails the pipeline instead of the downstream consumer.
 pub fn validate(opts: &Options) -> Result<(), CliError> {
     let mut checked = 0usize;
 

@@ -210,6 +210,17 @@ impl From<String> for CliError {
     }
 }
 
+// An unusable sweep spec or shard set is the caller's to fix; anything
+// else a sweep hits is an analysis failure.
+impl From<wcm_sim::SweepError> for CliError {
+    fn from(e: wcm_sim::SweepError) -> Self {
+        match e {
+            wcm_sim::SweepError::Invalid(what) => CliError::Usage(what.to_string()),
+            other => CliError::Analysis(other.to_string()),
+        }
+    }
+}
+
 // Library errors surface as analysis failures.
 macro_rules! analysis_from {
     ($($ty:path),* $(,)?) => {$(

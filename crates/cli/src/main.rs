@@ -85,8 +85,8 @@ const COMMANDS: &[(&str, &str, Command, &[&str])] = &[
     ]),
     ("sweep", "", commands::sweep, &[
         "pe2-mhz", "capacities", "clips", "gops", "pe1-mhz", "policies", "seeds", "inject", "k",
-        "exact-upto", "stride", "cert-depth", "prune", "frontier", "threads", "json", "csv",
-        "stream", "shard", "out-wcmt", "merge", "trace-out", "metrics-out",
+        "exact-upto", "stride", "prune", "frontier", "threads", "json", "csv", "shard",
+        "out-wcmt", "merge", "trace-out", "metrics-out",
     ]),
     ("serve", "", commands::serve, &[
         "tail", "listen", "pe2-mhz", "capacity", "k", "refresh", "policy", "session-buffer",

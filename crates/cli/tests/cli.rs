@@ -40,6 +40,15 @@ fn usage_errors_print_one_pointer_line_not_the_help_text() {
         vec!["frobnicate"],
         vec!["curves", "--demands", dem.to_str().unwrap(), "--k", "4", "--bogus", "x"],
         vec!["sweep", "--pe2-mhz", "5", "--capacities", "0", "--k", "4"],
+        // Options that no longer exist, and combinations that would
+        // silently ignore an option.
+        vec!["sweep", "--pe2-mhz", "5", "--capacities", "4", "--stream", "on"],
+        vec!["sweep", "--pe2-mhz", "5", "--capacities", "4", "--frontier", "dense"],
+        vec!["sweep", "--pe2-mhz", "5", "--capacities", "4", "--cert-depth", "400"],
+        vec!["sweep", "--pe2-mhz", "5", "--capacities", "4", "--frontier", "bisect", "--csv", "x"],
+        vec!["sweep", "--merge", "x.wcmt", "--threads", "2"],
+        vec!["sweep", "--merge", "x.wcmt", "--seeds", "5"],
+        vec!["sweep", "--pe2-mhz", "5", "--capacities", "4", "--out-wcmt", "x.wcmt"],
     ] {
         let out = cli().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -332,37 +341,6 @@ fn sweep_artifacts_round_trip_through_strict_readers_and_validate() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert_eq!(text.lines().filter(|l| l.ends_with("ok") || l.contains(" ok (")).count(), 4);
 
-    // `--stream on` runs the same sweep driver, so it emits the same
-    // span and the same point counter.
-    let streamed = Artifacts::new("roundtrip-stream", &["json", "trace", "metrics"]);
-    let out = cli()
-        .args([
-            "sweep", "--clips", "newscast", "--gops", "1", "--pe2-mhz", "2,20,340",
-            "--capacities", "4,400", "--threads", "2", "--stream", "on",
-            "--json", streamed.path(0),
-            "--trace-out", streamed.path(1), "--metrics-out", streamed.path(2),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(std::fs::read_to_string(streamed.path(0)).unwrap(), json);
-    let trace = std::fs::read_to_string(streamed.path(1)).unwrap();
-    let t = wcm_obs::json::parse(&trace).expect("trace parses strictly");
-    let events = t.get("traceEvents").and_then(|e| e.as_array()).unwrap();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("sweep.run")),
-        "streamed sweep must emit the sweep.run span"
-    );
-    let metrics = std::fs::read_to_string(streamed.path(2)).unwrap();
-    let m = wcm_obs::json::parse(&metrics).expect("metrics parse strictly");
-    let counters = m.get("counters").and_then(|c| c.as_object()).unwrap();
-    assert_eq!(
-        counters.get("sweep.points").and_then(|v| v.as_f64()),
-        Some(points.len() as f64)
-    );
-
     // `serve` splits a session's work into its window scan, the ᾱ query
     // and eq. 9, each under its own span.
     let served = Artifacts::new("roundtrip-serve", &["d.txt", "s.wcmt", "trace"]);
@@ -392,6 +370,136 @@ fn sweep_artifacts_round_trip_through_strict_readers_and_validate() {
     for span in ["serve.scan", "serve.alpha", "serve.eq9"] {
         assert!(names.contains(&span), "{span} missing from {names:?}");
     }
+}
+
+/// Every run streams its artifacts through the row sinks. Their bytes
+/// must equal the in-memory `SweepReport::to_json`/`to_csv` of the same
+/// spec at any thread count, and three merged shards must reproduce
+/// them, stdout included.
+#[test]
+fn sweep_artifacts_equal_the_in_memory_report() {
+    let art = Artifacts::new(
+        "in-memory",
+        &["1.json", "1.csv", "2.json", "2.csv", "s0.wcmt", "s1.wcmt", "s2.wcmt", "m.json", "m.csv"],
+    );
+    let grid = [
+        "sweep", "--clips", "newscast", "--gops", "1", "--pe2-mhz", "200,340",
+        "--capacities", "16,400", "--policies", "backpressure,reject", "--seeds", "clean,7",
+        "--inject", "drift:pe=2,start=200,len=2000,factor=150;stall:pe=2,at=500,extra=0.01",
+        "--k", "600",
+    ];
+    let params = wcm_mpeg::VideoParams::main_profile_main_level().unwrap();
+    let profile = wcm_mpeg::profile::standard_clips()
+        .into_iter()
+        .find(|c| c.name == "newscast")
+        .unwrap();
+    let clips = [wcm_mpeg::Synthesizer::new(params).generate(&profile, 1).unwrap()];
+    let spec = wcm_sim::SweepSpec {
+        pe1_hz: 60.0e6,
+        frequencies_hz: [200.0, 340.0].map(|f| f * 1e6).to_vec(),
+        capacities: vec![16, 400],
+        policies: vec![
+            wcm_sim::OverflowPolicy::Backpressure,
+            wcm_sim::OverflowPolicy::Reject,
+        ],
+        seeds: vec![None, Some(7)],
+        injectors: vec![
+            wcm_sim::Injector::ClockDrift {
+                pe: wcm_sim::ProcessingElement::Pe2,
+                start: 200,
+                len: 2000,
+                factor_pct: 150,
+            },
+            wcm_sim::Injector::Stall {
+                pe: wcm_sim::ProcessingElement::Pe2,
+                at: 500,
+                extra_s: 0.01,
+            },
+        ],
+        k_max: 600,
+        mode: wcm_events::window::WindowMode::Exact,
+        cert_depth: 0,
+        prune: true,
+    };
+    let report = wcm_sim::run_sweep(&clips, &spec, wcm_par::Parallelism::Seq).unwrap();
+    assert!(report.stats.simulated > 0 && !report.pareto.is_empty(), "{:?}", report.stats);
+
+    let mut stdout = Vec::new();
+    for (threads, json, csv) in [("1", 0, 1), ("2", 2, 3)] {
+        let out = cli()
+            .args(grid)
+            .args(["--threads", threads, "--json", art.path(json), "--csv", art.path(csv)])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(std::fs::read_to_string(art.path(json)).unwrap(), report.to_json());
+        assert_eq!(std::fs::read_to_string(art.path(csv)).unwrap(), report.to_csv());
+        stdout.push(out.stdout);
+    }
+    assert_eq!(stdout[0], stdout[1], "stdout differs between --threads 1 and 2");
+
+    for i in 0..3 {
+        let shard = format!("{i}/3");
+        let out = cli()
+            .args(grid)
+            .args(["--shard", &shard, "--out-wcmt", art.path(4 + i)])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let shards = [art.path(4), art.path(5), art.path(6)].join(",");
+    let out = cli()
+        .args(["sweep", "--merge", &shards, "--json", art.path(7), "--csv", art.path(8)])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(std::fs::read_to_string(art.path(7)).unwrap(), report.to_json());
+    assert_eq!(std::fs::read_to_string(art.path(8)).unwrap(), report.to_csv());
+    let merged = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        merged.strip_prefix("merged_shards 3\n").map(str::as_bytes),
+        Some(stdout[0].as_slice())
+    );
+}
+
+/// A run that fails leaves neither report (nor a shard stream) behind:
+/// the artifacts are staged in side files that only a successful run
+/// moves into place.
+#[test]
+fn failed_sweeps_leave_no_artifacts() {
+    let art = Artifacts::new("failed", &["json", "csv", "clip.wcmt", "shard.wcmt"]);
+    std::fs::write(art.path(2), b"WCMT but not a stream").unwrap();
+    let grid = ["sweep", "--gops", "1", "--pe2-mhz", "2,340", "--capacities", "4"];
+    let cases: [(&[&str], i32); 3] = [
+        (&["--clips", "newscast", "--k", "0"], 2),
+        (&["--clips", "no_such_clip"], 2),
+        (&["--clips", art.path(2)], 3),
+    ];
+    for (args, code) in cases {
+        let out = cli()
+            .args(grid)
+            .args(args)
+            .args(["--json", art.path(0), "--csv", art.path(1)])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+        let parts = [
+            format!("{}.rows.part", art.path(0)),
+            format!("{}.part", art.path(0)),
+            format!("{}.part", art.path(1)),
+        ];
+        for path in [art.path(0), art.path(1)].into_iter().chain(parts.iter().map(String::as_str)) {
+            assert!(!std::path::Path::new(path).exists(), "{args:?} left {path}");
+        }
+    }
+    // A shard stream is staged the same way.
+    let out = cli()
+        .args(grid)
+        .args(["--clips", "newscast", "--k", "0", "--shard", "0/1", "--out-wcmt", art.path(3)])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!std::path::Path::new(art.path(3)).exists(), "a failed shard left its stream");
 }
 
 /// Observability must not perturb results: reports with and without the

@@ -61,7 +61,7 @@ pub use pipeline::{
 };
 pub use sweep::{
     merge_shards, run_frontier, run_sweep, run_sweep_streaming, spec_fingerprint,
-    staircase_thresholds, CollectSink, CsvSink, FrontierMethod, FrontierReport, PointRecord,
+    staircase_thresholds, CollectSink, CsvSink, FrontierReport, PointRecord,
     ShardRange, SweepError, SweepReport, SweepRunHeader, SweepSink, SweepSpec, SweepSummary,
     Verdict, WcmtShardSink,
 };

@@ -78,12 +78,10 @@ pub struct SweepSpec {
     pub k_max: usize,
     /// Window mode for the `k_max`-deep curves.
     pub mode: WindowMode,
-    /// No longer read. It set the depth of the former `γˡ` overflow
-    /// certificate; the departure replay that replaced it scans the
-    /// whole stream. The field stays only because [`spec_fingerprint`]
-    /// hashes it (shard files stay mergeable across versions) and
-    /// existing specs set it; `--cert-depth` is accepted and ignored
-    /// for the same reason.
+    /// Not read, and not part of [`spec_fingerprint`]. It set the depth
+    /// of the former `γˡ` overflow certificate; the departure replay that
+    /// replaced it scans the whole stream. The field stays only because
+    /// the `examples/bench_e2e` harness sets it.
     pub cert_depth: usize,
     /// Run the analytic pre-pass (`false` simulates every point).
     pub prune: bool,
@@ -857,19 +855,8 @@ fn nondominated(safe: &[(f64, u64)]) -> Vec<(f64, u64)> {
     frontier
 }
 
-/// How [`run_frontier`] locates the Pareto frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontierMethod {
-    /// Evaluate every `(frequency, capacity)` cell of the grid.
-    Dense,
-    /// Adaptive bisection of the monotone safe/unsafe staircase:
-    /// O(log |frequencies|) cell evaluations per capacity instead of the
-    /// full product, with a frontier identical to [`FrontierMethod::Dense`].
-    Bisect,
-}
-
 /// The Pareto frontier of a spec plus how much of the grid finding it
-/// took — the artifact [`FrontierMethod::Bisect`] exists to shrink.
+/// took — the count [`run_frontier`]'s bisection exists to shrink.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierReport {
     /// Non-dominated safe `(frequency_hz, capacity)` pairs, sorted by
@@ -993,8 +980,8 @@ fn solve_staircase(
 }
 
 /// Computes the Pareto frontier of `spec` without materializing a full
-/// [`SweepReport`] — and, with [`FrontierMethod::Bisect`], without even
-/// *visiting* most of the `frequency × capacity` grid.
+/// [`SweepReport`], and without even *visiting* most of the
+/// `frequency × capacity` grid.
 ///
 /// The safe/unsafe boundary is monotone in both axes (a faster PE or a
 /// bigger FIFO never turns a safe cell unsafe — eq. 8's two sides move
@@ -1002,17 +989,13 @@ fn solve_staircase(
 /// [`staircase_thresholds`] locates with O(log grid) cell evaluations
 /// per capacity. The safe set is then rebuilt from the thresholds and
 /// pushed through the **same** non-domination filter in the **same**
-/// enumeration order as the dense path, so the result is bit-identical
+/// enumeration order as a full sweep, so the result is bit-identical
 /// to [`SweepReport::pareto`] — duplicates and ties included.
 ///
 /// # Errors
 ///
 /// Same contract as [`run_sweep`].
-pub fn run_frontier(
-    clips: &[ClipWorkload],
-    spec: &SweepSpec,
-    method: FrontierMethod,
-) -> Result<FrontierReport, SweepError> {
+pub fn run_frontier(clips: &[ClipWorkload], spec: &SweepSpec) -> Result<FrontierReport, SweepError> {
     validate(clips, spec)?;
     let _span = wcm_obs::span("sweep.frontier");
 
@@ -1061,21 +1044,14 @@ pub fn run_frontier(
         error: None,
     };
 
-    let thresholds = match method {
-        FrontierMethod::Bisect => staircase_thresholds(n_freq, n_cap, &mut |fp, cp| {
-            oracle.safe(freq_order[fp], cap_order[cp])
-        }),
-        FrontierMethod::Dense => Vec::new(),
-    };
+    let thresholds = staircase_thresholds(n_freq, n_cap, &mut |fp, cp| {
+        oracle.safe(freq_order[fp], cap_order[cp])
+    });
 
     let mut safe: Vec<(f64, u64)> = Vec::new();
     for (fi, &f) in spec.frequencies_hz.iter().enumerate() {
         for (ci, &c) in spec.capacities.iter().enumerate() {
-            let is_safe = match method {
-                FrontierMethod::Bisect => fpos[fi] >= thresholds[cpos[ci]],
-                FrontierMethod::Dense => oracle.safe(fi, ci),
-            };
-            if is_safe {
+            if fpos[fi] >= thresholds[cpos[ci]] {
                 safe.push((f, c));
             }
         }
@@ -1367,9 +1343,10 @@ impl<'a> PointRecord<'a> {
 }
 
 /// Everything a [`SweepReport`] carries except the point vector:
-/// what [`run_sweep_streaming`] returns after the last point has been
-/// pushed to the sink. For a full-grid run (`ShardRange::FULL`) these
-/// are the report's fields ([`run_sweep`] adds the collected points);
+/// what [`run_sweep_streaming`] and [`merge_shards`] return after the
+/// last point has been pushed to the sink. For a full-grid run
+/// (`ShardRange::FULL`) and a merge these are the report's fields
+/// ([`run_sweep`] adds the collected points);
 /// for a shard run, `stats` and `pareto` cover only the shard's slice
 /// of the grid (the merge step recomputes them globally).
 #[derive(Debug, Clone, PartialEq)]
@@ -1701,7 +1678,6 @@ pub fn spec_fingerprint(clips: &[ClipWorkload], spec: &SweepSpec) -> u64 {
     }
     eat(&(spec.k_max as u64).to_le_bytes());
     eat(format!("{:?}", spec.mode).as_bytes());
-    eat(&(spec.cert_depth as u64).to_le_bytes());
     eat(&[u8::from(spec.prune)]);
     h
 }
@@ -1899,12 +1875,13 @@ fn advisory_recs_equal(a: &[wcm_wire::SweepAdvisoryRec], b: &[wcm_wire::SweepAdv
 }
 
 /// Folds decoded shard streams (one per `wcm sweep --shard i/N` process)
-/// into the [`SweepReport`] a single-process [`run_sweep`] of the same
-/// spec produces — **byte-for-byte**, including `to_json`/`to_csv`
-/// output: points are stitched back into global grid order, stats and
-/// frontier are recounted from the verdicts through the same
-/// accumulators [`run_sweep_streaming`] uses, and advisories come from
-/// the (validated identical) shard metadata.
+/// back into the single-process run of the same spec: `sink` receives
+/// the points in global grid order, exactly as a full-grid
+/// [`run_sweep_streaming`] pushes them, and the returned summary equals
+/// that run's — stats and frontier are recounted from the verdicts
+/// through the same accumulators, and advisories come from the
+/// (validated identical) shard metadata. A [`CollectSink`] therefore
+/// rebuilds the [`SweepReport`] of [`run_sweep`] byte for byte.
 ///
 /// # Errors
 ///
@@ -1914,8 +1891,11 @@ fn advisory_recs_equal(a: &[wcm_wire::SweepAdvisoryRec], b: &[wcm_wire::SweepAdv
 /// empty axis, a non-positive or non-finite frequency), a declared
 /// total other than the axis product, duplicate/missing/unbalanced
 /// shard ranges, or a point count that does not match a shard's
-/// declared range.
-pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepError> {
+/// declared range; sink errors verbatim.
+pub fn merge_shards(
+    shards: &[wcm_wire::Decoded],
+    sink: &mut dyn SweepSink,
+) -> Result<SweepSummary, SweepError> {
     let _span = wcm_obs::span("sweep.merge");
     let mut parts: Vec<(&wcm_wire::SweepShardMeta, &[wcm_wire::SweepPointRec])> = shards
         .iter()
@@ -2004,36 +1984,7 @@ pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepEr
         }
     }
 
-    let mut points = Vec::with_capacity(total as usize);
-    let mut stats = SweepStats {
-        total: total as usize,
-        ..SweepStats::default()
-    };
-    let mut frontier = FrontierCells::new(&first.frequencies_hz, &first.capacities, &first.seeds);
-    for &(m, pts) in &parts {
-        for (j, rec) in pts.iter().enumerate() {
-            let p = grid_point_at(m.start + j as u64, n_freq, n_cap, n_pol, n_seed);
-            let verdict = verdict_from_code(rec.verdict)
-                .ok_or(SweepError::Invalid("unknown verdict code"))?;
-            stats.record(verdict);
-            frontier.record(p, verdict);
-            points.push(PointReport {
-                clip: first.clips[p.clip].clone(),
-                frequency_hz: first.frequencies_hz[p.freq],
-                capacity: first.capacities[p.cap],
-                policy: policies[p.policy],
-                seed: first.seeds[p.seed],
-                verdict,
-                max_backlog: rec.sim.map(|s| s.max_backlog),
-                dropped: rec.sim.map(|s| s.dropped as usize),
-                pe1_stalled_s: rec.sim.map(|s| s.pe1_stalled_s),
-            });
-        }
-    }
-    wcm_obs::counter("sweep.merge.shards", parts.len() as u64);
-    wcm_obs::counter("sweep.merge.points", points.len() as u64);
-
-    let advisories = first
+    let advisories: Vec<RmsAdvisory> = first
         .advisories
         .iter()
         .map(|a| RmsAdvisory {
@@ -2043,12 +1994,58 @@ pub fn merge_shards(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepEr
             l_factor: a.l_factor,
         })
         .collect();
-    Ok(SweepReport {
-        points,
+    sink.begin(&SweepRunHeader {
+        shard: 0,
+        shards: 1,
+        start: 0,
+        len: total,
+        total,
+        fingerprint: first.fingerprint,
+        clips: &first.clips,
+        frequencies_hz: &first.frequencies_hz,
+        capacities: &first.capacities,
+        policies: &policies,
+        seeds: &first.seeds,
+        advisories: &advisories,
+    })?;
+
+    let mut stats = SweepStats {
+        total: total as usize,
+        ..SweepStats::default()
+    };
+    let mut frontier = FrontierCells::new(&first.frequencies_hz, &first.capacities, &first.seeds);
+    for &(m, pts) in &parts {
+        for (j, rec) in pts.iter().enumerate() {
+            let index = m.start + j as u64;
+            let p = grid_point_at(index, n_freq, n_cap, n_pol, n_seed);
+            let verdict = verdict_from_code(rec.verdict)
+                .ok_or(SweepError::Invalid("unknown verdict code"))?;
+            stats.record(verdict);
+            frontier.record(p, verdict);
+            sink.point(&PointRecord {
+                index,
+                clip: &first.clips[p.clip],
+                frequency_hz: first.frequencies_hz[p.freq],
+                capacity: first.capacities[p.cap],
+                policy: policies[p.policy],
+                seed: first.seeds[p.seed],
+                verdict,
+                max_backlog: rec.sim.map(|s| s.max_backlog),
+                dropped: rec.sim.map(|s| s.dropped as usize),
+                pe1_stalled_s: rec.sim.map(|s| s.pe1_stalled_s),
+            })?;
+        }
+    }
+    wcm_obs::counter("sweep.merge.shards", parts.len() as u64);
+    wcm_obs::counter("sweep.merge.points", total);
+
+    let summary = SweepSummary {
         advisories,
         stats,
         pareto: frontier.frontier(),
-    })
+    };
+    sink.finish(&summary)?;
+    Ok(summary)
 }
 
 #[cfg(test)]
@@ -2066,6 +2063,13 @@ mod tests {
             .iter()
             .map(|c| synth.generate(c, 1).unwrap())
             .collect()
+    }
+
+    /// [`merge_shards`] into a [`CollectSink`], as a full report.
+    fn merge(shards: &[wcm_wire::Decoded]) -> Result<SweepReport, SweepError> {
+        let mut sink = CollectSink::new();
+        let summary = merge_shards(shards, &mut sink)?;
+        Ok(sink.into_report(&summary))
     }
 
     fn small_spec() -> SweepSpec {
@@ -2498,7 +2502,7 @@ mod tests {
                 .iter()
                 .map(|f| wcm_wire::decode(f, wcm_wire::DecodePolicy::Strict).unwrap())
                 .collect();
-            let merged = merge_shards(&decoded).unwrap();
+            let merged = merge(&decoded).unwrap();
             assert_eq!(merged, dense, "{count} shards: merged report diverges");
             assert_eq!(merged.to_json(), dense.to_json(), "{count} shards: JSON");
             assert_eq!(merged.to_csv(), dense.to_csv(), "{count} shards: CSV");
@@ -2516,16 +2520,16 @@ mod tests {
         };
         let decode = |bytes: &[u8]| wcm_wire::decode(bytes, wcm_wire::DecodePolicy::Strict).unwrap();
 
-        assert!(matches!(merge_shards(&[]), Err(SweepError::Invalid(_))));
+        assert!(matches!(merge(&[]), Err(SweepError::Invalid(_))));
 
         // Missing shard 1 of 2.
         let a = decode(&shard_bytes(0, 2, &clips, &spec));
-        assert!(matches!(merge_shards(std::slice::from_ref(&a)), Err(SweepError::Invalid(_))));
+        assert!(matches!(merge(std::slice::from_ref(&a)), Err(SweepError::Invalid(_))));
 
         // Duplicate shard index.
         let dup = decode(&shard_bytes(0, 2, &clips, &spec));
         assert!(matches!(
-            merge_shards(&[a.clone(), dup]),
+            merge(&[a.clone(), dup]),
             Err(SweepError::Invalid(_))
         ));
 
@@ -2533,12 +2537,12 @@ mod tests {
         let mut other = small_spec();
         other.capacities = vec![4, 80, 4001];
         let b = decode(&shard_bytes(1, 2, &clips, &other));
-        assert!(matches!(merge_shards(&[a, b]), Err(SweepError::Invalid(_))));
+        assert!(matches!(merge(&[a, b]), Err(SweepError::Invalid(_))));
 
         // Stream with no sweep metadata at all.
         let plain = decode(&wcm_wire::encode_demands("x", &[1, 2, 3]));
         assert!(matches!(
-            merge_shards(&[plain]),
+            merge(&[plain]),
             Err(SweepError::Invalid(_))
         ));
     }
@@ -2555,7 +2559,7 @@ mod tests {
         run_sweep_streaming(&clips, &small_spec(), ShardRange::FULL, &mut sink).unwrap();
         let bytes = sink.finish_stream().unwrap();
         let good = wcm_wire::decode(&bytes, wcm_wire::DecodePolicy::Strict).unwrap();
-        assert!(merge_shards(std::slice::from_ref(&good)).is_ok());
+        assert!(merge(std::slice::from_ref(&good)).is_ok());
         let mutations: [fn(&mut wcm_wire::Decoded); 3] = [
             |d| d.sweep_meta.as_mut().unwrap().frequencies_hz[0] = f64::NAN,
             |d| d.sweep_meta.as_mut().unwrap().seeds.clear(),
@@ -2570,7 +2574,7 @@ mod tests {
             let mut bad = good.clone();
             mutate(&mut bad);
             assert!(
-                matches!(merge_shards(&[bad]), Err(SweepError::Invalid(_))),
+                matches!(merge(&[bad]), Err(SweepError::Invalid(_))),
                 "mutation {i} must be refused"
             );
         }
@@ -2621,7 +2625,7 @@ mod tests {
         let mut bad = wcm_wire::decode(&bytes, wcm_wire::DecodePolicy::Strict).unwrap();
         bad.sweep_meta.as_mut().unwrap().capacities[0] = 0;
         assert!(matches!(
-            merge_shards(&[bad]),
+            merge(&[bad]),
             Err(SweepError::Invalid("capacities must be at least 1"))
         ));
     }
@@ -2673,6 +2677,11 @@ mod tests {
         let base = small_spec();
         let f0 = spec_fingerprint(&clips, &base);
         assert_eq!(f0, spec_fingerprint(&clips, &base), "must be deterministic");
+        let unread = SweepSpec {
+            cert_depth: base.cert_depth + 1,
+            ..base.clone()
+        };
+        assert_eq!(f0, spec_fingerprint(&clips, &unread), "cert_depth shapes no result");
         let mut tweaked = Vec::new();
         let mut s = base.clone();
         s.pe1_hz += 1.0;

@@ -15,7 +15,7 @@ use wcm_events::window::WindowMode;
 use wcm_mpeg::{profile::standard_clips, ClipWorkload, Synthesizer, VideoParams};
 use wcm_par::Parallelism;
 use wcm_sim::pipeline::OverflowPolicy;
-use wcm_sim::{run_frontier, run_sweep, staircase_thresholds, FrontierMethod, Injector, SweepSpec};
+use wcm_sim::{run_frontier, run_sweep, staircase_thresholds, Injector, SweepSpec};
 
 /// Brute-force ground truth: first safe frequency position per capacity.
 fn brute_thresholds(n_freq: usize, thresholds: &[usize]) -> Vec<usize> {
@@ -127,18 +127,14 @@ fn bisected_frontier_is_bitwise_identical_to_dense_and_cheap() {
     let spec = frontier_spec();
 
     let sweep = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
-    let dense = run_frontier(&clips, &spec, FrontierMethod::Dense).unwrap();
-    let bisect = run_frontier(&clips, &spec, FrontierMethod::Bisect).unwrap();
+    let bisect = run_frontier(&clips, &spec).unwrap();
 
-    // Three ways to the same frontier, bit for bit.
-    assert_eq!(dense.frontier, sweep.pareto, "dense frontier drifted from run_sweep");
-    assert_eq!(bisect.frontier, dense.frontier, "bisection changed the frontier");
+    // The full sweep's frontier, bit for bit.
+    assert_eq!(bisect.frontier, sweep.pareto, "bisection changed the frontier");
     assert!(!bisect.frontier.is_empty(), "spec should admit safe cells");
 
-    // The dense path visits every cell; bisection at most a quarter.
-    assert_eq!(dense.grid_cells, spec.frequencies_hz.len() * spec.capacities.len());
-    assert_eq!(dense.evaluated_cells, dense.grid_cells);
-    assert_eq!(bisect.grid_cells, dense.grid_cells);
+    // The full sweep visits every cell; bisection at most a quarter.
+    assert_eq!(bisect.grid_cells, spec.frequencies_hz.len() * spec.capacities.len());
     assert!(
         4 * bisect.evaluated_cells <= bisect.grid_cells,
         "bisection evaluated {}/{} cells (> 25%)",
@@ -157,10 +153,10 @@ fn frontier_without_prune_still_matches_dense() {
         frequencies_hz: frontier_spec().frequencies_hz[..12].to_vec(),
         ..frontier_spec()
     };
-    let dense = run_frontier(&clips, &spec, FrontierMethod::Dense).unwrap();
-    let bisect = run_frontier(&clips, &spec, FrontierMethod::Bisect).unwrap();
-    assert_eq!(bisect.frontier, dense.frontier);
-    assert!(bisect.evaluated_cells < dense.evaluated_cells);
+    let dense = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
+    let bisect = run_frontier(&clips, &spec).unwrap();
+    assert_eq!(bisect.frontier, dense.pareto);
+    assert!(bisect.evaluated_cells < bisect.grid_cells);
 }
 
 #[test]
@@ -175,6 +171,6 @@ fn frontier_with_no_clean_seed_is_vacuously_all_safe() {
         ..frontier_spec()
     };
     let sweep = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();
-    let bisect = run_frontier(&clips, &spec, FrontierMethod::Bisect).unwrap();
+    let bisect = run_frontier(&clips, &spec).unwrap();
     assert_eq!(bisect.frontier, sweep.pareto);
 }

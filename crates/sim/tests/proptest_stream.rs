@@ -13,8 +13,8 @@ use wcm_par::Parallelism;
 use wcm_sim::pipeline::OverflowPolicy;
 use wcm_sim::sweep::SweepStats;
 use wcm_sim::{
-    merge_shards, run_sweep, run_sweep_streaming, Injector, ShardRange, SweepReport, SweepSpec,
-    Verdict, WcmtShardSink,
+    merge_shards, run_sweep, run_sweep_streaming, CollectSink, Injector, ShardRange, SweepReport,
+    SweepSpec, Verdict, WcmtShardSink,
 };
 
 fn clips(count: usize) -> Vec<ClipWorkload> {
@@ -203,7 +203,9 @@ proptest! {
                 wcm_wire::decode(&bytes, wcm_wire::DecodePolicy::Strict).unwrap()
             })
             .collect();
-        let merged = merge_shards(&decoded).unwrap();
+        let mut sink = CollectSink::new();
+        let summary = merge_shards(&decoded, &mut sink).unwrap();
+        let merged = sink.into_report(&summary);
         prop_assert_eq!(&merged, &dense, "{} shards: merged report diverges", count);
         prop_assert_eq!(merged.to_json(), dense.to_json(), "{} shards: JSON", count);
         prop_assert_eq!(merged.to_csv(), dense.to_csv(), "{} shards: CSV", count);

@@ -43,9 +43,8 @@ check() {
 }
 
 # Curve construction: the prefix-sum rewrite must stay clearly ahead of
-# the per-k sliding rescan, a thread scope must cost the scans nothing
-# (they run on the calling thread), and appending one GOP to a
-# summarized trace must stay far cheaper than a rebuild.
+# the per-k sliding rescan, and appending one GOP to a summarized trace
+# must stay far cheaper than a rebuild.
 check "curves.speedup_prefix_vs_old"  "$(jq .window_sums.speedup_prefix_vs_old BENCH_curves.json)" ">=" 3.0
 # Pruned window scans: on one MP@ML clip at k = 24 frames the block
 # bounds must keep skipping most windows. The share is a count, not a
@@ -70,19 +69,13 @@ check "curves.pruned_spans_blocked_over_naive" "$(jq .pruned_spans.blocked_over_
 check "curves.constant_spans_pruned_over_unpruned" "$(jq .pruned_spans.constant_pruned_over_unpruned BENCH_curves.json)" "<=" 1.2
 # Thread-scaling ratios need real cores behind them: on <=2-core runners
 # the parallel path fights the measurement harness for the machine and
-# the 0.85x floor flakes without any code regression. Guard them on
-# host width instead of asserting unconditionally.
+# the floor flakes without any code regression. Guard it on host width
+# instead of asserting unconditionally.
 if [ "$(nproc)" -ge 4 ]; then
-    # Demand scans run on the calling thread under any setting too.
-    check "curves.speedup_par_vs_seq" "$(jq .window_sums.speedup_par_vs_seq BENCH_curves.json)" ">=" 0.85
-    # Likewise span scans: a thread scope must not slow them down.
-    check "curves.min_spans_speedup"  "$(jq .min_spans.speedup              BENCH_curves.json)" ">=" 0.85
     # Multi-core guard: the work-stealing pool must turn 4 cores into at
     # least a 2x pruned-sweep speedup over 1 thread.
     check "sweep.speedup_at_4"        "$(jq .sweep.speedup_at_4 BENCH_sweep.json)" ">=" 2.0
 else
-    echo "SKIPPED curves.speedup_par_vs_seq (nproc $(nproc) < 4: thread-scaling ratio is noise-bound)"
-    echo "SKIPPED curves.min_spans_speedup (nproc $(nproc) < 4: thread-scaling ratio is noise-bound)"
     echo "SKIPPED sweep.speedup_at_4 (nproc $(nproc) < 4: no 4-thread rung on this host)"
 fi
 check "curves.append_over_rebuild"    "$(jq .append_one_gop.append_over_rebuild BENCH_curves.json)" "<=" 0.25
@@ -137,9 +130,9 @@ check "simulator.drop_priority_over_backpressure" "$(jq .simulator.drop_priority
 check "sweep.stream_peak_ratio"       "$(jq .stream.peak_ratio_10x BENCH_sweep.json)" "<=" 1.5
 check "sweep.materialize_peak_ratio"  "$(jq .stream.materialize_peak_ratio_10x BENCH_sweep.json)" ">=" 4.0
 
-# Frontier bisection: must locate the identical Pareto frontier while
-# deciding at most a quarter of the dense grid's cells. Both properties
-# are thread- and load-independent, so they hold on any host.
+# Frontier bisection: must locate the full sweep's Pareto frontier
+# exactly while deciding at most a quarter of the grid's cells. Both
+# properties are thread- and load-independent, so they hold on any host.
 check "frontier.identical"            "$(jq '.frontier.identical | if . then 1 else 0 end' BENCH_sweep.json)" "==" 1
 check "frontier.bisect_fraction"      "$(jq .frontier.bisect_fraction BENCH_sweep.json)" "<=" 0.25
 

@@ -22,7 +22,7 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 base=(sweep --clips newscast --gops 1 --pe2-mhz 5,60,340 --capacities 16,1620
-      --k 600 --cert-depth 800 --threads 2)
+      --k 600 --threads 2)
 
 echo "== trace/metrics artifacts parse strictly =="
 "$cli" "${base[@]}" --json "$out/on.json" --csv "$out/on.csv" \

@@ -3,15 +3,15 @@
 # multi-process shard/merge fan-out, exercised end-to-end through the
 # CLI. Checks the contracts the streaming path ships with:
 #
-#  * `--stream on` produces byte-identical JSON/CSV artifacts (and
-#    stdout) to the default materializing path — streaming is an
-#    implementation detail, never a format change;
+#  * the row-streamed JSON/CSV artifacts (and stdout) are
+#    byte-identical at `--threads 1` and `--threads 2`, and a run that
+#    fails leaves no artifact or temporary behind;
 #  * N `--shard i/N --out-wcmt` processes run concurrently, and
 #    `--merge` folds their `.wcmt` outputs into a report byte-identical
 #    to the single-process run;
-#  * the stable exit codes hold: 0 on success, 2 on usage errors and
-#    inconsistent/incomplete shard sets, 3 on malformed or truncated
-#    shard files.
+#  * the stable exit codes hold: 0 on success, 2 on usage errors
+#    (options a mode would ignore included) and inconsistent/incomplete
+#    shard sets, 3 on malformed or truncated shard files.
 #
 # Seconds, not minutes — meant for every PR touching the sweep engine,
 # the wire format or the CLI result pipeline.
@@ -25,35 +25,41 @@ trap 'rm -rf "$out"' EXIT
 
 base=(sweep --clips newscast,sports --gops 1
       --pe2-mhz 5,20,60,200 --capacities 16,400,1620
-      --policies backpressure,reject --k 600 --cert-depth 3300)
+      --policies backpressure,reject --k 600)
 
-echo "== streaming sink: byte-identical artifacts and stdout =="
-"$cli" "${base[@]}" --json "$out/dense.json" --csv "$out/dense.csv" >"$out/dense.out"
-"$cli" "${base[@]}" --stream on --json "$out/stream.json" --csv "$out/stream.csv" >"$out/stream.out"
-cmp "$out/dense.json" "$out/stream.json"
-cmp "$out/dense.csv" "$out/stream.csv"
-cmp "$out/dense.out" "$out/stream.out"
-# The row-streaming JSON writer must clean up its temporary rows file.
-if ls "$out"/*.rows.part >/dev/null 2>&1; then
-  echo "leftover .rows.part temporary after --stream on"; exit 1
+echo "== streaming sinks: byte-identical artifacts and stdout across threads =="
+"$cli" "${base[@]}" --threads 1 --json "$out/dense.json" --csv "$out/dense.csv" >"$out/dense.out"
+"$cli" "${base[@]}" --threads 2 --json "$out/t2.json" --csv "$out/t2.csv" >"$out/t2.out"
+cmp "$out/dense.json" "$out/t2.json"
+cmp "$out/dense.csv" "$out/t2.csv"
+cmp "$out/dense.out" "$out/t2.out"
+# The row-streaming writers must clean up their temporaries.
+if ls "$out"/*.part >/dev/null 2>&1; then
+  echo "leftover .part temporary after a successful run"; exit 1
 fi
-echo "ok: JSON, CSV and stdout identical with --stream on"
+echo "ok: JSON, CSV and stdout identical for --threads 1 vs 2"
 
-echo "== .rows.part cleanup on error exits =="
+echo "== no artifact or .part left on error exits =="
 # --k 0 fails spec validation *inside* the streaming run, after the
-# JSON rows sink (and its temp file) already exist: the scoped guard
-# must remove the temp on that exit-2 path too.
-rc=0; "$cli" "${base[@]}" --stream on --k 0 --json "$out/fail.json" 2>/dev/null || rc=$?
-[ "$rc" -eq 2 ] || { echo "invalid spec with --stream must exit 2, got $rc"; exit 1; }
-if ls "$out"/*.rows.part >/dev/null 2>&1; then
-  echo "leftover .rows.part temporary after an error exit"; exit 1
+# row sinks (and their temp files) already exist: the scoped guards
+# must remove the temps on that exit-2 path too, and neither report
+# may appear.
+rc=0; "$cli" "${base[@]}" --k 0 --json "$out/fail.json" --csv "$out/fail.csv" 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "invalid spec must exit 2, got $rc"; exit 1; }
+if ls "$out"/*.part "$out"/fail.* >/dev/null 2>&1; then
+  echo "leftover artifact or .part temporary after an error exit"; exit 1
 fi
-rc=0; "$cli" "${base[@]}" --stream on --pe1-mhz nope --json "$out/fail.json" 2>/dev/null || rc=$?
-[ "$rc" -ne 0 ] || { echo "bad --pe1-mhz with --stream must fail"; exit 1; }
-if ls "$out"/*.rows.part >/dev/null 2>&1; then
-  echo "leftover .rows.part temporary after a parse-error exit"; exit 1
+rc=0; "$cli" "${base[@]}" --pe1-mhz nope --json "$out/fail.json" --csv "$out/fail.csv" 2>/dev/null || rc=$?
+[ "$rc" -ne 0 ] || { echo "bad --pe1-mhz must fail"; exit 1; }
+if ls "$out"/*.part "$out"/fail.* >/dev/null 2>&1; then
+  echo "leftover artifact or .part temporary after a parse-error exit"; exit 1
 fi
-echo "ok: error exits leave no .rows.part behind"
+rc=0; "$cli" "${base[@]}" --k 0 --shard 0/1 --out-wcmt "$out/fail.wcmt" 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "invalid shard spec must exit 2, got $rc"; exit 1; }
+if ls "$out"/*.part "$out"/fail.* >/dev/null 2>&1; then
+  echo "leftover shard stream or .part temporary after an error exit"; exit 1
+fi
+echo "ok: error exits leave no artifact or .part behind"
 
 echo "== shard x merge == single process =="
 pids=()
@@ -63,10 +69,12 @@ for i in 0 1 2; do
 done
 for pid in "${pids[@]}"; do wait "$pid"; done
 "$cli" sweep --merge "$out/s0.wcmt,$out/s1.wcmt,$out/s2.wcmt" \
-    --json "$out/merged.json" --csv "$out/merged.csv" >/dev/null
+    --json "$out/merged.json" --csv "$out/merged.csv" >"$out/merged.out"
 cmp "$out/dense.json" "$out/merged.json"
 cmp "$out/dense.csv" "$out/merged.csv"
-echo "ok: 3 concurrent shard processes merge to the single-process bytes"
+[ "$(head -n 1 "$out/merged.out")" = "merged_shards 3" ] || { echo "merge must report 3 shards"; exit 1; }
+tail -n +2 "$out/merged.out" | cmp - "$out/dense.out"
+echo "ok: 3 concurrent shard processes merge to the single-process bytes and stdout"
 
 echo "== exit-code contract =="
 # Truncated shard file: decodable header, stream cut mid-frame -> 3.
@@ -84,18 +92,41 @@ rc=0; "$cli" sweep --merge "$out/s0.wcmt,$out/s1.wcmt" 2>/dev/null || rc=$?
 # differ) -> 2.
 "$cli" sweep --clips newscast,sports --gops 1 --pe2-mhz 5,20,60,200 \
     --capacities 16,400,1621 --policies backpressure,reject \
-    --k 600 --cert-depth 3300 --shard 1/3 --out-wcmt "$out/alien.wcmt" >/dev/null
+    --k 600 --shard 1/3 --out-wcmt "$out/alien.wcmt" >/dev/null
 rc=0; "$cli" sweep --merge "$out/s0.wcmt,$out/alien.wcmt,$out/s2.wcmt" 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "mismatched shard set must exit 2, got $rc"; exit 1; }
 # Usage errors -> 2.
 rc=0; "$cli" "${base[@]}" --shard 0/2 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "--shard without --out-wcmt must exit 2, got $rc"; exit 1; }
+rc=0; "$cli" "${base[@]}" --out-wcmt "$out/x.wcmt" 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "--out-wcmt without --shard must exit 2, got $rc"; exit 1; }
 rc=0; "$cli" "${base[@]}" --shard 2/2 --out-wcmt "$out/x.wcmt" 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "out-of-range shard index must exit 2, got $rc"; exit 1; }
 rc=0; "$cli" sweep --merge "$out/s0.wcmt" --shard 0/2 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "--merge with --shard must exit 2, got $rc"; exit 1; }
-rc=0; "$cli" "${base[@]}" --stream on --frontier bisect 2>/dev/null || rc=$?
-[ "$rc" -eq 2 ] || { echo "--stream with --frontier must exit 2, got $rc"; exit 1; }
+# --merge takes no grid option and no --threads; it must refuse them
+# rather than ignore them, and write no artifact.
+rc=0; "$cli" sweep --merge "$out/s0.wcmt,$out/s1.wcmt,$out/s2.wcmt" --seeds 5 \
+    --policies reject --threads 2 --metrics-out "$out/m.json" --trace-out "$out/t.json" \
+    2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "--merge with grid options must exit 2, got $rc"; exit 1; }
+rc=0; "$cli" sweep --merge "$out/s0.wcmt,$out/s1.wcmt,$out/s2.wcmt" --threads 2 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "--merge with --threads must exit 2, got $rc"; exit 1; }
+if ls "$out/m.json" "$out/t.json" >/dev/null 2>&1; then
+  echo "a refused --merge wrote its trace/metrics"; exit 1
+fi
+# --frontier writes no report, so --json/--csv are refused.
+for key in json csv; do
+  rc=0; "$cli" "${base[@]}" --frontier bisect --$key "$out/f.$key" 2>/dev/null || rc=$?
+  [ "$rc" -eq 2 ] || { echo "--frontier with --$key must exit 2, got $rc"; exit 1; }
+done
+[ ! -e "$out/f.json" ] && [ ! -e "$out/f.csv" ] || { echo "a refused --frontier wrote a report"; exit 1; }
+# Removed options are unknown options.
+for opt in "--stream on" "--frontier dense" "--cert-depth 3300"; do
+  # shellcheck disable=SC2086
+  rc=0; "$cli" "${base[@]}" $opt 2>/dev/null || rc=$?
+  [ "$rc" -eq 2 ] || { echo "$opt must exit 2, got $rc"; exit 1; }
+done
 echo "ok: exit codes 0/2/3 as documented"
 
 echo "stream smoke: all checks passed"

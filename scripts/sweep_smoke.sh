@@ -26,7 +26,7 @@ trap 'rm -rf "$out"' EXIT
 
 base=(sweep --clips newscast,drama,sports --gops 1
       --pe2-mhz 5,20,60,200 --capacities 16,400,1620
-      --policies backpressure,reject --k 600 --cert-depth 3300)
+      --policies backpressure,reject --k 600)
 
 echo "== pruned vs exhaustive: identical overflow verdicts =="
 "$cli" "${base[@]}" --prune on --csv "$out/pruned.csv" >/dev/null
@@ -68,7 +68,7 @@ echo "ok: JSON and CSV identical for --threads 1 vs 8"
 
 echo "== exit-code contract =="
 "$cli" sweep --pe2-mhz 60 --capacities 400 --clips newscast --gops 1 \
-    --k 600 --cert-depth 800 >/dev/null \
+    --k 600 >/dev/null \
   || { echo "valid sweep must exit 0"; exit 1; }
 rc=0; "$cli" sweep --capacities 400 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "missing --pe2-mhz must exit 2, got $rc"; exit 1; }
