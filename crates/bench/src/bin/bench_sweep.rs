@@ -11,7 +11,8 @@
 //!   single-core host it — not thread count — is what buys the speedup,
 //!   and so is `simulated_frac`, the exact share of points left to the
 //!   simulator (a deterministic count, guarded by
-//!   `scripts/bench_smoke.sh`).
+//!   `scripts/bench_smoke.sh`), next to `replayed_frac`, the exact share
+//!   whose digest the departure replay supplies instead.
 //! * **frontier bisection** — the Pareto frontier of a 64-frequency
 //!   axis located by monotone staircase bisection: the full sweep's
 //!   `pareto` asserted identical, cell counts, the evaluated fraction
@@ -31,7 +32,8 @@
 //!   streaming peak must stay flat while the materializing peak grows
 //!   with the grid (guarded by `scripts/bench_smoke.sh`).
 //! * **verdict equality** — asserts prune=on and prune=off agree on
-//!   every overflow verdict before any number is written.
+//!   every overflow verdict, and every `replay_ok` digest equals the
+//!   simulated one bit for bit, before any number is written.
 //!
 //! Usage: `cargo run --release -p wcm-bench --bin bench_sweep [OUT.json]`
 
@@ -42,9 +44,10 @@ use wcm_events::window::WindowMode;
 use wcm_mpeg::{profile::standard_clips, GopStructure, Synthesizer, VideoParams};
 use wcm_par::Parallelism;
 use wcm_sim::pipeline::{simulate, FifoConfig, PipelineConfig, SimScratch};
+use wcm_sim::sweep::PointReport;
 use wcm_sim::{
     run_frontier, run_sweep, run_sweep_streaming, FaultedWorkload, OverflowPolicy, PointRecord,
-    ShardRange, SweepError, SweepSink, SweepSpec,
+    ShardRange, SweepError, SweepSink, SweepSpec, Verdict,
 };
 
 #[global_allocator]
@@ -189,12 +192,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             a.frequency_hz,
             a.capacity
         );
+        if a.verdict == Verdict::ReplayOk {
+            let digest =
+                |p: &PointReport| (p.max_backlog, p.dropped, p.pe1_stalled_s.map(f64::to_bits));
+            assert_eq!(
+                digest(a),
+                digest(b),
+                "replayed digest differs from the simulated one"
+            );
+        }
     }
     let points = report_pruned.stats.total as f64;
     let pruned_fraction = report_pruned.stats.pruned_fraction();
     // Exact and host-independent: the share of the grid the analytic
     // pre-pass left to the simulator (guarded by scripts/bench_smoke.sh).
     let simulated_frac = report_pruned.stats.simulated as f64 / points;
+    let replayed_frac = report_pruned.stats.replayed as f64 / points;
 
     let sweeps = measure([
         &mut || time_once(|| run_sweep(&clips, &unpruned, Parallelism::Seq).unwrap()),
@@ -400,6 +413,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20 \"sweep\": {{\n\
          \x20   \"pruned_fraction\": {pruned_fraction:.4},\n\
          \x20   \"simulated_frac\": {simulated_frac:.4},\n\
+         \x20   \"replayed_frac\": {replayed_frac:.4},\n\
          \x20   \"seq_unpruned_s\": {seq_unpruned_s:.6},\n\
          \x20   \"seq_pruned_s\": {seq_pruned_s:.6},\n\
          \x20   \"par_pruned_s\": {par_pruned_s:.6},\n\

@@ -715,8 +715,15 @@ fn recorded<T>(
 fn print_summary(summary: &wcm_sim::SweepSummary) {
     let s = &summary.stats;
     println!("points {}", s.total);
+    // `replayed` only when some point is `replay_ok`, so an exhaustive
+    // run prints what it printed before that verdict existed.
+    let replayed = if s.replayed > 0 {
+        format!(" replayed {}", s.replayed)
+    } else {
+        String::new()
+    };
     println!(
-        "pruned_safe {} pruned_unsafe {} simulated {}",
+        "pruned_safe {} pruned_unsafe {} simulated {}{replayed}",
         s.pruned_safe, s.pruned_unsafe, s.simulated
     );
     println!("pruned_fraction {:.4}", s.pruned_fraction());

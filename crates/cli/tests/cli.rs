@@ -422,7 +422,10 @@ fn sweep_artifacts_equal_the_in_memory_report() {
         prune: true,
     };
     let report = wcm_sim::run_sweep(&clips, &spec, wcm_par::Parallelism::Seq).unwrap();
-    assert!(report.stats.simulated > 0 && !report.pareto.is_empty(), "{:?}", report.stats);
+    // Some rows must carry a digest through the shards (the replay
+    // decides every point of this grid, so they are `replay_ok`).
+    let digests = report.stats.simulated + report.stats.replayed;
+    assert!(digests > 0 && !report.pareto.is_empty(), "{:?}", report.stats);
 
     let mut stdout = Vec::new();
     for (threads, json, csv) in [("1", 0, 1), ("2", 2, 3)] {

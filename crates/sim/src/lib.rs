@@ -60,8 +60,8 @@ pub use pipeline::{
     simulate, FifoConfig, OverflowPolicy, PipelineConfig, PipelineSummary, SimScratch,
 };
 pub use sweep::{
-    merge_shards, run_frontier, run_sweep, run_sweep_streaming, spec_fingerprint,
-    staircase_thresholds, CollectSink, CsvSink, FrontierReport, PointRecord,
+    merge_shards, replay_min_frequency, run_frontier, run_sweep, run_sweep_streaming,
+    spec_fingerprint, staircase_thresholds, CollectSink, CsvSink, FrontierReport, PointRecord,
     ShardRange, SweepError, SweepReport, SweepRunHeader, SweepSink, SweepSpec, SweepSummary,
     Verdict, WcmtShardSink,
 };

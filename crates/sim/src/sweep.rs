@@ -18,9 +18,16 @@
 //!   `D_{i−b} > A_i`: macroblocks `i−b … i−1` are all resident when `i`
 //!   arrives, and a bounded run equals the unbounded one up to its first
 //!   full push, so the FIFO fills under every policy;
-//! * **uncertain** — the rest (the band between the two, plus pushes
-//!   that tie exactly `D_{i−b} == A_i`, which the simulator's event
-//!   order decides) is simulated, on the heap-free hot path of
+//! * **replay ok** — the same replay, counted per push:
+//!   `r_i = #{j < i : D_j > A_i}` and its tie-inclusive twin
+//!   `r′_i = #{j < i : D_j ≥ A_i}`. When `max r′ == max r` and
+//!   `b > max r′`, no push ever finds the FIFO full, so the bounded run
+//!   under every policy *is* the unbounded run, and its digest is known
+//!   without simulating: peak backlog `1 + max r`, nothing dropped, no
+//!   PE₁ stall;
+//! * **uncertain** — the rest: points whose verdict or peak backlog
+//!   hinges on an exact tie `D_j == A_i`, which the simulator's event
+//!   order decides, are simulated on the heap-free hot path of
 //!   [`crate::pipeline`] with one reusable [`SimScratch`] per worker.
 //!
 //! **Fault-seeded points prune too.** The FIFO-input recurrence replays
@@ -99,6 +106,10 @@ pub enum Verdict {
     SimOk,
     /// Simulated; the FIFO hit capacity (stall or drop, per policy).
     SimOverflow,
+    /// The unbounded departure replay shows no push that can find the
+    /// FIFO full, tie or no tie, and pins the peak backlog: the point's
+    /// digest is the unbounded run's, with no simulation.
+    ReplayOk,
 }
 
 impl Verdict {
@@ -108,7 +119,8 @@ impl Verdict {
         matches!(self, Verdict::ProvablyUnsafe | Verdict::SimOverflow)
     }
 
-    /// Whether the verdict came from an actual simulation run.
+    /// Whether the verdict came from an actual simulation run
+    /// ([`Verdict::ReplayOk`] carries a digest but ran no simulation).
     #[must_use]
     pub fn simulated(self) -> bool {
         matches!(self, Verdict::SimOk | Verdict::SimOverflow)
@@ -122,6 +134,7 @@ impl Verdict {
             Verdict::ProvablyUnsafe => "provably_unsafe",
             Verdict::SimOk => "sim_ok",
             Verdict::SimOverflow => "sim_overflow",
+            Verdict::ReplayOk => "replay_ok",
         }
     }
 }
@@ -141,11 +154,12 @@ pub struct PointReport {
     pub seed: Option<u64>,
     /// The decision.
     pub verdict: Verdict,
-    /// Peak FIFO occupancy (simulated points only).
+    /// Peak FIFO occupancy (simulated and `replay_ok` points only).
     pub max_backlog: Option<u64>,
-    /// Dropped macroblocks (simulated points only).
+    /// Dropped macroblocks (simulated and `replay_ok` points only).
     pub dropped: Option<usize>,
-    /// Seconds PE₁ spent blocked on a full FIFO (simulated points only).
+    /// Seconds PE₁ spent blocked on a full FIFO (simulated and
+    /// `replay_ok` points only).
     pub pe1_stalled_s: Option<f64>,
 }
 
@@ -176,6 +190,9 @@ pub struct SweepStats {
     pub pruned_unsafe: usize,
     /// Points actually simulated.
     pub simulated: usize,
+    /// Points whose digest came from the departure replay
+    /// ([`Verdict::ReplayOk`]; no simulation).
+    pub replayed: usize,
     /// Points that overflow (any verdict source).
     pub overflowed: usize,
 }
@@ -197,6 +214,7 @@ impl SweepStats {
             Verdict::ProvablySafe => self.pruned_safe += 1,
             Verdict::ProvablyUnsafe => self.pruned_unsafe += 1,
             Verdict::SimOk | Verdict::SimOverflow => self.simulated += 1,
+            Verdict::ReplayOk => self.replayed += 1,
         }
         if v.overflowed() {
             self.overflowed += 1;
@@ -387,6 +405,109 @@ fn overflows_at(push_times: &[f64], departures: &[f64], capacity: u64) -> bool {
         .any(|(d, a)| d > a)
 }
 
+/// The peak resident counts of a replay, by one two-pointer pass over
+/// the non-decreasing FIFO-input instants `A` and the replayed
+/// departures `D` (also non-decreasing, as [`replay_departures`]
+/// checks): `(max r, max r′)` over every push `i`, with
+/// `r_i = #{j < i : D_j > A_i}` the macroblocks certainly still resident
+/// when `i` is pushed and `r′_i = #{j < i : D_j ≥ A_i}` those that may
+/// be, depending on how the simulator orders an exact tie `D_j == A_i`.
+///
+/// So `b ≤ max r` is [`overflows_at`], and `b > max r′` is a FIFO that no
+/// push ever finds full. The unbounded run's peak backlog (the pushed
+/// macroblock included) then lies in `[1 + max r, 1 + max r′]`; it is
+/// pinned exactly when the two agree.
+fn replay_peaks(push_times: &[f64], departures: &[f64]) -> (usize, usize) {
+    // `lt`/`le` count the departures before `A_i` (strictly / or at
+    // it) among the first `i`; both only move forward as `A` rises.
+    let (mut lt, mut le) = (0usize, 0usize);
+    let (mut peak, mut peak_ties) = (0usize, 0usize);
+    for (i, &a) in push_times.iter().enumerate() {
+        while lt < i && departures[lt] < a {
+            lt += 1;
+        }
+        le = le.max(lt);
+        while le < i && departures[le] <= a {
+            le += 1;
+        }
+        peak = peak.max(i - le);
+        peak_ties = peak_ties.max(i - lt);
+    }
+    (peak, peak_ties)
+}
+
+/// The trace-exact minimum PE₂ clock for a FIFO of `capacity` on the
+/// stream `w` (PE₁ at `pe1_hz`): the smallest clock in
+/// `[lo_hz, hi_hz]`, to the last bit of an `f64`, at which the
+/// departure replay shows no push that can find the FIFO full, ties
+/// included: no push `i` with `b` earlier departures `D_j ≥ A_i`.
+/// Every departure falls as the clock rises, so the predicate is
+/// monotone and a bisection over the bit patterns of the bracket finds
+/// its edge in at most 64 replays. This is the clock eq. 9's `F^γ_min`
+/// over-approximates.
+///
+/// `None` when the FIFO can fill even at `hi_hz`, when the bracket is
+/// not positive, finite and ordered, or when the stream cannot be
+/// replayed (an event instant the simulator rejects, or FIFO-input
+/// instants out of order).
+#[must_use]
+pub fn replay_min_frequency(
+    w: &FaultedWorkload,
+    bitrate_bps: f64,
+    pe1_hz: f64,
+    capacity: u64,
+    lo_hz: f64,
+    hi_hz: f64,
+) -> Option<f64> {
+    let push_times = push_times_of(w, bitrate_bps, pe1_hz);
+    let replayable = !push_times.is_empty()
+        && arrivals_finite(w, bitrate_bps, &push_times)
+        && push_times.windows(2).all(|p| p[1] >= p[0]);
+    if !(replayable && lo_hz > 0.0 && lo_hz <= hi_hz && hi_hz.is_finite()) {
+        return None;
+    }
+    let mut departures = Vec::new();
+    let mut never_full = |f: f64| {
+        replay_departures(w, &push_times, f, &mut departures)
+            && (replay_peaks(&push_times, &departures).1 as u64) < capacity
+    };
+    if !never_full(hi_hz) {
+        return None;
+    }
+    if never_full(lo_hz) {
+        return Some(lo_hz);
+    }
+    // Positive finite doubles order like their bit patterns.
+    let (mut lo, mut hi) = (lo_hz.to_bits(), hi_hz.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if never_full(f64::from_bits(mid)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(f64::from_bits(hi))
+}
+
+/// Whether every instant at which the simulator schedules an event of
+/// the unbounded run is finite: the bit arrivals `cum_bits/rate + delay`
+/// and the FIFO-input instants `A` (PE₁ completions). With the replayed
+/// departures (PE₂ completions) finite too, `simulate` cannot fail on
+/// the stream, so a verdict decided from the replay never hides an
+/// error an exhaustive run would report.
+fn arrivals_finite(w: &FaultedWorkload, bitrate_bps: f64, push_times: &[f64]) -> bool {
+    let mut cum_bits = 0.0f64;
+    push_times.iter().all(|a| a.is_finite())
+        && w.bits
+            .iter()
+            .zip(&w.arrival_delay_s)
+            .all(|(&bits, &delay)| {
+                cum_bits += bits as f64;
+                (cum_bits / bitrate_bps + delay).is_finite()
+            })
+}
+
 impl ClipContext {
     fn build(clip: &ClipWorkload, spec: &SweepSpec) -> Result<Self, SweepError> {
         let streams = spec
@@ -524,18 +645,29 @@ fn verdict_counter(v: Verdict) -> &'static str {
         Verdict::ProvablyUnsafe => "sweep.verdict.provably_unsafe",
         Verdict::SimOk => "sweep.verdict.sim_ok",
         Verdict::SimOverflow => "sweep.verdict.sim_overflow",
+        Verdict::ReplayOk => "sweep.verdict.replay_ok",
     }
 }
 
 /// Analytic verdicts for the whole grid, computed **before** point
-/// evaluation starts. Per `(clip, seed)` the FIFO-input instants are
+/// evaluation starts, so that point evaluation is a table lookup except
+/// at exact ties. Per `(clip, seed)` the FIFO-input instants are
 /// computed once and the frequencies are visited in ascending order, one
 /// departure replay ([`replay_departures`]) each, which then serves
-/// every capacity ([`overflows_at`]). The certified set is a down-set in
-/// `(F, b)`, so each replay only searches the capacities the previous
-/// frequency certified, and the scan stops at the first frequency that
-/// certifies none. The eq. 9 safe bound is overlaid last (safe wins on
-/// overlap). Point evaluation degrades to a table lookup.
+/// every capacity:
+///
+/// * [`overflows_at`] certifies the capacities that must overflow. The
+///   certified set is a down-set in `(F, b)`, so each replay only
+///   searches the capacities the previous frequency certified;
+/// * where a capacity is left that neither that certificate nor eq. 9
+///   decides, one [`replay_peaks`] pass marks it [`Verdict::ReplayOk`]
+///   when no tie can fill it or move its peak backlog, and records that
+///   peak for the clock.
+///
+/// The scan stops at the first frequency that certifies nothing and at
+/// which eq. 9 calls every capacity safe. The eq. 9 safe bound is
+/// overlaid last (safe wins on overlap); a cell it calls safe that the
+/// replay certified unsafe is counted in `eq9_contradicted` first.
 ///
 /// The table is a pure function of `(ctxs, spec)` — policies don't enter
 /// the analytic bounds, thread counts don't enter the table — so reports
@@ -546,6 +678,13 @@ struct AnalyticTable {
     n_seed: usize,
     /// `((clip·S + seed)·C + cap)·F + freq`; empty when pruning is off.
     verdicts: Vec<Option<Verdict>>,
+    /// `(clip·S + seed)·F + freq`: the unbounded run's peak backlog at
+    /// that clock, read by its [`Verdict::ReplayOk`] cells only.
+    peaks: Vec<u64>,
+    /// Cells eq. 9 calls safe that the replay certifies unsafe: each one
+    /// is a soundness failure of the safe bound (counted, not yet an
+    /// error; published as the `sweep.eq9_contradicted` counter).
+    eq9_contradicted: u64,
 }
 
 impl AnalyticTable {
@@ -553,16 +692,20 @@ impl AnalyticTable {
         let n_freq = spec.frequencies_hz.len();
         let n_cap = spec.capacities.len();
         let n_seed = spec.seeds.len();
+        let mut table = Self {
+            n_freq,
+            n_cap,
+            n_seed,
+            verdicts: Vec::new(),
+            peaks: Vec::new(),
+            eq9_contradicted: 0,
+        };
         if !spec.prune {
-            return Self {
-                n_freq,
-                n_cap,
-                n_seed,
-                verdicts: Vec::new(),
-            };
+            return table;
         }
         let _span = wcm_obs::span("sweep.analytic_table");
-        let mut verdicts = vec![None; ctxs.len() * n_seed * n_cap * n_freq];
+        table.verdicts = vec![None; ctxs.len() * n_seed * n_cap * n_freq];
+        table.peaks = vec![0; ctxs.len() * n_seed * n_freq];
         // Both axes in ascending value order: they may be unsorted or
         // repeat values.
         let mut freq_order: Vec<usize> = (0..n_freq).collect();
@@ -572,58 +715,84 @@ impl AnalyticTable {
         let mut departures = Vec::new();
         for (ci, ctx) in ctxs.iter().enumerate() {
             for (si, w) in ctx.streams.iter().enumerate() {
-                let at = |bi: usize| ((ci * n_seed + si) * n_cap + bi) * n_freq;
-                let push_times = push_times_of(w, ctx.bitrate_bps, spec.pe1_hz);
-                // A non-finite push is a simulation error: certify nothing.
-                let mut certified = if push_times.iter().all(|a| a.is_finite()) {
-                    n_cap
-                } else {
-                    0
+                let cs = ci * n_seed + si;
+                let at = |bi: usize| (cs * n_cap + bi) * n_freq;
+                let f_min = &ctx.f_min[si];
+                let eq9_safe = |bi: usize, freq: f64| {
+                    f_min[bi].is_some_and(|f_min| freq >= f_min * (1.0 + SAFE_MARGIN))
                 };
+                let push_times = push_times_of(w, ctx.bitrate_bps, spec.pe1_hz);
+                // An event instant the simulator rejects is a simulation
+                // error: decide nothing from the replay.
+                let replayable =
+                    !push_times.is_empty() && arrivals_finite(w, ctx.bitrate_bps, &push_times);
+                // The two-pointer merge needs `A` sorted; PE₁ service
+                // times that no injector makes negative keep it so.
+                let mergeable = replayable && push_times.windows(2).all(|p| p[1] >= p[0]);
+                let mut certified = if replayable { n_cap } else { 0 };
                 for &fi in &freq_order {
-                    if certified == 0 {
+                    let f = spec.frequencies_hz[fi];
+                    if !replayable
+                        || (certified == 0 && cap_order.iter().all(|&bi| eq9_safe(bi, f)))
+                    {
                         break;
                     }
-                    let f = spec.frequencies_hz[fi];
+                    if !replay_departures(w, &push_times, f, &mut departures) {
+                        certified = 0;
+                        continue;
+                    }
                     // The certified capacities are a prefix of
                     // `cap_order`; a faster PE₂ can only shorten it.
-                    certified = if replay_departures(w, &push_times, f, &mut departures) {
-                        cap_order[..certified].partition_point(|&bi| {
-                            overflows_at(&push_times, &departures, spec.capacities[bi])
-                        })
-                    } else {
-                        0
-                    };
+                    certified = cap_order[..certified].partition_point(|&bi| {
+                        overflows_at(&push_times, &departures, spec.capacities[bi])
+                    });
                     for &bi in &cap_order[..certified] {
-                        verdicts[at(bi) + fi] = Some(Verdict::ProvablyUnsafe);
+                        table.verdicts[at(bi) + fi] = Some(Verdict::ProvablyUnsafe);
+                        table.eq9_contradicted += u64::from(eq9_safe(bi, f));
+                    }
+                    let open = &cap_order[certified..];
+                    if !mergeable || open.iter().all(|&bi| eq9_safe(bi, f)) {
+                        continue;
+                    }
+                    let (peak, peak_ties) = replay_peaks(&push_times, &departures);
+                    if peak != peak_ties {
+                        continue; // a tie may move the peak: simulate
+                    }
+                    table.peaks[cs * n_freq + fi] = 1 + peak as u64;
+                    for &bi in open {
+                        if spec.capacities[bi] > peak as u64 {
+                            table.verdicts[at(bi) + fi] = Some(Verdict::ReplayOk);
+                        }
                     }
                 }
                 // Overlaid last: on overlap safe wins, as it did when
                 // each point was pruned on its own.
-                for (bi, f_min) in ctx.f_min[si].iter().enumerate() {
-                    let Some(f_min) = *f_min else { continue };
+                for bi in 0..n_cap {
                     for (fi, &freq) in spec.frequencies_hz.iter().enumerate() {
-                        if freq >= f_min * (1.0 + SAFE_MARGIN) {
-                            verdicts[at(bi) + fi] = Some(Verdict::ProvablySafe);
+                        if eq9_safe(bi, freq) {
+                            table.verdicts[at(bi) + fi] = Some(Verdict::ProvablySafe);
                         }
                     }
                 }
             }
         }
-        Self {
-            n_freq,
-            n_cap,
-            n_seed,
-            verdicts,
+        if table.eq9_contradicted > 0 {
+            wcm_obs::counter("sweep.eq9_contradicted", table.eq9_contradicted);
         }
+        table
     }
 
-    fn verdict(&self, p: GridPoint) -> Option<Verdict> {
+    /// The analytic verdict of `p`, with its digest when the replay
+    /// pins one; `None` leaves the point to the simulator.
+    fn lookup(&self, p: GridPoint) -> Option<(Verdict, Option<SimDigest>)> {
         if self.verdicts.is_empty() {
             return None;
         }
-        self.verdicts
-            [((p.clip * self.n_seed + p.seed) * self.n_cap + p.cap) * self.n_freq + p.freq]
+        let cs = p.clip * self.n_seed + p.seed;
+        let verdict = self.verdicts[(cs * self.n_cap + p.cap) * self.n_freq + p.freq]?;
+        let digest =
+            (verdict == Verdict::ReplayOk).then(|| (self.peaks[cs * self.n_freq + p.freq], 0, 0.0));
+        Some((verdict, digest))
     }
 }
 
@@ -645,9 +814,9 @@ fn eval_point(
     let out = eval_point_inner(p, ctxs, spec, table, scratch);
     let dt = wcm_obs::now_ns().saturating_sub(t0);
     match &out {
-        Ok((verdict, sim)) => {
+        Ok((verdict, _)) => {
             wcm_obs::counter(verdict_counter(*verdict), 1);
-            if sim.is_some() {
+            if verdict.simulated() {
                 wcm_obs::histogram("sweep.sim_ns", dt);
             } else {
                 wcm_obs::histogram("sweep.prune_ns", dt);
@@ -669,8 +838,8 @@ fn eval_point_inner(
     let freq = spec.frequencies_hz[p.freq];
     let cap = spec.capacities[p.cap];
 
-    if let Some(verdict) = table.verdict(p) {
-        return Ok((verdict, None));
+    if let Some(decided) = table.lookup(p) {
+        return Ok(decided);
     }
 
     let cfg = PipelineConfig {
@@ -1114,7 +1283,9 @@ pub const CSV_HEADER: &str =
 /// Opening of the [`SweepReport::to_json`] document up to and including
 /// the `"points": [` line — the stats block precedes the rows, which is
 /// why the streaming CLI path composes its JSON from a row temp file
-/// instead of writing head-to-tail.
+/// instead of writing head-to-tail. The `"replayed"` count is written
+/// only when some point is `replay_ok`, so an exhaustive (`prune` off)
+/// report keeps the bytes it had before that verdict existed.
 #[must_use]
 pub fn json_head(stats: &SweepStats) -> String {
     use wcm_obs::json::fmt_f64;
@@ -1122,11 +1293,14 @@ pub fn json_head(stats: &SweepStats) -> String {
     s.push_str("{\n  \"stats\": {");
     s.push_str(&format!(
         "\"total\": {}, \"pruned_safe\": {}, \"pruned_unsafe\": {}, \
-         \"simulated\": {}, \"overflowed\": {}, \"pruned_fraction\": {}",
-        stats.total,
-        stats.pruned_safe,
-        stats.pruned_unsafe,
-        stats.simulated,
+         \"simulated\": {}, ",
+        stats.total, stats.pruned_safe, stats.pruned_unsafe, stats.simulated,
+    ));
+    if stats.replayed > 0 {
+        s.push_str(&format!("\"replayed\": {}, ", stats.replayed));
+    }
+    s.push_str(&format!(
+        "\"overflowed\": {}, \"pruned_fraction\": {}",
         stats.overflowed,
         fmt_f64(stats.pruned_fraction()),
     ));
@@ -1241,6 +1415,7 @@ pub fn verdict_code(v: Verdict) -> u8 {
         Verdict::ProvablyUnsafe => 1,
         Verdict::SimOk => 2,
         Verdict::SimOverflow => 3,
+        Verdict::ReplayOk => 4,
     }
 }
 
@@ -1252,6 +1427,7 @@ pub fn verdict_from_code(code: u8) -> Option<Verdict> {
         1 => Some(Verdict::ProvablyUnsafe),
         2 => Some(Verdict::SimOk),
         3 => Some(Verdict::SimOverflow),
+        4 => Some(Verdict::ReplayOk),
         _ => None,
     }
 }
@@ -1299,11 +1475,12 @@ pub struct PointRecord<'a> {
     pub seed: Option<u64>,
     /// The decision.
     pub verdict: Verdict,
-    /// Peak FIFO occupancy (simulated points only).
+    /// Peak FIFO occupancy (simulated and `replay_ok` points only).
     pub max_backlog: Option<u64>,
-    /// Dropped macroblocks (simulated points only).
+    /// Dropped macroblocks (simulated and `replay_ok` points only).
     pub dropped: Option<usize>,
-    /// Seconds PE₁ spent blocked on a full FIFO (simulated points only).
+    /// Seconds PE₁ spent blocked on a full FIFO (simulated and
+    /// `replay_ok` points only).
     pub pe1_stalled_s: Option<f64>,
 }
 
@@ -2133,7 +2310,14 @@ mod tests {
                 a.verdict,
                 b.verdict
             );
+            if a.verdict == Verdict::ReplayOk {
+                let digest = |p: &PointReport| {
+                    (p.max_backlog, p.dropped, p.pe1_stalled_s.map(f64::to_bits))
+                };
+                assert_eq!(digest(a), digest(b), "{a:?} vs simulated {b:?}");
+            }
         }
+        assert!(pruned.stats.replayed > 0, "{:?}", pruned.stats);
         assert_eq!(pruned.pareto, full.pareto);
     }
 
@@ -2656,11 +2840,13 @@ mod tests {
             Verdict::ProvablyUnsafe,
             Verdict::SimOk,
             Verdict::SimOverflow,
+            Verdict::ReplayOk,
         ] {
             assert_eq!(verdict_from_code(verdict_code(v)), Some(v));
             assert!(verdict_code(v) <= wcm_wire::sweep::MAX_VERDICT_CODE);
         }
-        assert_eq!(verdict_from_code(4), None);
+        assert_eq!(verdict_code(Verdict::ReplayOk), 4);
+        assert_eq!(verdict_from_code(5), None);
         for p in [
             OverflowPolicy::Backpressure,
             OverflowPolicy::Reject,
@@ -2826,7 +3012,15 @@ mod tests {
         // At 2 048 Hz MB 0 leaves exactly when MB 1 arrives: no
         // certificate, and indeed no overflow. One hertz slower it leaves
         // after: certified, and every policy overflows.
-        for (pe2_hz, overflows) in [(2048.0, false), (2047.0, true)] {
+        //
+        // The peak merge sees the same tie: at 2 048 Hz MB 0 may or may
+        // not count when MB 1 is pushed (`max r = 0`, `max r′ = 1`), so
+        // neither capacity is decided without the simulator, which
+        // retires MB 0 first (peak 1 at b = 2). One hertz slower the
+        // counts agree, and b = 2 is `replay_ok` with peak 1 + 1.
+        for (pe2_hz, overflows, peaks, peak_at_2) in
+            [(2048.0, false, (0, 1), 1), (2047.0, true, (1, 1), 2)]
+        {
             assert!(replay_departures(&w, &push_times, pe2_hz, &mut departures));
             assert_eq!(departures[0] == push_times[1], !overflows);
             assert_eq!(
@@ -2835,6 +3029,7 @@ mod tests {
                 "{pe2_hz} Hz"
             );
             assert!(!overflows_at(&push_times, &departures, 2));
+            assert_eq!(replay_peaks(&push_times, &departures), peaks, "{pe2_hz} Hz");
             let cfg = PipelineConfig {
                 bitrate_bps: 1024.0,
                 pe1_hz: 1024.0,
@@ -2848,6 +3043,55 @@ mod tests {
                 let fifo = FifoConfig::bounded(1, policy);
                 let run = simulate(&w, &cfg, &fifo, None, &mut scratch).unwrap();
                 assert_eq!(run.overflowed, overflows, "{pe2_hz} Hz, {policy:?}");
+                let fifo = FifoConfig::bounded(2, policy);
+                let run = simulate(&w, &cfg, &fifo, None, &mut scratch).unwrap();
+                assert!(!run.overflowed, "{pe2_hz} Hz, {policy:?}");
+                assert_eq!(run.max_backlog, peak_at_2, "{pe2_hz} Hz, {policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_replay_decides_nothing_on_a_stream_the_simulator_rejects() {
+        // A NaN bit-arrival instant leaves every FIFO-input instant
+        // finite (`max` drops the NaN) and an infinite PE₂ stall makes
+        // the departures non-finite; `simulate` fails on both, so no
+        // point of the seed may be decided from the replay.
+        let clip = &small_clips(1)[0];
+        let spec = small_spec();
+        let streams = ClipContext::build(clip, &spec).unwrap().streams;
+        let mut nan_arrival = streams.clone();
+        nan_arrival[1].arrival_delay_s[7] = f64::NAN;
+        let mut inf_stall = streams;
+        inf_stall[1].pe2_extra_s[7] = f64::INFINITY;
+        let mut scratch = SimScratch::new();
+        for streams in [nan_arrival, inf_stall] {
+            let ctxs = [ClipContext::from_streams(clip, &spec, streams).unwrap()];
+            let table = AnalyticTable::build(&ctxs, &spec);
+            for freq in 0..spec.frequencies_hz.len() {
+                for cap in 0..spec.capacities.len() {
+                    let p = GridPoint {
+                        clip: 0,
+                        freq,
+                        cap,
+                        policy: 0,
+                        seed: 1,
+                    };
+                    let decided = table.lookup(p).map(|(v, _)| v);
+                    assert!(
+                        !matches!(decided, Some(Verdict::ReplayOk | Verdict::ProvablyUnsafe)),
+                        "{p:?}: {decided:?}"
+                    );
+                    let cfg = PipelineConfig {
+                        bitrate_bps: ctxs[0].bitrate_bps,
+                        pe1_hz: spec.pe1_hz,
+                        pe2_hz: spec.frequencies_hz[freq],
+                    };
+                    let fifo = FifoConfig::bounded(spec.capacities[cap], spec.policies[0]);
+                    assert!(
+                        simulate(&ctxs[0].streams[1], &cfg, &fifo, None, &mut scratch).is_err()
+                    );
+                }
             }
         }
     }
@@ -2899,5 +3143,117 @@ mod tests {
             }
         }
         assert!(seeded_unsafe > 0, "the faster seed should prune unsafe");
+    }
+
+    /// The SplitMix64 finalizer that seeds the benchmark's clip library
+    /// (`examples/bench_e2e`), so this test sweeps the same clips.
+    fn mix(seed: u64, salt: u64) -> u64 {
+        let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn eq9_contradictions_are_counted_on_truncated_curves() {
+        // ROADMAP item 1: with curves cut at two frames, eq. 9 extends ᾱ
+        // past the horizon with the trace's average rate and calls b =
+        // 1 620 safe at clocks where the replay proves an overflow. The
+        // benchmark's seed-1 clips, its clock axis and capacities, clean
+        // streams: one contradicted cell each on the three clips that
+        // have any (of the 14), counted and not raised, and none with
+        // curves over the whole clip.
+        let params = VideoParams::main_profile_main_level().unwrap();
+        let synth = Synthesizer::new(params);
+        let clips: Vec<ClipWorkload> = standard_clips()
+            .into_iter()
+            .filter(|c| ["talking_head", "nature", "sports"].contains(&c.name.as_str()))
+            .map(|mut profile| {
+                profile.seed = mix(1, profile.seed);
+                synth.generate(&profile, 1).unwrap()
+            })
+            .collect();
+        let mb = params.mb_per_frame();
+        let (lo, hi) = (20.0e6f64, 2000.0e6f64);
+        let mut spec = SweepSpec {
+            pe1_hz: 60.0e6,
+            frequencies_hz: (0..20)
+                .map(|i| lo * (hi / lo).powf(f64::from(i) / 19.0))
+                .collect(),
+            capacities: vec![400, 1620, 6480],
+            policies: vec![OverflowPolicy::Backpressure],
+            seeds: vec![None],
+            injectors: vec![],
+            k_max: 2 * mb,
+            mode: WindowMode::Strided {
+                exact_upto: mb / 2,
+                stride: mb / 10,
+            },
+            cert_depth: 0,
+            prune: true,
+        };
+        let contradicted = |spec: &SweepSpec| {
+            let ctxs: Vec<ClipContext> = clips
+                .iter()
+                .map(|c| ClipContext::build(c, spec).unwrap())
+                .collect();
+            AnalyticTable::build(&ctxs, spec).eq9_contradicted
+        };
+        assert_eq!(contradicted(&spec), 3);
+        spec.k_max = clips[0].macroblock_count();
+        assert_eq!(contradicted(&spec), 0);
+    }
+
+    #[test]
+    fn replay_min_frequency_is_the_edge_of_the_never_full_region() {
+        // At the returned clock no policy's FIFO fills. One ulp slower
+        // some push may find `b` residents (the edge is typically an
+        // exact tie, which the simulator's event order decides), and a
+        // millionth slower the replay certifies the overflow that every
+        // policy's simulation shows.
+        let clip = &small_clips(1)[0];
+        let w = FaultedWorkload::clean(clip).unwrap();
+        let bitrate_bps = clip.params().bitrate_bps();
+        let pe1_hz = 60.0e6;
+        let mut scratch = SimScratch::new();
+        let mut departures = Vec::new();
+        let push_times = push_times_of(&w, bitrate_bps, pe1_hz);
+        for cap in [2, 16, 64] {
+            let f = replay_min_frequency(&w, bitrate_bps, pe1_hz, cap, 1.0e3, 1.0e10).unwrap();
+            let below = f64::from_bits(f.to_bits() - 1);
+            assert!(replay_departures(&w, &push_times, below, &mut departures));
+            assert!(
+                replay_peaks(&push_times, &departures).1 as u64 >= cap,
+                "b = {cap}"
+            );
+            let slower = f * (1.0 - 1e-6);
+            assert!(replay_departures(&w, &push_times, slower, &mut departures));
+            assert!(overflows_at(&push_times, &departures, cap), "b = {cap}");
+            for policy in [
+                OverflowPolicy::Backpressure,
+                OverflowPolicy::Reject,
+                OverflowPolicy::DropByPriority,
+            ] {
+                let fifo = FifoConfig::bounded(cap, policy);
+                for (pe2_hz, overflows) in [(f, false), (slower, true)] {
+                    let cfg = PipelineConfig {
+                        bitrate_bps,
+                        pe1_hz,
+                        pe2_hz,
+                    };
+                    let run = simulate(&w, &cfg, &fifo, None, &mut scratch).unwrap();
+                    assert_eq!(
+                        run.overflowed, overflows,
+                        "b = {cap} at {pe2_hz} Hz, {policy:?}"
+                    );
+                }
+            }
+        }
+        // The whole bracket fills: no answer.
+        assert_eq!(
+            replay_min_frequency(&w, bitrate_bps, pe1_hz, 2, 1.0e3, 2.0e3),
+            None
+        );
     }
 }

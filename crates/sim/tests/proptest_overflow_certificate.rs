@@ -9,10 +9,22 @@
 //! * every point that overflows in simulation is certified, unless its
 //!   overflow hinges on an exact tie `D_{i−b} == A_i`, which only the
 //!   simulator's event order decides;
-//! * pruned and unpruned sweeps agree on every overflow verdict.
+//! * pruned and unpruned sweeps agree on every overflow verdict;
+//! * every `replay_ok` point carries, bit for bit, the digest
+//!   (`max_backlog`, `dropped`, `pe1_stalled_s`) that `simulate` reports
+//!   for it, and never overflows (streams `simulate` rejects are a unit
+//!   test of `crates/sim/src/sweep.rs`).
 //!
 //! Bit counts, cycle costs and clocks are mostly powers of two, so the
-//! times are exact binary fractions and exact ties are common.
+//! times are exact binary fractions and exact ties are common. A second
+//! generator adds zero-cycle macroblocks: some carry no bits (zero PE₁
+//! cycles, pushed at the instant of their predecessor) and some are
+//! skipped (zero PE₂ cycles without a base cost). On those streams the
+//! `k_max` = 8 curves miss bursts past their horizon, and eq. 9 calls
+//! some overflowing points safe (ROADMAP item 1, counted by the sweep as
+//! `sweep.eq9_contradicted`); there, `provably_safe` points are left
+//! unchecked until that hole is closed, and every other verdict is
+//! checked as above.
 
 use proptest::prelude::*;
 use wcm_events::window::WindowMode;
@@ -31,13 +43,15 @@ use wcm_sim::{
 struct Case {
     clip: ClipWorkload,
     spec: SweepSpec,
+    /// Drawn with zero-cycle macroblocks (see the module docs).
+    zero_cycle: bool,
 }
 
 fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
     from[rng.below(from.len() as u64) as usize]
 }
 
-fn clip(rng: &mut TestRng) -> ClipWorkload {
+fn clip(rng: &mut TestRng, zero_cycle: bool) -> ClipWorkload {
     // Short streams often, so that some overflow hinges on one tie.
     let longest = pick(rng, &[6, 40]);
     let n = 2 + rng.below(longest) as usize;
@@ -45,12 +59,22 @@ fn clip(rng: &mut TestRng) -> ClipWorkload {
     let frames = (0..n)
         .map(|_| {
             let kind = pick(rng, &[FrameKind::I, FrameKind::P, FrameKind::B]);
+            let class = if zero_cycle && rng.below(5) == 0 {
+                MacroblockClass::Skipped
+            } else {
+                MacroblockClass::Intra {
+                    coded_blocks: pick(rng, &[1, 2, 4, 6]),
+                }
+            };
+            let bits: &[u32] = if zero_cycle {
+                &[0, 1, 2, 4, 7]
+            } else {
+                &[1, 2, 4, 7]
+            };
             let mb = Macroblock {
                 frame: kind,
-                class: MacroblockClass::Intra {
-                    coded_blocks: pick(rng, &[1, 2, 4, 6]),
-                },
-                bits: 128 * pick(rng, &[1, 2, 4, 7]),
+                class,
+                bits: 128 * pick(rng, bits),
             };
             FrameWorkload::new(kind, vec![mb])
         })
@@ -111,9 +135,9 @@ fn injector(rng: &mut TestRng, n: usize) -> Injector {
     }
 }
 
-fn case(seed: u64) -> Case {
+fn case(seed: u64, zero_cycle: bool) -> Case {
     let mut rng = TestRng::seeded(seed);
-    let clip = clip(&mut rng);
+    let clip = clip(&mut rng, zero_cycle);
     let n = clip.macroblock_count();
     let injectors = (0..rng.below(4)).map(|_| injector(&mut rng, n)).collect();
     let capacities = (0..1 + rng.below(4)).map(|_| 1 + rng.below(6)).collect();
@@ -141,7 +165,11 @@ fn case(seed: u64) -> Case {
         cert_depth: 0,
         prune: true,
     };
-    Case { clip, spec }
+    Case {
+        clip,
+        spec,
+        zero_cycle,
+    }
 }
 
 /// What one case exercised.
@@ -150,6 +178,12 @@ struct Seen {
     certified: usize,
     certified_faulted_pe2: usize,
     tie_overflows: usize,
+    replayed: usize,
+    replayed_faulted: usize,
+    replayed_zero_cycle: usize,
+    /// `provably_safe` points that overflow in simulation (zero-cycle
+    /// cases only; see the module docs).
+    eq9_overflows: usize,
 }
 
 /// The stream the sweep builds for `seed`; `None` when the plan leaves
@@ -184,6 +218,10 @@ fn check(case: &Case) -> Result<Seen, String> {
     let mut scratch = SimScratch::new();
     for (p, f) in pruned.points.iter().zip(&full.points) {
         if p.verdict.overflowed() != f.verdict.overflowed() {
+            if case.zero_cycle && p.verdict == Verdict::ProvablySafe {
+                seen.eq9_overflows += 1;
+                continue;
+            }
             return Err(format!("pruned {p:?} vs unpruned {f:?}"));
         }
         let w = stream(case, p.seed).expect("the sweep ran it");
@@ -223,6 +261,20 @@ fn check(case: &Case) -> Result<Seen, String> {
                 }
                 seen.tie_overflows += 1;
             }
+            Verdict::ReplayOk => {
+                // The unpruned point is `simulate` on the same stream,
+                // capacity and policy.
+                let digest = |q: &wcm_sim::sweep::PointReport| {
+                    (q.max_backlog, q.dropped, q.pe1_stalled_s.map(f64::to_bits))
+                };
+                if f.verdict != Verdict::SimOk || digest(p) != digest(f) {
+                    return Err(format!("replayed {p:?} vs simulated {f:?}"));
+                }
+                seen.replayed += 1;
+                seen.replayed_faulted += usize::from(p.seed.is_some());
+                let zero_cycle = w.pe1_cycles.contains(&0) || w.pe2_cycles.contains(&0);
+                seen.replayed_zero_cycle += usize::from(zero_cycle);
+            }
             Verdict::ProvablySafe | Verdict::SimOk => {}
         }
     }
@@ -234,7 +286,16 @@ proptest! {
 
     #[test]
     fn certified_points_overflow_and_missed_overflows_are_ties(seed in 0u64..u64::MAX) {
-        let case = case(seed);
+        let case = case(seed, false);
+        prop_assume!(stream(&case, case.spec.seeds[1]).is_some());
+        if let Err(e) = check(&case) {
+            prop_assert!(false, "seed {seed}: {e}");
+        }
+    }
+
+    #[test]
+    fn replayed_digests_equal_simulation_with_zero_cycle_macroblocks(seed in 0u64..u64::MAX) {
+        let case = case(seed, true);
         prop_assume!(stream(&case, case.spec.seeds[1]).is_some());
         if let Err(e) = check(&case) {
             prop_assert!(false, "seed {seed}: {e}");
@@ -244,21 +305,31 @@ proptest! {
 
 #[test]
 fn the_property_sees_certificates_and_ties() {
-    // The property above is only as strong as its cases: they must
-    // certify points, certify them under PE₂ faults, and hit overflows
-    // that hinge on an exact tie.
+    // The properties above are only as strong as their cases: they must
+    // certify points, certify them under PE₂ faults, hit overflows that
+    // hinge on an exact tie, and replay digests on faulted streams and
+    // on streams with zero-cycle macroblocks.
     let mut total = Seen::default();
-    for seed in 0..300 {
-        let case = case(seed);
-        if stream(&case, case.spec.seeds[1]).is_none() {
-            continue;
+    for zero_cycle in [false, true] {
+        for seed in 0..300 {
+            let case = case(seed, zero_cycle);
+            if stream(&case, case.spec.seeds[1]).is_none() {
+                continue;
+            }
+            let seen = check(&case).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            total.certified += seen.certified;
+            total.certified_faulted_pe2 += seen.certified_faulted_pe2;
+            total.tie_overflows += seen.tie_overflows;
+            total.replayed += seen.replayed;
+            total.replayed_faulted += seen.replayed_faulted;
+            total.replayed_zero_cycle += seen.replayed_zero_cycle;
+            total.eq9_overflows += seen.eq9_overflows;
         }
-        let seen = check(&case).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        total.certified += seen.certified;
-        total.certified_faulted_pe2 += seen.certified_faulted_pe2;
-        total.tie_overflows += seen.tie_overflows;
     }
     assert!(total.certified > 100, "{total:?}");
     assert!(total.certified_faulted_pe2 > 10, "{total:?}");
     assert!(total.tie_overflows > 0, "{total:?}");
+    assert!(total.replayed > 100, "{total:?}");
+    assert!(total.replayed_faulted > 10, "{total:?}");
+    assert!(total.replayed_zero_cycle > 10, "{total:?}");
 }

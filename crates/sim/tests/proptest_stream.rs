@@ -109,6 +109,7 @@ fn check_against_oracle(
             Verdict::ProvablySafe => stats.pruned_safe += 1,
             Verdict::ProvablyUnsafe => stats.pruned_unsafe += 1,
             Verdict::SimOk | Verdict::SimOverflow => stats.simulated += 1,
+            Verdict::ReplayOk => stats.replayed += 1,
         }
         stats.overflowed += usize::from(p.verdict.overflowed());
     }

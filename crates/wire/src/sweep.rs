@@ -22,8 +22,9 @@ use crate::{WireError, WireErrorKind};
 const POINTS_CHUNK: usize = 4096;
 
 /// Highest verdict code a point record may carry (codes are assigned by
-/// `wcm-sim`: provably-safe, provably-unsafe, sim-ok, sim-overflow).
-pub const MAX_VERDICT_CODE: u8 = 3;
+/// `wcm-sim`: provably-safe, provably-unsafe, sim-ok, sim-overflow,
+/// replay-ok). Raising it keeps every older shard stream decodable.
+pub const MAX_VERDICT_CODE: u8 = 4;
 
 /// Shard coordinates and the full grid description, carried by every
 /// shard so a merge needs nothing but the shard files themselves.
@@ -70,16 +71,16 @@ pub struct SweepAdvisoryRec {
 }
 
 /// One evaluated grid point: a verdict code plus the simulation digest
-/// when the point was actually simulated.
+/// when the point was simulated or its digest replayed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPointRec {
     /// Verdict code in `0..=`[`MAX_VERDICT_CODE`].
     pub verdict: u8,
-    /// Simulation digest, present only for simulated points.
+    /// Simulation digest, present only for simulated and replayed points.
     pub sim: Option<SweepSimRec>,
 }
 
-/// The simulation digest of one simulated point.
+/// The simulation digest of one simulated (or replayed) point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepSimRec {
     /// Peak FIFO backlog observed.
@@ -320,9 +321,9 @@ mod tests {
     }
 
     fn sample_points() -> Vec<SweepPointRec> {
-        (0..8)
+        (0..10)
             .map(|i| SweepPointRec {
-                verdict: (i % 4) as u8,
+                verdict: (i % u64::from(MAX_VERDICT_CODE + 1)) as u8,
                 sim: (i % 3 == 0).then(|| SweepSimRec {
                     max_backlog: i * 17,
                     dropped: i,
@@ -399,7 +400,7 @@ mod tests {
         enc.sweep_meta(&sample_meta());
         let mut payload = Vec::new();
         put_varint(&mut payload, 1);
-        payload.push(0x04); // verdict 4: out of range, no sim digest
+        payload.push(MAX_VERDICT_CODE + 1); // out of range, no sim digest
         enc.writer.push(crate::frame::KIND_SWEEP_POINTS, &payload);
         let bytes = enc.finish();
         let err = decode(&bytes, DecodePolicy::Strict).unwrap_err();

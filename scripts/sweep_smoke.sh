@@ -6,7 +6,8 @@
 #  * pruned (`--prune on`) and exhaustive (`--prune off`) sweeps agree on
 #    the overflow verdict of every grid point (the analytic pre-pass may
 #    decide a point, never re-classify it), on clean streams and on a
-#    seed with arrival jitter, PE2 clock drift and a PE2 stall;
+#    seed with arrival jitter, PE2 clock drift and a PE2 stall, and every
+#    `replay_ok` digest equals the simulated one;
 #  * reports are byte-identical across `--threads 1` and `--threads 8`
 #    (deterministic work splitting, no wall-clock in the output);
 #  * the stable exit codes hold end-to-end: 0 on success, 2 on usage
@@ -58,6 +59,21 @@ seeded_safe=$(awk -F, 'NR>1 && $5 == "7" && $6 == "provably_safe"' "$out/seeded_
 [ "$seeded_unsafe" -gt 0 ] || { echo "the faulted seed should prune unsafe"; exit 1; }
 [ "$seeded_safe" -eq 0 ] || { echo "eq. 9 must not call a PE2-drifted seed safe"; exit 1; }
 echo "ok: $(($(wc -l <"$out/seeded_pruned.csv") - 1)) points agree, $seeded_unsafe seeded points pruned unsafe"
+
+echo "== replay_ok digests equal the exhaustive run's, seeded grid =="
+# Same grid order in both files: a `replay_ok` row must sit next to a
+# `sim_ok` row with the same max_backlog, dropped and pe1_stalled_s
+# (columns 7-9), byte for byte.
+replayed=$(paste -d'|' "$out/seeded_pruned.csv" "$out/seeded_full.csv" | awk -F'|' '
+  NR > 1 { split($1, p, ","); split($2, f, ",")
+           if (p[6] == "replay_ok") {
+             n++
+             if (f[6] != "sim_ok" || p[7] != f[7] || p[8] != f[8] || p[9] != f[9]) {
+               print "digest mismatch: " $0 > "/dev/stderr"; bad = 1 } } }
+  END { if (bad) exit 1; print n + 0 }')
+[ "$replayed" -gt 0 ] || { echo "the seeded grid should replay some digests"; exit 1; }
+simulated=$(awk -F, 'NR>1 && $6 ~ /^sim_/' "$out/seeded_pruned.csv" | wc -l)
+echo "ok: $replayed replay_ok rows equal their simulation; $simulated rows left to the simulator"
 
 echo "== determinism: byte-identical reports across thread counts =="
 "$cli" "${base[@]}" --threads 1 --json "$out/t1.json" --csv "$out/t1.csv" >/dev/null
