@@ -7,12 +7,14 @@
 //! the pruned window scan: the share of windows it evaluates on one MP@ML clip at
 //! `k` = 24 frames (a deterministic count, read from the
 //! `events.windows_scanned`/`events.windows_total` counters), and the
-//! prefix-vs-rescan speedup on a constant trace, where no block of
-//! window starts can be skipped. The `pruned_spans` rung does the same
-//! for ᾱ's span scan on the clip's FIFO-input stamps (the share from the
-//! `events.spans_scanned`/`events.spans_total` counters, the time against
-//! the naive fold over every span) and on stamps with constant gaps,
-//! where nothing prunes. Writes the interleaved
+//! prefix-vs-rescan speedup on a trace alternating 0 and 4 000, where no
+//! block of window starts can be skipped. The `pruned_spans` rung does
+//! the same for ᾱ's span scan on the clip's FIFO-input stamps (the share
+//! from the `events.spans_scanned`/`events.spans_total` counters, the
+//! time against the naive fold over every span) and on stamps with
+//! constant gaps, where nothing prunes. The `pause` rung counts the
+//! windows and spans both kernels evaluate on a trace of unit steps with
+//! one 1 000-step pause. Writes the interleaved
 //! best-of-`REPS` times and the speedups to `BENCH_curves.json`. The
 //! scans run on the calling thread, so no rung varies the worker
 //! count. Unlike the
@@ -28,7 +30,7 @@ use wcm_bench::legacy::{convolve_materialized, min_spans_naive, window_maxima_un
 use wcm_core::{EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
 use wcm_events::summary::{CurveSummary, Sides};
-use wcm_events::window::{max_window_sums, min_spans, min_window_sums, WindowMode};
+use wcm_events::window::{max_spans, max_window_sums, min_spans, min_window_sums, WindowMode};
 use wcm_mpeg::VideoParams;
 
 const N: usize = 50_000;
@@ -250,13 +252,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bits(min_spans_naive(&steady, K, WindowMode::Exact)),
         "constant-gap span scans disagree"
     );
+    let steady_frac = counted(
+        &|| {
+            blocked_spans(&steady, K, WindowMode::Exact);
+        },
+        "events.spans_scanned",
+        "events.spans_total",
+    );
+    assert!(steady_frac >= 1.0, "constant-gap spans pruned ({steady_frac}): the rung prices nothing");
 
-    // Where nothing prunes: on a constant trace every block of window
-    // starts may hold the maximum, so the scan pays its bounds on top
-    // of evaluating every window. Same-process ratios against the
-    // unchanged sliding rescan, like the i.i.d. rung above, and against
-    // the blocked scan as it was before it pruned (the bounds' price).
-    let flat = vec![2_000u64; N];
+    // Where nothing prunes: on a trace alternating 0 and 4 000 every
+    // block of window starts holds a maximum and the step floor is 0, so
+    // the scan pays its bounds on top of evaluating every window (a
+    // constant trace would not do: its floor proves every block tied).
+    // Same-process ratios against the unchanged sliding rescan, like the
+    // i.i.d. rung above, and against the blocked scan as it was before
+    // it pruned (the bounds' price).
+    let flat: Vec<u64> = (0..N).map(|i| if i % 2 == 0 { 0 } else { 4_000 }).collect();
     let flat_sums = || max_window_sums(&flat, K, WindowMode::Exact).unwrap();
     let all_k: Vec<usize> = (1..=K).collect();
     let constant = measure([
@@ -264,8 +276,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut || time_once(flat_sums),
         &mut || time_once(|| window_maxima_unpruned(&flat, &all_k)),
     ]);
-    assert_eq!(window_sums_rescan(&flat, K), flat_sums(), "constant-trace scans disagree");
+    assert_eq!(window_sums_rescan(&flat, K), flat_sums(), "alternating-trace scans disagree");
     assert_eq!(window_maxima_unpruned(&flat, &all_k), flat_sums(), "unpruned scan disagrees");
+    let flat_frac = counted(
+        &|| {
+            flat_sums();
+        },
+        "events.windows_scanned",
+        "events.windows_total",
+    );
+    assert!(flat_frac >= 1.0, "alternating windows pruned ({flat_frac}): the rung prices nothing");
+
+    // One 1 000-step pause among 20 000 unit steps, as demands and as
+    // stamp gaps: the pause decides every maximum, every size's seeds
+    // hold it, and the step floor leaves only the blocks near it, so
+    // both kernels evaluate little more than their seeds (counts, exact
+    // on any host).
+    const PAUSE_AT: usize = 10_000;
+    let pause_values: Vec<u64> =
+        (0..20_000).map(|i| if i == PAUSE_AT { 1_000 } else { 1 }).collect();
+    let pause_stamps: Vec<f64> = pause_values
+        .iter()
+        .scan(0.0, |clock, &v| {
+            *clock += v as f64;
+            Some(*clock)
+        })
+        .collect();
+    let pause_windows_frac = counted(
+        &|| {
+            max_window_sums(&pause_values, 23, WindowMode::Exact).unwrap();
+        },
+        "events.windows_scanned",
+        "events.windows_total",
+    );
+    let pause_spans_frac = counted(
+        &|| {
+            max_spans(&pause_stamps, 24, WindowMode::Exact).unwrap();
+        },
+        "events.spans_scanned",
+        "events.spans_total",
+    );
 
     // Incremental append, steady state: extend a live envelope monitor
     // (the per-session scan `wcm serve` runs) GOP by GOP — reading the
@@ -452,6 +502,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"unpruned_s\": {:.6},\n\
          \x20   \"speedup_prefix_vs_old\": {:.1},\n\
          \x20   \"pruned_over_unpruned\": {:.3}\n\
+         \x20 }},\n\
+         \x20 \"pause\": {{\n\
+         \x20   \"windows_scanned_frac\": {pause_windows_frac:.4},\n\
+         \x20   \"spans_scanned_frac\": {pause_spans_frac:.4}\n\
          \x20 }},\n\
          \x20 \"append_one_gop\": {{\n\
          \x20   \"gop_events\": {GOP_EVENTS},\n\

@@ -34,19 +34,29 @@
 //! Whole-grid scans evaluate only the windows that can hold an extremum.
 //! The table is non-decreasing, so for a block of 16 window starts
 //! `[s, s+16)` every window of size `k` lies between `p[s+k] − p[s+15]`
-//! and `p[s+15+k] − p[s]`. Per group of nearby window sizes the scan reads
-//! these bounds for all blocks in one vectorized pass over strided rows
-//! of the table, evaluates the most promising block exactly, and
-//! then evaluates only the blocks whose bound beats that seed. The result
-//! is exact (a block is skipped only when none of its windows can change
-//! the extremum; for stamps this holds bit for bit under rounding, see
-//! the `f64` cell). On the paper's MP@ML clips at `k` = 24 frames it
-//! evaluates about 5 % of the demand windows and 35–55 % of the spans:
-//! CBR-paced stamps stand out less. Pruning needs the extreme windows
-//! to stand out from the rest by more than a bound's overshoot (22
-//! values); the worst case, a trace where every block can win (a
-//! constant one), still evaluates all `O(N·K)` windows and pays a few
-//! percent more for the bounds.
+//! and `p[s+15+k] − p[s]`. No step of the table is below its floor `g`
+//! (the smallest value; for stamps the smallest gap, rounded down), so
+//! each of the 15 values the lower bound drops adds at least `g`: the
+//! window is at least `p[s+k] − p[s+15] + 15·g`, and likewise at most
+//! `p[s+15+k] − p[s] − 15·g`. Per group of nearby window sizes the scan
+//! reads these bounds for all blocks in one vectorized pass over strided
+//! rows of the table, evaluates the two most promising blocks exactly,
+//! and then evaluates only the blocks whose bound beats that seed,
+//! shifted by the floor. The result is exact (a block is skipped only
+//! when none of its windows can change the extremum; for stamps this
+//! holds bit for bit under rounding, see the `f64` cell). On the paper's
+//! MP@ML clips at `k` = 24 frames it evaluates 2–5 % of the demand
+//! windows and 1.7–3 % of the spans: ᾱ's FIFO-input stamps sit on their
+//! floor (the PE₁ back-to-back gap) for about 40 % of the steps, so most
+//! spans lie within an unshifted bound's overshoot of the minimum.
+//! Pruning needs the extreme windows to stand out from the rest by more
+//! than a bound's overshoot above the floor. The worst case, a trace
+//! where every block holds an extremum and the floor is 0 (values
+//! alternating 0 and 14), still evaluates all `O(N·K)` windows and pays
+//! a few percent more for the bounds. A constant trace is not that case:
+//! the floor proves every block tied to its seed. Spans that tie exactly
+//! (stamps with constant gaps) still keep their blocks, since the `f64`
+//! cut leaves a margin for rounding.
 //!
 //! Every scan is that one pass, on the calling thread, under any
 //! [`Parallelism`] setting (re-exported here for the callers that set
@@ -136,6 +146,10 @@ impl WindowMode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixSums {
     table: Table,
+    /// The smallest value (0 when there is none): every window of `k`
+    /// values sums to at least `k · floor`, which tightens the scans'
+    /// block bounds.
+    floor: u64,
 }
 
 /// Storage for the prefix table; see [`PrefixSums`].
@@ -154,12 +168,13 @@ impl PrefixSums {
     #[must_use]
     pub fn new(values: &[u64]) -> Self {
         let mut prefix = Vec::with_capacity(values.len() + 1);
-        let mut acc: u64 = 0;
+        let (mut acc, mut floor) = (0u64, u64::MAX);
         prefix.push(acc);
         for &v in values {
             match acc.checked_add(v) {
                 Some(next) => {
                     acc = next;
+                    floor = floor.min(v);
                     prefix.push(acc);
                 }
                 None => return Self::new_wide(values),
@@ -167,6 +182,7 @@ impl PrefixSums {
         }
         Self {
             table: Table::Narrow(prefix),
+            floor: if values.is_empty() { 0 } else { floor },
         }
     }
 
@@ -180,6 +196,7 @@ impl PrefixSums {
         }
         Self {
             table: Table::Wide(prefix),
+            floor: values.iter().copied().min().unwrap_or(0),
         }
     }
 
@@ -273,15 +290,15 @@ impl PrefixSums {
     /// away naturally; summaries rely on this.
     ///
     /// Exact and pruned: a block of 16 window starts is evaluated only
-    /// when its bound from the monotone table beats an exactly evaluated
-    /// seed block or the start (see [`plan_group`]). What survives is
-    /// streamed in L1/L2 sized blocks with a small tile of `k` values per
-    /// pass, so every block is loaded once per tile instead of once per
-    /// `k`. Results are bit-identical to per-`k`
-    /// [`PrefixSums::max_window_sum`] / [`PrefixSums::min_window_sum`]
-    /// scans: a block is skipped only when none of its windows can change
-    /// the extremum, and `u64` max/min is associative and commutative, so
-    /// evaluation order cannot matter.
+    /// when its bound from the monotone table, tightened by the smallest
+    /// value, beats exactly evaluated seed blocks or the start (see
+    /// [`plan_group`]). What survives is streamed in L1/L2 sized blocks
+    /// with a small tile of `k` values per pass, so every block is loaded
+    /// once per tile instead of once per `k`. Results are bit-identical
+    /// to per-`k` [`PrefixSums::max_window_sum`] /
+    /// [`PrefixSums::min_window_sum`] scans: a block is skipped only when
+    /// none of its windows can change the extremum, and `u64` max/min is
+    /// associative and commutative, so evaluation order cannot matter.
     ///
     /// `None` when a requested extremum exceeds `u64::MAX` (a wide table
     /// only: on a narrow one every window fits).
@@ -296,9 +313,10 @@ impl PrefixSums {
             Some((maxs, mins)) => (maxs.to_vec(), mins.to_vec()),
             None => (vec![0; ks.len()], vec![u64::MAX; ks.len()]),
         };
+        let floor = self.floor;
         match &self.table {
-            Table::Narrow(p) => scan_blocked(p, ks, sides, maxs, mins, local_seeds),
-            Table::Wide(p) => scan_blocked(p, ks, sides, maxs, mins, local_seeds),
+            Table::Narrow(p) => scan_blocked(p, floor, ks, sides, maxs, mins, local_seeds),
+            Table::Wide(p) => scan_blocked(p, floor.into(), ks, sides, maxs, mins, local_seeds),
         }
     }
 }
@@ -324,6 +342,14 @@ trait PrefixCell: Copy + PartialOrd + std::ops::Sub<Output = Self> {
     fn widen(sum: Self::Sum) -> Self;
     /// A window extremum as reported; `None` if it does not fit.
     fn narrow(self) -> Option<Self::Sum>;
+    /// A min-side cut moved down by `steps` table steps of at least
+    /// `floor` each: a block whose lower bound reaches it, and whose
+    /// windows lie `steps` steps above that bound, holds no window below
+    /// `cut`. Never above `cut`.
+    fn shift_down(cut: Self, floor: Self, steps: usize) -> Self;
+    /// A max-side cut moved up by `steps` steps of at least `floor`
+    /// each, the mirror of [`PrefixCell::shift_down`]. Never below `cut`.
+    fn shift_up(cut: Self, floor: Self, steps: usize) -> Self;
     /// `hi[q] − lo[q]` folded with `pick` ([`max_of`] or [`min_of`]); the
     /// slices are non-empty and equally long. The one fold behind the
     /// bounds, the seeds and the window scan itself.
@@ -350,6 +376,12 @@ impl PrefixCell for u64 {
     fn narrow(self) -> Option<u64> {
         Some(self)
     }
+    fn shift_down(cut: u64, floor: u64, steps: usize) -> u64 {
+        cut.saturating_sub(floor.saturating_mul(steps as u64))
+    }
+    fn shift_up(cut: u64, floor: u64, steps: usize) -> u64 {
+        cut.saturating_add(floor.saturating_mul(steps as u64))
+    }
 }
 
 impl PrefixCell for u128 {
@@ -361,6 +393,12 @@ impl PrefixCell for u128 {
     }
     fn narrow(self) -> Option<u64> {
         u64::try_from(self).ok()
+    }
+    fn shift_down(cut: u128, floor: u128, steps: usize) -> u128 {
+        cut.saturating_sub(floor.saturating_mul(steps as u128))
+    }
+    fn shift_up(cut: u128, floor: u128, steps: usize) -> u128 {
+        cut.saturating_add(floor.saturating_mul(steps as u128))
     }
 }
 
@@ -378,6 +416,28 @@ impl PrefixCell for u128 {
 /// a smaller result), so `fl(lb) ≤ fl(p[i+k] − p[i]) ≤ fl(ub)` for every
 /// window of the block, and a block is still skipped only when none of
 /// its rounded spans can change the extremum.
+///
+/// The step floor keeps that guarantee. The floor `g` is the double just
+/// below the smallest computed gap, so it lies at or below every exact
+/// gap (a gap below it would have rounded to it or lower). Over the
+/// reals a window then lies at least `m·g` above the exact `lb` (at most
+/// `m·g` below the exact `ub`), `m` the steps between them. On the min
+/// side a block is skipped when `fl(lb)` reaches `cut − m·g` computed in
+/// `f64` and raised by [`CUT_ULPS`] steps of the cut's spacing. Either
+/// `fl(lb)` reaches `cut` itself (the argument above), or `fl(m·g)`
+/// does, and then every window, being at least `m·g`, rounds to at least
+/// `fl(m·g)`. Otherwise all of `fl(lb)`, `fl(m·g)` and the shifted cut
+/// lie below `cut`, each within half a spacing of `cut` of its exact
+/// value, and the raise, at least eight spacings, covers their sum:
+/// every exact window is at least `cut`, and rounding, monotone, keeps
+/// it there. The max side mirrors this, lowering `cut + m·g` by
+/// [`CUT_ULPS`] steps of its own spacing. The margin also means that a
+/// window tying the shifted cut exactly (a trace with constant gaps)
+/// keeps its block. On the min side an `m·g` past `f64::MAX` is `∞` and
+/// skips every block, as `m·g ≥ cut` does above; on the max side a
+/// shifted cut past `f64::MAX` stays unshifted, since an exact bound can
+/// lie past `f64::MAX` too. A `NaN` cut (`∞ − ∞`) never wins a
+/// comparison and leaves the unshifted one.
 ///
 /// The span scans take finite sorted stamps only, so no difference is
 /// NaN and the max/min folds do not depend on the order in which windows
@@ -398,6 +458,17 @@ impl PrefixCell for f64 {
     }
     fn narrow(self) -> Option<f64> {
         Some(self + 0.0)
+    }
+    fn shift_down(cut: f64, floor: f64, steps: usize) -> f64 {
+        min_of(cut, cut - steps as f64 * floor + ulps_below(cut))
+    }
+    fn shift_up(cut: f64, floor: f64, steps: usize) -> f64 {
+        let shifted = cut + steps as f64 * floor;
+        if shifted.is_finite() {
+            max_of(cut, shifted - ulps_below(shifted))
+        } else {
+            cut
+        }
     }
     /// The fold in [`FOLD_LANES`] independent lanes: `f64` max/min has no
     /// associativity the compiler may assume, so one accumulator would
@@ -422,6 +493,22 @@ impl PrefixCell for f64 {
 /// Accumulators of the `f64` fold: enough independent chains to hide the
 /// max/min latency behind 256- or 512-bit vector units.
 const FOLD_LANES: usize = 16;
+
+/// Doubles that a shifted `f64` cut is moved outward by. Sixteen steps
+/// below a value span at least eight of its spacings (a step below a
+/// power of two is half one), against the three that rounding the
+/// bound, the shift and the shifted cut can take together.
+const CUT_ULPS: u64 = 16;
+
+/// `x` less the double [`CUT_ULPS`] steps below it, or 0 unless `x` is
+/// positive and finite: the outward margin of a shifted cut near `x`.
+fn ulps_below(x: f64) -> f64 {
+    if x > 0.0 && x.is_finite() {
+        x - f64::from_bits(x.to_bits().saturating_sub(CUT_ULPS))
+    } else {
+        0.0
+    }
+}
 
 /// The larger of two cells, `a` on a tie.
 #[inline(always)]
@@ -454,7 +541,8 @@ const SCAN_TILE: usize = 16;
 
 /// Window starts that share one bound: a sixteenth of the windows, so
 /// the bounds cost little next to a full scan, while a bound overshoots a
-/// window by only `BOUND_BLOCK − 1` values.
+/// window by only the excess over the floor of `BOUND_BLOCK − 1` values.
+/// Blocks of 8 or 32 read slower on the clips' scans.
 const BOUND_BLOCK: usize = 16;
 
 /// Window sizes that share one bound when they lie within this distance:
@@ -575,6 +663,8 @@ struct GroupBounds<'a, T> {
     lb: (&'a [T], &'a [T]),
     /// Blocks whose starts all hold a window of size `k_hi`.
     full: usize,
+    /// The group's largest size.
+    k_hi: usize,
 }
 
 impl<'a, T: PrefixCell> GroupBounds<'a, T> {
@@ -605,6 +695,7 @@ impl<'a, T: PrefixCell> GroupBounds<'a, T> {
             ub: if want_max { (&rows.row(reach % B)[reach / B..], rows.row(0)) } else { none },
             lb: if want_min { (&rows.row(k_lo % B)[k_lo / B..], rows.row(B - 1)) } else { none },
             full,
+            k_hi,
         })
     }
 
@@ -647,8 +738,15 @@ fn bound_pass<T: PrefixCell>(
 
 /// The seeds of one group after its [`bound_pass`]: evaluates for every
 /// size the first block holding the largest `ub` (max side) and the one
-/// holding the smallest `lb` (min side) exactly into `seeds` (an unwanted
-/// side mirrors the wanted one). Returns the windows evaluated.
+/// holding the smallest `lb` (min side), each with the full block after
+/// it, exactly into `seeds` (an unwanted side mirrors the wanted one).
+/// Returns the windows evaluated.
+///
+/// The extreme bound of the group's largest size can come from a window
+/// that reaches one far step at the very end of the block; the group's
+/// smaller sizes reach that step only from the next block, and seeding
+/// there keeps their cuts (and with them the group's) from falling back
+/// to an ordinary window.
 fn seed_group<T: PrefixCell>(
     p: &[T],
     bounds: &GroupBounds<T>,
@@ -669,13 +767,19 @@ fn seed_group<T: PrefixCell>(
         let c = chunks.iter().position(|c| c.1 == bottom).expect("the min is a chunk's") * FILTER_CHUNK;
         (c..).find(|&q| bounds.lb.0[q] - bounds.lb.1[q] == bottom).expect("the chunk holds its min")
     });
+    // Blocks q and q + 1, while the latter is full.
+    let starts = |q: usize| q * B..(q * B + 2 * B).min(bounds.full * B);
     for (&k, seed) in group.iter().zip(seeds) {
-        let block = |q: usize| (&p[q * B + k..q * B + B + k], &p[q * B..q * B + B]);
-        let mx = q_max.map(|q| T::fold_diffs(block(q).0, block(q).1, max_of));
-        let mn = q_min.map(|q| T::fold_diffs(block(q).0, block(q).1, min_of));
+        let fold = |q: usize, pick: fn(T, T) -> T| {
+            let r = starts(q);
+            T::fold_diffs(&p[r.start + k..r.end + k], &p[r], pick)
+        };
+        let mx = q_max.map(|q| fold(q, max_of));
+        let mn = q_min.map(|q| fold(q, min_of));
         *seed = mx.or(mn).zip(mn.or(mx));
     }
-    group.len() * B * (usize::from(want_max) + usize::from(want_min))
+    let seeded = |q: Option<usize>| q.map_or(0, |q| starts(q).len());
+    group.len() * (seeded(q_max) + seeded(q_min))
 }
 
 /// Plans one group of window sizes (see [`GroupBounds`]): writes into
@@ -687,13 +791,16 @@ fn seed_group<T: PrefixCell>(
 /// beat the start and cost a fixed price per group, which a stream
 /// merged from many short runs pays many times.
 ///
-/// A block survives only where its bound beats the cut: the smallest
-/// seeded maximum and the largest seeded minimum over the group, each
-/// seed first folded with its size's `start`. Each run of surviving
-/// blocks is one range; the starts past the last full block, which have
-/// no bound, follow up to `n − k_lo + 1`, and each size clips that tail
-/// to its own `n − k + 1`. A group without bounds keeps one range of all
-/// starts.
+/// A block survives only where its bound beats the cut. Each seed is
+/// first folded with its size's `start`, then shifted by the table's
+/// step floor `g` (see [`PrefixCell::shift_down`]): every window of size
+/// `k` in a block lies `(B−1 + k−k_lo)` steps above `lb` and
+/// `(B−1 + k_hi−k)` steps below `ub`, each step at least `g`. The cut is
+/// the smallest shifted maximum and the largest shifted minimum over the
+/// group. Each run of surviving blocks is one range; the starts past the
+/// last full block, which have no bound, follow up to `n − k_lo + 1`,
+/// and each size clips that tail to its own `n − k + 1`. A group without
+/// bounds keeps one range of all starts.
 fn plan_group<T: PrefixCell>(
     scan: &Scan<T>,
     rows: &mut BoundRows<T>,
@@ -718,12 +825,16 @@ fn plan_group<T: PrefixCell>(
     } else {
         0
     };
-    let (cut_max, cut_min) = seeds
+    let (k_lo, k_hi) = (group[0], bounds.k_hi);
+    let (cut_max, cut_min) = group
         .iter()
+        .zip(seeds.iter())
         .zip(start)
-        .map(|(seed, &(from_max, from_min))| {
+        .map(|((&k, seed), &(from_max, from_min))| {
             let (from_max, from_min) = (T::widen(from_max), T::widen(from_min));
-            seed.map_or((from_max, from_min), |(mx, mn)| (max_of(mx, from_max), min_of(mn, from_min)))
+            let (mx, mn) = seed
+                .map_or((from_max, from_min), |(mx, mn)| (max_of(mx, from_max), min_of(mn, from_min)));
+            (T::shift_up(mx, scan.floor, B - 1 + k_hi - k), T::shift_down(mn, scan.floor, B - 1 + k - k_lo))
         })
         .reduce(|a, b| (min_of(a.0, b.0), max_of(a.1, b.1)))
         .expect("groups are non-empty");
@@ -752,10 +863,12 @@ fn plan_group<T: PrefixCell>(
     evaluated
 }
 
-/// What the groups of one scan share: the table, the wanted sides and
-/// whether groups evaluate seeds of their own.
+/// What the groups of one scan share: the table, its step floor (no
+/// step `p[j+1] − p[j]` is below it), the wanted sides and whether
+/// groups evaluate seeds of their own.
 struct Scan<'a, T> {
     p: &'a [T],
+    floor: T,
     sides: Sides,
     local_seeds: bool,
 }
@@ -774,10 +887,11 @@ type Tables<S> = (Vec<S>, Vec<S>);
 /// The one window kernel, behind [`PrefixSums::scan_grid`] and the span
 /// scans ([`min_spans`], [`max_spans`]): for each tile of window sizes,
 /// plan its groups of nearby sizes ([`plan_group`]: exact seeds, block
-/// bounds, the surviving start ranges), then stream the table block by
-/// block and fold the per-`k` extremum of `p[i+k] − p[i]` over the
-/// surviving starts in the block, into `maxs`/`mins` (the start tables)
-/// for the wanted sides. `None` when an extremum does not fit a `Sum`.
+/// bounds tightened by the step `floor`, the surviving start ranges),
+/// then stream the table block by block and fold the per-`k` extremum of
+/// `p[i+k] − p[i]` over the surviving starts in the block, into
+/// `maxs`/`mins` (the start tables) for the wanted sides. `None` when an
+/// extremum does not fit a `Sum`.
 ///
 /// The extrema are folded in the table's width from the evaluated
 /// windows alone, and meet the starts only as `Sum`s: a start can never
@@ -789,6 +903,7 @@ type Tables<S> = (Vec<S>, Vec<S>);
 /// `events.spans_*` for stamps).
 fn scan_blocked<T: PrefixCell>(
     p: &[T],
+    floor: T,
     ks: &[usize],
     sides: Sides,
     mut maxs: Vec<T::Sum>,
@@ -797,7 +912,7 @@ fn scan_blocked<T: PrefixCell>(
 ) -> Option<Tables<T::Sum>> {
     let n = p.len() - 1;
     let (want_max, want_min) = (sides.wants_max(), sides.wants_min());
-    let scan = Scan { p, sides, local_seeds };
+    let scan = Scan { p, floor, sides, local_seeds };
     let mut rows = BoundRows::new(n);
     let last = |k: usize| scan.last(k);
     let mut chunks = Vec::with_capacity(n / (BOUND_BLOCK * FILTER_CHUNK) + 1);
@@ -1096,12 +1211,18 @@ fn spans(
     if let WindowMode::Strided { stride: 0, .. } = mode {
         return Err(EventError::InvalidParameter { name: "stride" });
     }
-    // The block bounds hold only on a non-decreasing table.
-    if let Some(index) =
-        (0..times.len()).find(|&i| !times[i].is_finite() || (i > 0 && times[i] < times[i - 1]))
-    {
-        return Err(EventError::UnsortedTimestamps { index });
+    // The block bounds hold only on a non-decreasing table. The same
+    // pass finds the step floor: the double below the smallest computed
+    // gap, at or below every exact one (see the `f64` cell).
+    let mut gap = f64::INFINITY;
+    for (i, &t) in times.iter().enumerate() {
+        let step = if i == 0 { f64::INFINITY } else { t - times[i - 1] };
+        if !t.is_finite() || step < 0.0 {
+            return Err(EventError::UnsortedTimestamps { index: i });
+        }
+        gap = gap.min(step);
     }
+    let floor = if gap > 0.0 { gap.next_down() } else { 0.0 };
     let grid = mode.grid(k_max);
     // A span of `k` stamps is a window of `k − 1` gaps; `k = 1` has no
     // window and keeps its start, the span 0 of one stamp.
@@ -1111,7 +1232,7 @@ fn spans(
     };
     let sides = if maximize { Sides::Max } else { Sides::Min };
     let (start_max, start_min) = (start(f64::NEG_INFINITY), start(f64::INFINITY));
-    let (maxs, mins) = scan_blocked(times, &gaps, sides, start_max, start_min, true)
+    let (maxs, mins) = scan_blocked(times, floor, &gaps, sides, start_max, start_min, true)
         .expect("every f64 extremum is reported");
     let exact = if maximize { maxs } else { mins };
     Ok(fill_gaps(&grid, &exact, k_max, maximize, 0.0f64))
@@ -1624,6 +1745,9 @@ mod tests {
         });
         // Every span of a size equal: no block can be skipped.
         let constant: Vec<f64> = (0..n).map(|i| i as f64 * 0.25).collect();
+        // Near ±f64::MAX: long spans overflow to ∞, and so does the
+        // shift of a cut by 15 or more gaps.
+        let huge: Vec<f64> = (0..n).map(|i| (i as f64 - 1000.0) * 1.5e305).collect();
         // Where one ulp (~1.2e-10) is a sizeable share of a gap.
         let offset: Vec<f64> = walk(&mut |r| (r % 4000) as f64 * 1e-10)
             .into_iter()
@@ -1645,6 +1769,7 @@ mod tests {
             ("random", &random),
             ("bursts", &bursts),
             ("constant", &constant),
+            ("huge", &huge),
             ("offset", &offset),
             ("zeros", &zeros),
         ] {

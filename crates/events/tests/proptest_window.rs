@@ -9,10 +9,19 @@
 //! `exact_upto` 0 and 1, wide (`u128`) prefix tables, and the contract
 //! that a grid entry with `k > len` keeps its identity. Every case runs
 //! at `Parallelism::Seq` and `Parallelism::Threads(2)`.
+//!
+//! The block bounds are tightened by the table's step floor (the
+//! smallest value, or the smallest stamp gap rounded down). The floor
+//! tests feed traces that sit on their floor almost everywhere, where a
+//! shift that is one step too far, or an `f64` floor or cut rounded the
+//! wrong way, drops a block that holds the extremum. Their span checks
+//! run once, outside any scope: no scan reads the worker count.
 
 use proptest::prelude::*;
 use wcm_events::summary::{CurveSummary, Sides};
-use wcm_events::window::{max_window_sums, min_window_sums, Parallelism, WindowMode};
+use wcm_events::window::{
+    max_spans, max_window_sums, min_spans, min_window_sums, Parallelism, WindowMode,
+};
 use wcm_events::EventError;
 
 /// Every window of `k` values rescanned, in `u128` so sums cannot wrap.
@@ -195,5 +204,171 @@ fn shapes_at_a_size_that_engages_two_workers() {
         let values = shape(kind, n, 5_000, 1234);
         check_scans(&values, 2048, WindowMode::Exact);
         check_scans(&values, n, WindowMode::Strided { exact_upto: 1, stride: 97 });
+    }
+}
+
+/// Every span of `k` stamps folded, a zero span reported as `+0.0`: the
+/// naive fold the span scans were written against (`span_oracle` in the
+/// window module, `wcm_bench::legacy::min_spans_naive`).
+fn span_fold(times: &[f64], k: usize, maximize: bool) -> f64 {
+    if k <= 1 {
+        return 0.0;
+    }
+    let diffs = times[k - 1..].iter().zip(times).map(|(hi, lo)| hi - lo);
+    let best = if maximize {
+        diffs.fold(f64::NEG_INFINITY, f64::max)
+    } else {
+        diffs.fold(f64::INFINITY, f64::min)
+    };
+    best + 0.0
+}
+
+/// The `k_max` values of the floor tests on `n` events, and two grids.
+fn floor_cases(n: usize) -> Vec<(usize, WindowMode)> {
+    let mut cases = Vec::new();
+    for k_max in [1, 15, 16, 17, 24, n] {
+        let k_max = k_max.min(n);
+        for mode in [WindowMode::Exact, WindowMode::Strided { exact_upto: 5, stride: 7 }] {
+            cases.push((k_max, mode));
+        }
+    }
+    cases
+}
+
+/// Both span scans checked bit for bit against [`span_fold`] at every
+/// exact grid point.
+fn check_spans(times: &[f64]) -> Result<(), TestCaseError> {
+    for (k_max, mode) in floor_cases(times.len()) {
+        for maximize in [false, true] {
+            let got = if maximize { max_spans(times, k_max, mode) } else { min_spans(times, k_max, mode) };
+            let got = got.map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
+            for k in mode.grid(k_max) {
+                prop_assert_eq!(
+                    got[k - 1].to_bits(),
+                    span_fold(times, k, maximize).to_bits(),
+                    "k_max {} {:?} max {} k {}",
+                    k_max,
+                    mode,
+                    maximize,
+                    k
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `n` stamps from `offset` on, each `gap` after the last plus, on about
+/// one step in `sparsity`, an excess: one to four ulps of the stamp, or
+/// up to 1 % of the gap. With `dups`, a quarter of the steps are 0
+/// instead (runs of duplicate stamps: the floor is 0).
+fn floor_stamps(n: usize, gap: f64, offset: f64, sparsity: u64, dups: bool, seed: u64) -> Vec<f64> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut t = offset;
+    (0..n)
+        .map(|_| {
+            let r = next();
+            t = if dups && r.is_multiple_of(4) { t } else { t + gap };
+            if (r >> 8).is_multiple_of(sparsity) {
+                t = match (r >> 32) % 3 {
+                    0 => (0..1 + (r >> 40) % 4).fold(t, |t, _| t.next_up()),
+                    _ => t + gap * ((r >> 40) % 10_000 + 1) as f64 * 1e-6,
+                };
+            }
+            t
+        })
+        .collect()
+}
+
+/// `n` demands of `floor` plus, on about one value in `sparsity`, an
+/// excess of up to `excess`.
+fn floor_values(n: usize, floor: u64, excess: u64, sparsity: u64, seed: u64) -> Vec<u64> {
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if (x >> 8).is_multiple_of(sparsity) { floor + (x >> 16) % excess + 1 } else { floor }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn floor_shifted_span_bounds_match_the_naive_fold(
+        n in 24usize..400,
+        gap_at in 0usize..6,
+        offset_at in 0usize..3,
+        sparsity in 1u64..40,
+        dups in 0u8..4,
+        seed in 1u64..u64::MAX,
+    ) {
+        // Gaps from 1.84 ns to 3 s. Stamps from 0, from 0.5 (where a span
+        // and its stamps share a binade, so each difference rounds at the
+        // scale of the cut) and from 10⁶ (where a gap is few ulps).
+        let gap = [1.84e-9, 1.84e-5, 1e-3, 0.1, 1.84, 3.0][gap_at];
+        let offset = [0.0, 0.5, 1e6][offset_at];
+        let times = floor_stamps(n, gap, offset, sparsity, dups == 0, seed);
+        check_spans(&times)?;
+    }
+
+    #[test]
+    fn floor_shifted_window_bounds_match_a_full_rescan(
+        n in 24usize..400,
+        floor in 0u64..5_000,
+        excess in 1u64..100,
+        sparsity in 1u64..40,
+        seed in 1u64..u64::MAX,
+    ) {
+        let values = floor_values(n, floor, excess, sparsity, seed);
+        for (k_max, mode) in floor_cases(n) {
+            check_scans(&values, k_max, mode);
+        }
+    }
+
+    #[test]
+    fn saturating_and_wide_floor_shifts_match_a_full_rescan(
+        n in 16usize..22,
+        wide_n in 16usize..60,
+        sparsity in 1u64..8,
+        seed in 1u64..u64::MAX,
+    ) {
+        // 22 floors pass u64::MAX (the shift saturates) while the
+        // n ≤ 21 values still fit a narrow table.
+        let floor = u64::MAX / 22 + 1;
+        let values = floor_values(n, floor, u64::MAX / 1_000, sparsity, seed);
+        for (k_max, mode) in floor_cases(n) {
+            check_scans(&values, k_max, mode);
+        }
+        // A floor of a quarter of u64::MAX: the table is wide.
+        let values = floor_values(wide_n, u64::MAX / 4, u64::MAX / 8, sparsity, seed);
+        for (k_max, mode) in floor_cases(wide_n) {
+            check_scans(&values, k_max, mode);
+        }
+    }
+}
+
+#[test]
+fn f64_cut_margins_keep_the_blocks_rounding_would_drop() {
+    // Stamps from 0.5 whose spans round at the scale of the shifted cut.
+    // Each of these drops a block holding an extremum when the shifted
+    // `f64` cut is not moved outward (seed, n, sparsity, gap).
+    for (seed, n, sparsity, gap) in [
+        (1_233, 105, 12, 3.0),
+        (1_906, 166, 9, 0.1),
+        (14_375, 149, 11, 3.0),
+        (17_935, 169, 9, 0.1),
+    ] {
+        let times = floor_stamps(n, gap, 0.5, sparsity, false, seed);
+        check_spans(&times).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
     }
 }

@@ -45,11 +45,28 @@ fn counters_report_covered_and_evaluated_windows() {
     // Both sides cover every window of every grid size.
     let total: u64 = 2 * grid.iter().map(|&k| (n - k + 1) as u64).sum::<u64>();
 
-    // Constant: every block may hold the extremum, so every window is
-    // evaluated (the seeds come on top).
-    let (scanned, covered, _) = counted(&vec![7u64; n], k_max, mode, Parallelism::Seq);
+    // Alternating 0 and 14: every block holds both extrema and the step
+    // floor is 0, so every window is evaluated (the seeds come on top).
+    let alternating: Vec<u64> = (0..n).map(|i| if i % 2 == 0 { 0 } else { 14 }).collect();
+    let (scanned, covered, _) = counted(&alternating, k_max, mode, Parallelism::Seq);
     assert_eq!(covered, total);
     assert!(scanned >= total, "{scanned} < {total}");
+
+    // Constant: every window of a size ties, and the step floor (the
+    // smallest value) proves it block by block. The max side evaluates
+    // only its seeds and the starts past the last full block, which have
+    // no bound: at most two seed blocks plus a tail of under 16 + 7
+    // starts per size. The min side also evaluates every window of the
+    // groups that hold a size below 15 (sizes 1–16 here), which have no
+    // lower bound.
+    let flat = vec![7u64; n];
+    let (scanned, covered) = counted_max(&flat, k_max, mode);
+    assert_eq!(2 * covered, total);
+    assert_eq!(scanned, FLAT_MAX_SCANNED);
+    assert!(scanned <= grid.len() as u64 * (2 * 16 + 16 + 7), "{scanned} windows evaluated");
+    let (scanned, _, _) = counted(&flat, k_max, mode, Parallelism::Seq);
+    let unbounded: u64 = grid.iter().filter(|&&k| k <= 16).map(|&k| (n - k + 1) as u64).sum();
+    assert!(scanned <= unbounded + 2 * FLAT_MAX_SCANNED, "{scanned} windows evaluated");
 
     // One tall plateau and one deep trough on a flat floor: only the
     // blocks near the plateau (trough) can hold a maximum (minimum).
@@ -69,6 +86,36 @@ fn counters_report_covered_and_evaluated_windows() {
     rec.reset();
     max_window_sums(&wave, k_max, mode).unwrap();
     assert_eq!(rec.snapshot().counter("events.windows_total"), 0);
+}
+
+/// `(events.windows_scanned, events.windows_total)` of one
+/// `max_window_sums` scan.
+fn counted_max(values: &[u64], k_max: usize, mode: WindowMode) -> (u64, u64) {
+    let rec = wcm_obs::mem();
+    rec.reset();
+    wcm_obs::set_enabled(true);
+    max_window_sums(values, k_max, mode).unwrap();
+    wcm_obs::set_enabled(false);
+    let snap = rec.snapshot();
+    (snap.counter("events.windows_scanned"), snap.counter("events.windows_total"))
+}
+
+/// Windows the max side evaluates on 20 000 sevens over the strided
+/// grid of [`counters_report_covered_and_evaluated_windows`].
+const FLAT_MAX_SCANNED: u64 = 4_484;
+
+#[test]
+fn a_pause_among_unit_values_evaluates_few_windows() {
+    let _recorder = recorder();
+    // One value of 1 000 among 20 000 ones: every maximum holds it, and
+    // the step floor (1) proves every block that misses it tied. Sizes
+    // 16–23 seed on the block after the one with their group's largest
+    // bound, as the smaller sizes reach the spike only from there.
+    let mut values = vec![1u64; 20_000];
+    values[10_000] = 1_000;
+    let (scanned, covered) = counted_max(&values, 23, WindowMode::Exact);
+    assert_eq!(covered, 459_747);
+    assert_eq!(scanned, 963);
 }
 
 #[test]

@@ -63,6 +63,27 @@ fn counters_report_covered_and_evaluated_spans() {
     assert_eq!(covered, total);
     assert!(scanned * 5 < total, "{scanned} of {total} spans evaluated");
 
+    // One 1 000 s pause among 20 000 stamps 1 s apart: every maximal
+    // span holds it. Spans of 17–24 stamps seed on the block after the
+    // one with their group's largest bound, as the shorter spans reach
+    // the pause only from there; with the pause in every seed, the
+    // shifted cut leaves only the blocks near it.
+    let mut clock = 0.0;
+    let pause: Vec<f64> = (0..n)
+        .map(|i| {
+            clock += if i == 10_000 { 1_000.0 } else { 1.0 };
+            clock
+        })
+        .collect();
+    let rec = wcm_obs::mem();
+    rec.reset();
+    wcm_obs::set_enabled(true);
+    max_spans(&pause, 24, WindowMode::Exact).unwrap();
+    wcm_obs::set_enabled(false);
+    let snap = rec.snapshot();
+    assert_eq!(snap.counter("events.spans_total"), 459_724);
+    assert_eq!(snap.counter("events.spans_scanned"), 1_452);
+
     // Switched off, the scans count nothing.
     let rec = wcm_obs::mem();
     rec.reset();
