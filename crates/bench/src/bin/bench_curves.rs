@@ -14,7 +14,9 @@
 //! time against the naive fold over every span) and on stamps with
 //! constant gaps, where nothing prunes. The `pause` rung counts the
 //! windows and spans both kernels evaluate on a trace of unit steps with
-//! one 1 000-step pause. Writes the interleaved
+//! one 1 000-step pause. The `wire` rung times encode and decode of one
+//! stream, and its frame checksum sliced against the bytewise loop
+//! (`wcm_bench::legacy::crc32_bytewise`). Writes the interleaved
 //! best-of-`REPS` times and the speedups to `BENCH_curves.json`. The
 //! scans run on the calling thread, so no rung varies the worker
 //! count. Unlike the
@@ -26,7 +28,9 @@
 
 use std::time::Instant;
 use wcm_bench::alloc::{count_allocs, CountingAlloc};
-use wcm_bench::legacy::{convolve_materialized, min_spans_naive, window_maxima_unpruned};
+use wcm_bench::legacy::{
+    convolve_materialized, crc32_bytewise, min_spans_naive, window_maxima_unpruned,
+};
 use wcm_core::{EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve, WorkloadBounds};
 use wcm_curves::{minplus, CurveIter, Pwl, Segment};
 use wcm_events::summary::{CurveSummary, Sides};
@@ -441,7 +445,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Binary wire format: encode and decode throughput on the same
     // N-event demand+timestamp trace, plus the cost of the lenient
     // (resync-capable) reader on a clean stream relative to strict —
-    // graceful degradation must not tax the happy path.
+    // graceful degradation must not tax the happy path — and the frame
+    // checksum alone, sliced against the bytewise loop it replaced.
     let encode_wire = || {
         let mut enc = wcm_wire::StreamEncoder::new();
         enc.meta("bench");
@@ -461,9 +466,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 wcm_wire::decode(&wire_bytes, wcm_wire::DecodePolicy::SkipCorrupt).unwrap()
             })
         },
+        &mut || time_once(|| wcm_wire::crc::crc32(&wire_bytes)),
+        &mut || time_once(|| crc32_bytewise(&wire_bytes)),
     ]);
     let (wire_enc_s, wire_dec_s, wire_lenient_s) = (wire.best(0), wire.best(1), wire.best(2));
     let wire_lenient_ratio = wire.speedup(2, 1);
+    let (wire_crc_mb_s, wire_crc_speedup) = (wire_mb / wire.best(3), wire.speedup(4, 3));
+    assert_eq!(
+        wcm_wire::crc::crc32(&wire_bytes),
+        crc32_bytewise(&wire_bytes),
+        "sliced and bytewise CRC32 differ"
+    );
     {
         let back = wcm_wire::decode(&wire_bytes, wcm_wire::DecodePolicy::Strict).unwrap();
         assert_eq!(back.demands, v, "wire round trip lost demands");
@@ -544,7 +557,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"decode_mb_s\": {wire_dec_mb_s:.1},\n\
          \x20   \"decode_events_s\": {wire_dec_ev_s:.0},\n\
          \x20   \"decode_lenient_clean_s\": {wire_lenient_s:.6},\n\
-         \x20   \"lenient_overhead_vs_strict\": {wire_lenient_ratio:.2}\n\
+         \x20   \"lenient_overhead_vs_strict\": {wire_lenient_ratio:.2},\n\
+         \x20   \"crc_mb_s\": {wire_crc_mb_s:.1},\n\
+         \x20   \"crc_speedup_vs_bytewise\": {wire_crc_speedup:.2}\n\
          \x20 }}\n}}\n",
         core.speedup(0, 1),
         clip_spans.best(0),

@@ -26,6 +26,9 @@
 //!   the baseline of `bench_curves`' `pruned_spans` rung and an
 //!   independent second implementation the blocked scan is asserted
 //!   bit-identical to.
+//! * [`crc32_bytewise`] — the wire format's CRC32 before slicing-by-16:
+//!   one table lookup per byte. `bench_curves`' `wire` rung measures the
+//!   sliced checksum against it on one stream and asserts both agree.
 
 use wcm_curves::{approx_eq, Pwl};
 use wcm_events::window::WindowMode;
@@ -280,6 +283,38 @@ pub fn min_spans_naive(times: &[f64], k_max: usize, mode: WindowMode) -> Vec<f64
         (prev_k, prev) = (k, span);
     }
     out
+}
+
+/// 256-entry table of the reflected IEEE CRC32 (polynomial `0xEDB88320`).
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC32 of `bytes` one table lookup per byte: the loop
+/// `wcm_wire::crc::crc32` ran before slicing-by-16, with the same value.
+#[must_use]
+pub fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    crc ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]

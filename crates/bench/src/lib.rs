@@ -20,7 +20,7 @@ use wcm_core::curve::WorkloadBounds;
 use wcm_core::{LowerWorkloadCurve, UpperWorkloadCurve, WorkloadError};
 use wcm_curves::StepCurve;
 use wcm_events::window::{max_window_sums, min_window_sums, WindowMode};
-use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
+use wcm_events::{Cycles, ExecutionInterval, TimedTrace, TypeRegistry};
 use wcm_mpeg::profile::{standard_clips, ClipProfile};
 use wcm_mpeg::{ClipWorkload, Synthesizer, VideoParams};
 use wcm_sim::pipeline::{simulate, FifoConfig, PipelineConfig, PipelineSummary, SimScratch};
@@ -189,13 +189,7 @@ pub fn merged_arrival_curve(
 pub fn times_to_trace(times: &[f64]) -> Result<TimedTrace, wcm_events::EventError> {
     let mut reg = TypeRegistry::new();
     let mb = reg.register("mb", ExecutionInterval::fixed(Cycles(1)))?;
-    TimedTrace::new(
-        reg,
-        times
-            .iter()
-            .map(|&time| TimedEvent { time, ty: mb })
-            .collect(),
-    )
+    TimedTrace::from_parts(reg, times.to_vec(), vec![mb; times.len()])
 }
 
 /// Everything eq. 9 / eq. 10 need, computed once.

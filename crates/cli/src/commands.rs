@@ -213,13 +213,8 @@ pub fn fmin(opts: &Options) -> Result<(), CliError> {
     let gamma = UpperWorkloadCurve::new(max_window_sums(&demands, k_max, mode)?)?;
     let mut reg = wcm_events::TypeRegistry::new();
     let ty = reg.register("event", wcm_events::ExecutionInterval::fixed(Cycles(1)))?;
-    let trace = wcm_events::TimedTrace::new(
-        reg,
-        times
-            .iter()
-            .map(|&time| wcm_events::TimedEvent { time, ty })
-            .collect(),
-    )?;
+    let types = vec![ty; times.len()];
+    let trace = wcm_events::TimedTrace::from_parts(reg, times, types)?;
     let alpha = wcm_core::build::arrival_upper(&trace, k_max, mode)?;
     let f_gamma = sizing::min_frequency_workload(&alpha, &gamma, buffer)?;
     let f_wcet = sizing::min_frequency_wcet(&alpha, gamma.wcet(), buffer)?;

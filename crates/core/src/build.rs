@@ -67,7 +67,7 @@ pub fn arrival_upper(
     k_max: usize,
     mode: WindowMode,
 ) -> Result<StepCurve, WorkloadError> {
-    let spans = min_spans(&trace.times(), k_max, mode)?;
+    let spans = min_spans(trace.times(), k_max, mode)?;
     arrival_upper_from_spans(&spans, trace.len(), trace.duration())
 }
 
@@ -141,8 +141,7 @@ pub fn arrival_lower(
     k_max: usize,
     mode: WindowMode,
 ) -> Result<StepCurve, WorkloadError> {
-    let times = trace.times();
-    let spans = max_spans(&times, k_max, mode)?;
+    let spans = max_spans(trace.times(), k_max, mode)?;
     let mut steps: Vec<(f64, u64)> = vec![(0.0, 0)];
     for (i, &d) in spans.iter().enumerate() {
         let k = i as u64; // a window of length D(k+1) always contains ≥ k events

@@ -208,7 +208,7 @@ impl StreamFaultPlan {
     /// Returns [`EventError::InvalidParameter`] if an injector is
     /// mis-parameterized; the input trace is never partially consumed.
     pub fn apply(&self, trace: &Trace) -> Result<(Trace, StreamFaultReport), EventError> {
-        let (events, report) = self.inject(trace.registry(), trace.events())?;
+        let (events, report) = self.inject(trace.registry(), trace.events().to_vec())?;
         Ok((Trace::new(trace.registry().clone(), events), report))
     }
 
@@ -225,7 +225,7 @@ impl StreamFaultPlan {
         &self,
         trace: &TimedTrace,
     ) -> Result<(TimedTrace, StreamFaultReport), EventError> {
-        let (events, report) = self.inject(trace.registry(), trace.events())?;
+        let (events, report) = self.inject(trace.registry(), trace.events().collect())?;
         let faulted = TimedTrace::new(trace.registry().clone(), events)?;
         Ok((faulted, report))
     }
@@ -236,10 +236,9 @@ impl StreamFaultPlan {
     fn inject<E: Faultable>(
         &self,
         registry: &TypeRegistry,
-        input: &[E],
+        mut events: Vec<E>,
     ) -> Result<(Vec<E>, StreamFaultReport), EventError> {
         self.validate()?;
-        let mut events = input.to_vec();
         let mut report = StreamFaultReport::default();
         for (pos, inj) in self.injectors.iter().enumerate() {
             if inj.is_noop() {
@@ -482,8 +481,8 @@ mod tests {
         let times = out.times();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         // Type multiset is preserved — jitter moves, never mutates.
-        let mut a: Vec<_> = tt.events().iter().map(|e| e.ty).collect();
-        let mut b: Vec<_> = out.events().iter().map(|e| e.ty).collect();
+        let mut a = tt.types().to_vec();
+        let mut b = out.types().to_vec();
         a.sort_by_key(|t| t.index());
         b.sort_by_key(|t| t.index());
         assert_eq!(a, b);

@@ -170,7 +170,10 @@ pub struct TimedEvent {
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimedTrace {
     registry: TypeRegistry,
-    events: Vec<TimedEvent>,
+    /// Arrival times, one contiguous run so span scans borrow them.
+    times: Vec<f64>,
+    /// `types[i]` is the type of the event at `times[i]`.
+    types: Vec<EventType>,
 }
 
 impl TimedTrace {
@@ -181,16 +184,32 @@ impl TimedTrace {
     /// Returns [`EventError::UnsortedTimestamps`] if times decrease or are
     /// not finite, [`EventError::UnknownType`] for foreign type handles.
     pub fn new(registry: TypeRegistry, events: Vec<TimedEvent>) -> Result<Self, EventError> {
-        for (i, e) in events.iter().enumerate() {
-            registry.validate(e.ty)?;
-            if !e.time.is_finite() {
-                return Err(EventError::UnsortedTimestamps { index: i });
-            }
-            if i > 0 && e.time < events[i - 1].time {
+        let (times, types) = events.into_iter().map(|e| (e.time, e.ty)).unzip();
+        Self::from_parts(registry, times, types)
+    }
+
+    /// Creates a timed trace from its timestamps and the type of each
+    /// event, keeping both vectors as they are.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EventError::InvalidParameter`] (`types`) if the lengths
+    /// differ, otherwise the errors of [`TimedTrace::new`].
+    pub fn from_parts(
+        registry: TypeRegistry,
+        times: Vec<f64>,
+        types: Vec<EventType>,
+    ) -> Result<Self, EventError> {
+        if times.len() != types.len() {
+            return Err(EventError::InvalidParameter { name: "types" });
+        }
+        for (i, (&time, &ty)) in times.iter().zip(&types).enumerate() {
+            registry.validate(ty)?;
+            if !time.is_finite() || (i > 0 && time < times[i - 1]) {
                 return Err(EventError::UnsortedTimestamps { index: i });
             }
         }
-        Ok(Self { registry, events })
+        Ok(Self { registry, times, types })
     }
 
     /// The type registry.
@@ -200,45 +219,50 @@ impl TimedTrace {
     }
 
     /// The events in time order.
-    #[must_use]
-    pub fn events(&self) -> &[TimedEvent] {
-        &self.events
+    pub fn events(&self) -> impl ExactSizeIterator<Item = TimedEvent> + '_ {
+        self.times
+            .iter()
+            .zip(&self.types)
+            .map(|(&time, &ty)| TimedEvent { time, ty })
     }
 
     /// Number of events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.times.len()
     }
 
     /// Whether the trace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.times.is_empty()
     }
 
     /// Time span between first and last event (0 for < 2 events).
     #[must_use]
     pub fn duration(&self) -> f64 {
-        match (self.events.first(), self.events.last()) {
-            (Some(a), Some(b)) => b.time - a.time,
+        match (self.times.first(), self.times.last()) {
+            (Some(a), Some(b)) => b - a,
             _ => 0.0,
         }
     }
 
-    /// The timestamps only.
+    /// The timestamps, in time order.
     #[must_use]
-    pub fn times(&self) -> Vec<f64> {
-        self.events.iter().map(|e| e.time).collect()
+    pub fn times(&self) -> &[f64] {
+        &self.times
+    }
+
+    /// The event types, in time order.
+    #[must_use]
+    pub fn types(&self) -> &[EventType] {
+        &self.types
     }
 
     /// Drops timing, keeping the ordered type sequence.
     #[must_use]
     pub fn to_trace(&self) -> Trace {
-        Trace::new(
-            self.registry.clone(),
-            self.events.iter().map(|e| e.ty).collect(),
-        )
+        Trace::new(self.registry.clone(), self.types.clone())
     }
 }
 

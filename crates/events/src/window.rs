@@ -629,9 +629,10 @@ fn chunk_mask<T: PrefixCell>(hi: &[T], lo: &[T], keep: impl Fn(T) -> bool) -> u6
     m
 }
 
-/// Appends `[lo, hi)` to sorted disjoint ranges, joining a touching one.
-fn push_range(ranges: &mut Vec<(usize, usize)>, lo: usize, hi: usize) {
-    match ranges.last_mut() {
+/// Appends `[lo, hi)` to the sorted disjoint ranges `ranges[from..]`,
+/// joining a touching one.
+fn push_range(ranges: &mut Vec<(usize, usize)>, from: usize, lo: usize, hi: usize) {
+    match ranges[from..].last_mut() {
         Some(last) if last.1 == lo => last.1 = hi,
         _ => ranges.push((lo, hi)),
     }
@@ -784,9 +785,9 @@ fn seed_group<T: PrefixCell>(
 
 /// Plans one group of window sizes (see [`GroupBounds`]): writes into
 /// `seeds` each size's exact extrema over its seed blocks ([`seed_group`],
-/// when `local_seeds`; `None` otherwise or where the group has no bounds)
-/// and into `ranges` the window starts left to evaluate, and returns the
-/// windows the seeds evaluated. A scan that starts from known window
+/// when `local_seeds`; `None` otherwise or where the group has no bounds),
+/// appends to `ranges` the window starts left to evaluate, and returns
+/// the windows the seeds evaluated. A scan that starts from known window
 /// sums (a merge's two runs) skips the local seeds: they would rarely
 /// beat the start and cost a fixed price per group, which a stream
 /// merged from many short runs pays many times.
@@ -813,7 +814,7 @@ fn plan_group<T: PrefixCell>(
     const B: usize = BOUND_BLOCK;
     let (p, sides) = (scan.p, scan.sides);
     let tail_end = scan.last(group[0]);
-    ranges.clear();
+    let from = ranges.len();
     seeds.fill(None);
     let Some(bounds) = GroupBounds::new(rows, p, group, sides) else {
         ranges.push((0, tail_end));
@@ -853,12 +854,12 @@ fn plan_group<T: PrefixCell>(
         while mask != 0 {
             let lo = mask.trailing_zeros() as usize;
             let run = (!(mask >> lo)).trailing_zeros() as usize;
-            push_range(ranges, (c + lo) * B, (c + lo + run) * B);
+            push_range(ranges, from, (c + lo) * B, (c + lo + run) * B);
             mask = if lo + run == FILTER_CHUNK { 0 } else { mask & (!0 << (lo + run)) };
         }
     }
     if bounds.full * B < tail_end {
-        push_range(ranges, bounds.full * B, tail_end);
+        push_range(ranges, from, bounds.full * B, tail_end);
     }
     evaluated
 }
@@ -918,56 +919,48 @@ fn scan_blocked<T: PrefixCell>(
     let mut chunks = Vec::with_capacity(n / (BOUND_BLOCK * FILTER_CHUNK) + 1);
     let mut start = Vec::with_capacity(SCAN_TILE);
     // Per size of a tile: its extrema so far (`None` before its first
-    // window), the group whose ranges it scans, and its cursor in them.
+    // window), and its cursor in and the end of its group's ranges.
     let mut best: Vec<Option<(T, T)>> = Vec::with_capacity(SCAN_TILE);
-    let mut group_of = Vec::with_capacity(SCAN_TILE);
-    let mut cursor = Vec::with_capacity(SCAN_TILE);
-    // One range list per group of the tile, kept across tiles.
-    let mut ranges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(SCAN_TILE);
+    let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(SCAN_TILE);
+    // The ranges of a tile's groups, one group after another, in one
+    // list kept across tiles.
+    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(SCAN_TILE * FILTER_CHUNK);
     let (mut scanned, mut total) = (0usize, 0usize);
     for (tile_idx, tile) in ks.chunks(SCAN_TILE).enumerate() {
         let base = tile_idx * SCAN_TILE;
         best.clear();
         best.resize(tile.len(), None);
-        group_of.clear();
-        cursor.clear();
-        cursor.resize(tile.len(), 0);
-        let (mut j, mut groups) = (0, 0);
+        cursors.clear();
+        ranges.clear();
+        let mut j = 0;
         while j < tile.len() {
             let len = group_len(&tile[j..], n);
             let group = &tile[j..j + len];
-            if ranges.len() == groups {
-                // Room for the few dozen runs of surviving blocks a
-                // group keeps on the clips, so the lists rarely grow.
-                ranges.push(Vec::with_capacity(FILTER_CHUNK));
-            }
-            let group_ranges = &mut ranges[groups];
-            group_ranges.clear();
+            let from = ranges.len();
             if (1..=n).contains(&group[0]) {
                 start.clear();
                 start.extend((base + j..base + j + len).map(|i| (maxs[i], mins[i])));
                 let seeds = &mut best[j..j + len];
                 scanned +=
-                    plan_group(&scan, &mut rows, group, &start, &mut chunks, seeds, group_ranges);
+                    plan_group(&scan, &mut rows, group, &start, &mut chunks, seeds, &mut ranges);
                 for &k in group {
                     total += last(k);
                     let clip = |&(lo, hi): &(usize, usize)| hi.min(last(k)).saturating_sub(lo);
-                    scanned += group_ranges.iter().map(clip).sum::<usize>();
+                    scanned += ranges[from..].iter().map(clip).sum::<usize>();
                 }
             }
-            group_of.extend(std::iter::repeat_n(groups, len));
-            groups += 1;
+            cursors.extend(std::iter::repeat_n((from, ranges.len()), len));
             j += len;
         }
         let mut at = 0usize;
         while at < n {
             let block_end = (at + SCAN_BLOCK).min(n);
             for (j, &k) in tile.iter().enumerate() {
-                let ranges = &ranges[group_of[j]];
-                while cursor[j] < ranges.len() && ranges[cursor[j]].1 <= at {
-                    cursor[j] += 1;
+                let (cursor, end) = &mut cursors[j];
+                while *cursor < *end && ranges[*cursor].1 <= at {
+                    *cursor += 1;
                 }
-                for &(lo, hi) in &ranges[cursor[j]..] {
+                for &(lo, hi) in &ranges[*cursor..*end] {
                     // The surviving starts of this range inside the block;
                     // only the last range (the tail) can end past `n − k`.
                     let (lo, hi) = (lo.max(at), hi.min(block_end).min(last(k)));

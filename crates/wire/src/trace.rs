@@ -208,9 +208,9 @@ pub fn encode_timed_trace(name: &str, trace: &TimedTrace) -> Vec<u8> {
     let mut enc = StreamEncoder::new();
     enc.meta(name);
     enc.registry(trace.registry());
-    enc.times(&trace.times())
+    enc.times(trace.times())
         .expect("TimedTrace timestamps are finite by construction");
-    enc.events(&trace.events().iter().map(|e| e.ty).collect::<Vec<_>>());
+    enc.events(trace.types());
     enc.finish()
 }
 
@@ -258,16 +258,12 @@ impl Decoded {
     #[must_use]
     pub fn timed_trace(&self) -> Option<TimedTrace> {
         let trace = self.trace.as_ref()?;
-        if trace.len() != self.times.len() {
-            return None;
-        }
-        let events = self
-            .times
-            .iter()
-            .zip(trace.events())
-            .map(|(&time, &ty)| wcm_events::TimedEvent { time, ty })
-            .collect();
-        TimedTrace::new(trace.registry().clone(), events).ok()
+        TimedTrace::from_parts(
+            trace.registry().clone(),
+            self.times.clone(),
+            trace.events().to_vec(),
+        )
+        .ok()
     }
 }
 

@@ -142,7 +142,47 @@ impl<'a> Cursor<'a> {
     /// Next LEB128 varint. Rejects encodings longer than
     /// [`MAX_VARINT_LEN`] bytes or overflowing 64 bits; an encoding cut
     /// short by the end of the payload reports as truncation.
+    ///
+    /// A one-byte varint returns at once. With [`MAX_VARINT_LEN`] bytes
+    /// left, one bounds check covers every byte the varint may take, and
+    /// the loop reads them unchecked; near the end of the payload the
+    /// bytewise loop reads instead. Both paths accept, reject and
+    /// consume exactly the same bytes.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
+        let rest = &self.bytes[self.pos..];
+        match rest.first() {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+            _ => {}
+        }
+        let Some(head) = rest.first_chunk::<MAX_VARINT_LEN>() else {
+            return self.varint_bytewise();
+        };
+        let mut out: u64 = 0;
+        for (i, &byte) in head.iter().enumerate() {
+            out |= u64::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                // The 10th byte may only contribute the final bit of a u64.
+                if i == MAX_VARINT_LEN - 1 && byte > 1 {
+                    break;
+                }
+                self.pos += i + 1;
+                return Ok(out);
+            }
+        }
+        let start = self.offset();
+        self.pos += MAX_VARINT_LEN;
+        Err(WireError::new(start, WireErrorKind::BadVarint))
+    }
+
+    /// [`Cursor::varint`] one byte at a time, for the last bytes of a
+    /// payload (and the tests' oracle).
+    #[cold]
+    #[inline(never)]
+    fn varint_bytewise(&mut self) -> Result<u64, WireError> {
         let start = self.offset();
         let mut out: u64 = 0;
         for i in 0..MAX_VARINT_LEN {
@@ -206,6 +246,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn varint_round_trip_edges() {
@@ -260,6 +301,79 @@ mod tests {
             Cursor::new(&cut, 0).varint().unwrap_err().kind,
             WireErrorKind::Truncated
         );
+    }
+
+    /// Reads one varint at `pos` of `bytes` (based at 100) through the
+    /// fast and the bytewise path, and asserts the same value or error
+    /// (kind and offset) and the same bytes consumed.
+    fn assert_paths_agree(bytes: &[u8], pos: usize) {
+        let mut fast = Cursor::new(bytes, 100);
+        fast.pos = pos;
+        let mut slow = fast;
+        let (got, want) = (fast.varint(), slow.varint_bytewise());
+        assert_eq!(got, want, "bytes {bytes:02x?} at {pos}");
+        assert_eq!(fast.pos, slow.pos, "bytes {bytes:02x?} at {pos}");
+    }
+
+    /// Every start of every prefix of `bytes`: each start is read with
+    /// and without ten bytes behind it.
+    fn assert_paths_agree_everywhere(bytes: &[u8]) {
+        for end in 0..=bytes.len() {
+            for pos in 0..=end {
+                assert_paths_agree(&bytes[..end], pos);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_agrees_on_every_length_and_the_10th_byte() {
+        for v in (0..64)
+            .flat_map(|s| [(1u64 << s) - 1, 1 << s, (1 << s) + 1])
+            .chain([u64::MAX])
+        {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            let len = buf.len();
+            buf.extend_from_slice(&[0x81; MAX_VARINT_LEN]);
+            let mut c = Cursor::new(&buf, 0);
+            assert_eq!(c.varint().unwrap(), v);
+            assert_eq!(c.pos, len);
+            assert_paths_agree_everywhere(&buf);
+        }
+        // Every 10th byte after nine continuation bytes, then 11-byte
+        // overlong runs of every filler.
+        for last in 0..=u8::MAX {
+            let mut buf = vec![0xFFu8; 9];
+            buf.push(last);
+            buf.extend_from_slice(&[0x00; 12]);
+            assert_paths_agree_everywhere(&buf);
+        }
+        for fill in 0x80..=u8::MAX {
+            let mut buf = vec![fill; 11];
+            buf.extend_from_slice(&[0x80; 4]);
+            assert_paths_agree_everywhere(&buf);
+        }
+    }
+
+    /// Mostly continuation bytes, so long and overlong runs are common,
+    /// with the 10th-byte edge values mixed in.
+    fn varint_byte() -> impl Strategy<Value = u8> {
+        (0u8..=u8::MAX, 0u8..8).prop_map(|(b, pick)| match pick {
+            0..=3 => b | 0x80,
+            4 => b & 0x7F,
+            5 => b & 0x03,
+            6 => b & 0x81,
+            _ => b,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fast_path_agrees_on_random_bytes(bytes in collection::vec(varint_byte(), 0..40)) {
+            assert_paths_agree_everywhere(&bytes);
+        }
     }
 
     #[test]

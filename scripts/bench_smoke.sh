@@ -107,6 +107,11 @@ check "curves.lazy_alloc_ratio"       "$(jq .lazy_tandem_32.alloc_ratio BENCH_cu
 # of the same bytes in the same process, so host speed cancels out.
 # Recorded value sits at 1.01-1.04.
 check "wire.lenient_overhead"         "$(jq .wire.lenient_overhead_vs_strict BENCH_curves.json)" "<=" 1.5
+# Frame checksum: slicing-by-16 CRC32 must stay at least 3x the bytewise
+# loop it replaced (`wcm_bench::legacy::crc32_bytewise`), both timed on
+# the same stream in the same process. Recorded 5.2-5.3; a fall back to
+# one lookup per byte reads ~1.
+check "wire.crc_speedup"              "$(jq .wire.crc_speedup_vs_bytewise BENCH_curves.json)" ">=" 3.0
 
 # Sweep engine: pruned+threaded points/s must stay clearly ahead of the
 # exhaustive sequential sweep, and the heap-free simulator hot path must
