@@ -27,9 +27,9 @@ use wcm_par::Parallelism;
 use wcm_sim::{run_sweep, OverflowPolicy, SweepSpec};
 
 /// Interleaved rounds; the median paired ratio needs an odd count.
-const REPS: usize = 15;
+const REPS: usize = 31;
 /// `run_sweep` calls per timed sample, to sit well above timer noise.
-const INNER: usize = 8;
+const INNER: usize = 24;
 
 fn time_once<T>(f: impl FnOnce() -> T) -> f64 {
     let start = Instant::now();

@@ -272,7 +272,19 @@ impl FaultPlan {
     /// [`SimError::AllEventsDropped`] if drop faults empty the stream.
     pub fn apply(&self, clip: &ClipWorkload) -> Result<FaultedWorkload, SimError> {
         self.validate()?;
-        let mut w = FaultedWorkload::clean(clip)?;
+        self.apply_to(FaultedWorkload::clean(clip)?)
+    }
+
+    /// [`FaultPlan::apply`] on a clip's clean stream that the caller
+    /// already built ([`FaultedWorkload::clean`]), so that one clean
+    /// build can serve several seeds: `plan.apply_to(clean.clone())`
+    /// equals `plan.apply(&clip)` bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`FaultPlan::apply`], except [`SimError::EmptyWorkload`].
+    pub(crate) fn apply_to(&self, mut w: FaultedWorkload) -> Result<FaultedWorkload, SimError> {
+        self.validate()?;
         for (i, inj) in self.injectors.iter().enumerate() {
             // One independent, deterministic sub-stream per injector, so
             // reordering-insensitive draws do not couple injectors.
@@ -325,14 +337,23 @@ impl FaultedWorkload {
         if n == 0 {
             return Err(SimError::EmptyWorkload);
         }
+        // One pass, every vector at its final size: the clip's own
+        // per-vector collectors cannot size a chain of frames up front.
+        let (pe1, pe2) = (clip.pe1_model(), clip.pe2_model());
+        let mut bits = Vec::with_capacity(n);
+        let mut pe1_cycles = Vec::with_capacity(n);
+        let mut pe2_cycles = Vec::with_capacity(n);
         let mut kinds = Vec::with_capacity(n);
-        for frame in clip.frames() {
-            kinds.extend(frame.macroblocks().iter().map(|mb| mb.frame));
+        for mb in clip.macroblocks() {
+            bits.push(u64::from(mb.bits));
+            pe1_cycles.push(pe1.cycles(mb).get());
+            pe2_cycles.push(pe2.cycles(mb.class).get());
+            kinds.push(mb.frame);
         }
         Ok(Self {
-            bits: clip.mb_bits(),
-            pe1_cycles: clip.pe1_demands(),
-            pe2_cycles: clip.pe2_demands(),
+            bits,
+            pe1_cycles,
+            pe2_cycles,
             kinds,
             arrival_delay_s: vec![0.0; n],
             pe1_scale: vec![1.0; n],

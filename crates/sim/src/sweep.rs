@@ -308,6 +308,9 @@ struct ClipContext {
     bitrate_bps: f64,
     /// `streams[seed_idx]` — the (possibly faulted) workload per seed.
     streams: Vec<FaultedWorkload>,
+    /// `push_times[seed_idx]` — the stream's FIFO-input instants
+    /// ([`push_times_of`]; empty when the simulator rejects the stream).
+    push_times: Vec<Vec<f64>>,
     /// `f_min[seed_idx][cap_idx]` — `F^γ_min` from the seed's own
     /// `ᾱᵘ`/`γᵘ` (`None` when eq. 9 is infeasible or the seed's PE₂
     /// faults break the `c/F` model — then the point cannot be proven
@@ -325,21 +328,33 @@ struct ClipContext {
 /// recurrence the event loop executes. Clean streams multiply by 1.0 and
 /// add 0.0, both exact in IEEE-754, so the times stay bit-identical to a
 /// simulated run.
+///
+/// Empty when an instant the simulator schedules before PE₂ — a bit
+/// arrival `ready_i` or a push `done_i` — is not finite: `simulate`
+/// fails on such a stream, so nothing may be decided from its instants
+/// (the departure replay's verdicts and eq. 9's alike).
 fn push_times_of(w: &FaultedWorkload, bitrate_bps: f64, pe1_hz: f64) -> Vec<f64> {
     let n = w.len();
     let mut push_times = Vec::with_capacity(n);
     let mut cum_bits = 0.0f64;
     let mut done = 0.0f64;
+    let mut finite = true;
     for i in 0..n {
         cum_bits += w.bits[i] as f64;
         let ready = cum_bits / bitrate_bps + w.arrival_delay_s[i];
         // Service time first, as in the event loop: under a stall,
         // `(start + c) + extra` can differ from it in the last bit.
         let service = (w.pe1_cycles[i] as f64 / pe1_hz) * w.pe1_scale[i] + w.pe1_extra_s[i];
+        // `max` drops a NaN `ready`, so it is checked on its own.
         done = done.max(ready) + service;
+        finite &= ready.is_finite() & done.is_finite();
         push_times.push(done);
     }
-    push_times
+    if finite {
+        push_times
+    } else {
+        Vec::new()
+    }
 }
 
 /// Replays an **unbounded** run's PE₂ departures at `pe2_hz` into
@@ -350,7 +365,7 @@ fn push_times_of(w: &FaultedWorkload, bitrate_bps: f64, pe1_hz: f64) -> Vec<f64>
 /// is later, so `D` is bit-equal to the unbounded run's
 /// `fifo_out_times()`.
 ///
-/// Returns whether `D` can certify overflow ([`overflows_at`]): every
+/// Returns whether `D` can certify overflow ([`certify_lanes`]): every
 /// departure finite and none before its predecessor. A non-finite
 /// instant is where the simulator fails or diverges, and a negative
 /// service time breaks the argument that the residents are a suffix.
@@ -381,28 +396,85 @@ fn replay_departures(
         && d.windows(2).fold(true, |ok, p| ok & (p[1] >= p[0]))
 }
 
-/// Whether a FIFO of `capacity` `b` overflows under every policy, by the
-/// replayed unbounded departures `D` of the FIFO-input instants `A`:
-/// some push `i ≥ b` has `D_{i−b} > A_i`. `D` is non-decreasing, so
-/// macroblocks `i−b … i−1` are then all still resident (queued or in
-/// service) when `i` is pushed, and a bounded run is the unbounded run
-/// until its first full push. An exact tie `D_{i−b} == A_i` does not
-/// count: the simulator's event order decides it, so simulation does.
-/// (`b = 0`, which the simulator rejects, reads `D_i > A_i`: some
-/// service time is positive, and no push fits.)
+/// PE₂ clocks one lane pass replays side by side. The departure chain
+/// is serial per clock, but the chains of different clocks are
+/// independent, so one pass runs them in SIMD lanes and pays for the
+/// stream's loads, the step's divisions and the capacity checks once
+/// per lane group. Picked by measurement on the benchmark's sweep
+/// (EXPERIMENTS.md §E36): sixteen lanes built its verdict table faster
+/// than twelve, eight or four, although they waste more lanes past the
+/// scan's stop.
+const LANES: usize = 16;
+
+/// [`replay_departures`] for `LANES` clocks in one pass over the
+/// stream, storing no departure: `visit(j, D_j)` sees each push's
+/// departures, one per lane, and the result is each lane's validity
+/// flag. Every lane computes the same expression as the scalar replay,
+/// so its departures are bit-equal to it.
+///
+/// `push_times` must be finite (a non-empty [`push_times_of`]).
+fn replay_lanes(
+    w: &FaultedWorkload,
+    push_times: &[f64],
+    clocks: &[f64; LANES],
+    mut visit: impl FnMut(usize, &[f64; LANES]),
+) -> [bool; LANES] {
+    // `−f64::MAX` stands for −∞ before the first push: the finite `A_0`
+    // wins the select against either, and `D_0 ≥ −MAX` is then the
+    // scalar check that `D_0` is finite (with the last departure
+    // finite, a rising chain cannot reach +∞ either).
+    let mut done = [-f64::MAX; LANES];
+    let mut rising = [true; LANES];
+    let service = w.pe2_cycles.iter().zip(&w.pe2_scale).zip(&w.pe2_extra_s);
+    for (j, (&a, ((&c, &scale), &extra))) in push_times.iter().zip(service).enumerate() {
+        let c = c as f64;
+        for k in 0..LANES {
+            let d = (if a > done[k] { a } else { done[k] }) + ((c / clocks[k]) * scale + extra);
+            rising[k] &= d >= done[k];
+            done[k] = d;
+        }
+        visit(j, &done);
+    }
+    std::array::from_fn(|k| rising[k] & done[k].is_finite())
+}
+
+/// One lane pass ([`replay_lanes`]) that also certifies overflow:
+/// `hits[p][k]` is set when lane `k`'s departures `D` show that a FIFO
+/// of capacity `b = caps[p]` overflows under every policy, that is,
+/// when some push `i ≥ b` has `D_{i−b} > A_i`. `D` is non-decreasing
+/// (in a valid lane), so macroblocks `i−b … i−1` are then all still
+/// resident (queued or in service) when `i` is pushed, and a bounded run
+/// is the unbounded run until its first full push. An exact tie
+/// `D_{i−b} == A_i` does not count: the simulator's event order decides
+/// it, so simulation does. (`b = 0`, which the simulator rejects, reads
+/// `D_i > A_i`: some service time is positive, and no push fits.)
 ///
 /// Monotone in both arguments: a larger capacity or a faster PE₂ (a
-/// bitwise smaller `D`) never overflows where this one did not.
-fn overflows_at(push_times: &[f64], departures: &[f64], capacity: u64) -> bool {
+/// bitwise smaller `D`) never overflows where this one did not. `caps`
+/// must be ascending; capacity `b` is checked while `j + b < n`, so the
+/// live capacities are a prefix that shrinks as the pass goes on.
+fn certify_lanes(
+    w: &FaultedWorkload,
+    push_times: &[f64],
+    clocks: &[f64; LANES],
+    caps: &[usize],
+    hits: &mut [[bool; LANES]],
+) -> [bool; LANES] {
     let n = push_times.len();
-    let b = usize::try_from(capacity).unwrap_or(usize::MAX);
-    if b >= n {
-        return false;
-    }
-    departures[..n - b]
-        .iter()
-        .zip(&push_times[b..])
-        .any(|(d, a)| d > a)
+    let hits = &mut hits[..caps.len()];
+    hits.fill([false; LANES]);
+    let mut live = caps.len();
+    replay_lanes(w, push_times, clocks, |j, done| {
+        while live > 0 && caps[live - 1] >= n - j {
+            live -= 1;
+        }
+        for (hit, &b) in hits[..live].iter_mut().zip(caps) {
+            let a = push_times[j + b];
+            for k in 0..LANES {
+                hit[k] |= done[k] > a;
+            }
+        }
+    })
 }
 
 /// The peak resident counts of a replay, by one two-pointer pass over
@@ -413,10 +485,10 @@ fn overflows_at(push_times: &[f64], departures: &[f64], capacity: u64) -> bool {
 /// when `i` is pushed and `r′_i = #{j < i : D_j ≥ A_i}` those that may
 /// be, depending on how the simulator orders an exact tie `D_j == A_i`.
 ///
-/// So `b ≤ max r` is [`overflows_at`], and `b > max r′` is a FIFO that no
-/// push ever finds full. The unbounded run's peak backlog (the pushed
-/// macroblock included) then lies in `[1 + max r, 1 + max r′]`; it is
-/// pinned exactly when the two agree.
+/// So `b ≤ max r` is the overflow certificate of [`certify_lanes`], and
+/// `b > max r′` is a FIFO that no push ever finds full. The unbounded
+/// run's peak backlog (the pushed macroblock included) then lies in
+/// `[1 + max r, 1 + max r′]`; it is pinned exactly when the two agree.
 fn replay_peaks(push_times: &[f64], departures: &[f64]) -> (usize, usize) {
     // `lt`/`le` count the departures before `A_i` (strictly / or at
     // it) among the first `i`; both only move forward as `A` rises.
@@ -460,9 +532,7 @@ pub fn replay_min_frequency(
     hi_hz: f64,
 ) -> Option<f64> {
     let push_times = push_times_of(w, bitrate_bps, pe1_hz);
-    let replayable = !push_times.is_empty()
-        && arrivals_finite(w, bitrate_bps, &push_times)
-        && push_times.windows(2).all(|p| p[1] >= p[0]);
+    let replayable = !push_times.is_empty() && push_times.windows(2).all(|p| p[1] >= p[0]);
     if !(replayable && lo_hz > 0.0 && lo_hz <= hi_hz && hi_hz.is_finite()) {
         return None;
     }
@@ -490,38 +560,26 @@ pub fn replay_min_frequency(
     Some(f64::from_bits(hi))
 }
 
-/// Whether every instant at which the simulator schedules an event of
-/// the unbounded run is finite: the bit arrivals `cum_bits/rate + delay`
-/// and the FIFO-input instants `A` (PE₁ completions). With the replayed
-/// departures (PE₂ completions) finite too, `simulate` cannot fail on
-/// the stream, so a verdict decided from the replay never hides an
-/// error an exhaustive run would report.
-fn arrivals_finite(w: &FaultedWorkload, bitrate_bps: f64, push_times: &[f64]) -> bool {
-    let mut cum_bits = 0.0f64;
-    push_times.iter().all(|a| a.is_finite())
-        && w.bits
-            .iter()
-            .zip(&w.arrival_delay_s)
-            .all(|(&bits, &delay)| {
-                cum_bits += bits as f64;
-                (cum_bits / bitrate_bps + delay).is_finite()
-            })
-}
-
 impl ClipContext {
     fn build(clip: &ClipWorkload, spec: &SweepSpec) -> Result<Self, SweepError> {
-        let streams = spec
-            .seeds
-            .iter()
-            .map(|seed| match seed {
-                None => FaultedWorkload::clean(clip),
-                Some(s) => spec
-                    .injectors
-                    .iter()
-                    .fold(FaultPlan::new(*s), |plan, inj| plan.with(inj.clone()))
-                    .apply(clip),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        // One clean build serves every seed: each seed starts from a copy
+        // of it, and the last seed from the build itself.
+        let clean = FaultedWorkload::clean(clip)?;
+        let seeded = |seed: &Option<u64>, w: FaultedWorkload| match seed {
+            None => Ok(w),
+            Some(s) => spec
+                .injectors
+                .iter()
+                .fold(FaultPlan::new(*s), |plan, inj| plan.with(inj.clone()))
+                .apply_to(w),
+        };
+        let mut streams = Vec::with_capacity(spec.seeds.len());
+        if let Some((last, rest)) = spec.seeds.split_last() {
+            for seed in rest {
+                streams.push(seeded(seed, clean.clone())?);
+            }
+            streams.push(seeded(last, clean)?);
+        }
         Self::from_streams(clip, spec, streams)
     }
 
@@ -543,18 +601,16 @@ impl ClipContext {
         };
         let k_max = spec.k_max.min(clean.len());
 
+        let bitrate_bps = clip.params().bitrate_bps();
+        let push_times: Vec<Vec<f64>> = streams
+            .iter()
+            .map(|w| push_times_of(w, bitrate_bps, spec.pe1_hz))
+            .collect();
         let mut clean_gamma_u: Option<UpperWorkloadCurve> = None;
         let f_min = streams
             .iter()
-            .map(|w| {
-                Self::seed_f_min(
-                    w,
-                    clean,
-                    spec,
-                    clip.params().bitrate_bps(),
-                    &mut clean_gamma_u,
-                )
-            })
+            .zip(&push_times)
+            .map(|(w, push_times)| Self::seed_f_min(w, push_times, clean, spec, &mut clean_gamma_u))
             .collect::<Result<Vec<_>, _>>()?;
 
         // Advisory column: one RMS task per clip, one macroblock per
@@ -582,24 +638,27 @@ impl ClipContext {
 
         Ok(ClipContext {
             name: clip.name().to_string(),
-            bitrate_bps: clip.params().bitrate_bps(),
+            bitrate_bps,
             streams,
+            push_times,
             f_min,
             rms,
         })
     }
 
     /// `F^γ_min` per capacity for one seed's stream, from its own `ᾱᵘ`
-    /// and `γᵘ`; all `None` when eq. 9 does not transfer to the stream:
-    /// the frequency threshold needs PE₂ service to be exactly `c/F`.
+    /// (over its FIFO-input instants `push_times`) and `γᵘ`; all `None`
+    /// when eq. 9 does not transfer to the stream: the frequency
+    /// threshold needs PE₂ service to be exactly `c/F`, and a simulation
+    /// that fails (no `push_times`) is no safe run.
     fn seed_f_min(
         w: &FaultedWorkload,
+        push_times: &[f64],
         clean: &FaultedWorkload,
         spec: &SweepSpec,
-        bitrate_bps: f64,
         clean_gamma_u: &mut Option<UpperWorkloadCurve>,
     ) -> Result<Vec<Option<f64>>, SweepError> {
-        let n = w.len();
+        let n = push_times.len();
         let safe_ok = n > 0
             && w.pe2_scale.iter().all(|&s| s == 1.0)
             && w.pe2_extra_s.iter().all(|&e| e == 0.0);
@@ -610,8 +669,7 @@ impl ClipContext {
         let gamma_u = UpperWorkloadCurve::new(max_window_sums(&w.pe2_cycles, k_max, spec.mode)?)?;
         // ᾱᵘ straight from the stamps: `arrival_upper` over a trace of
         // them, without copying them into one.
-        let push_times = push_times_of(w, bitrate_bps, spec.pe1_hz);
-        let spans = min_spans(&push_times, k_max, spec.mode)?;
+        let spans = min_spans(push_times, k_max, spec.mode)?;
         let alpha = arrival_upper_from_spans(&spans, n, push_times[n - 1] - push_times[0])?;
         let out = spec
             .capacities
@@ -651,23 +709,26 @@ fn verdict_counter(v: Verdict) -> &'static str {
 
 /// Analytic verdicts for the whole grid, computed **before** point
 /// evaluation starts, so that point evaluation is a table lookup except
-/// at exact ties. Per `(clip, seed)` the FIFO-input instants are
-/// computed once and the frequencies are visited in ascending order, one
-/// departure replay ([`replay_departures`]) each, which then serves
-/// every capacity:
+/// at exact ties. Per `(clip, seed)` the frequencies are visited in
+/// ascending order, `LANES` at a time: one lane pass
+/// ([`certify_lanes`]) replays the group's departures side by side and
+/// checks, for every clock of the group, each capacity the clock before
+/// the group certified. Then each clock of the group, in order:
 ///
-/// * [`overflows_at`] certifies the capacities that must overflow. The
-///   certified set is a down-set in `(F, b)`, so each replay only
-///   searches the capacities the previous frequency certified;
+/// * takes the certified capacities — a down-set in `(F, b)`, so a
+///   prefix of the previous clock's, found by `partition_point` over
+///   the pass's predicate values;
 /// * where a capacity is left that neither that certificate nor eq. 9
-///   decides, one [`replay_peaks`] pass marks it [`Verdict::ReplayOk`]
-///   when no tie can fill it or move its peak backlog, and records that
-///   peak for the clock.
+///   decides, replays its departures once more, on their own
+///   ([`replay_departures`]), for one [`replay_peaks`] pass that marks
+///   the capacity [`Verdict::ReplayOk`] when no tie can fill it or move
+///   its peak backlog, and records that peak for the clock.
 ///
 /// The scan stops at the first frequency that certifies nothing and at
-/// which eq. 9 calls every capacity safe. The eq. 9 safe bound is
-/// overlaid last (safe wins on overlap); a cell it calls safe that the
-/// replay certified unsafe is counted in `eq9_contradicted` first.
+/// which eq. 9 calls every capacity safe; a group the stop cuts short
+/// wastes its later lanes. The eq. 9 safe bound is overlaid last (safe
+/// wins on overlap); a cell it calls safe that the replay certified
+/// unsafe is counted in `eq9_contradicted` first.
 ///
 /// The table is a pure function of `(ctxs, spec)` — policies don't enter
 /// the analytic bounds, thread counts don't enter the table — so reports
@@ -685,6 +746,13 @@ struct AnalyticTable {
     /// is a soundness failure of the safe bound (counted, not yet an
     /// error; published as the `sweep.eq9_contradicted` counter).
     eq9_contradicted: u64,
+    /// The replay's work, published as counters: lane passes
+    /// (`sweep.replay_passes`), the clocks they carried, those past the
+    /// stop included (`sweep.replayed_clocks`), and the scalar replays
+    /// run for [`replay_peaks`] (`sweep.peak_replays`).
+    replay_passes: u64,
+    replayed_clocks: u64,
+    peak_replays: u64,
 }
 
 impl AnalyticTable {
@@ -699,6 +767,9 @@ impl AnalyticTable {
             verdicts: Vec::new(),
             peaks: Vec::new(),
             eq9_contradicted: 0,
+            replay_passes: 0,
+            replayed_clocks: 0,
+            peak_replays: 0,
         };
         if !spec.prune {
             return table;
@@ -708,10 +779,18 @@ impl AnalyticTable {
         table.peaks = vec![0; ctxs.len() * n_seed * n_freq];
         // Both axes in ascending value order: they may be unsorted or
         // repeat values.
+        let freqs = &spec.frequencies_hz;
         let mut freq_order: Vec<usize> = (0..n_freq).collect();
-        freq_order.sort_by(|&a, &b| spec.frequencies_hz[a].total_cmp(&spec.frequencies_hz[b]));
+        freq_order.sort_by(|&a, &b| freqs[a].total_cmp(&freqs[b]));
         let mut cap_order: Vec<usize> = (0..n_cap).collect();
         cap_order.sort_by_key(|&i| spec.capacities[i]);
+        let cap_sizes: Vec<usize> = cap_order
+            .iter()
+            .map(|&bi| usize::try_from(spec.capacities[bi]).unwrap_or(usize::MAX))
+            .collect();
+        // `hits[p][k]`: the pass's certificate for capacity `cap_order[p]`
+        // at its lane `k`.
+        let mut hits = vec![[false; LANES]; n_cap];
         let mut departures = Vec::new();
         for (ci, ctx) in ctxs.iter().enumerate() {
             for (si, w) in ctx.streams.iter().enumerate() {
@@ -721,54 +800,67 @@ impl AnalyticTable {
                 let eq9_safe = |bi: usize, freq: f64| {
                     f_min[bi].is_some_and(|f_min| freq >= f_min * (1.0 + SAFE_MARGIN))
                 };
-                let push_times = push_times_of(w, ctx.bitrate_bps, spec.pe1_hz);
+                let all_safe = |freq: f64| cap_order.iter().all(|&bi| eq9_safe(bi, freq));
                 // An event instant the simulator rejects is a simulation
                 // error: decide nothing from the replay.
-                let replayable =
-                    !push_times.is_empty() && arrivals_finite(w, ctx.bitrate_bps, &push_times);
+                let push_times = &ctx.push_times[si][..];
+                let replayable = !push_times.is_empty();
                 // The two-pointer merge needs `A` sorted; PE₁ service
                 // times that no injector makes negative keep it so.
                 let mergeable = replayable && push_times.windows(2).all(|p| p[1] >= p[0]);
                 let mut certified = if replayable { n_cap } else { 0 };
-                for &fi in &freq_order {
-                    let f = spec.frequencies_hz[fi];
-                    if !replayable
-                        || (certified == 0 && cap_order.iter().all(|&bi| eq9_safe(bi, f)))
-                    {
-                        break;
+                let mut next = 0;
+                'clocks: while replayable && next < n_freq {
+                    let group = &freq_order[next..n_freq.min(next + LANES)];
+                    if certified == 0 && all_safe(freqs[group[0]]) {
+                        break; // the stop falls on the group's first clock
                     }
-                    if !replay_departures(w, &push_times, f, &mut departures) {
-                        certified = 0;
-                        continue;
-                    }
-                    // The certified capacities are a prefix of
-                    // `cap_order`; a faster PE₂ can only shorten it.
-                    certified = cap_order[..certified].partition_point(|&bi| {
-                        overflows_at(&push_times, &departures, spec.capacities[bi])
-                    });
-                    for &bi in &cap_order[..certified] {
-                        table.verdicts[at(bi) + fi] = Some(Verdict::ProvablyUnsafe);
-                        table.eq9_contradicted += u64::from(eq9_safe(bi, f));
-                    }
-                    let open = &cap_order[certified..];
-                    if !mergeable || open.iter().all(|&bi| eq9_safe(bi, f)) {
-                        continue;
-                    }
-                    let (peak, peak_ties) = replay_peaks(&push_times, &departures);
-                    if peak != peak_ties {
-                        continue; // a tie may move the peak: simulate
-                    }
-                    table.peaks[cs * n_freq + fi] = 1 + peak as u64;
-                    for &bi in open {
-                        if spec.capacities[bi] > peak as u64 {
-                            table.verdicts[at(bi) + fi] = Some(Verdict::ReplayOk);
+                    next += group.len();
+                    // Spare lanes repeat the group's last clock.
+                    let clocks = std::array::from_fn(|k| freqs[group[k.min(group.len() - 1)]]);
+                    let valid =
+                        certify_lanes(w, push_times, &clocks, &cap_sizes[..certified], &mut hits);
+                    table.replay_passes += 1;
+                    table.replayed_clocks += group.len() as u64;
+                    for (k, &fi) in group.iter().enumerate() {
+                        let f = freqs[fi];
+                        if certified == 0 && all_safe(f) {
+                            break 'clocks;
+                        }
+                        if !valid[k] {
+                            certified = 0;
+                            continue;
+                        }
+                        // The certified capacities are a prefix of
+                        // `cap_order`; a faster PE₂ can only shorten it.
+                        certified = hits[..certified].partition_point(|hit| hit[k]);
+                        for &bi in &cap_order[..certified] {
+                            table.verdicts[at(bi) + fi] = Some(Verdict::ProvablyUnsafe);
+                            table.eq9_contradicted += u64::from(eq9_safe(bi, f));
+                        }
+                        let open = &cap_order[certified..];
+                        if !mergeable || open.iter().all(|&bi| eq9_safe(bi, f)) {
+                            continue;
+                        }
+                        let replayed = replay_departures(w, push_times, f, &mut departures);
+                        debug_assert!(replayed, "the lane pass found this clock's replay valid");
+                        table.peak_replays += 1;
+                        let (peak, peak_ties) = replay_peaks(push_times, &departures);
+                        if peak != peak_ties {
+                            continue; // a tie may move the peak: simulate
+                        }
+                        table.peaks[cs * n_freq + fi] = 1 + peak as u64;
+                        for &bi in open {
+                            if spec.capacities[bi] > peak as u64 {
+                                table.verdicts[at(bi) + fi] = Some(Verdict::ReplayOk);
+                            }
                         }
                     }
                 }
                 // Overlaid last: on overlap safe wins, as it did when
                 // each point was pruned on its own.
                 for bi in 0..n_cap {
-                    for (fi, &freq) in spec.frequencies_hz.iter().enumerate() {
+                    for (fi, &freq) in freqs.iter().enumerate() {
                         if eq9_safe(bi, freq) {
                             table.verdicts[at(bi) + fi] = Some(Verdict::ProvablySafe);
                         }
@@ -779,6 +871,9 @@ impl AnalyticTable {
         if table.eq9_contradicted > 0 {
             wcm_obs::counter("sweep.eq9_contradicted", table.eq9_contradicted);
         }
+        wcm_obs::counter("sweep.replay_passes", table.replay_passes);
+        wcm_obs::counter("sweep.replayed_clocks", table.replayed_clocks);
+        wcm_obs::counter("sweep.peak_replays", table.peak_replays);
         table
     }
 
@@ -796,10 +891,14 @@ impl AnalyticTable {
     }
 }
 
-/// [`eval_point_inner`] plus observability: per-verdict counters and
-/// time-in-prune vs time-in-sim histograms. Timing happens only with the
-/// recorder enabled and never influences the returned value, so reports stay
-/// bit-identical whether or not a recorder is live.
+/// The verdict of one point: the analytic table's, or a simulation's
+/// where the table leaves the point open. Observability: a per-verdict
+/// counter for every point, and the simulated points' run times
+/// (`sweep.sim_ns`). A table lookup is not timed: two clock reads would
+/// cost more than it does, and the table's cost is its own span. Timing
+/// happens only with the recorder enabled and never influences the
+/// returned value, so reports stay bit-identical whether or not a
+/// recorder is live.
 fn eval_point(
     p: GridPoint,
     ctxs: &[ClipContext],
@@ -807,19 +906,17 @@ fn eval_point(
     table: &AnalyticTable,
     scratch: &mut SimScratch,
 ) -> Result<(Verdict, Option<SimDigest>), SimError> {
-    if !wcm_obs::enabled() {
-        return eval_point_inner(p, ctxs, spec, table, scratch);
+    if let Some(decided) = table.lookup(p) {
+        wcm_obs::counter(verdict_counter(decided.0), 1);
+        return Ok(decided);
     }
-    let t0 = wcm_obs::now_ns();
-    let out = eval_point_inner(p, ctxs, spec, table, scratch);
-    let dt = wcm_obs::now_ns().saturating_sub(t0);
+    let t0 = wcm_obs::enabled().then(wcm_obs::now_ns);
+    let out = simulate_point(p, ctxs, spec, scratch);
     match &out {
         Ok((verdict, _)) => {
             wcm_obs::counter(verdict_counter(*verdict), 1);
-            if verdict.simulated() {
-                wcm_obs::histogram("sweep.sim_ns", dt);
-            } else {
-                wcm_obs::histogram("sweep.prune_ns", dt);
+            if let Some(t0) = t0 {
+                wcm_obs::histogram("sweep.sim_ns", wcm_obs::now_ns().saturating_sub(t0));
             }
         }
         Err(_) => wcm_obs::counter("sweep.verdict.error", 1),
@@ -827,27 +924,20 @@ fn eval_point(
     out
 }
 
-fn eval_point_inner(
+/// Simulates one point on the hot path, with the worker's scratch.
+fn simulate_point(
     p: GridPoint,
     ctxs: &[ClipContext],
     spec: &SweepSpec,
-    table: &AnalyticTable,
     scratch: &mut SimScratch,
 ) -> Result<(Verdict, Option<SimDigest>), SimError> {
     let ctx = &ctxs[p.clip];
-    let freq = spec.frequencies_hz[p.freq];
-    let cap = spec.capacities[p.cap];
-
-    if let Some(decided) = table.lookup(p) {
-        return Ok(decided);
-    }
-
     let cfg = PipelineConfig {
         bitrate_bps: ctx.bitrate_bps,
         pe1_hz: spec.pe1_hz,
-        pe2_hz: freq,
+        pe2_hz: spec.frequencies_hz[p.freq],
     };
-    let fifo = FifoConfig::bounded(cap, spec.policies[p.policy]);
+    let fifo = FifoConfig::bounded(spec.capacities[p.cap], spec.policies[p.policy]);
     let summary = simulate(&ctx.streams[p.seed], &cfg, &fifo, None, scratch)?;
     let verdict = if summary.overflowed {
         Verdict::SimOverflow
@@ -2227,6 +2317,7 @@ pub fn merge_shards(
 
 #[cfg(test)]
 mod tests {
+    use super::lane_tests::overflows_at;
     use super::*;
     use wcm_core::build::arrival_upper;
     use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
@@ -3145,6 +3236,23 @@ mod tests {
         assert!(seeded_unsafe > 0, "the faster seed should prune unsafe");
     }
 
+    #[test]
+    fn replay_work_is_counted_per_table() {
+        // Three clips × two seeds, four clocks: one lane pass per stream
+        // carries the whole axis, and the clocks whose open capacities
+        // eq. 9 leaves undecided replay once more for their peaks.
+        let clips = small_clips(3);
+        let spec = small_spec();
+        let ctxs: Vec<ClipContext> = clips
+            .iter()
+            .map(|c| ClipContext::build(c, &spec).unwrap())
+            .collect();
+        let table = AnalyticTable::build(&ctxs, &spec);
+        assert_eq!(table.replay_passes, 6);
+        assert_eq!(table.replayed_clocks, 24);
+        assert_eq!(table.peak_replays, 15);
+    }
+
     /// The SplitMix64 finalizer that seeds the benchmark's clip library
     /// (`examples/bench_e2e`), so this test sweeps the same clips.
     fn mix(seed: u64, salt: u64) -> u64 {
@@ -3255,5 +3363,432 @@ mod tests {
             replay_min_frequency(&w, bitrate_bps, pe1_hz, 2, 1.0e3, 2.0e3),
             None
         );
+    }
+}
+
+#[cfg(test)]
+mod lane_tests {
+    //! The lane pass of [`AnalyticTable::build`] against the per-clock
+    //! replay it replaced: one [`replay_departures`] per clock, the overflow
+    //! certificate ([`overflows_at`]) per capacity, and [`replay_peaks`]
+    //! where a capacity is left open. On random clips, fault plans, clock
+    //! axes and capacities, both build the same verdicts, peaks and eq.-9
+    //! contradiction count, and every lane's departures are bit-equal to
+    //! the scalar replay's.
+
+    use super::*;
+    use crate::faults::ProcessingElement;
+    use proptest::prelude::*;
+    use wcm_mpeg::demand::{Pe1Model, Pe2Model};
+    use wcm_mpeg::mb::{Macroblock, MacroblockClass};
+    use wcm_mpeg::params::{FrameKind, GopStructure, VideoParams};
+    use wcm_mpeg::workload::FrameWorkload;
+    use wcm_mpeg::{profile::standard_clips, Synthesizer};
+
+    /// Whether a FIFO of `capacity` overflows under every policy, by the
+    /// replayed departures `D` of one clock: some push `i ≥ b` has
+    /// `D_{i−b} > A_i` (the certificate [`certify_lanes`] checks in its
+    /// lanes).
+    pub(super) fn overflows_at(push_times: &[f64], departures: &[f64], capacity: u64) -> bool {
+        let n = push_times.len();
+        let b = usize::try_from(capacity).unwrap_or(usize::MAX);
+        if b >= n {
+            return false;
+        }
+        departures[..n - b]
+            .iter()
+            .zip(&push_times[b..])
+            .any(|(d, a)| d > a)
+    }
+
+    /// What the per-clock replay decides: the verdict table, the peaks and
+    /// the eq.-9 contradiction count, as [`AnalyticTable`] holds them.
+    type Reference = (Vec<Option<Verdict>>, Vec<u64>, u64);
+
+    /// The verdict table of the per-clock replay, and how many clocks had a
+    /// peak that a tie may move.
+    fn reference_table(ctxs: &[ClipContext], spec: &SweepSpec) -> (Reference, usize) {
+        let n_freq = spec.frequencies_hz.len();
+        let n_cap = spec.capacities.len();
+        let n_seed = spec.seeds.len();
+        let mut verdicts = vec![None; ctxs.len() * n_seed * n_cap * n_freq];
+        let mut peaks = vec![0; ctxs.len() * n_seed * n_freq];
+        let mut contradicted = 0;
+        let mut tied = 0;
+        let mut freq_order: Vec<usize> = (0..n_freq).collect();
+        freq_order.sort_by(|&a, &b| spec.frequencies_hz[a].total_cmp(&spec.frequencies_hz[b]));
+        let mut cap_order: Vec<usize> = (0..n_cap).collect();
+        cap_order.sort_by_key(|&i| spec.capacities[i]);
+        let mut departures = Vec::new();
+        for (ci, ctx) in ctxs.iter().enumerate() {
+            for (si, w) in ctx.streams.iter().enumerate() {
+                let cs = ci * n_seed + si;
+                let at = |bi: usize| (cs * n_cap + bi) * n_freq;
+                let f_min = &ctx.f_min[si];
+                let eq9_safe = |bi: usize, freq: f64| {
+                    f_min[bi].is_some_and(|f_min| freq >= f_min * (1.0 + SAFE_MARGIN))
+                };
+                let push_times = push_times_of(w, ctx.bitrate_bps, spec.pe1_hz);
+                let replayable = !push_times.is_empty();
+                let mergeable = replayable && push_times.windows(2).all(|p| p[1] >= p[0]);
+                let mut certified = if replayable { n_cap } else { 0 };
+                for &fi in &freq_order {
+                    let f = spec.frequencies_hz[fi];
+                    if !replayable
+                        || (certified == 0 && cap_order.iter().all(|&bi| eq9_safe(bi, f)))
+                    {
+                        break;
+                    }
+                    if !replay_departures(w, &push_times, f, &mut departures) {
+                        certified = 0;
+                        continue;
+                    }
+                    certified = cap_order[..certified].partition_point(|&bi| {
+                        overflows_at(&push_times, &departures, spec.capacities[bi])
+                    });
+                    for &bi in &cap_order[..certified] {
+                        verdicts[at(bi) + fi] = Some(Verdict::ProvablyUnsafe);
+                        contradicted += u64::from(eq9_safe(bi, f));
+                    }
+                    let open = &cap_order[certified..];
+                    if !mergeable || open.iter().all(|&bi| eq9_safe(bi, f)) {
+                        continue;
+                    }
+                    let (peak, peak_ties) = replay_peaks(&push_times, &departures);
+                    if peak != peak_ties {
+                        tied += 1;
+                        continue;
+                    }
+                    peaks[cs * n_freq + fi] = 1 + peak as u64;
+                    for &bi in open {
+                        if spec.capacities[bi] > peak as u64 {
+                            verdicts[at(bi) + fi] = Some(Verdict::ReplayOk);
+                        }
+                    }
+                }
+                for bi in 0..n_cap {
+                    for (fi, &freq) in spec.frequencies_hz.iter().enumerate() {
+                        if eq9_safe(bi, freq) {
+                            verdicts[at(bi) + fi] = Some(Verdict::ProvablySafe);
+                        }
+                    }
+                }
+            }
+        }
+        ((verdicts, peaks, contradicted), tied)
+    }
+
+    fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+        from[rng.below(from.len() as u64) as usize]
+    }
+
+    /// A clip whose instants are exact binary fractions (1 024 bit/s, bit
+    /// counts and cycle costs in powers of two), so departures often tie
+    /// pushes exactly, as in `tie_stream`.
+    fn dyadic_clip(rng: &mut TestRng) -> ClipWorkload {
+        let longest = pick(rng, &[6, 60]);
+        let n = 2 + rng.below(longest) as usize;
+        let params =
+            VideoParams::new(16, 16, 25.0, 1024.0, GopStructure::new(1, 1).unwrap()).unwrap();
+        let frames = (0..n)
+            .map(|_| {
+                let mb = Macroblock {
+                    frame: FrameKind::I,
+                    class: MacroblockClass::Intra {
+                        coded_blocks: pick(rng, &[0, 1, 2, 4, 6]),
+                    },
+                    bits: 128 * pick(rng, &[1, 2, 4, 7]),
+                };
+                FrameWorkload::new(FrameKind::I, vec![mb])
+            })
+            .collect();
+        ClipWorkload::new(
+            "dyadic".into(),
+            params,
+            Pe1Model {
+                base: 0,
+                cycles_per_bit: 1.0,
+                iq_per_block: 0,
+            },
+            Pe2Model {
+                base: pick(rng, &[0, 128]),
+                idct_per_block: 256,
+                mc_single: 0,
+                mc_single_field: 0,
+                mc_bidirectional: 0,
+                mc_bidirectional_field: 0,
+                skip_copy: 0,
+            },
+            frames,
+        )
+    }
+
+    /// One GOP of a standard profile at 160 × 128 (960 macroblocks).
+    fn synthesized_clip(rng: &mut TestRng) -> ClipWorkload {
+        let params = VideoParams::new(160, 128, 25.0, 1.0e6, GopStructure::broadcast()).unwrap();
+        let profiles = standard_clips();
+        let mut profile = profiles[rng.below(profiles.len() as u64) as usize].clone();
+        profile.seed = rng.next_u64();
+        Synthesizer::new(params).generate(&profile, 1).unwrap()
+    }
+
+    /// The PE₂ faults break eq. 9's `c/F` model, so the scan cannot stop
+    /// early and replays the whole clock axis; the rest move `A` and `D`.
+    fn injector(rng: &mut TestRng, n: usize) -> Injector {
+        let start = rng.below(n as u64) as usize;
+        let len = 1 + rng.below(n as u64) as usize;
+        match rng.below(6) {
+            0 => Injector::JitterBurst {
+                start,
+                len,
+                max_delay_s: pick(rng, &[0.25, 1.0, 3.0]) * 0.01,
+            },
+            1 => Injector::DemandSpike {
+                start,
+                len,
+                factor_pct: pick(rng, &[50, 150, 250, 137]),
+            },
+            2 => Injector::ClockDrift {
+                pe: ProcessingElement::Pe2,
+                start,
+                len,
+                factor_pct: pick(rng, &[125, 150, 200, 173]),
+            },
+            3 => Injector::Stall {
+                pe: ProcessingElement::Pe2,
+                at: start,
+                extra_s: pick(rng, &[0.25, 0.5, 1.0, 0.3]) * 0.01,
+            },
+            4 => Injector::DropEvents {
+                per_mille: rng.below(150) as u16,
+            },
+            _ => Injector::DuplicateEvents {
+                per_mille: rng.below(150) as u16,
+            },
+        }
+    }
+
+    /// A hand edit of the last seed's stream that no plan injects.
+    #[derive(Debug, Clone, Copy)]
+    enum Edit {
+        /// A NaN bit arrival: `simulate` fails, the replay decides nothing.
+        NanArrival(usize),
+        /// An infinite PE₂ stall: every lane's departures are non-finite.
+        InfiniteStall(usize),
+        /// A negative PE₂ stall: departures can fall at the fast clocks
+        /// only, so some lanes of a pass are valid and others are not.
+        NegativeStall(usize, f64),
+        /// A PE₂ faster than modelled over the whole stream.
+        FasterPe2,
+        /// A −∞ stall on the first macroblock's PE₂ service: the first
+        /// departure is −∞, which every lane must refuse as the scalar
+        /// replay does.
+        MinusInfiniteFirstStall,
+    }
+
+    struct Case {
+        clip: ClipWorkload,
+        spec: SweepSpec,
+        edit: Option<Edit>,
+    }
+
+    fn case(seed: u64) -> Case {
+        let mut rng = TestRng::seeded(seed);
+        let dyadic = rng.below(2) == 0;
+        let clip = if dyadic {
+            dyadic_clip(&mut rng)
+        } else {
+            synthesized_clip(&mut rng)
+        };
+        let n = clip.macroblock_count();
+        // Clock pools with repeats; axes of every length around the lane
+        // count, unsorted.
+        let pool: Vec<f64> = if dyadic {
+            vec![
+                128.0, 256.0, 300.0, 512.0, 700.0, 1024.0, 2048.0, 4096.0, 8192.0,
+            ]
+        } else {
+            (0..12).map(|i| 1.0e6 * 1.5f64.powi(i)).collect()
+        };
+        let n_freq = pick(&mut rng, &[1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1]);
+        let frequencies_hz = (0..n_freq).map(|_| pick(&mut rng, &pool)).collect();
+        let cap_pool: Vec<u64> = if dyadic {
+            vec![1, 2, 3, 4, 6, 100]
+        } else {
+            vec![1, 4, 16, 80, 200, 959, 4000]
+        };
+        let capacities = (0..1 + rng.below(5))
+            .map(|_| pick(&mut rng, &cap_pool))
+            .collect();
+        let seeds = match rng.below(4) {
+            0 => vec![Some(rng.next_u64())],
+            1 => vec![Some(rng.next_u64()), None, Some(rng.next_u64())],
+            _ => vec![None, Some(rng.next_u64())],
+        };
+        let injectors = (0..rng.below(4)).map(|_| injector(&mut rng, n)).collect();
+        let edit = match rng.below(9) {
+            0 => Some(Edit::NanArrival(rng.below(n as u64) as usize)),
+            1 => Some(Edit::InfiniteStall(rng.below(n as u64) as usize)),
+            // The service time is negative above the pool's middle clock.
+            2 => Some(Edit::NegativeStall(
+                rng.below(n as u64) as usize,
+                pool[pool.len() / 2],
+            )),
+            3 => Some(Edit::FasterPe2),
+            4 => Some(Edit::MinusInfiniteFirstStall),
+            _ => None,
+        };
+        let pe1_hz = if dyadic {
+            pick(&mut rng, &[1024.0, 4096.0, 3000.0])
+        } else {
+            60.0e6
+        };
+        let spec = SweepSpec {
+            pe1_hz,
+            frequencies_hz,
+            capacities,
+            policies: vec![OverflowPolicy::Backpressure],
+            seeds,
+            injectors,
+            k_max: 64,
+            mode: WindowMode::Exact,
+            cert_depth: 0,
+            prune: true,
+        };
+        Case { clip, spec, edit }
+    }
+
+    /// What one case exercised.
+    #[derive(Debug, Default)]
+    struct Seen {
+        unsafe_cells: usize,
+        replay_ok_cells: usize,
+        tied_clocks: usize,
+        /// Streams whose clock axis took more than one lane pass.
+        multi_pass_streams: usize,
+        /// Lane passes with both valid and invalid lanes.
+        mixed_passes: usize,
+        /// Streams the replay refused (a non-finite instant).
+        refused_streams: usize,
+    }
+
+    /// `None` when the plan leaves nothing to analyse.
+    fn check(case: &Case) -> Option<Result<Seen, String>> {
+        let spec = &case.spec;
+        let mut ctx = ClipContext::build(&case.clip, spec).ok()?;
+        if let Some(edit) = case.edit {
+            let mut streams = ctx.streams;
+            let w = streams.last_mut().expect("every case has a seed");
+            let n = w.len();
+            match edit {
+                Edit::NanArrival(i) => w.arrival_delay_s[i % n] = f64::NAN,
+                Edit::InfiniteStall(i) => w.pe2_extra_s[i % n] = f64::INFINITY,
+                Edit::NegativeStall(i, hz) => {
+                    w.pe2_extra_s[i % n] = -(w.pe2_cycles[i % n] as f64) / hz;
+                }
+                Edit::FasterPe2 => w.pe2_scale.fill(0.6),
+                Edit::MinusInfiniteFirstStall => w.pe2_extra_s[0] = f64::NEG_INFINITY,
+            }
+            ctx = ClipContext::from_streams(&case.clip, spec, streams).ok()?;
+        }
+        let ctxs = [ctx];
+        Some(compare(&ctxs, spec))
+    }
+
+    fn compare(ctxs: &[ClipContext], spec: &SweepSpec) -> Result<Seen, String> {
+        let table = AnalyticTable::build(ctxs, spec);
+        let ((verdicts, peaks, contradicted), tied_clocks) = reference_table(ctxs, spec);
+        if table.verdicts != verdicts {
+            return Err(format!("verdicts {:?} vs {verdicts:?}", table.verdicts));
+        }
+        if table.peaks != peaks {
+            return Err(format!("peaks {:?} vs {peaks:?}", table.peaks));
+        }
+        if table.eq9_contradicted != contradicted {
+            return Err(format!("eq9 {} vs {contradicted}", table.eq9_contradicted));
+        }
+        let mut seen = Seen {
+            unsafe_cells: verdicts
+                .iter()
+                .filter(|v| **v == Some(Verdict::ProvablyUnsafe))
+                .count(),
+            replay_ok_cells: verdicts
+                .iter()
+                .filter(|v| **v == Some(Verdict::ReplayOk))
+                .count(),
+            tied_clocks,
+            ..Seen::default()
+        };
+        let streams = ctxs.iter().map(|c| c.streams.len()).sum::<usize>() as u64;
+        seen.multi_pass_streams = usize::from(table.replay_passes > streams);
+        // Every lane's departures, bit for bit, on the spec's clocks (the
+        // spare lanes repeat them).
+        let freqs = &spec.frequencies_hz;
+        let clocks: [f64; LANES] = std::array::from_fn(|k| freqs[k % freqs.len()]);
+        let mut departures = Vec::new();
+        for ctx in ctxs {
+            for (w, push_times) in ctx.streams.iter().zip(&ctx.push_times) {
+                if push_times.is_empty() {
+                    seen.refused_streams += 1;
+                    continue;
+                }
+                let mut lanes: Vec<[f64; LANES]> = Vec::with_capacity(push_times.len());
+                let valid = replay_lanes(w, push_times, &clocks, |j, done| {
+                    assert_eq!(j, lanes.len());
+                    lanes.push(*done);
+                });
+                for (k, &f) in clocks.iter().enumerate() {
+                    let ok = replay_departures(w, push_times, f, &mut departures);
+                    if valid[k] != ok {
+                        return Err(format!("lane {k} at {f} Hz: valid {} vs {ok}", valid[k]));
+                    }
+                    let lane = lanes.iter().map(|d| d[k].to_bits());
+                    if !lane.eq(departures.iter().map(|d| d.to_bits())) {
+                        return Err(format!("lane {k} at {f} Hz: departures differ"));
+                    }
+                }
+                seen.mixed_passes += usize::from(valid.contains(&true) && valid.contains(&false));
+            }
+        }
+        Ok(seen)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lane_table_equals_the_per_clock_replay(seed in 0u64..u64::MAX) {
+            let outcome = check(&case(seed));
+            prop_assume!(outcome.is_some());
+            if let Some(Err(e)) = outcome {
+                prop_assert!(false, "seed {seed}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_lane_property_sees_every_path() {
+        // The property is only as strong as its cases: they must certify
+        // and replay cells, hit ties, take several passes per stream, mix
+        // valid and invalid lanes in one pass, and refuse streams.
+        let mut total = Seen::default();
+        for seed in 0..200 {
+            let Some(outcome) = check(&case(seed)) else {
+                continue;
+            };
+            let seen = outcome.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            total.unsafe_cells += seen.unsafe_cells;
+            total.replay_ok_cells += seen.replay_ok_cells;
+            total.tied_clocks += seen.tied_clocks;
+            total.multi_pass_streams += seen.multi_pass_streams;
+            total.mixed_passes += seen.mixed_passes;
+            total.refused_streams += seen.refused_streams;
+        }
+        assert!(total.unsafe_cells > 1000, "{total:?}");
+        assert!(total.replay_ok_cells > 1000, "{total:?}");
+        assert!(total.tied_clocks > 10, "{total:?}");
+        assert!(total.multi_pass_streams > 10, "{total:?}");
+        assert!(total.mixed_passes > 3, "{total:?}");
+        assert!(total.refused_streams > 5, "{total:?}");
     }
 }

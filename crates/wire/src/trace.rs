@@ -12,8 +12,9 @@
 //! poisons the frames after it.
 
 use crate::frame::{
-    Frame, FrameReader, FrameWriter, Step, KIND_APP_BASE, KIND_DEMANDS, KIND_END, KIND_EVENTS,
-    KIND_META, KIND_REGISTRY, KIND_SUMMARY, KIND_SWEEP_META, KIND_SWEEP_POINTS, KIND_TIMES,
+    Frame, FrameReader, FrameWriter, Step, FRAME_OVERHEAD, HEADER_LEN, KIND_APP_BASE, KIND_DEMANDS,
+    KIND_END, KIND_EVENTS, KIND_META, KIND_REGISTRY, KIND_SUMMARY, KIND_SWEEP_META,
+    KIND_SWEEP_POINTS, KIND_TIMES, SYNC,
 };
 use crate::sweep::{SweepPointRec, SweepShardMeta};
 use crate::varint::{f64_to_key, key_to_f64, put_str, put_varint, put_zigzag, Cursor};
@@ -443,6 +444,35 @@ fn decode_times_into(c: &mut Cursor<'_>, vals: &mut Vec<f64>) -> Result<(), Wire
     Ok(())
 }
 
+/// The demand and timestamp counts that a stream's frames claim, so that
+/// [`decode`] sizes both vectors once instead of regrowing them frame by
+/// frame. Reads each frame's header and leading count without checking
+/// its CRC, and stops at the first frame it cannot follow. Each count is
+/// bounded by its frame's payload, as [`Cursor::count`] bounds it, so a
+/// hostile stream cannot reserve more than its own bytes allow.
+fn claimed_counts(bytes: &[u8]) -> (usize, usize) {
+    let (mut demands, mut times) = (0, 0);
+    let mut at = HEADER_LEN;
+    while let Some(&[sync, kind, l0, l1, l2, l3]) = bytes.get(at..at + 6) {
+        let start = at + 6;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let Some(payload) = bytes.get(start..start.saturating_add(len)) else {
+            break;
+        };
+        if sync != SYNC || kind == KIND_END {
+            break;
+        }
+        let count = || Cursor::new(payload, start).count(1).unwrap_or(0);
+        match kind {
+            KIND_DEMANDS => demands += count(),
+            KIND_TIMES => times += count(),
+            _ => {}
+        }
+        at += len + FRAME_OVERHEAD;
+    }
+    (demands, times)
+}
+
 /// Decode a whole stream under `policy`.
 ///
 /// # Errors
@@ -454,6 +484,9 @@ fn decode_times_into(c: &mut Cursor<'_>, vals: &mut Vec<f64>) -> Result<(), Wire
 pub fn decode(bytes: &[u8], policy: DecodePolicy) -> Result<Decoded, WireError> {
     let mut reader = FrameReader::new(bytes)?;
     let mut state = DecodeState::default();
+    let (demands, times) = claimed_counts(bytes);
+    state.out.demands.reserve_exact(demands);
+    state.out.times.reserve_exact(times);
     let mut report = DecodeReport::default();
     match policy {
         DecodePolicy::Strict => loop {
@@ -527,6 +560,21 @@ mod tests {
             })
             .collect();
         TimedTrace::new(reg, events).unwrap()
+    }
+
+    #[test]
+    fn multi_frame_streams_decode_at_exact_capacity() {
+        // Three frames each of demands and stamps: one reservation from
+        // the frames' counts, no slack left by regrowth.
+        let demands: Vec<u64> = (0..10_000).map(|i| i * 37 % 5000).collect();
+        let times: Vec<f64> = (0..10_000).map(|i| f64::from(i) * 0.25).collect();
+        let mut enc = StreamEncoder::new();
+        enc.demands(&demands);
+        enc.times(&times).unwrap();
+        let out = decode(&enc.finish(), DecodePolicy::Strict).unwrap();
+        assert_eq!((out.demands.len(), out.times.len()), (10_000, 10_000));
+        assert_eq!(out.demands.capacity(), out.demands.len());
+        assert_eq!(out.times.capacity(), out.times.len());
     }
 
     #[test]
